@@ -15,21 +15,12 @@ three hot paths:
   link faults under the reroute policy: the fault gates on the hot path
   plus the sweep/re-route machinery;
 * ``uniform_8x8x8_sat`` -- the same saturation workload at full Anton 2
-  machine scale (512 nodes): the configuration where the vectorized
-  fast path's per-cycle wins are largest;
+  machine scale (512 nodes): the widest active set, where the
+  per-cycle scan over components dominates;
 * ``demand_4x4x2_hotspot`` -- an open-loop two-epoch hotspot demand
   matrix: staggered release cycles keep the source queues live across
   the whole run, exercising the wake/injection path the all-at-cycle-0
   batch configs never stress.
-
-The benchmark honours ``REPRO_FASTPATH=1``: the engines it builds then
-run the SoA fast path (:mod:`repro.sim.fastpath`) where eligible, the
-result JSON carries a top-level ``"fastpath": true`` marker, and
-``--check`` compares against the baseline's ``configs_fastpath`` section
-instead of ``configs``. The committed ``BENCH_engine.json`` holds both
-sections (the fastpath section is merged in by hand from a
-``REPRO_FASTPATH=1`` run). The faulted config is unaffected either way:
-fault runtimes are scalar-only, so it measures the same path twice.
 
 Because the engine is bit-deterministic, every run of a config simulates
 *exactly* the same cycles and events; only the wall time varies. Each
@@ -246,11 +237,6 @@ CONFIGS: Dict[str, Tuple[Callable, str]] = {
 }
 
 
-def fastpath_active() -> bool:
-    """Whether engines built by this benchmark will use the SoA fast path."""
-    return os.environ.get("REPRO_FASTPATH", "") not in ("", "0")
-
-
 def _clone_packets(packets: List) -> List:
     """Fresh Packet objects for one repetition (engines mutate packets)."""
     from repro.sim.packet import Packet
@@ -398,7 +384,6 @@ def run_all(
         "implementation": platform.python_implementation(),
         "machine": platform.machine(),
         "repeat": repeat,
-        "fastpath": fastpath_active(),
         "configs": results,
     }
     if sharded:
@@ -413,13 +398,10 @@ def check_against(baseline: dict, fresh: dict, tolerance: float) -> List[str]:
 
     Returns a list of regression messages (empty = within tolerance).
     Configs present in only one of the two are ignored: adding a config
-    must not fail the gate retroactively. A fresh result measured with
-    the fast path enabled is compared against the baseline's
-    ``configs_fastpath`` section, never against the scalar numbers.
+    must not fail the gate retroactively.
     """
-    section = "configs_fastpath" if fresh.get("fastpath") else "configs"
     problems = []
-    for name, base in baseline.get(section, {}).items():
+    for name, base in baseline.get("configs", {}).items():
         new = fresh.get("configs", {}).get(name)
         if new is None:
             continue

@@ -4,10 +4,9 @@ A :class:`Session` wraps exactly the engine a direct
 :func:`~repro.sim.simulator.run_batch` / :func:`~repro.traffic.demand.run_demand`
 call would build -- same builders, same arbiter programming, same seeds --
 and advances it in bounded quanta on the server's event loop. That makes
-the direct runner the *oracle* for the server, the same way the scalar
-engine is the oracle for the fast path: the conformance tests drive a
-workload over the wire and byte-compare stats and checkpoint text against
-the serial run.
+the direct runner the *oracle* for the server: the conformance tests
+drive a workload over the wire and byte-compare stats and checkpoint text
+against the serial run.
 
 Determinism argument
 --------------------

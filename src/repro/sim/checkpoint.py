@@ -54,6 +54,7 @@ import json
 import os
 import random
 import tempfile
+from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
 from repro.arbiters.age_based import AgeBasedArbiter
@@ -72,6 +73,16 @@ from .trace import JsonlTraceWriter, Tee
 
 #: Version of the checkpoint payload schema; bump on any layout change.
 CHECKPOINT_SCHEMA_VERSION = 1
+
+#: Top-level scalar fields :func:`restore_engine` requires to be
+#: non-negative integers.
+_COUNTER_FIELDS = (
+    "cycle",
+    "queued",
+    "in_network",
+    "last_progress",
+    "watchdog_cycles",
+)
 
 #: Environment variable naming a cycle at which
 #: :func:`run_with_checkpoints` simulates a crash (raises
@@ -384,12 +395,6 @@ def snapshot_engine(engine: Engine) -> dict:
             "engine has an on_delivery hook attached; callable hooks are "
             "not checkpointable"
         )
-    if engine._fastpath is not None:
-        # Publish mirrored arbiter pointers/grants and deferred channel
-        # stats into the Python objects serialized below. The mirrors
-        # themselves are never serialized: a fast-path checkpoint is
-        # byte-identical to the scalar engine's at the same cycle.
-        engine._fastpath.flush()
     pindex = _PacketIndex()
 
     source_queues = []
@@ -409,11 +414,6 @@ def snapshot_engine(engine: Engine) -> dict:
         kind, a, b, c = payload
         if kind == _EV_ARRIVAL:
             a = pindex.index(a)
-            # The fast path caches the arrival VC in the otherwise-unused
-            # payload slot; the canonical serialized form keeps None (the
-            # VC is derivable from the packet's traversed hop), so scalar
-            # and fast engines write identical bytes.
-            c = None
         return [kind, a, b, c]
 
     wheel = _wheel_to_json(engine._events, engine.cycle, encode)
@@ -522,9 +522,8 @@ def _restore_into(engine: Engine, data: dict, packets: List[Packet]) -> None:
         engine._buffered_count[cid] = sum(len(queue) for queue in bufs)
 
     # Written element-wise: the engine's credit rows are views into one
-    # flat typed array (and the free-at vectors are typed arrays) that
-    # the vectorized fast path reads through numpy views -- rebinding to
-    # fresh lists would silently decouple scalar state from those views.
+    # flat typed array (``_credits_flat``) -- rebinding them to fresh
+    # lists would silently decouple the rows from the flat store.
     for row, values in zip(engine._credits, data["credits"]):
         for vc, value in enumerate(values):
             row[vc] = value
@@ -542,10 +541,6 @@ def _restore_into(engine: Engine, data: dict, packets: List[Packet]) -> None:
         kind, a, b, c = enc
         if kind == _EV_ARRIVAL:
             a = packets[a]
-            # Rehydrate the arrival-VC payload cache the fast path's
-            # handlers read (the canonical form stores None; the VC is
-            # derivable from the in-flight packet's traversed hop).
-            c = a.route.hops[a.hop_index - 1][1]
         return (kind, a, b, c)
 
     _wheel_from_json(engine._events, data["wheel"], decode)
@@ -556,8 +551,8 @@ def _restore_into(engine: Engine, data: dict, packets: List[Packet]) -> None:
     engine._last_progress = data["last_progress"]
 
     engine.stats = SimStats.from_dict(data["stats"])
-    # The depart fast path increments these aliases directly; re-point
-    # them at the restored stats object's dicts.
+    # ``_depart`` increments these aliases directly; re-point them at
+    # the restored stats object's dicts.
     engine._stat_channel_flits = engine.stats.channel_flits
     engine._stat_channel_busy = engine.stats.channel_busy_ticks
 
@@ -587,18 +582,11 @@ def _restore_into(engine: Engine, data: dict, packets: List[Packet]) -> None:
         )
         engine._inflight = {packets[i]: oc for i, oc in fdata["inflight"]}
 
-    if engine._fastpath is not None:
-        # Buffers, arbiters, the active dict, and the stats object were
-        # just rebound; every mirror is invalid until the next step
-        # rebuilds from the restored state.
-        engine._fastpath.stale = True
-
 
 def restore_engine(
     data: dict,
     machine: Optional[Machine] = None,
     trace=None,
-    use_fastpath: Optional[bool] = None,
 ) -> Engine:
     """Rebuild a running engine from :func:`snapshot_engine` output.
 
@@ -607,15 +595,13 @@ def restore_engine(
     rebuilt from the embedded config. ``trace`` attaches a sink to the
     restored engine; when omitted and the checkpoint captured a
     :class:`~repro.sim.metrics.MetricsCollector`, the collector is
-    revived and attached. ``use_fastpath`` selects the vectorized
-    allocation core exactly as the :class:`Engine` constructor argument
-    does (checkpoints are path-agnostic: either path resumes any
-    checkpoint bitwise).
+    revived and attached.
 
     Raises :class:`CheckpointError` on any structural defect.
     """
     _validate_header(data)
-    try:
+    with _structural_defects():
+        _validate_counters(data)
         if machine is None:
             machine = _machine_from_json(data["machine"])
         if trace is None and data["trace"]["collector"] is not None:
@@ -625,16 +611,34 @@ def restore_engine(
             watchdog_cycles=data["watchdog_cycles"],
             keep_packet_latencies=data["keep_packet_latencies"],
             trace=trace,
-            use_fastpath=use_fastpath,
         )
         choice_cache: Dict[tuple, RouteChoice] = {}
         packets = [_packet_from_json(p, choice_cache) for p in data["packets"]]
         _restore_into(engine, data, packets)
+    return engine
+
+
+@contextmanager
+def _structural_defects():
+    """Map the lookup failures a damaged payload causes to one error."""
+    try:
+        yield
     except CheckpointError:
         raise
     except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
         raise CheckpointError(f"truncated or corrupted checkpoint: {exc!r}") from exc
-    return engine
+
+
+def _validate_counters(data: dict) -> None:
+    # A string here would surface as a TypeError deep inside Engine.run,
+    # a negative value as a run that "resumes" from before cycle 0.
+    for name in _COUNTER_FIELDS:
+        value = data[name]
+        if type(value) is not int or value < 0:
+            raise CheckpointError(
+                f"checkpoint field {name!r} must be a non-negative integer, "
+                f"got {value!r}"
+            )
 
 
 def _validate_header(data) -> None:
@@ -708,21 +712,27 @@ def load_checkpoint(path: str) -> dict:
 
 
 def checkpoint_info(data: dict) -> dict:
-    """Human-oriented summary of a validated checkpoint payload."""
-    stats = data["stats"]
-    return {
-        "schema": data["schema"],
-        "cycle": data["cycle"],
-        "shape": tuple(data["machine"]["shape"]),
-        "queued": data["queued"],
-        "in_network": data["in_network"],
-        "events_pending": data["wheel"]["pending"],
-        "injected": stats["injected"],
-        "delivered": stats["delivered"],
-        "faulted": data["faults"] is not None,
-        "trace_events": data["trace"]["events_written"],
-        "trace_bytes": data["trace"]["bytes_written"],
-    }
+    """Human-oriented summary of a header-validated checkpoint payload.
+
+    Raises :class:`CheckpointError` if a summarized field is missing or
+    a counter is not one.
+    """
+    with _structural_defects():
+        _validate_counters(data)
+        stats = data["stats"]
+        return {
+            "schema": data["schema"],
+            "cycle": data["cycle"],
+            "shape": tuple(data["machine"]["shape"]),
+            "queued": data["queued"],
+            "in_network": data["in_network"],
+            "events_pending": data["wheel"]["pending"],
+            "injected": stats["injected"],
+            "delivered": stats["delivered"],
+            "faulted": data["faults"] is not None,
+            "trace_events": data["trace"]["events_written"],
+            "trace_bytes": data["trace"]["bytes_written"],
+        }
 
 
 # --- periodic checkpointing driver ------------------------------------------------

@@ -53,7 +53,6 @@ no datelines) really do deadlock.
 
 from __future__ import annotations
 
-import os
 from array import array
 from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional
@@ -95,8 +94,8 @@ _EV_FAULT = 3
 
 
 def event_sort_key(payload: tuple) -> tuple:
-    """Canonical within-cycle event order, shared by the engine, the
-    fast path, and checkpoint serialization.
+    """Canonical within-cycle event order, shared by the engine and
+    checkpoint serialization.
 
     Same-cycle events are processed in a fixed rank order -- faults (by
     timeline index, carried in the payload's spare slot), source wakes
@@ -182,7 +181,6 @@ class Engine:
         trace=None,
         latency_quantiles: bool = False,
         faults=None,
-        use_fastpath: Optional[bool] = None,
     ) -> None:
         self.machine = machine
         self.stats = SimStats()
@@ -203,12 +201,11 @@ class Engine:
         self._buffers: List[List[List[Packet]]] = []
         #: Integer ticks per cycle; all channel timing below is in ticks.
         self._ticks_per_cycle: int = machine.ticks_per_cycle
-        # The per-cycle hot state lives in typed ``array('q')`` storage so
-        # the vectorized fast path (repro/sim/fastpath.py) can view the
-        # *same* memory as numpy arrays via ``np.frombuffer`` -- scalar
-        # writes are immediately visible to vector reads and vice versa,
-        # with no mirror copies to keep coherent. Scalar indexing
-        # semantics are unchanged (Python ints in, Python ints out).
+        # The per-cycle hot state lives in typed ``array('q')`` storage:
+        # flat 64-bit integer tables that checkpoint restore writes
+        # through in place (checkpoint.py) and that the ROADMAP's flat
+        # engine state core builds on. Scalar indexing semantics are
+        # those of a list (Python ints in, Python ints out).
         #: Tick at which each channel's staging buffer drains (the last
         #: flit of the previous packet clears the channel).
         self._channel_free_at = array("q", bytes(8 * len(channels)))
@@ -224,7 +221,7 @@ class Engine:
         self.stats.ticks_per_cycle = self._ticks_per_cycle
         channel_vcs = [machine.vcs_for_channel(c) for c in channels]
         #: Bits of the VC field in a flat ``(channel << vbits) | vc`` slot
-        #: id -- the indexing scheme shared with the fast path.
+        #: id, the index into ``_credits_flat``.
         self._vbits: int = max(
             (vcs - 1).bit_length() for vcs in channel_vcs
         ) if channel_vcs else 0
@@ -251,8 +248,7 @@ class Engine:
         ]
         #: Packets buffered per channel (all VCs); lets the hot loop skip
         #: empty inputs without scanning their VC queues. Typed storage
-        #: like the timing state above: the fast path sums it per
-        #: component in one ``np.add.reduceat``.
+        #: like the timing state above.
         self._buffered_count = array("q", bytes(8 * len(channels)))
         # Flat per-channel endpoint lookups, hoisted out of the hot loop
         # (attribute chains through Machine/Channel cost more than the
@@ -368,24 +364,6 @@ class Engine:
                 self._push_event(fault_cycle, _EV_FAULT, cid, is_down, idx)
             self._fault_push_seq = len(faults.timeline)
 
-        #: Optional vectorized allocation core (repro/sim/fastpath.py).
-        #: ``use_fastpath=None`` defers to the ``REPRO_FASTPATH``
-        #: environment variable. Only constructed when its preconditions
-        #: hold -- numpy importable, no tracing, no fault injection (both
-        #: emit from scalar-only sites); it may still disable *itself*
-        #: mid-run (oversized packet, unknown arbiter type), after which
-        #: the run continues bit-identically on the scalar path.
-        self._fastpath = None
-        if use_fastpath is None:
-            use_fastpath = os.environ.get(
-                "REPRO_FASTPATH", ""
-            ).strip() not in ("", "0")
-        if use_fastpath and trace is None and faults is None:
-            from .fastpath import FastPath, numpy_available
-
-            if numpy_available():
-                self._fastpath = FastPath(self)
-
     # --- public API -------------------------------------------------------------
 
     def enqueue(self, packet: Packet) -> None:
@@ -418,9 +396,6 @@ class Engine:
             self._active[src] = None
         else:
             self._push_event(packet.release_cycle, _EV_WAKE, src, 0, None)
-        fastpath = self._fastpath
-        if fastpath is not None:
-            fastpath.note_enqueue(packet, src)
 
     @property
     def drained(self) -> bool:
@@ -437,13 +412,9 @@ class Engine:
 
         The peer shard granted ``packet`` onto channel ``oc`` and its
         barrier exchange delivered the transfer record here; schedule
-        the arrival exactly as the local ``_depart`` would have. The
-        payload's spare slot carries the arrival VC -- the fast path's
-        inlined arrival handler requires it (the scalar handler derives
-        it from the route and ignores the slot).
+        the arrival exactly as the local ``_depart`` would have.
         """
-        vc = packet.route.hops[packet.hop_index - 1][1]
-        self._feed_event(cycle, (_EV_ARRIVAL, packet, oc, vc))
+        self._feed_event(cycle, (_EV_ARRIVAL, packet, oc, None))
         self._in_network += 1
         if self._inflight is not None:
             self._inflight[packet] = oc
@@ -520,17 +491,25 @@ class Engine:
         genuinely wedged configuration must not silently burn the caller's
         whole cycle budget.
         """
-        target = self.cycle + cycles
+        self._advance_to(self.cycle + cycles)
+        return self.stats
+
+    def run(self, max_cycles: int = 10_000_000) -> SimStats:
+        """Run until all enqueued packets are delivered (or ``max_cycles``)."""
+        self._advance_to(max_cycles)
+        if not self.drained:
+            raise RuntimeError(
+                f"simulation exceeded {max_cycles} cycles with "
+                f"{self._queued + self._in_network} packets outstanding"
+            )
+        return self.stats
+
+    def _advance_to(self, target: int) -> None:
+        """The run loop: step until drained or ``self.cycle == target``."""
         events = self._events
         active = self._active
         process_events = self._process_events
         step = self._step
-        fastpath = self._fastpath
-        if fastpath is not None and fastpath.enabled:
-            # Both entry points re-check ``enabled`` per call and delegate
-            # to the scalar methods after a mid-run fallback.
-            process_events = fastpath.process_events
-            step = fastpath.step
         watchdog = self.watchdog_cycles
         while (self._queued or self._in_network or events.pending) and (
             self.cycle < target
@@ -556,50 +535,7 @@ class Engine:
             ):
                 self._raise_deadlock()
             self.cycle += 1
-        if fastpath is not None:
-            # Publish mirrored arbiter/stats deltas: the caller may read
-            # grants, service shares, or channel stats between runs.
-            fastpath.flush()
         self.stats.end_cycle = self.cycle
-        return self.stats
-
-    def run(self, max_cycles: int = 10_000_000) -> SimStats:
-        """Run until all enqueued packets are delivered (or ``max_cycles``)."""
-        events = self._events
-        active = self._active
-        process_events = self._process_events
-        step = self._step
-        fastpath = self._fastpath
-        if fastpath is not None and fastpath.enabled:
-            process_events = fastpath.process_events
-            step = fastpath.step
-        watchdog = self.watchdog_cycles
-        while self._queued or self._in_network or events.pending:
-            if self.cycle >= max_cycles:
-                if fastpath is not None:
-                    fastpath.flush()
-                raise RuntimeError(
-                    f"simulation exceeded {max_cycles} cycles with "
-                    f"{self._queued + self._in_network} packets outstanding"
-                )
-            if not active and events.pending:
-                # Nothing can move; jump to the next event.
-                nxt = events.next_cycle(self.cycle)
-                if nxt > self.cycle:
-                    self.cycle = nxt
-            process_events()
-            if active:
-                step()
-            if (
-                self._in_network
-                and self.cycle - self._last_progress > watchdog
-            ):
-                self._raise_deadlock()
-            self.cycle += 1
-        if fastpath is not None:
-            fastpath.flush()
-        self.stats.end_cycle = self.cycle
-        return self.stats
 
     # --- checkpoint/restart -------------------------------------------------------
 
@@ -614,18 +550,13 @@ class Engine:
         return save_checkpoint(self, path)
 
     @classmethod
-    def from_checkpoint(
-        cls, path: str, machine=None, trace=None, use_fastpath=None
-    ) -> "Engine":
+    def from_checkpoint(cls, path: str, machine=None, trace=None) -> "Engine":
         """Rebuild an engine from a checkpoint file written by
         :meth:`save_checkpoint`."""
         from .checkpoint import load_checkpoint, restore_engine
 
         return restore_engine(
-            load_checkpoint(path),
-            machine=machine,
-            trace=trace,
-            use_fastpath=use_fastpath,
+            load_checkpoint(path), machine=machine, trace=trace
         )
 
     # --- internals ----------------------------------------------------------------
@@ -635,10 +566,6 @@ class Engine:
         # jam are exactly the evidence a deadlock post-mortem needs.
         if self.trace is not None:
             self.trace.flush()
-        if self._fastpath is not None:
-            # Likewise the mirrored arbiter/stats state: the post-mortem
-            # (and the deadlock tests) read grants and channel counters.
-            self._fastpath.flush()
         raise DeadlockError(
             f"no progress for {self.watchdog_cycles} cycles at cycle "
             f"{self.cycle}; {self._in_network} packets stuck in the network"

@@ -306,7 +306,6 @@ def _build_engine(
     route_computer,
     faults,
     trace=None,
-    use_fastpath: Optional[bool] = None,
     source_filter=None,
 ) -> Engine:
     weight_patterns = list(run.weight_patterns) if run.weight_patterns else None
@@ -322,7 +321,6 @@ def _build_engine(
             weight_bits=run.weight_bits,
             trace=trace,
             faults=faults,
-            use_fastpath=use_fastpath,
             source_filter=source_filter,
         )
     from .simulator import build_batch_engine
@@ -336,7 +334,6 @@ def _build_engine(
         weight_bits=run.weight_bits,
         trace=trace,
         faults=faults,
-        use_fastpath=use_fastpath,
         source_filter=source_filter,
     )
 
@@ -410,12 +407,7 @@ class _ShardCore:
         snapshot = init.get("snapshot")
         self._g_counts: Optional[dict] = None
         if snapshot is not None:
-            engine = restore_engine(
-                snapshot,
-                machine=machine,
-                trace=recorder,
-                use_fastpath=init["use_fastpath"],
-            )
+            engine = restore_engine(snapshot, machine=machine, trace=recorder)
         else:
             shard = self.index
             _, route_computer, faults = build_shard_context(run, machine=machine)
@@ -425,7 +417,6 @@ class _ShardCore:
                 route_computer,
                 faults,
                 trace=recorder,
-                use_fastpath=init["use_fastpath"],
                 source_filter=lambda comp: owners[comp] == shard,
             )
             if faults is not None:
@@ -705,10 +696,7 @@ def merge_shard_snapshots(
     """
     if cycle is None:
         cycle = snaps[0]["cycle"]
-    engines = [
-        restore_engine(snap, machine=machine, use_fastpath=False)
-        for snap in snaps
-    ]
+    engines = [restore_engine(snap, machine=machine) for snap in snaps]
     base = engines[0]
     owners = component_owners(machine, plan.parts)
     for shard in range(1, len(engines)):
@@ -876,7 +864,6 @@ class _Hub:
         plan: ShardPlan,
         machine: Machine,
         trace,
-        use_fastpath: Optional[bool],
         transport: str,
         checkpoint_path: Optional[str],
         checkpoint_every: int,
@@ -895,7 +882,6 @@ class _Hub:
         self.plan = plan
         self.machine = machine
         self.trace = trace
-        self.use_fastpath = use_fastpath
         self.transport = transport
         self.checkpoint_path = (
             checkpoint_path if checkpoint_path and checkpoint_every > 0 else None
@@ -978,7 +964,6 @@ class _Hub:
                 "run": self.run,
                 "plan": plan.to_json(),
                 "tracing": self.trace is not None,
-                "use_fastpath": self.use_fastpath,
                 "snapshot": snaps[shard] if snaps is not None else None,
                 "profile": self._profiles is not None,
             }
@@ -1131,7 +1116,6 @@ def run_sharded(
     max_cycles: int = 10_000_000,
     checkpoint_path: Optional[str] = None,
     checkpoint_every: int = 0,
-    use_fastpath: Optional[bool] = None,
     transport: str = "process",
     timings: Optional[dict] = None,
     profiles: Optional[list] = None,
@@ -1153,7 +1137,6 @@ def run_sharded(
             max_cycles=max_cycles,
             checkpoint_path=checkpoint_path,
             checkpoint_every=checkpoint_every,
-            use_fastpath=use_fastpath,
         )
     if run.fault_policy is not None and run.fault_policy.mode == "retry":
         raise ValueError(
@@ -1167,7 +1150,6 @@ def run_sharded(
         plan,
         machine,
         trace,
-        use_fastpath,
         transport,
         checkpoint_path,
         checkpoint_every,
@@ -1216,7 +1198,6 @@ def save_sharded_checkpoint(
         plan,
         machine,
         trace,
-        None,
         transport,
         path,
         cycle,
@@ -1233,7 +1214,6 @@ def _run_serial(
     max_cycles: int = 10_000_000,
     checkpoint_path: Optional[str] = None,
     checkpoint_every: int = 0,
-    use_fastpath: Optional[bool] = None,
 ) -> SimStats:
     """The 1-shard fallback: the ordinary serial run path, via the same
     deterministic context builder the shard workers use."""
@@ -1248,7 +1228,6 @@ def _run_serial(
             route_computer,
             faults,
             trace=trace,
-            use_fastpath=use_fastpath,
         )
 
     return run_engine(
@@ -1257,6 +1236,5 @@ def _run_serial(
         max_cycles=max_cycles,
         checkpoint_path=checkpoint_path,
         checkpoint_every=checkpoint_every,
-        use_fastpath=use_fastpath,
         machine=machine,
     )

@@ -151,7 +151,6 @@ def build_batch_engine(
     trace=None,
     latency_quantiles: bool = False,
     faults=None,
-    use_fastpath: Optional[bool] = None,
     source_filter=None,
 ) -> Engine:
     """Construct a cycle-0 engine with a full batch enqueued.
@@ -222,7 +221,6 @@ def build_batch_engine(
         trace=trace,
         latency_quantiles=latency_quantiles,
         faults=faults,
-        use_fastpath=use_fastpath,
     )
     for packet in generate_batch(machine, route_computer, spec):
         if source_filter is not None and not source_filter(packet.src):
@@ -247,7 +245,6 @@ def run_batch(
     faults=None,
     checkpoint_path: Optional[str] = None,
     checkpoint_every: int = 0,
-    use_fastpath: Optional[bool] = None,
 ) -> SimStats:
     """Run one batch experiment and return its statistics.
 
@@ -288,7 +285,6 @@ def run_batch(
             trace=trace,
             latency_quantiles=latency_quantiles,
             faults=faults,
-            use_fastpath=use_fastpath,
         )
 
     return run_engine(
@@ -297,7 +293,6 @@ def run_batch(
         max_cycles=max_cycles,
         checkpoint_path=checkpoint_path,
         checkpoint_every=checkpoint_every,
-        use_fastpath=use_fastpath,
         machine=machine,
     )
 
@@ -315,7 +310,6 @@ def run_batch_sharded(
     trace=None,
     checkpoint_path: Optional[str] = None,
     checkpoint_every: int = 0,
-    use_fastpath: Optional[bool] = None,
     transport: str = "process",
 ) -> SimStats:
     """Run a batch experiment decomposed over ``shards`` torus sub-boxes.
@@ -349,7 +343,6 @@ def run_batch_sharded(
         max_cycles=max_cycles,
         checkpoint_path=checkpoint_path,
         checkpoint_every=checkpoint_every,
-        use_fastpath=use_fastpath,
         transport=transport,
     )
 
@@ -360,7 +353,6 @@ def run_engine(
     max_cycles: int = 10_000_000,
     checkpoint_path: Optional[str] = None,
     checkpoint_every: int = 0,
-    use_fastpath: Optional[bool] = None,
     machine: Optional[Machine] = None,
 ) -> SimStats:
     """Run a freshly built (or checkpoint-resumed) engine to completion.
@@ -382,9 +374,7 @@ def run_engine(
 
         if os.path.exists(checkpoint_path):
             data = load_checkpoint(checkpoint_path)
-            engine = restore_engine(
-                data, machine=machine, trace=trace, use_fastpath=use_fastpath
-            )
+            engine = restore_engine(data, machine=machine, trace=trace)
             collector_state = data["trace"]["collector"]
             if collector_state is not None and isinstance(trace, MetricsCollector):
                 trace.restore_state(collector_state)

@@ -567,8 +567,7 @@ def generate_demand(
     docstring for the injection modes and the RNG draw order).
 
     All packets are pre-generated with concrete release cycles, so the
-    resulting engine state checkpoints with the existing schema and the
-    fast path sees an ordinary batch.
+    resulting engine state checkpoints with the existing schema.
     """
     schedule = spec.schedule
     if schedule.shape != machine.config.shape:
@@ -650,7 +649,6 @@ def build_demand_engine(
     trace=None,
     latency_quantiles: bool = False,
     faults=None,
-    use_fastpath: Optional[bool] = None,
     source_filter=None,
 ):
     """Construct a cycle-0 engine with a full demand workload enqueued.
@@ -725,7 +723,6 @@ def build_demand_engine(
         trace=trace,
         latency_quantiles=latency_quantiles,
         faults=faults,
-        use_fastpath=use_fastpath,
     )
     for packet in generate_demand(machine, route_computer, spec):
         if source_filter is not None and not source_filter(packet.src):
@@ -749,7 +746,6 @@ def run_demand(
     faults=None,
     checkpoint_path: Optional[str] = None,
     checkpoint_every: int = 0,
-    use_fastpath: Optional[bool] = None,
 ) -> SimStats:
     """Run one demand-matrix experiment and return its statistics.
 
@@ -774,7 +770,6 @@ def run_demand(
             trace=trace,
             latency_quantiles=latency_quantiles,
             faults=faults,
-            use_fastpath=use_fastpath,
         )
 
     return run_engine(
@@ -783,7 +778,6 @@ def run_demand(
         max_cycles=max_cycles,
         checkpoint_path=checkpoint_path,
         checkpoint_every=checkpoint_every,
-        use_fastpath=use_fastpath,
         machine=machine,
     )
 

@@ -256,7 +256,6 @@ def build_replay_engine(
     arbitration: Optional[str] = None,
     weight_patterns=None,
     trace=None,
-    use_fastpath: Optional[bool] = None,
 ):
     """An engine at cycle 0 with the replay workload enqueued.
 
@@ -298,7 +297,6 @@ def build_replay_engine(
         arbiter_builder=builder,
         vc_arbiter_builder=vc_builder,
         trace=trace,
-        use_fastpath=use_fastpath,
     )
     for packet in workload.packets:
         engine.enqueue(packet)
@@ -310,7 +308,6 @@ def replay_trace(
     out_stream=None,
     arbitration: Optional[str] = None,
     weight_patterns=None,
-    use_fastpath: Optional[bool] = None,
     max_cycles: int = 10_000_000,
 ):
     """Replay a trace end to end; returns ``(stats, workload, events)``.
@@ -341,7 +338,6 @@ def replay_trace(
         arbitration=arbitration,
         weight_patterns=weight_patterns,
         trace=writer,
-        use_fastpath=use_fastpath,
     )
     stats = engine.run(max_cycles=max_cycles)
     events_written = 0

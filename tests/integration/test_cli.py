@@ -204,6 +204,29 @@ class TestVersionAndErrors:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    def test_hostile_checkpoint_counter_exits_one(self, tmp_path, capsys):
+        # A string where the cycle counter belongs once restored
+        # "successfully" and then died inside Engine.run.
+        import json
+
+        path = tmp_path / "ck.json"
+        assert main(
+            ["checkpoint", "save", "--shape", "2x2x2", "--cycles", "20",
+             "--out", str(path)]
+        ) == 0
+        data = json.loads(path.read_text())
+        data["cycle"] = "abc"
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        for command in ("restore", "info"):
+            assert main(["checkpoint", command, str(path)]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.splitlines() == [
+                "error: checkpoint field 'cycle' must be a non-negative "
+                "integer, got 'abc'"
+            ]
+
     def test_invalid_fault_json_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"version": 999, "faults": []}')

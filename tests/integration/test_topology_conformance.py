@@ -10,7 +10,6 @@ mesh and chiplet here, or pinned to reject the combination loudly:
   the degenerate dateline, observed rather than assumed;
 * the Figure 9/10 fairness harness completes on mesh and chiplet;
 * checkpoint split-runs are bitwise identical to uninterrupted runs;
-* the SoA fast path is bit-exact against the scalar engine;
 * golden traces exist and regenerate byte-identically;
 * the shard partitioner (torus-only) rejects other topologies with a
   ``ValueError`` naming the unsupported combination.
@@ -210,28 +209,6 @@ class TestCheckpointSplitRun:
         assert json.dumps(split_stats.asdict()) == json.dumps(
             full_stats.asdict()
         )
-
-
-class TestFastpathOracle:
-    @pytest.mark.parametrize("name", ["mesh", "chiplet"])
-    def test_fastpath_bit_exact(self, name):
-        pytest.importorskip("numpy")
-        from repro.sim.checkpoint import dumps, snapshot_engine
-
-        machine, routes = setup_for(name)
-        pattern = UniformRandom(machine.config.shape)
-        spec = BatchSpec(
-            pattern, packets_per_source=3, cores_per_chip=2, seed=13
-        )
-
-        def state(use_fastpath):
-            engine = build_batch_engine(
-                machine, routes, spec, use_fastpath=use_fastpath
-            )
-            engine.run()
-            return dumps(snapshot_engine(engine))
-
-        assert state(False) == state(True)
 
 
 class TestGoldens:

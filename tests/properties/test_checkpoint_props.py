@@ -16,6 +16,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.arbiters.round_robin import FixedPriorityArbiter
 from repro.core.machine import Machine, MachineConfig
 from repro.core.routing import RouteComputer
 from repro.faults import FaultPolicy, FaultRuntime, FaultSet, FaultSpec
@@ -25,13 +26,27 @@ from repro.sim.trace import JsonlTraceWriter
 from repro.traffic.batch import BatchSpec
 from repro.traffic.demand import (
     DemandMatrix,
+    DemandMatrixPattern,
     DemandSchedule,
     DemandSpec,
     build_demand_engine,
 )
-from repro.traffic.patterns import Tornado, UniformRandom
+from repro.traffic.patterns import BitComplement, Tornado, UniformRandom
 
 SHAPE = (2, 2, 2)
+
+PATTERNS = {
+    "uniform": UniformRandom,
+    "tornado": Tornado,
+    "bitcomp": BitComplement,
+    # A demand matrix viewed as a pattern: closed-loop demand through the
+    # ordinary batch machinery.
+    "demand": lambda shape: DemandMatrixPattern(
+        DemandMatrix.hotspot(
+            shape, rate=0.5, hotspots=1, hot_fraction=0.6, seed=9
+        )
+    ),
+}
 
 _MACHINE_CACHE = {}
 
@@ -46,9 +61,7 @@ def shared_machine():
 
 def build(pattern_kind, arbitration, seed, batch, faulted, policy, writer):
     machine, healthy_routes = shared_machine()
-    pattern = (
-        UniformRandom(SHAPE) if pattern_kind == "uniform" else Tornado(SHAPE)
-    )
+    pattern = PATTERNS[pattern_kind](SHAPE)
     runtime = None
     routes = healthy_routes
     if faulted:
@@ -68,18 +81,26 @@ def build(pattern_kind, arbitration, seed, batch, faulted, policy, writer):
     spec = BatchSpec(
         pattern, packets_per_source=batch, cores_per_chip=2, seed=seed
     )
-    return build_batch_engine(
+    engine = build_batch_engine(
         machine,
         routes,
         spec,
-        arbitration=arbitration,
+        arbitration=arbitration if arbitration != "fixed" else "rr",
         weight_patterns=[pattern] if arbitration == "iw" else None,
         faults=runtime,
         trace=writer,
     )
+    if arbitration == "fixed":
+        # The builder does not expose fixed priority; swap it in at cycle 0.
+        for oc, arb in engine.arbiters.items():
+            engine.arbiters[oc] = FixedPriorityArbiter(len(arb.grants))
+        for ic, arb in enumerate(engine.vc_arbiters):
+            if arb is not None:
+                engine.vc_arbiters[ic] = FixedPriorityArbiter(len(arb.grants))
+    return engine
 
 
-def build_demand_case(seed, mseed, injection, arbitration, writer):
+def build_demand_case(seed, mseed, injection, arbitration, mode, writer):
     # Three hotspot epochs with shifting hot nodes: any split past cycle
     # 20 has at least one epoch boundary behind it and (before cycle 40)
     # one still ahead in the pre-generated schedule.
@@ -93,8 +114,9 @@ def build_demand_case(seed, mseed, injection, arbitration, writer):
     spec = DemandSpec(
         demand=DemandSchedule.from_matrices(matrices, 20),
         cores_per_chip=2,
-        mode="open",
-        duration_cycles=60,
+        mode=mode,
+        duration_cycles=60 if mode == "open" else 0,
+        packets_scale=8.0,
         injection=injection,
         seed=seed,
     )
@@ -142,8 +164,8 @@ def run_split(params, split_cycle, build_fn=build):
 
 @st.composite
 def checkpoint_case(draw):
-    pattern = draw(st.sampled_from(["uniform", "tornado"]))
-    arbitration = draw(st.sampled_from(["rr", "age", "iw"]))
+    pattern = draw(st.sampled_from(sorted(PATTERNS)))
+    arbitration = draw(st.sampled_from(["rr", "age", "iw", "fixed"]))
     seed = draw(st.integers(min_value=0, max_value=2**31))
     batch = draw(st.integers(min_value=2, max_value=10))
     faulted = draw(st.booleans())
@@ -246,14 +268,15 @@ class TestDemandResumeEquivalence:
         st.integers(min_value=0, max_value=2**31),
         st.integers(min_value=0, max_value=50),
         st.sampled_from(["bernoulli", "paced"]),
-        st.sampled_from(["rr", "iw"]),
+        st.sampled_from(["rr", "age", "iw"]),
+        st.sampled_from(["open", "closed"]),
         st.floats(min_value=0.05, max_value=0.95),
     )
     @settings(max_examples=10, deadline=None)
     def test_evolving_demand_split_is_bitwise(
-        self, seed, mseed, injection, arbitration, frac
+        self, seed, mseed, injection, arbitration, mode, frac
     ):
-        params = (seed, mseed, injection, arbitration)
+        params = (seed, mseed, injection, arbitration, mode)
         full_trace, full_stats = run_uninterrupted(
             params, build_fn=build_demand_case
         )
@@ -271,7 +294,7 @@ class TestDemandResumeEquivalence:
         # Pin the checkpoint inside the middle epoch (cycles 20-39): the
         # resume then crosses the remaining epoch boundary at cycle 40,
         # the exact hand-off the schedule resolution must preserve.
-        params = (seed, 7, "bernoulli", "rr")
+        params = (seed, 7, "bernoulli", "rr", "open")
         full_trace, full_stats = run_uninterrupted(
             params, build_fn=build_demand_case
         )

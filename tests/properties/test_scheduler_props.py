@@ -17,6 +17,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.arbiters.age_based import AgeBasedArbiter
+from repro.arbiters.round_robin import FixedPriorityArbiter, RoundRobinArbiter
 from repro.core.geometry import all_coords
 from repro.core.machine import ChannelKind, Machine, MachineConfig
 from repro.core.routing import RouteComputer
@@ -29,6 +31,12 @@ from repro.traffic.batch import BatchSpec
 from repro.traffic.patterns import UniformRandom
 
 _CACHE = {}
+
+ARBITERS = {
+    "rr": RoundRobinArbiter,
+    "age": AgeBasedArbiter,
+    "fixed": FixedPriorityArbiter,
+}
 
 
 def setup_for(shape):
@@ -91,13 +99,24 @@ def split_case(draw):
     count = draw(st.integers(min_value=4, max_value=40))
     n = draw(st.integers(min_value=1, max_value=30))
     m = draw(st.integers(min_value=1, max_value=300))
-    return shape, seed, count, n, m
+    policy = draw(st.sampled_from(sorted(ARBITERS)))
+    return shape, seed, count, n, m, policy
 
 
-def fill_engine(machine, routes, seed, count, trace):
+def fill_engine(machine, routes, seed, count, trace, policy):
     rng = random.Random(seed)
     chips = list(all_coords(machine.config.shape))
-    engine = Engine(machine, keep_packet_latencies=True, trace=trace)
+
+    def builder(num_inputs, site):
+        return ARBITERS[policy](num_inputs)
+
+    engine = Engine(
+        machine,
+        arbiter_builder=builder,
+        vc_arbiter_builder=builder,
+        keep_packet_latencies=True,
+        trace=trace,
+    )
     per_source_release = {}
     for pid in range(count):
         src_chip = rng.choice(chips)
@@ -135,9 +154,9 @@ class TestSchedulerInvariants:
     @given(split_case())
     @settings(max_examples=20)
     def test_drained_run_conserves_credits(self, case):
-        shape, seed, count, _n, _m = case
+        shape, seed, count, _n, _m, policy = case
         machine, routes = setup_for(shape)
-        engine = fill_engine(machine, routes, seed, count, None)
+        engine = fill_engine(machine, routes, seed, count, None, policy)
         stats = engine.run()
         assert stats.delivered == stats.injected
         assert engine.buffered_packets() == 0
@@ -150,11 +169,11 @@ class TestSplitRunEquivalence:
     @given(split_case())
     @settings(max_examples=20)
     def test_run_for_split_is_bitwise_identical(self, case):
-        shape, seed, count, n, m = case
+        shape, seed, count, n, m, policy = case
         machine, routes = setup_for(shape)
         sink_a, sink_b = ListSink(), ListSink()
-        split = fill_engine(machine, routes, seed, count, sink_a)
-        single = fill_engine(machine, routes, seed, count, sink_b)
+        split = fill_engine(machine, routes, seed, count, sink_a, policy)
+        single = fill_engine(machine, routes, seed, count, sink_b, policy)
         split.run_for(n)
         split.run_for(m)
         single.run_for(n + m)

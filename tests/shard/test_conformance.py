@@ -183,18 +183,6 @@ def test_process_transport_matches_inline():
     assert sink.events == serial_events
 
 
-def test_fastpath_composition_matches_serial_scalar():
-    """REPRO_FASTPATH engines inside shard workers still match the
-    serial *scalar* oracle -- the fast path reads the live event wheel,
-    so barrier feeding composes with it."""
-    name = "uniform-rr"
-    serial_stats, _ = _serial(name)
-    stats = run_sharded(
-        WORKLOADS[name](), 2, transport="inline", use_fastpath=True
-    )
-    assert json.dumps(stats.asdict(), sort_keys=False) == serial_stats
-
-
 @pytest.mark.parametrize("shards", [2, 4])
 def test_goldens_byte_identical_under_sharding(shards):
     from repro.sim.goldens import (

@@ -29,6 +29,7 @@ from repro.sim.checkpoint import (
     _dump_arbiter,
     _wheel_from_json,
     _wheel_to_json,
+    checkpoint_info,
     dumps,
     load_checkpoint,
     loads,
@@ -445,6 +446,27 @@ class TestPayloadValidation:
         del data["wheel"]
         with pytest.raises(CheckpointError, match="truncated or corrupted"):
             restore_engine(json.loads(dumps(data)))
+
+    @pytest.mark.parametrize(
+        "field",
+        ["cycle", "queued", "in_network", "last_progress", "watchdog_cycles"],
+    )
+    @pytest.mark.parametrize("value", ["abc", -5, 1.5, True, None])
+    def test_bad_counter_rejected(self, field, value):
+        data = self.snapshot()
+        data[field] = value
+        with pytest.raises(CheckpointError, match=f"'{field}' must be a non-neg"):
+            restore_engine(json.loads(dumps(data)))
+
+    def test_info_on_damaged_payload_rejected(self):
+        data = self.snapshot()
+        assert checkpoint_info(data)["cycle"] == 10
+        del data["cycle"]
+        with pytest.raises(CheckpointError, match="truncated or corrupted"):
+            checkpoint_info(data)
+        data["cycle"] = "abc"
+        with pytest.raises(CheckpointError, match="'cycle' must be a non-neg"):
+            checkpoint_info(data)
 
     def test_mangled_packet_index_rejected(self):
         data = self.snapshot()

@@ -1,16 +1,19 @@
 """Regression tests for ``Engine.run_for``.
 
-Two contracts pinned here:
+Three contracts pinned here:
 
 * ``stats.end_cycle`` is updated on *every* return path (it was once
   only set by :meth:`run`, so mid-run snapshots reported a stale span);
 * splitting a run -- ``run_for(n)`` then ``run_for(m)`` -- is bitwise
   identical to ``run_for(n + m)``: same stats, same trace, same
   per-packet outcomes. The timing wheel makes scheduling state richer
-  than a flat heap, so pausing and resuming must not perturb it.
+  than a flat heap, so pausing and resuming must not perturb it;
+* ``run(max_cycles)`` stops at the budget and raises if work remains.
 """
 
 import random
+
+import pytest
 
 from repro.core.geometry import all_coords
 from repro.sim.engine import Engine
@@ -98,3 +101,17 @@ class TestSplitRunEquivalence:
         single.run()
         assert split.stats == single.stats
         assert sink_a.events == sink_b.events
+
+
+class TestRunBudget:
+    def test_over_budget_run_raises_at_the_budget(self, tiny_machine, tiny_routes):
+        engine = fresh_engine(tiny_machine, tiny_routes)
+        with pytest.raises(
+            RuntimeError,
+            match=r"simulation exceeded 3 cycles with \d+ packets outstanding",
+        ):
+            engine.run(max_cycles=3)
+        assert engine.cycle == 3
+        # The budget is not sticky: a larger one finishes the same run.
+        single = fresh_engine(tiny_machine, tiny_routes)
+        assert engine.run().asdict() == single.run().asdict()

@@ -74,7 +74,7 @@ class TestConservation:
         assert total_torus == pytest.approx(16 * pattern.mean_hops())
 
 
-class TestSymmetryFastPath:
+class TestSymmetryShortcut:
     @pytest.mark.parametrize("pattern_cls", [UniformRandom, Tornado])
     def test_matches_exhaustive(self, tiny_machine, tiny_routes, pattern_cls):
         pattern = pattern_cls((2, 2, 2))
