@@ -102,6 +102,11 @@ def exact_cycles_per_flit(value: Union[int, float, Fraction]) -> Fraction:
     return value
 
 
+#: On-chip channels move one flit per cycle; one shared object, so the
+#: per-channel tables in ``Machine._build`` can key on identity.
+_ONE_CYCLE_PER_FLIT = Fraction(1)
+
+
 @dataclasses.dataclass(frozen=True)
 class Component:
     """One network component instance.
@@ -303,6 +308,10 @@ class Machine:
         #: carries all channel timing in these ticks; see
         #: :mod:`repro.sim.engine`.
         self.ticks_per_cycle: int = 1
+        #: The ``*_for_channel`` queries below, tabulated by channel id.
+        self.channel_occupancy_ticks: List[int] = []
+        self.channel_vcs: List[int] = []
+        self.channel_buffer_depth: List[int] = []
         self._build()
 
     # --- construction -----------------------------------------------------
@@ -325,7 +334,7 @@ class Machine:
             cycles_per_flit = (
                 self.config.torus_cycles_per_flit
                 if kind == ChannelKind.TORUS
-                else Fraction(1)
+                else _ONE_CYCLE_PER_FLIT
             )
         channel = Channel(cid, src, dst, kind, group_of(kind), latency, cycles_per_flit)
         self.channels.append(channel)
@@ -428,6 +437,36 @@ class Machine:
         self.ticks_per_cycle = math.lcm(
             *(channel.cycles_per_flit.denominator for channel in self.channels)
         )
+        # Keyed by identity: hashing and comparing Fractions costs more
+        # than the multiply it saves, and _add_channel shares one object
+        # per distinct value.
+        self.channel_occupancy_ticks = self._per_channel(
+            lambda c: id(c.cycles_per_flit), self.occupancy_ticks_for_channel
+        )
+        self.channel_vcs = self._per_channel(
+            lambda c: c.group, self.vcs_for_channel
+        )
+        self.channel_buffer_depth = self._per_channel(
+            lambda c: c.kind, self.buffer_depth_for_channel
+        )
+
+    def _per_channel(self, key, derive) -> List[int]:
+        """``derive(channel)`` for every channel, by channel id.
+
+        Each derived constant depends on the channel only through
+        ``key(channel)``, which takes a handful of values on a machine of
+        tens of thousands of channels: ``derive`` runs once per value,
+        here, instead of once per channel in every engine built on this
+        machine.
+        """
+        memo: dict = {}
+        table = []
+        for channel in self.channels:
+            k = key(channel)
+            if k not in memo:
+                memo[k] = derive(channel)
+            table.append(memo[k])
+        return table
 
     # --- queries ------------------------------------------------------------
 

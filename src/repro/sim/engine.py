@@ -214,12 +214,10 @@ class Engine:
         #: Ticks of channel occupancy per flit (45 vs the mesh's 14 on a
         #: default machine: torus effective bandwidth is below one flit
         #: per on-chip cycle, by exactly 45/14).
-        self._occupancy_ticks: List[int] = [
-            machine.occupancy_ticks_for_channel(c) for c in channels
-        ]
+        self._occupancy_ticks: List[int] = machine.channel_occupancy_ticks
         self._pipeline = machine.config.router_pipeline_cycles
         self.stats.ticks_per_cycle = self._ticks_per_cycle
-        channel_vcs = [machine.vcs_for_channel(c) for c in channels]
+        channel_vcs = machine.channel_vcs
         #: Bits of the VC field in a flat ``(channel << vbits) | vc`` slot
         #: id, the index into ``_credits_flat``.
         self._vbits: int = max(
@@ -233,8 +231,8 @@ class Engine:
         #: Per-channel, per-VC credits available to the channel's source;
         #: ``_credits[cid][vc]`` is a view into ``_credits_flat``.
         self._credits: List[memoryview] = []
-        for channel, vcs in zip(channels, channel_vcs):
-            depth = machine.buffer_depth_for_channel(channel)
+        depths = machine.channel_buffer_depth
+        for channel, vcs, depth in zip(channels, channel_vcs, depths):
             self._buffers.append([[] for _ in range(vcs)])
             base = channel.cid << self._vbits
             row = flat_view[base : base + vcs]
@@ -281,8 +279,8 @@ class Engine:
         for channel in channels:
             if machine.components[channel.dst].kind == ComponentKind.ENDPOINT:
                 continue
-            vcs = machine.vcs_for_channel(channel)
-            self.vc_arbiters[channel.cid] = vc_arbiter_builder(vcs, channel.cid)
+            cid = channel.cid
+            self.vc_arbiters[cid] = vc_arbiter_builder(channel_vcs[cid], cid)
 
         #: Injection queues per endpoint component id.
         self._source_queues: Dict[int, List[Packet]] = {}

@@ -33,13 +33,14 @@ discrete-event simulation, exact rather than approximate:
   the checkpoint module's canonical-JSON packet serialization as the
   wire format; credit returns flow back the same way.
 
-* **Exactness.** Each shard generates the *full* workload (identical
-  pids and RNG draws) but enqueues only its local sources; the engine's
-  canonical within-cycle event order makes every observable stream a
-  pure function of simulation state. Stats, metrics summaries, golden
-  traces, and checkpoint bytes are therefore bit-identical to the
-  serial engine for every shard count -- the conformance suite under
-  ``tests/shard/`` pins this.
+* **Exactness.** The hub generates the workload once (the serial pids
+  and RNG draws) and starts each shard with the packets whose source it
+  owns; the engine's canonical within-cycle event order makes every
+  observable stream a pure function of simulation state. Stats, metrics
+  summaries, golden traces, and checkpoint bytes are therefore
+  bit-identical to the serial engine for every shard count -- the
+  conformance suite under ``tests/shard/`` pins this. (Faulted runs
+  still generate per shard: see :class:`_ShardCore`.)
 
 * **Checkpointing.** At checkpoint barriers the hub snapshots every
   shard, merges the snapshots into one serial-format checkpoint at
@@ -255,10 +256,13 @@ class ShardPlan:
 class ShardedRun:
     """Picklable description of one sharded experiment.
 
-    Each shard process rebuilds the machine, route computer, and fault
-    runtime from this spec deterministically, generates the *full*
-    workload (keeping global packet ids and RNG draw order), and
-    enqueues only packets whose source it owns. ``spec`` is a
+    The hub builds the machine and generates the workload from it once
+    (global packet ids and RNG draw order as in a serial run); a shard
+    worker receives the packets whose source it owns and builds only
+    its engine. What a worker cannot inherit it rebuilds from this
+    spec deterministically: the machine under the ``spawn`` start
+    method, and the fault-aware route computer, fault runtime and
+    workload of a faulted run. ``spec`` is a
     :class:`~repro.traffic.batch.BatchSpec` or
     :class:`~repro.traffic.demand.DemandSpec`.
     """
@@ -275,9 +279,10 @@ class ShardedRun:
 def build_shard_context(run: ShardedRun, machine: Optional[Machine] = None):
     """(machine, route computer, fault runtime) for one run, deterministically.
 
-    The serial fallback and every shard worker build through here, so a
-    faulted run's route computer sees the same initially-failed set (and
-    accrues the same generation-time resolution counts) everywhere.
+    The serial fallback, the hub and every shard worker build through
+    here, so a faulted run's route computer sees the same
+    initially-failed set (and accrues the same generation-time
+    resolution counts) everywhere.
     """
     from repro.core.routing import RouteComputer
 
@@ -300,41 +305,38 @@ def build_shard_context(run: ShardedRun, machine: Optional[Machine] = None):
     return machine, route_computer, faults
 
 
+def _workload_fns(run: ShardedRun) -> tuple:
+    """``(generate, build_engine)`` for the run's kind of spec."""
+    if getattr(run.spec, "demand", None) is not None:
+        from repro.traffic import demand
+
+        return demand.generate_demand, demand.build_demand_engine
+    from repro.traffic import batch
+
+    from . import simulator
+
+    return batch.generate_batch, simulator.build_batch_engine
+
+
 def _build_engine(
     run: ShardedRun,
     machine: Machine,
     route_computer,
     faults,
     trace=None,
-    source_filter=None,
+    packets=None,
 ) -> Engine:
-    weight_patterns = list(run.weight_patterns) if run.weight_patterns else None
-    if getattr(run.spec, "demand", None) is not None:
-        from repro.traffic.demand import build_demand_engine
-
-        return build_demand_engine(
-            machine,
-            route_computer,
-            run.spec,
-            arbitration=run.arbitration,
-            weight_patterns=weight_patterns,
-            weight_bits=run.weight_bits,
-            trace=trace,
-            faults=faults,
-            source_filter=source_filter,
-        )
-    from .simulator import build_batch_engine
-
-    return build_batch_engine(
+    """The run's cycle-0 engine; ``packets`` stands in for generation."""
+    return _workload_fns(run)[1](
         machine,
         route_computer,
         run.spec,
         arbitration=run.arbitration,
-        weight_patterns=weight_patterns,
+        weight_patterns=list(run.weight_patterns) or None,
         weight_bits=run.weight_bits,
         trace=trace,
         faults=faults,
-        source_filter=source_filter,
+        packets=packets,
     )
 
 
@@ -401,28 +403,36 @@ class _ShardCore:
         self.index: int = init["shard"]
         run: ShardedRun = init["run"]
         plan = ShardPlan.from_json(init["plan"])
-        machine = Machine(run.config)
+        # The hub's machine; a spawned worker is sent none and rebuilds it.
+        machine = init["machine"] or Machine(run.config)
         owners = component_owners(machine, plan.parts)
         recorder = _ShardTraceRecorder() if init["tracing"] else None
-        snapshot = init.get("snapshot")
+        snapshot = init["snapshot"]
         self._g_counts: Optional[dict] = None
         if snapshot is not None:
             engine = restore_engine(snapshot, machine=machine, trace=recorder)
         else:
-            shard = self.index
             _, route_computer, faults = build_shard_context(run, machine=machine)
+            packets = init["packets"]
+            if packets is None:
+                # A faulted run: the engine goes on to mutate the
+                # fault-aware computer that generation warmed (its
+                # resolution counts are cache misses), so every shard
+                # needs a private one in the post-generation state --
+                # each generates the full workload and keeps its sources.
+                generate = _workload_fns(run)[0]
+                packets = [
+                    packet
+                    for packet in generate(machine, route_computer, run.spec)
+                    if owners[packet.src] == self.index
+                ]
             engine = _build_engine(
-                run,
-                machine,
-                route_computer,
-                faults,
-                trace=recorder,
-                source_filter=lambda comp: owners[comp] == shard,
+                run, machine, route_computer, faults, recorder, packets
             )
             if faults is not None:
-                # Generation-time resolution counts: identical in every
-                # shard (each generates the full workload), subtracted
-                # once per extra shard when merging checkpoint state.
+                # Resolution counts accrued before cycle 0: identical in
+                # every shard, subtracted once per extra shard when
+                # merging checkpoint state.
                 self._g_counts = dict(route_computer.resolution_counts)
         remote_dst, remote_src, fault_owned = shard_boundary(
             machine, owners, self.index
@@ -494,6 +504,8 @@ class _ShardCore:
         # (run_for already left stats.end_cycle at the true drain cycle;
         # forcing the clock does not disturb it.)
         engine.cycle = w_end
+        # Each record travels as (channel id, wire text): the hub picks
+        # the destination shard from the id without parsing the text.
         packets = []
         inflight = engine._inflight
         for packet, oc, cycle in engine._outbox:
@@ -502,10 +514,10 @@ class _ShardCore:
             engine._in_network -= 1
             if inflight is not None:
                 inflight.pop(packet, None)
-            packets.append(_encode_transfer(packet, oc, cycle))
+            packets.append((oc, _encode_transfer(packet, oc, cycle)))
         del engine._outbox[:]
         credits = [
-            _encode_credit(cid, vc, size, cycle)
+            (cid, _encode_credit(cid, vc, size, cycle))
             for cid, vc, size, cycle in engine._outbox_credits
         ]
         del engine._outbox_credits[:]
@@ -539,43 +551,40 @@ def _dispatch(core: _ShardCore, msg: tuple) -> tuple:
     raise ValueError(f"unknown shard message {kind!r}")
 
 
+def _new_profiler(wanted: bool):
+    if not wanted:
+        return None
+    import cProfile
+
+    return cProfile.Profile()
+
+
+def _profiled(profiler, fn, *args):
+    """``fn(*args)``, under ``profiler`` when there is one."""
+    if profiler is None:
+        return fn(*args)
+    return profiler.runcall(fn, *args)
+
+
 class _InlineWorker:
     """Synchronous in-process transport: the conformance default.
 
     With ``init["profile"]`` set, everything this shard executes -- core
-    construction (workload generation, engine build) and every barrier
-    message -- runs under a private :mod:`cProfile` profiler, so
-    ``repro profile --shards N`` can merge deterministic per-shard call
-    tables.
+    construction (engine build) and every barrier message -- runs under
+    a private :mod:`cProfile` profiler, so ``repro profile --shards N``
+    can merge deterministic per-shard call tables.
     """
 
     def __init__(self, init: dict) -> None:
-        self.profiler = None
-        if init.get("profile"):
-            import cProfile
-
-            self.profiler = cProfile.Profile()
-        if self.profiler is not None:
-            self.profiler.enable()
-        try:
-            self._core = _ShardCore(init)
-        finally:
-            if self.profiler is not None:
-                self.profiler.disable()
+        self.profiler = _new_profiler(init["profile"])
+        self._core = _profiled(self.profiler, _ShardCore, init)
         self._reply: Optional[tuple] = ("ready", self._core.ready_info())
 
     def send(self, msg: tuple) -> None:
         if msg[0] == "stop":
             self._reply = None
-            return
-        if self.profiler is not None:
-            self.profiler.enable()
-            try:
-                self._reply = _dispatch(self._core, msg)
-            finally:
-                self.profiler.disable()
         else:
-            self._reply = _dispatch(self._core, msg)
+            self._reply = _profiled(self.profiler, _dispatch, self._core, msg)
 
     def recv_reply(self) -> tuple:
         return self._reply
@@ -584,9 +593,8 @@ class _InlineWorker:
         pass
 
 
-def _shard_worker_main(conn) -> None:
+def _shard_worker_main(conn, init: dict) -> None:
     try:
-        init = conn.recv()
         core = _ShardCore(init)
         conn.send(("ready", core.ready_info()))
         while True:
@@ -606,23 +614,40 @@ def _shard_worker_main(conn) -> None:
 
 
 class _ProcessWorker:
-    """One shard in its own process, driven over a ``multiprocessing`` pipe."""
+    """One shard in its own process, driven over a ``multiprocessing`` pipe.
+
+    ``init`` rides the process start: a forked worker inherits it (the
+    hub's machine and the shard's packets, no copy); a spawned one gets
+    it pickled, without the machine, which it rebuilds from the config.
+    """
 
     def __init__(self, init: dict) -> None:
         ctx = multiprocessing.get_context()
+        if ctx.get_start_method() != "fork":
+            init = dict(init, machine=None)
+        self._index: int = init["shard"]
         self._conn, child_conn = ctx.Pipe()
         self._proc = ctx.Process(
-            target=_shard_worker_main, args=(child_conn,), daemon=True
+            target=_shard_worker_main, args=(child_conn, init), daemon=True
         )
         self._proc.start()
         child_conn.close()
-        self._conn.send(init)
 
     def send(self, msg: tuple) -> None:
-        self._conn.send(msg)
+        try:
+            self._conn.send(msg)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the worker is gone; recv_reply reports it
 
     def recv_reply(self) -> tuple:
-        reply = self._conn.recv()
+        try:
+            reply = self._conn.recv()
+        except (EOFError, ConnectionResetError):
+            self._proc.join(timeout=10)
+            raise RuntimeError(
+                f"shard worker {self._index} exited unexpectedly "
+                f"(exit code {self._proc.exitcode})"
+            ) from None
         if reply[0] == "error":
             raise RuntimeError(f"shard worker failed:\n{reply[1]}")
         return reply
@@ -861,13 +886,13 @@ class _Hub:
     def __init__(
         self,
         run: ShardedRun,
-        plan: ShardPlan,
-        machine: Machine,
+        shards: int,
+        machine: Optional[Machine],
         trace,
         transport: str,
         checkpoint_path: Optional[str],
         checkpoint_every: int,
-        max_cycles: int,
+        max_cycles: int = 10_000_000,
         timings: Optional[dict] = None,
         halt_at: Optional[int] = None,
         profiles: Optional[list] = None,
@@ -878,9 +903,15 @@ class _Hub:
             raise ValueError(
                 "per-shard profiling requires the inline transport"
             )
+        if run.fault_policy is not None and run.fault_policy.mode == "retry":
+            raise ValueError(
+                "the retry fault policy is not supported in sharded runs: "
+                "re-injection happens at the stranded packet's source, which "
+                "may belong to another shard"
+            )
         self.run = run
-        self.plan = plan
-        self.machine = machine
+        self.machine = machine = machine or Machine(run.config)
+        self.plan = plan = ShardPlan.for_machine(machine, shards)
         self.trace = trace
         self.transport = transport
         self.checkpoint_path = (
@@ -888,24 +919,25 @@ class _Hub:
         )
         self.checkpoint_every = checkpoint_every
         self.max_cycles = max_cycles
-        owners = component_owners(machine, plan.parts)
+        self._owners = owners = component_owners(machine, plan.parts)
         self._arrival_dest = [owners[c.dst] for c in machine.channels]
         self._credit_dest = [owners[c.src] for c in machine.channels]
         self._workers: list = []
         self._g_counts: Optional[dict] = None
         #: Optional caller-supplied dict filled with wall-clock phase
-        #: timings (``setup_s``: spawn through every worker ready,
-        #: ``windows_s``: barrier loop through final merge). The
-        #: throughput benchmark separates steady-state simulation rate
-        #: from the per-worker workload-generation cost this way.
+        #: timings: ``setup_s`` = ``generate_s`` (the hub generating and
+        #: partitioning the workload) + ``spawn_s`` (first worker start
+        #: through the last ``ready``: per-worker engine builds), then
+        #: ``windows_s`` (barrier loop through final merge).
         self._timings = timings
         #: ``halt_at``: stop right after the checkpoint saved at this
         #: barrier, leaving the files on disk (``repro checkpoint save
         #: --shards``). Windows keep advancing past drained engines so
         #: the save lands at exactly this cycle, mirroring ``run_for``.
         self._halt_at = halt_at
-        #: ``profiles``: list extended with each inline worker's
-        #: :class:`cProfile.Profile` once the run finishes.
+        #: ``profiles``: list extended with the :class:`cProfile.Profile`
+        #: of the hub's workload generation and, once the run finishes,
+        #: of each inline worker.
         self._profiles = profiles
 
     def run_to_completion(self) -> SimStats:
@@ -925,12 +957,60 @@ class _Hub:
             worker.send(msg)
         return [worker.recv_reply() for worker in self._workers]
 
+    def _owned_packets(self) -> List[list]:
+        """The workload, generated once and split by owning shard."""
+        run, machine = self.run, self.machine
+        generate = _workload_fns(run)[0]
+        _, route_computer, _ = build_shard_context(run, machine)
+        owned: List[list] = [[] for _ in range(self.plan.shards)]
+        for packet in generate(machine, route_computer, run.spec):
+            owned[self._owners[packet.src]].append(packet)
+        return owned
+
+    def _start_workers(self, snaps: Optional[list]) -> List[dict]:
+        """Start one worker per shard; returns their ``ready`` infos.
+
+        A healthy fresh run is generated here, once, and every worker
+        starts from the packets it owns; resumed shards restore theirs
+        from ``snaps`` and faulted ones generate (see :class:`_ShardCore`).
+        The batch dies with this frame: the hub keeps no packet.
+        """
+        worker_cls = _InlineWorker if self.transport == "inline" else _ProcessWorker
+        profiling = self._profiles is not None
+        t_start = time.perf_counter()
+        owned = None
+        if snaps is None and self.run.fault_set is None:
+            profiler = _new_profiler(profiling)
+            owned = _profiled(profiler, self._owned_packets)
+            if profiling:
+                self._profiles.append(profiler)
+        t_spawn = time.perf_counter()
+        for shard in range(self.plan.shards):
+            self._workers.append(worker_cls({
+                "shard": shard,
+                "run": self.run,
+                "plan": self.plan.to_json(),
+                "machine": self.machine,
+                "packets": owned[shard] if owned is not None else None,
+                "tracing": self.trace is not None,
+                "snapshot": snaps[shard] if snaps is not None else None,
+                "profile": profiling,
+            }))
+        infos = [worker.recv_reply()[1] for worker in self._workers]
+        if self._timings is not None:
+            t_ready = time.perf_counter()
+            self._timings.update(
+                generate_s=t_spawn - t_start,
+                spawn_s=t_ready - t_spawn,
+                setup_s=t_ready - t_start,
+            )
+        return infos
+
     def _run(self) -> SimStats:
         plan = self.plan
         shards = plan.shards
         cycle = 0
         snaps = None
-        resumed = False
         if self.checkpoint_path:
             manifest_path = _manifest_path(self.checkpoint_path)
             if os.path.exists(manifest_path):
@@ -941,7 +1021,6 @@ class _Hub:
                 )
                 cycle = manifest["cycle"]
                 self._g_counts = manifest["resolution_base"]
-                resumed = True
                 if isinstance(self.trace, MetricsCollector) and os.path.exists(
                     self.checkpoint_path
                 ):
@@ -956,25 +1035,10 @@ class _Hub:
                     f"manifest {manifest_path} is missing; cannot resume a "
                     f"sharded run without per-shard state"
                 )
-        worker_cls = _InlineWorker if self.transport == "inline" else _ProcessWorker
-        t_spawn = time.perf_counter()
-        for shard in range(shards):
-            init = {
-                "shard": shard,
-                "run": self.run,
-                "plan": plan.to_json(),
-                "tracing": self.trace is not None,
-                "snapshot": snaps[shard] if snaps is not None else None,
-                "profile": self._profiles is not None,
-            }
-            self._workers.append(worker_cls(init))
-        infos = [reply[1] for reply in
-                 [worker.recv_reply() for worker in self._workers]]
+        infos = self._start_workers(snaps)
         t_ready = time.perf_counter()
-        if self._timings is not None:
-            self._timings["setup_s"] = t_ready - t_spawn
         watchdog = infos[0]["watchdog"]
-        if not resumed:
+        if snaps is None:
             g_counts = infos[0]["g_counts"]
             for shard, info in enumerate(infos):
                 if info["g_counts"] != g_counts:
@@ -986,7 +1050,7 @@ class _Hub:
             self._g_counts = g_counts
 
         pending = [([], []) for _ in range(shards)]
-        last_saved = cycle if resumed else None
+        last_saved = cycle if snaps is not None else None
         halted = False
         while True:
             replies = self._exchange(
@@ -1045,11 +1109,9 @@ class _Hub:
             records: list = []
             for reply in replies:
                 _, packets, credits, shard_records = reply
-                for text in packets:
-                    oc = json.loads(text)["oc"]
+                for oc, text in packets:
                     pending[self._arrival_dest[oc]][0].append(text)
-                for text in credits:
-                    cid = json.loads(text)["channel"]
+                for cid, text in credits:
                     pending[self._credit_dest[cid]][1].append(text)
                 records.extend(shard_records)
             if self.trace is not None and records:
@@ -1122,42 +1184,28 @@ def run_sharded(
 ) -> SimStats:
     """Run one experiment decomposed over ``shards`` sub-boxes.
 
-    ``shards=1`` is the serial engine itself (no hub, no proxies); any
-    other count produces bit-identical stats, trace events, and
+    ``shards=1`` is the serial engine itself (no hub, no proxies), built
+    through the same deterministic context builder the shard workers
+    use; any other count produces bit-identical stats, trace events, and
     checkpoint bytes. The retry fault policy is rejected: it re-injects
     at the packet's original source, which may live in another shard.
     """
-    if machine is None:
-        machine = Machine(run.config)
     if shards == 1:
-        return _run_serial(
-            run,
-            machine,
+        from .simulator import run_engine
+
+        machine, route_computer, faults = build_shard_context(run, machine)
+        return run_engine(
+            lambda: _build_engine(run, machine, route_computer, faults, trace),
             trace=trace,
             max_cycles=max_cycles,
             checkpoint_path=checkpoint_path,
             checkpoint_every=checkpoint_every,
+            machine=machine,
         )
-    if run.fault_policy is not None and run.fault_policy.mode == "retry":
-        raise ValueError(
-            "the retry fault policy is not supported in sharded runs: "
-            "re-injection happens at the stranded packet's source, which "
-            "may belong to another shard"
-        )
-    plan = ShardPlan.for_machine(machine, shards)
-    hub = _Hub(
-        run,
-        plan,
-        machine,
-        trace,
-        transport,
-        checkpoint_path,
-        checkpoint_every,
-        max_cycles,
-        timings=timings,
-        profiles=profiles,
-    )
-    return hub.run_to_completion()
+    return _Hub(
+        run, shards, machine, trace, transport, checkpoint_path,
+        checkpoint_every, max_cycles, timings=timings, profiles=profiles,
+    ).run_to_completion()
 
 
 def save_sharded_checkpoint(
@@ -1179,62 +1227,11 @@ def save_sharded_checkpoint(
     """
     if cycle <= 0:
         raise ValueError(f"checkpoint cycle must be positive, got {cycle}")
-    if machine is None:
-        machine = Machine(run.config)
     if shards == 1:
         raise ValueError(
             "save_sharded_checkpoint needs shards >= 2; use the serial "
             "snapshot_engine/save_checkpoint flow for one shard"
         )
-    if run.fault_policy is not None and run.fault_policy.mode == "retry":
-        raise ValueError(
-            "the retry fault policy is not supported in sharded runs: "
-            "re-injection happens at the stranded packet's source, which "
-            "may belong to another shard"
-        )
-    plan = ShardPlan.for_machine(machine, shards)
-    hub = _Hub(
-        run,
-        plan,
-        machine,
-        trace,
-        transport,
-        path,
-        cycle,
-        max_cycles=10_000_000,
-        halt_at=cycle,
-    )
-    return hub.run_to_completion()
-
-
-def _run_serial(
-    run: ShardedRun,
-    machine: Machine,
-    trace=None,
-    max_cycles: int = 10_000_000,
-    checkpoint_path: Optional[str] = None,
-    checkpoint_every: int = 0,
-) -> SimStats:
-    """The 1-shard fallback: the ordinary serial run path, via the same
-    deterministic context builder the shard workers use."""
-    from .simulator import run_engine
-
-    _, route_computer, faults = build_shard_context(run, machine=machine)
-
-    def build() -> Engine:
-        return _build_engine(
-            run,
-            machine,
-            route_computer,
-            faults,
-            trace=trace,
-        )
-
-    return run_engine(
-        build,
-        trace=trace,
-        max_cycles=max_cycles,
-        checkpoint_path=checkpoint_path,
-        checkpoint_every=checkpoint_every,
-        machine=machine,
-    )
+    return _Hub(
+        run, shards, machine, trace, transport, path, cycle, halt_at=cycle
+    ).run_to_completion()

@@ -151,7 +151,7 @@ def build_batch_engine(
     trace=None,
     latency_quantiles: bool = False,
     faults=None,
-    source_filter=None,
+    packets: Optional[Sequence["Packet"]] = None,
 ) -> Engine:
     """Construct a cycle-0 engine with a full batch enqueued.
 
@@ -160,11 +160,11 @@ def build_batch_engine(
     checkpoint tooling (``repro checkpoint save``, the crash-resume
     tests) can build the exact engine a batch experiment would run.
 
-    ``source_filter`` (a predicate over source component ids) restricts
-    which generated packets are *enqueued*; the full batch is still
-    generated in order, so packet ids and RNG draws are unchanged. The
-    sharded runner uses this to give each shard exactly its local
-    sources while preserving global generation determinism.
+    ``packets`` replaces generation: the engine enqueues exactly these
+    (already generated from ``spec``, in generation order) instead of
+    calling :func:`~repro.traffic.batch.generate_batch`. The sharded
+    runner generates once and hands each shard the packets whose source
+    it owns, global packet ids and RNG draws intact.
     """
     from repro.traffic.batch import generate_batch
     from repro.traffic.loads import compute_loads
@@ -222,9 +222,9 @@ def build_batch_engine(
         latency_quantiles=latency_quantiles,
         faults=faults,
     )
-    for packet in generate_batch(machine, route_computer, spec):
-        if source_filter is not None and not source_filter(packet.src):
-            continue
+    if packets is None:
+        packets = generate_batch(machine, route_computer, spec)
+    for packet in packets:
         engine.enqueue(packet)
     return engine
 
@@ -318,8 +318,8 @@ def run_batch_sharded(
     :func:`run_batch` on the same workload for every shard count;
     ``shards=1`` *is* the serial path. Unlike :func:`run_batch`, fault
     injection is specified by ``fault_set``/``fault_policy`` rather than
-    a pre-built runtime, because each shard process rebuilds its own
-    deterministic fault-aware route computer. See
+    a pre-built runtime, because each shard of a faulted run builds its
+    own deterministic fault-aware route computer. See
     :mod:`repro.sim.shard` for the synchronization protocol.
     """
     from .shard import ShardedRun, run_sharded

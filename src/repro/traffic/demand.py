@@ -649,7 +649,7 @@ def build_demand_engine(
     trace=None,
     latency_quantiles: bool = False,
     faults=None,
-    source_filter=None,
+    packets: Optional[Sequence[Packet]] = None,
 ):
     """Construct a cycle-0 engine with a full demand workload enqueued.
 
@@ -659,6 +659,8 @@ def build_demand_engine(
     programmed from the cycle-0 matrix's conditional distribution
     (:class:`DemandMatrixPattern`) -- demand matrices are generally not
     translation symmetric, so the exhaustive load path is used.
+    ``packets`` (already generated from ``spec``) replaces the call to
+    :func:`generate_demand`, as in ``build_batch_engine``.
     """
     from repro.sim.engine import Engine
     from repro.sim.simulator import (
@@ -724,9 +726,9 @@ def build_demand_engine(
         latency_quantiles=latency_quantiles,
         faults=faults,
     )
-    for packet in generate_demand(machine, route_computer, spec):
-        if source_filter is not None and not source_filter(packet.src):
-            continue
+    if packets is None:
+        packets = generate_demand(machine, route_computer, spec)
+    for packet in packets:
         engine.enqueue(packet)
     return engine
 
