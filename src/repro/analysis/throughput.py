@@ -7,23 +7,33 @@ weight sets (Figure 10).
 
 Every measured point is an independent simulation, so the sweeps fan
 points across cores through :mod:`repro.sim.sweep`: a point is described
-by a picklable :class:`BatchPoint` spec, worker processes rebuild the
-machine from its config (cached per process) and run
-:func:`measure_batch_point`. The engine's exact fixed-point timing makes
-the parallel results bitwise-identical to a serial loop.
+by a picklable :class:`BatchPoint` spec and run by
+:func:`measure_batch_point`. What the points of a campaign share -- the
+machine, the analytic loads, the programmed weight tables -- is prepared
+once, in the parent, and inherited by forked workers (a worker that
+cannot inherit rebuilds it from the spec, cached per process). The
+engine's exact fixed-point timing makes the parallel results
+bitwise-identical to a serial loop.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.machine import Machine, MachineConfig
 from repro.core.routing import RouteComputer
 from repro.sim.metrics import MetricsCollector, MetricsSummary
-from repro.sim.simulator import make_vc_weight_tables, make_weight_tables, run_batch
-from repro.sim.sweep import SweepPoint, run_sweep, shared_machine
+from repro.sim.simulator import program_weight_tables, run_batch
+from repro.sim.sweep import (
+    SweepPoint,
+    _canonical,
+    run_sweep,
+    share_machine,
+    shared_machine,
+)
 from repro.traffic.batch import BatchSpec
 from repro.traffic.loads import LoadTable, compute_loads, ideal_batch_cycles
 from repro.traffic.patterns import Blend, TrafficPattern
@@ -76,23 +86,16 @@ def measure_batch(
     """
     if load_table is None:
         load_table = compute_loads(machine, route_computer, pattern, cores_per_chip)
-    if arbitration == "iw" and weight_tables is None:
+    if arbitration == "iw" and (weight_tables is None or vc_weight_tables is None):
         # Default to weights programmed from the measured pattern itself.
-        weight_tables = make_weight_tables(
-            machine,
-            route_computer,
-            [pattern],
-            cores_per_chip,
+        programmed = program_weight_tables(
+            machine, route_computer, [pattern], cores_per_chip,
             load_tables=[load_table],
         )
-    if arbitration == "iw" and vc_weight_tables is None:
-        vc_weight_tables = make_vc_weight_tables(
-            machine,
-            route_computer,
-            [pattern],
-            cores_per_chip,
-            load_tables=[load_table],
-        )
+        if weight_tables is None:
+            weight_tables = programmed[0]
+        if vc_weight_tables is None:
+            vc_weight_tables = programmed[1]
     spec = BatchSpec(
         pattern,
         packets_per_source=batch_size,
@@ -131,9 +134,10 @@ def measure_batch(
 class BatchPoint:
     """Picklable spec of one batch-throughput simulation point.
 
-    Carries the machine *config* rather than the machine: workers rebuild
-    (and cache) the elaborated machine per process via
-    :func:`repro.sim.sweep.shared_machine`. ``weight_patterns`` names the
+    Carries the machine *config* rather than the machine: the elaborated
+    machine comes from :func:`repro.sim.sweep.shared_machine`, the
+    per-process cache a forked worker inherits warm and any other worker
+    fills from the config. ``weight_patterns`` names the
     patterns whose analytic loads program the inverse-weight tables for
     ``arbitration="iw"`` (empty means: the measured pattern itself).
     """
@@ -162,15 +166,25 @@ class BatchPoint:
     checkpoint_every: int = 0
 
 
-#: Per-process caches of analytic loads and programmed weight tables,
-#: keyed by (config, pattern names, cores): each worker computes a given
-#: table set once per sweep, mirroring the serial harness's reuse.
+#: Per-process caches of analytic loads and programmed weight tables.
+#: Keys carry the patterns' canonical *content*, never their names: two
+#: ``FixedPermutation``s both called "permutation" load the machine
+#: differently. A campaign fills them in the parent before its pool
+#: forks (:func:`run_batch_points`), so they live as long as the process.
 _LOADS_CACHE: Dict[tuple, LoadTable] = {}
 _TABLES_CACHE: Dict[tuple, tuple] = {}
 
 
+def _cache_key(machine, patterns, cores_per_chip) -> tuple:
+    return (
+        machine.config,
+        tuple(_canonical(pattern) for pattern in patterns),
+        cores_per_chip,
+    )
+
+
 def _loads_for(machine, route_computer, pattern, cores_per_chip) -> LoadTable:
-    key = (machine.config, pattern.name, cores_per_chip)
+    key = _cache_key(machine, (pattern,), cores_per_chip)
     table = _LOADS_CACHE.get(key)
     if table is None:
         table = compute_loads(machine, route_computer, pattern, cores_per_chip)
@@ -179,29 +193,31 @@ def _loads_for(machine, route_computer, pattern, cores_per_chip) -> LoadTable:
 
 
 def _weight_tables_for(machine, route_computer, patterns, cores_per_chip):
-    key = (machine.config, tuple(p.name for p in patterns), cores_per_chip)
+    key = _cache_key(machine, patterns, cores_per_chip)
     tables = _TABLES_CACHE.get(key)
     if tables is None:
         load_tables = [
             _loads_for(machine, route_computer, pattern, cores_per_chip)
             for pattern in patterns
         ]
-        tables = (
-            make_weight_tables(
-                machine, route_computer, patterns, cores_per_chip,
-                load_tables=load_tables,
-            ),
-            make_vc_weight_tables(
-                machine, route_computer, patterns, cores_per_chip,
-                load_tables=load_tables,
-            ),
+        tables = program_weight_tables(
+            machine, route_computer, patterns, cores_per_chip,
+            load_tables=load_tables,
         )
         _TABLES_CACHE[key] = tables
     return tables
 
 
-def measure_batch_point(point: BatchPoint) -> ThroughputPoint:
-    """Run one :class:`BatchPoint` (the sweep-runner work function)."""
+def prepare_batch_point(point: BatchPoint) -> tuple:
+    """The offline half of a point: ``(machine, route computer, load
+    table, SA2 weight tables, SA1 weight tables)``, the tables ``None``
+    unless the point arbitrates by inverse weights.
+
+    Everything here is a pure function of (config, patterns, cores) and
+    is cached per process, so whoever calls it first pays: the campaign's
+    parent, before its workers fork and inherit the result, or -- under a
+    start method that does not fork -- each worker on its first point.
+    """
     machine, route_computer = shared_machine(point.config)
     load_table = _loads_for(
         machine, route_computer, point.pattern, point.cores_per_chip
@@ -214,6 +230,14 @@ def measure_batch_point(point: BatchPoint) -> ThroughputPoint:
             point.weight_patterns or (point.pattern,),
             point.cores_per_chip,
         )
+    return machine, route_computer, load_table, weight_tables, vc_weight_tables
+
+
+def measure_batch_point(point: BatchPoint) -> ThroughputPoint:
+    """Run one :class:`BatchPoint` (the sweep-runner work function)."""
+    (
+        machine, route_computer, load_table, weight_tables, vc_weight_tables
+    ) = prepare_batch_point(point)
     collector = (
         MetricsCollector(window_cycles=point.metrics_window)
         if point.collect_metrics
@@ -252,7 +276,23 @@ def run_batch_points(
     persistence (see :func:`repro.sim.sweep.run_sweep`); pair it with
     per-point ``checkpoint_path`` on the :class:`BatchPoint` specs to
     also resume the interrupted point mid-run.
+
+    The points' offline halves (:func:`prepare_batch_point`) run here, in
+    the parent, before any worker exists: machines, load tables and
+    weight tables are programmed once per campaign -- as the paper
+    programs its weights once per traffic pattern -- and forked workers
+    inherit them. Where workers do not fork they would inherit nothing,
+    so the parent leaves the work to them (and to a serial loop's first
+    use), as before.
     """
+    if multiprocessing.get_start_method() == "fork":
+        for point in points:
+            try:
+                prepare_batch_point(point)
+            except Exception:
+                # The point's own run raises the same error, and the
+                # sweep runner reports it by name beside the others.
+                pass
     results = run_sweep(
         [
             SweepPoint(
@@ -290,6 +330,7 @@ def throughput_vs_batch_size(
     processes; results are identical to serial execution (the default).
     """
     weight_pattern = weight_pattern or patterns[0]
+    share_machine(machine, route_computer)
     points = [
         BatchPoint(
             config=machine.config,
@@ -335,6 +376,7 @@ def blend_sweep(
         "reverse": (pattern_b,),
         "both": (pattern_a, pattern_b),
     }
+    share_machine(machine, route_computer)
     points = [
         BatchPoint(
             config=machine.config,

@@ -28,8 +28,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from .machine import ChannelGroup, Machine
 from .routing import Route, RouteComputer, Unroutable
 from .geometry import all_coords
@@ -122,6 +120,8 @@ def build_dependency_graph_from_routes(
     healthy-machine analysis and by the fault subsystem, which passes the
     degraded machine's resolved route set.
     """
+    import networkx as nx
+
     graph = nx.DiGraph()
     edges: Set[Tuple[Tuple[int, int], Tuple[int, int]]] = set()
     count = 0
@@ -164,6 +164,8 @@ def analyze(
 def _report_from_graph(
     machine: Machine, graph: nx.DiGraph, routes: int
 ) -> DeadlockReport:
+    import networkx as nx
+
     cycle: Optional[List[Tuple[int, int]]] = None
     try:
         raw_cycle = nx.find_cycle(graph)

@@ -301,6 +301,12 @@ class Machine:
         self.component_outputs: List[List[int]] = []
         #: input index of each channel at its destination component
         self.input_index: List[int] = []
+        #: Every chip creates the same on-chip channels in the same
+        #: order, chip after chip in ``all_coords`` order, before any
+        #: inter-node channel exists: on-chip channel ids are
+        #: ``chip index * onchip_channels_per_chip + slot``, and the
+        #: inter-node ids (chip-major too) start where they end.
+        self.onchip_channels_per_chip: int = 0
         #: Integer ticks per on-chip cycle: the LCM of the denominators of
         #: every channel's ``cycles_per_flit``, so each channel's per-flit
         #: occupancy is a whole number of ticks (45 ticks per flit on a
@@ -397,6 +403,8 @@ class Machine:
                 self._add_channel(
                     endpoint, router, ChannelKind.EP_TO_ROUTER, cfg.adapter_link_latency
                 )
+
+        self.onchip_channels_per_chip = len(self.channels) // cfg.num_chips
 
         # Inter-node channels. A packet departing chip c in direction d
         # arrives at the neighbor's adapter for the opposite direction. The

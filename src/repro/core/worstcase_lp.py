@@ -23,9 +23,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-from scipy.optimize import linprog
-
 from . import params
 from .chip import ChipFloorplan, default_floorplan
 from .geometry import TORUS_DIRECTIONS
@@ -58,6 +55,8 @@ def _channel_usage(
     and depart to -- all six for the torus, the four planar ones for a
     2D topology (a mesh or chiplet node never sees Z through traffic).
     """
+    import numpy as np
+
     num_dirs = len(directions)
     usage: Dict[Tuple, np.ndarray] = {}
     for slice_index in range(params.NUM_SLICES):
@@ -82,6 +81,9 @@ def max_channel_load_lp(
     entries whose routes use the channel. Returns (optimal load, demand
     matrix).
     """
+    import numpy as np
+    from scipy.optimize import linprog
+
     num_dirs = usage_matrix.shape[0]
     num_vars = num_dirs * num_dirs
     c = -usage_matrix.reshape(num_vars)
@@ -112,6 +114,8 @@ def worst_case_lp(
     demand matrix to the directions its links actually carry; ``None``
     keeps the full six-direction torus demand set.
     """
+    import numpy as np
+
     floorplan = floorplan or default_floorplan()
     directions = (
         TORUS_DIRECTIONS if topology is None else topology.active_directions()

@@ -32,8 +32,6 @@ import dataclasses
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core import params
 
 #: Payload width in bits (a 24-byte flit carries a 192-bit payload path).
@@ -261,6 +259,8 @@ def fit_model(
     energies. The model is linear in its coefficients:
     ``E = c0 + c1 h + c2 (a/r) + c3 (n a/r)``.
     """
+    import numpy as np
+
     if len(measurements) < 4:
         raise ValueError("need at least four measurements to fit four coefficients")
     rows = []

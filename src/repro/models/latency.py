@@ -25,8 +25,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core import params
 from repro.core.geometry import all_coords, torus_hops
 from repro.core.machine import ChannelKind, ComponentKind, Machine
@@ -180,6 +178,8 @@ def linear_fit(latencies_by_hops: Dict[int, float]) -> Tuple[float, float]:
 
     The paper's fit is 80.7 ns + 39.1 ns/hop.
     """
+    import numpy as np
+
     hops = np.array(sorted(latencies_by_hops))
     values = np.array([latencies_by_hops[h] for h in hops])
     slope, intercept = np.polyfit(hops, values, 1)

@@ -257,12 +257,13 @@ class ShardedRun:
     """Picklable description of one sharded experiment.
 
     The hub builds the machine and generates the workload from it once
-    (global packet ids and RNG draw order as in a serial run); a shard
-    worker receives the packets whose source it owns and builds only
-    its engine. What a worker cannot inherit it rebuilds from this
-    spec deterministically: the machine under the ``spawn`` start
-    method, and the fault-aware route computer, fault runtime and
-    workload of a faulted run. ``spec`` is a
+    (global packet ids and RNG draw order as in a serial run), and
+    programs the ``iw`` weight tables once; a shard worker receives the
+    packets whose source it owns and the tables, and builds only its
+    engine. What a worker cannot inherit it rebuilds from this spec
+    deterministically: the machine under the ``spawn`` start method,
+    and the fault-aware route computer, fault runtime, workload and
+    weight tables of a faulted run. ``spec`` is a
     :class:`~repro.traffic.batch.BatchSpec` or
     :class:`~repro.traffic.demand.DemandSpec`.
     """
@@ -325,14 +326,18 @@ def _build_engine(
     faults,
     trace=None,
     packets=None,
+    weight_tables=(None, None),
 ) -> Engine:
-    """The run's cycle-0 engine; ``packets`` stands in for generation."""
+    """The run's cycle-0 engine; ``packets`` stands in for generation and
+    ``weight_tables`` (an ``(SA2, SA1)`` pair) for programming ``iw``."""
     return _workload_fns(run)[1](
         machine,
         route_computer,
         run.spec,
         arbitration=run.arbitration,
         weight_patterns=list(run.weight_patterns) or None,
+        weight_tables=weight_tables[0],
+        vc_weight_tables=weight_tables[1],
         weight_bits=run.weight_bits,
         trace=trace,
         faults=faults,
@@ -427,7 +432,8 @@ class _ShardCore:
                     if owners[packet.src] == self.index
                 ]
             engine = _build_engine(
-                run, machine, route_computer, faults, recorder, packets
+                run, machine, route_computer, faults, recorder, packets,
+                init["weight_tables"],
             )
             if faults is not None:
                 # Resolution counts accrued before cycle 0: identical in
@@ -617,8 +623,9 @@ class _ProcessWorker:
     """One shard in its own process, driven over a ``multiprocessing`` pipe.
 
     ``init`` rides the process start: a forked worker inherits it (the
-    hub's machine and the shard's packets, no copy); a spawned one gets
-    it pickled, without the machine, which it rebuilds from the config.
+    hub's machine, the shard's packets and the ``iw`` tables, no copy);
+    a spawned one gets it pickled, without the machine, which it
+    rebuilds from the config.
     """
 
     def __init__(self, init: dict) -> None:
@@ -926,9 +933,10 @@ class _Hub:
         self._g_counts: Optional[dict] = None
         #: Optional caller-supplied dict filled with wall-clock phase
         #: timings: ``setup_s`` = ``generate_s`` (the hub generating and
-        #: partitioning the workload) + ``spawn_s`` (first worker start
-        #: through the last ``ready``: per-worker engine builds), then
-        #: ``windows_s`` (barrier loop through final merge).
+        #: partitioning the workload and programming ``iw`` tables) +
+        #: ``spawn_s`` (first worker start through the last ``ready``:
+        #: per-worker engine builds), then ``windows_s`` (barrier loop
+        #: through final merge).
         self._timings = timings
         #: ``halt_at``: stop right after the checkpoint saved at this
         #: barrier, leaving the files on disk (``repro checkpoint save
@@ -957,31 +965,47 @@ class _Hub:
             worker.send(msg)
         return [worker.recv_reply() for worker in self._workers]
 
-    def _owned_packets(self) -> List[list]:
-        """The workload, generated once and split by owning shard."""
+    def _shared_setup(self) -> tuple:
+        """What the shards of a healthy fresh run would each compute for
+        themselves, computed once: the workload, split by owning shard,
+        and under ``iw`` the programmed ``(SA2, SA1)`` weight tables."""
         run, machine = self.run, self.machine
         generate = _workload_fns(run)[0]
         _, route_computer, _ = build_shard_context(run, machine)
         owned: List[list] = [[] for _ in range(self.plan.shards)]
         for packet in generate(machine, route_computer, run.spec):
             owned[self._owners[packet.src]].append(packet)
-        return owned
+        patterns = list(run.weight_patterns)
+        if not patterns and getattr(run.spec, "demand", None) is not None:
+            from repro.traffic.demand import default_weight_patterns
+
+            patterns = default_weight_patterns(run.spec)
+        weight_tables = (None, None)
+        if run.arbitration == "iw" and patterns:
+            from .simulator import program_weight_tables
+
+            weight_tables = program_weight_tables(
+                machine, route_computer, patterns, run.spec.cores_per_chip,
+                run.spec.dst_endpoint_mode, run.weight_bits,
+            )
+        return owned, weight_tables
 
     def _start_workers(self, snaps: Optional[list]) -> List[dict]:
         """Start one worker per shard; returns their ``ready`` infos.
 
         A healthy fresh run is generated here, once, and every worker
-        starts from the packets it owns; resumed shards restore theirs
-        from ``snaps`` and faulted ones generate (see :class:`_ShardCore`).
-        The batch dies with this frame: the hub keeps no packet.
+        starts from the packets it owns and the ``iw`` tables programmed
+        here; resumed shards restore theirs from ``snaps`` and faulted
+        ones generate and program (see :class:`_ShardCore`). The batch
+        dies with this frame: the hub keeps no packet.
         """
         worker_cls = _InlineWorker if self.transport == "inline" else _ProcessWorker
         profiling = self._profiles is not None
         t_start = time.perf_counter()
-        owned = None
+        owned, weight_tables = None, (None, None)
         if snaps is None and self.run.fault_set is None:
             profiler = _new_profiler(profiling)
-            owned = _profiled(profiler, self._owned_packets)
+            owned, weight_tables = _profiled(profiler, self._shared_setup)
             if profiling:
                 self._profiles.append(profiler)
         t_spawn = time.perf_counter()
@@ -992,6 +1016,7 @@ class _Hub:
                 "plan": self.plan.to_json(),
                 "machine": self.machine,
                 "packets": owned[shard] if owned is not None else None,
+                "weight_tables": weight_tables,
                 "tracing": self.trace is not None,
                 "snapshot": snaps[shard] if snaps is not None else None,
                 "profile": profiling,

@@ -20,7 +20,7 @@ adapter output:
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arbiters.age_based import AgeBasedArbiter
 from repro.arbiters.base import Arbiter
@@ -104,6 +104,37 @@ def make_vc_weight_tables(
     }
 
 
+def program_weight_tables(
+    machine: Machine,
+    route_computer: RouteComputer,
+    patterns: Sequence["TrafficPattern"],
+    cores_per_chip: int,
+    dst_endpoint_mode: str = "same_index",
+    weight_bits: int = DEFAULT_WEIGHT_BITS,
+    load_tables: Optional[Sequence["LoadTable"]] = None,
+) -> Tuple[Dict[int, WeightTable], Dict[int, WeightTable]]:
+    """One weight set for both arbitration stages: ``(SA2, SA1)`` tables.
+
+    The loads of each pattern are computed once (or taken from
+    ``load_tables``) and shared by :func:`make_weight_tables` and
+    :func:`make_vc_weight_tables`.
+    """
+    from repro.traffic.loads import compute_loads
+
+    if load_tables is None:
+        load_tables = [
+            compute_loads(
+                machine, route_computer, pattern, cores_per_chip, dst_endpoint_mode
+            )
+            for pattern in patterns
+        ]
+    args = (machine, route_computer, patterns, cores_per_chip, dst_endpoint_mode)
+    return (
+        make_weight_tables(*args, weight_bits, load_tables=load_tables),
+        make_vc_weight_tables(*args, weight_bits, load_tables=load_tables),
+    )
+
+
 def arbiter_builder_for(
     arbitration: str,
     weight_tables: Optional[Dict[int, WeightTable]] = None,
@@ -167,7 +198,6 @@ def build_batch_engine(
     it owns, global packet ids and RNG draws intact.
     """
     from repro.traffic.batch import generate_batch
-    from repro.traffic.loads import compute_loads
 
     num_patterns = 1
     if arbitration == "iw":
@@ -176,36 +206,18 @@ def build_batch_engine(
                 raise ValueError(
                     "iw arbitration needs weight_patterns or weight tables"
                 )
-            load_tables = [
-                compute_loads(
-                    machine,
-                    route_computer,
-                    pattern,
-                    spec.cores_per_chip,
-                    spec.dst_endpoint_mode,
-                )
-                for pattern in weight_patterns
-            ]
+            programmed = program_weight_tables(
+                machine,
+                route_computer,
+                weight_patterns,
+                spec.cores_per_chip,
+                spec.dst_endpoint_mode,
+                weight_bits,
+            )
             if weight_tables is None:
-                weight_tables = make_weight_tables(
-                    machine,
-                    route_computer,
-                    weight_patterns,
-                    spec.cores_per_chip,
-                    spec.dst_endpoint_mode,
-                    weight_bits,
-                    load_tables=load_tables,
-                )
+                weight_tables = programmed[0]
             if vc_weight_tables is None:
-                vc_weight_tables = make_vc_weight_tables(
-                    machine,
-                    route_computer,
-                    weight_patterns,
-                    spec.cores_per_chip,
-                    spec.dst_endpoint_mode,
-                    weight_bits,
-                    load_tables=load_tables,
-                )
+                vc_weight_tables = programmed[1]
         for table in weight_tables.values():
             num_patterns = table.num_patterns
             break

@@ -8,9 +8,10 @@ timing, a point's result is a pure function of its spec, so fanning points
 across a :class:`~concurrent.futures.ProcessPoolExecutor` returns results
 bitwise-identical to a serial loop, just wall-clock faster.
 
-Workers rebuild machines from their (hashable) configs via
-:func:`shared_machine`, a per-process cache, instead of pickling the fully
-elaborated component/channel graph into every task.
+Tasks carry (hashable) machine configs, never the fully elaborated
+component/channel graph: :func:`shared_machine` is a per-process cache
+that a forked worker inherits from the parent as it stood when the pool
+was created, and that any other worker fills from the config.
 
 Run ``python -m repro.sim.sweep`` for a self-checking smoke sweep (two
 Figure 9-style points executed serially and in parallel, results
@@ -28,7 +29,9 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.chip import default_floorplan
 from repro.core.machine import Machine, MachineConfig
+from repro.core.onchip import ANTON_DIRECTION_ORDER
 from repro.core.routing import RouteComputer
 
 
@@ -354,6 +357,24 @@ def shared_machine(config: MachineConfig) -> Tuple[Machine, RouteComputer]:
         cached = (machine, RouteComputer(machine))
         _MACHINE_CACHE[config] = cached
     return cached
+
+
+def share_machine(machine: Machine, route_computer: RouteComputer) -> None:
+    """Offer a pair the caller already built to :func:`shared_machine`.
+
+    Taken only when it is the pair ``shared_machine`` would build from
+    ``machine.config`` -- default floorplan, stock route computer -- since
+    everything cached downstream is keyed by the config alone.
+    """
+    if (
+        type(route_computer) is RouteComputer
+        and route_computer.machine is machine
+        and route_computer.direction_order == ANTON_DIRECTION_ORDER
+        and not route_computer.allow_nonminimal
+        and machine.floorplan
+        == default_floorplan(num_endpoints=machine.config.endpoints_per_chip)
+    ):
+        _MACHINE_CACHE[machine.config] = (machine, route_computer)
 
 
 # --- smoke sweep (CLI / CI gate) ----------------------------------------------

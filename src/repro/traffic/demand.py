@@ -636,6 +636,12 @@ def generate_demand(
     return packets
 
 
+def default_weight_patterns(spec: DemandSpec) -> List[TrafficPattern]:
+    """What programs ``iw`` weights when the caller names no pattern: the
+    cycle-0 matrix's conditional distribution."""
+    return [DemandMatrixPattern(spec.schedule.epochs[0][1])]
+
+
 def build_demand_engine(
     machine: Machine,
     route_computer: RouteComputer,
@@ -666,10 +672,8 @@ def build_demand_engine(
     from repro.sim.simulator import (
         DEFAULT_WEIGHT_BITS,
         arbiter_builder_for,
-        make_vc_weight_tables,
-        make_weight_tables,
+        program_weight_tables,
     )
-    from repro.traffic.loads import compute_loads
 
     if weight_bits is None:
         weight_bits = DEFAULT_WEIGHT_BITS
@@ -677,39 +681,19 @@ def build_demand_engine(
     if arbitration == "iw":
         if weight_tables is None or vc_weight_tables is None:
             if weight_patterns is None:
-                weight_patterns = [
-                    DemandMatrixPattern(spec.schedule.epochs[0][1])
-                ]
-            load_tables = [
-                compute_loads(
-                    machine,
-                    route_computer,
-                    pattern,
-                    spec.cores_per_chip,
-                    spec.dst_endpoint_mode,
-                )
-                for pattern in weight_patterns
-            ]
+                weight_patterns = default_weight_patterns(spec)
+            programmed = program_weight_tables(
+                machine,
+                route_computer,
+                weight_patterns,
+                spec.cores_per_chip,
+                spec.dst_endpoint_mode,
+                weight_bits,
+            )
             if weight_tables is None:
-                weight_tables = make_weight_tables(
-                    machine,
-                    route_computer,
-                    weight_patterns,
-                    spec.cores_per_chip,
-                    spec.dst_endpoint_mode,
-                    weight_bits,
-                    load_tables=load_tables,
-                )
+                weight_tables = programmed[0]
             if vc_weight_tables is None:
-                vc_weight_tables = make_vc_weight_tables(
-                    machine,
-                    route_computer,
-                    weight_patterns,
-                    spec.cores_per_chip,
-                    spec.dst_endpoint_mode,
-                    weight_bits,
-                    load_tables=load_tables,
-                )
+                vc_weight_tables = programmed[1]
         for table in weight_tables.values():
             num_patterns = table.num_patterns
             break

@@ -24,6 +24,7 @@ import dataclasses
 from collections import defaultdict
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.geometry import all_coords
 from repro.core.machine import ChannelKind, Machine
 from repro.core.routing import RouteComputer
 
@@ -43,8 +44,6 @@ def active_endpoints(machine: Machine, cores_per_chip: int) -> List[int]:
             f"cores_per_chip must be in [1, {machine.config.endpoints_per_chip}]"
         )
     ids = []
-    from repro.core.geometry import all_coords
-
     for chip in all_coords(machine.config.shape):
         for index in range(cores_per_chip):
             ids.append(machine.ep_id[(chip, index)])
@@ -83,30 +82,38 @@ class LoadTable:
         return self.max_load(machine, ChannelKind.TORUS)
 
 
-def _translate_component(machine: Machine, comp_id: int, offset) -> int:
-    """The component id of ``comp_id`` shifted by a torus offset."""
-    comp = machine.components[comp_id]
-    shape = machine.config.shape
-    chip = tuple((comp.chip[d] + offset[d]) % shape[d] for d in range(3))
-    from repro.core.machine import ComponentKind
+def _translation_maps(machine: Machine, channel_ids):
+    """``(offset, {channel id: its id shifted by offset})`` for every
+    nonzero offset of a translation-invariant machine.
 
-    if comp.kind == ComponentKind.ROUTER:
-        return machine.router_id[(chip, comp.detail)]
-    if comp.kind == ComponentKind.ENDPOINT:
-        return machine.ep_id[(chip, comp.detail)]
-    direction, slice_index = comp.detail
-    return machine.ca_id[(chip, direction, slice_index)]
-
-
-def _translate_channel(machine: Machine, channel_id: int, offset) -> int:
-    """The channel id of ``channel_id`` shifted by a torus offset."""
-    channel = machine.channels[channel_id]
-    return machine.channel_between[
-        (
-            _translate_component(machine, channel.src, offset),
-            _translate_component(machine, channel.dst, offset),
-        )
+    No graph walk: every chip creates its on-chip channels, then its
+    inter-node channels, in one fixed sequence, so channel ids sit in
+    per-chip blocks -- on-chip blocks first, inter-node blocks after,
+    both in ``all_coords`` chip order -- and shifting a channel moves it
+    to the same slot of the shifted chip's block.
+    """
+    kx, ky, kz = machine.config.shape
+    chips = list(all_coords(machine.config.shape))
+    onchip = machine.onchip_channels_per_chip
+    internode_base = len(chips) * onchip
+    internode = (len(machine.channels) - internode_base) // len(chips)
+    blocks = [
+        (cid, cid // onchip, onchip)
+        if cid < internode_base
+        else (cid, (cid - internode_base) // internode, internode)
+        for cid in channel_ids
     ]
+    for ox, oy, oz in chips:
+        if (ox, oy, oz) == (0, 0, 0):
+            continue
+        shifted = [
+            (((x + ox) % kx) * ky + (y + oy) % ky) * kz + (z + oz) % kz
+            for x, y, z in chips
+        ]
+        yield (ox, oy, oz), {
+            cid: cid + (shifted[chip] - chip) * stride
+            for cid, chip, stride in blocks
+        }
 
 
 def compute_loads(
@@ -195,20 +202,12 @@ def compute_loads(
         # Translate the single-chip result over every nonzero offset.
         # Arbiter input indices are translation-invariant because every
         # chip's channels are created in the same per-chip order.
-        from repro.core.geometry import all_coords
-
         base_channel_load = dict(channel_load)
         base_arbiter_load = {
             oc: dict(per_input) for oc, per_input in arbiter_load.items()
         }
         base_vc_load = {cid: dict(per_vc) for cid, per_vc in vc_load.items()}
-        for offset in all_coords(machine.config.shape):
-            if offset == (0, 0, 0):
-                continue
-            channel_map = {
-                cid: _translate_channel(machine, cid, offset)
-                for cid in base_channel_load
-            }
+        for _offset, channel_map in _translation_maps(machine, base_channel_load):
             for cid, load in base_channel_load.items():
                 channel_load[channel_map[cid]] += load
             for oc, per_input in base_arbiter_load.items():

@@ -1,13 +1,33 @@
 """Tests for the throughput experiment harnesses."""
 
+import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+from repro.analysis import throughput
 from repro.analysis.throughput import (
+    BatchPoint,
     blend_sweep,
     measure_batch,
+    measure_batch_point,
     throughput_vs_batch_size,
 )
-from repro.traffic.patterns import ReverseTornado, Tornado, UniformRandom
+from repro.core.chip import default_floorplan
+from repro.core.geometry import all_coords
+from repro.core.machine import Machine, MachineConfig
+from repro.core.routing import RouteComputer
+from repro.sim import sweep
+from repro.traffic.patterns import (
+    Blend,
+    FixedPermutation,
+    ReverseTornado,
+    Tornado,
+    UniformRandom,
+)
 
 
 class TestMeasureBatch:
@@ -69,3 +89,175 @@ class TestSweeps:
             fractions=(0.5,), batch_size=4, cores_per_chip=2,
         )
         assert all(p.pattern.startswith("0.50") for p in points)
+
+
+def _ring_shift(shape, step):
+    kx = shape[0]
+    return {
+        (x, y, z): ((x + step) % kx, y, z) for x, y, z in all_coords(shape)
+    }
+
+
+class TestCacheKeysAreContent:
+    """The per-process tables key on what a pattern *is*, not its name."""
+
+    SHAPE = (5, 1, 1)
+
+    def _ideal(self, point_spec):
+        result = measure_batch_point(point_spec)
+        return result.normalized_throughput * result.completion_cycles
+
+    def test_same_named_permutations_get_their_own_loads(self):
+        config = MachineConfig(shape=self.SHAPE, endpoints_per_chip=1)
+        near = FixedPermutation(self.SHAPE, _ring_shift(self.SHAPE, 1))
+        far = FixedPermutation(self.SHAPE, _ring_shift(self.SHAPE, 2))
+        assert near.name == far.name == "permutation"
+        ideals = {}
+        for key, pattern in (("near", near), ("far", far)):
+            for arbitration in ("rr", "iw"):
+                ideals[key, arbitration] = self._ideal(BatchPoint(
+                    config=config, pattern=pattern, batch_size=4,
+                    cores_per_chip=1, arbitration=arbitration,
+                ))
+        # Two hops load every link twice as much as one.
+        assert ideals["far", "rr"] == pytest.approx(2 * ideals["near", "rr"])
+        assert ideals["far", "iw"] == ideals["far", "rr"]
+        # And each agrees with the uncached harness.
+        machine = Machine(config)
+        direct = measure_batch(
+            machine, RouteComputer(machine), far, batch_size=4,
+            cores_per_chip=1, arbitration="iw",
+        )
+        cached = measure_batch_point(BatchPoint(
+            config=config, pattern=far, batch_size=4, cores_per_chip=1,
+            arbitration="iw",
+        ))
+        assert cached.normalized_throughput == direct.normalized_throughput
+        assert cached.completion_cycles == direct.completion_cycles
+
+    def test_blends_closer_than_two_decimals_are_distinct_keys(self):
+        shape = (2, 2, 2)
+        parts = [Tornado(shape), ReverseTornado(shape)]
+        a = Blend(parts, [0.501, 0.499])
+        b = Blend(parts, [0.504, 0.496])
+        assert a.name == b.name
+        machine = Machine(MachineConfig(shape=shape, endpoints_per_chip=2))
+        key = throughput._cache_key
+        assert key(machine, (a,), 2) != key(machine, (b,), 2)
+        assert key(machine, (a,), 2) == key(
+            machine, (Blend(parts, [0.501, 0.499]),), 2
+        )
+
+
+class TestCampaignSetupHappensOnce:
+    """The parent prepares; forked workers inherit; nothing is rebuilt."""
+
+    def test_parent_holds_the_callers_machine_and_the_tables(self, monkeypatch):
+        monkeypatch.setattr(sweep, "_MACHINE_CACHE", {})
+        monkeypatch.setattr(throughput, "_LOADS_CACHE", {})
+        monkeypatch.setattr(throughput, "_TABLES_CACHE", {})
+        shape = (3, 2, 1)
+        machine = Machine(MachineConfig(shape=shape, endpoints_per_chip=2))
+        routes = RouteComputer(machine)
+        patterns = [UniformRandom(shape), Tornado(shape)]
+
+        def count_calls(owner, name):
+            """Pids of the processes that called ``owner.name``."""
+            pids, original = [], getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                pids.append(os.getpid())
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+            return pids
+
+        built = count_calls(Machine, "__init__")
+        loads = count_calls(throughput, "compute_loads")
+
+        def campaign():
+            return throughput_vs_batch_size(
+                machine, routes, patterns, batch_sizes=(2, 4),
+                cores_per_chip=2, max_workers=2,
+            )
+
+        first = campaign()
+        assert sweep.shared_machine(machine.config) == (machine, routes)
+        key = throughput._cache_key
+        assert set(throughput._LOADS_CACHE) == {
+            key(machine, (pattern,), 2) for pattern in patterns
+        }
+        assert set(throughput._TABLES_CACHE) == {
+            key(machine, (patterns[0],), 2)
+        }
+        assert loads == [os.getpid()] * len(patterns)
+        second = campaign()
+        assert built == [] and len(loads) == len(patterns)
+        assert [dataclasses.replace(p, wall_seconds=0) for p in first] == [
+            dataclasses.replace(p, wall_seconds=0) for p in second
+        ]
+
+    def test_a_custom_floorplan_or_router_is_not_shared(self, monkeypatch):
+        monkeypatch.setattr(sweep, "_MACHINE_CACHE", {})
+        config = MachineConfig(shape=(2, 2, 2), endpoints_per_chip=2)
+        plan = default_floorplan(num_endpoints=2)
+        moved = dataclasses.replace(
+            plan, endpoint_router=tuple(reversed(plan.endpoint_router))
+        )
+        custom = Machine(config, floorplan=moved)
+        sweep.share_machine(custom, RouteComputer(custom))
+        stock = Machine(config)
+        sweep.share_machine(stock, RouteComputer(stock, allow_nonminimal=True))
+        assert sweep._MACHINE_CACHE == {}
+        routes = RouteComputer(stock)
+        sweep.share_machine(stock, routes)
+        assert sweep.shared_machine(config) == (stock, routes)
+
+
+_SPAWN_SCRIPT = textwrap.dedent(
+    """
+    import dataclasses, multiprocessing
+
+    def fields(point):
+        out = dataclasses.asdict(point)
+        del out["wall_seconds"]
+        return out
+
+    if __name__ == "__main__":
+        multiprocessing.set_start_method("spawn")
+        from repro.analysis.throughput import (
+            BatchPoint, measure_batch_point, run_batch_points,
+        )
+        from repro.core.machine import MachineConfig
+        from repro.traffic.patterns import Tornado, UniformRandom
+
+        shape = (2, 2, 2)
+        config = MachineConfig(shape=shape, endpoints_per_chip=2)
+        points = [
+            BatchPoint(
+                config=config, pattern=pattern, batch_size=8,
+                cores_per_chip=2, arbitration=arbitration,
+                weight_patterns=(UniformRandom(shape),), seed=5,
+                collect_metrics=True,
+            )
+            for pattern in (UniformRandom(shape), Tornado(shape))
+            for arbitration in ("rr", "iw")
+        ]
+        fanned = run_batch_points(points, max_workers=2)
+        serial = [measure_batch_point(point) for point in points]
+        assert [fields(p) for p in fanned] == [fields(p) for p in serial]
+        print("spawn == serial")
+    """
+)
+
+
+def test_parallel_campaign_matches_serial_under_spawn(tmp_path):
+    """Nothing a pool worker needs may reach it only through fork."""
+    script = tmp_path / "spawn_campaign.py"
+    script.write_text(_SPAWN_SCRIPT)
+    done = subprocess.run(
+        [sys.executable, str(script)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "spawn == serial"

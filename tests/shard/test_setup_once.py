@@ -1,11 +1,12 @@
 """A sharded run pays its setup once, on any start method, and reaps.
 
-The hub builds one machine and generates the workload once; each worker
-starts from the packets whose source it owns. These tests count the
-generator and ``Machine`` calls under the inline transport, force the
-``spawn`` start method in a subprocess (so correctness never leans on
-fork inheritance), and kill a worker process outright to pin the
-one-line error and the reaping of its siblings.
+The hub builds one machine, generates the workload once and programs
+the ``iw`` weight tables once; each worker starts from the packets whose
+source it owns and from those tables. These tests count the generator,
+``Machine`` and table-programming calls under the inline transport,
+force the ``spawn`` start method in a subprocess (so correctness never
+leans on fork inheritance), and kill a worker process outright to pin
+the one-line error and the reaping of its siblings.
 """
 
 import importlib
@@ -76,6 +77,37 @@ def test_healthy_run_generates_once_on_the_hubs_machine(
     assert json.dumps(stats.asdict()) == json.dumps(serial.asdict())
 
 
+@pytest.mark.parametrize("name", ["uniform-iw", "demand-iw"])
+def test_iw_tables_are_programmed_once_in_the_hub(name, monkeypatch):
+    from repro.sim import simulator
+    from repro.traffic import loads
+
+    run = WORKLOADS[name]()
+    serial = run_sharded(run, 1)
+
+    calls = []
+    _count_calls(monkeypatch, loads, "compute_loads", calls)
+    _count_calls(monkeypatch, simulator, "make_weight_tables", calls)
+    _count_calls(monkeypatch, simulator, "make_vc_weight_tables", calls)
+    handed = []
+    core_init = shard_mod._ShardCore.__init__
+
+    def recording_init(self, init):
+        handed.append(init["weight_tables"])
+        core_init(self, init)
+
+    monkeypatch.setattr(shard_mod._ShardCore, "__init__", recording_init)
+    stats = run_sharded(run, 4, transport="inline")
+
+    # One weight pattern: one load table, one table per arbitration stage.
+    assert calls == [
+        "compute_loads", "make_weight_tables", "make_vc_weight_tables"
+    ]
+    assert len(handed) == 4 and all(sa2 and sa1 for sa2, sa1 in handed)
+    assert all(tables is handed[0] for tables in handed)
+    assert json.dumps(stats.asdict()) == json.dumps(serial.asdict())
+
+
 _SPAWN_SCRIPT = textwrap.dedent(
     """
     import hashlib, json, multiprocessing, sys
@@ -95,7 +127,9 @@ _SPAWN_SCRIPT = textwrap.dedent(
         multiprocessing.set_start_method("spawn")
         from tests.shard.test_conformance import WORKLOADS
 
-        for name in ("uniform-rr", "demand-rr", "uniform-rr-faulted"):
+        for name in (
+            "uniform-rr", "uniform-iw", "demand-rr", "uniform-rr-faulted",
+        ):
             inline = digest(WORKLOADS[name](), "inline")
             assert digest(WORKLOADS[name](), "process") == inline, name
         print("spawn == inline")
