@@ -7,8 +7,8 @@ healthy-throughput experiments (Section 4.1 normalization) so the two
 are directly comparable:
 
 * expected channel and arbiter loads are recomputed over the
-  *fault-aware* routes (``use_symmetry=False`` -- faults break the
-  translation symmetry the fast load path exploits);
+  *fault-aware* routes (exhaustively -- faults break the translation
+  symmetry the fast load path exploits);
 * for inverse-weighted arbitration, weight tables are programmed from
   those degraded loads, mirroring how the offline flow of Section 3.2
   would re-program a machine after reconfiguring around a failure;
@@ -30,8 +30,8 @@ from typing import List, Optional, Sequence
 
 from repro.core.machine import ChannelKind, Machine, MachineConfig
 from repro.faults.model import FaultSet, sample_link_faults
-from repro.faults.runtime import FaultPolicy, FaultRuntime
-from repro.sim.simulator import make_vc_weight_tables, make_weight_tables, run_batch
+from repro.faults.runtime import FaultPolicy
+from repro.sim.simulator import RunSpec, build, run_context, run_loads
 from repro.sim.sweep import SweepPoint, run_sweep, shared_machine
 from repro.traffic.batch import BatchSpec
 from repro.traffic.loads import compute_loads, ideal_batch_cycles
@@ -95,48 +95,26 @@ def measure_degraded_point(point: DegradedPoint) -> DegradedThroughputPoint:
     """Run one :class:`DegradedPoint` (the sweep-runner work function)."""
     machine, healthy_routes = shared_machine(point.config)
     fault_set = FaultSet.from_json(point.fault_json)
-    runtime = FaultRuntime(
-        machine,
-        fault_set,
-        policy=FaultPolicy(mode=point.policy_mode, max_retries=point.max_retries),
+    run = RunSpec(
+        point.config,
+        BatchSpec(
+            point.pattern,
+            packets_per_source=point.batch_size,
+            cores_per_chip=point.cores_per_chip,
+            seed=point.seed,
+        ),
+        point.arbitration,
+        fault_set=fault_set,
+        fault_policy=FaultPolicy(
+            mode=point.policy_mode, max_retries=point.max_retries
+        ),
     )
-    routes = runtime.route_computer
-    # Degraded loads over the fault-aware routes. Faults break the
-    # translation symmetry compute_loads exploits by default, so force
-    # the exhaustive path (also correct, just slower, for zero faults).
-    load_table = compute_loads(
-        machine,
-        routes,
-        point.pattern,
-        point.cores_per_chip,
-        use_symmetry=False,
-    )
-    weight_tables = vc_weight_tables = None
-    if point.arbitration == "iw":
-        weight_tables = make_weight_tables(
-            machine, routes, [point.pattern], point.cores_per_chip,
-            load_tables=[load_table],
-        )
-        vc_weight_tables = make_vc_weight_tables(
-            machine, routes, [point.pattern], point.cores_per_chip,
-            load_tables=[load_table],
-        )
-    spec = BatchSpec(
-        point.pattern,
-        packets_per_source=point.batch_size,
-        cores_per_chip=point.cores_per_chip,
-        seed=point.seed,
-    )
+    machine, routes, faults = run_context(run, machine)
+    # Degraded loads over the fault-aware routes, enumerated once: they
+    # normalize the result below and, under ``iw``, program the weights.
+    (load_table,) = run_loads(run, machine, routes, faults)
     start = time.perf_counter()
-    stats = run_batch(
-        machine,
-        routes,
-        spec,
-        arbitration=point.arbitration,
-        weight_tables=weight_tables,
-        vc_weight_tables=vc_weight_tables,
-        faults=runtime,
-    )
+    stats = build(run, machine, routes, faults, load_tables=[load_table]).run()
     wall = time.perf_counter() - start
     ideal = ideal_batch_cycles(machine, load_table, point.batch_size)
     healthy_table = compute_loads(

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.machine import Machine, MachineConfig
 from repro.core.routing import RouteComputer
 from repro.sim.metrics import MetricsCollector, MetricsSummary
-from repro.sim.simulator import program_weight_tables, run_batch
+from repro.sim.simulator import RunSpec, build, program_weight_tables, run_engine
 from repro.sim.sweep import (
     SweepPoint,
     _canonical,
@@ -86,33 +86,29 @@ def measure_batch(
     """
     if load_table is None:
         load_table = compute_loads(machine, route_computer, pattern, cores_per_chip)
-    if arbitration == "iw" and (weight_tables is None or vc_weight_tables is None):
-        # Default to weights programmed from the measured pattern itself.
-        programmed = program_weight_tables(
-            machine, route_computer, [pattern], cores_per_chip,
-            load_tables=[load_table],
-        )
-        if weight_tables is None:
-            weight_tables = programmed[0]
-        if vc_weight_tables is None:
-            vc_weight_tables = programmed[1]
     spec = BatchSpec(
         pattern,
         packets_per_source=batch_size,
         cores_per_chip=cores_per_chip,
         seed=seed,
     )
+    run = RunSpec(machine.config, spec, arbitration)
     start = time.perf_counter()
-    stats = run_batch(
-        machine,
-        route_computer,
-        spec,
-        arbitration=arbitration,
-        weight_tables=weight_tables,
-        vc_weight_tables=vc_weight_tables,
+    stats = run_engine(
+        # Weights not handed in are programmed from the measured pattern
+        # itself, off the load table that also normalizes the result.
+        lambda: build(
+            run,
+            machine,
+            route_computer,
+            trace=collector,
+            weight_tables=(weight_tables, vc_weight_tables),
+            load_tables=[load_table],
+        ),
         trace=collector,
         checkpoint_path=checkpoint_path,
         checkpoint_every=checkpoint_every,
+        machine=machine,
     )
     wall = time.perf_counter() - start
     ideal = ideal_batch_cycles(machine, load_table, batch_size)

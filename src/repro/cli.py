@@ -84,6 +84,39 @@ def _pattern_factories(shape):
     return pattern_factories(shape)
 
 
+def _machine_and_faults(args):
+    """``(machine, fault set, fault policy)`` of a command line: the
+    machine flags, plus the fault file when the command takes one and
+    was given it (else ``None, None``)."""
+    if getattr(args, "fault_file", None) is None:
+        return _machine(args), None, None
+    from repro.faults import FaultPolicy
+
+    machine, fault_set = _load_fault_set(args)
+    policy = FaultPolicy(mode=args.policy, max_retries=args.retries)
+    return machine, fault_set, policy
+
+
+def _batch_runspec(args):
+    """``(machine, RunSpec)`` of a batch command line: the machine and
+    fault flags, ``--pattern/--batch/--cores/--seed``, ``--arbitration``.
+    """
+    from repro.sim.simulator import RunSpec
+    from repro.traffic.batch import BatchSpec
+
+    machine, fault_set, fault_policy = _machine_and_faults(args)
+    spec = BatchSpec(
+        _pattern_factories(machine.config.shape)[args.pattern](),
+        packets_per_source=args.batch,
+        cores_per_chip=args.cores,
+        seed=args.seed,
+    )
+    return machine, RunSpec(
+        machine.config, spec, args.arbitration,
+        fault_set=fault_set, fault_policy=fault_policy,
+    )
+
+
 #: Literal mirror of :data:`repro.traffic.patterns.PATTERN_NAMES` --
 #: keeping the parser import-free costs a tuple; a test pins the sync.
 PATTERN_CHOICES = ("uniform", "1hop", "2hop", "tornado", "reverse-tornado")
@@ -316,27 +349,12 @@ def cmd_deadlock(args) -> int:
 
 def cmd_throughput(args) -> int:
     from repro.analysis.throughput import measure_batch
-    from repro.traffic.patterns import (
-        NHopNeighbor,
-        ReverseTornado,
-        Tornado,
-        UniformRandom,
-    )
 
-    machine = _machine(args)
-    routes = RouteComputer(machine)
-    shape = machine.config.shape  # normalized 3-tuple, not the raw arg
-    patterns = {
-        "uniform": lambda: UniformRandom(shape),
-        "2hop": lambda: NHopNeighbor(shape, 2),
-        "1hop": lambda: NHopNeighbor(shape, 1),
-        "tornado": lambda: Tornado(shape),
-        "reverse-tornado": lambda: ReverseTornado(shape),
-    }
-    pattern = patterns[args.pattern]()
+    machine, runspec = _batch_runspec(args)
+    pattern = runspec.spec.pattern
     point = measure_batch(
         machine,
-        routes,
+        RouteComputer(machine),
         pattern,
         batch_size=args.batch,
         cores_per_chip=args.cores,
@@ -354,39 +372,16 @@ def cmd_throughput(args) -> int:
 
 def cmd_run(args) -> int:
     """One batch experiment, optionally sharded across worker processes."""
-    import pathlib
     import time
 
-    from repro.sim.simulator import run_batch_sharded
-    from repro.traffic.batch import BatchSpec
+    from repro.sim.simulator import run
 
-    machine = _machine(args)
-    pattern = _pattern_factories(machine.config.shape)[args.pattern]()
-    spec = BatchSpec(
-        pattern,
-        packets_per_source=args.batch,
-        cores_per_chip=args.cores,
-        seed=args.seed,
-    )
-    fault_set = None
-    fault_policy = None
-    if args.fault_file is not None:
-        from repro.faults import FaultPolicy, FaultSet
-
-        fault_set = FaultSet.from_json(
-            pathlib.Path(args.fault_file).read_text()
-        )
-        fault_set.validate(machine)
-        fault_policy = FaultPolicy(mode=args.policy, max_retries=args.retries)
+    machine, runspec = _batch_runspec(args)
     start = time.perf_counter()
-    stats = run_batch_sharded(
-        machine,
-        spec,
-        shards=args.shards,
-        arbitration=args.arbitration,
-        weight_patterns=[pattern] if args.arbitration == "iw" else None,
-        fault_set=fault_set,
-        fault_policy=fault_policy,
+    stats = run(
+        runspec,
+        args.shards,
+        machine=machine,
         checkpoint_path=args.checkpoint,
         checkpoint_every=args.checkpoint_every if args.checkpoint else 0,
         transport=args.transport,
@@ -394,11 +389,11 @@ def cmd_run(args) -> int:
     wall = time.perf_counter() - start
     extra = (
         f", {stats.dropped} dropped, {stats.rerouted} rerouted"
-        if fault_set is not None
+        if runspec.fault_set is not None
         else ""
     )
     print(
-        f"{pattern.name} / {args.arbitration} / shards={args.shards}: "
+        f"{runspec.spec.pattern.name} / {args.arbitration} / shards={args.shards}: "
         f"{stats.delivered} of {stats.injected} delivered{extra} in "
         f"{stats.end_cycle} cycles "
         f"({stats.end_cycle / wall:,.0f} cycles/s, {wall:.2f}s wall)"
@@ -411,15 +406,8 @@ def cmd_trace(args) -> int:
 
     from repro.sim.goldens import GOLDEN_NAMES, write_golden
     from repro.sim.metrics import MetricsCollector
-    from repro.sim.simulator import run_batch
+    from repro.sim.simulator import run
     from repro.sim.trace import JsonlTraceWriter, Tee
-    from repro.traffic.batch import BatchSpec
-    from repro.traffic.patterns import (
-        NHopNeighbor,
-        ReverseTornado,
-        Tornado,
-        UniformRandom,
-    )
 
     @contextlib.contextmanager
     def output_stream():
@@ -454,36 +442,14 @@ def cmd_trace(args) -> int:
         print("--shards applies only to --golden regeneration", file=sys.stderr)
         return 2
 
-    machine = _machine(args)
-    routes = RouteComputer(machine)
-    shape = machine.config.shape  # normalized 3-tuple, not the raw arg
-    patterns = {
-        "uniform": lambda: UniformRandom(shape),
-        "2hop": lambda: NHopNeighbor(shape, 2),
-        "1hop": lambda: NHopNeighbor(shape, 1),
-        "tornado": lambda: Tornado(shape),
-        "reverse-tornado": lambda: ReverseTornado(shape),
-    }
-    pattern = patterns[args.pattern]()
+    machine, runspec = _batch_runspec(args)
+    pattern = runspec.spec.pattern
     collector = MetricsCollector(window_cycles=args.window)
     with output_stream() as stream:
         writer = JsonlTraceWriter(
             stream, meta=_batch_trace_meta(machine, args, pattern)
         )
-        spec = BatchSpec(
-            pattern,
-            packets_per_source=args.batch,
-            cores_per_chip=args.cores,
-            seed=args.seed,
-        )
-        stats = run_batch(
-            machine,
-            routes,
-            spec,
-            arbitration=args.arbitration,
-            weight_patterns=[pattern] if args.arbitration == "iw" else None,
-            trace=Tee(writer, collector),
-        )
+        stats = run(runspec, machine=machine, trace=Tee(writer, collector))
         writer.write_record(
             _batch_end_record(stats, writer.events_written, faulted=False)
         )
@@ -513,22 +479,13 @@ def cmd_demand(args) -> int:
 
     if args.epochs < 1:
         raise ValueError(f"--epochs must be >= 1, got {args.epochs}")
-    machine = _machine(args)
+    machine, fault_set, fault_policy = _machine_and_faults(args)
     routes = RouteComputer(machine)
     faults = None
-    fault_set = None
-    if args.fault_file is not None:
-        from repro.faults import FaultPolicy, FaultRuntime, FaultSet
+    if fault_set is not None:
+        from repro.faults import FaultRuntime
 
-        fault_set = FaultSet.from_json(
-            pathlib.Path(args.fault_file).read_text()
-        )
-        fault_set.validate(machine)
-        faults = FaultRuntime(
-            machine,
-            fault_set,
-            policy=FaultPolicy(mode=args.policy, max_retries=args.retries),
-        )
+        faults = FaultRuntime(machine, fault_set, policy=fault_policy)
         routes = faults.route_computer
 
     matrix_json = (
@@ -545,7 +502,7 @@ def cmd_demand(args) -> int:
         # specs, so "--generator hotspot" means the same matrix on every
         # surface.
         return matrix_from_params(
-            args.shape,
+            machine.config.shape,  # normalized: "4x4" is (4, 4, 1)
             args.generator,
             args.rate,
             seed=args.matrix_seed + epoch,
@@ -836,61 +793,25 @@ def cmd_faults_validate(args) -> int:
 
 
 def cmd_faults_run(args) -> int:
-    from repro.faults import FaultPolicy, FaultRuntime
-    from repro.sim.simulator import make_vc_weight_tables, make_weight_tables, run_batch
-    from repro.traffic.batch import BatchSpec
-    from repro.traffic.loads import compute_loads
+    from repro.sim.simulator import run
 
-    machine, fault_set = _load_fault_set(args)
-    runtime = FaultRuntime(
-        machine,
-        fault_set,
-        policy=FaultPolicy(mode=args.policy, max_retries=args.retries),
-    )
-    routes = runtime.route_computer
-    pattern = _pattern_factories(machine.config.shape)[args.pattern]()
-    weight_tables = vc_weight_tables = None
-    if args.arbitration == "iw":
-        # Degraded loads: faults break translation symmetry, so force
-        # the exhaustive path when programming the arbiter weights.
-        load_tables = [
-            compute_loads(
-                machine, routes, pattern, args.cores, use_symmetry=False
-            )
-        ]
-        weight_tables = make_weight_tables(
-            machine, routes, [pattern], args.cores, load_tables=load_tables
-        )
-        vc_weight_tables = make_vc_weight_tables(
-            machine, routes, [pattern], args.cores, load_tables=load_tables
-        )
-    spec = BatchSpec(
-        pattern,
-        packets_per_source=args.batch,
-        cores_per_chip=args.cores,
-        seed=args.seed,
-    )
-
+    machine, runspec = _batch_runspec(args)
+    pattern = runspec.spec.pattern
     trace_meta = _batch_trace_meta(machine, args, pattern)
-    trace_meta["faults"] = len(fault_set)
+    trace_meta["faults"] = len(runspec.fault_set)
     trace_meta["policy"] = args.policy
-    with _checkpointed_trace_writer(args, trace_meta) as run:
-        stats = run_batch(
-            machine,
-            routes,
-            spec,
-            arbitration=args.arbitration,
-            weight_tables=weight_tables,
-            vc_weight_tables=vc_weight_tables,
-            trace=run.writer,
-            faults=runtime,
+    with _checkpointed_trace_writer(args, trace_meta) as ckpt:
+        stats = run(
+            runspec,
+            machine=machine,
+            trace=ckpt.writer,
             checkpoint_path=args.checkpoint,
-            checkpoint_every=run.checkpoint_every,
+            checkpoint_every=ckpt.checkpoint_every,
         )
-        if run.writer is not None:
-            run.writer.write_record(
+        if ckpt.writer is not None:
+            ckpt.writer.write_record(
                 _batch_end_record(
-                    stats, run.writer.events_written, faulted=True
+                    stats, ckpt.writer.events_written, faulted=True
                 )
             )
     out = sys.stderr if args.trace == "-" else sys.stdout
@@ -1004,19 +925,10 @@ def cmd_checkpoint_save(args) -> int:
     import contextlib
 
     from repro.sim.checkpoint import save_checkpoint
-    from repro.sim.simulator import build_batch_engine
+    from repro.sim.simulator import build, run_context
     from repro.sim.trace import JsonlTraceWriter
-    from repro.traffic.batch import BatchSpec
 
-    machine = _machine(args)
-    routes = RouteComputer(machine)
-    pattern = _pattern_factories(machine.config.shape)[args.pattern]()
-    spec = BatchSpec(
-        pattern,
-        packets_per_source=args.batch,
-        cores_per_chip=args.cores,
-        seed=args.seed,
-    )
+    machine, runspec = _batch_runspec(args)
 
     @contextlib.contextmanager
     def trace_writer():
@@ -1025,7 +937,8 @@ def cmd_checkpoint_save(args) -> int:
         else:
             with open(args.trace, "w") as stream:
                 yield JsonlTraceWriter(
-                    stream, meta=_batch_trace_meta(machine, args, pattern)
+                    stream,
+                    meta=_batch_trace_meta(machine, args, runspec.spec.pattern),
                 )
 
     with trace_writer() as writer:
@@ -1033,33 +946,15 @@ def cmd_checkpoint_save(args) -> int:
             # Same bytes at args.out as the serial branch below; the
             # extra .shard<i>/.manifest files ride along (they are what
             # a sharded resume would consume).
-            from repro.sim.shard import ShardedRun, save_sharded_checkpoint
+            from repro.sim.shard import save_sharded_checkpoint
 
             stats = save_sharded_checkpoint(
-                ShardedRun(
-                    config=machine.config,
-                    spec=spec,
-                    arbitration=args.arbitration,
-                    weight_patterns=(
-                        (pattern,) if args.arbitration == "iw" else ()
-                    ),
-                ),
-                args.shards,
-                args.cycles,
-                args.out,
-                machine=machine,
-                trace=writer,
+                runspec, args.shards, args.cycles, args.out,
+                machine=machine, trace=writer,
             )
             cycle = args.cycles
         else:
-            engine = build_batch_engine(
-                machine,
-                routes,
-                spec,
-                arbitration=args.arbitration,
-                weight_patterns=[pattern] if args.arbitration == "iw" else None,
-                trace=writer,
-            )
+            engine = build(runspec, *run_context(runspec, machine), trace=writer)
             engine.run_for(args.cycles)
             if writer is not None:
                 writer.flush()
@@ -1162,41 +1057,19 @@ def cmd_profile(args) -> int:
     """
     import cProfile
 
-    from repro.sim.simulator import run_batch
-    from repro.traffic.batch import BatchSpec
+    from repro.sim.simulator import run
 
-    machine = _machine(args)
-    routes = RouteComputer(machine)
-    pattern = _pattern_factories(machine.config.shape)[args.pattern]()
-    spec = BatchSpec(
-        pattern,
-        packets_per_source=args.batch,
-        cores_per_chip=args.cores,
-        seed=args.seed,
-    )
+    machine, runspec = _batch_runspec(args)
+    pattern = runspec.spec.pattern
     if args.shards > 1:
-        from repro.sim.shard import ShardedRun, run_sharded
-
         profilers: list = []
-        stats = run_sharded(
-            ShardedRun(
-                config=machine.config,
-                spec=spec,
-                arbitration=args.arbitration,
-                weight_patterns=(
-                    (pattern,) if args.arbitration == "iw" else ()
-                ),
-            ),
-            args.shards,
-            machine=machine,
-            transport="inline",
+        stats = run(
+            runspec, args.shards, machine=machine, transport="inline",
             profiles=profilers,
         )
     else:
         profiler = cProfile.Profile()
-        profiler.enable()
-        stats = run_batch(machine, routes, spec, arbitration=args.arbitration)
-        profiler.disable()
+        stats = profiler.runcall(run, runspec, machine=machine)
         profilers = [profiler]
 
     rows = _merged_profile_rows(profilers)

@@ -57,6 +57,7 @@ from repro.sim.checkpoint import dumps as checkpoint_dumps
 from repro.sim.checkpoint import snapshot_engine
 from repro.sim.engine import Engine
 from repro.sim.metrics import MetricsCollector
+from repro.sim.simulator import RunSpec, build, run_context
 from repro.sim.trace import Tee
 
 from .protocol import (
@@ -402,11 +403,9 @@ class Session:
         # Patterns and demand matrices key off the normalized 3-tuple
         # (two-axis workloads write "shape": [4, 4]).
         shape = machine.config.shape
-        routes: RouteComputer = RouteComputer(machine)
-
-        faults = None
+        fault_set = fault_policy = None
         if workload.get("faults") is not None or "policy" in workload:
-            from repro.faults import FaultPolicy, FaultRuntime, FaultSet
+            from repro.faults import FaultPolicy, FaultSet
 
             if workload.get("faults") is not None:
                 fault_set = FaultSet.from_json(json.dumps(workload["faults"]))
@@ -414,71 +413,58 @@ class Session:
                 fault_set = FaultSet(
                     shape=machine.config.shape, topology=topology
                 )
-            fault_set.validate(machine)
             pol = workload.get("policy") or {}
-            policy = FaultPolicy(
+            fault_policy = FaultPolicy(
                 mode=pol.get("mode", "reroute"),
                 max_retries=int(pol.get("retries", 4)),
             )
-            faults = FaultRuntime(machine, fault_set, policy=policy)
-            # Same sharing as ``repro demand --fault-file``: workload
-            # generation resolves routes through the fault-aware computer.
-            routes = faults.route_computer
+        # The session's run, minus its workload: the fault-aware computer
+        # of a faulted session also resolves the routes of workload
+        # generation, as in ``repro demand --fault-file``.
+        run = RunSpec(
+            machine.config, None, arbitration,
+            fault_set=fault_set, fault_policy=fault_policy,
+        )
+        _, routes, faults = run_context(run, machine)
 
         collector = MetricsCollector(window_cycles=config.window_cycles)
         buffer = TraceStreamBuffer()
         trace = Tee(collector, buffer)
 
-        if kind == "batch":
-            from repro.sim.simulator import build_batch_engine
-            from repro.traffic.batch import BatchSpec
-            from repro.traffic.patterns import pattern_factories
-
-            factories = pattern_factories(shape)
-            name = workload.get("pattern", "uniform")
-            if name not in factories:
-                raise SessionError(
-                    f"unknown pattern {name!r}; known: "
-                    f"{', '.join(sorted(factories))}"
-                )
-            pattern = factories[name]()
-            spec = BatchSpec(
-                pattern=pattern,
-                packets_per_source=int(workload.get("batch", 8)),
-                cores_per_chip=cores,
-                seed=seed,
-            )
-            engine = build_batch_engine(
-                machine,
-                routes,
-                spec,
-                arbitration=arbitration,
-                weight_patterns=[pattern] if arbitration == "iw" else None,
-                trace=trace,
-                faults=faults,
-            )
-        elif kind == "demand":
-            from repro.traffic.demand import build_demand_engine
-
-            spec = cls._demand_spec(
-                workload.get("demand") or {}, shape, cores, seed,
-                machine, routes,
-            )
-            engine = build_demand_engine(
-                machine,
-                routes,
-                spec,
-                arbitration=arbitration,
-                trace=trace,
-                faults=faults,
-            )
-        else:  # idle
+        if kind == "idle":
             if arbitration != "rr":
                 raise SessionError(
                     "idle sessions use rr arbitration; create a demand or "
                     "batch session for age/iw programming"
                 )
             engine = Engine(machine, trace=trace, faults=faults)
+        else:
+            if kind == "batch":
+                from repro.traffic.batch import BatchSpec
+                from repro.traffic.patterns import pattern_factories
+
+                factories = pattern_factories(shape)
+                name = workload.get("pattern", "uniform")
+                if name not in factories:
+                    raise SessionError(
+                        f"unknown pattern {name!r}; known: "
+                        f"{', '.join(sorted(factories))}"
+                    )
+                spec = BatchSpec(
+                    pattern=factories[name](),
+                    packets_per_source=int(workload.get("batch", 8)),
+                    cores_per_chip=cores,
+                    seed=seed,
+                )
+            else:
+                spec = cls._demand_spec(
+                    workload.get("demand") or {}, shape, cores, seed,
+                    machine, routes,
+                )
+            engine = build(
+                dataclasses.replace(run, spec=spec), machine, routes, faults,
+                trace=trace,
+            )
 
         return cls(
             session_id, engine, collector, buffer, config, workload, routes

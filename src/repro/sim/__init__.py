@@ -17,9 +17,11 @@ from .metrics import (
 from .packet import Packet
 from .simulator import (
     DEFAULT_WEIGHT_BITS,
+    RunSpec,
     arbiter_builder_for,
     make_vc_weight_tables,
     make_weight_tables,
+    run,
     run_batch,
     run_single_packet,
 )
@@ -40,6 +42,7 @@ __all__ = [
     "Packet",
     "PingPongDriver",
     "PingPongResult",
+    "RunSpec",
     "SimStats",
     "StreamingQuantile",
     "Tee",
@@ -51,6 +54,7 @@ __all__ = [
     "measure_one_way_latency",
     "read_trace",
     "round_robin_builder",
+    "run",
     "run_batch",
     "run_single_packet",
 ]

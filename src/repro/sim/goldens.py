@@ -55,13 +55,34 @@ from repro.core.machine import Machine, MachineConfig
 from repro.core.routing import RouteComputer
 
 from .endpoints import PingPongDriver
-from .simulator import run_batch
+from .simulator import RunSpec, run
 from .trace import JsonlTraceWriter
 
 #: Repo-relative directory holding the committed golden artifacts.
 GOLDEN_DIR = (
     pathlib.Path(__file__).resolve().parents[3] / "tests" / "golden"
 )
+
+
+def _run_golden(writer: JsonlTraceWriter, runspec: RunSpec, shards: int) -> None:
+    """Run ``runspec`` into ``writer`` and append the end record.
+
+    The sharded runner is bit-identical to the serial path, so a golden
+    regenerated under --shards N must byte-match the committed serial
+    artifact; CI relies on exactly that.
+    """
+    stats = run(runspec, shards, trace=writer, transport="inline")
+    record = {
+        "ev": "end",
+        "cyc": stats.end_cycle,
+        "injected": stats.injected,
+        "delivered": stats.delivered,
+    }
+    if runspec.fault_set is not None:
+        record["dropped"] = stats.dropped
+        record["rerouted"] = stats.rerouted
+    record["events"] = writer.events_written
+    writer.write_record(record)
 
 
 def _batch_golden(
@@ -81,72 +102,15 @@ def _batch_golden(
     config = MachineConfig(
         shape=shape, endpoints_per_chip=endpoints, topology=topology
     )
-    machine = Machine(config)
     spec = BatchSpec(
         pattern,
         packets_per_source=batch_size,
         cores_per_chip=endpoints,
         seed=seed,
     )
-    if shards > 1:
-        # The sharded runner is bit-identical to the serial path, so a
-        # golden regenerated under --shards N must byte-match the
-        # committed serial artifact; CI relies on exactly that.
-        from .shard import ShardedRun, run_sharded
-
-        stats = run_sharded(
-            ShardedRun(
-                config=config,
-                spec=spec,
-                arbitration=arbitration,
-                weight_patterns=(pattern,) if arbitration == "iw" else (),
-                fault_set=fault_set,
-            ),
-            shards,
-            machine=machine,
-            trace=writer,
-            transport="inline",
-        )
-    elif fault_set is not None:
-        from repro.faults import FaultRuntime
-
-        runtime = FaultRuntime(machine, fault_set)
-        stats = run_batch(
-            machine,
-            runtime.route_computer,
-            spec,
-            arbitration=arbitration,
-            trace=writer,
-            faults=runtime,
-        )
-    else:
-        routes = RouteComputer(machine)
-        stats = run_batch(
-            machine,
-            routes,
-            spec,
-            arbitration=arbitration,
-            weight_patterns=[pattern] if arbitration == "iw" else None,
-            trace=writer,
-        )
-    record = {
-        "ev": "end",
-        "cyc": stats.end_cycle,
-        "injected": stats.injected,
-        "delivered": stats.delivered,
-        "events": writer.events_written,
-    }
-    if fault_set is not None:
-        record = {
-            "ev": "end",
-            "cyc": stats.end_cycle,
-            "injected": stats.injected,
-            "delivered": stats.delivered,
-            "dropped": stats.dropped,
-            "rerouted": stats.rerouted,
-            "events": writer.events_written,
-        }
-    writer.write_record(record)
+    _run_golden(
+        writer, RunSpec(config, spec, arbitration, fault_set=fault_set), shards
+    )
 
 
 def _run_uniform_2x2x2(writer: JsonlTraceWriter, shards: int = 1) -> None:
@@ -221,15 +185,9 @@ def _run_demand_2x2x2(writer: JsonlTraceWriter, shards: int = 1) -> None:
     rates, hotspot count, and skew all shift at the cycle-32 epoch
     boundary, pinning the paced-injection schedule and the epoch
     hand-off semantics."""
-    from repro.traffic.demand import (
-        DemandMatrix,
-        DemandSchedule,
-        DemandSpec,
-        run_demand,
-    )
+    from repro.traffic.demand import DemandMatrix, DemandSchedule, DemandSpec
 
     config = MachineConfig(shape=(2, 2, 2), endpoints_per_chip=2)
-    machine = Machine(config)
     base = DemandMatrix.hotspot(
         (2, 2, 2), rate=0.25, hotspots=1, hot_fraction=0.6, seed=11
     )
@@ -243,28 +201,7 @@ def _run_demand_2x2x2(writer: JsonlTraceWriter, shards: int = 1) -> None:
         duration_cycles=64,
         seed=7,
     )
-    if shards > 1:
-        from .shard import ShardedRun, run_sharded
-
-        stats = run_sharded(
-            ShardedRun(config=config, spec=spec),
-            shards,
-            machine=machine,
-            trace=writer,
-            transport="inline",
-        )
-    else:
-        routes = RouteComputer(machine)
-        stats = run_demand(machine, routes, spec, arbitration="rr", trace=writer)
-    writer.write_record(
-        {
-            "ev": "end",
-            "cyc": stats.end_cycle,
-            "injected": stats.injected,
-            "delivered": stats.delivered,
-            "events": writer.events_written,
-        }
-    )
+    _run_golden(writer, RunSpec(config, spec), shards)
 
 
 def _run_mesh_4x4(writer: JsonlTraceWriter, shards: int = 1) -> None:

@@ -67,7 +67,7 @@ import time
 import traceback
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.machine import Machine, MachineConfig
+from repro.core.machine import Machine
 
 from .checkpoint import (
     CRASH_ENV_VAR,
@@ -82,7 +82,20 @@ from .checkpoint import (
 )
 from .engine import _EV_FAULT, DeadlockError, Engine
 from .metrics import MetricsCollector
+from .simulator import (
+    RunSpec,
+    build,
+    generate_workload,
+    prepare,
+    reject_unshardable,
+    run_context,
+)
+from .simulator import run as run_sharded  # noqa: F401  (re-exported)
 from .stats import SimStats
+
+#: A sharded run is described, and run, like any other -- ``run(run, 1)``
+#: *is* the serial path. Callers import it under these names.
+ShardedRun = RunSpec
 
 #: Which shard honors :data:`~repro.sim.checkpoint.CRASH_ENV_VAR` in a
 #: sharded run (default shard 0) -- the crash-resume tests kill one
@@ -196,16 +209,7 @@ class ShardPlan:
 
     @classmethod
     def for_machine(cls, machine: Machine, shards: int) -> "ShardPlan":
-        # The slab partitioner and its lookahead derivation assume the
-        # wrap links of a torus; rather than risk a silently wrong
-        # decomposition, other topologies are rejected outright and must
-        # run serially (``shards=1``).
-        if machine.config.topology != "torus":
-            raise ValueError(
-                f"sharded runs support only the torus topology, not "
-                f"{machine.config.topology!r}; run serially (shards=1) "
-                f"instead"
-            )
+        reject_unshardable(machine.config)
         parts = partition_parts(machine.config.shape, shards)
         owners = component_owners(machine, parts)
         cross = [
@@ -247,102 +251,6 @@ class ShardPlan:
             shards=data["shards"],
             lookahead=data["lookahead"],
         )
-
-
-# --- workload specification -------------------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class ShardedRun:
-    """Picklable description of one sharded experiment.
-
-    The hub builds the machine and generates the workload from it once
-    (global packet ids and RNG draw order as in a serial run), and
-    programs the ``iw`` weight tables once; a shard worker receives the
-    packets whose source it owns and the tables, and builds only its
-    engine. What a worker cannot inherit it rebuilds from this spec
-    deterministically: the machine under the ``spawn`` start method,
-    and the fault-aware route computer, fault runtime, workload and
-    weight tables of a faulted run. ``spec`` is a
-    :class:`~repro.traffic.batch.BatchSpec` or
-    :class:`~repro.traffic.demand.DemandSpec`.
-    """
-
-    config: MachineConfig
-    spec: object
-    arbitration: str = "rr"
-    weight_patterns: tuple = ()
-    weight_bits: int = 5
-    fault_set: Optional[object] = None
-    fault_policy: Optional[object] = None
-
-
-def build_shard_context(run: ShardedRun, machine: Optional[Machine] = None):
-    """(machine, route computer, fault runtime) for one run, deterministically.
-
-    The serial fallback, the hub and every shard worker build through
-    here, so a faulted run's route computer sees the same
-    initially-failed set (and accrues the same generation-time
-    resolution counts) everywhere.
-    """
-    from repro.core.routing import RouteComputer
-
-    if machine is None:
-        machine = Machine(run.config)
-    if run.fault_set is not None:
-        from repro.faults.routing import FaultAwareRouteComputer
-        from repro.faults.runtime import FaultRuntime
-
-        route_computer = FaultAwareRouteComputer(machine)
-        faults = FaultRuntime(
-            machine,
-            run.fault_set,
-            policy=run.fault_policy,
-            route_computer=route_computer,
-        )
-    else:
-        route_computer = RouteComputer(machine)
-        faults = None
-    return machine, route_computer, faults
-
-
-def _workload_fns(run: ShardedRun) -> tuple:
-    """``(generate, build_engine)`` for the run's kind of spec."""
-    if getattr(run.spec, "demand", None) is not None:
-        from repro.traffic import demand
-
-        return demand.generate_demand, demand.build_demand_engine
-    from repro.traffic import batch
-
-    from . import simulator
-
-    return batch.generate_batch, simulator.build_batch_engine
-
-
-def _build_engine(
-    run: ShardedRun,
-    machine: Machine,
-    route_computer,
-    faults,
-    trace=None,
-    packets=None,
-    weight_tables=(None, None),
-) -> Engine:
-    """The run's cycle-0 engine; ``packets`` stands in for generation and
-    ``weight_tables`` (an ``(SA2, SA1)`` pair) for programming ``iw``."""
-    return _workload_fns(run)[1](
-        machine,
-        route_computer,
-        run.spec,
-        arbitration=run.arbitration,
-        weight_patterns=list(run.weight_patterns) or None,
-        weight_tables=weight_tables[0],
-        vc_weight_tables=weight_tables[1],
-        weight_bits=run.weight_bits,
-        trace=trace,
-        faults=faults,
-        packets=packets,
-    )
 
 
 # --- wire format ------------------------------------------------------------------
@@ -406,7 +314,7 @@ class _ShardCore:
 
     def __init__(self, init: dict) -> None:
         self.index: int = init["shard"]
-        run: ShardedRun = init["run"]
+        run: RunSpec = init["run"]
         plan = ShardPlan.from_json(init["plan"])
         # The hub's machine; a spawned worker is sent none and rebuilds it.
         machine = init["machine"] or Machine(run.config)
@@ -417,7 +325,7 @@ class _ShardCore:
         if snapshot is not None:
             engine = restore_engine(snapshot, machine=machine, trace=recorder)
         else:
-            _, route_computer, faults = build_shard_context(run, machine=machine)
+            _, route_computer, faults = run_context(run, machine)
             packets = init["packets"]
             if packets is None:
                 # A faulted run: the engine goes on to mutate the
@@ -425,13 +333,12 @@ class _ShardCore:
                 # resolution counts are cache misses), so every shard
                 # needs a private one in the post-generation state --
                 # each generates the full workload and keeps its sources.
-                generate = _workload_fns(run)[0]
                 packets = [
                     packet
-                    for packet in generate(machine, route_computer, run.spec)
+                    for packet in generate_workload(run, machine, route_computer)
                     if owners[packet.src] == self.index
                 ]
-            engine = _build_engine(
+            engine = build(
                 run, machine, route_computer, faults, recorder, packets,
                 init["weight_tables"],
             )
@@ -892,7 +799,7 @@ class _Hub:
 
     def __init__(
         self,
-        run: ShardedRun,
+        run: RunSpec,
         shards: int,
         machine: Optional[Machine],
         trace,
@@ -909,12 +816,6 @@ class _Hub:
         if profiles is not None and transport != "inline":
             raise ValueError(
                 "per-shard profiling requires the inline transport"
-            )
-        if run.fault_policy is not None and run.fault_policy.mode == "retry":
-            raise ValueError(
-                "the retry fault policy is not supported in sharded runs: "
-                "re-injection happens at the stranded packet's source, which "
-                "may belong to another shard"
             )
         self.run = run
         self.machine = machine = machine or Machine(run.config)
@@ -969,25 +870,10 @@ class _Hub:
         """What the shards of a healthy fresh run would each compute for
         themselves, computed once: the workload, split by owning shard,
         and under ``iw`` the programmed ``(SA2, SA1)`` weight tables."""
-        run, machine = self.run, self.machine
-        generate = _workload_fns(run)[0]
-        _, route_computer, _ = build_shard_context(run, machine)
+        machine, route_computer, _, weight_tables = prepare(self.run, self.machine)
         owned: List[list] = [[] for _ in range(self.plan.shards)]
-        for packet in generate(machine, route_computer, run.spec):
+        for packet in generate_workload(self.run, machine, route_computer):
             owned[self._owners[packet.src]].append(packet)
-        patterns = list(run.weight_patterns)
-        if not patterns and getattr(run.spec, "demand", None) is not None:
-            from repro.traffic.demand import default_weight_patterns
-
-            patterns = default_weight_patterns(run.spec)
-        weight_tables = (None, None)
-        if run.arbitration == "iw" and patterns:
-            from .simulator import program_weight_tables
-
-            weight_tables = program_weight_tables(
-                machine, route_computer, patterns, run.spec.cores_per_chip,
-                run.spec.dst_endpoint_mode, run.weight_bits,
-            )
         return owned, weight_tables
 
     def _start_workers(self, snaps: Optional[list]) -> List[dict]:
@@ -1195,46 +1081,8 @@ class _Hub:
 # --- entry points -----------------------------------------------------------------
 
 
-def run_sharded(
-    run: ShardedRun,
-    shards: int,
-    machine: Optional[Machine] = None,
-    trace=None,
-    max_cycles: int = 10_000_000,
-    checkpoint_path: Optional[str] = None,
-    checkpoint_every: int = 0,
-    transport: str = "process",
-    timings: Optional[dict] = None,
-    profiles: Optional[list] = None,
-) -> SimStats:
-    """Run one experiment decomposed over ``shards`` sub-boxes.
-
-    ``shards=1`` is the serial engine itself (no hub, no proxies), built
-    through the same deterministic context builder the shard workers
-    use; any other count produces bit-identical stats, trace events, and
-    checkpoint bytes. The retry fault policy is rejected: it re-injects
-    at the packet's original source, which may live in another shard.
-    """
-    if shards == 1:
-        from .simulator import run_engine
-
-        machine, route_computer, faults = build_shard_context(run, machine)
-        return run_engine(
-            lambda: _build_engine(run, machine, route_computer, faults, trace),
-            trace=trace,
-            max_cycles=max_cycles,
-            checkpoint_path=checkpoint_path,
-            checkpoint_every=checkpoint_every,
-            machine=machine,
-        )
-    return _Hub(
-        run, shards, machine, trace, transport, checkpoint_path,
-        checkpoint_every, max_cycles, timings=timings, profiles=profiles,
-    ).run_to_completion()
-
-
 def save_sharded_checkpoint(
-    run: ShardedRun,
+    run: RunSpec,
     shards: int,
     cycle: int,
     path: str,
@@ -1257,6 +1105,7 @@ def save_sharded_checkpoint(
             "save_sharded_checkpoint needs shards >= 2; use the serial "
             "snapshot_engine/save_checkpoint flow for one shard"
         )
+    reject_unshardable(run.config, run.fault_policy)
     return _Hub(
         run, shards, machine, trace, transport, path, cycle, halt_at=cycle
     ).run_to_completion()

@@ -1,24 +1,42 @@
-"""High-level simulation facade: wiring machines, arbiters, and workloads.
+"""High-level simulation facade: one description of a run, one builder.
 
-This is the main entry point for running experiments:
+A :class:`RunSpec` says what to simulate -- machine config, workload
+spec, arbitration and its weight patterns, faults -- and :func:`run`
+simulates it, serially or sharded:
 
-    machine = Machine(MachineConfig(shape=(4, 4, 4), endpoints_per_chip=4))
-    rc = RouteComputer(machine)
-    spec = BatchSpec(UniformRandom(machine.config.shape), 64, cores_per_chip=4)
-    stats = run_batch(machine, rc, spec, arbitration="iw",
-                      weight_patterns=[UniformRandom(machine.config.shape)])
+    config = MachineConfig(shape=(4, 4, 4), endpoints_per_chip=4)
+    spec = BatchSpec(UniformRandom(config.shape), 64, cores_per_chip=4)
+    stats = run(RunSpec(config, spec, arbitration="iw"))
 
-The ``arbitration`` argument selects the policy at every router and
-adapter output:
+Every surface (CLI commands, goldens, serve sessions, sweeps, the shard
+hub and its workers) describes its run this way and goes through
+:func:`build`, which owns three rules:
+
+* **own-pattern default** -- ``iw`` with no ``weight_patterns`` programs
+  the weights from the workload's own pattern (a batch's ``pattern``, a
+  demand spec's cycle-0 matrix);
+* **faulted means exhaustive** -- a run with a fault runtime programs
+  from exhaustively enumerated loads: faults break the translation
+  symmetry the load shortcut relies on;
+* **the machine comes from the config** -- shape, endpoints *and*
+  topology, wherever the run is built.
+
+The ``arbitration`` field selects the policy at every router and adapter
+output:
 
 * ``"rr"`` -- round-robin (the paper's gray baseline curves);
 * ``"age"`` -- age-based (the heavy-weight EoS reference);
 * ``"iw"`` -- inverse-weighted, programmed from analytically computed
   loads of one or more traffic patterns (the paper's black curves).
+
+:func:`build_batch_engine`, :func:`run_batch` and their demand/replay
+counterparts remain as entries for callers that already hold a machine
+and a route computer.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -27,7 +45,7 @@ from repro.arbiters.base import Arbiter
 from repro.arbiters.inverse_weighted import InverseWeightedArbiter
 from repro.arbiters.round_robin import RoundRobinArbiter
 from repro.arbiters.weights import WeightTable, compute_inverse_weights
-from repro.core.machine import Machine
+from repro.core.machine import Machine, MachineConfig
 from repro.core.routing import RouteComputer
 
 from .engine import ArbiterBuilder, Engine
@@ -35,6 +53,26 @@ from .stats import SimStats
 
 #: Default inverse-weight width, matching the Figure 6 example hardware.
 DEFAULT_WEIGHT_BITS = 5
+
+
+def _pattern_loads(
+    machine, route_computer, patterns, cores_per_chip, dst_endpoint_mode,
+    load_tables=None, use_symmetry=None,
+):
+    """``load_tables``, or else the analytic loads of each of ``patterns``."""
+    # Imported here (not at module top) to avoid a circular import:
+    # repro.traffic generates Packet objects and so imports repro.sim.
+    from repro.traffic.loads import compute_loads
+
+    if load_tables is not None:
+        return load_tables
+    return [
+        compute_loads(
+            machine, route_computer, pattern, cores_per_chip,
+            dst_endpoint_mode, use_symmetry=use_symmetry,
+        )
+        for pattern in patterns
+    ]
 
 
 def make_weight_tables(
@@ -53,17 +91,12 @@ def make_weight_tables(
     weight memories. ``load_tables`` may be passed to reuse
     already-computed loads.
     """
-    # Imported here (not at module top) to avoid a circular import:
-    # repro.traffic generates Packet objects and so imports repro.sim.
-    from repro.traffic.loads import compute_loads, merge_arbiter_loads
+    from repro.traffic.loads import merge_arbiter_loads
 
-    if load_tables is None:
-        load_tables = [
-            compute_loads(
-                machine, route_computer, pattern, cores_per_chip, dst_endpoint_mode
-            )
-            for pattern in patterns
-        ]
+    load_tables = _pattern_loads(
+        machine, route_computer, patterns, cores_per_chip, dst_endpoint_mode,
+        load_tables,
+    )
     merged = merge_arbiter_loads(machine, load_tables)
     return {
         oc: compute_inverse_weights(matrix, weight_bits=weight_bits)
@@ -88,15 +121,12 @@ def make_vc_weight_tables(
     on promoted VCs), so an unweighted SA1 would re-introduce exactly the
     source bias the output arbiters remove.
     """
-    from repro.traffic.loads import compute_loads, merge_vc_loads
+    from repro.traffic.loads import merge_vc_loads
 
-    if load_tables is None:
-        load_tables = [
-            compute_loads(
-                machine, route_computer, pattern, cores_per_chip, dst_endpoint_mode
-            )
-            for pattern in patterns
-        ]
+    load_tables = _pattern_loads(
+        machine, route_computer, patterns, cores_per_chip, dst_endpoint_mode,
+        load_tables,
+    )
     merged = merge_vc_loads(machine, load_tables)
     return {
         cid: compute_inverse_weights(matrix, weight_bits=weight_bits)
@@ -119,15 +149,10 @@ def program_weight_tables(
     ``load_tables``) and shared by :func:`make_weight_tables` and
     :func:`make_vc_weight_tables`.
     """
-    from repro.traffic.loads import compute_loads
-
-    if load_tables is None:
-        load_tables = [
-            compute_loads(
-                machine, route_computer, pattern, cores_per_chip, dst_endpoint_mode
-            )
-            for pattern in patterns
-        ]
+    load_tables = _pattern_loads(
+        machine, route_computer, patterns, cores_per_chip, dst_endpoint_mode,
+        load_tables,
+    )
     args = (machine, route_computer, patterns, cores_per_chip, dst_endpoint_mode)
     return (
         make_weight_tables(*args, weight_bits, load_tables=load_tables),
@@ -169,6 +194,246 @@ def arbiter_builder_for(
     raise ValueError(f"unknown arbitration policy {arbitration!r}")
 
 
+# --- one description of a run, one builder ----------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class RunSpec:
+    """Picklable description of one experiment: everything a run depends on.
+
+    ``spec`` is the workload -- a :class:`~repro.traffic.batch.BatchSpec`
+    or :class:`~repro.traffic.demand.DemandSpec` (a replay hands
+    :func:`build` its recorded packets instead of generating).
+    ``weight_patterns`` programs ``iw`` arbitration; empty means the
+    workload's own pattern. ``fault_set``/``fault_policy`` describe the
+    faults rather than carrying a runtime, so whoever builds the run --
+    this process, a pool worker, a shard worker under ``spawn`` --
+    rebuilds the same fault-aware route computer deterministically.
+    """
+
+    config: MachineConfig
+    spec: object
+    arbitration: str = "rr"
+    weight_patterns: tuple = ()
+    weight_bits: int = DEFAULT_WEIGHT_BITS
+    fault_set: Optional[object] = None
+    fault_policy: Optional[object] = None
+
+
+def run_context(run: RunSpec, machine: Optional[Machine] = None):
+    """``(machine, route computer, fault runtime)`` of a run, deterministically.
+
+    The machine is the run's config elaborated (``machine``, when given,
+    is that same machine, already built). A faulted run routes through
+    one fault-aware computer shared by workload generation, load
+    enumeration and the runtime's re-resolutions, so it sees the same
+    initially-failed set -- and accrues the same resolution counts --
+    wherever the run is built.
+    """
+    if machine is None:
+        machine = Machine(run.config)
+    if run.fault_set is None:
+        return machine, RouteComputer(machine), None
+    from repro.faults.routing import FaultAwareRouteComputer
+    from repro.faults.runtime import FaultRuntime
+
+    route_computer = FaultAwareRouteComputer(machine)
+    faults = FaultRuntime(
+        machine,
+        run.fault_set,
+        policy=run.fault_policy,
+        route_computer=route_computer,
+    )
+    return machine, route_computer, faults
+
+
+def _is_demand(run: RunSpec) -> bool:
+    return getattr(run.spec, "demand", None) is not None
+
+
+def generate_workload(run: RunSpec, machine: Machine, route_computer) -> list:
+    """The run's packets, in generation order (global ids, one RNG stream)."""
+    if _is_demand(run):
+        from repro.traffic.demand import generate_demand as generate
+    else:
+        from repro.traffic.batch import generate_batch as generate
+    return generate(machine, route_computer, run.spec)
+
+
+def _weight_patterns(run: RunSpec) -> list:
+    """The patterns behind the run's ``iw`` weights: the named ones, or
+    else the workload's own."""
+    if run.weight_patterns:
+        return list(run.weight_patterns)
+    if _is_demand(run):
+        from repro.traffic.demand import default_weight_patterns
+
+        return default_weight_patterns(run.spec)
+    return [run.spec.pattern]
+
+
+def run_loads(run: RunSpec, machine: Machine, route_computer, faults=None) -> list:
+    """Analytic loads of the run's weight patterns, one table per pattern.
+
+    With a fault runtime the enumeration is exhaustive, whatever the
+    set holds at cycle 0: the degraded machine has no translation
+    symmetry to exploit.
+    """
+    return _pattern_loads(
+        machine,
+        route_computer,
+        _weight_patterns(run),
+        run.spec.cores_per_chip,
+        run.spec.dst_endpoint_mode,
+        use_symmetry=None if faults is None else False,
+    )
+
+
+def _program(run: RunSpec, machine, route_computer, faults, load_tables=None):
+    """The run's ``(SA2, SA1)`` weight tables; ``(None, None)`` unless
+    it arbitrates by inverse weights."""
+    if run.arbitration != "iw":
+        return None, None
+    if load_tables is None:
+        load_tables = run_loads(run, machine, route_computer, faults)
+    # The loads are all the tables depend on: no pattern is consulted again.
+    return program_weight_tables(
+        machine,
+        route_computer,
+        (),
+        run.spec.cores_per_chip,
+        run.spec.dst_endpoint_mode,
+        run.weight_bits,
+        load_tables=load_tables,
+    )
+
+
+def prepare(run: RunSpec, machine: Optional[Machine] = None):
+    """The offline half of a run: ``(machine, route computer, fault
+    runtime, (SA2, SA1) weight tables)``.
+
+    What the shards of a run share is prepared here once; :func:`build`
+    accepts the tables back.
+    """
+    machine, route_computer, faults = run_context(run, machine)
+    tables = _program(run, machine, route_computer, faults)
+    return machine, route_computer, faults, tables
+
+
+def build(
+    run: RunSpec,
+    machine: Machine,
+    route_computer,
+    faults=None,
+    trace=None,
+    packets: Optional[Sequence["Packet"]] = None,
+    weight_tables=None,
+    load_tables: Optional[Sequence["LoadTable"]] = None,
+    keep_packet_latencies: bool = False,
+    latency_quantiles: bool = False,
+) -> Engine:
+    """The run's cycle-0 engine: arbiters programmed, sinks attached,
+    every packet in its source queue.
+
+    ``machine``, ``route_computer`` and ``faults`` are the run's context
+    (:func:`run_context`). ``packets`` (already generated from the run's
+    spec, in generation order) stands in for generation -- the shard hub
+    generates once and hands each shard the packets whose source it owns
+    -- and ``weight_tables``, an ``(SA2, SA1)`` pair, for programming
+    ``iw``; a stage left ``None`` is programmed here, from ``load_tables``
+    when the caller has already enumerated them.
+    """
+    sa2, sa1 = weight_tables or (None, None)
+    num_patterns = 1
+    if run.arbitration == "iw":
+        if sa2 is None or sa1 is None:
+            programmed = _program(run, machine, route_computer, faults, load_tables)
+            sa2 = programmed[0] if sa2 is None else sa2
+            sa1 = programmed[1] if sa1 is None else sa1
+        for table in sa2.values():
+            num_patterns = table.num_patterns
+            break
+    engine = Engine(
+        machine,
+        arbiter_builder=arbiter_builder_for(
+            run.arbitration, sa2, num_patterns, run.weight_bits
+        ),
+        vc_arbiter_builder=arbiter_builder_for(
+            run.arbitration, sa1, num_patterns, run.weight_bits
+        ),
+        keep_packet_latencies=keep_packet_latencies,
+        trace=trace,
+        latency_quantiles=latency_quantiles,
+        faults=faults,
+    )
+    if packets is None:
+        packets = generate_workload(run, machine, route_computer)
+    for packet in packets:
+        engine.enqueue(packet)
+    return engine
+
+
+def reject_unshardable(config: MachineConfig, fault_policy=None) -> None:
+    """Raise the named error for what the sharded runner does not support."""
+    # The slab partitioner and its lookahead derivation assume the wrap
+    # links of a torus; rather than risk a silently wrong decomposition,
+    # other topologies are rejected outright and must run serially.
+    if config.topology != "torus":
+        raise ValueError(
+            f"sharded runs support only the torus topology, not "
+            f"{config.topology!r}; run serially (shards=1) instead"
+        )
+    if fault_policy is not None and fault_policy.mode == "retry":
+        raise ValueError(
+            "the retry fault policy is not supported in sharded runs: "
+            "re-injection happens at the stranded packet's source, which "
+            "may belong to another shard"
+        )
+
+
+def run(
+    run: RunSpec,
+    shards: int = 1,
+    machine: Optional[Machine] = None,
+    trace=None,
+    max_cycles: int = 10_000_000,
+    checkpoint_path: Optional[str] = None,
+    checkpoint_every: int = 0,
+    transport: str = "process",
+    timings: Optional[dict] = None,
+    profiles: Optional[list] = None,
+) -> SimStats:
+    """Simulate ``run`` to completion, decomposed over ``shards`` sub-boxes.
+
+    ``shards=1`` is the serial engine itself (no hub, no proxies); any
+    other count produces bit-identical stats, trace events and checkpoint
+    bytes through :mod:`repro.sim.shard` (``transport``, ``timings`` and
+    ``profiles`` are that runner's). The combinations it does not support
+    are refused here, by name, before anything is generated or spawned.
+    The checkpoint contract is :func:`run_engine`'s.
+    """
+    if shards != 1:
+        reject_unshardable(run.config, run.fault_policy)
+        from .shard import _Hub
+
+        return _Hub(
+            run, shards, machine, trace, transport, checkpoint_path,
+            checkpoint_every, max_cycles, timings=timings, profiles=profiles,
+        ).run_to_completion()
+    machine, route_computer, faults = run_context(run, machine)
+    return run_engine(
+        lambda: build(run, machine, route_computer, faults, trace=trace),
+        trace=trace,
+        max_cycles=max_cycles,
+        checkpoint_path=checkpoint_path,
+        checkpoint_every=checkpoint_every,
+        machine=machine,
+    )
+
+
+# --- entries for callers that hold a machine and a route computer ------------------
+
+
 def build_batch_engine(
     machine: Machine,
     route_computer: RouteComputer,
@@ -186,59 +451,34 @@ def build_batch_engine(
 ) -> Engine:
     """Construct a cycle-0 engine with a full batch enqueued.
 
-    This is :func:`run_batch` minus the run: arbiters programmed, sinks
-    attached, every generated packet in its source queue. Exposed so the
-    checkpoint tooling (``repro checkpoint save``, the crash-resume
-    tests) can build the exact engine a batch experiment would run.
-
-    ``packets`` replaces generation: the engine enqueues exactly these
-    (already generated from ``spec``, in generation order) instead of
-    calling :func:`~repro.traffic.batch.generate_batch`. The sharded
-    runner generates once and hands each shard the packets whose source
-    it owns, global packet ids and RNG draws intact.
+    :func:`build` for a caller that holds the pieces: ``faults`` is an
+    already-built :class:`repro.faults.FaultRuntime` (pass its
+    fault-aware computer as ``route_computer`` too, so generated routes
+    avoid the initially failed channels), and ``weight_tables`` /
+    ``vc_weight_tables`` are pre-programmed ``iw`` tables for the two
+    arbitration stages -- a caller assembling by hand names its ``iw``
+    weights one way or the other; the own-pattern default belongs to
+    runs described by a :class:`RunSpec`.
     """
-    from repro.traffic.batch import generate_batch
-
-    num_patterns = 1
-    if arbitration == "iw":
-        if weight_tables is None or vc_weight_tables is None:
-            if weight_patterns is None:
-                raise ValueError(
-                    "iw arbitration needs weight_patterns or weight tables"
-                )
-            programmed = program_weight_tables(
-                machine,
-                route_computer,
-                weight_patterns,
-                spec.cores_per_chip,
-                spec.dst_endpoint_mode,
-                weight_bits,
-            )
-            if weight_tables is None:
-                weight_tables = programmed[0]
-            if vc_weight_tables is None:
-                vc_weight_tables = programmed[1]
-        for table in weight_tables.values():
-            num_patterns = table.num_patterns
-            break
-    builder = arbiter_builder_for(arbitration, weight_tables, num_patterns, weight_bits)
-    vc_builder = arbiter_builder_for(
-        arbitration, vc_weight_tables, num_patterns, weight_bits
+    if arbitration == "iw" and not weight_patterns and (
+        weight_tables is None or vc_weight_tables is None
+    ):
+        raise ValueError("iw arbitration needs weight_patterns or weight tables")
+    run = RunSpec(
+        machine.config, spec, arbitration, tuple(weight_patterns or ()),
+        weight_bits,
     )
-    engine = Engine(
+    return build(
+        run,
         machine,
-        arbiter_builder=builder,
-        vc_arbiter_builder=vc_builder,
-        keep_packet_latencies=keep_packet_latencies,
+        route_computer,
+        faults,
         trace=trace,
+        packets=packets,
+        weight_tables=(weight_tables, vc_weight_tables),
+        keep_packet_latencies=keep_packet_latencies,
         latency_quantiles=latency_quantiles,
-        faults=faults,
     )
-    if packets is None:
-        packets = generate_batch(machine, route_computer, spec)
-    for packet in packets:
-        engine.enqueue(packet)
-    return engine
 
 
 def run_batch(
@@ -260,31 +500,19 @@ def run_batch(
 ) -> SimStats:
     """Run one batch experiment and return its statistics.
 
-    For ``arbitration="iw"``, either ``weight_tables``/``vc_weight_tables``
-    (pre-programmed) or ``weight_patterns`` (programmed here from analytic
-    loads) must be given. Inverse weighting is applied at both
-    arbitration stages (output ports and per-input VC selection).
+    :func:`build_batch_engine`, then :func:`run_engine` (whose
+    checkpoint/resume contract applies). ``iw`` weights come from
+    ``weight_tables``/``vc_weight_tables`` (pre-programmed), else from
+    ``weight_patterns``, else from the batch's own pattern, and apply at
+    both arbitration stages (output ports and per-input VC selection).
 
     ``trace`` attaches a structured-event sink (:mod:`repro.sim.trace`);
     ``latency_quantiles`` enables the streaming p50/p95/p99 estimator on
     the returned stats (:mod:`repro.sim.metrics`). Both are pure
     observers: results are bitwise-identical with or without them.
-
-    ``faults`` attaches a :class:`repro.faults.FaultRuntime` (failed
-    channels, mid-run schedule, stranded-packet policy). Pass its
-    fault-aware computer as ``route_computer`` too so generated routes
-    avoid the initially failed channels.
-
-    ``checkpoint_path`` with ``checkpoint_every > 0`` enables periodic
-    checkpointing (:mod:`repro.sim.checkpoint`): a snapshot is written
-    every ``checkpoint_every`` cycles and removed on completion, so an
-    *existing* file always marks an interrupted run and is resumed from
-    -- the results are bitwise-identical to a never-interrupted run.
-    When ``trace`` is a :class:`~repro.sim.metrics.MetricsCollector`, the
-    checkpointed collector contents are revived into it on resume.
     """
-    def build() -> Engine:
-        return build_batch_engine(
+    return run_engine(
+        lambda: build_batch_engine(
             machine,
             route_computer,
             spec,
@@ -297,10 +525,7 @@ def run_batch(
             trace=trace,
             latency_quantiles=latency_quantiles,
             faults=faults,
-        )
-
-    return run_engine(
-        build,
+        ),
         trace=trace,
         max_cycles=max_cycles,
         checkpoint_path=checkpoint_path,
@@ -326,29 +551,17 @@ def run_batch_sharded(
 ) -> SimStats:
     """Run a batch experiment decomposed over ``shards`` torus sub-boxes.
 
-    Results (stats, trace events, checkpoint bytes) are bit-identical to
-    :func:`run_batch` on the same workload for every shard count;
-    ``shards=1`` *is* the serial path. Unlike :func:`run_batch`, fault
-    injection is specified by ``fault_set``/``fault_policy`` rather than
-    a pre-built runtime, because each shard of a faulted run builds its
-    own deterministic fault-aware route computer. See
-    :mod:`repro.sim.shard` for the synchronization protocol.
+    :func:`run` for a caller that holds the machine. Unlike
+    :func:`run_batch`, fault injection is specified by
+    ``fault_set``/``fault_policy`` rather than a pre-built runtime,
+    because each shard of a faulted run builds its own deterministic
+    fault-aware route computer.
     """
-    from .shard import ShardedRun, run_sharded
-
-    run = ShardedRun(
-        config=machine.config,
-        spec=spec,
-        arbitration=arbitration,
-        weight_patterns=(
-            tuple(weight_patterns) if weight_patterns is not None else ()
+    return run(
+        RunSpec(
+            machine.config, spec, arbitration, tuple(weight_patterns or ()),
+            weight_bits, fault_set, fault_policy,
         ),
-        weight_bits=weight_bits,
-        fault_set=fault_set,
-        fault_policy=fault_policy,
-    )
-    return run_sharded(
-        run,
         shards,
         machine=machine,
         trace=trace,

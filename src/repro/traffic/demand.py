@@ -659,62 +659,31 @@ def build_demand_engine(
 ):
     """Construct a cycle-0 engine with a full demand workload enqueued.
 
-    The demand analogue of
-    :func:`repro.sim.simulator.build_batch_engine`. For
-    ``arbitration="iw"`` without explicit tables, the weights are
-    programmed from the cycle-0 matrix's conditional distribution
-    (:class:`DemandMatrixPattern`) -- demand matrices are generally not
-    translation symmetric, so the exhaustive load path is used.
-    ``packets`` (already generated from ``spec``) replaces the call to
-    :func:`generate_demand`, as in ``build_batch_engine``.
+    The demand entry into :func:`repro.sim.simulator.build`, as
+    :func:`~repro.sim.simulator.build_batch_engine` is the batch one:
+    what differs is the generator (:func:`generate_demand`) and, for
+    ``arbitration="iw"`` with no pattern named, the default weight
+    pattern (:func:`default_weight_patterns`) -- demand matrices are
+    generally not translation symmetric, so their loads are enumerated
+    exhaustively.
     """
-    from repro.sim.engine import Engine
-    from repro.sim.simulator import (
-        DEFAULT_WEIGHT_BITS,
-        arbiter_builder_for,
-        program_weight_tables,
-    )
+    from repro.sim.simulator import DEFAULT_WEIGHT_BITS, RunSpec, build
 
-    if weight_bits is None:
-        weight_bits = DEFAULT_WEIGHT_BITS
-    num_patterns = 1
-    if arbitration == "iw":
-        if weight_tables is None or vc_weight_tables is None:
-            if weight_patterns is None:
-                weight_patterns = default_weight_patterns(spec)
-            programmed = program_weight_tables(
-                machine,
-                route_computer,
-                weight_patterns,
-                spec.cores_per_chip,
-                spec.dst_endpoint_mode,
-                weight_bits,
-            )
-            if weight_tables is None:
-                weight_tables = programmed[0]
-            if vc_weight_tables is None:
-                vc_weight_tables = programmed[1]
-        for table in weight_tables.values():
-            num_patterns = table.num_patterns
-            break
-    builder = arbiter_builder_for(arbitration, weight_tables, num_patterns, weight_bits)
-    vc_builder = arbiter_builder_for(
-        arbitration, vc_weight_tables, num_patterns, weight_bits
+    run = RunSpec(
+        machine.config, spec, arbitration, tuple(weight_patterns or ()),
+        DEFAULT_WEIGHT_BITS if weight_bits is None else weight_bits,
     )
-    engine = Engine(
+    return build(
+        run,
         machine,
-        arbiter_builder=builder,
-        vc_arbiter_builder=vc_builder,
-        keep_packet_latencies=keep_packet_latencies,
+        route_computer,
+        faults,
         trace=trace,
+        packets=packets,
+        weight_tables=(weight_tables, vc_weight_tables),
+        keep_packet_latencies=keep_packet_latencies,
         latency_quantiles=latency_quantiles,
-        faults=faults,
     )
-    if packets is None:
-        packets = generate_demand(machine, route_computer, spec)
-    for packet in packets:
-        engine.enqueue(packet)
-    return engine
 
 
 def run_demand(
@@ -743,8 +712,8 @@ def run_demand(
     """
     from repro.sim.simulator import run_engine
 
-    def build():
-        return build_demand_engine(
+    return run_engine(
+        lambda: build_demand_engine(
             machine,
             route_computer,
             spec,
@@ -756,10 +725,7 @@ def run_demand(
             trace=trace,
             latency_quantiles=latency_quantiles,
             faults=faults,
-        )
-
-    return run_engine(
-        build,
+        ),
         trace=trace,
         max_cycles=max_cycles,
         checkpoint_path=checkpoint_path,
@@ -801,10 +767,11 @@ class DemandRunResult:
 
 def measure_demand_point(point: DemandPoint) -> DemandRunResult:
     """Build the machine, run the demand workload, reduce to a result."""
+    from repro.sim.simulator import RunSpec, run
+
     machine = Machine(point.config)
-    routes = RouteComputer(machine)
-    stats = run_demand(
-        machine, routes, point.spec, arbitration=point.arbitration
+    stats = run(
+        RunSpec(point.config, point.spec, point.arbitration), machine=machine
     )
     num_sources = len(active_endpoints(machine, point.spec.cores_per_chip))
     offered = 0.0

@@ -136,22 +136,32 @@ def compute_loads(
     only sources on one chip are enumerated and the resulting loads are
     translated over the machine -- exact, and an O(num_chips) speedup.
     Mesh and chiplet machines are not translation-invariant (an edge node
-    differs from an interior one), so they always take the exhaustive
-    path. ``use_symmetry`` overrides the automatic choice (tests use this
-    to verify the fast and slow paths agree).
+    differs from an interior one), and neither is any machine whose route
+    computer routes around failed channels, so those always take the
+    exhaustive path. ``use_symmetry`` overrides the automatic choice
+    (tests use this to verify the fast and slow paths agree); asking for
+    the shortcut where it does not hold is an error.
     """
     if pattern.shape != machine.config.shape:
         raise ValueError("pattern shape does not match the machine")
     if dst_endpoint_mode not in ("same_index", "uniform"):
         raise ValueError(f"unknown dst_endpoint_mode {dst_endpoint_mode!r}")
+    failed = getattr(route_computer, "failed", ())
     if use_symmetry is None:
         use_symmetry = (
-            pattern.node_symmetric and machine.topology.translation_invariant
+            pattern.node_symmetric
+            and machine.topology.translation_invariant
+            and not failed
         )
     elif use_symmetry and not machine.topology.translation_invariant:
         raise ValueError(
             f"use_symmetry requires a translation-invariant topology; "
             f"{machine.config.topology!r} is not"
+        )
+    elif use_symmetry and failed:
+        raise ValueError(
+            f"use_symmetry requires a fault-free route computer; this one "
+            f"routes around {len(failed)} failed channel(s)"
         )
 
     sources = active_endpoints(machine, cores_per_chip)

@@ -62,8 +62,11 @@ class ReplayError(ValueError):
 class ReplayWorkload:
     """A parsed trace, reconstructed into an injectable workload."""
 
+    #: Normalized 3-tuple (a two-axis header ``[4, 4]`` reads ``(4, 4, 1)``).
     shape: Tuple[int, int, int]
     endpoints_per_chip: int
+    #: The header's ``topology`` (absent on torus traces).
+    topology: str
     header: dict
     #: Raw metadata record lines before the first event, verbatim.
     prologue: List[str]
@@ -79,6 +82,22 @@ class ReplayWorkload:
     #: Optional workload hints from the header (for iw reconstruction).
     pattern: Optional[str]
     cores: Optional[int]
+
+    @property
+    def config(self) -> MachineConfig:
+        """The machine the trace was recorded on."""
+        return MachineConfig(
+            shape=self.shape,
+            endpoints_per_chip=self.endpoints_per_chip,
+            topology=self.topology,
+        )
+
+    # What programming ``iw`` weights reads off a workload spec.
+    dst_endpoint_mode = "same_index"
+
+    @property
+    def cores_per_chip(self) -> int:
+        return self.cores or self.endpoints_per_chip
 
 
 def _reconstruct_packets(
@@ -215,8 +234,6 @@ def load_replay(lines) -> ReplayWorkload:
         raise ReplayError(
             "trace header lacks 'shape'/'endpoints'; cannot rebuild the machine"
         )
-    shape = tuple(shape)
-
     faulted = sorted({e.kind for e in events if e.kind in FAULT_KINDS})
     if faulted:
         raise ReplayError(
@@ -228,7 +245,11 @@ def load_replay(lines) -> ReplayWorkload:
         raise ReplayError("trace contains no events")
 
     machine = Machine(
-        MachineConfig(shape=shape, endpoints_per_chip=int(endpoints))
+        MachineConfig(
+            shape=tuple(shape),
+            endpoints_per_chip=int(endpoints),
+            topology=header.get("topology", "torus"),
+        )
     )
     tpc = header.get("tpc")
     if tpc is not None and tpc != machine.ticks_per_cycle:
@@ -237,8 +258,9 @@ def load_replay(lines) -> ReplayWorkload:
             f"{machine.ticks_per_cycle}"
         )
     return ReplayWorkload(
-        shape=shape,
-        endpoints_per_chip=int(endpoints),
+        shape=machine.config.shape,
+        endpoints_per_chip=machine.config.endpoints_per_chip,
+        topology=machine.config.topology,
         header=header,
         prologue=prologue,
         epilogue=epilogue,
@@ -259,48 +281,32 @@ def build_replay_engine(
 ):
     """An engine at cycle 0 with the replay workload enqueued.
 
-    ``arbitration`` defaults to the trace header's ``arb`` field (falling
-    back to round-robin). ``iw`` needs ``weight_patterns`` to reprogram
-    the weight tables -- the CLI reconstructs them from the header's
-    ``pattern``/``cores`` fields.
+    The replay entry into :func:`repro.sim.simulator.build`: the
+    recorded packets stand in for generation. ``arbitration`` defaults
+    to the trace header's ``arb`` field (falling back to round-robin).
+    A trace has no pattern of its own, so ``iw`` needs
+    ``weight_patterns`` to reprogram the weight tables -- the CLI
+    reconstructs them from the header's ``pattern``/``cores`` fields.
     """
     from repro.core.routing import RouteComputer
-    from repro.sim.engine import Engine
-    from repro.sim.simulator import (
-        arbiter_builder_for,
-        make_vc_weight_tables,
-        make_weight_tables,
-    )
+    from repro.sim.simulator import RunSpec, build
 
-    if machine.config.shape != workload.shape or (
-        machine.config.endpoints_per_chip != workload.endpoints_per_chip
+    config = machine.config
+    if (config.shape, config.endpoints_per_chip, config.topology) != (
+        workload.shape, workload.endpoints_per_chip, workload.topology
     ):
         raise ReplayError("machine does not match the trace header")
     policy = arbitration or workload.arbitration or "rr"
-    weight_tables = vc_weight_tables = None
-    if policy == "iw":
-        if weight_patterns is None:
-            raise ReplayError(
-                "replaying an inverse-weighted trace needs weight_patterns "
-                "(reconstructed from the trace header's pattern metadata)"
-            )
-        routes = RouteComputer(machine)
-        cores = workload.cores or machine.config.endpoints_per_chip
-        weight_tables = make_weight_tables(machine, routes, weight_patterns, cores)
-        vc_weight_tables = make_vc_weight_tables(
-            machine, routes, weight_patterns, cores
+    if policy == "iw" and not weight_patterns:
+        raise ReplayError(
+            "replaying an inverse-weighted trace needs weight_patterns "
+            "(reconstructed from the trace header's pattern metadata)"
         )
-    builder = arbiter_builder_for(policy, weight_tables)
-    vc_builder = arbiter_builder_for(policy, vc_weight_tables)
-    engine = Engine(
-        machine,
-        arbiter_builder=builder,
-        vc_arbiter_builder=vc_builder,
-        trace=trace,
+    run = RunSpec(machine.config, workload, policy, tuple(weight_patterns or ()))
+    return build(
+        run, machine, RouteComputer(machine), trace=trace,
+        packets=workload.packets,
     )
-    for packet in workload.packets:
-        engine.enqueue(packet)
-    return engine
 
 
 def replay_trace(
@@ -320,12 +326,7 @@ def replay_trace(
     from repro.sim.trace import JsonlTraceWriter
 
     workload = load_replay(lines)
-    machine = Machine(
-        MachineConfig(
-            shape=workload.shape,
-            endpoints_per_chip=workload.endpoints_per_chip,
-        )
-    )
+    machine = Machine(workload.config)
     writer = None
     if out_stream is not None:
         for line in workload.prologue:

@@ -146,3 +146,56 @@ class TestRunShardedValidation:
         )
         with pytest.raises(ValueError, match="transport"):
             run_sharded(run, 2, machine=tiny_machine, transport="carrier-pigeon")
+
+
+class TestNamedRejections:
+    """``run(spec, shards>1)`` refuses what it cannot shard, by name,
+    before any workload is generated or worker started."""
+
+    @staticmethod
+    def _rejected_run(case):
+        from repro.faults import FaultPolicy, FaultSet
+        from repro.sim.simulator import RunSpec
+        from repro.traffic.batch import BatchSpec
+        from repro.traffic.patterns import UniformRandom
+
+        if case == "retry":
+            config = MachineConfig(shape=(2, 2, 2), endpoints_per_chip=2)
+            faults = dict(
+                fault_set=FaultSet(shape=(2, 2, 2)),
+                fault_policy=FaultPolicy(mode="retry"),
+            )
+        else:
+            config = MachineConfig(
+                shape=(4, 4), endpoints_per_chip=2, topology=case
+            )
+            faults = {}
+        spec = BatchSpec(
+            UniformRandom(config.shape), packets_per_source=1, cores_per_chip=2
+        )
+        return RunSpec(config, spec, **faults)
+
+    @pytest.mark.parametrize(
+        "case,message",
+        [
+            ("retry", "the retry fault policy is not supported in sharded runs"),
+            ("mesh", "sharded runs support only the torus topology"),
+            ("chiplet", "sharded runs support only the torus topology"),
+        ],
+    )
+    def test_rejected_before_generation(self, case, message, monkeypatch):
+        from repro.sim import shard as shard_mod
+        from repro.sim.simulator import run
+        from repro.traffic import batch
+
+        started = []
+        for owner, name in (
+            (batch, "generate_batch"),
+            (shard_mod._ShardCore, "__init__"),
+        ):
+            monkeypatch.setattr(
+                owner, name, lambda *a, _name=name, **k: started.append(_name)
+            )
+        with pytest.raises(ValueError, match=message):
+            run(self._rejected_run(case), shards=2, transport="inline")
+        assert started == []

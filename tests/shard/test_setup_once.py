@@ -53,7 +53,7 @@ def test_healthy_run_generates_once_on_the_hubs_machine(
     module = importlib.import_module(module_name)
     generated = len(
         getattr(module, fn_name)(
-            machine, shard_mod.build_shard_context(run, machine)[1], run.spec
+            machine, shard_mod.run_context(run, machine)[1], run.spec
         )
     )
     serial = run_sharded(run, 1, machine=machine)

@@ -187,6 +187,37 @@ class TestSymmetryShortcut:
         for cid, row in slow.vc_load.items():
             assert fast.vc_load[cid] == pytest.approx(row, rel=1e-12, abs=1e-12)
 
+    @staticmethod
+    def _statically_faulted_4x4x2():
+        from repro.faults import FaultAwareRouteComputer
+        from repro.faults.model import failable_channels
+
+        machine = Machine(MachineConfig(shape=(4, 4, 2), endpoints_per_chip=2))
+        routes = FaultAwareRouteComputer(machine)
+        routes.set_failed([failable_channels(machine)[7]])
+        return machine, routes
+
+    def test_failed_channels_select_the_exhaustive_path(self):
+        """Faults break translation symmetry: left to choose, compute_loads
+        must not translate one chip's loads over a degraded machine."""
+        machine, routes = self._statically_faulted_4x4x2()
+        pattern = Tornado((4, 4, 2))
+        auto = compute_loads(machine, routes, pattern, 2)
+        slow = compute_loads(machine, routes, pattern, 2, use_symmetry=False)
+        assert auto.channel_load == slow.channel_load
+        assert auto.arbiter_load == slow.arbiter_load
+        assert auto.vc_load == slow.vc_load
+        # ...and the shortcut really would have been wrong here.
+        healthy = compute_loads(machine, RouteComputer(machine), pattern, 2)
+        assert healthy.channel_load != slow.channel_load
+
+    def test_explicit_shortcut_over_failed_channels_is_refused(self):
+        machine, routes = self._statically_faulted_4x4x2()
+        with pytest.raises(ValueError, match="fault-free route computer"):
+            compute_loads(
+                machine, routes, Tornado((4, 4, 2)), 2, use_symmetry=True
+            )
+
     def test_asymmetric_pattern_uses_slow_path(self, tiny_machine, tiny_routes):
         pattern = BitComplement((2, 2, 2))
         table = compute_loads(tiny_machine, tiny_routes, pattern, 2)

@@ -22,7 +22,7 @@ from repro.traffic.demand import (
     DemandSpec,
     build_demand_engine,
 )
-from repro.traffic.patterns import Tornado
+from repro.traffic.patterns import Tornado, UniformRandom
 from repro.traffic.replay import (
     ReplayError,
     build_replay_engine,
@@ -36,6 +36,11 @@ HEALTHY_GOLDENS = {
     "tornado_4x1x1": [Tornado((4, 1, 1))],
     "pingpong_2x2x2": None,
     "demand_2x2x2": None,
+    # Non-torus machines: the header's "topology" picks the machine, and
+    # chiplet's iw tables are rebuilt on a machine without translation
+    # symmetry.
+    "mesh_4x4": None,
+    "chiplet_2x2": [UniformRandom((2, 2, 1))],
 }
 
 
@@ -132,6 +137,22 @@ class TestWorkloadReconstruction:
         assert workload.arbitration == "iw"
         assert workload.pattern == "tornado"
         assert workload.cores == 1
+
+    def test_header_topology_is_honoured(self):
+        # Goldens spell a two-axis shape [4, 4]; `repro trace` writes the
+        # normalized [4, 4, 1]. Both name the same mesh.
+        lines = golden_text("mesh_4x4").splitlines()
+        workload = load_replay(lines)
+        assert workload.topology == "mesh"
+        assert workload.shape == (4, 4, 1)
+        assert workload.config.topology == "mesh"
+        header = json.loads(lines[0])
+        header["shape"] = [4, 4, 1]
+        lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
+        assert load_replay(lines).config == workload.config
+        assert load_replay(
+            golden_text("uniform_2x2x2").splitlines()
+        ).topology == "torus"
 
     def test_packets_match_trace_events(self):
         text = golden_text("uniform_2x2x2")
@@ -240,6 +261,12 @@ class TestRejection:
         wrong = Machine(MachineConfig(shape=(4, 1, 1), endpoints_per_chip=2))
         with pytest.raises(ReplayError, match="does not match"):
             build_replay_engine(wrong, workload)
+
+    def test_topology_mismatch_rejected(self):
+        workload = load_replay(golden_text("mesh_4x4").splitlines())
+        torus = Machine(MachineConfig(shape=(4, 4, 1), endpoints_per_chip=1))
+        with pytest.raises(ReplayError, match="does not match"):
+            build_replay_engine(torus, workload)
 
     def test_iw_without_weight_patterns_rejected(self):
         workload = load_replay(golden_text("tornado_4x1x1").splitlines())
