@@ -78,43 +78,89 @@ def _machine(args) -> Machine:
     )
 
 
-def _pattern_factories(shape):
-    from repro.traffic.patterns import pattern_factories
-
-    return pattern_factories(shape)
-
-
-def _machine_and_faults(args):
-    """``(machine, fault set, fault policy)`` of a command line: the
-    machine flags, plus the fault file when the command takes one and
-    was given it (else ``None, None``)."""
-    if getattr(args, "fault_file", None) is None:
-        return _machine(args), None, None
-    from repro.faults import FaultPolicy
-
-    machine, fault_set = _load_fault_set(args)
-    policy = FaultPolicy(mode=args.policy, max_retries=args.retries)
-    return machine, fault_set, policy
+#: ``repro demand`` flags that are, verbatim, keys of the parameter
+#: form's ``demand`` sub-dict (``--hot-fraction`` is ``hot_fraction``).
+DEMAND_KEYS = (
+    "generator", "rate", "matrix_seed", "hotspots", "hot_fraction",
+    "skew_exponent", "restarts", "steps", "epochs", "epoch_length", "mode",
+    "duration", "scale", "injection",
+)
 
 
-def _batch_runspec(args):
-    """``(machine, RunSpec)`` of a batch command line: the machine and
-    fault flags, ``--pattern/--batch/--cores/--seed``, ``--arbitration``.
+def _read_json(path: str):
+    import json
+    import pathlib
+
+    return json.loads(pathlib.Path(path).read_text())
+
+
+def _fault_file(args):
+    """The command's fault file, decoded (``None`` when it was given
+    none), with the machine flags settled by the one rule: an explicit
+    ``--shape``/``--topology`` wins, then what the file records -- a
+    fault set is bound to the machine it was drawn for -- then the
+    command's own default.
     """
-    from repro.sim.simulator import RunSpec
-    from repro.traffic.batch import BatchSpec
+    faults, file_shape, file_topology = None, None, "torus"
+    if args.fault_file is not None:
+        # Here, not above: a run without a fault file never imports
+        # repro.faults (the perf ledger's cli.run_small_s watches).
+        from repro.faults import FaultSet
 
-    machine, fault_set, fault_policy = _machine_and_faults(args)
-    spec = BatchSpec(
-        _pattern_factories(machine.config.shape)[args.pattern](),
-        packets_per_source=args.batch,
-        cores_per_chip=args.cores,
-        seed=args.seed,
-    )
-    return machine, RunSpec(
-        machine.config, spec, args.arbitration,
-        fault_set=fault_set, fault_policy=fault_policy,
-    )
+        faults = _read_json(args.fault_file)
+        recorded = FaultSet.from_dict(faults)
+        file_shape, file_topology = recorded.shape, recorded.topology
+    args.shape = args.shape or file_shape or args.shape_default
+    args.topology = args.topology or file_topology
+    if args.shape is None:
+        raise ValueError(
+            f"{args.fault_file} records no machine shape; pass --shape"
+        )
+    return faults
+
+
+def _run_params(args, kind: str = "batch") -> dict:
+    """A command line as the parameter form of its run (DESIGN.md
+    section 17): the same mapping a serve ``create`` request carries."""
+    faults = _fault_file(args) if "fault_file" in args else None
+    params = {
+        "kind": kind,
+        "topology": args.topology,
+        "shape": list(args.shape),
+        "endpoints": args.endpoints,
+    }
+    if faults is not None:
+        params["faults"] = faults
+        if "policy" in args:
+            params["policy"] = {"mode": args.policy, "retries": args.retries}
+    if kind == "idle":
+        return params
+    params.update(cores=args.cores, arbitration=args.arbitration, seed=args.seed)
+    if kind == "batch":
+        params.update(pattern=args.pattern, batch=args.batch)
+        return params
+    params["demand"] = {key: getattr(args, key) for key in DEMAND_KEYS}
+    if args.matrix_file is not None:
+        if args.generator != "file":
+            raise ValueError(
+                f"--matrix-file is only read by --generator file, not "
+                f"--generator {args.generator}"
+            )
+        params["demand"]["matrix"] = _read_json(args.matrix_file)
+    return params
+
+
+def _runspec(args, kind: str = "batch"):
+    """``(params, RunSpec, machine)`` of a command line; a fault file is
+    validated against the machine before anything runs."""
+    from repro.sim.simulator import RunSpec
+
+    params = _run_params(args, kind)
+    runspec = RunSpec.from_params(params)
+    machine = Machine(runspec.config)
+    if runspec.fault_set is not None:
+        runspec.fault_set.validate(machine)
+    return params, runspec, machine
 
 
 #: Literal mirror of :data:`repro.traffic.patterns.PATTERN_NAMES` --
@@ -124,39 +170,6 @@ PATTERN_CHOICES = ("uniform", "1hop", "2hop", "tornado", "reverse-tornado")
 #: Literal mirror of :data:`repro.core.topology.TOPOLOGY_NAMES` (same
 #: import-free-parser rationale; a test pins the sync).
 TOPOLOGY_CHOICES = ("torus", "mesh", "chiplet")
-
-
-def _batch_trace_meta(machine, args, pattern) -> dict:
-    """Trace-header metadata for one batch workload.
-
-    Shared by ``repro trace``, ``repro checkpoint save``, and ``repro
-    faults run`` so a checkpointed-and-resumed trace is byte-identical to
-    an uninterrupted one: same header record, same key order.
-
-    The machine-readable spec fields (``arb``, ``cores``, ``pattern``,
-    ``batch``, ``seed``) make the trace self-describing: ``repro replay``
-    reads them to reconstruct the engine configuration -- in particular
-    the ``iw`` weight tables -- from the trace alone.
-    """
-    topology = machine.config.topology
-    meta = {
-        "shape": list(machine.config.shape),
-        "endpoints": args.endpoints,
-        "tpc": machine.ticks_per_cycle,
-        "arb": args.arbitration,
-        "cores": args.cores,
-        "pattern": args.pattern,
-        "batch": args.batch,
-        "seed": args.seed,
-        "workload": f"batch {pattern.name} x{args.batch} "
-        f"{args.arbitration} seed{args.seed}",
-    }
-    # Only non-default topologies annotate the header, so every existing
-    # torus trace (goldens included) keeps its exact bytes.
-    if topology != "torus":
-        meta["topology"] = topology
-        meta["workload"] += f" topology={topology}"
-    return meta
 
 
 def _batch_end_record(stats, events_written: int, faulted: bool) -> dict:
@@ -214,16 +227,14 @@ def _checkpointed_trace_writer(args, trace_meta):
     checkpoint's recorded byte count); without ``--resume`` it is stale
     state from an earlier run and is cleared. This context manager owns
     that detection plus the four-way trace-sink selection (no trace /
-    resumed file / stdout / fresh file) both commands used to duplicate.
+    resumed file / stdout / fresh file).
 
-    Yields a namespace with ``writer`` (a sink or None), ``resuming``,
-    and ``checkpoint_every`` (0 when checkpointing is off) -- ready to
-    hand to :func:`~repro.sim.simulator.run_batch` /
-    :func:`~repro.traffic.demand.run_demand`.
+    Yields ``(writer, checkpoint_every)`` -- a trace sink or None, and 0
+    when checkpointing is off -- ready to hand to
+    :func:`~repro.sim.simulator.run`.
     """
     import contextlib
     import os
-    from types import SimpleNamespace
 
     from repro.sim.trace import JsonlTraceWriter
 
@@ -240,11 +251,6 @@ def _checkpointed_trace_writer(args, trace_meta):
             os.unlink(args.checkpoint)
         every = args.checkpoint_every if checkpointing else 0
 
-        def result(writer):
-            return SimpleNamespace(
-                writer=writer, resuming=resuming, checkpoint_every=every
-            )
-
         if resuming:
             from repro.sim.checkpoint import load_checkpoint
 
@@ -254,20 +260,20 @@ def _checkpointed_trace_writer(args, trace_meta):
                 )
             checkpoint_data = load_checkpoint(args.checkpoint)
             if args.trace is None:
-                yield result(None)
+                yield None, every
                 return
             writer = _resume_trace_writer(args.trace, checkpoint_data)
             try:
-                yield result(writer)
+                yield writer, every
             finally:
                 writer.stream.close()
         elif args.trace is None:
-            yield result(None)
+            yield None, every
         elif args.trace == "-":
-            yield result(JsonlTraceWriter(sys.stdout, meta=trace_meta))
+            yield JsonlTraceWriter(sys.stdout, meta=trace_meta), every
         else:
             with open(args.trace, "w") as stream:
-                yield result(JsonlTraceWriter(stream, meta=trace_meta))
+                yield JsonlTraceWriter(stream, meta=trace_meta), every
 
     return manager()
 
@@ -350,7 +356,7 @@ def cmd_deadlock(args) -> int:
 def cmd_throughput(args) -> int:
     from repro.analysis.throughput import measure_batch
 
-    machine, runspec = _batch_runspec(args)
+    _, runspec, machine = _runspec(args)
     pattern = runspec.spec.pattern
     point = measure_batch(
         machine,
@@ -376,7 +382,7 @@ def cmd_run(args) -> int:
 
     from repro.sim.simulator import run
 
-    machine, runspec = _batch_runspec(args)
+    _, runspec, machine = _runspec(args)
     start = time.perf_counter()
     stats = run(
         runspec,
@@ -406,7 +412,7 @@ def cmd_trace(args) -> int:
 
     from repro.sim.goldens import GOLDEN_NAMES, write_golden
     from repro.sim.metrics import MetricsCollector
-    from repro.sim.simulator import run
+    from repro.sim.simulator import run, trace_header
     from repro.sim.trace import JsonlTraceWriter, Tee
 
     @contextlib.contextmanager
@@ -442,12 +448,12 @@ def cmd_trace(args) -> int:
         print("--shards applies only to --golden regeneration", file=sys.stderr)
         return 2
 
-    machine, runspec = _batch_runspec(args)
+    params, runspec, machine = _runspec(args)
     pattern = runspec.spec.pattern
     collector = MetricsCollector(window_cycles=args.window)
     with output_stream() as stream:
         writer = JsonlTraceWriter(
-            stream, meta=_batch_trace_meta(machine, args, pattern)
+            stream, meta=trace_header(params, runspec, machine)
         )
         stats = run(runspec, machine=machine, trace=Tee(writer, collector))
         writer.write_record(
@@ -465,112 +471,41 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def cmd_demand(args) -> int:
-    import pathlib
+def _run_checkpointed(args, kind: str):
+    """``(RunSpec, stats)`` of ``repro demand`` / ``repro faults run``:
+    the command line's run under ``--trace/--checkpoint/--resume``."""
+    from repro.sim.simulator import run, trace_header
 
-    from repro.traffic.demand import (
-        DemandMatrix,
-        DemandSchedule,
-        DemandSpec,
-        as_schedule,
-        matrix_from_params,
-        run_demand,
-    )
-
-    if args.epochs < 1:
-        raise ValueError(f"--epochs must be >= 1, got {args.epochs}")
-    machine, fault_set, fault_policy = _machine_and_faults(args)
-    routes = RouteComputer(machine)
-    faults = None
-    if fault_set is not None:
-        from repro.faults import FaultRuntime
-
-        faults = FaultRuntime(machine, fault_set, policy=fault_policy)
-        routes = faults.route_computer
-
-    matrix_json = (
-        pathlib.Path(args.matrix_file).read_text()
-        if args.matrix_file is not None
-        else None
-    )
-
-    def make_matrix(epoch: int) -> DemandMatrix:
-        # Epoch k draws its matrix from --matrix-seed + k, so multi-epoch
-        # runs evolve while staying a pure function of the CLI arguments.
-        # The parameters-to-matrix mapping itself lives in
-        # matrix_from_params, shared with the serve protocol's demand
-        # specs, so "--generator hotspot" means the same matrix on every
-        # surface.
-        return matrix_from_params(
-            machine.config.shape,  # normalized: "4x4" is (4, 4, 1)
-            args.generator,
-            args.rate,
-            seed=args.matrix_seed + epoch,
-            hotspots=args.hotspots,
-            hot_fraction=args.hot_fraction,
-            skew_exponent=args.skew_exponent,
-            matrix_json=matrix_json,
-            restarts=args.restarts,
-            steps=args.steps,
-            cores_per_chip=args.cores,
+    params, runspec, machine = _runspec(args, kind)
+    with _checkpointed_trace_writer(
+        args, trace_header(params, runspec, machine)
+    ) as (writer, checkpoint_every):
+        stats = run(
+            runspec,
             machine=machine,
-            route_computer=routes,
-        )
-
-    matrices = [make_matrix(k) for k in range(args.epochs)]
-    demand = (
-        matrices[0]
-        if len(matrices) == 1
-        else DemandSchedule.from_matrices(matrices, args.epoch_length)
-    )
-    spec = DemandSpec(
-        demand=demand,
-        cores_per_chip=args.cores,
-        mode=args.mode,
-        duration_cycles=args.duration if args.mode == "open" else 0,
-        packets_scale=args.scale,
-        injection=args.injection,
-        seed=args.seed,
-    )
-    schedule = as_schedule(demand)
-    trace_meta = {
-        "shape": list(machine.config.shape),
-        "endpoints": args.endpoints,
-        "tpc": machine.ticks_per_cycle,
-        "arb": args.arbitration,
-        "cores": args.cores,
-        "workload": (
-            f"demand {schedule.name} {args.mode} "
-            f"{args.injection} seed{args.seed}"
-        ),
-    }
-    if faults is not None:
-        trace_meta["faults"] = len(fault_set)
-        trace_meta["policy"] = args.policy
-
-    with _checkpointed_trace_writer(args, trace_meta) as run:
-        stats = run_demand(
-            machine,
-            routes,
-            spec,
-            arbitration=args.arbitration,
-            trace=run.writer,
-            faults=faults,
+            trace=writer,
             checkpoint_path=args.checkpoint,
-            checkpoint_every=run.checkpoint_every,
+            checkpoint_every=checkpoint_every,
         )
-        if run.writer is not None:
-            run.writer.write_record(
+        if writer is not None:
+            writer.write_record(
                 _batch_end_record(
                     stats,
-                    run.writer.events_written,
-                    faulted=faults is not None,
+                    writer.events_written,
+                    faulted=runspec.fault_set is not None,
                 )
             )
+    return runspec, stats
+
+
+def cmd_demand(args) -> int:
+    runspec, stats = _run_checkpointed(args, "demand")
     out = sys.stderr if args.trace == "-" else sys.stdout
-    dropped = f", {stats.dropped} dropped" if faults is not None else ""
+    dropped = (
+        f", {stats.dropped} dropped" if runspec.fault_set is not None else ""
+    )
     print(
-        f"{schedule.name} / {args.arbitration} ({args.mode}): "
+        f"{runspec.spec.schedule.name} / {args.arbitration} ({args.mode}): "
         f"{stats.injected} injected, {stats.delivered} delivered{dropped} "
         f"in {stats.end_cycle} cycles",
         file=out,
@@ -582,36 +517,16 @@ def cmd_replay(args) -> int:
     import io
     import pathlib
 
-    from repro.traffic.replay import load_replay, replay_trace
+    from repro.traffic.replay import replay_trace
 
     text = pathlib.Path(args.trace_file).read_text()
     if text and not text.endswith("\n"):
         text += "\n"
-    lines = text.splitlines()
-    workload = load_replay(lines)
-    policy = args.arbitration or workload.arbitration or "rr"
-    weight_patterns = None
-    if policy == "iw":
-        if workload.pattern is None:
-            raise ValueError(
-                "trace header records no 'pattern'; cannot rebuild the iw "
-                "weight tables (override with --arbitration rr or age)"
-            )
-        factories = _pattern_factories(workload.shape)
-        if workload.pattern not in factories:
-            raise ValueError(
-                f"trace header pattern {workload.pattern!r} is not a CLI "
-                f"pattern; replay via the API with explicit weight_patterns"
-            )
-        weight_patterns = [factories[workload.pattern]()]
-
     buffer = io.StringIO()
     stats, workload, events = replay_trace(
-        lines,
-        out_stream=buffer,
-        arbitration=args.arbitration,
-        weight_patterns=weight_patterns,
+        text.splitlines(), out_stream=buffer, arbitration=args.arbitration
     )
+    policy = args.arbitration or workload.arbitration or "rr"
     replayed = buffer.getvalue()
     if args.trace is not None:
         if args.trace == "-":
@@ -651,37 +566,6 @@ def _fault_kinds(names):
         "car": ChannelKind.CA_TO_ROUTER,
     }
     return tuple(mapping[name] for name in names)
-
-
-def _load_fault_set(args):
-    """Read a fault-set JSON file and build the machine it applies to.
-
-    The machine shape/endpoints come from the command line; when the
-    fault file pins a shape (``sample`` always records one) and the user
-    did not override it, the file's shape wins -- a fault set is bound to
-    the machine it was drawn for.
-    """
-    import pathlib
-
-    from repro.faults import FaultSet
-
-    text = pathlib.Path(args.fault_file).read_text()
-    fault_set = FaultSet.from_json(text)
-    shape = args.shape or fault_set.shape
-    if shape is None:
-        raise ValueError(
-            f"{args.fault_file} records no machine shape; pass --shape"
-        )
-    topology = getattr(args, "topology", None) or fault_set.topology
-    machine = Machine(
-        MachineConfig(
-            shape=tuple(shape),
-            endpoints_per_chip=args.endpoints,
-            topology=topology,
-        )
-    )
-    fault_set.validate(machine)
-    return machine, fault_set
 
 
 def cmd_faults_sample(args) -> int:
@@ -754,10 +638,10 @@ def cmd_faults_validate(args) -> int:
     from repro.faults import FaultAwareRouteComputer, degraded_report
 
     if args.fault_file is None:
-        if args.topology is None:
-            args.topology = "torus"
+        args.topology = args.topology or "torus"
         return _validate_topology(args)
-    machine, fault_set = _load_fault_set(args)
+    _, runspec, machine = _runspec(args, "idle")
+    fault_set = runspec.fault_set
     failed = fault_set.all_channels(machine)
     print(
         f"{len(fault_set)} fault spec(s), {len(failed)} distinct failed "
@@ -793,30 +677,11 @@ def cmd_faults_validate(args) -> int:
 
 
 def cmd_faults_run(args) -> int:
-    from repro.sim.simulator import run
-
-    machine, runspec = _batch_runspec(args)
-    pattern = runspec.spec.pattern
-    trace_meta = _batch_trace_meta(machine, args, pattern)
-    trace_meta["faults"] = len(runspec.fault_set)
-    trace_meta["policy"] = args.policy
-    with _checkpointed_trace_writer(args, trace_meta) as ckpt:
-        stats = run(
-            runspec,
-            machine=machine,
-            trace=ckpt.writer,
-            checkpoint_path=args.checkpoint,
-            checkpoint_every=ckpt.checkpoint_every,
-        )
-        if ckpt.writer is not None:
-            ckpt.writer.write_record(
-                _batch_end_record(
-                    stats, ckpt.writer.events_written, faulted=True
-                )
-            )
+    runspec, stats = _run_checkpointed(args, "batch")
     out = sys.stderr if args.trace == "-" else sys.stdout
     print(
-        f"{pattern.name} / {args.arbitration} / policy={args.policy}: "
+        f"{runspec.spec.pattern.name} / {args.arbitration} / "
+        f"policy={args.policy}: "
         f"{stats.delivered} delivered, {stats.dropped} dropped, "
         f"{stats.rerouted} rerouted, {stats.retried} retried "
         f"({stats.fault_events} fault events) in {stats.end_cycle} cycles",
@@ -909,7 +774,7 @@ def cmd_loadtest(args) -> int:
         print(f"first error: {report['first_error']}", file=sys.stderr)
 
     if args.check:
-        baseline = json.loads(pathlib.Path(args.check).read_text())
+        baseline = _read_json(args.check)
         problems = check_report(report, baseline, factor=args.tolerance)
         if problems:
             for problem in problems:
@@ -925,10 +790,10 @@ def cmd_checkpoint_save(args) -> int:
     import contextlib
 
     from repro.sim.checkpoint import save_checkpoint
-    from repro.sim.simulator import build, run_context
+    from repro.sim.simulator import build, run_context, trace_header
     from repro.sim.trace import JsonlTraceWriter
 
-    machine, runspec = _batch_runspec(args)
+    params, runspec, machine = _runspec(args)
 
     @contextlib.contextmanager
     def trace_writer():
@@ -937,8 +802,7 @@ def cmd_checkpoint_save(args) -> int:
         else:
             with open(args.trace, "w") as stream:
                 yield JsonlTraceWriter(
-                    stream,
-                    meta=_batch_trace_meta(machine, args, runspec.spec.pattern),
+                    stream, meta=trace_header(params, runspec, machine)
                 )
 
     with trace_writer() as writer:
@@ -1059,7 +923,7 @@ def cmd_profile(args) -> int:
 
     from repro.sim.simulator import run
 
-    machine, runspec = _batch_runspec(args)
+    _, runspec, machine = _runspec(args)
     pattern = runspec.spec.pattern
     if args.shards > 1:
         profilers: list = []
@@ -1159,19 +1023,66 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_topology_arg(p):
+    # One declaration per flag family; what differs between commands
+    # (defaults) is an argument, so the table in
+    # tests/integration/test_cli_parser_contract.py pins every row.
+    def add_topology_arg(p, default="torus"):
         p.add_argument(
             "--topology",
-            default="torus",
+            default=default,
             choices=list(TOPOLOGY_CHOICES),
-            help="inter-node topology (default: torus; mesh and chiplet "
-                 "take KxK shapes)",
+            help="inter-node topology (default: torus, or the fault "
+                 "file's; mesh and chiplet take KxK shapes)",
         )
 
-    def add_machine_args(p, endpoints=4):
-        p.add_argument("--shape", type=parse_shape, default=(4, 4, 4))
+    def add_machine_args(p, endpoints=4, shape=(4, 4, 4), fault_file=False):
+        # On a command that takes a fault file --shape/--topology default
+        # to None, "not given": the file's machine fills them in before
+        # the command's own default does (_fault_file).
+        p.add_argument(
+            "--shape", type=parse_shape, default=None if fault_file else shape,
+            help="machine shape: KxKxK, or KxK for mesh and chiplet"
+                 + (" (default: the fault file's)" if fault_file else ""),
+        )
         p.add_argument("--endpoints", type=int, default=endpoints)
-        add_topology_arg(p)
+        add_topology_arg(p, None if fault_file else "torus")
+        p.set_defaults(shape_default=shape)
+
+    def add_engine_args(p, cores=2, arbitration="rr"):
+        p.add_argument("--cores", type=int, default=cores)
+        p.add_argument(
+            "--arbitration", default=arbitration, choices=["rr", "age", "iw"]
+        )
+        p.add_argument("--seed", type=int, default=0,
+                       help="workload (injection/route sampling) seed")
+
+    def add_batch_args(p, batch, cores=2, arbitration="rr"):
+        p.add_argument(
+            "--pattern", default="uniform", choices=list(PATTERN_CHOICES)
+        )
+        p.add_argument("--batch", type=int, default=batch)
+        add_engine_args(p, cores, arbitration)
+
+    def add_fault_args(p, positional=False):
+        if positional:
+            p.add_argument("fault_file", help="fault-set JSON file")
+        else:
+            p.add_argument("--fault-file", default=None,
+                           help="fault-set JSON file to run degraded")
+        p.add_argument("--policy", default="reroute",
+                       choices=["reroute", "drop", "retry"],
+                       help="fault policy (retry is refused by --shards > 1)")
+        p.add_argument("--retries", type=int, default=4,
+                       help="retry budget for --policy retry (default: 4)")
+
+    def add_checkpoint_args(p, resume=True):
+        p.add_argument("--checkpoint", default=None,
+                       help="periodic engine snapshot file (crash resumable)")
+        p.add_argument("--checkpoint-every", type=int, default=64,
+                       help="cycles between snapshots (default: 64)")
+        if resume:
+            p.add_argument("--resume", action="store_true",
+                           help="resume an interrupted run from --checkpoint")
 
     p = sub.add_parser("info", help="machine and packaging summary")
     add_machine_args(p)
@@ -1200,29 +1111,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("throughput", help="one batch-throughput point")
     add_machine_args(p)
-    p.add_argument(
-        "--pattern",
-        default="uniform",
-        choices=["uniform", "1hop", "2hop", "tornado", "reverse-tornado"],
-    )
-    p.add_argument("--batch", type=int, default=64)
-    p.add_argument("--cores", type=int, default=4)
-    p.add_argument("--arbitration", default="iw", choices=["rr", "age", "iw"])
-    p.add_argument("--seed", type=int, default=0)
+    add_batch_args(p, batch=64, cores=4, arbitration="iw")
     p.set_defaults(func=cmd_throughput)
 
     p = sub.add_parser(
         "run",
         help="run one batch, optionally sharded across worker processes",
     )
-    add_machine_args(p, endpoints=2)
-    p.add_argument(
-        "--pattern", default="uniform", choices=list(PATTERN_CHOICES)
-    )
-    p.add_argument("--batch", type=int, default=8)
-    p.add_argument("--cores", type=int, default=2)
-    p.add_argument("--arbitration", default="rr", choices=["rr", "age", "iw"])
-    p.add_argument("--seed", type=int, default=0)
+    add_machine_args(p, endpoints=2, fault_file=True)
+    add_batch_args(p, batch=8)
     p.add_argument("--shards", type=int, default=1,
                    help="spatial shard count (1, 2, 4, or 8; results are "
                         "bit-identical across counts)")
@@ -1230,32 +1127,15 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["process", "inline"],
                    help="worker transport: real processes or in-process "
                         "(debug) workers")
-    p.add_argument("--fault-file", default=None,
-                   help="fault-set JSON file to run degraded")
-    p.add_argument("--policy", default="reroute",
-                   choices=["reroute", "drop"],
-                   help="fault policy (retry is serial-only)")
-    p.add_argument("--retries", type=int, default=4,
-                   help="retry budget (unused by the sharded policies)")
-    p.add_argument("--checkpoint", default=None,
-                   help="periodic crash-resumable snapshot file")
-    p.add_argument("--checkpoint-every", type=int, default=64,
-                   help="cycles between snapshots (default: 64)")
+    add_fault_args(p)
+    add_checkpoint_args(p, resume=False)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser(
         "trace", help="write a structured JSONL event trace of one batch run"
     )
     add_machine_args(p, endpoints=2)
-    p.add_argument(
-        "--pattern",
-        default="uniform",
-        choices=["uniform", "1hop", "2hop", "tornado", "reverse-tornado"],
-    )
-    p.add_argument("--batch", type=int, default=4)
-    p.add_argument("--cores", type=int, default=2)
-    p.add_argument("--arbitration", default="rr", choices=["rr", "age", "iw"])
-    p.add_argument("--seed", type=int, default=0)
+    add_batch_args(p, batch=4)
     p.add_argument("--window", type=int, default=256,
                    help="busy-tick window grain in cycles (default: 256)")
     p.add_argument("--out", default="-",
@@ -1273,7 +1153,7 @@ def build_parser() -> argparse.ArgumentParser:
         "demand",
         help="run a demand-matrix workload (seeded generators, rate epochs)",
     )
-    add_machine_args(p, endpoints=2)
+    add_machine_args(p, endpoints=2, fault_file=True)
     p.add_argument(
         "--generator",
         default="hotspot",
@@ -1310,24 +1190,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="closed-loop packets per unit row sum (default: 1)")
     p.add_argument("--injection", default="bernoulli",
                    choices=["bernoulli", "paced"])
-    p.add_argument("--cores", type=int, default=2)
-    p.add_argument("--arbitration", default="rr", choices=["rr", "age", "iw"])
-    p.add_argument("--seed", type=int, default=0,
-                   help="injection/route sampling seed")
+    add_engine_args(p)
     p.add_argument("--trace", default=None,
                    help="write a JSONL event trace ('-' for stdout)")
-    p.add_argument("--checkpoint", default=None,
-                   help="periodic engine snapshot file (crash resumable)")
-    p.add_argument("--checkpoint-every", type=int, default=64,
-                   help="cycles between snapshots (default: 64)")
-    p.add_argument("--resume", action="store_true",
-                   help="resume an interrupted run from --checkpoint")
-    p.add_argument("--fault-file", default=None,
-                   help="fault-set JSON file to run degraded")
-    p.add_argument("--policy", default="reroute",
-                   choices=["reroute", "drop", "retry"])
-    p.add_argument("--retries", type=int, default=4,
-                   help="retry budget for --policy retry (default: 4)")
+    add_checkpoint_args(p)
+    add_fault_args(p)
     p.set_defaults(func=cmd_demand)
 
     p = sub.add_parser(
@@ -1425,14 +1292,7 @@ def build_parser() -> argparse.ArgumentParser:
     fp.add_argument("fault_file", nargs="?", default=None,
                     help="fault-set JSON file; omit to run the topology "
                          "deadlock + single-link-failure verification")
-    fp.add_argument("--shape", type=parse_shape, default=None,
-                    help="override the machine shape (default: the "
-                         "file's, or a small per-topology default)")
-    fp.add_argument("--endpoints", type=int, default=2)
-    fp.add_argument("--topology", default=None,
-                    choices=list(TOPOLOGY_CHOICES),
-                    help="inter-node topology (default: the fault "
-                         "file's, else torus)")
+    add_machine_args(fp, endpoints=2, shape=None, fault_file=True)
     fp.add_argument("--check-routes", action="store_true",
                     help="resolve every degraded route; fail on unroutable")
     fp.add_argument("--check-deadlock", action="store_true",
@@ -1440,32 +1300,12 @@ def build_parser() -> argparse.ArgumentParser:
     fp.set_defaults(func=cmd_faults_validate)
 
     fp = fsub.add_parser("run", help="run one batch on the degraded machine")
-    fp.add_argument("fault_file", help="fault-set JSON file")
-    fp.add_argument("--shape", type=parse_shape, default=None,
-                    help="override the machine shape (default: the file's)")
-    fp.add_argument("--endpoints", type=int, default=2)
-    fp.add_argument("--topology", default=None,
-                    choices=list(TOPOLOGY_CHOICES),
-                    help="inter-node topology (default: the fault file's)")
-    fp.add_argument(
-        "--pattern", default="uniform", choices=list(PATTERN_CHOICES)
-    )
-    fp.add_argument("--batch", type=int, default=8)
-    fp.add_argument("--cores", type=int, default=2)
-    fp.add_argument("--arbitration", default="rr", choices=["rr", "age", "iw"])
-    fp.add_argument("--policy", default="reroute",
-                    choices=["reroute", "drop", "retry"])
-    fp.add_argument("--retries", type=int, default=4,
-                    help="retry budget for --policy retry (default: 4)")
-    fp.add_argument("--seed", type=int, default=0)
+    add_fault_args(fp, positional=True)
+    add_machine_args(fp, endpoints=2, shape=None, fault_file=True)
+    add_batch_args(fp, batch=8)
     fp.add_argument("--trace", default=None,
                     help="also write a JSONL event trace ('-' for stdout)")
-    fp.add_argument("--checkpoint", default=None,
-                    help="periodic engine snapshot file (crash resumable)")
-    fp.add_argument("--checkpoint-every", type=int, default=64,
-                    help="cycles between snapshots (default: 64)")
-    fp.add_argument("--resume", action="store_true",
-                    help="resume an interrupted run from --checkpoint")
+    add_checkpoint_args(fp)
     fp.set_defaults(func=cmd_faults_run)
 
     p = sub.add_parser(
@@ -1475,13 +1315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cp = csub.add_parser("save", help="run a batch N cycles, then snapshot")
     add_machine_args(cp, endpoints=2)
-    cp.add_argument(
-        "--pattern", default="uniform", choices=list(PATTERN_CHOICES)
-    )
-    cp.add_argument("--batch", type=int, default=4)
-    cp.add_argument("--cores", type=int, default=2)
-    cp.add_argument("--arbitration", default="rr", choices=["rr", "age", "iw"])
-    cp.add_argument("--seed", type=int, default=0)
+    add_batch_args(cp, batch=4)
     cp.add_argument("--cycles", type=int, required=True,
                     help="cycles to run before snapshotting")
     cp.add_argument("--trace", default=None,
@@ -1507,15 +1341,7 @@ def build_parser() -> argparse.ArgumentParser:
         "profile", help="profile the engine hot path over one seeded batch"
     )
     add_machine_args(p)
-    p.add_argument(
-        "--pattern",
-        default="uniform",
-        choices=["uniform", "1hop", "2hop", "tornado", "reverse-tornado"],
-    )
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--cores", type=int, default=4)
-    p.add_argument("--arbitration", default="rr", choices=["rr", "age", "iw"])
-    p.add_argument("--seed", type=int, default=0)
+    add_batch_args(p, batch=32, cores=4)
     p.add_argument("--top", type=int, default=25,
                    help="rows in the hot-function table (default: 25)")
     p.add_argument("--shards", type=int, default=1,

@@ -206,7 +206,13 @@ class FaultSet:
 
     @classmethod
     def from_json(cls, text: str) -> "FaultSet":
-        data = json.loads(text)
+        return cls.from_dict(json.loads(text))
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "FaultSet":
+        """The set a decoded :meth:`to_json` object spells."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a fault set is a JSON object, got {data!r}")
         version = data.get("version")
         if version != FAULT_SCHEMA_VERSION:
             raise ValueError(

@@ -48,10 +48,9 @@ from __future__ import annotations
 import asyncio
 import collections
 import dataclasses
-import json
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from repro.core.machine import Machine, MachineConfig
+from repro.core.machine import Machine
 from repro.core.routing import RouteComputer
 from repro.sim.checkpoint import dumps as checkpoint_dumps
 from repro.sim.checkpoint import snapshot_engine
@@ -73,9 +72,6 @@ SPOOL_SCHEMA_VERSION = 1
 
 #: Outbound-queue overflow policies (see the module docstring).
 BACKPRESSURE_MODES = ("drop-oldest", "pause")
-
-#: Workload kinds a ``create`` request may name.
-WORKLOAD_KINDS = ("batch", "demand", "idle")
 
 
 class SessionError(ValueError):
@@ -348,193 +344,43 @@ class Session:
     ) -> "Session":
         """Build a session from a workload spec dict.
 
-        The spec mirrors the CLI surfaces: ``kind`` picks the generator
-        (``batch``/``demand``/``idle``), ``shape``/``endpoints``/``cores``
-        the machine, ``arbitration``/``seed`` the engine programming.
-        ``batch`` kinds take ``pattern`` (a name from
-        :data:`repro.traffic.patterns.PATTERN_NAMES`) and ``batch``
-        (packets per source); ``demand`` kinds take a ``demand`` sub-dict
-        (see :meth:`_demand_spec`); ``idle`` builds an empty engine for
-        later ``submit_demand`` requests. A ``faults``/``policy`` pair
-        attaches a fault runtime (``faults`` may be omitted for an empty
-        set that only enables live ``inject_fault``).
+        The dict is the parameter form of a run, decoded by
+        :meth:`~repro.sim.simulator.RunSpec.from_params` exactly as the
+        CLI's flags are (DESIGN.md section 17 has the key table). Kind
+        ``idle`` -- the default -- builds an empty engine for later
+        ``submit_demand`` requests; a ``faults``/``policy`` pair attaches
+        a fault runtime (``policy`` alone, an empty set that only enables
+        live ``inject_fault``).
         """
         config = config or SessionConfig()
         if not isinstance(workload, dict):
             raise SessionError("workload must be a JSON object")
-        kind = workload.get("kind", "idle")
-        if kind not in WORKLOAD_KINDS:
-            raise SessionError(
-                f"unknown workload kind {kind!r}; known: {WORKLOAD_KINDS}"
-            )
-        shape = tuple(int(x) for x in workload.get("shape", (2, 2, 2)))
-        if len(shape) not in (2, 3) or any(x < 1 for x in shape):
-            raise SessionError(
-                f"shape must be 2 or 3 positive ints, got {shape}"
-            )
-        topology = workload.get("topology", "torus")
-        endpoints = int(workload.get("endpoints", 2))
-        cores = int(workload.get("cores", 2))
-        arbitration = workload.get("arbitration", "rr")
-        if arbitration not in ("rr", "age", "iw"):
-            raise SessionError(
-                f"arbitration must be rr, age, or iw, got {arbitration!r}"
-            )
-        seed = int(workload.get("seed", 0))
-
-        def build_machine() -> Machine:
-            try:
-                return Machine(
-                    MachineConfig(
-                        shape=shape,
-                        endpoints_per_chip=endpoints,
-                        topology=topology,
-                    )
-                )
-            except ValueError as exc:
-                raise SessionError(str(exc))
-
-        if machines is not None:
-            machine = machines.get(
-                ("config", shape, endpoints, topology), build_machine
-            )
-        else:
-            machine = build_machine()
-        # Patterns and demand matrices key off the normalized 3-tuple
-        # (two-axis workloads write "shape": [4, 4]).
-        shape = machine.config.shape
-        fault_set = fault_policy = None
-        if workload.get("faults") is not None or "policy" in workload:
-            from repro.faults import FaultPolicy, FaultSet
-
-            if workload.get("faults") is not None:
-                fault_set = FaultSet.from_json(json.dumps(workload["faults"]))
+        try:
+            run = RunSpec.from_params(workload)
+            if machines is not None:
+                machine = machines.get(run.config, lambda: Machine(run.config))
             else:
-                fault_set = FaultSet(
-                    shape=machine.config.shape, topology=topology
-                )
-            pol = workload.get("policy") or {}
-            fault_policy = FaultPolicy(
-                mode=pol.get("mode", "reroute"),
-                max_retries=int(pol.get("retries", 4)),
-            )
-        # The session's run, minus its workload: the fault-aware computer
-        # of a faulted session also resolves the routes of workload
-        # generation, as in ``repro demand --fault-file``.
-        run = RunSpec(
-            machine.config, None, arbitration,
-            fault_set=fault_set, fault_policy=fault_policy,
-        )
+                machine = Machine(run.config)
+        except ValueError as exc:
+            raise SessionError(str(exc))
+        # The fault-aware computer of a faulted session also resolves the
+        # routes of later workload generation (``submit_demand``).
         _, routes, faults = run_context(run, machine)
 
         collector = MetricsCollector(window_cycles=config.window_cycles)
         buffer = TraceStreamBuffer()
         trace = Tee(collector, buffer)
-
-        if kind == "idle":
-            if arbitration != "rr":
-                raise SessionError(
-                    "idle sessions use rr arbitration; create a demand or "
-                    "batch session for age/iw programming"
-                )
-            engine = Engine(machine, trace=trace, faults=faults)
-        else:
-            if kind == "batch":
-                from repro.traffic.batch import BatchSpec
-                from repro.traffic.patterns import pattern_factories
-
-                factories = pattern_factories(shape)
-                name = workload.get("pattern", "uniform")
-                if name not in factories:
-                    raise SessionError(
-                        f"unknown pattern {name!r}; known: "
-                        f"{', '.join(sorted(factories))}"
-                    )
-                spec = BatchSpec(
-                    pattern=factories[name](),
-                    packets_per_source=int(workload.get("batch", 8)),
-                    cores_per_chip=cores,
-                    seed=seed,
-                )
-            else:
-                spec = cls._demand_spec(
-                    workload.get("demand") or {}, shape, cores, seed,
-                    machine, routes,
-                )
-            engine = build(
-                dataclasses.replace(run, spec=spec), machine, routes, faults,
-                trace=trace,
+        if run.spec is not None:
+            engine = build(run, machine, routes, faults, trace=trace)
+        elif run.arbitration != "rr":
+            raise SessionError(
+                "idle sessions use rr arbitration; create a demand or "
+                "batch session for age/iw programming"
             )
-
+        else:
+            engine = Engine(machine, trace=trace, faults=faults)
         return cls(
             session_id, engine, collector, buffer, config, workload, routes
-        )
-
-    @staticmethod
-    def _demand_spec(d: dict, shape, cores: int, seed: int, machine, routes):
-        """Build a :class:`~repro.traffic.demand.DemandSpec` from a
-        ``demand`` sub-dict.
-
-        Keys mirror ``repro demand``: ``generator``/``rate``/
-        ``matrix_seed`` (+ generator-specific ``hotspots``,
-        ``hot_fraction``, ``skew_exponent``, ``restarts``, ``steps``, or
-        an inline ``matrix`` object for ``generator="file"``) choose the
-        matrix per epoch (epoch ``k`` draws from ``matrix_seed + k``,
-        exactly the CLI's rule); ``epochs``/``epoch_length`` build a
-        schedule; ``mode``/``duration``/``scale``/``injection``/``seed``
-        parameterize emission.
-        """
-        from repro.traffic.demand import (
-            DemandSchedule,
-            DemandSpec,
-            matrix_from_params,
-        )
-
-        if not isinstance(d, dict):
-            raise SessionError("'demand' must be a JSON object")
-        generator = d.get("generator", "uniform")
-        rate = float(d.get("rate", 0.1))
-        matrix_seed = int(d.get("matrix_seed", 0))
-        epochs = int(d.get("epochs", 1))
-        if epochs < 1:
-            raise SessionError("epochs must be >= 1")
-        matrix_json = (
-            json.dumps(d["matrix"]) if d.get("matrix") is not None else None
-        )
-        matrices = [
-            matrix_from_params(
-                shape,
-                generator,
-                rate,
-                seed=matrix_seed + k,
-                hotspots=int(d.get("hotspots", 1)),
-                hot_fraction=float(d.get("hot_fraction", 0.5)),
-                skew_exponent=float(d.get("skew_exponent", 1.0)),
-                matrix_json=matrix_json,
-                restarts=int(d.get("restarts", 3)),
-                steps=int(d.get("steps", 60)),
-                cores_per_chip=cores,
-                machine=machine,
-                route_computer=routes,
-            )
-            for k in range(epochs)
-        ]
-        demand = (
-            matrices[0]
-            if epochs == 1
-            else DemandSchedule.from_matrices(
-                matrices, int(d.get("epoch_length", 64))
-            )
-        )
-        mode = d.get("mode", "open")
-        return DemandSpec(
-            demand=demand,
-            cores_per_chip=cores,
-            mode=mode,
-            duration_cycles=int(d.get("duration", 256)) if mode == "open" else 0,
-            packets_scale=float(d.get("scale", 1.0)),
-            injection=d.get("injection", "bernoulli"),
-            seed=int(d.get("seed", seed)),
         )
 
     # --- advancing --------------------------------------------------------------
@@ -674,7 +520,7 @@ class Session:
         fresh session is oracle-identical), with every packet's timing
         shifted by the session's current cycle. Seed and cores default to
         the session's workload-level values -- the same defaults
-        :meth:`create` threads into :meth:`_demand_spec` -- so the same
+        :meth:`create` decodes the ``demand`` sub-dict under -- so the same
         ``demand`` dict denotes the same traffic on both surfaces; a
         ``cores`` key in ``demand_cfg`` overrides per submission. Packet
         ids restart at 0 per submission -- the engine tracks packets by
@@ -682,18 +528,22 @@ class Session:
         trace readers see it.
         """
         self._require_idle("submit_demand")
-        from repro.traffic.demand import generate_demand
+        from repro.sim.simulator import _field
+        from repro.traffic.demand import DemandSpec, generate_demand
 
         demand_cfg = demand_cfg or {}
         workload = self.workload if isinstance(self.workload, dict) else {}
-        spec = self._demand_spec(
-            demand_cfg,
-            self.machine.config.shape,
-            int(demand_cfg.get("cores", workload.get("cores", 2))),
-            int(workload.get("seed", 0)),
-            self.machine,
-            self.routes,
-        )
+        try:
+            spec = DemandSpec.from_params(
+                demand_cfg,
+                self.machine.config.shape,
+                _field(demand_cfg, "cores", workload.get("cores", 2)),
+                workload.get("seed", 0),
+                self.machine,
+                self.routes,
+            )
+        except ValueError as exc:
+            raise SessionError(str(exc))
         offset = self.engine.cycle
         packets = generate_demand(self.machine, self.routes, spec)
         for packet in packets:
@@ -714,7 +564,7 @@ class Session:
         self._require_idle("inject_fault")
         from repro.faults import FaultSet
 
-        fault_set = FaultSet.from_json(json.dumps(faults_obj))
+        fault_set = FaultSet.from_dict(faults_obj)
         scheduled = self.engine.schedule_faults(fault_set)
         self.faults_injected += scheduled
         return {

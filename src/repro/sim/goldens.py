@@ -55,7 +55,7 @@ from repro.core.machine import Machine, MachineConfig
 from repro.core.routing import RouteComputer
 
 from .endpoints import PingPongDriver
-from .simulator import RunSpec, run
+from .simulator import RunSpec, header_params, run
 from .trace import JsonlTraceWriter
 
 #: Repo-relative directory holding the committed golden artifacts.
@@ -85,101 +85,6 @@ def _run_golden(writer: JsonlTraceWriter, runspec: RunSpec, shards: int) -> None
     writer.write_record(record)
 
 
-def _batch_golden(
-    writer: JsonlTraceWriter,
-    shape,
-    endpoints: int,
-    pattern,
-    batch_size: int,
-    arbitration: str,
-    seed: int,
-    shards: int = 1,
-    fault_set=None,
-    topology: str = "torus",
-) -> None:
-    from repro.traffic.batch import BatchSpec
-
-    config = MachineConfig(
-        shape=shape, endpoints_per_chip=endpoints, topology=topology
-    )
-    spec = BatchSpec(
-        pattern,
-        packets_per_source=batch_size,
-        cores_per_chip=endpoints,
-        seed=seed,
-    )
-    _run_golden(
-        writer, RunSpec(config, spec, arbitration, fault_set=fault_set), shards
-    )
-
-
-def _run_uniform_2x2x2(writer: JsonlTraceWriter, shards: int = 1) -> None:
-    from repro.traffic.patterns import UniformRandom
-
-    _batch_golden(
-        writer,
-        shape=(2, 2, 2),
-        endpoints=2,
-        pattern=UniformRandom((2, 2, 2)),
-        batch_size=2,
-        arbitration="rr",
-        seed=5,
-        shards=shards,
-    )
-
-
-def _run_tornado_4x1x1(writer: JsonlTraceWriter, shards: int = 1) -> None:
-    from repro.traffic.patterns import Tornado
-
-    _batch_golden(
-        writer,
-        shape=(4, 1, 1),
-        endpoints=1,
-        pattern=Tornado((4, 1, 1)),
-        batch_size=4,
-        arbitration="iw",
-        seed=3,
-        shards=shards,
-    )
-
-
-def _run_faulted_2x2x2(writer: JsonlTraceWriter, shards: int = 1) -> None:
-    """Mid-run fault golden: two scheduled torus-link failures (one of
-    which recovers) under the reroute policy, pinning the fault sweep's
-    re-disposition semantics -- fault/reroute event ordering, credit
-    return for swept buffers, and the deterministic fault timeline."""
-    from repro.faults import FaultSet, FaultSpec
-    from repro.faults.model import failable_channels
-    from repro.traffic.patterns import UniformRandom
-
-    machine = Machine(MachineConfig(shape=(2, 2, 2), endpoints_per_chip=2))
-    torus = failable_channels(machine)
-    fault_set = FaultSet(
-        specs=(
-            FaultSpec(kind="link", channel=torus[0], down_cycle=12),
-            FaultSpec(
-                kind="link",
-                channel=torus[len(torus) // 2],
-                down_cycle=20,
-                up_cycle=40,
-            ),
-        ),
-        shape=(2, 2, 2),
-        note="golden faulted run",
-    )
-    _batch_golden(
-        writer,
-        shape=(2, 2, 2),
-        endpoints=2,
-        pattern=UniformRandom((2, 2, 2)),
-        batch_size=4,
-        arbitration="rr",
-        seed=5,
-        shards=shards,
-        fault_set=fault_set,
-    )
-
-
 def _run_demand_2x2x2(writer: JsonlTraceWriter, shards: int = 1) -> None:
     """Open-loop demand-matrix golden: a seeded hotspot matrix whose
     rates, hotspot count, and skew all shift at the cycle-32 epoch
@@ -204,44 +109,9 @@ def _run_demand_2x2x2(writer: JsonlTraceWriter, shards: int = 1) -> None:
     _run_golden(writer, RunSpec(config, spec), shards)
 
 
-def _run_mesh_4x4(writer: JsonlTraceWriter, shards: int = 1) -> None:
-    """Mesh-topology golden: pins line-dimension route construction and
-    the rule-2-only VC promotion discipline (no dateline ever crossed)."""
-    from repro.traffic.patterns import UniformRandom
-
-    _batch_golden(
-        writer,
-        shape=(4, 4),
-        endpoints=1,
-        pattern=UniformRandom((4, 4, 1)),
-        batch_size=2,
-        arbitration="rr",
-        seed=5,
-        shards=shards,
-        topology="mesh",
-    )
-
-
-def _run_chiplet_2x2(writer: JsonlTraceWriter, shards: int = 1) -> None:
-    """Chiplet-topology golden: pins interposer channel timing (3/2
-    cycles per flit => 2 ticks per cycle) and the exhaustive analytic
-    load path behind the inverse-weight arbitration tables."""
-    from repro.traffic.patterns import UniformRandom
-
-    _batch_golden(
-        writer,
-        shape=(2, 2),
-        endpoints=2,
-        pattern=UniformRandom((2, 2, 1)),
-        batch_size=3,
-        arbitration="iw",
-        seed=9,
-        shards=shards,
-        topology="chiplet",
-    )
-
-
-def _run_pingpong_2x2x2(writer: JsonlTraceWriter) -> None:
+def _run_pingpong_2x2x2(writer: JsonlTraceWriter, shards: int = 1) -> None:
+    # Never sharded (SHARDABLE_GOLDEN_NAMES): the delivery hook re-injects
+    # at the replying endpoint, which may live in another shard.
     machine = Machine(MachineConfig(shape=(2, 2, 2), endpoints_per_chip=1))
     routes = RouteComputer(machine)
     driver = PingPongDriver(
@@ -264,106 +134,114 @@ def _run_pingpong_2x2x2(writer: JsonlTraceWriter) -> None:
     )
 
 
-#: Name -> (runner, header metadata). Metadata pins the run spec in the
-#: trace header so a golden file is self-describing.
-_GOLDEN_RUNS = {
-    "uniform_2x2x2": (
-        _run_uniform_2x2x2,
-        {
-            "name": "uniform_2x2x2",
-            "shape": [2, 2, 2],
-            "endpoints": 2,
-            "arb": "rr",
-            "cores": 2,
-            "pattern": "uniform",
-            "batch": 2,
-            "seed": 5,
-            "workload": "batch uniform x2 rr seed5",
-        },
-    ),
-    "tornado_4x1x1": (
-        _run_tornado_4x1x1,
-        {
-            "name": "tornado_4x1x1",
-            "shape": [4, 1, 1],
-            "endpoints": 1,
-            "arb": "iw",
-            "cores": 1,
-            "pattern": "tornado",
-            "batch": 4,
-            "seed": 3,
-            "workload": "batch tornado x4 iw seed3",
-        },
-    ),
-    "faulted_2x2x2": (
-        _run_faulted_2x2x2,
-        {
-            "name": "faulted_2x2x2",
-            "shape": [2, 2, 2],
-            "endpoints": 2,
-            "arb": "rr",
-            "cores": 2,
-            "pattern": "uniform",
-            "batch": 4,
-            "seed": 5,
-            "workload": "batch uniform x4 rr seed5 faults2 reroute",
-        },
-    ),
-    "pingpong_2x2x2": (
-        _run_pingpong_2x2x2,
-        {
-            "name": "pingpong_2x2x2",
-            "shape": [2, 2, 2],
-            "endpoints": 1,
-            "arb": "rr",
-            "cores": 1,
-            "workload": "pingpong corner-to-corner rounds3 overhead20",
-        },
-    ),
-    "demand_2x2x2": (
-        _run_demand_2x2x2,
-        {
-            "name": "demand_2x2x2",
-            "shape": [2, 2, 2],
-            "endpoints": 2,
-            "arb": "rr",
-            "cores": 2,
-            "workload": "demand hotspot 2-epoch open dur64 seed7",
-        },
-    ),
-    "mesh_4x4": (
-        _run_mesh_4x4,
-        {
-            "name": "mesh_4x4",
-            "topology": "mesh",
-            "shape": [4, 4],
-            "endpoints": 1,
-            "arb": "rr",
-            "cores": 1,
-            "pattern": "uniform",
-            "batch": 2,
-            "seed": 5,
-            "workload": "batch uniform x2 rr seed5 topology=mesh",
-        },
-    ),
-    "chiplet_2x2": (
-        _run_chiplet_2x2,
-        {
-            "name": "chiplet_2x2",
-            "topology": "chiplet",
-            "shape": [2, 2],
-            "endpoints": 2,
-            "arb": "iw",
-            "cores": 2,
-            "pattern": "uniform",
-            "batch": 3,
-            "seed": 9,
-            "workload": "batch uniform x3 iw seed9 topology=chiplet",
-        },
-    ),
+#: Name -> trace-header metadata. The header pins the run in the trace
+#: (a golden file is self-describing) and, read back as the parameter
+#: form (:func:`~repro.sim.simulator.header_params`), *is* the run --
+#: except for the hand-built ones below.
+_GOLDEN_HEADERS = {
+    "uniform_2x2x2": {
+        "name": "uniform_2x2x2",
+        "shape": [2, 2, 2],
+        "endpoints": 2,
+        "arb": "rr",
+        "cores": 2,
+        "pattern": "uniform",
+        "batch": 2,
+        "seed": 5,
+        "workload": "batch uniform x2 rr seed5",
+    },
+    "tornado_4x1x1": {
+        "name": "tornado_4x1x1",
+        "shape": [4, 1, 1],
+        "endpoints": 1,
+        "arb": "iw",
+        "cores": 1,
+        "pattern": "tornado",
+        "batch": 4,
+        "seed": 3,
+        "workload": "batch tornado x4 iw seed3",
+    },
+    "faulted_2x2x2": {
+        "name": "faulted_2x2x2",
+        "shape": [2, 2, 2],
+        "endpoints": 2,
+        "arb": "rr",
+        "cores": 2,
+        "pattern": "uniform",
+        "batch": 4,
+        "seed": 5,
+        "workload": "batch uniform x4 rr seed5 faults2 reroute",
+    },
+    "pingpong_2x2x2": {
+        "name": "pingpong_2x2x2",
+        "shape": [2, 2, 2],
+        "endpoints": 1,
+        "arb": "rr",
+        "cores": 1,
+        "workload": "pingpong corner-to-corner rounds3 overhead20",
+    },
+    "demand_2x2x2": {
+        "name": "demand_2x2x2",
+        "shape": [2, 2, 2],
+        "endpoints": 2,
+        "arb": "rr",
+        "cores": 2,
+        "workload": "demand hotspot 2-epoch open dur64 seed7",
+    },
+    "mesh_4x4": {
+        "name": "mesh_4x4",
+        "topology": "mesh",
+        "shape": [4, 4],
+        "endpoints": 1,
+        "arb": "rr",
+        "cores": 1,
+        "pattern": "uniform",
+        "batch": 2,
+        "seed": 5,
+        "workload": "batch uniform x2 rr seed5 topology=mesh",
+    },
+    "chiplet_2x2": {
+        "name": "chiplet_2x2",
+        "topology": "chiplet",
+        "shape": [2, 2],
+        "endpoints": 2,
+        "arb": "iw",
+        "cores": 2,
+        "pattern": "uniform",
+        "batch": 3,
+        "seed": 9,
+        "workload": "batch uniform x3 iw seed9 topology=chiplet",
+    },
 }
 
-GOLDEN_NAMES = tuple(_GOLDEN_RUNS)
+#: Run parameters a header does not spell. The faulted golden's set --
+#: two scheduled torus-link failures (the first and the middle failable
+#: channel of the 2x2x2 machine), one of which recovers, under the
+#: default reroute policy -- pins the fault sweep's re-disposition
+#: semantics: fault/reroute event ordering, credit return for swept
+#: buffers, and the deterministic fault timeline.
+_GOLDEN_EXTRA_PARAMS = {
+    "faulted_2x2x2": {
+        "faults": {
+            "version": 1,
+            "shape": [2, 2, 2],
+            "note": "golden faulted run",
+            "faults": [
+                {"kind": "link", "channel": 640, "down": 12},
+                {"kind": "link", "channel": 688, "down": 20, "up": 40},
+            ],
+        },
+    },
+}
+
+#: Goldens no parameter form expresses: a two-epoch schedule whose every
+#: generator parameter shifts, and a delivery-hook driver.
+_HAND_BUILT = {
+    "demand_2x2x2": _run_demand_2x2x2,
+    "pingpong_2x2x2": _run_pingpong_2x2x2,
+}
+
+GOLDEN_NAMES = tuple(_GOLDEN_HEADERS)
 
 #: Goldens that can be regenerated through the sharded runner. Pingpong
 #: is driven by a delivery hook that re-injects at the replying
@@ -387,9 +265,7 @@ def write_golden(name: str, stream: IO[str], shards: int = 1) -> int:
     the serial rendering -- CI regenerates goldens under ``--shards 2``
     and ``--shards 4`` and diffs against the committed files.
     """
-    try:
-        runner, meta = _GOLDEN_RUNS[name]
-    except KeyError:
+    if name not in _GOLDEN_HEADERS:
         raise ValueError(
             f"unknown golden trace {name!r}; known: {', '.join(GOLDEN_NAMES)}"
         )
@@ -398,20 +274,20 @@ def write_golden(name: str, stream: IO[str], shards: int = 1) -> int:
             f"golden trace {name!r} cannot run sharded; shardable: "
             f"{', '.join(SHARDABLE_GOLDEN_NAMES)}"
         )
-    machine_meta = dict(meta)
-    shape = tuple(machine_meta["shape"])
-    machine_meta["tpc"] = Machine(
+    meta = dict(_GOLDEN_HEADERS[name])
+    meta["tpc"] = Machine(
         MachineConfig(
-            shape=shape,
-            endpoints_per_chip=machine_meta["endpoints"],
-            topology=machine_meta.get("topology", "torus"),
+            shape=tuple(meta["shape"]),
+            endpoints_per_chip=meta["endpoints"],
+            topology=meta.get("topology", "torus"),
         )
     ).ticks_per_cycle
-    writer = JsonlTraceWriter(stream, meta=machine_meta)
-    if shards > 1:
-        runner(writer, shards=shards)
+    writer = JsonlTraceWriter(stream, meta=meta)
+    if name in _HAND_BUILT:
+        _HAND_BUILT[name](writer, shards)
     else:
-        runner(writer)
+        params = dict(header_params(meta), **_GOLDEN_EXTRA_PARAMS.get(name, {}))
+        _run_golden(writer, RunSpec.from_params(params), shards)
     writer.flush()
     return writer.events_written
 

@@ -8,6 +8,14 @@ simulates it, serially or sharded:
     spec = BatchSpec(UniformRandom(config.shape), 64, cores_per_chip=4)
     stats = run(RunSpec(config, spec, arbitration="iw"))
 
+A run also has one *serialised* form, the flat parameter mapping a
+serve ``create`` request carries (``kind``/``topology``/``shape``/
+``endpoints``/``cores``/``arbitration``/``seed``/``pattern``/``batch``/
+``demand{...}``/``faults``/``policy{mode,retries}``): command-line flags
+and the golden tables spell the same keys, :meth:`RunSpec.from_params`
+is their one decoder, and :func:`trace_header` writes what ``repro
+replay`` reads back (:func:`header_params`).
+
 Every surface (CLI commands, goldens, serve sessions, sweeps, the shard
 hub and its workers) describes its run this way and goes through
 :func:`build`, which owns three rules:
@@ -197,6 +205,23 @@ def arbiter_builder_for(
 # --- one description of a run, one builder ----------------------------------------
 
 
+#: Workload kinds the parameter form may name.
+RUN_KINDS = ("batch", "demand", "idle")
+
+
+def _field(params: dict, key: str, default, kind=int):
+    """``params[key]`` (else ``default``) as a ``kind``: an integer, or
+    for ``float`` any real number -- never a bool, a string or ``None``."""
+    value = params.get(key, default)
+    accepted = (int, float) if kind is float else int
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValueError(
+            f"{key!r} must be {'a number' if kind is float else 'an integer'}, "
+            f"got {value!r}"
+        )
+    return kind(value)
+
+
 @dataclasses.dataclass(frozen=True)
 class RunSpec:
     """Picklable description of one experiment: everything a run depends on.
@@ -218,6 +243,155 @@ class RunSpec:
     weight_bits: int = DEFAULT_WEIGHT_BITS
     fault_set: Optional[object] = None
     fault_policy: Optional[object] = None
+
+    @classmethod
+    def from_params(cls, params: dict) -> "RunSpec":
+        """Decode the parameter form of a run (DESIGN.md section 17).
+
+        The one place that checks field types and names the offending
+        key in a ``ValueError``. Absent keys take the wire defaults (a
+        2x2x2 torus, 2 endpoints, 2 cores, ``rr``, seed 0, ``uniform`` x
+        8); unknown keys are ignored, so a trace header decodes too
+        (:func:`header_params`). ``kind`` is ``batch``, ``demand`` (its
+        sub-dict goes to :meth:`DemandSpec.from_params`) or ``idle`` --
+        no workload, ``spec`` is ``None``: a serve session fed later, or
+        a command that only wants the machine and its faults. ``faults``
+        is a fault set's JSON object; ``policy`` alone attaches an empty
+        set (it enables a session's live ``inject_fault``).
+        """
+        kind = params.get("kind", "idle")
+        if kind not in RUN_KINDS:
+            raise ValueError(
+                f"unknown workload kind {kind!r}; known: {RUN_KINDS}"
+            )
+        shape = params.get("shape", (2, 2, 2))
+        if (
+            not isinstance(shape, (list, tuple))
+            or len(shape) not in (2, 3)
+            or not all(type(k) is int and k >= 1 for k in shape)
+        ):
+            raise ValueError(
+                f"'shape' must be 2 or 3 positive integers, got {shape!r}"
+            )
+        config = MachineConfig(
+            shape=tuple(shape),
+            endpoints_per_chip=_field(params, "endpoints", 2),
+            topology=params.get("topology", "torus"),
+        )
+        cores = _field(params, "cores", 2)
+        arbitration = params.get("arbitration", "rr")
+        if arbitration not in ("rr", "age", "iw"):
+            raise ValueError(
+                f"arbitration must be rr, age, or iw, got {arbitration!r}"
+            )
+        seed = _field(params, "seed", 0)
+
+        fault_set = fault_policy = None
+        if params.get("faults") is not None or "policy" in params:
+            from repro.faults import FaultPolicy, FaultSet
+
+            faults, policy = params.get("faults"), params.get("policy") or {}
+            for key, value in (("faults", faults), ("policy", policy)):
+                if value is not None and not isinstance(value, dict):
+                    raise ValueError(f"{key!r} must be a JSON object")
+            if faults is not None:
+                fault_set = FaultSet.from_dict(faults)
+            else:
+                fault_set = FaultSet(shape=config.shape, topology=config.topology)
+            fault_policy = FaultPolicy(
+                mode=policy.get("mode", "reroute"),
+                max_retries=_field(policy, "retries", 4),
+            )
+        run = cls(
+            config, None, arbitration,
+            fault_set=fault_set, fault_policy=fault_policy,
+        )
+        if kind == "idle":
+            return run
+        if kind == "batch":
+            from repro.traffic.batch import BatchSpec
+            from repro.traffic.patterns import pattern_factories
+
+            # Patterns key off the normalized 3-tuple ("shape": [4, 4]).
+            factories = pattern_factories(config.shape)
+            name = params.get("pattern", "uniform")
+            if name not in factories:
+                raise ValueError(
+                    f"unknown pattern {name!r}; known: "
+                    f"{', '.join(sorted(factories))}"
+                )
+            spec = BatchSpec(
+                factories[name](), _field(params, "batch", 8), cores, seed=seed
+            )
+        else:
+            from repro.traffic.demand import DemandSpec
+
+            demand = params.get("demand") or {}
+            # Only the adversarial generator routes while it decodes: its
+            # search runs on this run's own (fault-aware) computer, as the
+            # degraded machine's workload generation does.
+            context = ()
+            if isinstance(demand, dict) and demand.get("generator") == "adversarial":
+                context = run_context(run)[:2]
+            spec = DemandSpec.from_params(
+                demand, config.shape, cores, seed, *context
+            )
+        return dataclasses.replace(run, spec=spec)
+
+
+def header_params(header: dict) -> dict:
+    """The parameter form a batch trace header spells.
+
+    A header says ``arb`` for the form's ``arbitration`` and has no
+    ``kind``; its other keys (``topology``, ``shape``, ``endpoints``,
+    ``cores``, ``pattern``, ``batch``, ``seed``) are the form's own. The
+    golden tables and ``repro replay`` read headers back through this.
+    """
+    return dict(header, kind="batch", arbitration=header.get("arb", "rr"))
+
+
+def trace_header(params: dict, run: RunSpec, machine: Machine) -> dict:
+    """Trace-header metadata of the run ``params`` decodes to.
+
+    One writer behind ``repro trace``, ``checkpoint save``, ``faults
+    run`` and ``demand``, so a checkpointed-and-resumed trace is byte-
+    identical to an uninterrupted one (same record, same key order) and
+    the trace is self-describing: ``repro replay`` rebuilds the machine
+    from ``shape``/``endpoints``/``topology``/``tpc`` and a batch's ``iw``
+    weight tables from ``pattern``/``cores``. ``pattern`` is therefore the
+    factory key the params name (``1hop``), not ``pattern.name``
+    (``1-hop-neighbor``), which only labels ``workload``.
+    """
+    config, spec = run.config, run.spec
+    meta = {
+        "shape": list(config.shape),
+        "endpoints": config.endpoints_per_chip,
+        "tpc": machine.ticks_per_cycle,
+        "arb": run.arbitration,
+        "cores": spec.cores_per_chip,
+    }
+    if _is_demand(run):
+        meta["workload"] = (
+            f"demand {spec.schedule.name} {spec.mode} "
+            f"{spec.injection} seed{spec.seed}"
+        )
+    else:
+        meta["pattern"] = params.get("pattern", "uniform")
+        meta["batch"] = spec.packets_per_source
+        meta["seed"] = spec.seed
+        meta["workload"] = (
+            f"batch {spec.pattern.name} x{spec.packets_per_source} "
+            f"{run.arbitration} seed{spec.seed}"
+        )
+    # Only non-default topologies annotate the header, so every torus
+    # trace (goldens included) keeps its exact bytes.
+    if config.topology != "torus":
+        meta["topology"] = config.topology
+        meta["workload"] += f" topology={config.topology}"
+    if run.fault_set is not None:
+        meta["faults"] = len(run.fault_set)
+        meta["policy"] = run.fault_policy.mode
+    return meta
 
 
 def run_context(run: RunSpec, machine: Optional[Machine] = None):

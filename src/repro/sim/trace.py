@@ -111,7 +111,11 @@ class TraceEvent(NamedTuple):
 
     @classmethod
     def from_json(cls, line: str) -> "TraceEvent":
-        obj = json.loads(line)
+        return cls.from_obj(json.loads(line))
+
+    @classmethod
+    def from_obj(cls, obj: dict) -> "TraceEvent":
+        """The event an already-decoded JSON line spells."""
         extra = tuple(
             (key, value)
             for key, value in obj.items()
@@ -243,7 +247,7 @@ def read_trace(lines: Iterable[str]) -> Tuple[List[dict], List[TraceEvent]]:
             continue
         obj = json.loads(line)
         if obj.get("ev") in EVENT_KINDS:
-            events.append(TraceEvent.from_json(line))
+            events.append(TraceEvent.from_obj(obj))
         else:
             records.append(obj)
     return records, events

@@ -559,6 +559,74 @@ class DemandSpec:
     def schedule(self) -> DemandSchedule:
         return as_schedule(self.demand)
 
+    @classmethod
+    def from_params(
+        cls, d: dict, shape: Coord3, cores: int, seed: int,
+        machine: Optional[Machine] = None,
+        route_computer: Optional[RouteComputer] = None,
+    ) -> "DemandSpec":
+        """Decode the ``demand`` sub-dict of a run's parameter form
+        (:meth:`repro.sim.simulator.RunSpec.from_params`; also a serve
+        ``submit_demand`` request). ``shape``, ``cores`` and ``seed`` are
+        the enclosing run's.
+
+        Keys mirror ``repro demand``: ``generator``/``rate``/
+        ``matrix_seed`` (+ generator-specific ``hotspots``,
+        ``hot_fraction``, ``skew_exponent``, ``restarts``, ``steps``, or
+        an inline ``matrix`` object for ``generator="file"``) choose the
+        matrix per epoch (epoch ``k`` draws from ``matrix_seed + k``, so
+        multi-epoch runs evolve while staying a pure function of the
+        parameters); ``epochs``/``epoch_length`` build a schedule;
+        ``mode``/``duration``/``scale``/``injection``/``seed``
+        parameterize emission. ``machine``/``route_computer`` are what
+        the adversarial search routes on.
+        """
+        from repro.sim.simulator import _field
+
+        if not isinstance(d, dict):
+            raise ValueError("'demand' must be a JSON object")
+        epochs = _field(d, "epochs", 1)
+        if epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {epochs}")
+        matrix_seed = _field(d, "matrix_seed", 0)
+        matrix_json = (
+            json.dumps(d["matrix"]) if d.get("matrix") is not None else None
+        )
+        matrices = [
+            matrix_from_params(
+                shape,
+                d.get("generator", "uniform"),
+                _field(d, "rate", 0.1, float),
+                seed=matrix_seed + k,
+                hotspots=_field(d, "hotspots", 1),
+                hot_fraction=_field(d, "hot_fraction", 0.5, float),
+                skew_exponent=_field(d, "skew_exponent", 1.0, float),
+                matrix_json=matrix_json,
+                restarts=_field(d, "restarts", 3),
+                steps=_field(d, "steps", 60),
+                cores_per_chip=cores,
+                machine=machine,
+                route_computer=route_computer,
+            )
+            for k in range(epochs)
+        ]
+        mode = d.get("mode", "open")
+        return cls(
+            demand=(
+                matrices[0]
+                if epochs == 1
+                else DemandSchedule.from_matrices(
+                    matrices, _field(d, "epoch_length", 64)
+                )
+            ),
+            cores_per_chip=cores,
+            mode=mode,
+            duration_cycles=_field(d, "duration", 256) if mode == "open" else 0,
+            packets_scale=_field(d, "scale", 1.0, float),
+            injection=d.get("injection", "bernoulli"),
+            seed=_field(d, "seed", seed),
+        )
+
 
 def generate_demand(
     machine: Machine, route_computer: RouteComputer, spec: DemandSpec

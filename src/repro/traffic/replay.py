@@ -48,7 +48,7 @@ from repro.core.geometry import all_coords
 from repro.core.machine import ChannelKind, ComponentKind, Machine, MachineConfig
 from repro.core.routing import Route, RouteChoice
 from repro.sim.packet import Packet
-from repro.sim.trace import EVENT_KINDS, TraceEvent, read_trace
+from repro.sim.trace import EVENT_KINDS, TraceEvent
 
 #: Event kinds whose presence makes a trace non-replayable.
 FAULT_KINDS = ("fault", "reroute", "drop", "retry")
@@ -203,24 +203,34 @@ def load_replay(lines) -> ReplayWorkload:
     missing machine metadata, fault events, truncation, or metadata
     records interleaved with events.
     """
+    return _load(lines)[0]
+
+
+def _load(lines) -> Tuple[ReplayWorkload, Machine]:
+    """:func:`load_replay`, plus the machine it elaborated on the way:
+    every line is decoded once, and :func:`replay_trace` runs on the same
+    machine the packets were reconstructed against."""
     import json
 
     raw = [line.rstrip("\n") for line in lines if line.strip()]
     if not raw:
         raise ReplayError("empty trace")
-    kinds = []
+    records, events = [], []
+    prologue, epilogue = [], []
+    interleaved = False
     for line in raw:
         obj = json.loads(line)
-        kinds.append(obj.get("ev") in EVENT_KINDS)
-    first_event = kinds.index(True) if any(kinds) else len(raw)
-    last_event = len(kinds) - 1 - kinds[::-1].index(True) if any(kinds) else -1
-    if not all(kinds[first_event : last_event + 1]):
+        if obj.get("ev") in EVENT_KINDS:
+            # An event after a trailing record: the record sits mid-stream.
+            interleaved = interleaved or bool(epilogue)
+            events.append(TraceEvent.from_obj(obj))
+        else:
+            records.append(obj)
+            (epilogue if events else prologue).append(line)
+    if interleaved:
         raise ReplayError(
             "metadata records interleaved with events; cannot replay verbatim"
         )
-    prologue = raw[:first_event]
-    epilogue = raw[last_event + 1 :]
-    records, events = read_trace(raw)
 
     header = records[0] if records else {}
     if header.get("ev") != "trace":
@@ -257,7 +267,7 @@ def load_replay(lines) -> ReplayWorkload:
             f"trace timebase tpc={tpc} does not match the machine's "
             f"{machine.ticks_per_cycle}"
         )
-    return ReplayWorkload(
+    workload = ReplayWorkload(
         shape=machine.config.shape,
         endpoints_per_chip=machine.config.endpoints_per_chip,
         topology=machine.config.topology,
@@ -270,6 +280,26 @@ def load_replay(lines) -> ReplayWorkload:
         pattern=header.get("pattern"),
         cores=header.get("cores"),
     )
+    return workload, machine
+
+
+def _header_weight_patterns(workload: ReplayWorkload) -> list:
+    """The pattern behind an ``iw`` trace's weight tables, decoded from
+    its header like any other spelling of a run."""
+    from repro.sim.simulator import RunSpec, header_params
+
+    if workload.pattern is None:
+        raise ReplayError(
+            "trace header records no 'pattern'; cannot rebuild the iw "
+            "weight tables (override with --arbitration rr or age)"
+        )
+    try:
+        return [RunSpec.from_params(header_params(workload.header)).spec.pattern]
+    except ValueError as exc:
+        raise ReplayError(
+            f"trace header: {exc}; replay via the API with explicit "
+            f"weight_patterns"
+        )
 
 
 def build_replay_engine(
@@ -285,8 +315,9 @@ def build_replay_engine(
     recorded packets stand in for generation. ``arbitration`` defaults
     to the trace header's ``arb`` field (falling back to round-robin).
     A trace has no pattern of its own, so ``iw`` needs
-    ``weight_patterns`` to reprogram the weight tables -- the CLI
-    reconstructs them from the header's ``pattern``/``cores`` fields.
+    ``weight_patterns`` to reprogram the weight tables --
+    :func:`replay_trace` reconstructs them from the header's
+    ``pattern``/``cores`` fields.
     """
     from repro.core.routing import RouteComputer
     from repro.sim.simulator import RunSpec, build
@@ -321,12 +352,14 @@ def replay_trace(
     When ``out_stream`` is given, the replayed trace is written to it:
     the original metadata records verbatim, the regenerated events in
     between. For a faithful replay the output is byte-identical to the
-    input.
+    input. An ``iw`` replay given no ``weight_patterns`` programs its
+    tables from the pattern the trace header names.
     """
     from repro.sim.trace import JsonlTraceWriter
 
-    workload = load_replay(lines)
-    machine = Machine(workload.config)
+    workload, machine = _load(lines)
+    if (arbitration or workload.arbitration) == "iw" and not weight_patterns:
+        weight_patterns = _header_weight_patterns(workload)
     writer = None
     if out_stream is not None:
         for line in workload.prologue:

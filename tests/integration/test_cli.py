@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main, parse_endpoint, parse_shape
@@ -434,16 +436,16 @@ class TestDemandOnTwoAxisTopologies:
         import json
 
         from repro.serve.session import Session
-        from repro.traffic import demand
+        from repro.sim import simulator
 
         captured = []
-        run_demand = demand.run_demand
+        run = simulator.run
 
         def recording(*args, **kwargs):
-            captured.append(run_demand(*args, **kwargs))
+            captured.append(run(*args, **kwargs))
             return captured[-1]
 
-        monkeypatch.setattr(demand, "run_demand", recording)
+        monkeypatch.setattr(simulator, "run", recording)
         code = main(
             [
                 "demand", "--topology", "mesh", "--shape", "4x4",
@@ -502,3 +504,151 @@ class TestReplayCommand:
         ) == 0
         assert main(["replay", str(trace), "--verify"]) == 0
         assert "byte-identical" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "topology,shape", [("torus", "2x2x2"), ("mesh", "4x4"), ("chiplet", "2x2")]
+    )
+    def test_demand_trace_round_trips_on_every_topology(
+        self, topology, shape, tmp_path, capsys
+    ):
+        # Before PR 16 `repro demand` built its own header and left the
+        # topology out: mesh traces replayed as a torus (DIVERGED), chiplet
+        # ones died on the tpc check.
+        import json
+
+        trace = tmp_path / "demand.jsonl"
+        assert main(
+            [
+                "demand", "--topology", topology, "--shape", shape,
+                "--duration", "32", "--trace", str(trace),
+            ]
+        ) == 0
+        header = json.loads(trace.read_text().splitlines()[0])
+        assert header.get("topology") == (None if topology == "torus" else topology)
+        assert main(["replay", str(trace), "--verify"]) == 0
+        assert "byte-identical" in capsys.readouterr().out
+
+    def test_replay_parses_each_line_and_builds_the_machine_once(
+        self, monkeypatch, capsys
+    ):
+        # An iw trace: the header -> weight-pattern step is replay's own.
+        import json
+
+        from repro.sim.goldens import committed_golden_path
+        from repro.traffic import replay
+
+        path = committed_golden_path("tornado_4x1x1")
+        lines = len(path.read_text().splitlines())
+        counts = {"machines": 0, "decoded": 0}
+        machine_cls, loads = replay.Machine, json.loads
+
+        def counting_machine(config):
+            counts["machines"] += 1
+            return machine_cls(config)
+
+        def counting_loads(text, *args, **kwargs):
+            counts["decoded"] += 1
+            return loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(replay, "Machine", counting_machine)
+        monkeypatch.setattr(json, "loads", counting_loads)
+        assert main(["replay", str(path), "--verify"]) == 0
+        assert "(iw); round-trip byte-identical" in capsys.readouterr().out
+        assert counts == {"machines": 1, "decoded": lines}
+
+
+class TestFaultFileMachineRule:
+    """Explicit flag > fault file > the command's default, on every
+    command that takes a fault file (PR 16: `run` and `demand` used to
+    ignore the file's machine because their flags defaulted to 4x4x4)."""
+
+    COMMANDS = {
+        "run": lambda path: ["run", "--fault-file", path],
+        "demand": lambda path: ["demand", "--duration", "16", "--fault-file", path],
+        "faults run": lambda path: ["faults", "run", path],
+    }
+
+    def _sample(self, tmp_path, capsys, *machine_args):
+        path = tmp_path / "faults.json"
+        assert main(
+            ["faults", "sample", "-k", "1", "--out", str(path)] + list(machine_args)
+        ) == 0
+        capsys.readouterr()
+        return str(path)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_the_files_machine_wins_over_the_default(
+        self, command, tmp_path, capsys
+    ):
+        path = self._sample(tmp_path, capsys, "--shape", "2x2x2")
+        argv = self.COMMANDS[command](path)
+        assert main(argv) == 0
+        implied = capsys.readouterr().out
+        assert main(argv + ["--shape", "2x2x2", "--topology", "torus"]) == 0
+        explicit = capsys.readouterr().out
+        strip = lambda text: text.split(" cycles")[0]  # drop run's wall time
+        assert strip(implied) == strip(explicit)
+        assert "delivered" in implied
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_an_explicit_shape_wins_and_the_mismatch_is_named(
+        self, command, tmp_path, capsys
+    ):
+        path = self._sample(tmp_path, capsys, "--shape", "2x2x2")
+        assert main(self.COMMANDS[command](path) + ["--shape", "4x2x2"]) == 1
+        assert capsys.readouterr().err == (
+            "error: fault set was drawn for shape (2, 2, 2), machine is "
+            "(4, 2, 2)\n"
+        )
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_a_two_axis_shape_takes_the_files_topology(
+        self, command, tmp_path, capsys
+    ):
+        path = self._sample(tmp_path, capsys, "--topology", "mesh", "--shape", "3x3")
+        assert main(self.COMMANDS[command](path) + ["--shape", "3x3"]) == 0
+        assert "delivered" in capsys.readouterr().out
+
+    def test_without_a_fault_file_the_defaults_are_the_old_ones(self, capsys):
+        assert main(["run", "--batch", "1"]) == 0
+        assert "128 of 128 delivered" in capsys.readouterr().out  # 4x4x4 x 2 cores
+
+    def test_serial_run_takes_the_retry_policy(self, tmp_path, capsys):
+        # `run --retries` was a flag nothing read: --policy had no `retry`.
+        path = self._sample(
+            tmp_path, capsys, "--shape", "4x2x2", "-k", "2", "--down", "10"
+        )
+        policy = ["--policy", "retry", "--retries", "3", "--batch", "4"]
+        assert main(["faults", "run", path] + policy) == 0
+        reference = capsys.readouterr().out
+        assert main(["run", "--fault-file", path] + policy) == 0
+        out = capsys.readouterr().out
+        served = re.search(
+            r"(\d+) delivered, (\d+) dropped, (\d+) rerouted, (\d+) retried",
+            reference,
+        ).groups()
+        assert int(served[3]) > 0  # the policy was exercised
+        assert re.search(
+            r"(\d+) of \d+ delivered, (\d+) dropped, (\d+) rerouted", out
+        ).groups() == served[:3]
+        assert main(["run", "--fault-file", path, "--shards", "2"] + policy) == 1
+        assert "retry fault policy is not supported in sharded runs" in (
+            capsys.readouterr().err
+        )
+
+
+def test_demand_rejects_a_matrix_file_it_would_not_read(tmp_path, capsys):
+    from repro.traffic.demand import DemandMatrix
+
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(DemandMatrix.uniform((2, 2, 2), 0.2).to_json())
+    argv = ["demand", "--shape", "2x2x2", "--duration", "8",
+            "--matrix-file", str(matrix)]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "error: --matrix-file is only read by --generator file, not "
+        "--generator hotspot\n"
+    )
+    assert main(argv + ["--generator", "file"]) == 0
+    assert "injected" in capsys.readouterr().out

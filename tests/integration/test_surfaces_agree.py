@@ -4,10 +4,15 @@ One :class:`~repro.sim.simulator.RunSpec` per row; the library runner is
 the reference, and each other way of saying the same thing -- the shard
 runner, four CLI commands, a serve session stepped to drain -- must
 report the same statistics (the full ``SimStats.asdict()`` where the
-surface exposes it, every field it prints where it does not). Rows:
-{healthy, one static link fault} x {rr, iw} on a 4x2x2 torus, and the
-healthy pair on a 4x4 mesh. The seed of the ROADMAP's differential
-harness; the pairwise oracle suites stay until it grows.
+surface exposes it, every field it prints where it does not). Batch
+rows: {healthy, one static link fault} x {rr, iw} on a 4x2x2 torus, and
+the healthy pair on a 4x4 mesh; the faulted ones also run with
+``--shape``/``--topology`` left to the fault file. Demand rows: one
+parameter mapping decoded by the library, spelled as ``repro demand``
+flags, and sent as a serve workload -- open and closed loop, torus and
+mesh, multi-epoch, one faulted without ``--shape``. The seed of the
+ROADMAP's differential harness; the pairwise oracle suites stay until
+it grows.
 """
 
 import asyncio
@@ -37,6 +42,9 @@ ROWS = [
     for faulted in fault_options
     for arbitration in ("rr", "iw")
 ]
+
+
+_WALL = re.compile(r"\([\d,]+ cycles/s, [\d.]+s wall\)")
 
 
 def _ints(pattern: str, text: str) -> tuple:
@@ -111,6 +119,11 @@ def test_surfaces_agree(topology, shape, faulted, arbitration, tmp_path, capsys)
         assert _ints(r"(\d+) dropped, (\d+) rerouted", out) == (
             stats.dropped, stats.rerouted
         )
+        # The file records its machine: the same run without saying it twice.
+        assert main(
+            ["run", "--endpoints", str(ENDPOINTS)] + batch_args + fault_args
+        ) == 0
+        assert _WALL.sub("", capsys.readouterr().out) == _WALL.sub("", out)
         assert main(
             ["faults", "run", str(fault_file), "--endpoints", str(ENDPOINTS)]
             + batch_args
@@ -150,6 +163,97 @@ def test_surfaces_agree(topology, shape, faulted, arbitration, tmp_path, capsys)
     if faulted:
         workload["faults"] = json.loads(fault_set.to_json())
     session = Session.create("surfaces", workload)
+    while not session.drained:
+        asyncio.run(session.advance(16))
+    assert json.dumps(session.stats_payload()["stats"]) == reference
+
+
+#: One static link fault on the 4x2x2 torus, as its wire object.
+FAULTS_4X2X2 = {
+    "version": 1, "shape": [4, 2, 2],
+    "faults": [{"kind": "link", "channel": 1300, "down": 0}],
+}
+
+DEMAND_ROWS = {
+    "torus-open": {
+        "shape": [2, 2, 2], "arbitration": "rr", "seed": 3,
+        "demand": {"generator": "hotspot", "rate": 0.3, "duration": 48},
+    },
+    "torus-closed-iw": {
+        "shape": [2, 2, 2], "arbitration": "iw", "seed": 1,
+        "demand": {"generator": "skew", "rate": 0.5, "skew_exponent": 1.5,
+                   "mode": "closed", "scale": 12.0},
+    },
+    "mesh-open-paced": {
+        "topology": "mesh", "shape": [4, 4], "arbitration": "rr", "seed": 2,
+        "demand": {"generator": "permutation", "rate": 0.25, "matrix_seed": 6,
+                   "duration": 40, "injection": "paced"},
+    },
+    "torus-multi-epoch": {
+        "shape": [4, 2, 2], "arbitration": "age", "seed": 9,
+        "demand": {"generator": "hotspot", "rate": 0.3, "hotspots": 2,
+                   "hot_fraction": 0.4, "matrix_seed": 4, "epochs": 3,
+                   "epoch_length": 16, "duration": 48},
+    },
+    "torus-faulted-no-shape": {
+        "shape": [4, 2, 2], "arbitration": "rr", "seed": 5,
+        "faults": FAULTS_4X2X2, "policy": {"mode": "retry", "retries": 2},
+        "demand": {"generator": "uniform", "rate": 0.2, "duration": 32},
+    },
+}
+
+
+@pytest.mark.parametrize("row", sorted(DEMAND_ROWS))
+def test_demand_surfaces_agree(row, tmp_path, capsys):
+    params = dict(
+        DEMAND_ROWS[row], kind="demand", endpoints=ENDPOINTS, cores=CORES
+    )
+    faults = params.get("faults")
+
+    # --- the library ------------------------------------------------------------
+    stats = run(RunSpec.from_params(params))
+    reference = json.dumps(stats.asdict())
+    assert stats.injected > 0 and stats.delivered + stats.dropped == stats.injected
+
+    # --- `repro demand`, the same mapping as flags --------------------------------
+    argv = [
+        "demand", "--endpoints", str(ENDPOINTS), "--cores", str(CORES),
+        "--arbitration", params["arbitration"], "--seed", str(params["seed"]),
+    ]
+    for key, value in params["demand"].items():
+        argv += ["--" + key.replace("_", "-"), str(value)]
+    if faults is None:
+        argv += [
+            "--topology", params.get("topology", "torus"),
+            "--shape", "x".join(str(k) for k in params["shape"]),
+        ]
+    else:
+        fault_file = tmp_path / "faults.json"
+        fault_file.write_text(json.dumps(faults))
+        argv += [
+            "--fault-file", str(fault_file),
+            "--policy", params["policy"]["mode"],
+            "--retries", str(params["policy"]["retries"]),
+        ]
+    trace_file = tmp_path / "demand.jsonl"
+    assert main(argv + ["--trace", str(trace_file)]) == 0
+    out = capsys.readouterr().out
+    assert _ints(r"(\d+) injected, (\d+) delivered", out) == (
+        stats.injected, stats.delivered
+    )
+    assert _ints(r"in (\d+) cycles", out) == (stats.end_cycle,)
+    end = json.loads(trace_file.read_text().splitlines()[-1])
+    assert (end["cyc"], end["injected"], end["delivered"]) == (
+        stats.end_cycle, stats.injected, stats.delivered
+    )
+    if faults is None and params["arbitration"] != "iw":
+        # ... and its trace is a replayable description of the same run
+        # (a demand header records no matrix to reprogram iw weights from).
+        assert main(["replay", str(trace_file), "--verify"]) == 0
+        assert "byte-identical" in capsys.readouterr().out
+
+    # --- a serve session, stepped to drain ----------------------------------------
+    session = Session.create("surfaces", params)
     while not session.drained:
         asyncio.run(session.advance(16))
     assert json.dumps(session.stats_payload()["stats"]) == reference

@@ -13,7 +13,6 @@ import json
 
 from repro.core.machine import Machine, MachineConfig
 from repro.core.routing import RouteComputer
-from repro.serve.session import Session
 from repro.sim.checkpoint import dumps as checkpoint_dumps
 from repro.sim.checkpoint import snapshot_engine
 from repro.sim.metrics import MetricsCollector
@@ -81,9 +80,9 @@ def oracle_engine(workload, window_cycles=256):
             faults=faults,
         )
     elif kind == "demand":
-        from repro.traffic.demand import build_demand_engine
+        from repro.traffic.demand import DemandSpec, build_demand_engine
 
-        spec = Session._demand_spec(
+        spec = DemandSpec.from_params(
             workload.get("demand") or {}, shape, cores, seed, machine, routes
         )
         engine = build_demand_engine(
