@@ -29,7 +29,7 @@ from repro.sim.metrics import MetricsCollector, MetricsSummary
 from repro.sim.simulator import RunSpec, build, program_weight_tables, run_engine
 from repro.sim.sweep import (
     SweepPoint,
-    _canonical,
+    canonical,
     run_sweep,
     share_machine,
     shared_machine,
@@ -82,7 +82,9 @@ def measure_batch(
     ``checkpoint_path`` + ``checkpoint_every`` enable the periodic
     checkpoint/resume behavior of :func:`repro.sim.simulator.run_batch`:
     an interrupted point resumes mid-run and its measured result is
-    bitwise-identical to a never-interrupted execution.
+    bitwise-identical to a never-interrupted execution; the file is
+    stamped with this point's run, so a point edited since (another
+    pattern, batch size, seed or policy) refuses it by name.
     """
     if load_table is None:
         load_table = compute_loads(machine, route_computer, pattern, cores_per_chip)
@@ -109,6 +111,7 @@ def measure_batch(
         checkpoint_path=checkpoint_path,
         checkpoint_every=checkpoint_every,
         machine=machine,
+        run=run,
     )
     wall = time.perf_counter() - start
     ideal = ideal_batch_cycles(machine, load_table, batch_size)
@@ -174,7 +177,7 @@ _TABLES_CACHE: Dict[tuple, tuple] = {}
 def _cache_key(machine, patterns, cores_per_chip) -> tuple:
     return (
         machine.config,
-        tuple(_canonical(pattern) for pattern in patterns),
+        tuple(canonical(pattern) for pattern in patterns),
         cores_per_chip,
     )
 

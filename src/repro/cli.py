@@ -218,7 +218,7 @@ def _resume_trace_writer(trace_path: str, checkpoint_data: dict):
     )
 
 
-def _checkpointed_trace_writer(args, trace_meta):
+def _checkpointed_trace_writer(args, trace_meta, runspec, machine):
     """Shared auto-resume + trace-sink plumbing of checkpointed runs.
 
     ``repro demand`` and ``repro faults run`` share one contract: an
@@ -227,7 +227,9 @@ def _checkpointed_trace_writer(args, trace_meta):
     checkpoint's recorded byte count); without ``--resume`` it is stale
     state from an earlier run and is cleared. This context manager owns
     that detection plus the four-way trace-sink selection (no trace /
-    resumed file / stdout / fresh file).
+    resumed file / stdout / fresh file). A checkpoint that is not
+    ``runspec``'s on ``machine`` is refused here, before the trace file
+    is rewound to it.
 
     Yields ``(writer, checkpoint_every)`` -- a trace sink or None, and 0
     when checkpointing is off -- ready to hand to
@@ -252,13 +254,18 @@ def _checkpointed_trace_writer(args, trace_meta):
         every = args.checkpoint_every if checkpointing else 0
 
         if resuming:
-            from repro.sim.checkpoint import load_checkpoint
+            from repro.sim.checkpoint import (
+                check_machine,
+                load_checkpoint,
+                run_stamp,
+            )
 
             if args.trace == "-":
                 raise ValueError(
                     "--resume cannot rewind a stdout trace; use a file path"
                 )
-            checkpoint_data = load_checkpoint(args.checkpoint)
+            checkpoint_data = load_checkpoint(args.checkpoint, run_stamp(runspec))
+            check_machine(checkpoint_data, machine)
             if args.trace is None:
                 yield None, every
                 return
@@ -478,7 +485,7 @@ def _run_checkpointed(args, kind: str):
 
     params, runspec, machine = _runspec(args, kind)
     with _checkpointed_trace_writer(
-        args, trace_header(params, runspec, machine)
+        args, trace_header(params, runspec, machine), runspec, machine
     ) as (writer, checkpoint_every):
         stats = run(
             runspec,
@@ -807,9 +814,9 @@ def cmd_checkpoint_save(args) -> int:
 
     with trace_writer() as writer:
         if args.shards > 1:
-            # Same bytes at args.out as the serial branch below; the
-            # extra .shard<i>/.manifest files ride along (they are what
-            # a sharded resume would consume).
+            # Same bytes at args.out as the serial branch below, and
+            # like it nothing else: the one file resumes under any
+            # shard count.
             from repro.sim.shard import save_sharded_checkpoint
 
             stats = save_sharded_checkpoint(

@@ -50,6 +50,7 @@ it to a one-line error and exit code 1).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import random
@@ -85,11 +86,17 @@ _COUNTER_FIELDS = (
 )
 
 #: Environment variable naming a cycle at which
-#: :func:`run_with_checkpoints` simulates a crash (raises
-#: ``KeyboardInterrupt`` *without* saving). Deterministic stand-in for
-#: kill-at-random-time in the crash-resume tests; inherited by sweep
-#: worker processes.
+#: :func:`run_with_checkpoints` and the shard hub simulate a crash
+#: (raise ``KeyboardInterrupt`` *without* saving). Deterministic
+#: stand-in for kill-at-random-time in the crash-resume tests; inherited
+#: by sweep worker processes.
 CRASH_ENV_VAR = "REPRO_CRASH_AT_CYCLE"
+
+
+def simulated_crash_cycle() -> Optional[int]:
+    """The cycle :data:`CRASH_ENV_VAR` names, or ``None``."""
+    value = os.environ.get(CRASH_ENV_VAR)
+    return int(value) if value else None
 
 
 class CheckpointError(RuntimeError):
@@ -183,9 +190,9 @@ def _machine_to_json(machine: Machine) -> dict:
     return data
 
 
-def _machine_from_json(data: dict) -> Machine:
+def _config_from_json(data: dict) -> MachineConfig:
     num, den = data["torus_cycles_per_flit"]
-    config = MachineConfig(
+    return MachineConfig(
         shape=tuple(data["shape"]),
         topology=data.get("topology", "torus"),
         endpoints_per_chip=data["endpoints_per_chip"],
@@ -200,7 +207,6 @@ def _machine_from_json(data: dict) -> Machine:
         torus_cycles_per_flit=Fraction(num, den),
         router_pipeline_cycles=data["router_pipeline_cycles"],
     )
-    return Machine(config)
 
 
 def _route_to_json(route: Route) -> dict:
@@ -420,9 +426,6 @@ def snapshot_engine(engine: Engine) -> dict:
 
     faults = None
     if engine._fault_runtime is not None:
-        # Deferred import: repro.faults imports the engine module.
-        from repro.faults.routing import RESOLUTION_STAGES
-
         runtime = engine._fault_runtime
         policy = runtime.policy
         faults = {
@@ -441,16 +444,11 @@ def snapshot_engine(engine: Engine) -> dict:
                 [pindex.index(packet), oc]
                 for packet, oc in engine._inflight.items()
             ),
-            # Diagnostic escalation-stage counts, in canonical stage
-            # order. The route computer's resolution *caches* are pure
-            # memoization (recomputation is deterministic and
-            # value-equal) and deliberately restart cold; the counts are
-            # observable state and must survive.
-            "resolution": [
-                [stage, runtime.route_computer.resolution_counts[stage]]
-                for stage in RESOLUTION_STAGES
-                if runtime.route_computer.resolution_counts[stage]
-            ],
+            # Nothing of the route computer is state: its resolution
+            # caches are memoization (recomputation is deterministic and
+            # value-equal) and restart cold, and its ``resolution_counts``
+            # count the *misses* of those caches -- a function of when
+            # the memo was last emptied, not of the simulation.
         }
 
     return {
@@ -577,9 +575,7 @@ def _restore_into(engine: Engine, data: dict, packets: List[Packet]) -> None:
         engine._fault_push_seq = len(runtime.timeline)
         engine._failed_channels = set(fdata["failed"])
         runtime.route_computer.set_failed(engine._failed_channels)
-        runtime.route_computer.resolution_counts.update(
-            {stage: count for stage, count in fdata["resolution"]}
-        )
+        # (Older files also carry a "resolution" list here: ignored.)
         engine._inflight = {packets[i]: oc for i, oc in fdata["inflight"]}
 
 
@@ -590,10 +586,11 @@ def restore_engine(
 ) -> Engine:
     """Rebuild a running engine from :func:`snapshot_engine` output.
 
-    ``machine`` may supply an already-elaborated machine (it must have
-    been built from the same configuration); by default the machine is
-    rebuilt from the embedded config. ``trace`` attaches a sink to the
-    restored engine; when omitted and the checkpoint captured a
+    ``machine`` may supply an already-elaborated machine, which must
+    have been built from the embedded configuration (anything else is
+    refused, naming both); by default the machine is rebuilt from that
+    config. ``trace`` attaches a sink to the restored engine; when
+    omitted and the checkpoint captured a
     :class:`~repro.sim.metrics.MetricsCollector`, the collector is
     revived and attached.
 
@@ -603,7 +600,9 @@ def restore_engine(
     with _structural_defects():
         _validate_counters(data)
         if machine is None:
-            machine = _machine_from_json(data["machine"])
+            machine = Machine(_config_from_json(data["machine"]))
+        else:
+            check_machine(data, machine)
         if trace is None and data["trace"]["collector"] is not None:
             trace = MetricsCollector.from_state(data["trace"]["collector"])
         engine = Engine(
@@ -616,6 +615,21 @@ def restore_engine(
         packets = [_packet_from_json(p, choice_cache) for p in data["packets"]]
         _restore_into(engine, data, packets)
     return engine
+
+
+def check_machine(data: dict, machine: Machine) -> None:
+    """Refuse, naming both, a payload taken on another machine's config."""
+    with _structural_defects():
+        theirs, ours = _config_from_json(data["machine"]), machine.config
+    if theirs != ours:
+        raise CheckpointError(
+            "checkpoint belongs to a different machine: " + "; ".join(
+                f"{f.name} is {getattr(theirs, f.name)} in the checkpoint, "
+                f"{getattr(ours, f.name)} in this run"
+                for f in dataclasses.fields(ours)
+                if getattr(theirs, f.name) != getattr(ours, f.name)
+            )
+        )
 
 
 @contextmanager
@@ -678,15 +692,28 @@ def loads(text: str) -> dict:
     return data
 
 
-def save_checkpoint(engine: Engine, path: str) -> dict:
-    """Snapshot ``engine`` and atomically write it to ``path``.
+def run_stamp(run) -> str:
+    """The stamp a periodic save writes for ``run`` (a ``RunSpec``): a
+    hash of its canonical rendering, the identity sweep resume and the
+    campaign caches already key on."""
+    import hashlib
+
+    from .sweep import canonical
+
+    return hashlib.sha256(canonical(run).encode()).hexdigest()
+
+
+def write_checkpoint(data: dict, path: str, stamp: Optional[str] = None) -> None:
+    """Atomically write the snapshot ``data`` to ``path``.
 
     The payload lands via a same-directory temp file and ``os.replace``,
     so a crash mid-save leaves the previous checkpoint intact -- the
-    invariant the sweep runner's resume path relies on. Returns the
-    snapshot dict.
+    invariant the sweep runner's resume path relies on. ``stamp`` (see
+    :func:`run_stamp`) is recorded as the top-level ``run_stamp`` key:
+    :func:`load_checkpoint` refuses the file to any other run.
     """
-    data = snapshot_engine(engine)
+    if stamp is not None:
+        data["run_stamp"] = stamp
     text = dumps(data)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -698,17 +725,39 @@ def save_checkpoint(engine: Engine, path: str) -> dict:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
         raise
+
+
+def save_checkpoint(engine: Engine, path: str, stamp: Optional[str] = None) -> dict:
+    """Snapshot ``engine`` and :func:`write_checkpoint` it to ``path``.
+
+    Returns the snapshot dict.
+    """
+    data = snapshot_engine(engine)
+    write_checkpoint(data, path, stamp)
     return data
 
 
-def load_checkpoint(path: str) -> dict:
-    """Read and validate a checkpoint file (see :func:`loads`)."""
+def load_checkpoint(path: str, stamp: Optional[str] = None) -> dict:
+    """Read and validate a checkpoint file (see :func:`loads`).
+
+    With ``stamp``, the resuming run's :func:`run_stamp`, a file some
+    other run stamped is refused by name and left untouched; a file
+    without a stamp (``repro checkpoint save``, serve snapshots, hand-
+    assembled runs) belongs to whoever holds a matching machine.
+    """
     try:
         with open(path, "r") as handle:
             text = handle.read()
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    return loads(text)
+    data = loads(text)
+    if stamp is not None and data.get("run_stamp", stamp) != stamp:
+        raise CheckpointError(
+            f"checkpoint {path} was written by a different run (its stamp is "
+            f"{data['run_stamp'][:12]}, this run's {stamp[:12]}); remove it "
+            f"or pass the run that wrote it"
+        )
+    return data
 
 
 def checkpoint_info(data: dict) -> dict:
@@ -743,6 +792,7 @@ def run_with_checkpoints(
     path: str,
     every: int,
     max_cycles: int = 10_000_000,
+    stamp: Optional[str] = None,
 ) -> SimStats:
     """Run to completion, saving a checkpoint every ``every`` cycles.
 
@@ -751,7 +801,7 @@ def run_with_checkpoints(
     split-run property tests) -- with a checkpoint written after each
     chunk that leaves work outstanding. The attached trace sink is
     flushed before each save so the bytes on disk cover at least the
-    recorded ``bytes_written``.
+    recorded ``bytes_written``; ``stamp`` goes to :func:`write_checkpoint`.
 
     When the :data:`CRASH_ENV_VAR` environment variable names a cycle,
     the run raises ``KeyboardInterrupt`` upon reaching it *without*
@@ -761,9 +811,8 @@ def run_with_checkpoints(
     """
     if every < 1:
         raise ValueError(f"checkpoint interval must be >= 1 cycle, got {every}")
-    crash_env = os.environ.get(CRASH_ENV_VAR)
-    crash_cycle = int(crash_env) if crash_env else None
-    while engine._queued or engine._in_network or engine._events.pending:
+    crash_cycle = simulated_crash_cycle()
+    while not engine.drained:
         if engine.cycle >= max_cycles:
             raise RuntimeError(
                 f"simulation exceeded {max_cycles} cycles with "
@@ -775,18 +824,16 @@ def run_with_checkpoints(
             budget = crash_cycle - engine.cycle
         if budget > 0:
             engine.run_for(budget)
-        if crashing and (
-            engine._queued or engine._in_network or engine._events.pending
-        ):
+        if crashing and not engine.drained:
             # A run that drains before the crash cycle "exits" normally,
             # like a real process finishing before the kill lands.
             raise KeyboardInterrupt(
                 f"simulated crash at cycle {engine.cycle} "
                 f"({CRASH_ENV_VAR}={crash_cycle})"
             )
-        if engine._queued or engine._in_network or engine._events.pending:
+        if not engine.drained:
             if engine.trace is not None:
                 engine.trace.flush()
-            save_checkpoint(engine, path)
+            save_checkpoint(engine, path, stamp)
     engine.stats.end_cycle = engine.cycle
     return engine.stats

@@ -39,15 +39,16 @@ discrete-event simulation, exact rather than approximate:
   observable stream a pure function of simulation state. Stats, metrics
   summaries, golden traces, and checkpoint bytes are therefore
   bit-identical to the serial engine for every shard count -- the
-  conformance suite under ``tests/shard/`` pins this. (Faulted runs
-  still generate per shard: see :class:`_ShardCore`.)
+  conformance suite under ``tests/shard/`` pins this.
 
-* **Checkpointing.** At checkpoint barriers the hub snapshots every
-  shard, merges the snapshots into one serial-format checkpoint at
-  ``path`` (byte-identical to the serial oracle's), and writes the
-  per-shard snapshots to ``path.shard<i>`` plus a ``path.manifest``
-  index. A killed run resumes from the manifest bit-identically; the
-  "an existing file marks an interrupted run" contract is unchanged.
+* **Checkpointing.** A sharded run writes and reads the serial engine's
+  checkpoint and nothing else: :mod:`repro.sim.checkpoint` owns the
+  format and the write, this module only who-owns-what. At a checkpoint
+  barrier the hub *merges* the shards' snapshots into the one file at
+  ``path``, byte-identical to the serial engine's at that cycle
+  (:func:`merge_shard_snapshots`); on resume every worker restores that
+  whole file and *keeps* what its shard owns (:func:`_keep_owned`). So a
+  killed run resumes under any shard count, serial included.
 
 Transports: ``transport="process"`` runs each shard in its own
 ``multiprocessing`` process (the performance configuration);
@@ -59,13 +60,13 @@ Both produce byte-identical results.
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import json
 import multiprocessing
 import os
-import tempfile
 import time
 import traceback
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.machine import Machine
 
@@ -74,14 +75,16 @@ from .checkpoint import (
     CheckpointError,
     _packet_from_json,
     _packet_to_json,
-    dumps,
+    check_machine,
     load_checkpoint,
-    loads,
     restore_engine,
+    run_stamp,
+    simulated_crash_cycle,
     snapshot_engine,
+    write_checkpoint,
 )
-from .engine import _EV_FAULT, DeadlockError, Engine
-from .metrics import MetricsCollector
+from .engine import _EV_ARRIVAL, _EV_CREDIT, _EV_FAULT, DeadlockError, Engine
+from .metrics import MetricsCollector, StreamingQuantile
 from .simulator import (
     RunSpec,
     build,
@@ -96,13 +99,6 @@ from .stats import SimStats
 #: A sharded run is described, and run, like any other -- ``run(run, 1)``
 #: *is* the serial path. Callers import it under these names.
 ShardedRun = RunSpec
-
-#: Which shard honors :data:`~repro.sim.checkpoint.CRASH_ENV_VAR` in a
-#: sharded run (default shard 0) -- the crash-resume tests kill one
-#: worker mid-window and resume the whole fleet from the manifest.
-CRASH_SHARD_ENV_VAR = "REPRO_CRASH_SHARD"
-
-MANIFEST_SCHEMA_VERSION = 1
 
 ALLOWED_SHARD_COUNTS = (1, 2, 4, 8)
 
@@ -202,7 +198,6 @@ def _channel_lookahead(machine: Machine, channel) -> int:
 class ShardPlan:
     """A validated decomposition: slab geometry plus the safe lookahead."""
 
-    shape: Tuple[int, int, int]
     parts: Tuple[int, int, int]
     shards: int
     lookahead: int
@@ -228,29 +223,7 @@ class ShardPlan:
                 "cross-shard channel latency too small for a conservative "
                 f"lookahead window (computed {lookahead} cycles)"
             )
-        return cls(
-            shape=tuple(machine.config.shape),
-            parts=parts,
-            shards=shards,
-            lookahead=lookahead,
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "shape": list(self.shape),
-            "parts": list(self.parts),
-            "shards": self.shards,
-            "lookahead": self.lookahead,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ShardPlan":
-        return cls(
-            shape=tuple(data["shape"]),
-            parts=tuple(data["parts"]),
-            shards=data["shards"],
-            lookahead=data["lookahead"],
-        )
+        return cls(parts=parts, shards=shards, lookahead=lookahead)
 
 
 # --- wire format ------------------------------------------------------------------
@@ -315,38 +288,25 @@ class _ShardCore:
     def __init__(self, init: dict) -> None:
         self.index: int = init["shard"]
         run: RunSpec = init["run"]
-        plan = ShardPlan.from_json(init["plan"])
+        plan: ShardPlan = init["plan"]
         # The hub's machine; a spawned worker is sent none and rebuilds it.
         machine = init["machine"] or Machine(run.config)
         owners = component_owners(machine, plan.parts)
         recorder = _ShardTraceRecorder() if init["tracing"] else None
         snapshot = init["snapshot"]
-        self._g_counts: Optional[dict] = None
         if snapshot is not None:
+            # A resume: the whole machine's checkpoint, cut down to this
+            # shard's part of it.
             engine = restore_engine(snapshot, machine=machine, trace=recorder)
+            _keep_owned(engine, owners, self.index)
         else:
+            # Every shard routes through a private (fault-aware) computer;
+            # a cold one is as good as the one generation warmed.
             _, route_computer, faults = run_context(run, machine)
-            packets = init["packets"]
-            if packets is None:
-                # A faulted run: the engine goes on to mutate the
-                # fault-aware computer that generation warmed (its
-                # resolution counts are cache misses), so every shard
-                # needs a private one in the post-generation state --
-                # each generates the full workload and keeps its sources.
-                packets = [
-                    packet
-                    for packet in generate_workload(run, machine, route_computer)
-                    if owners[packet.src] == self.index
-                ]
             engine = build(
-                run, machine, route_computer, faults, recorder, packets,
-                init["weight_tables"],
+                run, machine, route_computer, faults, recorder,
+                init["packets"], init["weight_tables"],
             )
-            if faults is not None:
-                # Resolution counts accrued before cycle 0: identical in
-                # every shard, subtracted once per extra shard when
-                # merging checkpoint state.
-                self._g_counts = dict(route_computer.resolution_counts)
         remote_dst, remote_src, fault_owned = shard_boundary(
             machine, owners, self.index
         )
@@ -358,19 +318,12 @@ class _ShardCore:
             engine._fault_owned = fault_owned
         if recorder is not None:
             recorder.engine = engine
-        self._true_watchdog = engine.watchdog_cycles
+        #: The run's watchdog; the hub enforces it across all shards.
+        self.true_watchdog = engine.watchdog_cycles
         engine.watchdog_cycles = _HUGE_WATCHDOG
-        crash_env = os.environ.get(CRASH_ENV_VAR)
-        crash_shard = int(os.environ.get(CRASH_SHARD_ENV_VAR, "0"))
-        self._crash_cycle = (
-            int(crash_env) if crash_env and self.index == crash_shard else None
-        )
         self._choices: dict = {}
         self.engine = engine
         self.recorder = recorder
-
-    def ready_info(self) -> dict:
-        return {"g_counts": self._g_counts, "watchdog": self._true_watchdog}
 
     def _report(self) -> dict:
         engine = self.engine
@@ -399,19 +352,8 @@ class _ShardCore:
     def run_window(self, w_end: int) -> tuple:
         """Advance to the barrier at ``w_end`` and flush the outboxes."""
         engine = self.engine
-        start = engine.cycle
         if not engine.drained:
-            crash = self._crash_cycle
-            if crash is not None and crash <= w_end:
-                if crash > start:
-                    engine.run_for(crash - start)
-                if not engine.drained:
-                    return ("crash", engine.cycle)
-                # Drained before the crash cycle: like a real process
-                # finishing before the kill lands, the run exits normally.
-                self._crash_cycle = None
-            if not engine.drained and engine.cycle < w_end:
-                engine.run_for(w_end - engine.cycle)
+            engine.run_for(w_end - engine.cycle)
         # A shard that drained mid-window still observes the barrier: a
         # checkpoint taken here must place every shard at the same cycle.
         # (run_for already left stats.end_cycle at the true drain cycle;
@@ -439,12 +381,8 @@ class _ShardCore:
 
     def snapshot(self) -> tuple:
         """Serial-format snapshot of this shard's engine at the barrier."""
-        engine = self.engine
-        engine.watchdog_cycles = self._true_watchdog
-        try:
-            data = snapshot_engine(engine)
-        finally:
-            engine.watchdog_cycles = _HUGE_WATCHDOG
+        data = snapshot_engine(self.engine)
+        data["watchdog_cycles"] = self.true_watchdog
         return ("snap", data)
 
     def finish(self) -> tuple:
@@ -491,7 +429,7 @@ class _InlineWorker:
     def __init__(self, init: dict) -> None:
         self.profiler = _new_profiler(init["profile"])
         self._core = _profiled(self.profiler, _ShardCore, init)
-        self._reply: Optional[tuple] = ("ready", self._core.ready_info())
+        self._reply: Optional[tuple] = ("ready", self._core.true_watchdog)
 
     def send(self, msg: tuple) -> None:
         if msg[0] == "stop":
@@ -509,7 +447,7 @@ class _InlineWorker:
 def _shard_worker_main(conn, init: dict) -> None:
     try:
         core = _ShardCore(init)
-        conn.send(("ready", core.ready_info()))
+        conn.send(("ready", core.true_watchdog))
         while True:
             msg = conn.recv()
             if msg[0] == "stop":
@@ -577,64 +515,35 @@ class _ProcessWorker:
             self._proc.join()
 
 
-# --- checkpoint materialization ---------------------------------------------------
-
-
-def _manifest_path(path: str) -> str:
-    return path + ".manifest"
-
-
-def _shard_path(path: str, shard: int) -> str:
-    return f"{path}.shard{shard}"
-
-
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
-
-
-def _wheel_insert(wheel, cycle: int, now: int, payload: tuple) -> None:
-    # Mirror Engine._feed_event: a barrier-cycle event must land in its
-    # bucket (where the serial engine's copy lives), not the overflow heap.
-    if 0 <= cycle - now < wheel.size:
-        wheel.buckets[cycle & wheel.mask].append(payload)
-        wheel.pending += 1
-    else:
-        wheel.push(cycle, now, payload)
+# --- checkpoint merge and split -----------------------------------------------------
+#
+# Who owns what, stated once for both directions. A channel's *source*
+# state (staging timer, credit view, SA2 arbiter) belongs to the shard
+# owning ``channel.src``; its *destination* state (VC buffers, input
+# timer, SA1 arbiter) to the shard owning ``channel.dst``; a source queue
+# and an ``_active`` entry to the owner of the component; a wheel event
+# to the owner of whatever will process it (an arrival and its
+# ``_inflight`` entry: the channel's destination; a credit return: the
+# channel's source; a wake: the component), except fault transitions,
+# which every shard applies in full. Accumulated stats are additive
+# (:meth:`SimStats.merge`), so they may sit with any one shard.
 
 
 def merge_shard_snapshots(
-    plan: ShardPlan,
-    machine: Machine,
-    snaps: List[dict],
-    trace=None,
-    resolution_base: Optional[dict] = None,
-    cycle: Optional[int] = None,
+    plan: ShardPlan, machine: Machine, snaps: List[dict], trace=None
 ) -> dict:
     """Merge per-shard barrier snapshots into one serial-format snapshot.
 
     Restores every shard into a live engine and copies each piece of
-    state into shard 0's engine from its owning shard: channel-source
-    state (staging timer, credit view, SA2 arbiter) from the source
-    component's owner, channel-destination state (buffers, input timer,
-    SA1 arbiter) from the destination's, source queues and in-flight
-    registries as disjoint unions. Foreign wheel events are re-pushed
-    into the base wheel -- push order is irrelevant because checkpoint
-    serialization orders every cycle canonically -- skipping fault
-    timeline events, which every shard schedules in full. The result is
-    byte-identical (via :func:`~repro.sim.checkpoint.dumps`) to the
-    snapshot the serial engine would write at the same cycle.
+    state into shard 0's engine from its owner (the rule above). Foreign
+    wheel events join the base wheel where the serial engine holds them
+    -- bucket to bucket, overflow heap to overflow heap; push order is
+    otherwise irrelevant because checkpoint serialization orders every
+    cycle canonically. The result is byte-identical (via
+    :func:`~repro.sim.checkpoint.dumps`) to the snapshot the serial
+    engine would write at the same cycle.
     """
-    if cycle is None:
-        cycle = snaps[0]["cycle"]
+    cycle = snaps[0]["cycle"]
     engines = [restore_engine(snap, machine=machine) for snap in snaps]
     base = engines[0]
     owners = component_owners(machine, plan.parts)
@@ -664,17 +573,16 @@ def merge_shard_snapshots(
                     dst_row[vc] = src_row[vc]
                 if cid in base.arbiters:
                     base.arbiters[cid] = eng.arbiters[cid]
-        wheel = eng._events
-        for delta in range(wheel.size):
-            cyc = cycle + delta
-            for payload in wheel.buckets[cyc & wheel.mask]:
-                if payload[0] == _EV_FAULT:
-                    continue
-                _wheel_insert(base._events, cyc, cycle, payload)
-        for cyc, _seq, payload in wheel.overflow:
-            if payload[0] == _EV_FAULT:
-                continue
-            _wheel_insert(base._events, cyc, cycle, payload)
+        wheel, into = eng._events, base._events
+        for index, bucket in enumerate(wheel.buckets):
+            kept = [p for p in bucket if p[0] != _EV_FAULT]
+            into.buckets[index].extend(kept)
+            into.pending += len(kept)
+        for cyc, _seq, payload in wheel.overflow:  # restored: in order
+            if payload[0] != _EV_FAULT:
+                into.seq += 1
+                heapq.heappush(into.overflow, (cyc, into.seq, payload))
+                into.pending += 1
         for comp in eng._active:
             base._active[comp] = None
         base._queued += eng._queued
@@ -685,110 +593,63 @@ def merge_shard_snapshots(
         base.stats.merge(eng.stats)
     # A serial engine checkpointing mid-run sits exactly at the barrier.
     base.stats.end_cycle = cycle
-    if base._fault_routes is not None and resolution_base is not None:
-        counts = base._fault_routes.resolution_counts
-        merged = dict(counts)
-        for shard in range(1, len(engines)):
-            shard_counts = engines[shard]._fault_routes.resolution_counts
-            for stage in set(shard_counts) | set(resolution_base):
-                merged[stage] = (
-                    merged.get(stage, 0)
-                    + shard_counts.get(stage, 0)
-                    - resolution_base.get(stage, 0)
-                )
-        counts.clear()
-        counts.update(merged)
     base.trace = trace
     return snapshot_engine(base)
 
 
-def load_sharded_checkpoint(
-    path: str,
-    expected_shards: Optional[int] = None,
-    expected_plan: Optional[ShardPlan] = None,
-) -> Tuple[dict, List[dict]]:
-    """Load and validate a sharded checkpoint's manifest and shard files.
+def _keep_owned(engine: Engine, owners: Sequence[int], shard: int) -> None:
+    """Cut a restored whole-machine engine down to what ``shard`` owns:
+    the inverse of :func:`merge_shard_snapshots` under the rule above.
 
-    Raises :class:`~repro.sim.checkpoint.CheckpointError` -- naming the
-    offending file -- if the manifest references a missing shard file or
-    a stray extra one exists: a resume must never silently run with a
-    different decomposition than the one that wrote the checkpoint.
+    Only state the engine *walks* has to go -- the fault sweeps visit
+    every source queue, buffer and in-flight entry -- and the two packet
+    counters are recounted from what stays. Foreign timers, credits and
+    arbiters stay as restored: nothing reads them here, and the merge
+    takes each from its owner. Shard 0 keeps the accumulated stats; the
+    others start empty, with a fresh latency estimator when the run
+    carries one (merging estimators is order-independent).
     """
-    manifest_path = _manifest_path(path)
-    try:
-        with open(manifest_path, "r") as handle:
-            manifest = json.load(handle)
-    except OSError as exc:
-        raise CheckpointError(
-            f"cannot read sharded manifest {manifest_path}: {exc}"
-        ) from exc
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(
-            f"sharded manifest {manifest_path} is not valid JSON: {exc}"
-        ) from exc
-    if not isinstance(manifest, dict) or manifest.get("kind") != "sharded-manifest":
-        raise CheckpointError(
-            f"{manifest_path} is not a sharded-run manifest "
-            f"(missing kind='sharded-manifest')"
-        )
-    if manifest.get("schema") != MANIFEST_SCHEMA_VERSION:
-        raise CheckpointError(
-            f"unsupported sharded-manifest schema {manifest.get('schema')!r}; "
-            f"this build reads version {MANIFEST_SCHEMA_VERSION}"
-        )
-    shards = manifest["shards"]
-    if expected_shards is not None and shards != expected_shards:
-        raise CheckpointError(
-            f"manifest {manifest_path} records {shards} shards but this run "
-            f"was asked for {expected_shards}; resume with the original "
-            f"shard count"
-        )
-    if expected_plan is not None and manifest["plan"] != expected_plan.to_json():
-        raise CheckpointError(
-            f"manifest {manifest_path} was written by a different "
-            f"decomposition ({manifest['plan']}) than this run computes "
-            f"({expected_plan.to_json()})"
-        )
-    for shard in range(shards):
-        if not os.path.exists(_shard_path(path, shard)):
-            raise CheckpointError(
-                f"sharded checkpoint {path} is missing shard file "
-                f"{_shard_path(path, shard)}; refusing to resume with fewer "
-                f"shards than the manifest records"
-            )
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    prefix = os.path.basename(path) + ".shard"
-    for name in sorted(os.listdir(directory)):
-        if not name.startswith(prefix):
-            continue
-        suffix = name[len(prefix):]
-        if suffix.isdigit() and int(suffix) >= shards:
-            raise CheckpointError(
-                f"sharded checkpoint {path} has unexpected extra shard file "
-                f"{os.path.join(directory, name)}; the manifest records "
-                f"{shards} shards"
-            )
-    snaps = []
-    for shard in range(shards):
-        with open(_shard_path(path, shard), "r") as handle:
-            snap = loads(handle.read())
-        if snap["cycle"] != manifest["cycle"]:
-            raise CheckpointError(
-                f"shard file {_shard_path(path, shard)} is at cycle "
-                f"{snap['cycle']} but the manifest records "
-                f"{manifest['cycle']}"
-            )
-        snaps.append(snap)
-    return manifest, snaps
+    channel_src, channel_dst = engine._channel_src, engine._channel_dst
 
+    def mine(payload: tuple) -> bool:
+        kind, a, b, _ = payload
+        if kind == _EV_FAULT:
+            return True
+        if kind == _EV_ARRIVAL:
+            return owners[channel_dst[b]] == shard
+        return owners[channel_src[a] if kind == _EV_CREDIT else a] == shard
 
-def _cleanup_checkpoint_files(path: str, shards: int) -> None:
-    for target in (
-        [path, _manifest_path(path)]
-        + [_shard_path(path, shard) for shard in range(shards)]
-    ):
-        if os.path.exists(target):
-            os.unlink(target)
+    # (A restore leaves every queue and buffer head at 0.)
+    for src in [s for s in engine._source_queues if owners[s] != shard]:
+        del engine._source_queues[src], engine._source_heads[src]
+    for cid, dst in enumerate(channel_dst):
+        if owners[dst] != shard and engine._buffered_count[cid]:
+            engine._buffers[cid] = [[] for _ in engine._buffers[cid]]
+            engine._buffered_count[cid] = 0
+    wheel = engine._events
+    wheel.buckets = [[p for p in bucket if mine(p)] for bucket in wheel.buckets]
+    # A sorted list is a valid heap, and filtering keeps it sorted.
+    wheel.overflow = [item for item in wheel.overflow if mine(item[2])]
+    events = [p for bucket in wheel.buckets for p in bucket]
+    events += [item[2] for item in wheel.overflow]
+    wheel.pending = len(events)
+    engine._active = {c: None for c in engine._active if owners[c] == shard}
+    if engine._inflight is not None:
+        engine._inflight = {
+            packet: oc for packet, oc in engine._inflight.items()
+            if owners[channel_dst[oc]] == shard
+        }
+    engine._queued = sum(len(queue) for queue in engine._source_queues.values())
+    engine._in_network = sum(engine._buffered_count) + sum(
+        1 for payload in events if payload[0] == _EV_ARRIVAL
+    )
+    if shard:
+        stats = SimStats(ticks_per_cycle=engine.stats.ticks_per_cycle)
+        if engine.stats.latency_estimator is not None:
+            stats.latency_estimator = StreamingQuantile()
+        engine.stats = stats
+        engine._stat_channel_flits = stats.channel_flits
+        engine._stat_channel_busy = stats.channel_busy_ticks
 
 
 # --- hub --------------------------------------------------------------------------
@@ -831,7 +692,6 @@ class _Hub:
         self._arrival_dest = [owners[c.dst] for c in machine.channels]
         self._credit_dest = [owners[c.src] for c in machine.channels]
         self._workers: list = []
-        self._g_counts: Optional[dict] = None
         #: Optional caller-supplied dict filled with wall-clock phase
         #: timings: ``setup_s`` = ``generate_s`` (the hub generating and
         #: partitioning the workload and programming ``iw`` tables) +
@@ -839,11 +699,16 @@ class _Hub:
         #: per-worker engine builds), then ``windows_s`` (barrier loop
         #: through final merge).
         self._timings = timings
-        #: ``halt_at``: stop right after the checkpoint saved at this
-        #: barrier, leaving the files on disk (``repro checkpoint save
-        #: --shards``). Windows keep advancing past drained engines so
-        #: the save lands at exactly this cycle, mirroring ``run_for``.
+        #: ``halt_at``: start afresh, stop right after the checkpoint
+        #: saved at this barrier and leave it on disk, unstamped (``repro
+        #: checkpoint save --shards``). Windows keep advancing past
+        #: drained engines so the save lands at exactly this cycle,
+        #: mirroring ``run_for``.
         self._halt_at = halt_at
+        #: What the periodic saves are stamped with and a resume checks.
+        self._stamp = (
+            run_stamp(run) if self.checkpoint_path and halt_at is None else None
+        )
         #: ``profiles``: list extended with the :class:`cProfile.Profile`
         #: of the hub's workload generation and, once the run finishes,
         #: of each inline worker.
@@ -867,7 +732,7 @@ class _Hub:
         return [worker.recv_reply() for worker in self._workers]
 
     def _shared_setup(self) -> tuple:
-        """What the shards of a healthy fresh run would each compute for
+        """What the shards of a fresh run would each compute for
         themselves, computed once: the workload, split by owning shard,
         and under ``iw`` the programmed ``(SA2, SA1)`` weight tables."""
         machine, route_computer, _, weight_tables = prepare(self.run, self.machine)
@@ -876,20 +741,20 @@ class _Hub:
             owned[self._owners[packet.src]].append(packet)
         return owned, weight_tables
 
-    def _start_workers(self, snaps: Optional[list]) -> List[dict]:
-        """Start one worker per shard; returns their ``ready`` infos.
+    def _start_workers(self, snapshot: Optional[dict]) -> int:
+        """Start one worker per shard; returns the run's watchdog.
 
-        A healthy fresh run is generated here, once, and every worker
-        starts from the packets it owns and the ``iw`` tables programmed
-        here; resumed shards restore theirs from ``snaps`` and faulted
-        ones generate and program (see :class:`_ShardCore`). The batch
-        dies with this frame: the hub keeps no packet.
+        A fresh run -- healthy or faulted -- is generated here, once,
+        and every worker starts from the packets it owns and the ``iw``
+        tables programmed here; a resumed one hands every worker the
+        whole ``snapshot`` (see :class:`_ShardCore`). The batch dies
+        with this frame: the hub keeps no packet.
         """
         worker_cls = _InlineWorker if self.transport == "inline" else _ProcessWorker
         profiling = self._profiles is not None
         t_start = time.perf_counter()
         owned, weight_tables = None, (None, None)
-        if snaps is None and self.run.fault_set is None:
+        if snapshot is None:
             profiler = _new_profiler(profiling)
             owned, weight_tables = _profiled(profiler, self._shared_setup)
             if profiling:
@@ -899,15 +764,15 @@ class _Hub:
             self._workers.append(worker_cls({
                 "shard": shard,
                 "run": self.run,
-                "plan": self.plan.to_json(),
+                "plan": self.plan,
                 "machine": self.machine,
                 "packets": owned[shard] if owned is not None else None,
                 "weight_tables": weight_tables,
                 "tracing": self.trace is not None,
-                "snapshot": snaps[shard] if snaps is not None else None,
+                "snapshot": snapshot,
                 "profile": profiling,
             }))
-        infos = [worker.recv_reply()[1] for worker in self._workers]
+        watchdogs = [worker.recv_reply()[1] for worker in self._workers]
         if self._timings is not None:
             t_ready = time.perf_counter()
             self._timings.update(
@@ -915,53 +780,42 @@ class _Hub:
                 spawn_s=t_ready - t_spawn,
                 setup_s=t_ready - t_start,
             )
-        return infos
+        return watchdogs[0]
+
+    def _load(self) -> Optional[dict]:
+        """The checkpoint an interrupted run left at the path, if any:
+        read and vetted as :func:`~repro.sim.simulator.run_engine` does,
+        the hub's collector restored from it."""
+        path = self.checkpoint_path
+        if not path or self._halt_at is not None or not os.path.exists(path):
+            return None
+        snapshot = load_checkpoint(path, self._stamp)
+        check_machine(snapshot, self.machine)
+        if snapshot.get("keep_packet_latencies"):
+            raise CheckpointError(
+                f"checkpoint {path} retains per-packet latencies "
+                f"(keep_packet_latencies), which a sharded resume would "
+                f"return in shard order; resume it serially (shards=1)"
+            )
+        state = snapshot["trace"]["collector"]
+        if state is not None:
+            if isinstance(self.trace, MetricsCollector):
+                self.trace.restore_state(state)
+            # The workers trace into recorders, not into a revived copy.
+            snapshot = dict(snapshot, trace=dict(snapshot["trace"], collector=None))
+        return snapshot
 
     def _run(self) -> SimStats:
         plan = self.plan
         shards = plan.shards
-        cycle = 0
-        snaps = None
-        if self.checkpoint_path:
-            manifest_path = _manifest_path(self.checkpoint_path)
-            if os.path.exists(manifest_path):
-                manifest, snaps = load_sharded_checkpoint(
-                    self.checkpoint_path,
-                    expected_shards=shards,
-                    expected_plan=plan,
-                )
-                cycle = manifest["cycle"]
-                self._g_counts = manifest["resolution_base"]
-                if isinstance(self.trace, MetricsCollector) and os.path.exists(
-                    self.checkpoint_path
-                ):
-                    state = load_checkpoint(self.checkpoint_path)["trace"][
-                        "collector"
-                    ]
-                    if state is not None:
-                        self.trace.restore_state(state)
-            elif os.path.exists(self.checkpoint_path):
-                raise CheckpointError(
-                    f"checkpoint {self.checkpoint_path} exists but its sharded "
-                    f"manifest {manifest_path} is missing; cannot resume a "
-                    f"sharded run without per-shard state"
-                )
-        infos = self._start_workers(snaps)
+        snapshot = self._load()
+        cycle = 0 if snapshot is None else snapshot["cycle"]
+        watchdog = self._start_workers(snapshot)
         t_ready = time.perf_counter()
-        watchdog = infos[0]["watchdog"]
-        if snaps is None:
-            g_counts = infos[0]["g_counts"]
-            for shard, info in enumerate(infos):
-                if info["g_counts"] != g_counts:
-                    raise RuntimeError(
-                        f"shard {shard} generated different resolution "
-                        f"counts than shard 0; workload generation is not "
-                        f"deterministic"
-                    )
-            self._g_counts = g_counts
+        crash_cycle = simulated_crash_cycle()
 
         pending = [([], []) for _ in range(shards)]
-        last_saved = cycle if snaps is not None else None
+        last_saved = cycle if snapshot is not None else None
         halted = False
         while True:
             replies = self._exchange(
@@ -990,13 +844,20 @@ class _Hub:
                     f"no progress for {watchdog} cycles at cycle {cycle}; "
                     f"{in_network} packets stuck in the network"
                 )
+            if crash_cycle is not None and cycle >= crash_cycle:
+                # Not drained by the crash cycle: die like a killed
+                # process, without saving (run_with_checkpoints' rule).
+                raise KeyboardInterrupt(
+                    f"simulated crash at cycle {cycle} "
+                    f"({CRASH_ENV_VAR}={crash_cycle})"
+                )
             if (
                 self.checkpoint_path
                 and cycle > 0
                 and cycle % self.checkpoint_every == 0
                 and cycle != last_saved
             ):
-                self._save(cycle)
+                self._save()
                 last_saved = cycle
                 if self._halt_at is not None and cycle >= self._halt_at:
                     halted = True
@@ -1008,15 +869,11 @@ class _Hub:
                     cycle // self.checkpoint_every + 1
                 ) * self.checkpoint_every
                 w_end = min(w_end, next_save)
+            if crash_cycle is not None:
+                w_end = min(w_end, crash_cycle)
             w_end = min(w_end, self.max_cycles)
 
             replies = self._exchange([("run", w_end)] * shards)
-            for shard, reply in enumerate(replies):
-                if reply[0] == "crash":
-                    raise KeyboardInterrupt(
-                        f"simulated crash at cycle {reply[1]} "
-                        f"({CRASH_ENV_VAR}={reply[1]}) in shard {shard}"
-                    )
             records: list = []
             for reply in replies:
                 _, packets, credits, shard_records = reply
@@ -1045,37 +902,18 @@ class _Hub:
         if self.trace is not None:
             self.trace.flush()
         if self.checkpoint_path and not halted:
-            _cleanup_checkpoint_files(self.checkpoint_path, shards)
+            if os.path.exists(self.checkpoint_path):
+                os.unlink(self.checkpoint_path)
         return merged
 
-    def _save(self, cycle: int) -> None:
+    def _save(self) -> None:
         replies = self._exchange([("snapshot",)] * self.plan.shards)
-        snaps = [reply[1] for reply in replies]
         if self.trace is not None:
             self.trace.flush()
         data = merge_shard_snapshots(
-            self.plan,
-            self.machine,
-            snaps,
-            trace=self.trace,
-            resolution_base=self._g_counts,
-            cycle=cycle,
+            self.plan, self.machine, [reply[1] for reply in replies], self.trace
         )
-        _atomic_write(self.checkpoint_path, dumps(data))
-        for shard, snap in enumerate(snaps):
-            _atomic_write(_shard_path(self.checkpoint_path, shard), dumps(snap))
-        manifest = {
-            "kind": "sharded-manifest",
-            "schema": MANIFEST_SCHEMA_VERSION,
-            "shards": self.plan.shards,
-            "cycle": cycle,
-            "plan": self.plan.to_json(),
-            "resolution_base": self._g_counts,
-        }
-        _atomic_write(
-            _manifest_path(self.checkpoint_path),
-            json.dumps(manifest, separators=(",", ":")) + "\n",
-        )
+        write_checkpoint(data, self.checkpoint_path, self._stamp)
 
 
 # --- entry points -----------------------------------------------------------------
@@ -1093,10 +931,10 @@ def save_sharded_checkpoint(
     """Run to the barrier at ``cycle``, save there, and stop.
 
     The sharded analogue of ``build -> run_for(cycle) ->
-    save_checkpoint``: the merged checkpoint left at ``path`` is
-    byte-identical to what the serial engine writes at the same cycle
-    (the per-shard ``path.shard<i>`` files and ``path.manifest`` stay on
-    disk too). Returns the merged stats as of the save barrier.
+    save_checkpoint``: the checkpoint left at ``path`` (replacing
+    whatever was there) is byte-identical to what the serial engine
+    writes at the same cycle. Returns the merged stats as of the save
+    barrier.
     """
     if cycle <= 0:
         raise ValueError(f"checkpoint cycle must be positive, got {cycle}")

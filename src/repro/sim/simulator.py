@@ -401,8 +401,7 @@ def run_context(run: RunSpec, machine: Optional[Machine] = None):
     is that same machine, already built). A faulted run routes through
     one fault-aware computer shared by workload generation, load
     enumeration and the runtime's re-resolutions, so it sees the same
-    initially-failed set -- and accrues the same resolution counts --
-    wherever the run is built.
+    initially-failed set wherever the run is built.
     """
     if machine is None:
         machine = Machine(run.config)
@@ -602,6 +601,7 @@ def run(
         checkpoint_path=checkpoint_path,
         checkpoint_every=checkpoint_every,
         machine=machine,
+        run=run,
     )
 
 
@@ -753,6 +753,7 @@ def run_engine(
     checkpoint_path: Optional[str] = None,
     checkpoint_every: int = 0,
     machine: Optional[Machine] = None,
+    run: Optional[RunSpec] = None,
 ) -> SimStats:
     """Run a freshly built (or checkpoint-resumed) engine to completion.
 
@@ -761,18 +762,23 @@ def run_engine(
     ``build_engine_fn`` constructs the cycle-0 engine, and the
     checkpoint/resume contract is identical -- an existing
     ``checkpoint_path`` marks an interrupted run and is resumed for a
-    result bitwise-identical to a never-interrupted run.
+    result bitwise-identical to a never-interrupted run. A checkpoint
+    taken on another machine is refused; given ``run``, what the engine
+    is built from, the saves are stamped with it and a file another run
+    stamped is refused too (:func:`~repro.sim.checkpoint.run_stamp`).
     """
     if checkpoint_path and checkpoint_every > 0:
         from .checkpoint import (
             load_checkpoint,
             restore_engine,
+            run_stamp,
             run_with_checkpoints,
         )
         from .metrics import MetricsCollector
 
+        stamp = None if run is None else run_stamp(run)
         if os.path.exists(checkpoint_path):
-            data = load_checkpoint(checkpoint_path)
+            data = load_checkpoint(checkpoint_path, stamp)
             engine = restore_engine(data, machine=machine, trace=trace)
             collector_state = data["trace"]["collector"]
             if collector_state is not None and isinstance(trace, MetricsCollector):
@@ -780,7 +786,7 @@ def run_engine(
         else:
             engine = build_engine_fn()
         stats = run_with_checkpoints(
-            engine, checkpoint_path, checkpoint_every, max_cycles=max_cycles
+            engine, checkpoint_path, checkpoint_every, max_cycles, stamp
         )
         if os.path.exists(checkpoint_path):
             os.unlink(checkpoint_path)

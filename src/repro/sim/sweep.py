@@ -96,8 +96,10 @@ class SweepResult:
     fingerprint: Optional[str] = None
 
 
-def _canonical(value: Any) -> str:
-    """A value repr stable across processes and interpreter runs.
+def canonical(value: Any) -> str:
+    """A value repr stable across processes and interpreter runs, behind
+    :func:`point_fingerprint`, the campaign cache keys and a checkpoint's
+    run stamp (:func:`repro.sim.checkpoint.run_stamp`).
 
     ``repr`` alone is not an identity: objects without a custom
     ``__repr__`` (e.g. traffic patterns) render their memory address,
@@ -108,26 +110,26 @@ def _canonical(value: Any) -> str:
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         cls = type(value)
         fields = ", ".join(
-            f"{f.name}={_canonical(getattr(value, f.name))}"
+            f"{f.name}={canonical(getattr(value, f.name))}"
             for f in dataclasses.fields(value)
         )
         return f"{cls.__module__}.{cls.__qualname__}({fields})"
     if isinstance(value, dict):
         items = sorted(
-            (_canonical(k), _canonical(v)) for k, v in value.items()
+            (canonical(k), canonical(v)) for k, v in value.items()
         )
         return "{" + ", ".join(f"{k}: {v}" for k, v in items) + "}"
     if isinstance(value, (list, tuple)):
-        inner = ", ".join(_canonical(v) for v in value)
+        inner = ", ".join(canonical(v) for v in value)
         return f"[{inner}]" if isinstance(value, list) else f"({inner})"
     if isinstance(value, (set, frozenset)):
-        return "{" + ", ".join(sorted(_canonical(v) for v in value)) + "}"
+        return "{" + ", ".join(sorted(canonical(v) for v in value)) + "}"
     if callable(value) and hasattr(value, "__qualname__"):
         return f"{getattr(value, '__module__', '?')}.{value.__qualname__}"
     if type(value).__repr__ is object.__repr__:
         cls = type(value)
         state = ", ".join(
-            f"{name}={_canonical(val)}"
+            f"{name}={canonical(val)}"
             for name, val in sorted(getattr(value, "__dict__", {}).items())
         )
         return f"{cls.__module__}.{cls.__qualname__}({state})"
@@ -146,10 +148,10 @@ def point_fingerprint(point: SweepPoint) -> str:
     returning another point's result.
     """
     kwargs = point.call_kwargs()
-    canonical = ", ".join(
-        f"{key}={_canonical(kwargs[key])}" for key in sorted(kwargs)
+    rendered = ", ".join(
+        f"{key}={canonical(kwargs[key])}" for key in sorted(kwargs)
     )
-    return f"{point.label}|{_canonical(point.fn)}|{canonical}"
+    return f"{point.label}|{canonical(point.fn)}|{rendered}"
 
 
 def _result_path(checkpoint_dir: str, index: int) -> str:

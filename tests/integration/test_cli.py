@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import re
 
 import pytest
@@ -331,6 +332,14 @@ class TestFaultsCommand:
         assert "(2 fault events)" in out
 
 
+def _stamp_of(argv):
+    """The run stamp of a ``repro run`` command line."""
+    from repro.cli import _runspec, build_parser
+    from repro.sim.checkpoint import run_stamp
+
+    return run_stamp(_runspec(build_parser().parse_args(argv))[1])
+
+
 class TestShardedCli:
     """The --shards surface: run, trace --golden, checkpoint save, and
     profile all route through the sharded runner and must agree with
@@ -397,6 +406,63 @@ class TestShardedCli:
         golden = pathlib.Path("tests/golden/checkpoint_uniform_2x2x2.json")
         assert out_path.read_bytes() == golden.read_bytes()
         assert "cycle 40" in capsys.readouterr().err
+
+    def test_checkpoint_names_its_run_and_its_machine(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A killed sharded run leaves one file; another run is refused
+        it by name (exit 1, file untouched) -- it used to print the first
+        run's numbers under its own label -- and the run it belongs to
+        finishes it serially, leaving nothing."""
+        import glob
+
+        ck = str(tmp_path / "ck.json")
+        run_a = [
+            "run", "--shape", "2x2x2", "--endpoints", "2", "--batch", "8",
+            "--cores", "2", "--seed", "3", "--checkpoint", ck,
+            "--checkpoint-every", "16",
+        ]
+        monkeypatch.setenv("REPRO_CRASH_AT_CYCLE", "40")
+        with pytest.raises(KeyboardInterrupt):
+            main(run_a + ["--shards", "2", "--transport", "inline"])
+        monkeypatch.delenv("REPRO_CRASH_AT_CYCLE")
+        assert glob.glob(ck + "*") == [ck]
+        before = open(ck, "rb").read()
+        capsys.readouterr()
+
+        run_b = list(run_a)
+        run_b[run_b.index("--seed") + 1] = "9"
+        for extra in ([], ["--shards", "2"], ["--pattern", "tornado"]):
+            assert main(run_b + extra) == 1
+            assert capsys.readouterr().err == (
+                f"error: checkpoint {ck} was written by a different run "
+                f"(its stamp is {json.loads(before)['run_stamp'][:12]}, this "
+                f"run's {_stamp_of(run_b + extra)[:12]}); remove it or pass "
+                f"the run that wrote it\n"
+            )
+        assert open(ck, "rb").read() == before
+
+        assert main(run_a) == 0
+        assert "128 of 128 delivered in 79 cycles" in capsys.readouterr().out
+        assert glob.glob(ck + "*") == []
+
+        # An unstamped file (``checkpoint save``) has its machine to go by.
+        assert main(
+            ["checkpoint", "save", "--shape", "2x2x2", "--endpoints", "2",
+             "--batch", "8", "--cores", "2", "--seed", "3", "--cycles", "40",
+             "--out", ck]
+        ) == 0
+        capsys.readouterr()
+        wide = list(run_a)
+        wide[wide.index("--shape") + 1] = "4x2x2"
+        for extra in ([], ["--shards", "2"]):
+            assert main(wide + extra) == 1
+            assert capsys.readouterr().err == (
+                "error: checkpoint belongs to a different machine: shape is "
+                "(2, 2, 2) in the checkpoint, (4, 2, 2) in this run\n"
+            )
+        assert main(run_a + ["--shards", "2", "--transport", "inline"]) == 0
+        assert "128 of 128 delivered in 79 cycles" in capsys.readouterr().out
 
     def test_profile_sharded_prints_merged_table(self, capsys):
         args = [
@@ -652,3 +718,36 @@ def test_demand_rejects_a_matrix_file_it_would_not_read(tmp_path, capsys):
     )
     assert main(argv + ["--generator", "file"]) == 0
     assert "injected" in capsys.readouterr().out
+
+
+def test_resume_refuses_another_runs_checkpoint_before_rewinding_the_trace(
+    tmp_path, capsys, monkeypatch
+):
+    """``--resume`` truncates the trace file back to the checkpoint; a
+    checkpoint that is not this run's must be refused before that."""
+    trace, ck, straight = (
+        str(tmp_path / name) for name in ("t.jsonl", "ck.json", "s.jsonl")
+    )
+    demand = [
+        "demand", "--shape", "2x2x2", "--endpoints", "2", "--cores", "2",
+        "--duration", "96", "--rate", "0.2",
+    ]
+    checkpointed = demand + [
+        "--trace", trace, "--checkpoint", ck, "--checkpoint-every", "16",
+        "--resume",
+    ]
+    assert main(demand + ["--trace", straight]) == 0
+    monkeypatch.setenv("REPRO_CRASH_AT_CYCLE", "40")
+    with pytest.raises(KeyboardInterrupt):
+        main(checkpointed)
+    monkeypatch.delenv("REPRO_CRASH_AT_CYCLE")
+    before = open(trace, "rb").read(), open(ck, "rb").read()
+    assert len(before[0]) > json.loads(before[1])["trace"]["bytes_written"]
+    capsys.readouterr()
+
+    assert main(checkpointed + ["--seed", "4"]) == 1
+    assert "was written by a different run" in capsys.readouterr().err
+    assert (open(trace, "rb").read(), open(ck, "rb").read()) == before
+
+    assert main(checkpointed) == 0
+    assert open(trace, "rb").read() == open(straight, "rb").read()

@@ -7,11 +7,16 @@ bytes and the serialized stats dict, not merely the summary numbers.
 Hypothesis drives the workload (pattern, arbitration policy, seed,
 healthy or faulted machine) and, crucially, the checkpoint cycle: the
 split point is drawn as a fraction of the uninterrupted run's length, so
-checkpoints land in warm-up, saturation, and drain phases alike.
+checkpoints land in warm-up, saturation, and drain phases alike. The
+split may also *change path*: each side draws a shard count, and where
+the shard runner accepts the drawn run that side goes through it -- the
+checkpoint is one format, whoever wrote it and whoever reads it.
 """
 
 import io
 import json
+import os
+import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,8 +25,15 @@ from repro.arbiters.round_robin import FixedPriorityArbiter
 from repro.core.machine import Machine, MachineConfig
 from repro.core.routing import RouteComputer
 from repro.faults import FaultPolicy, FaultRuntime, FaultSet, FaultSpec
-from repro.sim.checkpoint import dumps, loads, restore_engine, snapshot_engine
-from repro.sim.simulator import build_batch_engine
+from repro.sim.checkpoint import (
+    dumps,
+    load_checkpoint,
+    loads,
+    restore_engine,
+    snapshot_engine,
+)
+from repro.sim.shard import save_sharded_checkpoint
+from repro.sim.simulator import RunSpec, build_batch_engine, run
 from repro.sim.trace import JsonlTraceWriter
 from repro.traffic.batch import BatchSpec
 from repro.traffic.demand import (
@@ -59,22 +71,24 @@ def shared_machine():
     return _MACHINE_CACHE["m"]
 
 
+FAULT_SET = FaultSet(
+    specs=(
+        FaultSpec(kind="link", channel=640, down_cycle=0, up_cycle=45),
+        FaultSpec(kind="link", channel=656, down_cycle=12, up_cycle=None),
+    ),
+    shape=SHAPE,
+)
+
+
 def build(pattern_kind, arbitration, seed, batch, faulted, policy, writer):
     machine, healthy_routes = shared_machine()
     pattern = PATTERNS[pattern_kind](SHAPE)
     runtime = None
     routes = healthy_routes
     if faulted:
-        fault_set = FaultSet(
-            specs=(
-                FaultSpec(kind="link", channel=640, down_cycle=0, up_cycle=45),
-                FaultSpec(kind="link", channel=656, down_cycle=12, up_cycle=None),
-            ),
-            shape=SHAPE,
-        )
         runtime = FaultRuntime(
             machine,
-            fault_set,
+            FAULT_SET,
             policy=FaultPolicy(mode=policy, max_retries=3),
         )
         routes = runtime.route_computer
@@ -100,18 +114,37 @@ def build(pattern_kind, arbitration, seed, batch, faulted, policy, writer):
     return engine
 
 
-def build_demand_case(seed, mseed, injection, arbitration, mode, writer):
+def batch_runspec(pattern_kind, arbitration, seed, batch, faulted, policy):
+    """The run :func:`build` assembles by hand, as a description -- or
+    ``None`` where the shard runner would refuse it (``fixed`` is not a
+    policy a description can name; ``retry`` re-injects across shards)."""
+    if arbitration == "fixed" or (faulted and policy == "retry"):
+        return None
+    machine, _ = shared_machine()
+    pattern = PATTERNS[pattern_kind](SHAPE)
+    return RunSpec(
+        machine.config,
+        BatchSpec(pattern, packets_per_source=batch, cores_per_chip=2, seed=seed),
+        arbitration,
+        (pattern,) if arbitration == "iw" else (),
+        fault_set=FAULT_SET if faulted else None,
+        fault_policy=(
+            FaultPolicy(mode=policy, max_retries=3) if faulted else None
+        ),
+    )
+
+
+def demand_spec(seed, mseed, injection, mode):
     # Three hotspot epochs with shifting hot nodes: any split past cycle
     # 20 has at least one epoch boundary behind it and (before cycle 40)
     # one still ahead in the pre-generated schedule.
-    machine, routes = shared_machine()
     matrices = [
         DemandMatrix.hotspot(
             SHAPE, rate=0.35, hotspots=1, hot_fraction=0.6, seed=mseed + k
         )
         for k in range(3)
     ]
-    spec = DemandSpec(
+    return DemandSpec(
         demand=DemandSchedule.from_matrices(matrices, 20),
         cores_per_chip=2,
         mode=mode,
@@ -120,8 +153,20 @@ def build_demand_case(seed, mseed, injection, arbitration, mode, writer):
         injection=injection,
         seed=seed,
     )
+
+
+def build_demand_case(seed, mseed, injection, arbitration, mode, writer):
+    machine, routes = shared_machine()
+    spec = demand_spec(seed, mseed, injection, mode)
     return build_demand_engine(
         machine, routes, spec, arbitration=arbitration, trace=writer
+    )
+
+
+def demand_runspec(seed, mseed, injection, arbitration, mode):
+    machine, _ = shared_machine()
+    return RunSpec(
+        machine.config, demand_spec(seed, mseed, injection, mode), arbitration
     )
 
 
@@ -134,32 +179,64 @@ def run_uninterrupted(params, build_fn=build):
     return stream.getvalue(), json.dumps(stats.asdict())
 
 
-def run_split(params, split_cycle, build_fn=build):
-    # Phase 1: run to the checkpoint cycle and snapshot through the full
-    # canonical text round trip.
-    stream = io.StringIO()
-    writer = JsonlTraceWriter(stream, meta={"run": "prop"})
-    engine = build_fn(*params, writer)
-    engine.run_for(split_cycle)
-    writer.flush()
-    data = loads(dumps(snapshot_engine(engine)))
-    head = stream.getvalue()
-    assert len(head.encode("utf-8")) == data["trace"]["bytes_written"]
-    # Phase 2: restore into a fresh engine ("new process") with a
-    # header-free resumed writer and run to completion.
-    tail_stream = io.StringIO()
-    resumed = JsonlTraceWriter(
-        tail_stream,
-        header=False,
-        resume_counts=(
-            data["trace"]["events_written"],
-            data["trace"]["bytes_written"],
-        ),
-    )
-    restored = restore_engine(data, trace=resumed)
-    stats = restored.run()
-    resumed.flush()
+def run_split(
+    params, split_cycle, build_fn=build, runspec=None, shards=(1, 1)
+):
+    """Head and tail of a run split at ``split_cycle`` by a checkpoint.
+
+    ``shards`` is the shard count on each side; a side other than 1 goes
+    through the shard runner (inline transport) on ``runspec``, the
+    description of the run ``build_fn`` assembles by hand.
+    """
+    machine, _ = shared_machine()
+    write_shards, read_shards = shards if runspec is not None else (1, 1)
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "ck.json")
+        # Phase 1: run to the checkpoint cycle and snapshot through the
+        # full canonical text round trip.
+        stream = io.StringIO()
+        writer = JsonlTraceWriter(stream, meta={"run": "prop"})
+        if write_shards == 1:
+            engine = build_fn(*params, writer)
+            engine.run_for(split_cycle)
+            writer.flush()
+            data = loads(dumps(snapshot_engine(engine)))
+        else:
+            save_sharded_checkpoint(
+                runspec, write_shards, split_cycle, path,
+                machine=machine, trace=writer,
+            )
+            data = load_checkpoint(path)
+        head = stream.getvalue()
+        assert len(head.encode("utf-8")) == data["trace"]["bytes_written"]
+        # Phase 2: restore into a fresh engine ("new process") with a
+        # header-free resumed writer and run to completion.
+        tail_stream = io.StringIO()
+        resumed = JsonlTraceWriter(
+            tail_stream,
+            header=False,
+            resume_counts=(
+                data["trace"]["events_written"],
+                data["trace"]["bytes_written"],
+            ),
+        )
+        if read_shards == 1:
+            stats = restore_engine(data, trace=resumed).run()
+        else:
+            with open(path, "w") as handle:
+                handle.write(dumps(data))
+            stats = run(
+                runspec, read_shards, machine=machine, trace=resumed,
+                checkpoint_path=path, checkpoint_every=1 << 30,
+                transport="inline",
+            )
+        resumed.flush()
     return head + tail_stream.getvalue(), json.dumps(stats.asdict())
+
+
+shard_counts = st.tuples(
+    st.sampled_from([1, 2, 4]), st.sampled_from([1, 2, 4])
+)
 
 
 @st.composite
@@ -171,14 +248,19 @@ def checkpoint_case(draw):
     faulted = draw(st.booleans())
     policy = draw(st.sampled_from(["reroute", "retry", "drop"]))
     split_fraction = draw(st.floats(min_value=0.05, max_value=0.95))
-    return (pattern, arbitration, seed, batch, faulted, policy), split_fraction
+    shards = draw(shard_counts)
+    return (
+        (pattern, arbitration, seed, batch, faulted, policy),
+        split_fraction,
+        shards,
+    )
 
 
 class TestResumeEquivalence:
     @given(checkpoint_case())
     @settings(max_examples=20, deadline=None)
     def test_checkpoint_resume_is_bitwise(self, case):
-        params, split_fraction = case
+        params, split_fraction, shards = case
         full_trace, full_stats = run_uninterrupted(params)
         end_cycle = json.loads(full_stats)["end_cycle"]
         # At least one cycle before the end so the resumed engine has
@@ -186,7 +268,9 @@ class TestResumeEquivalence:
         split_cycle = min(
             max(1, int(split_fraction * end_cycle)), end_cycle - 1
         )
-        split_trace, split_stats = run_split(params, split_cycle)
+        split_trace, split_stats = run_split(
+            params, split_cycle, runspec=batch_runspec(*params), shards=shards
+        )
         assert split_trace == full_trace
         assert split_stats == full_stats
 
@@ -271,10 +355,11 @@ class TestDemandResumeEquivalence:
         st.sampled_from(["rr", "age", "iw"]),
         st.sampled_from(["open", "closed"]),
         st.floats(min_value=0.05, max_value=0.95),
+        shard_counts,
     )
     @settings(max_examples=10, deadline=None)
     def test_evolving_demand_split_is_bitwise(
-        self, seed, mseed, injection, arbitration, mode, frac
+        self, seed, mseed, injection, arbitration, mode, frac, shards
     ):
         params = (seed, mseed, injection, arbitration, mode)
         full_trace, full_stats = run_uninterrupted(
@@ -283,7 +368,11 @@ class TestDemandResumeEquivalence:
         end_cycle = json.loads(full_stats)["end_cycle"]
         split_cycle = min(max(1, int(frac * end_cycle)), end_cycle - 1)
         split_trace, split_stats = run_split(
-            params, split_cycle, build_fn=build_demand_case
+            params,
+            split_cycle,
+            build_fn=build_demand_case,
+            runspec=demand_runspec(*params),
+            shards=shards,
         )
         assert split_trace == full_trace
         assert split_stats == full_stats

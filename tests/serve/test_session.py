@@ -316,6 +316,39 @@ class TestFaultInjection:
             finals.append(session_artifacts(session))
         assert finals[0] == finals[1]
 
+    def test_thaw_is_invisible_in_a_faulted_snapshot(self):
+        # One cycle-0 link fault, the same demand submitted twice with a
+        # drain between: the second submission resolves the same pairs
+        # under the same failed set. A thaw in between restarts the
+        # computer's memo cold; its miss counters once rode the snapshot
+        # (primary 155 / repick 5 never evicted, 310 / 10 thawed).
+        demand = dict(TestSubmitDemand.DEMAND)
+        texts = []
+        for freeze in (False, True):
+            session = Session.create(
+                "s", {"kind": "idle", "shape": [2, 2, 2], "endpoints": 2}
+            )
+            workload = {
+                "kind": "idle",
+                "shape": [2, 2, 2],
+                "endpoints": 2,
+                "faults": self._fault_obj(session, down=0),
+                "policy": {"mode": "reroute"},
+            }
+            session = Session.create("s", workload)
+            session.submit_demand(dict(demand))
+            assert drive(session)["drained"]
+            if freeze:
+                session = Session.thaw(
+                    json.loads(canon(session.spool_payload()))
+                )
+            session.submit_demand(dict(demand))
+            assert drive(session)["drained"]
+            assert session.engine.stats.rerouted == 0  # routed around at source
+            texts.append(session.snapshot_text())
+        assert texts[0] == texts[1]
+        assert '"resolution"' not in texts[0]
+
 
 class TestStreams:
     def test_trace_stream_carries_writer_identical_lines(self):

@@ -97,10 +97,6 @@ class TestShardPlan:
         )
         assert 1 <= plan.lookahead <= lat
 
-    def test_roundtrips_through_json(self, tiny_machine):
-        plan = ShardPlan.for_machine(tiny_machine, 4)
-        assert ShardPlan.from_json(plan.to_json()) == plan
-
     def test_one_shard_plan(self, tiny_machine):
         plan = ShardPlan.for_machine(tiny_machine, 1)
         assert plan.shards == 1

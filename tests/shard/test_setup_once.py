@@ -1,8 +1,9 @@
 """A sharded run pays its setup once, on any start method, and reaps.
 
 The hub builds one machine, generates the workload once and programs
-the ``iw`` weight tables once; each worker starts from the packets whose
-source it owns and from those tables. These tests count the generator,
+the ``iw`` weight tables once -- for faulted runs like any other; each
+worker starts from the packets whose source it owns and from those
+tables. These tests count the generator,
 ``Machine`` and table-programming calls under the inline transport,
 force the ``spawn`` start method in a subprocess (so correctness never
 leans on fork inheritance), and kill a worker process outright to pin
@@ -29,6 +30,7 @@ from .test_conformance import WORKLOADS
 _GENERATORS = {
     "uniform-rr": ("repro.traffic.batch", "generate_batch"),
     "demand-rr": ("repro.traffic.demand", "generate_demand"),
+    "uniform-rr-faulted": ("repro.traffic.batch", "generate_batch"),
 }
 
 
@@ -44,7 +46,7 @@ def _count_calls(monkeypatch, owner, name, calls):
 
 @pytest.mark.parametrize("shards", [2, 4])
 @pytest.mark.parametrize("name", sorted(_GENERATORS))
-def test_healthy_run_generates_once_on_the_hubs_machine(
+def test_run_generates_once_on_the_hubs_machine(
     name, shards, monkeypatch
 ):
     run = WORKLOADS[name]()
@@ -77,7 +79,9 @@ def test_healthy_run_generates_once_on_the_hubs_machine(
     assert json.dumps(stats.asdict()) == json.dumps(serial.asdict())
 
 
-@pytest.mark.parametrize("name", ["uniform-iw", "demand-iw"])
+@pytest.mark.parametrize(
+    "name", ["uniform-iw", "demand-iw", "uniform-iw-faulted"]
+)
 def test_iw_tables_are_programmed_once_in_the_hub(name, monkeypatch):
     from repro.sim import simulator
     from repro.traffic import loads
@@ -99,7 +103,8 @@ def test_iw_tables_are_programmed_once_in_the_hub(name, monkeypatch):
     monkeypatch.setattr(shard_mod._ShardCore, "__init__", recording_init)
     stats = run_sharded(run, 4, transport="inline")
 
-    # One weight pattern: one load table, one table per arbitration stage.
+    # One weight pattern: one load table (enumerated exhaustively on the
+    # faulted row), one table per arbitration stage.
     assert calls == [
         "compute_loads", "make_weight_tables", "make_vc_weight_tables"
     ]

@@ -316,19 +316,33 @@ class TestFaultRuntimeRoundTrip:
         )
         assert len(restored._inflight) == len(engine._inflight)
 
-    def test_resolution_counts_survive(self):
-        # Regression: the fault-aware route computer's escalation-stage
-        # counters are observable diagnostics and were not captured by
-        # an early version of the snapshot (its caches restart cold --
-        # pure memoization -- but the counts must not).
+    def test_resolution_counts_are_not_state(self):
+        # The fault-aware computer's escalation-stage counters count the
+        # *misses* of its resolution memo, which restarts cold on every
+        # restore: they depend on when the memo was last emptied, not on
+        # the simulation, so the snapshot does not carry them (it once
+        # did, and an evict/thaw doubled them in the next snapshot).
         engine, runtime = faulted_engine(policy="reroute")
         engine.run_for(25)
-        counts = dict(runtime.route_computer.resolution_counts)
-        assert counts  # faults are down from cycle 0: stages were used
+        assert runtime.route_computer.resolution_counts
+        data = snapshot_engine(engine)
+        assert sorted(data["faults"]) == [
+            "failed", "fault_set", "inflight", "policy"
+        ]
         restored = roundtrip(engine)
-        assert (
-            dict(restored._fault_runtime.route_computer.resolution_counts)
-            == counts
+        assert not restored._fault_runtime.route_computer.resolution_counts
+        assert dumps(snapshot_engine(restored)) == dumps(data)
+
+    def test_older_file_with_resolution_counts_still_restores(self):
+        engine, _ = faulted_engine(policy="reroute")
+        engine.run_for(25)
+        data = json.loads(dumps(snapshot_engine(engine)))
+        data["faults"]["resolution"] = [["primary", 125], ["repick", 1]]
+        restored = restore_engine(data)
+        engine.run()
+        restored.run()
+        assert json.dumps(engine.stats.asdict()) == json.dumps(
+            restored.stats.asdict()
         )
 
     def test_faulted_resume_is_bitwise(self):
@@ -490,3 +504,97 @@ class TestPayloadValidation:
         path = str(tmp_path / "ck.json")
         written = save_checkpoint(engine, path)
         assert dumps(load_checkpoint(path)) == dumps(written)
+
+    def test_other_machines_checkpoint_rejected_by_name(self):
+        # A caller-supplied machine must be the checkpoint's own: it used
+        # to be trusted, and a larger checkpoint on a smaller machine died
+        # in "truncated or corrupted checkpoint: IndexError(...)".
+        data = self.snapshot()
+        other = Machine(MachineConfig(shape=(4, 2, 2), endpoints_per_chip=3))
+        with pytest.raises(CheckpointError) as caught:
+            restore_engine(data, machine=other)
+        assert str(caught.value) == (
+            "checkpoint belongs to a different machine: shape is (2, 2, 2) "
+            "in the checkpoint, (4, 2, 2) in this run; endpoints_per_chip "
+            "is 2 in the checkpoint, 3 in this run"
+        )
+        restore_engine(data, machine=make_machine())  # an equal config is fine
+
+
+class TestRunStamp:
+    """Periodic saves that know their run stamp the file with it; a
+    resume under any other run is refused by name, file untouched."""
+
+    @staticmethod
+    def runspec(seed=11):
+        from repro.sim.simulator import RunSpec
+
+        config = MachineConfig(shape=SHAPE, endpoints_per_chip=2)
+        spec = BatchSpec(UniformRandom(SHAPE), 8, cores_per_chip=2, seed=seed)
+        return RunSpec(config, spec)
+
+    def killed(self, tmp_path, monkeypatch, **kwargs):
+        from repro.sim.checkpoint import CRASH_ENV_VAR
+        from repro.sim.simulator import run
+
+        path = str(tmp_path / "ck.json")
+        monkeypatch.setenv(CRASH_ENV_VAR, "40")
+        with pytest.raises(KeyboardInterrupt):
+            run(self.runspec(), checkpoint_path=path, checkpoint_every=16, **kwargs)
+        monkeypatch.delenv(CRASH_ENV_VAR)
+        return path
+
+    def test_stamp_is_the_hash_of_the_canonical_run(self, tmp_path, monkeypatch):
+        from repro.sim.checkpoint import run_stamp
+
+        path = self.killed(tmp_path, monkeypatch)
+        data = load_checkpoint(path)
+        assert list(data)[-1] == "run_stamp"
+        assert data["run_stamp"] == run_stamp(self.runspec())
+        assert run_stamp(self.runspec()) != run_stamp(self.runspec(seed=12))
+        # The stamp is the only difference from an unstamped save.
+        stamp = data.pop("run_stamp")
+        engine = restore_engine(data)
+        assert dumps(snapshot_engine(engine)) == dumps(data)
+        assert save_checkpoint(engine, path, stamp)["run_stamp"] == stamp
+
+    def test_different_run_refused_and_file_untouched(self, tmp_path, monkeypatch):
+        from repro.sim.simulator import run
+
+        path = self.killed(tmp_path, monkeypatch)
+        with open(path, "rb") as handle:
+            before = handle.read()
+        with pytest.raises(
+            CheckpointError,
+            match=f"checkpoint {path} was written by a different run",
+        ):
+            run(self.runspec(seed=12), checkpoint_path=path, checkpoint_every=16)
+        with open(path, "rb") as handle:
+            assert handle.read() == before
+        expect = run(self.runspec())
+        resumed = run(self.runspec(), checkpoint_path=path, checkpoint_every=16)
+        assert json.dumps(resumed.asdict()) == json.dumps(expect.asdict())
+
+    def test_hand_assembled_entries_stay_unstamped(self, tmp_path, monkeypatch):
+        # run_batch is handed a built fault runtime, not a description:
+        # it neither stamps nor checks a stamp, and relies on the machine.
+        from repro.core.routing import RouteComputer
+        from repro.sim.checkpoint import CRASH_ENV_VAR
+        from repro.sim.simulator import run, run_batch
+
+        machine = make_machine()
+        spec = self.runspec().spec
+        path = str(tmp_path / "ck.json")
+        monkeypatch.setenv(CRASH_ENV_VAR, "40")
+        with pytest.raises(KeyboardInterrupt):
+            run_batch(
+                machine, RouteComputer(machine), spec,
+                checkpoint_path=path, checkpoint_every=16,
+            )
+        monkeypatch.delenv(CRASH_ENV_VAR)
+        assert "run_stamp" not in load_checkpoint(path)
+        # ... and whoever holds a matching machine may finish it.
+        resumed = run(self.runspec(), checkpoint_path=path, checkpoint_every=16)
+        assert json.dumps(resumed.asdict()) == json.dumps(
+            run(self.runspec()).asdict()
+        )
