@@ -1,7 +1,6 @@
 """Experiment harnesses, fairness metrics, and reporting."""
 
 from .degradation import (
-    DegradedPoint,
     DegradedThroughputPoint,
     degradation_sweep,
     measure_degraded_point,
@@ -24,7 +23,6 @@ from .throughput import (
 )
 
 __all__ = [
-    "DegradedPoint",
     "DegradedThroughputPoint",
     "LatencyLoadPoint",
     "ThroughputPoint",

@@ -16,10 +16,11 @@ are directly comparable:
   means the simulator extracts nearly all the bandwidth the surviving
   topology offers.
 
-Every measured point is an independent simulation described by a
-picklable :class:`DegradedPoint` (the fault set rides along as its
-canonical JSON string), so sweeps fan across cores through
-:mod:`repro.sim.sweep` exactly like the healthy Figure 9 harness.
+Every measured point is an independent simulation, and a point *is* its
+:class:`~repro.sim.simulator.RunSpec` -- picklable, fault set and policy
+included -- so sweeps fan across cores through :mod:`repro.sim.sweep`
+exactly like the healthy Figure 9 harness. The healthy machine and load
+table are the simulator's memo's; degraded ones are never kept.
 """
 
 from __future__ import annotations
@@ -28,13 +29,21 @@ import dataclasses
 import time
 from typing import List, Optional, Sequence
 
-from repro.core.machine import ChannelKind, Machine, MachineConfig
+from repro.core.machine import ChannelKind, Machine
+from repro.core.routing import RouteComputer
 from repro.faults.model import FaultSet, sample_link_faults
 from repro.faults.runtime import FaultPolicy
-from repro.sim.simulator import RunSpec, build, run_context, run_loads
-from repro.sim.sweep import SweepPoint, run_sweep, shared_machine
+from repro.sim.simulator import (
+    RunSpec,
+    build,
+    loads_of,
+    run_context,
+    share_machine,
+    shared_machine,
+)
+from repro.sim.sweep import SweepPoint, run_sweep
 from repro.traffic.batch import BatchSpec
-from repro.traffic.loads import compute_loads, ideal_batch_cycles
+from repro.traffic.loads import ideal_batch_cycles
 from repro.traffic.patterns import TrafficPattern
 
 from .fairness import jain_index
@@ -69,64 +78,34 @@ class DegradedThroughputPoint:
     fault_json: str
 
 
-@dataclasses.dataclass(frozen=True)
-class DegradedPoint:
-    """Picklable spec of one degraded-batch simulation point.
-
-    Like :class:`repro.analysis.throughput.BatchPoint`, this carries the
-    machine *config* (workers rebuild and cache the machine per process)
-    -- plus the fault set as its canonical JSON string, which is both
-    picklable and the reproducibility artifact for the run.
-    """
-
-    config: MachineConfig
-    pattern: TrafficPattern
-    batch_size: int
-    cores_per_chip: int
-    fault_json: str
-    arbitration: str = "iw"
-    #: Stranded-packet policy for mid-run faults (reroute/drop/retry).
-    policy_mode: str = "reroute"
-    max_retries: int = 4
-    seed: int = 0
-
-
-def measure_degraded_point(point: DegradedPoint) -> DegradedThroughputPoint:
-    """Run one :class:`DegradedPoint` (the sweep-runner work function)."""
+def measure_degraded_point(point: RunSpec) -> DegradedThroughputPoint:
+    """Run one faulted batch :class:`~repro.sim.simulator.RunSpec` (the
+    sweep-runner work function)."""
     machine, healthy_routes = shared_machine(point.config)
-    fault_set = FaultSet.from_json(point.fault_json)
-    run = RunSpec(
-        point.config,
-        BatchSpec(
-            point.pattern,
-            packets_per_source=point.batch_size,
-            cores_per_chip=point.cores_per_chip,
-            seed=point.seed,
-        ),
-        point.arbitration,
-        fault_set=fault_set,
-        fault_policy=FaultPolicy(
-            mode=point.policy_mode, max_retries=point.max_retries
-        ),
-    )
-    machine, routes, faults = run_context(run, machine)
+    _, routes, faults = run_context(point, machine)
+    spec = point.spec
     # Degraded loads over the fault-aware routes, enumerated once: they
     # normalize the result below and, under ``iw``, program the weights.
-    (load_table,) = run_loads(run, machine, routes, faults)
-    start = time.perf_counter()
-    stats = build(run, machine, routes, faults, load_tables=[load_table]).run()
-    wall = time.perf_counter() - start
-    ideal = ideal_batch_cycles(machine, load_table, point.batch_size)
-    healthy_table = compute_loads(
-        machine, healthy_routes, point.pattern, point.cores_per_chip
+    (load_table,) = loads_of(
+        machine, routes, [spec.pattern], spec.cores_per_chip,
+        spec.dst_endpoint_mode, faults,
     )
-    healthy_ideal = ideal_batch_cycles(machine, healthy_table, point.batch_size)
+    start = time.perf_counter()
+    stats = build(point, machine, routes, faults, load_tables=[load_table]).run()
+    wall = time.perf_counter() - start
+    ideal = ideal_batch_cycles(machine, load_table, spec.packets_per_source)
+    (healthy_table,) = loads_of(
+        machine, healthy_routes, [spec.pattern], spec.cores_per_chip
+    )
+    healthy_ideal = ideal_batch_cycles(
+        machine, healthy_table, spec.packets_per_source
+    )
     finishes = list(stats.source_finish_cycle.values())
     return DegradedThroughputPoint(
-        pattern=point.pattern.name,
+        pattern=spec.pattern.name,
         arbitration=point.arbitration,
-        policy=point.policy_mode,
-        failed_links=len(fault_set),
+        policy=point.fault_policy.mode,
+        failed_links=len(point.fault_set),
         normalized_throughput=ideal / stats.last_delivery_cycle,
         throughput_vs_healthy_ideal=healthy_ideal / stats.last_delivery_cycle,
         finish_spread=stats.finish_spread() or 0.0,
@@ -138,7 +117,7 @@ def measure_degraded_point(point: DegradedPoint) -> DegradedThroughputPoint:
         retried=stats.retried,
         unroutable=stats.unroutable,
         wall_seconds=wall,
-        fault_json=point.fault_json,
+        fault_json=point.fault_set.to_json(),
     )
 
 
@@ -165,19 +144,18 @@ def degradation_sweep(
     show up as a baseline shift. ``max_workers`` > 1 fans the points
     across processes; results are identical to serial execution.
     """
+    share_machine(machine, RouteComputer(machine))
+    spec = BatchSpec(pattern, batch_size, cores_per_chip, seed=seed)
     points = [
-        DegradedPoint(
-            config=machine.config,
-            pattern=pattern,
-            batch_size=batch_size,
-            cores_per_chip=cores_per_chip,
-            fault_json=sample_link_faults(
+        RunSpec(
+            machine.config,
+            spec,
+            arbitration,
+            fault_set=sample_link_faults(
                 machine, k, seed=fault_seed, kinds=kinds,
                 note=f"degradation sweep k={k}",
-            ).to_json(),
-            arbitration=arbitration,
-            policy_mode=policy_mode,
-            seed=seed,
+            ),
+            fault_policy=FaultPolicy(mode=policy_mode),
         )
         for k in range(max_failed + 1)
     ]
@@ -214,7 +192,6 @@ def verify_degraded_routes(
 
 
 __all__ = [
-    "DegradedPoint",
     "DegradedThroughputPoint",
     "degradation_sweep",
     "measure_degraded_point",

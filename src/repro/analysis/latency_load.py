@@ -18,10 +18,9 @@ from typing import List, Optional, Sequence
 
 from repro.core.machine import Machine
 from repro.core.routing import RouteComputer
-from repro.sim.engine import Engine
-from repro.sim.simulator import arbiter_builder_for
-from repro.traffic.batch import generate_open_loop
-from repro.traffic.loads import LoadTable, compute_loads
+from repro.sim.simulator import RunSpec, build, loads_of, program_weights
+from repro.traffic.batch import BatchSpec, generate_open_loop
+from repro.traffic.loads import LoadTable
 from repro.traffic.patterns import TrafficPattern
 
 
@@ -72,8 +71,15 @@ def latency_vs_load(
     computed from a retained per-packet latency list.
     """
     if load_table is None:
-        load_table = compute_loads(machine, route_computer, pattern, cores_per_chip)
+        (load_table,) = loads_of(machine, route_computer, [pattern], cores_per_chip)
     base_rate = saturation_rate(machine, load_table)
+    # The open-loop packets stand in for the run's generation, as a
+    # replay's do; ``iw`` is programmed from the table that set the rate.
+    run = RunSpec(
+        machine.config, BatchSpec(pattern, 1, cores_per_chip, seed=seed),
+        arbitration,
+    )
+    tables = program_weights(run, machine, route_computer, load_tables=[load_table])
     points = []
     for fraction in fractions_of_saturation:
         rate = min(1.0, fraction * base_rate)
@@ -86,13 +92,10 @@ def latency_vs_load(
             cores_per_chip=cores_per_chip,
             seed=seed,
         )
-        builder = arbiter_builder_for(arbitration)
-        engine = Engine(
-            machine, arbiter_builder=builder, latency_quantiles=True
-        )
-        for packet in packets:
-            engine.enqueue(packet)
-        stats = engine.run()
+        stats = build(
+            run, machine, route_computer, packets=packets,
+            weight_tables=tables, latency_quantiles=True,
+        ).run()
         quantiles = stats.latency_quantiles((0.5, 0.95, 0.99))
         points.append(
             LatencyLoadPoint(

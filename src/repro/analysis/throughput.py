@@ -6,14 +6,14 @@ policies (Figure 9), and versus blend fraction for different arbiter
 weight sets (Figure 10).
 
 Every measured point is an independent simulation, so the sweeps fan
-points across cores through :mod:`repro.sim.sweep`: a point is described
-by a picklable :class:`BatchPoint` spec and run by
-:func:`measure_batch_point`. What the points of a campaign share -- the
-machine, the analytic loads, the programmed weight tables -- is prepared
-once, in the parent, and inherited by forked workers (a worker that
-cannot inherit rebuilds it from the spec, cached per process). The
-engine's exact fixed-point timing makes the parallel results
-bitwise-identical to a serial loop.
+points across cores through :mod:`repro.sim.sweep`: a picklable
+:class:`BatchPoint` *is* its :class:`~repro.sim.simulator.RunSpec` plus
+reporting labels, and :func:`measure_batch_point` is prepare, build,
+run, reduce over that value. What a campaign's points share -- machine,
+analytic loads, programmed weight tables -- lives in the simulator's
+memo: the parent prepares every point before its pool forks and the
+workers inherit it (one that cannot fills its own). The engine's exact
+fixed-point timing makes the results bitwise-identical to a serial loop.
 """
 
 from __future__ import annotations
@@ -26,16 +26,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.machine import Machine, MachineConfig
 from repro.core.routing import RouteComputer
 from repro.sim.metrics import MetricsCollector, MetricsSummary
-from repro.sim.simulator import RunSpec, build, program_weight_tables, run_engine
-from repro.sim.sweep import (
-    SweepPoint,
-    canonical,
-    run_sweep,
+from repro.sim.simulator import (
+    RunSpec,
+    build,
+    loads_of,
+    program_weights,
+    run_engine,
     share_machine,
     shared_machine,
 )
+from repro.sim.sweep import SweepPoint, run_sweep
 from repro.traffic.batch import BatchSpec
-from repro.traffic.loads import LoadTable, compute_loads, ideal_batch_cycles
+from repro.traffic.loads import LoadTable, ideal_batch_cycles
 from repro.traffic.patterns import Blend, TrafficPattern
 
 
@@ -55,6 +57,40 @@ class ThroughputPoint:
     metrics: Optional[MetricsSummary] = None
 
 
+def _measure(
+    run, machine, route_computer, load_table, label, collector,
+    checkpoint_path, checkpoint_every, stamped=True, **programmed,
+) -> ThroughputPoint:
+    """Build ``run`` (``programmed`` is :func:`build`'s), run it, and
+    normalize its completion time by ``load_table``, the measured
+    pattern's: following Section 4.1, a throughput of 1 means the busiest
+    torus channel (under the pattern's expected loads) was never idle."""
+    start = time.perf_counter()
+    stats = run_engine(
+        lambda: build(run, machine, route_computer, trace=collector, **programmed),
+        trace=collector,
+        checkpoint_path=checkpoint_path,
+        checkpoint_every=checkpoint_every,
+        machine=machine,
+        run=run if stamped else None,
+    )
+    wall = time.perf_counter() - start
+    batch_size = run.spec.packets_per_source
+    ideal = ideal_batch_cycles(machine, load_table, batch_size)
+    return ThroughputPoint(
+        pattern=run.spec.pattern.name,
+        arbitration=label or run.arbitration,
+        batch_size=batch_size,
+        normalized_throughput=ideal / stats.last_delivery_cycle,
+        finish_spread=stats.finish_spread() or 0.0,
+        completion_cycles=stats.last_delivery_cycle,
+        wall_seconds=wall,
+        metrics=(
+            None if collector is None else collector.summary(stats.end_cycle)
+        ),
+    )
+
+
 def measure_batch(
     machine: Machine,
     route_computer: RouteComputer,
@@ -71,74 +107,76 @@ def measure_batch(
     checkpoint_path: Optional[str] = None,
     checkpoint_every: int = 0,
 ) -> ThroughputPoint:
-    """Run one batch and normalize its completion time.
+    """Run one batch on a pair the caller holds and normalize its
+    completion time (:func:`measure_run` takes a described run).
 
-    Normalization follows Section 4.1: a throughput of 1 means the
-    busiest torus channel (under the pattern's expected loads) was never
-    idle. A :class:`~repro.sim.metrics.MetricsCollector` may be attached
-    to also stream per-channel and latency metrics out of the run; its
+    A :class:`~repro.sim.metrics.MetricsCollector` may be attached to
+    also stream per-channel and latency metrics out of the run; its
     summary rides along on the returned point.
 
     ``checkpoint_path`` + ``checkpoint_every`` enable the periodic
     checkpoint/resume behavior of :func:`repro.sim.simulator.run_batch`:
     an interrupted point resumes mid-run and its measured result is
-    bitwise-identical to a never-interrupted execution; the file is
-    stamped with this point's run, so a point edited since (another
-    pattern, batch size, seed or policy) refuses it by name.
+    bitwise-identical to a never-interrupted execution. Unless weight
+    tables are handed in -- they do not say what programmed them -- the
+    file is stamped with this point's run, so a point edited since
+    (another pattern, batch size, seed or policy) refuses it by name.
     """
+    spec = BatchSpec(pattern, batch_size, cores_per_chip, seed=seed)
     if load_table is None:
-        load_table = compute_loads(machine, route_computer, pattern, cores_per_chip)
-    spec = BatchSpec(
-        pattern,
-        packets_per_source=batch_size,
-        cores_per_chip=cores_per_chip,
-        seed=seed,
-    )
-    run = RunSpec(machine.config, spec, arbitration)
-    start = time.perf_counter()
-    stats = run_engine(
+        (load_table,) = loads_of(machine, route_computer, [pattern], cores_per_chip)
+    return _measure(
+        RunSpec(machine.config, spec, arbitration), machine, route_computer,
+        load_table, label, collector, checkpoint_path, checkpoint_every,
+        stamped=weight_tables is None and vc_weight_tables is None,
         # Weights not handed in are programmed from the measured pattern
         # itself, off the load table that also normalizes the result.
-        lambda: build(
-            run,
-            machine,
-            route_computer,
-            trace=collector,
-            weight_tables=(weight_tables, vc_weight_tables),
-            load_tables=[load_table],
-        ),
-        trace=collector,
-        checkpoint_path=checkpoint_path,
-        checkpoint_every=checkpoint_every,
-        machine=machine,
-        run=run,
+        weight_tables=(weight_tables, vc_weight_tables),
+        load_tables=[load_table],
     )
-    wall = time.perf_counter() - start
-    ideal = ideal_batch_cycles(machine, load_table, batch_size)
-    return ThroughputPoint(
-        pattern=pattern.name,
-        arbitration=label or arbitration,
-        batch_size=batch_size,
-        normalized_throughput=ideal / stats.last_delivery_cycle,
-        finish_spread=stats.finish_spread() or 0.0,
-        completion_cycles=stats.last_delivery_cycle,
-        wall_seconds=wall,
-        metrics=(
-            None if collector is None else collector.summary(stats.end_cycle)
-        ),
+
+
+def _prepare(run: RunSpec) -> tuple:
+    """The offline half of a batch run on the shared pair: ``(machine,
+    route computer, the measured pattern's load table, (SA2, SA1) weight
+    tables)``, all out of the simulator's memo, so whoever asks first
+    pays: a campaign's parent before its workers fork, else each worker."""
+    machine, route_computer = shared_machine(run.config)
+    spec = run.spec
+    (load_table,) = loads_of(
+        machine, route_computer, [spec.pattern], spec.cores_per_chip,
+        spec.dst_endpoint_mode,
+    )
+    tables = program_weights(run, machine, route_computer)
+    return machine, route_computer, load_table, tables
+
+
+def measure_run(
+    run: RunSpec,
+    label: Optional[str] = None,
+    collector: Optional[MetricsCollector] = None,
+    checkpoint_path: Optional[str] = None,
+    checkpoint_every: int = 0,
+) -> ThroughputPoint:
+    """Measure one described batch run: prepare, build, run, reduce.
+    The checkpoint is stamped with ``run``, ``weight_patterns`` included:
+    editing what programs a point's weights refuses the old point's file
+    like any other edit."""
+    machine, route_computer, load_table, tables = _prepare(run)
+    return _measure(
+        run, machine, route_computer, load_table, label, collector,
+        checkpoint_path, checkpoint_every, weight_tables=tables,
     )
 
 
 @dataclasses.dataclass(frozen=True)
 class BatchPoint:
-    """Picklable spec of one batch-throughput simulation point.
+    """Picklable spec of one batch-throughput simulation point: its
+    :attr:`run` plus how to report it.
 
-    Carries the machine *config* rather than the machine: the elaborated
-    machine comes from :func:`repro.sim.sweep.shared_machine`, the
-    per-process cache a forked worker inherits warm and any other worker
-    fills from the config. ``weight_patterns`` names the
-    patterns whose analytic loads program the inverse-weight tables for
-    ``arbitration="iw"`` (empty means: the measured pattern itself).
+    ``weight_patterns`` names the patterns whose analytic loads program
+    the inverse-weight tables for ``arbitration="iw"`` (empty means: the
+    measured pattern itself).
     """
 
     config: MachineConfig
@@ -164,99 +202,27 @@ class BatchPoint:
     checkpoint_path: Optional[str] = None
     checkpoint_every: int = 0
 
-
-#: Per-process caches of analytic loads and programmed weight tables.
-#: Keys carry the patterns' canonical *content*, never their names: two
-#: ``FixedPermutation``s both called "permutation" load the machine
-#: differently. A campaign fills them in the parent before its pool
-#: forks (:func:`run_batch_points`), so they live as long as the process.
-_LOADS_CACHE: Dict[tuple, LoadTable] = {}
-_TABLES_CACHE: Dict[tuple, tuple] = {}
-
-
-def _cache_key(machine, patterns, cores_per_chip) -> tuple:
-    return (
-        machine.config,
-        tuple(canonical(pattern) for pattern in patterns),
-        cores_per_chip,
-    )
-
-
-def _loads_for(machine, route_computer, pattern, cores_per_chip) -> LoadTable:
-    key = _cache_key(machine, (pattern,), cores_per_chip)
-    table = _LOADS_CACHE.get(key)
-    if table is None:
-        table = compute_loads(machine, route_computer, pattern, cores_per_chip)
-        _LOADS_CACHE[key] = table
-    return table
-
-
-def _weight_tables_for(machine, route_computer, patterns, cores_per_chip):
-    key = _cache_key(machine, patterns, cores_per_chip)
-    tables = _TABLES_CACHE.get(key)
-    if tables is None:
-        load_tables = [
-            _loads_for(machine, route_computer, pattern, cores_per_chip)
-            for pattern in patterns
-        ]
-        tables = program_weight_tables(
-            machine, route_computer, patterns, cores_per_chip,
-            load_tables=load_tables,
+    @property
+    def run(self) -> RunSpec:
+        """What the point is prepared, built, stamped and cached as."""
+        spec = BatchSpec(
+            self.pattern, self.batch_size, self.cores_per_chip, seed=self.seed
         )
-        _TABLES_CACHE[key] = tables
-    return tables
-
-
-def prepare_batch_point(point: BatchPoint) -> tuple:
-    """The offline half of a point: ``(machine, route computer, load
-    table, SA2 weight tables, SA1 weight tables)``, the tables ``None``
-    unless the point arbitrates by inverse weights.
-
-    Everything here is a pure function of (config, patterns, cores) and
-    is cached per process, so whoever calls it first pays: the campaign's
-    parent, before its workers fork and inherit the result, or -- under a
-    start method that does not fork -- each worker on its first point.
-    """
-    machine, route_computer = shared_machine(point.config)
-    load_table = _loads_for(
-        machine, route_computer, point.pattern, point.cores_per_chip
-    )
-    weight_tables = vc_weight_tables = None
-    if point.arbitration == "iw":
-        weight_tables, vc_weight_tables = _weight_tables_for(
-            machine,
-            route_computer,
-            point.weight_patterns or (point.pattern,),
-            point.cores_per_chip,
+        return RunSpec(
+            self.config, spec, self.arbitration, tuple(self.weight_patterns)
         )
-    return machine, route_computer, load_table, weight_tables, vc_weight_tables
 
 
 def measure_batch_point(point: BatchPoint) -> ThroughputPoint:
     """Run one :class:`BatchPoint` (the sweep-runner work function)."""
-    (
-        machine, route_computer, load_table, weight_tables, vc_weight_tables
-    ) = prepare_batch_point(point)
     collector = (
         MetricsCollector(window_cycles=point.metrics_window)
         if point.collect_metrics
         else None
     )
-    result = measure_batch(
-        machine,
-        route_computer,
-        point.pattern,
-        point.batch_size,
-        point.cores_per_chip,
-        point.arbitration,
-        load_table=load_table,
-        weight_tables=weight_tables,
-        vc_weight_tables=vc_weight_tables,
-        seed=point.seed,
-        label=point.label,
-        collector=collector,
-        checkpoint_path=point.checkpoint_path,
-        checkpoint_every=point.checkpoint_every,
+    result = measure_run(
+        point.run, point.label, collector,
+        point.checkpoint_path, point.checkpoint_every,
     )
     if point.pattern_label is not None:
         result.pattern = point.pattern_label
@@ -276,18 +242,17 @@ def run_batch_points(
     per-point ``checkpoint_path`` on the :class:`BatchPoint` specs to
     also resume the interrupted point mid-run.
 
-    The points' offline halves (:func:`prepare_batch_point`) run here, in
-    the parent, before any worker exists: machines, load tables and
-    weight tables are programmed once per campaign -- as the paper
-    programs its weights once per traffic pattern -- and forked workers
-    inherit them. Where workers do not fork they would inherit nothing,
-    so the parent leaves the work to them (and to a serial loop's first
-    use), as before.
+    The points' offline halves (:func:`_prepare`) run here, in the
+    parent, before any worker exists: machines, load tables and weight
+    tables are programmed once per campaign -- as the paper programs its
+    weights once per traffic pattern -- and forked workers inherit them.
+    Where workers do not fork they would inherit nothing, so the parent
+    leaves the work to them (and to a serial loop's first use).
     """
     if multiprocessing.get_start_method() == "fork":
         for point in points:
             try:
-                prepare_batch_point(point)
+                _prepare(point.run)
             except Exception:
                 # The point's own run raises the same error, and the
                 # sweep runner reports it by name beside the others.

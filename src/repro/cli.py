@@ -153,11 +153,11 @@ def _run_params(args, kind: str = "batch") -> dict:
 def _runspec(args, kind: str = "batch"):
     """``(params, RunSpec, machine)`` of a command line; a fault file is
     validated against the machine before anything runs."""
-    from repro.sim.simulator import RunSpec
+    from repro.sim.simulator import RunSpec, shared_machine
 
     params = _run_params(args, kind)
     runspec = RunSpec.from_params(params)
-    machine = Machine(runspec.config)
+    machine = shared_machine(runspec.config)[0]
     if runspec.fault_set is not None:
         runspec.fault_set.validate(machine)
     return params, runspec, machine
@@ -361,21 +361,12 @@ def cmd_deadlock(args) -> int:
 
 
 def cmd_throughput(args) -> int:
-    from repro.analysis.throughput import measure_batch
+    from repro.analysis.throughput import measure_run
 
-    _, runspec, machine = _runspec(args)
-    pattern = runspec.spec.pattern
-    point = measure_batch(
-        machine,
-        RouteComputer(machine),
-        pattern,
-        batch_size=args.batch,
-        cores_per_chip=args.cores,
-        arbitration=args.arbitration,
-        seed=args.seed,
-    )
+    _, runspec, _ = _runspec(args)
+    point = measure_run(runspec)
     print(
-        f"{pattern.name} / {args.arbitration}: normalized throughput "
+        f"{point.pattern} / {args.arbitration}: normalized throughput "
         f"{point.normalized_throughput:.3f}, finish spread "
         f"{point.finish_spread:.3f}, {point.completion_cycles} cycles "
         f"({point.wall_seconds:.1f}s wall)"

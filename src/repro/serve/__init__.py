@@ -15,7 +15,6 @@ from .protocol import PROTOCOL_VERSION, ProtocolError
 from .server import SimServer, run_server
 from .session import (
     BACKPRESSURE_MODES,
-    MachineCache,
     OutboundChannel,
     Session,
     SessionConfig,
@@ -27,7 +26,6 @@ from .session import (
 __all__ = [
     "BACKPRESSURE_MODES",
     "LoadTestSpec",
-    "MachineCache",
     "OutboundChannel",
     "PROTOCOL_VERSION",
     "ProtocolError",

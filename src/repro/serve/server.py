@@ -63,7 +63,6 @@ from .protocol import (
     reply_ok,
 )
 from .session import (
-    MachineCache,
     OutboundChannel,
     Session,
     SessionConfig,
@@ -108,7 +107,6 @@ class SimServer:
         #: Subscribers of spooled sessions, parked until thaw re-attaches
         #: them (spool files cannot carry live connection handles).
         self._evicted_subs: Dict[str, List[Subscriber]] = {}
-        self.machines = MachineCache()
         self._server: Optional[asyncio.AbstractServer] = None
         self._next_sid = 0
         #: Request latencies in integer microseconds.
@@ -335,9 +333,7 @@ class SimServer:
             )
         base.update(overrides)
         config = SessionConfig(**base)
-        session = Session.create(
-            sid, frame.get("workload") or {}, config, self.machines
-        )
+        session = Session.create(sid, frame.get("workload") or {}, config)
         self._make_room()
         self.sessions[sid] = session
         self.counters["created"] += 1

@@ -48,9 +48,8 @@ from __future__ import annotations
 import asyncio
 import collections
 import dataclasses
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Deque, List, Optional, Tuple
 
-from repro.core.machine import Machine
 from repro.core.routing import RouteComputer
 from repro.sim.checkpoint import dumps as checkpoint_dumps
 from repro.sim.checkpoint import snapshot_engine
@@ -113,27 +112,6 @@ class SessionConfig:
             raise ValueError("metrics_every must be >= 0, window_cycles >= 1")
         if self.max_cycles < 1:
             raise ValueError("max_cycles must be >= 1")
-
-
-class MachineCache:
-    """Shares elaborated :class:`Machine` objects across sessions.
-
-    Machine elaboration dominates session-creation cost, and a loadtest
-    creates hundreds of sessions over the same few shapes. Engines never
-    mutate their machine, so sharing is safe.
-    """
-
-    def __init__(self) -> None:
-        self._machines: Dict[Any, Machine] = {}
-
-    def get(self, key, build) -> Machine:
-        machine = self._machines.get(key)
-        if machine is None:
-            machine = self._machines[key] = build()
-        return machine
-
-    def __len__(self) -> int:
-        return len(self._machines)
 
 
 class TraceStreamBuffer:
@@ -340,7 +318,6 @@ class Session:
         session_id: str,
         workload: dict,
         config: Optional[SessionConfig] = None,
-        machines: Optional[MachineCache] = None,
     ) -> "Session":
         """Build a session from a workload spec dict.
 
@@ -350,22 +327,19 @@ class Session:
         ``idle`` -- the default -- builds an empty engine for later
         ``submit_demand`` requests; a ``faults``/``policy`` pair attaches
         a fault runtime (``policy`` alone, an empty set that only enables
-        live ``inject_fault``).
+        live ``inject_fault``). Machine, loads and ``iw`` tables are the
+        simulator's memo's; the route computer is the session's own.
         """
         config = config or SessionConfig()
         if not isinstance(workload, dict):
             raise SessionError("workload must be a JSON object")
         try:
             run = RunSpec.from_params(workload)
-            if machines is not None:
-                machine = machines.get(run.config, lambda: Machine(run.config))
-            else:
-                machine = Machine(run.config)
+            # The fault-aware computer of a faulted session also resolves
+            # the routes of later workload generation (``submit_demand``).
+            machine, routes, faults = run_context(run)
         except ValueError as exc:
             raise SessionError(str(exc))
-        # The fault-aware computer of a faulted session also resolves the
-        # routes of later workload generation (``submit_demand``).
-        _, routes, faults = run_context(run, machine)
 
         collector = MetricsCollector(window_cycles=config.window_cycles)
         buffer = TraceStreamBuffer()
@@ -640,6 +614,14 @@ class Session:
         from repro.sim.checkpoint import restore_engine
 
         config = SessionConfig(**payload["config"])
+        workload = payload.get("workload") or {}
+        # The machine its workload names -- the process's copy, as in
+        # create(); the restore refuses a checkpoint of any other.
+        machine, routes, _ = run_context(RunSpec.from_params({
+            key: workload[key]
+            for key in ("topology", "shape", "endpoints")
+            if key in workload
+        }))
         engine_data = payload["engine"]
         captured = (engine_data.get("trace") or {}).get("collector")
         if captured is not None:
@@ -647,18 +629,19 @@ class Session:
         else:
             collector = MetricsCollector(window_cycles=config.window_cycles)
         buffer = TraceStreamBuffer()
-        engine = restore_engine(engine_data, trace=Tee(collector, buffer))
+        engine = restore_engine(
+            engine_data, machine=machine, trace=Tee(collector, buffer)
+        )
         # Faulted engines re-route through the runtime's computer, like
-        # create(); healthy ones get a fresh (cache-cold but value-equal)
-        # computer.
-        routes = engine._fault_routes or RouteComputer(engine.machine)
+        # create(); healthy ones through their own fresh one.
+        routes = engine._fault_routes or routes
         session = cls(
             str(payload["session"]),
             engine,
             collector,
             buffer,
             config,
-            payload.get("workload") or {},
+            workload,
             routes,
             counters=payload.get("counters"),
         )

@@ -55,7 +55,7 @@ from repro.core.machine import Machine, MachineConfig
 from repro.core.routing import RouteComputer
 
 from .endpoints import PingPongDriver
-from .simulator import RunSpec, header_params, run
+from .simulator import RunSpec, header_params, run, shared_machine
 from .trace import JsonlTraceWriter
 
 #: Repo-relative directory holding the committed golden artifacts.
@@ -275,13 +275,13 @@ def write_golden(name: str, stream: IO[str], shards: int = 1) -> int:
             f"{', '.join(SHARDABLE_GOLDEN_NAMES)}"
         )
     meta = dict(_GOLDEN_HEADERS[name])
-    meta["tpc"] = Machine(
+    meta["tpc"] = shared_machine(
         MachineConfig(
             shape=tuple(meta["shape"]),
             endpoints_per_chip=meta["endpoints"],
             topology=meta.get("topology", "torus"),
         )
-    ).ticks_per_cycle
+    )[0].ticks_per_cycle
     writer = JsonlTraceWriter(stream, meta=meta)
     if name in _HAND_BUILT:
         _HAND_BUILT[name](writer, shards)

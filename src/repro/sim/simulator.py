@@ -29,6 +29,10 @@ hub and its workers) describes its run this way and goes through
 * **the machine comes from the config** -- shape, endpoints *and*
   topology, wherever the run is built.
 
+What runs share offline -- the elaborated machine, healthy-machine load
+tables, the ``iw`` tables programmed from them -- is computed once per
+process and remembered here, behind :func:`prepare` and :func:`build`.
+
 The ``arbitration`` field selects the policy at every router and adapter
 output:
 
@@ -53,7 +57,9 @@ from repro.arbiters.base import Arbiter
 from repro.arbiters.inverse_weighted import InverseWeightedArbiter
 from repro.arbiters.round_robin import RoundRobinArbiter
 from repro.arbiters.weights import WeightTable, compute_inverse_weights
+from repro.core.chip import default_floorplan
 from repro.core.machine import Machine, MachineConfig
+from repro.core.onchip import ANTON_DIRECTION_ORDER
 from repro.core.routing import RouteComputer
 
 from .engine import ArbiterBuilder, Engine
@@ -63,21 +69,115 @@ from .stats import SimStats
 DEFAULT_WEIGHT_BITS = 5
 
 
-def _pattern_loads(
-    machine, route_computer, patterns, cores_per_chip, dst_endpoint_mode,
-    load_tables=None, use_symmetry=None,
-):
-    """``load_tables``, or else the analytic loads of each of ``patterns``."""
+# --- what runs share offline, remembered once per process ---------------------------
+
+#: The one memo of what runs share offline (DESIGN.md section 16):
+#: ``("machine", config)`` -> the ``(Machine, RouteComputer)`` pair the
+#: config elaborates to; ``("loads" | "tables", ...)`` -> a load table or
+#: an ``(SA2, SA1)`` pair computed on such a pair. A value is a pure
+#: function of its key -- config, the patterns' canonical *content*
+#: (never their names), cores, endpoint mode, weight bits -- so none is
+#: ever invalidated and a forked pool worker inherits all of it. Nothing
+#: computed on a custom floorplan or route computer, or on a faulted
+#: run's fault-aware one, is kept: the key could not say so.
+_MEMO: Dict[tuple, object] = {}
+
+#: Load tables (and as many table pairs) kept for demand-matrix patterns,
+#: the newest: a matrix is the one key whose content a serve client
+#: chooses, and unbounded a server's memo would grow for as long as
+#: clients invent matrices. Other keys are a handful per machine.
+_DEMAND_ENTRIES = 8
+
+
+def shared_machine(config: MachineConfig) -> Tuple[Machine, RouteComputer]:
+    """The ``(machine, route computer)`` pair of a config, elaborated once
+    per process. Engines never mutate their machine, so every run of a
+    config shares it; the computer is for campaigns, whose points share
+    its route cache -- any other run gets its own (:func:`run_context`),
+    because that cache only grows."""
+    pair = _MEMO.get(("machine", config))
+    if pair is None:
+        machine = Machine(config)
+        pair = _MEMO["machine", config] = (machine, RouteComputer(machine))
+    return pair
+
+
+def _is_stock(machine: Machine, route_computer) -> bool:
+    """Whether the pair is the one ``machine.config`` alone describes."""
+    return (
+        type(route_computer) is RouteComputer
+        and route_computer.machine is machine
+        and route_computer.direction_order == ANTON_DIRECTION_ORDER
+        and not route_computer.allow_nonminimal
+        and machine.floorplan
+        == default_floorplan(num_endpoints=machine.config.endpoints_per_chip)
+    )
+
+
+def share_machine(machine: Machine, route_computer: RouteComputer) -> None:
+    """Make the caller's pair the one :func:`shared_machine` returns.
+
+    A campaign's points describe their machine by its config alone, so a
+    custom floorplan or route computer would be silently replaced by the
+    stock one: it is refused here, before any point runs.
+    """
+    if not _is_stock(machine, route_computer):
+        raise ValueError(
+            "a campaign runs on the machine its MachineConfig describes "
+            "(default floorplan, stock RouteComputer) and this pair is not "
+            "that one; measure_batch takes the pair itself"
+        )
+    _MEMO["machine", machine.config] = (machine, route_computer)
+
+
+def _remembered(kind, machine, route_computer, faults, patterns, rest, compute):
+    """``compute()``, kept in the memo when ``(machine, route_computer)``
+    is the healthy stock pair its key describes."""
+    if faults is not None or not _is_stock(machine, route_computer):
+        return compute()
+    from repro.traffic.demand import DemandMatrixPattern
+
+    from .sweep import canonical  # not at module top: it loads the process pool
+
+    bounded = any(isinstance(p, DemandMatrixPattern) for p in patterns)
+    contents = tuple(canonical(p) for p in patterns)
+    key = (kind, bounded, machine.config, contents) + rest
+    value = _MEMO.get(key)
+    if value is None:
+        value = _MEMO[key] = compute()
+        if bounded:
+            for stale in [k for k in _MEMO if k[:2] == key[:2]][:-_DEMAND_ENTRIES]:
+                del _MEMO[stale]
+    return value
+
+
+def loads_of(
+    machine: Machine,
+    route_computer: RouteComputer,
+    patterns: Sequence["TrafficPattern"],
+    cores_per_chip: int,
+    dst_endpoint_mode: str = "same_index",
+    faults=None,
+) -> List["LoadTable"]:
+    """The analytic loads of each of ``patterns``, one table per pattern.
+
+    With a fault runtime the enumeration is exhaustive, whatever the
+    set holds at cycle 0: the degraded machine has no translation
+    symmetry to exploit.
+    """
     # Imported here (not at module top) to avoid a circular import:
     # repro.traffic generates Packet objects and so imports repro.sim.
     from repro.traffic.loads import compute_loads
 
-    if load_tables is not None:
-        return load_tables
     return [
-        compute_loads(
-            machine, route_computer, pattern, cores_per_chip,
-            dst_endpoint_mode, use_symmetry=use_symmetry,
+        _remembered(
+            "loads", machine, route_computer, faults, (pattern,),
+            (cores_per_chip, dst_endpoint_mode),
+            lambda pattern=pattern: compute_loads(
+                machine, route_computer, pattern, cores_per_chip,
+                dst_endpoint_mode,
+                use_symmetry=None if faults is None else False,
+            ),
         )
         for pattern in patterns
     ]
@@ -101,10 +201,10 @@ def make_weight_tables(
     """
     from repro.traffic.loads import merge_arbiter_loads
 
-    load_tables = _pattern_loads(
-        machine, route_computer, patterns, cores_per_chip, dst_endpoint_mode,
-        load_tables,
-    )
+    if load_tables is None:
+        load_tables = loads_of(
+            machine, route_computer, patterns, cores_per_chip, dst_endpoint_mode
+        )
     merged = merge_arbiter_loads(machine, load_tables)
     return {
         oc: compute_inverse_weights(matrix, weight_bits=weight_bits)
@@ -131,41 +231,15 @@ def make_vc_weight_tables(
     """
     from repro.traffic.loads import merge_vc_loads
 
-    load_tables = _pattern_loads(
-        machine, route_computer, patterns, cores_per_chip, dst_endpoint_mode,
-        load_tables,
-    )
+    if load_tables is None:
+        load_tables = loads_of(
+            machine, route_computer, patterns, cores_per_chip, dst_endpoint_mode
+        )
     merged = merge_vc_loads(machine, load_tables)
     return {
         cid: compute_inverse_weights(matrix, weight_bits=weight_bits)
         for cid, matrix in merged.items()
     }
-
-
-def program_weight_tables(
-    machine: Machine,
-    route_computer: RouteComputer,
-    patterns: Sequence["TrafficPattern"],
-    cores_per_chip: int,
-    dst_endpoint_mode: str = "same_index",
-    weight_bits: int = DEFAULT_WEIGHT_BITS,
-    load_tables: Optional[Sequence["LoadTable"]] = None,
-) -> Tuple[Dict[int, WeightTable], Dict[int, WeightTable]]:
-    """One weight set for both arbitration stages: ``(SA2, SA1)`` tables.
-
-    The loads of each pattern are computed once (or taken from
-    ``load_tables``) and shared by :func:`make_weight_tables` and
-    :func:`make_vc_weight_tables`.
-    """
-    load_tables = _pattern_loads(
-        machine, route_computer, patterns, cores_per_chip, dst_endpoint_mode,
-        load_tables,
-    )
-    args = (machine, route_computer, patterns, cores_per_chip, dst_endpoint_mode)
-    return (
-        make_weight_tables(*args, weight_bits, load_tables=load_tables),
-        make_vc_weight_tables(*args, weight_bits, load_tables=load_tables),
-    )
 
 
 def arbiter_builder_for(
@@ -397,14 +471,15 @@ def trace_header(params: dict, run: RunSpec, machine: Machine) -> dict:
 def run_context(run: RunSpec, machine: Optional[Machine] = None):
     """``(machine, route computer, fault runtime)`` of a run, deterministically.
 
-    The machine is the run's config elaborated (``machine``, when given,
-    is that same machine, already built). A faulted run routes through
-    one fault-aware computer shared by workload generation, load
-    enumeration and the runtime's re-resolutions, so it sees the same
-    initially-failed set wherever the run is built.
+    The machine is the run's config elaborated -- the process's one
+    (:func:`shared_machine`), or ``machine``, the same already built by
+    the caller -- and the route computer is the run's own. A faulted run
+    routes through one fault-aware computer shared by workload
+    generation, load enumeration and the runtime's re-resolutions, so it
+    sees the same initially-failed set wherever the run is built.
     """
     if machine is None:
-        machine = Machine(run.config)
+        machine = shared_machine(run.config)[0]
     if run.fault_set is None:
         return machine, RouteComputer(machine), None
     from repro.faults.routing import FaultAwareRouteComputer
@@ -445,39 +520,35 @@ def _weight_patterns(run: RunSpec) -> list:
     return [run.spec.pattern]
 
 
-def run_loads(run: RunSpec, machine: Machine, route_computer, faults=None) -> list:
-    """Analytic loads of the run's weight patterns, one table per pattern.
-
-    With a fault runtime the enumeration is exhaustive, whatever the
-    set holds at cycle 0: the degraded machine has no translation
-    symmetry to exploit.
-    """
-    return _pattern_loads(
-        machine,
-        route_computer,
-        _weight_patterns(run),
-        run.spec.cores_per_chip,
-        run.spec.dst_endpoint_mode,
-        use_symmetry=None if faults is None else False,
-    )
-
-
-def _program(run: RunSpec, machine, route_computer, faults, load_tables=None):
+def program_weights(
+    run: RunSpec, machine, route_computer, faults=None, load_tables=None
+):
     """The run's ``(SA2, SA1)`` weight tables; ``(None, None)`` unless
-    it arbitrates by inverse weights."""
+    it arbitrates by inverse weights. Programmed from ``load_tables``
+    when the caller has enumerated them, else from the run's weight
+    patterns -- and then remembered: only then does the run say what
+    they are made of."""
     if run.arbitration != "iw":
         return None, None
-    if load_tables is None:
-        load_tables = run_loads(run, machine, route_computer, faults)
-    # The loads are all the tables depend on: no pattern is consulted again.
-    return program_weight_tables(
-        machine,
-        route_computer,
-        (),
-        run.spec.cores_per_chip,
-        run.spec.dst_endpoint_mode,
-        run.weight_bits,
-        load_tables=load_tables,
+    sources = (run.spec.cores_per_chip, run.spec.dst_endpoint_mode)
+
+    def program(loads=load_tables):
+        if loads is None:
+            loads = loads_of(
+                machine, route_computer, _weight_patterns(run), *sources, faults
+            )
+        # The loads are all the tables depend on: no pattern is consulted.
+        args = (machine, route_computer, (), *sources, run.weight_bits)
+        return (
+            make_weight_tables(*args, load_tables=loads),
+            make_vc_weight_tables(*args, load_tables=loads),
+        )
+
+    if load_tables is not None:
+        return program()
+    return _remembered(
+        "tables", machine, route_computer, faults, _weight_patterns(run),
+        sources + (run.weight_bits,), program,
     )
 
 
@@ -489,7 +560,7 @@ def prepare(run: RunSpec, machine: Optional[Machine] = None):
     accepts the tables back.
     """
     machine, route_computer, faults = run_context(run, machine)
-    tables = _program(run, machine, route_computer, faults)
+    tables = program_weights(run, machine, route_computer, faults)
     return machine, route_computer, faults, tables
 
 
@@ -520,7 +591,9 @@ def build(
     num_patterns = 1
     if run.arbitration == "iw":
         if sa2 is None or sa1 is None:
-            programmed = _program(run, machine, route_computer, faults, load_tables)
+            programmed = program_weights(
+                run, machine, route_computer, faults, load_tables
+            )
             sa2 = programmed[0] if sa2 is None else sa2
             sa1 = programmed[1] if sa1 is None else sa1
         for table in sa2.values():

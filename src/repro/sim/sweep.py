@@ -8,10 +8,12 @@ timing, a point's result is a pure function of its spec, so fanning points
 across a :class:`~concurrent.futures.ProcessPoolExecutor` returns results
 bitwise-identical to a serial loop, just wall-clock faster.
 
-Tasks carry (hashable) machine configs, never the fully elaborated
-component/channel graph: :func:`shared_machine` is a per-process cache
-that a forked worker inherits from the parent as it stood when the pool
-was created, and that any other worker fills from the config.
+Tasks carry descriptions (a :class:`~repro.sim.simulator.RunSpec`),
+never the elaborated component/channel graph: what points share offline
+lives in :mod:`repro.sim.simulator`'s per-process memo, which a forked
+worker inherits as it stood when the pool was created and any other
+worker fills for itself, keyed like a resume and a checkpoint's run
+stamp on :func:`canonical` content.
 
 Run ``python -m repro.sim.sweep`` for a self-checking smoke sweep (two
 Figure 9-style points executed serially and in parallel, results
@@ -27,12 +29,7 @@ import tempfile
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
-
-from repro.core.chip import default_floorplan
-from repro.core.machine import Machine, MachineConfig
-from repro.core.onchip import ANTON_DIRECTION_ORDER
-from repro.core.routing import RouteComputer
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 
 class SweepPointError(RuntimeError):
@@ -98,8 +95,8 @@ class SweepResult:
 
 def canonical(value: Any) -> str:
     """A value repr stable across processes and interpreter runs, behind
-    :func:`point_fingerprint`, the campaign cache keys and a checkpoint's
-    run stamp (:func:`repro.sim.checkpoint.run_stamp`).
+    :func:`point_fingerprint`, the keys of the simulator's offline memo
+    and a checkpoint's run stamp (:func:`repro.sim.checkpoint.run_stamp`).
 
     ``repr`` alone is not an identity: objects without a custom
     ``__repr__`` (e.g. traffic patterns) render their memory address,
@@ -340,51 +337,13 @@ def run_sweep(
     return results
 
 
-# --- per-process machine cache ------------------------------------------------
-
-_MACHINE_CACHE: Dict[MachineConfig, Tuple[Machine, RouteComputer]] = {}
-
-
-def shared_machine(config: MachineConfig) -> Tuple[Machine, RouteComputer]:
-    """The (machine, route computer) pair for a config, cached per process.
-
-    Machine elaboration is deterministic, so a rebuilt machine is
-    behaviorally identical to the caller's instance; caching means each
-    worker process elaborates a given config once per sweep, not once per
-    point.
-    """
-    cached = _MACHINE_CACHE.get(config)
-    if cached is None:
-        machine = Machine(config)
-        cached = (machine, RouteComputer(machine))
-        _MACHINE_CACHE[config] = cached
-    return cached
-
-
-def share_machine(machine: Machine, route_computer: RouteComputer) -> None:
-    """Offer a pair the caller already built to :func:`shared_machine`.
-
-    Taken only when it is the pair ``shared_machine`` would build from
-    ``machine.config`` -- default floorplan, stock route computer -- since
-    everything cached downstream is keyed by the config alone.
-    """
-    if (
-        type(route_computer) is RouteComputer
-        and route_computer.machine is machine
-        and route_computer.direction_order == ANTON_DIRECTION_ORDER
-        and not route_computer.allow_nonminimal
-        and machine.floorplan
-        == default_floorplan(num_endpoints=machine.config.endpoints_per_chip)
-    ):
-        _MACHINE_CACHE[machine.config] = (machine, route_computer)
-
-
 # --- smoke sweep (CLI / CI gate) ----------------------------------------------
 
 
 def _smoke_points() -> List[SweepPoint]:
     # Imported here: analysis.throughput imports this module.
     from repro.analysis.throughput import BatchPoint, measure_batch_point
+    from repro.core.machine import MachineConfig
     from repro.traffic.patterns import UniformRandom
 
     config = MachineConfig(shape=(2, 2, 2), endpoints_per_chip=2)

@@ -5,7 +5,6 @@ from .batch import BatchSpec, generate_batch, generate_open_loop
 from .demand import (
     DemandMatrix,
     DemandMatrixPattern,
-    DemandPoint,
     DemandRunResult,
     DemandSchedule,
     DemandSpec,
@@ -46,7 +45,6 @@ __all__ = [
     "BatchSpec",
     "DemandMatrix",
     "DemandMatrixPattern",
-    "DemandPoint",
     "DemandRunResult",
     "DemandSchedule",
     "DemandSpec",

@@ -802,22 +802,6 @@ def run_demand(
     )
 
 
-@dataclasses.dataclass(frozen=True)
-class DemandPoint:
-    """One demand workload as a sweep point (picklable, fingerprintable).
-
-    Pairs with :func:`measure_demand_point` for
-    :class:`repro.sim.sweep.SweepPoint` fan-out: both the point and the
-    measure function are module-level, so process pools and the sweep
-    fingerprint cache handle them like any batch point.
-    """
-
-    config: MachineConfig
-    spec: DemandSpec
-    arbitration: str = "rr"
-    label: str = ""
-
-
 @dataclasses.dataclass
 class DemandRunResult:
     """Aggregate outcome of one demand sweep point."""
@@ -833,25 +817,26 @@ class DemandRunResult:
     achieved_rate: float
 
 
-def measure_demand_point(point: DemandPoint) -> DemandRunResult:
-    """Build the machine, run the demand workload, reduce to a result."""
-    from repro.sim.simulator import RunSpec, run
+def measure_demand_point(point: "RunSpec") -> DemandRunResult:
+    """Run one demand :class:`~repro.sim.simulator.RunSpec` -- the sweep
+    point *is* the run: picklable and fingerprintable like any batch
+    point -- and reduce it to a result labelled by its schedule."""
+    from repro.sim.simulator import run, shared_machine
 
-    machine = Machine(point.config)
-    stats = run(
-        RunSpec(point.config, point.spec, point.arbitration), machine=machine
-    )
-    num_sources = len(active_endpoints(machine, point.spec.cores_per_chip))
+    spec = point.spec
+    machine = shared_machine(point.config)[0]
+    stats = run(point, machine=machine)
+    num_sources = len(active_endpoints(machine, spec.cores_per_chip))
     offered = 0.0
-    if point.spec.mode == "open" and point.spec.duration_cycles > 0:
-        offered = stats.injected / (num_sources * point.spec.duration_cycles)
+    if spec.mode == "open" and spec.duration_cycles > 0:
+        offered = stats.injected / (num_sources * spec.duration_cycles)
     achieved = (
         stats.delivered / (num_sources * stats.end_cycle)
         if stats.end_cycle
         else 0.0
     )
     return DemandRunResult(
-        label=point.label or point.spec.schedule.name,
+        label=spec.schedule.name,
         generated=stats.injected,
         delivered=stats.delivered,
         dropped=stats.dropped,

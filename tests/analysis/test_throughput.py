@@ -19,8 +19,11 @@ from repro.analysis.throughput import (
 from repro.core.chip import default_floorplan
 from repro.core.geometry import all_coords
 from repro.core.machine import Machine, MachineConfig
+from repro.core.onchip import MeshDirection
 from repro.core.routing import RouteComputer
-from repro.sim import sweep
+from repro.sim import simulator
+from repro.sim.sweep import canonical
+from repro.traffic import loads
 from repro.traffic.patterns import (
     Blend,
     FixedPermutation,
@@ -99,7 +102,7 @@ def _ring_shift(shape, step):
 
 
 class TestCacheKeysAreContent:
-    """The per-process tables key on what a pattern *is*, not its name."""
+    """The simulator's memo keys on what a pattern *is*, not its name."""
 
     SHAPE = (5, 1, 1)
 
@@ -135,27 +138,30 @@ class TestCacheKeysAreContent:
         assert cached.normalized_throughput == direct.normalized_throughput
         assert cached.completion_cycles == direct.completion_cycles
 
-    def test_blends_closer_than_two_decimals_are_distinct_keys(self):
+    def test_blends_closer_than_two_decimals_are_distinct_keys(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(simulator, "_MEMO", {})
         shape = (2, 2, 2)
         parts = [Tornado(shape), ReverseTornado(shape)]
         a = Blend(parts, [0.501, 0.499])
         b = Blend(parts, [0.504, 0.496])
         assert a.name == b.name
-        machine = Machine(MachineConfig(shape=shape, endpoints_per_chip=2))
-        key = throughput._cache_key
-        assert key(machine, (a,), 2) != key(machine, (b,), 2)
-        assert key(machine, (a,), 2) == key(
-            machine, (Blend(parts, [0.501, 0.499]),), 2
+        pair = simulator.shared_machine(
+            MachineConfig(shape=shape, endpoints_per_chip=2)
         )
+        (for_a,) = simulator.loads_of(*pair, [a], 2)
+        (for_b,) = simulator.loads_of(*pair, [b], 2)
+        (again,) = simulator.loads_of(*pair, [Blend(parts, [0.501, 0.499])], 2)
+        assert for_b is not for_a and again is for_a
+        assert len([key for key in simulator._MEMO if key[0] == "loads"]) == 2
 
 
 class TestCampaignSetupHappensOnce:
     """The parent prepares; forked workers inherit; nothing is rebuilt."""
 
     def test_parent_holds_the_callers_machine_and_the_tables(self, monkeypatch):
-        monkeypatch.setattr(sweep, "_MACHINE_CACHE", {})
-        monkeypatch.setattr(throughput, "_LOADS_CACHE", {})
-        monkeypatch.setattr(throughput, "_TABLES_CACHE", {})
+        monkeypatch.setattr(simulator, "_MEMO", {})
         shape = (3, 2, 1)
         machine = Machine(MachineConfig(shape=shape, endpoints_per_chip=2))
         routes = RouteComputer(machine)
@@ -173,7 +179,7 @@ class TestCampaignSetupHappensOnce:
             return pids
 
         built = count_calls(Machine, "__init__")
-        loads = count_calls(throughput, "compute_loads")
+        enumerated = count_calls(loads, "compute_loads")
 
         def campaign():
             return throughput_vs_batch_size(
@@ -182,36 +188,65 @@ class TestCampaignSetupHappensOnce:
             )
 
         first = campaign()
-        assert sweep.shared_machine(machine.config) == (machine, routes)
-        key = throughput._cache_key
-        assert set(throughput._LOADS_CACHE) == {
-            key(machine, (pattern,), 2) for pattern in patterns
+        assert simulator.shared_machine(machine.config) == (machine, routes)
+        assert [key for key in simulator._MEMO if key[0] == "machine"] == [
+            ("machine", machine.config)
+        ]
+        assert {key[3] for key in simulator._MEMO if key[0] == "loads"} == {
+            (canonical(pattern),) for pattern in patterns
         }
-        assert set(throughput._TABLES_CACHE) == {
-            key(machine, (patterns[0],), 2)
-        }
-        assert loads == [os.getpid()] * len(patterns)
+        assert [key[3] for key in simulator._MEMO if key[0] == "tables"] == [
+            (canonical(patterns[0]),)
+        ]
+        assert enumerated == [os.getpid()] * len(patterns)
         second = campaign()
-        assert built == [] and len(loads) == len(patterns)
+        assert built == [] and len(enumerated) == len(patterns)
         assert [dataclasses.replace(p, wall_seconds=0) for p in first] == [
             dataclasses.replace(p, wall_seconds=0) for p in second
         ]
 
-    def test_a_custom_floorplan_or_router_is_not_shared(self, monkeypatch):
-        monkeypatch.setattr(sweep, "_MACHINE_CACHE", {})
-        config = MachineConfig(shape=(2, 2, 2), endpoints_per_chip=2)
+    def test_a_campaign_refuses_a_pair_its_config_does_not_describe(
+        self, monkeypatch
+    ):
+        # It used to decline the pair without a word and measure the
+        # stock one: a reordered router's campaign reported the Anton
+        # order's cycle counts.
+        monkeypatch.setattr(simulator, "_MEMO", {})
+        shape = (2, 2, 2)
+        config = MachineConfig(shape=shape, endpoints_per_chip=2)
         plan = default_floorplan(num_endpoints=2)
         moved = dataclasses.replace(
             plan, endpoint_router=tuple(reversed(plan.endpoint_router))
         )
         custom = Machine(config, floorplan=moved)
-        sweep.share_machine(custom, RouteComputer(custom))
         stock = Machine(config)
-        sweep.share_machine(stock, RouteComputer(stock, allow_nonminimal=True))
-        assert sweep._MACHINE_CACHE == {}
+        reordered = RouteComputer(stock, direction_order=(
+            MeshDirection.VM, MeshDirection.UM, MeshDirection.VP, MeshDirection.UP,
+        ))
+        monkeypatch.setattr(
+            throughput, "run_sweep", lambda *args, **kwargs: pytest.fail("a point ran")
+        )
+        pattern = UniformRandom(shape)
+        for machine, routes in (
+            (custom, RouteComputer(custom)),
+            (stock, reordered),
+            (stock, RouteComputer(stock, allow_nonminimal=True)),
+            (stock, RouteComputer(Machine(config))),
+        ):
+            with pytest.raises(ValueError, match="measure_batch takes the pair"):
+                throughput_vs_batch_size(machine, routes, [pattern], (2,), 2)
+            with pytest.raises(ValueError, match="measure_batch takes the pair"):
+                blend_sweep(
+                    machine, routes, pattern, Tornado(shape), (0.5,), 2, 2
+                )
+        assert simulator._MEMO == {}
+        # measure_batch does take it, and measures it.
+        point = measure_batch(stock, reordered, pattern, 4, 2, "iw")
+        assert point.completion_cycles > 0 and simulator._MEMO == {}
+        # The stock pair is adopted: the campaign runs on the caller's.
         routes = RouteComputer(stock)
-        sweep.share_machine(stock, routes)
-        assert sweep.shared_machine(config) == (stock, routes)
+        simulator.share_machine(stock, routes)
+        assert simulator.shared_machine(config) == (stock, routes)
 
 
 _SPAWN_SCRIPT = textwrap.dedent(

@@ -155,17 +155,22 @@ def test_edited_point_refuses_the_old_points_engine_checkpoint(
     tmp_path, monkeypatch
 ):
     # A sweep dies inside its only point; the point is then edited (other
-    # pattern, batch size and seed) and the sweep resumed on the same
+    # pattern, batch size and seed -- or nothing but the patterns that
+    # program its ``iw`` weights) and the sweep resumed on the same
     # directories. ``point_fingerprint`` re-runs the point, as it must --
     # and the re-run used to pick up the *old* point's engine checkpoint
     # and report its cycle count. The file is stamped with the run that
-    # wrote it: the edited point fails by name and the file stays.
+    # wrote it, ``weight_patterns`` included: the edited point fails by
+    # name and the file stays.
     from repro.sim.sweep import SweepPointError
-    from repro.traffic.patterns import Tornado
+    from repro.traffic.patterns import NHopNeighbor, Tornado
 
     engine_ckpt = tmp_path / "engine.json"
+    shape = _points()[1].config.shape
     old = dataclasses.replace(
         _points()[1],
+        arbitration="iw",
+        weight_patterns=(UniformRandom(shape),),
         checkpoint_path=str(engine_ckpt),
         checkpoint_every=CHECKPOINT_EVERY,
     )
@@ -175,17 +180,19 @@ def test_edited_point_refuses_the_old_points_engine_checkpoint(
     monkeypatch.delenv(CRASH_ENV_VAR)
     before = engine_ckpt.read_bytes()
 
-    edited = dataclasses.replace(
-        old, pattern=Tornado(old.config.shape), batch_size=4, seed=2
-    )
-    with pytest.raises(SweepPointError) as caught:
-        run_batch_points(
-            [edited], checkpoint_dir=str(tmp_path / "sweep"), resume=True
+    for edited in (
+        dataclasses.replace(old, pattern=Tornado(shape), batch_size=4, seed=2),
+        dataclasses.replace(old, weight_patterns=(NHopNeighbor(shape, 1),)),
+    ):
+        with pytest.raises(SweepPointError) as caught:
+            run_batch_points(
+                [edited], checkpoint_dir=str(tmp_path / "sweep"), resume=True
+            )
+        assert (
+            f"checkpoint {engine_ckpt} was written by a different run"
+            in str(caught.value)
         )
-    assert f"checkpoint {engine_ckpt} was written by a different run" in str(
-        caught.value
-    )
-    assert engine_ckpt.read_bytes() == before
+        assert engine_ckpt.read_bytes() == before
     # The point it belongs to still finishes from it.
     (resumed,) = run_batch_points(
         [old], checkpoint_dir=str(tmp_path / "sweep"), resume=True

@@ -14,7 +14,6 @@ import pytest
 
 from repro.serve.protocol import decode_frame
 from repro.serve.session import (
-    MachineCache,
     OutboundChannel,
     Session,
     SessionConfig,
@@ -22,7 +21,11 @@ from repro.serve.session import (
     Subscriber,
     TraceStreamBuffer,
 )
+from repro.core.machine import Machine
+from repro.sim import simulator
+from repro.sim.checkpoint import CheckpointError
 from repro.sim.metrics import MetricsCollector
+from repro.traffic import loads
 
 from tests.serve.oracle import canon, oracle_artifacts, session_artifacts
 
@@ -103,12 +106,90 @@ class TestConfigAndWorkloadValidation:
         with pytest.raises(SessionError, match="idle sessions use rr"):
             Session.create("s", {"kind": "idle", "arbitration": "iw"})
 
-    def test_machine_cache_shares_elaborations(self):
-        cache = MachineCache()
-        a = Session.create("a", dict(BATCH_RR), machines=cache)
-        b = Session.create("b", dict(BATCH_RR), machines=cache)
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls, original = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestSessionsShareTheMemo:
+    """What sessions share offline is the simulator's memo: one machine
+    per config, one load enumeration and one table pair per (config,
+    pattern, cores) -- and nothing a client can grow without bound."""
+
+    def test_sessions_share_the_machine_not_the_route_computer(self):
+        a = Session.create("a", dict(BATCH_RR))
+        b = Session.create("b", dict(BATCH_RR, seed=12))
         assert a.engine.machine is b.engine.machine
-        assert len(cache) == 1
+        # Each session's route cache dies with the session.
+        assert a.routes is not b.routes
+
+    def test_iw_creates_enumerate_once_and_equal_cold_creates(self, monkeypatch):
+        workloads = [dict(BATCH_IW, seed=seed) for seed in (3, 4)]
+        monkeypatch.setattr(simulator, "_MEMO", {})
+        enumerated = _count_calls(monkeypatch, loads, "compute_loads")
+        warm = [Session.create("s", w).snapshot_text() for w in workloads]
+        assert enumerated == ["compute_loads"]
+        cold = []
+        for workload in workloads:
+            monkeypatch.setattr(simulator, "_MEMO", {})
+            cold.append(Session.create("s", workload).snapshot_text())
+        assert len(enumerated) == 3
+        assert warm == cold
+
+    def test_thaw_elaborates_no_machine_when_its_config_is_resident(
+        self, monkeypatch
+    ):
+        session = Session.create("s", dict(BATCH_IW))
+        drive(session, 16)
+        spooled = json.loads(canon(session.spool_payload()))
+        built = _count_calls(monkeypatch, Machine, "__init__")
+        thawed = Session.thaw(spooled)
+        assert built == [] and thawed.engine.machine is session.engine.machine
+        assert thawed.routes is not session.routes
+        drive(thawed)
+        assert session_artifacts(thawed) == oracle_artifacts(BATCH_IW)
+
+    def test_thaw_refuses_a_record_whose_workload_names_another_machine(self):
+        payload = Session.create("s", dict(BATCH_RR)).spool_payload()
+        payload["workload"] = dict(BATCH_RR, shape=[4, 2, 2])
+        with pytest.raises(
+            CheckpointError,
+            match=r"checkpoint belongs to a different machine: shape is "
+            r"\(2, 2, 2\) in the checkpoint, \(4, 2, 2\) in this run",
+        ):
+            Session.thaw(payload)
+
+    def test_client_chosen_matrices_are_kept_to_a_constant(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_MEMO", {})
+        monkeypatch.setattr(simulator, "_DEMAND_ENTRIES", 2)
+
+        def create(matrix_seed):
+            return Session.create("s", dict(
+                DEMAND_AGE, arbitration="iw",
+                demand={"generator": "hotspot", "matrix_seed": matrix_seed,
+                        "mode": "closed", "scale": 4.0},
+            ))
+
+        def resident(kind):
+            return [key[3] for key in simulator._MEMO if key[0] == kind]
+
+        for matrix_seed in range(3):
+            create(matrix_seed)
+        assert len(resident("loads")) == len(resident("tables")) == 2
+        # The survivors are the newest, and a named pattern is never one
+        # of the counted: its key is not a client's to choose.
+        newest = resident("loads")
+        create(2)
+        Session.create("b", dict(BATCH_IW))
+        assert resident("loads")[:2] == newest and len(resident("loads")) == 3
 
 
 class TestOracleEquality:

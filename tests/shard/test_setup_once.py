@@ -89,6 +89,8 @@ def test_iw_tables_are_programmed_once_in_the_hub(name, monkeypatch):
     run = WORKLOADS[name]()
     serial = run_sharded(run, 1)
 
+    # The serial run left its tables in the memo; count from a cold one.
+    monkeypatch.setattr(simulator, "_MEMO", {})
     calls = []
     _count_calls(monkeypatch, loads, "compute_loads", calls)
     _count_calls(monkeypatch, simulator, "make_weight_tables", calls)

@@ -13,13 +13,13 @@ import pytest
 
 from repro.analysis.throughput import BatchPoint, measure_batch_point
 from repro.core.machine import MachineConfig
+from repro.sim.simulator import shared_machine
 from repro.sim.sweep import (
     SweepPoint,
     SweepPointError,
     default_workers,
     point_fingerprint,
     run_sweep,
-    shared_machine,
 )
 from repro.traffic.patterns import UniformRandom
 

@@ -20,12 +20,12 @@ from repro.core.machine import Machine, MachineConfig
 from repro.core.routing import RouteComputer
 from repro.faults import FaultPolicy, FaultRuntime, FaultSet, FaultSpec
 from repro.faults.model import failable_channels
+from repro.sim.simulator import RunSpec
 from repro.sim.sweep import SweepPoint, run_sweep
 from repro.sim.trace import JsonlTraceWriter
 from repro.traffic.demand import (
     DemandMatrix,
     DemandMatrixPattern,
-    DemandPoint,
     DemandSchedule,
     DemandSpec,
     as_schedule,
@@ -387,11 +387,8 @@ class TestSweepIntegration:
             injection="paced",
             seed=3,
         )
-        point = DemandPoint(
-            config=MachineConfig(shape=SHAPE, endpoints_per_chip=2),
-            spec=spec,
-            label="demand-sweep",
-        )
+        # The point is its run; its result is labelled by the schedule.
+        point = RunSpec(MachineConfig(shape=SHAPE, endpoints_per_chip=2), spec)
         points = [
             SweepPoint(
                 label="demand-sweep",
@@ -406,4 +403,30 @@ class TestSweepIntegration:
         result = serial[0].value
         assert result.generated == result.delivered + result.dropped
         assert result.offered_rate <= spec.schedule.epochs[0][1].max_row_sum()
+        assert result.label == spec.schedule.name
         assert json.loads(json.dumps(result.__dict__))  # plain-data result
+
+    def test_demand_point_runs_on_the_shared_machine(self, monkeypatch):
+        from repro.sim import simulator
+
+        config = MachineConfig(shape=SHAPE, endpoints_per_chip=2)
+        shared, _ = simulator.shared_machine(config)
+        built = []
+        monkeypatch.setattr(
+            Machine, "__init__", lambda *args, **kwargs: built.append(args)
+        )
+        spec = DemandSpec(
+            demand=DemandMatrix.uniform(SHAPE, 0.2), cores_per_chip=2,
+            mode="closed", packets_scale=4.0,
+        )
+        engines = []
+        build = simulator.build
+
+        def recording_build(run, machine, *args, **kwargs):
+            engines.append(machine)
+            return build(run, machine, *args, **kwargs)
+
+        monkeypatch.setattr(simulator, "build", recording_build)
+        result = measure_demand_point(RunSpec(config, spec, "iw"))
+        assert result.delivered == result.generated > 0
+        assert built == [] and engines == [shared]
