@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple, Union
@@ -267,6 +268,72 @@ class MachineConfig:
         return make_topology(self.topology, self.shape)
 
 
+@dataclasses.dataclass(frozen=True)
+class ChipBlockLayout:
+    """Where each chip's channels sit in a machine's channel ids.
+
+    Every chip is the same chip, elaborated chip after chip in
+    ``all_coords`` order: components and on-chip channels sit in per-chip
+    blocks of one fixed internal order, so a fact about one chip's block
+    holds for all of them --
+
+    * component ``chip index * components_per_chip + k`` is the same
+      (kind, detail) on every chip;
+    * on-chip channel ``chip index * onchip_channels_per_chip + slot``
+      links the same two components of its chip, on every chip;
+    * the inter-node channels, chip-major too, start at
+      ``internode_base``, where the on-chip blocks end.
+
+    Read off the elaborated graph once (:attr:`Machine.layout`); routes
+    are assembled from it by arithmetic
+    (:meth:`repro.core.routing.RouteComputer.compute_plan`) and load
+    tables translated by it (:func:`repro.traffic.loads.compute_loads`).
+    """
+
+    #: Chip coordinates by chip index (``all_coords`` order), and back.
+    chips: Tuple[Coord3, ...]
+    chip_index: Dict[Coord3, int]
+    #: Slot of the mesh or skip channel between two routers, by their
+    #: mesh coordinates ``(from, to)``.
+    router_link: Dict[Tuple[Coord2, Coord2], int]
+    #: ``(router -> adapter slot, adapter -> router slot)`` of each
+    #: channel adapter's links, by ``(direction, slice)``.
+    adapter_link: Dict[Tuple[TorusDirection, int], Tuple[int, int]]
+    #: The same pair for each endpoint adapter, by endpoint index.
+    endpoint_link: Tuple[Tuple[int, int], ...]
+    #: ``internode[(direction, slice)][chip index]`` is the inter-node
+    #: channel leaving that chip: ``(channel id, chip index it arrives
+    #: at, whether it crosses the dimension's dateline)``, or ``None``
+    #: where the topology has no link.
+    internode: Dict[
+        Tuple[TorusDirection, int], List[Optional[Tuple[int, int, bool]]]
+    ]
+    #: On-chip channels per chip; first inter-node channel id; inter-node
+    #: channels per chip where every chip has as many (a topology whose
+    #: every dimension wraps -- elsewhere edge chips have fewer).
+    onchip_per_chip: int
+    internode_base: int
+    internode_per_chip: int
+    #: ``cids[channel id]`` is that channel's own ``Channel.cid`` object.
+    #: ``base + slot`` makes a new int per use; a route built of these
+    #: instead shares one int per channel with every other route.
+    cids: List[int]
+
+    def block_of(self, cid: int) -> Tuple[int, int]:
+        """``(chip index, channels per chip)`` of the block a channel is in.
+
+        Adding ``n`` times the second to ``cid`` names the same channel
+        ``n`` chips later -- for inter-node channels only where
+        ``internode_per_chip`` holds.
+        """
+        if cid < self.internode_base:
+            return cid // self.onchip_per_chip, self.onchip_per_chip
+        return (
+            (cid - self.internode_base) // self.internode_per_chip,
+            self.internode_per_chip,
+        )
+
+
 class Machine:
     """A fully elaborated Anton 2 machine (component/channel graph)."""
 
@@ -305,7 +372,8 @@ class Machine:
         #: order, chip after chip in ``all_coords`` order, before any
         #: inter-node channel exists: on-chip channel ids are
         #: ``chip index * onchip_channels_per_chip + slot``, and the
-        #: inter-node ids (chip-major too) start where they end.
+        #: inter-node ids (chip-major too) start where they end. What
+        #: sits at each slot is :attr:`layout`.
         self.onchip_channels_per_chip: int = 0
         #: Integer ticks per on-chip cycle: the LCM of the denominators of
         #: every channel's ``cycles_per_flit``, so each channel's per-flit
@@ -477,6 +545,74 @@ class Machine:
         return table
 
     # --- queries ------------------------------------------------------------
+
+    @functools.cached_property
+    def layout(self) -> ChipBlockLayout:
+        """The chip-block layout of this machine's channel ids.
+
+        Built on first use (the first route), not at elaboration: a
+        machine that never routes does not pay for it.
+        """
+        components = self.components
+        channels = self.channels
+        chips = tuple(all_coords(self.config.shape))
+        components_per_chip = len(components) // len(chips)
+        internode_base = len(chips) * self.onchip_channels_per_chip
+
+        # Chip index 0's block: its ids are the per-chip positions. An
+        # adapter's ``detail`` is (direction, slice) or an endpoint index.
+        router_link: Dict[Tuple[Coord2, Coord2], int] = {}
+        to_adapter: Dict[object, int] = {}
+        from_adapter: Dict[object, int] = {}
+        for slot in range(self.onchip_channels_per_chip):
+            channel = channels[slot]
+            src = components[channel.src]
+            dst = components[channel.dst]
+            if dst.kind != ComponentKind.ROUTER:
+                to_adapter[dst.detail] = slot
+            elif src.kind != ComponentKind.ROUTER:
+                from_adapter[src.detail] = slot
+            else:
+                router_link[(src.detail, dst.detail)] = slot
+        adapter_link = {
+            key: (to_adapter[key], from_adapter[key])
+            for key in self.floorplan.channel_adapter_router
+        }
+
+        internode: Dict[Tuple[TorusDirection, int], list] = {
+            key: [None] * len(chips) for key in adapter_link
+        }
+        # (dimension, row) by the adapter's position in its chip's block.
+        rows = {
+            self.ca_id[(chips[0],) + key]: (key[0].dim, row)
+            for key, row in internode.items()
+        }
+        crossing_step = self.topology.crossing_step
+        for channel in channels[internode_base:]:
+            src_chip, adapter = divmod(channel.src, components_per_chip)
+            dst_chip = channel.dst // components_per_chip
+            dim, row = rows[adapter]
+            row[src_chip] = (
+                channel.cid,
+                dst_chip,
+                crossing_step(dim, chips[src_chip][dim], chips[dst_chip][dim]),
+            )
+
+        return ChipBlockLayout(
+            chips=chips,
+            chip_index={chip: index for index, chip in enumerate(chips)},
+            router_link=router_link,
+            adapter_link=adapter_link,
+            endpoint_link=tuple(
+                (to_adapter[index], from_adapter[index])
+                for index in range(self.floorplan.num_endpoints)
+            ),
+            internode=internode,
+            onchip_per_chip=self.onchip_channels_per_chip,
+            internode_base=internode_base,
+            internode_per_chip=(len(channels) - internode_base) // len(chips),
+            cids=[channel.cid for channel in channels],
+        )
 
     def neighbor(self, chip: Coord3, direction: TorusDirection) -> Optional[Coord3]:
         """The coordinate one hop away in ``direction``.

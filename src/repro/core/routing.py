@@ -27,15 +27,18 @@ import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import params
-from .geometry import Coord3, Dim, TorusDirection
-from .machine import Channel, ChannelGroup, ComponentKind, Machine
-from .onchip import ANTON_DIRECTION_ORDER, mesh_route_coords, validate_direction_order
+from .geometry import Coord2, Coord3, Dim, TORUS_DIRECTIONS
+from .machine import ChannelKind, ComponentKind, Machine
+from .onchip import ANTON_DIRECTION_ORDER, mesh_route_links, validate_direction_order
 from .vc import make_allocator
 
 #: All six dimension orders of Section 2.3 (XYZ, XZY, YXZ, YZX, ZXY, ZYX).
 ALL_DIM_ORDERS: Tuple[Tuple[Dim, Dim, Dim], ...] = tuple(
     itertools.permutations((Dim.X, Dim.Y, Dim.Z))
 )
+
+#: The shared direction objects, by ``(dimension, travelling toward +)``.
+_DIRECTIONS = {(int(d.dim), d.sign > 0): d for d in TORUS_DIRECTIONS}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -120,6 +123,12 @@ class RouteComputer:
         #: on every draw. Shared by everything holding this computer --
         #: the traffic samplers and the fault-aware subclass alike.
         self._choice_cache: Dict[Tuple, RouteChoice] = {}
+        #: The chip-local tables routes are assembled from, filled on
+        #: first use: the slots of the on-chip path between two routers
+        #: under this computer's ``direction_order``, and what one
+        #: ``(dimension, toward +, slice)`` of inter-node travel takes.
+        self._mesh_paths: Dict[Tuple[Coord2, Coord2], Tuple[int, ...]] = {}
+        self._direction_rows: Dict[Tuple[int, bool, int], Tuple] = {}
 
     # --- route-choice helpers ------------------------------------------------
 
@@ -206,21 +215,6 @@ class RouteComputer:
         self._cache[key] = route
         return route
 
-    def _vc_index(self, channel: Channel, within_class_vc: int, traffic_class: int) -> int:
-        cfg = self.machine.config
-        if channel.group == ChannelGroup.M:
-            per_class = cfg.vcs_per_class_m
-        elif channel.group == ChannelGroup.T:
-            per_class = cfg.vcs_per_class_t
-        else:
-            per_class = 1
-            within_class_vc = 0
-        if within_class_vc >= per_class:
-            raise AssertionError(
-                f"VC {within_class_vc} exceeds the {per_class} VCs of {channel}"
-            )
-        return traffic_class * per_class + within_class_vc
-
     def compute_plan(
         self,
         start: int,
@@ -285,6 +279,57 @@ class RouteComputer:
             src_endpoint, dst_endpoint, ((dst.chip, choice),), traffic_class
         )
 
+    def _mesh_path(self, src: Coord2, dst: Coord2) -> Tuple[int, ...]:
+        """On-chip slots of the direction-order path between two routers."""
+        key = (src, dst)
+        slots = self._mesh_paths.get(key)
+        if slots is None:
+            link = self.machine.layout.router_link
+            slots = self._mesh_paths[key] = tuple(
+                link[pair]
+                for pair in mesh_route_links(src, dst, self.direction_order)
+            )
+        return slots
+
+    def _direction_row(self, dim: int, positive: bool, slice_index: int) -> Tuple:
+        """What travelling one (direction, slice) takes, on any chip.
+
+        ``(departure router, arrival router, router -> adapter slot,
+        through-chip slots, adapter -> router slot, the layout's
+        inter-node row, direction)``: the departure adapter hangs off the
+        departure router; the packet lands on the opposite direction's
+        adapter, which hangs off the arrival router; a through chip is
+        crossed adapter -> router, (skip channel where the two routers
+        differ), router -> adapter -- ``None`` when the floorplan has no
+        such skip channel, which only a through chip may object to.
+        """
+        machine = self.machine
+        plan = machine.floorplan
+        layout = machine.layout
+        direction = _DIRECTIONS[(dim, positive)]
+        departure = plan.channel_adapter_router[(direction, slice_index)]
+        arrival = plan.channel_adapter_router[(direction.opposite, slice_index)]
+        depart_slot = layout.adapter_link[(direction, slice_index)][0]
+        arrive_slot = layout.adapter_link[(direction.opposite, slice_index)][1]
+        through: Optional[Tuple[int, ...]] = (arrive_slot, depart_slot)
+        if arrival != departure:
+            # Slot == channel id on chip index 0.
+            skip = layout.router_link.get((arrival, departure))
+            if skip is None or machine.channels[skip].kind != ChannelKind.SKIP:
+                through = None
+            else:
+                through = (arrive_slot, skip, depart_slot)
+        row = self._direction_rows[(dim, positive, slice_index)] = (
+            departure,
+            arrival,
+            depart_slot,
+            through,
+            arrive_slot,
+            layout.internode[(direction, slice_index)],
+            direction,
+        )
+        return row
+
     def _build_plan(
         self,
         start: int,
@@ -292,6 +337,17 @@ class RouteComputer:
         legs: Tuple[Tuple[Coord3, RouteChoice], ...],
         traffic_class: int,
     ) -> Route:
+        """Assemble a route from chip-local tables (DESIGN.md Section 9).
+
+        Every chip is the same chip, so a route is a handful of segments
+        -- endpoint link, mesh path, router/adapter links, through-chip
+        crossings -- each a tuple of slots inside one chip's on-chip
+        channel block (:class:`~repro.core.machine.ChipBlockLayout`),
+        shifted to the chip the packet is on; the inter-node channel and
+        the next chip come from one per-(direction, slice) row. Only the
+        VC depends on where the chip sits, and the allocator is driven
+        through the same few calls per dimension as ever.
+        """
         machine = self.machine
         plan = machine.floorplan
         cfg = machine.config
@@ -304,131 +360,120 @@ class RouteComputer:
             raise ValueError(
                 f"final leg targets {legs[-1][0]}, destination is on {dst.chip}"
             )
+        if not 0 <= traffic_class < cfg.num_classes:
+            raise ValueError(
+                f"traffic class {traffic_class} is out of range: the machine "
+                f"has num_classes={cfg.num_classes}"
+            )
 
-        shape = cfg.shape
+        layout = machine.layout
+        cids = layout.cids
+        per_chip = layout.onchip_per_chip
+        m_vcs = cfg.vcs_per_class_m
+        t_vcs = cfg.vcs_per_class_t
+        rows = self._direction_rows
         hops: List[Tuple[int, int]] = []
         internode_hops = 0
 
-        def emit(alloc, src_cid: int, dst_cid: int, vc_kind: str) -> None:
-            channel = machine.channel(src_cid, dst_cid)
-            if vc_kind == "m":
-                vc = self._vc_index(channel, alloc.m_vc(), traffic_class)
-            elif vc_kind == "t":
-                vc = self._vc_index(channel, alloc.t_vc(), traffic_class)
-            else:
-                vc = self._vc_index(channel, 0, traffic_class)
-            hops.append((channel.cid, vc))
-
-        def emit_mesh_path(alloc, chip: Coord3, src_coord, dst_coord) -> None:
-            cur = src_coord
-            for nxt in mesh_route_coords(src_coord, dst_coord, self.direction_order):
-                emit(
-                    alloc,
-                    machine.router_id[(chip, cur)],
-                    machine.router_id[(chip, nxt)],
-                    "m",
+        def class_vc(within_class_vc: int, per_class: int, cid: int) -> int:
+            if within_class_vc >= per_class:
+                raise AssertionError(
+                    f"VC {within_class_vc} exceeds the {per_class} VCs of "
+                    f"{machine.channels[cid]}"
                 )
-                cur = nxt
+            return traffic_class * per_class + within_class_vc
 
         allocs = [make_allocator(cfg.vc_scheme) for _ in legs]
 
         # Starting position: endpoints and channel adapters first hop onto
         # their attached router; a router start begins on the mesh directly.
+        # Endpoint links carry one VC per class.
         origin = machine.components[start]
         cur_chip = origin.chip
+        chip = layout.chip_index[cur_chip]
+        base = chip * per_chip
         if origin.kind == ComponentKind.ENDPOINT:
             cur_router = plan.endpoint_router[origin.detail]
-            emit(allocs[0], start, machine.router_id[(cur_chip, cur_router)], "e")
+            hops.append(
+                (cids[base + layout.endpoint_link[origin.detail][1]], traffic_class)
+            )
         elif origin.kind == ComponentKind.ROUTER:
             cur_router = origin.detail
         elif origin.kind == ComponentKind.CHANNEL_ADAPTER:
-            direction, slice_index = origin.detail
-            cur_router = plan.channel_adapter_router[(direction, slice_index)]
-            emit(allocs[0], start, machine.router_id[(cur_chip, cur_router)], "t")
+            cur_router = plan.channel_adapter_router[origin.detail]
+            cid = cids[base + layout.adapter_link[origin.detail][1]]
+            hops.append((cid, class_vc(allocs[0].t_vc(), t_vcs, cid)))
         else:  # pragma: no cover - defensive
             raise ValueError(f"cannot start a route at {origin}")
 
         for (target_chip, choice), alloc in zip(legs, allocs):
             deltas = self._leg_deltas(cur_chip, target_chip, choice)
-            dims_to_travel = [d for d in choice.dim_order if deltas[d] != 0]
-            for dim in dims_to_travel:
+            slice_index = choice.slice_index
+            for dim in choice.dim_order:
                 delta = deltas[dim]
-                direction = TorusDirection(Dim(dim), 1 if delta > 0 else -1)
-                slice_index = choice.slice_index
-                radix = shape[dim]
-                departure_coord = plan.channel_adapter_router[(direction, slice_index)]
-                arrival_coord = plan.channel_adapter_router[
-                    (direction.opposite, slice_index)
-                ]
+                if not delta:
+                    continue
+                (
+                    departure,
+                    arrival,
+                    depart_slot,
+                    through,
+                    arrive_slot,
+                    links,
+                    direction,
+                ) = rows.get((dim, delta > 0, slice_index)) or self._direction_row(
+                    dim, delta > 0, slice_index
+                )
 
                 # On-chip route to the departure channel adapter's router,
                 # then into the T-group via the router -> adapter link.
-                emit_mesh_path(alloc, cur_chip, cur_router, departure_coord)
-                cur_router = departure_coord
+                if cur_router != departure:
+                    path = self._mesh_path(cur_router, departure)
+                    vc = class_vc(alloc.m_vc(), m_vcs, cids[base + path[0]])
+                    hops += [(cids[base + slot], vc) for slot in path]
                 alloc.start_dimension()
-                departure_ca = machine.ca_id[(cur_chip, direction, slice_index)]
-                emit(alloc, machine.router_id[(cur_chip, cur_router)], departure_ca, "t")
+                cid = cids[base + depart_slot]
+                vc = class_vc(alloc.t_vc(), t_vcs, cid)
+                hops.append((cid, vc))
 
-                coord = cur_chip[dim]
                 steps = abs(delta)
                 for step in range(steps):
-                    next_coord = (coord + direction.sign) % radix
-                    if machine.topology.crossing_step(dim, coord, next_coord):
+                    cid, chip, crosses = links[chip]
+                    if crosses:
                         # The dateline channel itself is used at the promoted VC.
                         alloc.cross_dateline()
-                    next_chip = machine.neighbor(cur_chip, direction)
-                    arrival_ca = machine.ca_id[
-                        (next_chip, direction.opposite, slice_index)
-                    ]
-                    emit(
-                        alloc,
-                        machine.ca_id[(cur_chip, direction, slice_index)],
-                        arrival_ca,
-                        "t",
-                    )
-                    internode_hops += 1
-                    cur_chip = next_chip
-                    coord = next_coord
+                        vc = class_vc(alloc.t_vc(), t_vcs, cid)
+                    hops.append((cid, vc))
+                    base = chip * per_chip
                     if step < steps - 1:
-                        # Through route at an intermediate chip: adapter ->
-                        # router, (skip channel for X), router -> adapter. All
-                        # these links are T-group.
-                        arrival_router = machine.router_id[(cur_chip, arrival_coord)]
-                        emit(alloc, arrival_ca, arrival_router, "t")
-                        if arrival_coord != departure_coord:
-                            if not plan.skip_for(arrival_coord, departure_coord):
-                                raise AssertionError(
-                                    f"no skip channel between {arrival_coord} and "
-                                    f"{departure_coord} for {direction} through traffic"
-                                )
-                            departure_router = machine.router_id[
-                                (cur_chip, departure_coord)
-                            ]
-                            emit(alloc, arrival_router, departure_router, "t")
-                            arrival_router = departure_router
-                        emit(
-                            alloc,
-                            arrival_router,
-                            machine.ca_id[(cur_chip, direction, slice_index)],
-                            "t",
-                        )
+                        # Through route at an intermediate chip, all T-group.
+                        if through is None:
+                            raise AssertionError(
+                                f"no skip channel between {arrival} and "
+                                f"{departure} for {direction} through traffic"
+                            )
+                        hops += [(cids[base + slot], vc) for slot in through]
                 # Last chip of this dimension: leave the T-group. The final
                 # adapter -> router link still belongs to this dimension's
                 # T-group visit (old VC); the promotion applies afterwards.
-                final_ca = machine.ca_id[(cur_chip, direction.opposite, slice_index)]
-                emit(alloc, final_ca, machine.router_id[(cur_chip, arrival_coord)], "t")
+                hops.append((cids[base + arrive_slot], vc))
                 alloc.finish_dimension()
-                cur_router = arrival_coord
-            if cur_chip != target_chip:  # pragma: no cover - defensive
+                internode_hops += steps
+                cur_router = arrival
+            if chip != layout.chip_index[target_chip]:  # pragma: no cover - defensive
                 raise AssertionError(
-                    f"leg ended at {cur_chip}, expected {target_chip}"
+                    f"leg ended at {layout.chips[chip]}, expected {target_chip}"
                 )
+            cur_chip = target_chip
 
         # Destination chip: on-chip route to the destination endpoint, still
         # under the last leg's allocator.
         dst_router = plan.endpoint_router[dst.detail]
-        emit_mesh_path(allocs[-1], cur_chip, cur_router, dst_router)
-        emit(allocs[-1], machine.router_id[(cur_chip, dst_router)], dst_endpoint, "e")
+        if cur_router != dst_router:
+            path = self._mesh_path(cur_router, dst_router)
+            vc = class_vc(allocs[-1].m_vc(), m_vcs, cids[base + path[0]])
+            hops += [(cids[base + slot], vc) for slot in path]
+        hops.append((cids[base + layout.endpoint_link[dst.detail][0]], traffic_class))
 
         return Route(
             src=start,

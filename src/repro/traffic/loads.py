@@ -86,29 +86,18 @@ def _translation_maps(machine: Machine, channel_ids):
     """``(offset, {channel id: its id shifted by offset})`` for every
     nonzero offset of a translation-invariant machine.
 
-    No graph walk: every chip creates its on-chip channels, then its
-    inter-node channels, in one fixed sequence, so channel ids sit in
-    per-chip blocks -- on-chip blocks first, inter-node blocks after,
-    both in ``all_coords`` chip order -- and shifting a channel moves it
-    to the same slot of the shifted chip's block.
+    No graph walk: channel ids sit in per-chip blocks
+    (:class:`~repro.core.machine.ChipBlockLayout`), and shifting a
+    channel moves it to the same slot of the shifted chip's block.
     """
     kx, ky, kz = machine.config.shape
-    chips = list(all_coords(machine.config.shape))
-    onchip = machine.onchip_channels_per_chip
-    internode_base = len(chips) * onchip
-    internode = (len(machine.channels) - internode_base) // len(chips)
-    blocks = [
-        (cid, cid // onchip, onchip)
-        if cid < internode_base
-        else (cid, (cid - internode_base) // internode, internode)
-        for cid in channel_ids
-    ]
-    for ox, oy, oz in chips:
-        if (ox, oy, oz) == (0, 0, 0):
-            continue
+    layout = machine.layout
+    chip_index = layout.chip_index
+    blocks = [(cid, *layout.block_of(cid)) for cid in channel_ids]
+    for ox, oy, oz in layout.chips[1:]:
         shifted = [
-            (((x + ox) % kx) * ky + (y + oy) % ky) * kz + (z + oz) % kz
-            for x, y, z in chips
+            chip_index[((x + ox) % kx, (y + oy) % ky, (z + oz) % kz)]
+            for x, y, z in layout.chips
         ]
         yield (ox, oy, oz), {
             cid: cid + (shifted[chip] - chip) * stride

@@ -181,6 +181,123 @@ class TestInputIndexing:
             assert signature(chip) == base
 
 
+class TestChipBlockLayout:
+    """Every chip is the same chip, block after block: what routes are
+    assembled from (``Machine.layout``). An elaboration change that breaks
+    it fails here, by name, and not as a wrong route."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[
+            ("torus", (3, 2, 4)),
+            ("torus", (2, 1, 1)),
+            ("mesh", (3, 4)),
+            ("chiplet", (2, 3)),
+        ],
+        ids=lambda param: f"{param[0]}-{'x'.join(map(str, param[1]))}",
+    )
+    def machine(self, request):
+        topology, shape = request.param
+        return Machine(
+            MachineConfig(shape=shape, topology=topology, endpoints_per_chip=3)
+        )
+
+    def test_every_block_holds_the_same_links_in_the_same_slots(self, machine):
+        layout = machine.layout
+        per_chip = machine.onchip_channels_per_chip
+        assert layout.onchip_per_chip == per_chip
+        components_per_chip = len(machine.components) // len(layout.chips)
+        for index, chip in enumerate(layout.chips):
+            assert layout.chip_index[chip] == index
+            for k in range(components_per_chip):
+                component = machine.components[index * components_per_chip + k]
+                first = machine.components[k]
+                assert component.chip == chip
+                assert (component.kind, component.detail) == (first.kind, first.detail)
+            for slot in range(per_chip):
+                channel = machine.channels[index * per_chip + slot]
+                first = machine.channels[slot]
+                assert (
+                    channel.src - index * components_per_chip,
+                    channel.dst - index * components_per_chip,
+                    channel.kind,
+                ) == (first.src, first.dst, first.kind)
+
+    def test_slot_tables_name_every_on_chip_channel(self, machine):
+        layout = machine.layout
+        per_chip = machine.onchip_channels_per_chip
+        between = machine.channel_between
+        for index, chip in enumerate(layout.chips):
+            named = {}
+            for (a, b), slot in layout.router_link.items():
+                named[slot] = (machine.router_id[(chip, a)], machine.router_id[(chip, b)])
+            for (direction, slice_index), (out, back) in layout.adapter_link.items():
+                router = machine.router_id[
+                    (chip, machine.floorplan.channel_adapter_router[(direction, slice_index)])
+                ]
+                adapter = machine.ca_id[(chip, direction, slice_index)]
+                named[out] = (router, adapter)
+                named[back] = (adapter, router)
+            for endpoint, (out, back) in enumerate(layout.endpoint_link):
+                router = machine.router_id[
+                    (chip, machine.floorplan.endpoint_router[endpoint])
+                ]
+                adapter = machine.ep_id[(chip, endpoint)]
+                named[out] = (router, adapter)
+                named[back] = (adapter, router)
+            assert sorted(named) == list(range(per_chip))
+            for slot, ends in named.items():
+                assert between[ends] == index * per_chip + slot
+
+    def test_internode_rows_agree_with_the_graph(self, machine):
+        layout = machine.layout
+        topology = machine.topology
+        links = 0
+        for (direction, slice_index), row in layout.internode.items():
+            dim = direction.dim
+            for index, chip in enumerate(layout.chips):
+                if not topology.has_link(chip, direction):
+                    assert row[index] is None
+                    continue
+                links += 1
+                neighbor = machine.neighbor(chip, direction)
+                assert row[index] == (
+                    machine.channel_between[
+                        (
+                            machine.ca_id[(chip, direction, slice_index)],
+                            machine.ca_id[(neighbor, direction.opposite, slice_index)],
+                        )
+                    ],
+                    layout.chip_index[neighbor],
+                    topology.crossing_step(dim, chip[dim], neighbor[dim]),
+                )
+        assert links == len(machine.channels) - layout.internode_base
+        assert all(
+            channel.kind == ChannelKind.TORUS
+            for channel in machine.channels[layout.internode_base :]
+        )
+
+    def test_cids_are_the_channels_own_ints(self, machine):
+        assert len(machine.layout.cids) == len(machine.channels)
+        assert all(
+            cid is channel.cid
+            for cid, channel in zip(machine.layout.cids, machine.channels)
+        )
+
+    def test_block_of_shifts_a_channel_to_the_same_place_chips_later(self):
+        machine = Machine(MachineConfig(shape=(3, 2, 2), endpoints_per_chip=1))
+        layout = machine.layout
+        per_component = len(machine.components) // len(layout.chips)
+        for channel in machine.channels:
+            index, stride = layout.block_of(channel.cid)
+            assert machine.components[channel.src].chip == layout.chips[index]
+            home = machine.channels[channel.cid - index * stride]
+            assert (home.src % per_component, home.kind) == (
+                channel.src % per_component,
+                channel.kind,
+            )
+
+
 class TestNeighbor:
     def test_wraps(self, tiny_machine):
         assert tiny_machine.neighbor((1, 0, 0), XP) == (0, 0, 0)

@@ -11,6 +11,8 @@ from repro.core.machine import ChannelGroup, Machine, MachineConfig
 from repro.core.routing import RouteChoice, RouteComputer
 from repro.sim.engine import Engine
 from repro.sim.packet import Packet
+from repro.traffic.batch import BatchSpec, generate_batch
+from repro.traffic.patterns import UniformRandom
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +59,45 @@ class TestVcPartitioning:
             channel = two_class_machine.channels[channel_id]
             if channel.group != ChannelGroup.E:
                 assert req_vc < 4 <= rep_vc
+
+
+class TestClassOutOfRange:
+    """A class the machine does not have is refused where routes are made
+    (it used to come back as VCs past the buffers, and die mid-run)."""
+
+    MESSAGE = r"^traffic class 3 is out of range: the machine has num_classes=1$"
+
+    def test_compute_and_compute_plan_reject_it(self, tiny_machine):
+        routes = RouteComputer(tiny_machine)
+        src = tiny_machine.ep_id[((0, 0, 0), 0)]
+        dst = tiny_machine.ep_id[((1, 1, 0), 0)]
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            routes.compute(src, dst, RouteChoice(), traffic_class=3)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            routes.compute_plan(
+                src, dst, (((1, 1, 0), RouteChoice()),), traffic_class=3
+            )
+        with pytest.raises(ValueError, match="traffic class -1 is out of range"):
+            routes.compute(src, dst, RouteChoice(), traffic_class=-1)
+
+    def test_generate_batch_rejects_it(self, tiny_machine):
+        spec = BatchSpec(
+            UniformRandom((2, 2, 2)),
+            packets_per_source=2,
+            cores_per_chip=2,
+            seed=1,
+            traffic_class=3,
+        )
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            generate_batch(tiny_machine, RouteComputer(tiny_machine), spec)
+
+    def test_the_bound_is_the_machines_num_classes(
+        self, two_class_machine, two_class_routes
+    ):
+        src = two_class_machine.ep_id[((0, 0, 0), 0)]
+        dst = two_class_machine.ep_id[((1, 1, 0), 0)]
+        with pytest.raises(ValueError, match="traffic class 2 is out of range"):
+            two_class_routes.compute(src, dst, RouteChoice(), traffic_class=2)
 
 
 class TestMixedClassTraffic:

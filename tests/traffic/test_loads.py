@@ -1,5 +1,7 @@
 """Tests for the analytic load computation."""
 
+import hashlib
+
 import pytest
 
 from repro.core.geometry import all_coords
@@ -79,6 +81,46 @@ class TestConservation:
             if tiny_machine.channels[cid].kind == ChannelKind.TORUS
         )
         assert total_torus == pytest.approx(16 * pattern.mean_hops())
+
+
+def _table_digest(table):
+    sha = hashlib.sha256()
+    for part in (table.channel_load, table.arbiter_load, table.vc_load):
+        sha.update(repr(sorted(part.items())).encode())
+    sha.update(repr(table.num_sources).encode())
+    return sha.hexdigest()
+
+
+class TestPinnedTables:
+    """Bit-for-bit the tables of the hop-by-hop route builder (commit
+    3eb7088; same routes in the same order, so the same float sums).
+    ``_table_digest`` of each call below, printed there."""
+
+    PINNED = {
+        ("torus", (3, 3, 3), False): (
+            "672a404eb162e63f46d6606fcbdd6befd89f27ddb445ea351e9363e1d56805bb"
+        ),
+        ("torus", (3, 3, 3), True): (
+            "3c3e3ca15b0d78456e8896e9d0d445f837ef2f74a9e797f34b5f553395d94d87"
+        ),
+        ("mesh", (4, 4), False): (
+            "a143d30b8d96f8d254c9e59c309ac42edfae4d056e9aceb742a2027427d4150f"
+        ),
+    }
+
+    @pytest.mark.parametrize("topology, shape, use_symmetry", list(PINNED))
+    def test_loads_are_unchanged(self, topology, shape, use_symmetry):
+        machine = Machine(
+            MachineConfig(shape=shape, topology=topology, endpoints_per_chip=2)
+        )
+        table = compute_loads(
+            machine,
+            RouteComputer(machine),
+            UniformRandom(machine.config.shape),
+            cores_per_chip=2,
+            use_symmetry=use_symmetry,
+        )
+        assert _table_digest(table) == self.PINNED[(topology, shape, use_symmetry)]
 
 
 #: Even, odd and mixed radices, a radix-2 ring (both directions reach the
