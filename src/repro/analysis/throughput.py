@@ -28,7 +28,6 @@ from repro.core.routing import RouteComputer
 from repro.sim.metrics import MetricsCollector, MetricsSummary
 from repro.sim.simulator import (
     RunSpec,
-    build,
     loads_of,
     program_weights,
     run_engine,
@@ -61,18 +60,18 @@ def _measure(
     run, machine, route_computer, load_table, label, collector,
     checkpoint_path, checkpoint_every, stamped=True, **programmed,
 ) -> ThroughputPoint:
-    """Build ``run`` (``programmed`` is :func:`build`'s), run it, and
+    """Start ``run`` (``programmed`` is :func:`build`'s), run it, and
     normalize its completion time by ``load_table``, the measured
     pattern's: following Section 4.1, a throughput of 1 means the busiest
     torus channel (under the pattern's expected loads) was never idle."""
     start = time.perf_counter()
     stats = run_engine(
-        lambda: build(run, machine, route_computer, trace=collector, **programmed),
-        trace=collector,
+        run, machine, collector,
         checkpoint_path=checkpoint_path,
         checkpoint_every=checkpoint_every,
-        machine=machine,
-        run=run if stamped else None,
+        stamped=stamped,
+        route_computer=route_computer,
+        **programmed,
     )
     wall = time.perf_counter() - start
     batch_size = run.spec.packets_per_source

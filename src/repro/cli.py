@@ -31,6 +31,7 @@ one-line error to stderr and exit 1 rather than dumping a traceback
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import List, Optional
 
@@ -190,99 +191,34 @@ def _batch_end_record(stats, events_written: int, faulted: bool) -> dict:
     return record
 
 
-def _resume_trace_writer(trace_path: str, checkpoint_data: dict):
-    """Reopen a trace file for resume: truncate to the checkpoint, append.
+@contextlib.contextmanager
+def _trace_sink(path: Optional[str], meta: Optional[dict] = None):
+    """The JSONL writer on ``path`` -- ``-`` is stdout, ``None`` no sink --
+    with header ``meta``, or without one header-free, to extend a trace
+    that must already be there.
 
-    A crashed run may have written events past its last checkpoint;
-    truncating the file back to the checkpoint's recorded byte offset and
-    appending with a header-free writer makes the final file byte-
-    identical to a never-interrupted run's.
+    A regular file is opened without cutting it and is the writer's own:
+    whether the run resumes, and so rewinds into what an interrupted one
+    left there, is the simulator's to decide, and a writer that is not
+    rewound cuts the file at its first write (see
+    :class:`~repro.sim.trace.JsonlTraceWriter`). Stdout, a FIFO or a
+    ``/dev/fd`` path is only ever written to.
     """
-    from repro.sim.checkpoint import CheckpointError
-    from repro.sim.trace import JsonlTraceWriter
-
-    events_written = checkpoint_data["trace"]["events_written"]
-    bytes_written = checkpoint_data["trace"]["bytes_written"]
-    if events_written is None or bytes_written is None:
-        raise CheckpointError(
-            "checkpoint was saved without a JSONL trace writer attached; "
-            "cannot resume its trace file"
-        )
-    with open(trace_path, "r+b") as handle:
-        handle.truncate(bytes_written)
-    stream = open(trace_path, "a")
-    return JsonlTraceWriter(
-        stream,
-        header=False,
-        resume_counts=(events_written, bytes_written),
-    )
-
-
-def _checkpointed_trace_writer(args, trace_meta, runspec, machine):
-    """Shared auto-resume + trace-sink plumbing of checkpointed runs.
-
-    ``repro demand`` and ``repro faults run`` share one contract: an
-    existing ``--checkpoint`` file under ``--resume`` marks an
-    interrupted run to pick up (rewinding the trace file to the
-    checkpoint's recorded byte count); without ``--resume`` it is stale
-    state from an earlier run and is cleared. This context manager owns
-    that detection plus the four-way trace-sink selection (no trace /
-    resumed file / stdout / fresh file). A checkpoint that is not
-    ``runspec``'s on ``machine`` is refused here, before the trace file
-    is rewound to it.
-
-    Yields ``(writer, checkpoint_every)`` -- a trace sink or None, and 0
-    when checkpointing is off -- ready to hand to
-    :func:`~repro.sim.simulator.run`.
-    """
-    import contextlib
     import os
 
     from repro.sim.trace import JsonlTraceWriter
 
-    @contextlib.contextmanager
-    def manager():
-        checkpointing = args.checkpoint is not None
-        resuming = (
-            checkpointing and args.resume and os.path.exists(args.checkpoint)
-        )
-        if checkpointing and not resuming and os.path.exists(args.checkpoint):
-            # Without --resume an existing snapshot is stale state from
-            # some earlier run, not an interruption to pick up; start
-            # clean.
-            os.unlink(args.checkpoint)
-        every = args.checkpoint_every if checkpointing else 0
-
-        if resuming:
-            from repro.sim.checkpoint import (
-                check_machine,
-                load_checkpoint,
-                run_stamp,
+    header = meta is not None
+    if path is None:
+        yield None
+    elif path == "-":
+        yield JsonlTraceWriter(sys.stdout, meta=meta, header=header)
+    else:
+        owned = os.path.isfile(path) or not header
+        with open(path, "r+" if owned else "w") as stream:
+            yield JsonlTraceWriter(
+                stream, meta=meta, header=header, owns_stream=owned
             )
-
-            if args.trace == "-":
-                raise ValueError(
-                    "--resume cannot rewind a stdout trace; use a file path"
-                )
-            checkpoint_data = load_checkpoint(args.checkpoint, run_stamp(runspec))
-            check_machine(checkpoint_data, machine)
-            if args.trace is None:
-                yield None, every
-                return
-            writer = _resume_trace_writer(args.trace, checkpoint_data)
-            try:
-                yield writer, every
-            finally:
-                writer.stream.close()
-        elif args.trace is None:
-            yield None, every
-        elif args.trace == "-":
-            yield JsonlTraceWriter(sys.stdout, meta=trace_meta), every
-        else:
-            with open(args.trace, "w") as stream:
-                yield JsonlTraceWriter(stream, meta=trace_meta), every
-
-    return manager()
 
 
 def cmd_info(args) -> int:
@@ -388,7 +324,6 @@ def cmd_run(args) -> int:
         machine=machine,
         checkpoint_path=args.checkpoint,
         checkpoint_every=args.checkpoint_every if args.checkpoint else 0,
-        transport=args.transport,
     )
     wall = time.perf_counter() - start
     extra = (
@@ -406,20 +341,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    import contextlib
-
     from repro.sim.goldens import GOLDEN_NAMES, write_golden
     from repro.sim.metrics import MetricsCollector
     from repro.sim.simulator import run, trace_header
-    from repro.sim.trace import JsonlTraceWriter, Tee
-
-    @contextlib.contextmanager
-    def output_stream():
-        if args.out == "-":
-            yield sys.stdout
-        else:
-            with open(args.out, "w") as stream:
-                yield stream
+    from repro.sim.trace import Tee
 
     if args.list_goldens:
         for name in GOLDEN_NAMES:
@@ -434,7 +359,11 @@ def cmd_trace(args) -> int:
             )
             return 2
         try:
-            with output_stream() as stream:
+            with (
+                contextlib.nullcontext(sys.stdout)
+                if args.out == "-"
+                else open(args.out, "w")
+            ) as stream:
                 events = write_golden(args.golden, stream, shards=args.shards)
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
@@ -449,10 +378,9 @@ def cmd_trace(args) -> int:
     params, runspec, machine = _runspec(args)
     pattern = runspec.spec.pattern
     collector = MetricsCollector(window_cycles=args.window)
-    with output_stream() as stream:
-        writer = JsonlTraceWriter(
-            stream, meta=trace_header(params, runspec, machine)
-        )
+    with _trace_sink(
+        args.out, trace_header(params, runspec, machine)
+    ) as writer:
         stats = run(runspec, machine=machine, trace=Tee(writer, collector))
         writer.write_record(
             _batch_end_record(stats, writer.events_written, faulted=False)
@@ -471,19 +399,21 @@ def cmd_trace(args) -> int:
 
 def _run_checkpointed(args, kind: str):
     """``(RunSpec, stats)`` of ``repro demand`` / ``repro faults run``:
-    the command line's run under ``--trace/--checkpoint/--resume``."""
+    the command line's run under ``--trace/--checkpoint``, whose
+    contract is ``repro run``'s -- a checkpoint of this run at the path
+    is picked up, trace included; anything else there is refused."""
     from repro.sim.simulator import run, trace_header
 
     params, runspec, machine = _runspec(args, kind)
-    with _checkpointed_trace_writer(
-        args, trace_header(params, runspec, machine), runspec, machine
-    ) as (writer, checkpoint_every):
+    with _trace_sink(
+        args.trace, trace_header(params, runspec, machine)
+    ) as writer:
         stats = run(
             runspec,
             machine=machine,
             trace=writer,
             checkpoint_path=args.checkpoint,
-            checkpoint_every=checkpoint_every,
+            checkpoint_every=args.checkpoint_every if args.checkpoint else 0,
         )
         if writer is not None:
             writer.write_record(
@@ -785,25 +715,12 @@ def cmd_loadtest(args) -> int:
 
 
 def cmd_checkpoint_save(args) -> int:
-    import contextlib
-
     from repro.sim.checkpoint import save_checkpoint
-    from repro.sim.simulator import build, run_context, trace_header
-    from repro.sim.trace import JsonlTraceWriter
+    from repro.sim.simulator import start, trace_header
 
     params, runspec, machine = _runspec(args)
-
-    @contextlib.contextmanager
-    def trace_writer():
-        if args.trace is None:
-            yield None
-        else:
-            with open(args.trace, "w") as stream:
-                yield JsonlTraceWriter(
-                    stream, meta=trace_header(params, runspec, machine)
-                )
-
-    with trace_writer() as writer:
+    header = trace_header(params, runspec, machine)
+    with _trace_sink(args.trace, header) as writer:
         if args.shards > 1:
             # Same bytes at args.out as the serial branch below, and
             # like it nothing else: the one file resumes under any
@@ -816,7 +733,7 @@ def cmd_checkpoint_save(args) -> int:
             )
             cycle = args.cycles
         else:
-            engine = build(runspec, *run_context(runspec, machine), trace=writer)
+            engine = start(runspec, machine, writer)
             engine.run_for(args.cycles)
             if writer is not None:
                 writer.flush()
@@ -835,10 +752,8 @@ def cmd_checkpoint_restore(args) -> int:
     from repro.sim.checkpoint import load_checkpoint, restore_engine
 
     data = load_checkpoint(args.checkpoint_file)
-    writer = None
-    if args.trace is not None:
-        writer = _resume_trace_writer(args.trace, data)
-    try:
+    with _trace_sink(args.trace) as writer:
+        # The restore cuts the trace file back to the snapshot.
         engine = restore_engine(data, trace=writer)
         stats = engine.run()
         if writer is not None:
@@ -849,10 +764,6 @@ def cmd_checkpoint_restore(args) -> int:
                     faulted=data.get("faults") is not None,
                 )
             )
-            writer.flush()
-    finally:
-        if writer is not None:
-            writer.stream.close()
     print(
         f"resumed from cycle {data.get('cycle')}: {stats.delivered} "
         f"delivered in {stats.end_cycle} cycles",
@@ -1073,14 +984,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--retries", type=int, default=4,
                        help="retry budget for --policy retry (default: 4)")
 
-    def add_checkpoint_args(p, resume=True):
+    def add_checkpoint_args(p):
         p.add_argument("--checkpoint", default=None,
-                       help="periodic engine snapshot file (crash resumable)")
+                       help="periodic engine snapshot file: an interrupted "
+                            "run made again picks itself up from it")
         p.add_argument("--checkpoint-every", type=int, default=64,
                        help="cycles between snapshots (default: 64)")
-        if resume:
-            p.add_argument("--resume", action="store_true",
-                           help="resume an interrupted run from --checkpoint")
 
     p = sub.add_parser("info", help="machine and packaging summary")
     add_machine_args(p)
@@ -1121,12 +1030,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=int, default=1,
                    help="spatial shard count (1, 2, 4, or 8; results are "
                         "bit-identical across counts)")
-    p.add_argument("--transport", default="process",
-                   choices=["process", "inline"],
-                   help="worker transport: real processes or in-process "
-                        "(debug) workers")
     add_fault_args(p)
-    add_checkpoint_args(p, resume=False)
+    add_checkpoint_args(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser(

@@ -23,7 +23,7 @@ Determinism argument
   non-mutating :meth:`~repro.sim.metrics.MetricsCollector.snapshot`.
 * **Eviction.** :meth:`spool_payload` embeds a
   :func:`~repro.sim.checkpoint.snapshot_engine` snapshot; :meth:`thaw`
-  restores it with a revived collector. Checkpoint/restore is bitwise
+  restores it, which revives the collector. Checkpoint/restore is bitwise
   resume-equivalent (PR 5), so an evict/thaw cycle cannot change a
   single byte of the final stats.
 
@@ -622,15 +622,12 @@ class Session:
             for key in ("topology", "shape", "endpoints")
             if key in workload
         }))
-        engine_data = payload["engine"]
-        captured = (engine_data.get("trace") or {}).get("collector")
-        if captured is not None:
-            collector = MetricsCollector.from_state(captured)
-        else:
-            collector = MetricsCollector(window_cycles=config.window_cycles)
+        # The restore revives the collector from what the snapshot
+        # captured of it, behind the Tee as it was saved.
+        collector = MetricsCollector(window_cycles=config.window_cycles)
         buffer = TraceStreamBuffer()
         engine = restore_engine(
-            engine_data, machine=machine, trace=Tee(collector, buffer)
+            payload["engine"], machine=machine, trace=Tee(collector, buffer)
         )
         # Faulted engines re-route through the runtime's computer, like
         # create(); healthy ones through their own fresh one.

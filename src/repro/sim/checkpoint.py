@@ -359,33 +359,54 @@ def _wheel_to_json(wheel, now: int, encode=list) -> dict:
     }
 
 
+def _sinks(trace):
+    """Every sink ``trace`` reaches, through any :class:`~repro.sim.trace.Tee`."""
+    if isinstance(trace, Tee):
+        for sub in trace.sinks:
+            yield from _sinks(sub)
+    elif trace is not None:
+        yield trace
+
+
 def _trace_section(engine: Engine) -> dict:
     """Record enough about the attached sink(s) to resume byte-identically.
 
-    For a :class:`JsonlTraceWriter` (directly or inside a
-    :class:`~repro.sim.trace.Tee`) the event and byte counters are
-    recorded so a resume can truncate a crashed run's trace file back to
-    this checkpoint and append header-free. A
+    For a :class:`JsonlTraceWriter` the event and byte counters are
+    recorded so a resume can cut a crashed run's trace file back to this
+    checkpoint and append header-free. A
     :class:`~repro.sim.metrics.MetricsCollector` is captured wholesale.
+    Other sinks (ListSink, ad-hoc test sinks) carry no state a resume
+    needs: the caller re-attaches whatever it wants.
+    :func:`_revive_sinks` is the inverse.
     """
     section: dict = {"events_written": None, "bytes_written": None, "collector": None}
-
-    def visit(sink) -> None:
-        if sink is None:
-            return
-        if isinstance(sink, Tee):
-            for sub in sink.sinks:
-                visit(sub)
-        elif isinstance(sink, JsonlTraceWriter):
+    for sink in _sinks(engine.trace):
+        if isinstance(sink, JsonlTraceWriter):
             section["events_written"] = sink.events_written
             section["bytes_written"] = sink.bytes_written
         elif isinstance(sink, MetricsCollector):
             section["collector"] = sink.state()
-        # Other sinks (ListSink, ad-hoc test sinks) carry no state a
-        # resume needs: the caller re-attaches whatever it wants.
-
-    visit(engine.trace)
     return section
+
+
+def _revive_sinks(trace, section: dict) -> None:
+    """Put every sink ``trace`` reaches where :func:`_trace_section`
+    recorded it: writers rewound to the recorded counts, collectors
+    holding the captured reducers."""
+    for sink in _sinks(trace):
+        if isinstance(sink, JsonlTraceWriter):
+            if section["bytes_written"] is None:
+                raise CheckpointError(
+                    "checkpoint was saved without a JSONL trace writer "
+                    "attached; cannot resume its trace file"
+                )
+            try:
+                sink.rewind(section["events_written"], section["bytes_written"])
+            except ValueError as exc:
+                raise CheckpointError(str(exc)) from None
+        elif isinstance(sink, MetricsCollector):
+            if section["collector"] is not None:
+                sink.restore_state(section["collector"])
 
 
 def snapshot_engine(engine: Engine) -> dict:
@@ -519,16 +540,9 @@ def _restore_into(engine: Engine, data: dict, packets: List[Packet]) -> None:
         engine._buffer_heads[cid] = [0] * len(bufs)
         engine._buffered_count[cid] = sum(len(queue) for queue in bufs)
 
-    # Written element-wise: the engine's credit rows are views into one
-    # flat typed array (``_credits_flat``) -- rebinding them to fresh
-    # lists would silently decouple the rows from the flat store.
-    for row, values in zip(engine._credits, data["credits"]):
-        for vc, value in enumerate(values):
-            row[vc] = value
-    for cid, value in enumerate(data["channel_free_at"]):
-        engine._channel_free_at[cid] = value
-    for cid, value in enumerate(data["input_free_at"]):
-        engine._input_free_at[cid] = value
+    engine._credits = [list(values) for values in data["credits"]]
+    engine._channel_free_at = list(data["channel_free_at"])
+    engine._input_free_at = list(data["input_free_at"])
 
     for oc, spec in data["arbiters"]:
         engine.arbiters[oc] = _build_arbiter(spec)
@@ -589,10 +603,15 @@ def restore_engine(
     ``machine`` may supply an already-elaborated machine, which must
     have been built from the embedded configuration (anything else is
     refused, naming both); by default the machine is rebuilt from that
-    config. ``trace`` attaches a sink to the restored engine; when
-    omitted and the checkpoint captured a
-    :class:`~repro.sim.metrics.MetricsCollector`, the collector is
-    revived and attached.
+    config. ``trace`` attaches a sink to the restored engine, revived
+    first: whatever the snapshot recorded of a sink it reaches -- a
+    :class:`~repro.sim.trace.Tee` is descended -- is put back, a
+    :class:`~repro.sim.metrics.MetricsCollector`'s reducers, a
+    :class:`~repro.sim.trace.JsonlTraceWriter`'s position (its stream cut
+    back to the recorded bytes). When ``trace`` is omitted and the
+    checkpoint captured a collector, the collector is revived and
+    attached. The sinks are touched last: a payload that is refused
+    leaves them as they were.
 
     Raises :class:`CheckpointError` on any structural defect.
     """
@@ -603,8 +622,9 @@ def restore_engine(
             machine = Machine(_config_from_json(data["machine"]))
         else:
             check_machine(data, machine)
-        if trace is None and data["trace"]["collector"] is not None:
-            trace = MetricsCollector.from_state(data["trace"]["collector"])
+        section = data["trace"]
+        if trace is None and section["collector"] is not None:
+            trace = MetricsCollector()  # revived below, like one handed in
         engine = Engine(
             machine,
             watchdog_cycles=data["watchdog_cycles"],
@@ -614,6 +634,7 @@ def restore_engine(
         choice_cache: Dict[tuple, RouteChoice] = {}
         packets = [_packet_from_json(p, choice_cache) for p in data["packets"]]
         _restore_into(engine, data, packets)
+        _revive_sinks(trace, section)
     return engine
 
 
@@ -750,7 +771,10 @@ def load_checkpoint(path: str, stamp: Optional[str] = None) -> dict:
             text = handle.read()
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    data = loads(text)
+    try:
+        data = loads(text)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     if stamp is not None and data.get("run_stamp", stamp) != stamp:
         raise CheckpointError(
             f"checkpoint {path} was written by a different run (its stamp is "

@@ -53,7 +53,6 @@ no datelines) really do deadlock.
 
 from __future__ import annotations
 
-from array import array
 from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional
 
@@ -201,15 +200,10 @@ class Engine:
         self._buffers: List[List[List[Packet]]] = []
         #: Integer ticks per cycle; all channel timing below is in ticks.
         self._ticks_per_cycle: int = machine.ticks_per_cycle
-        # The per-cycle hot state lives in typed ``array('q')`` storage:
-        # flat 64-bit integer tables that checkpoint restore writes
-        # through in place (checkpoint.py) and that the ROADMAP's flat
-        # engine state core builds on. Scalar indexing semantics are
-        # those of a list (Python ints in, Python ints out).
         #: Tick at which each channel's staging buffer drains (the last
         #: flit of the previous packet clears the channel).
-        self._channel_free_at = array("q", bytes(8 * len(channels)))
-        self._input_free_at = array("q", bytes(8 * len(channels)))
+        self._channel_free_at: List[int] = [0] * len(channels)
+        self._input_free_at: List[int] = [0] * len(channels)
         self._latency: List[int] = [c.latency for c in channels]
         #: Ticks of channel occupancy per flit (45 vs the mesh's 14 on a
         #: default machine: torus effective bandwidth is below one flit
@@ -218,36 +212,19 @@ class Engine:
         self._pipeline = machine.config.router_pipeline_cycles
         self.stats.ticks_per_cycle = self._ticks_per_cycle
         channel_vcs = machine.channel_vcs
-        #: Bits of the VC field in a flat ``(channel << vbits) | vc`` slot
-        #: id, the index into ``_credits_flat``.
-        self._vbits: int = max(
-            (vcs - 1).bit_length() for vcs in channel_vcs
-        ) if channel_vcs else 0
-        stride = 1 << self._vbits
-        #: Flat per-(channel, VC) credit store, indexed by slot id; the
-        #: rows below are writable views into it.
-        self._credits_flat = array("q", bytes(8 * len(channels) * stride))
-        flat_view = memoryview(self._credits_flat)
-        #: Per-channel, per-VC credits available to the channel's source;
-        #: ``_credits[cid][vc]`` is a view into ``_credits_flat``.
-        self._credits: List[memoryview] = []
-        depths = machine.channel_buffer_depth
-        for channel, vcs, depth in zip(channels, channel_vcs, depths):
+        #: Per-channel, per-VC credits available to the channel's source.
+        self._credits: List[List[int]] = []
+        for vcs, depth in zip(channel_vcs, machine.channel_buffer_depth):
             self._buffers.append([[] for _ in range(vcs)])
-            base = channel.cid << self._vbits
-            row = flat_view[base : base + vcs]
-            for vc in range(vcs):
-                row[vc] = depth
-            self._credits.append(row)
+            self._credits.append([depth] * vcs)
         # Buffers are plain lists used as FIFOs with an explicit head index
         # to avoid O(n) pops; heads are compacted periodically.
         self._buffer_heads: List[List[int]] = [
             [0] * len(bufs) for bufs in self._buffers
         ]
         #: Packets buffered per channel (all VCs); lets the hot loop skip
-        #: empty inputs without scanning their VC queues. Typed storage
-        #: like the timing state above.
-        self._buffered_count = array("q", bytes(8 * len(channels)))
+        #: empty inputs without scanning their VC queues.
+        self._buffered_count: List[int] = [0] * len(channels)
         # Flat per-channel endpoint lookups, hoisted out of the hot loop
         # (attribute chains through Machine/Channel cost more than the
         # work they guard).
@@ -534,28 +511,6 @@ class Engine:
                 self._raise_deadlock()
             self.cycle += 1
         self.stats.end_cycle = self.cycle
-
-    # --- checkpoint/restart -------------------------------------------------------
-
-    def save_checkpoint(self, path: str) -> dict:
-        """Write a full state snapshot to ``path`` (atomic replace).
-
-        See :mod:`repro.sim.checkpoint` for the format and the bitwise
-        resume-equivalence guarantee. Returns the snapshot dict.
-        """
-        from .checkpoint import save_checkpoint
-
-        return save_checkpoint(self, path)
-
-    @classmethod
-    def from_checkpoint(cls, path: str, machine=None, trace=None) -> "Engine":
-        """Rebuild an engine from a checkpoint file written by
-        :meth:`save_checkpoint`."""
-        from .checkpoint import load_checkpoint, restore_engine
-
-        return restore_engine(
-            load_checkpoint(path), machine=machine, trace=trace
-        )
 
     # --- internals ----------------------------------------------------------------
 

@@ -33,28 +33,33 @@ discrete-event simulation, exact rather than approximate:
   the checkpoint module's canonical-JSON packet serialization as the
   wire format; credit returns flow back the same way.
 
-* **Exactness.** The hub generates the workload once (the serial pids
-  and RNG draws) and starts each shard with the packets whose source it
-  owns; the engine's canonical within-cycle event order makes every
-  observable stream a pure function of simulation state. Stats, metrics
-  summaries, golden traces, and checkpoint bytes are therefore
-  bit-identical to the serial engine for every shard count -- the
-  conformance suite under ``tests/shard/`` pins this.
+* **Exactness.** A sharded run starts as the serial one does: the hub
+  makes the one :func:`~repro.sim.simulator.start` call -- the serial
+  engine, every packet in its source queue (the serial pids and RNG
+  draws), or restored from the checkpoint an interrupted run left --
+  and each shard *keeps* of that engine what it owns
+  (:func:`_keep_owned`). The engine's canonical within-cycle event order
+  makes every observable stream a pure function of simulation state.
+  Stats, metrics summaries, golden traces, and checkpoint bytes are
+  therefore bit-identical to the serial engine for every shard count --
+  the conformance suite under ``tests/shard/`` pins this.
 
 * **Checkpointing.** A sharded run writes and reads the serial engine's
   checkpoint and nothing else: :mod:`repro.sim.checkpoint` owns the
   format and the write, this module only who-owns-what. At a checkpoint
   barrier the hub *merges* the shards' snapshots into the one file at
   ``path``, byte-identical to the serial engine's at that cycle
-  (:func:`merge_shard_snapshots`); on resume every worker restores that
-  whole file and *keeps* what its shard owns (:func:`_keep_owned`). So a
-  killed run resumes under any shard count, serial included.
+  (:func:`merge_shard_snapshots`) -- the inverse of the cut every shard
+  starts with. So a killed run resumes under any shard count, serial
+  included.
 
 Transports: ``transport="process"`` runs each shard in its own
-``multiprocessing`` process (the performance configuration);
-``transport="inline"`` drives the identical shard cores synchronously
-in-process (deterministic, debuggable, used by most conformance tests).
-Both produce byte-identical results.
+``multiprocessing`` process (the performance configuration: forked
+workers inherit the hub's engine); ``transport="inline"`` drives the
+identical shard cores synchronously in-process, each starting its own
+engine as a spawned worker does (deterministic, debuggable, used by most
+conformance tests and by ``repro profile --shards``). Both produce
+byte-identical results.
 """
 
 from __future__ import annotations
@@ -75,8 +80,6 @@ from .checkpoint import (
     CheckpointError,
     _packet_from_json,
     _packet_to_json,
-    check_machine,
-    load_checkpoint,
     restore_engine,
     run_stamp,
     simulated_crash_cycle,
@@ -84,15 +87,8 @@ from .checkpoint import (
     write_checkpoint,
 )
 from .engine import _EV_ARRIVAL, _EV_CREDIT, _EV_FAULT, DeadlockError, Engine
-from .metrics import MetricsCollector, StreamingQuantile
-from .simulator import (
-    RunSpec,
-    build,
-    generate_workload,
-    prepare,
-    reject_unshardable,
-    run_context,
-)
+from .metrics import StreamingQuantile
+from .simulator import RunSpec, prepare, reject_unshardable, start
 from .simulator import run as run_sharded  # noqa: F401  (re-exported)
 from .stats import SimStats
 
@@ -259,8 +255,8 @@ class _ShardTraceRecorder:
     created in order.
     """
 
-    def __init__(self) -> None:
-        self.engine: Optional[Engine] = None
+    def __init__(self, engine: Engine) -> None:
+        self.engine = engine
         self.records: list = []
         self._seq = 0
 
@@ -291,22 +287,18 @@ class _ShardCore:
         plan: ShardPlan = init["plan"]
         # The hub's machine; a spawned worker is sent none and rebuilds it.
         machine = init["machine"] or Machine(run.config)
+        # The whole machine's engine -- the hub's own, inherited across
+        # fork, else the hub's ``start`` call made again here -- cut down
+        # to this shard's part of it. A resumed worker and a fresh one
+        # differ in nothing else.
+        engine = init["engine"] or start(
+            run, machine, None, init["checkpoint_path"],
+            weight_tables=init["weight_tables"],
+        )
         owners = component_owners(machine, plan.parts)
-        recorder = _ShardTraceRecorder() if init["tracing"] else None
-        snapshot = init["snapshot"]
-        if snapshot is not None:
-            # A resume: the whole machine's checkpoint, cut down to this
-            # shard's part of it.
-            engine = restore_engine(snapshot, machine=machine, trace=recorder)
-            _keep_owned(engine, owners, self.index)
-        else:
-            # Every shard routes through a private (fault-aware) computer;
-            # a cold one is as good as the one generation warmed.
-            _, route_computer, faults = run_context(run, machine)
-            engine = build(
-                run, machine, route_computer, faults, recorder,
-                init["packets"], init["weight_tables"],
-            )
+        _keep_owned(engine, owners, self.index)
+        recorder = _ShardTraceRecorder(engine) if init["tracing"] else None
+        engine.trace = recorder
         remote_dst, remote_src, fault_owned = shard_boundary(
             machine, owners, self.index
         )
@@ -316,8 +308,6 @@ class _ShardCore:
         engine._outbox_credits = []
         if engine._fault_runtime is not None:
             engine._fault_owned = fault_owned
-        if recorder is not None:
-            recorder.engine = engine
         #: The run's watchdog; the hub enforces it across all shards.
         self.true_watchdog = engine.watchdog_cycles
         engine.watchdog_cycles = _HUGE_WATCHDOG
@@ -421,15 +411,18 @@ class _InlineWorker:
     """Synchronous in-process transport: the conformance default.
 
     With ``init["profile"]`` set, everything this shard executes -- core
-    construction (engine build) and every barrier message -- runs under
-    a private :mod:`cProfile` profiler, so ``repro profile --shards N``
-    can merge deterministic per-shard call tables.
+    construction (its engine's start) and every barrier message -- runs
+    under a private :mod:`cProfile` profiler, so ``repro profile --shards
+    N`` can merge deterministic per-shard call tables.
     """
 
     def __init__(self, init: dict) -> None:
         self.profiler = _new_profiler(init["profile"])
-        self._core = _profiled(self.profiler, _ShardCore, init)
-        self._reply: Optional[tuple] = ("ready", self._core.true_watchdog)
+        # Cores sharing a process cannot share the hub's engine object.
+        self._core = _profiled(
+            self.profiler, _ShardCore, dict(init, engine=None)
+        )
+        self._reply: Optional[tuple] = ("ready",)
 
     def send(self, msg: tuple) -> None:
         if msg[0] == "stop":
@@ -447,7 +440,7 @@ class _InlineWorker:
 def _shard_worker_main(conn, init: dict) -> None:
     try:
         core = _ShardCore(init)
-        conn.send(("ready", core.true_watchdog))
+        conn.send(("ready",))
         while True:
             msg = conn.recv()
             if msg[0] == "stop":
@@ -468,15 +461,15 @@ class _ProcessWorker:
     """One shard in its own process, driven over a ``multiprocessing`` pipe.
 
     ``init`` rides the process start: a forked worker inherits it (the
-    hub's machine, the shard's packets and the ``iw`` tables, no copy);
-    a spawned one gets it pickled, without the machine, which it
-    rebuilds from the config.
+    hub's machine and its started engine, no copy); a spawned one gets
+    it pickled, without either -- it rebuilds the machine from the config
+    and starts the engine itself, from the ``iw`` tables it is sent.
     """
 
     def __init__(self, init: dict) -> None:
         ctx = multiprocessing.get_context()
         if ctx.get_start_method() != "fork":
-            init = dict(init, machine=None)
+            init = dict(init, machine=None, engine=None)
         self._index: int = init["shard"]
         self._conn, child_conn = ctx.Pipe()
         self._proc = ctx.Process(
@@ -567,10 +560,7 @@ def merge_shard_snapshots(
                     base.vc_arbiters[cid] = eng.vc_arbiters[cid]
             if owners[channel.src] == shard:
                 base._channel_free_at[cid] = eng._channel_free_at[cid]
-                src_row = eng._credits[cid]
-                dst_row = base._credits[cid]
-                for vc in range(len(dst_row)):
-                    dst_row[vc] = src_row[vc]
+                base._credits[cid] = eng._credits[cid]
                 if cid in base.arbiters:
                     base.arbiters[cid] = eng.arbiters[cid]
         wheel, into = eng._events, base._events
@@ -598,16 +588,18 @@ def merge_shard_snapshots(
 
 
 def _keep_owned(engine: Engine, owners: Sequence[int], shard: int) -> None:
-    """Cut a restored whole-machine engine down to what ``shard`` owns:
-    the inverse of :func:`merge_shard_snapshots` under the rule above.
+    """Cut a whole-machine engine between cycles -- just built, or just
+    restored -- down to what ``shard`` owns: the inverse of
+    :func:`merge_shard_snapshots` under the rule above.
 
     Only state the engine *walks* has to go -- the fault sweeps visit
     every source queue, buffer and in-flight entry -- and the two packet
     counters are recounted from what stays. Foreign timers, credits and
     arbiters stay as restored: nothing reads them here, and the merge
-    takes each from its owner. Shard 0 keeps the accumulated stats; the
-    others start empty, with a fresh latency estimator when the run
-    carries one (merging estimators is order-independent).
+    takes each from its owner. Shard 0 keeps the accumulated stats
+    (what enqueueing on a degraded machine counted included); the others
+    start empty, with a fresh latency estimator when the run carries one
+    (merging estimators is order-independent).
     """
     channel_src, channel_dst = engine._channel_src, engine._channel_dst
 
@@ -619,7 +611,7 @@ def _keep_owned(engine: Engine, owners: Sequence[int], shard: int) -> None:
             return owners[channel_dst[b]] == shard
         return owners[channel_src[a] if kind == _EV_CREDIT else a] == shard
 
-    # (A restore leaves every queue and buffer head at 0.)
+    # (A build and a restore both leave every queue and buffer head at 0.)
     for src in [s for s in engine._source_queues if owners[s] != shard]:
         del engine._source_queues[src], engine._source_heads[src]
     for cid, dst in enumerate(channel_dst):
@@ -693,11 +685,12 @@ class _Hub:
         self._credit_dest = [owners[c.src] for c in machine.channels]
         self._workers: list = []
         #: Optional caller-supplied dict filled with wall-clock phase
-        #: timings: ``setup_s`` = ``generate_s`` (the hub generating and
-        #: partitioning the workload and programming ``iw`` tables) +
-        #: ``spawn_s`` (first worker start through the last ``ready``:
-        #: per-worker engine builds), then ``windows_s`` (barrier loop
-        #: through final merge).
+        #: timings: ``setup_s`` = ``generate_s`` (the hub starting the
+        #: run: ``iw`` tables, then the checkpoint restored or the
+        #: workload generated and the engine built) + ``spawn_s`` (first
+        #: worker start through the last ``ready``: each cutting the
+        #: engine down), then ``windows_s`` (barrier loop through final
+        #: merge).
         self._timings = timings
         #: ``halt_at``: start afresh, stop right after the checkpoint
         #: saved at this barrier and leave it on disk, unstamped (``repro
@@ -705,13 +698,16 @@ class _Hub:
         #: drained engines so the save lands at exactly this cycle,
         #: mirroring ``run_for``.
         self._halt_at = halt_at
+        #: Where an interrupted run's checkpoint would be (``halt_at``
+        #: starts afresh whatever is there).
+        self._resume_path = None if halt_at is not None else self.checkpoint_path
         #: What the periodic saves are stamped with and a resume checks.
         self._stamp = (
             run_stamp(run) if self.checkpoint_path and halt_at is None else None
         )
         #: ``profiles``: list extended with the :class:`cProfile.Profile`
-        #: of the hub's workload generation and, once the run finishes,
-        #: of each inline worker.
+        #: of the hub's start and, once the run finishes, of each inline
+        #: worker.
         self._profiles = profiles
 
     def run_to_completion(self) -> SimStats:
@@ -731,34 +727,41 @@ class _Hub:
             worker.send(msg)
         return [worker.recv_reply() for worker in self._workers]
 
-    def _shared_setup(self) -> tuple:
-        """What the shards of a fresh run would each compute for
-        themselves, computed once: the workload, split by owning shard,
-        and under ``iw`` the programmed ``(SA2, SA1)`` weight tables."""
-        machine, route_computer, _, weight_tables = prepare(self.run, self.machine)
-        owned: List[list] = [[] for _ in range(self.plan.shards)]
-        for packet in generate_workload(self.run, machine, route_computer):
-            owned[self._owners[packet.src]].append(packet)
-        return owned, weight_tables
+    def _start(self) -> tuple:
+        """Start the run as the serial path does -- one
+        :func:`~repro.sim.simulator.start` call on the caller's sinks, so
+        a checkpoint at the path is vetted, restored and its sinks
+        revived once, here -- with the ``iw`` tables :func:`prepare`
+        programs, which a worker that cannot inherit the engine builds
+        its own from."""
+        machine, route_computer, faults, tables = prepare(self.run, self.machine)
+        engine = start(
+            self.run, machine, self.trace, self._resume_path, route_computer,
+            faults, vet=self._vet, weight_tables=tables,
+        )
+        return engine, tables
 
-    def _start_workers(self, snapshot: Optional[dict]) -> int:
-        """Start one worker per shard; returns the run's watchdog.
+    def _vet(self, data: dict) -> None:
+        if data.get("keep_packet_latencies"):
+            raise CheckpointError(
+                f"checkpoint {self._resume_path} retains per-packet latencies "
+                f"(keep_packet_latencies), which a sharded resume would "
+                f"return in shard order; resume it serially (shards=1)"
+            )
 
-        A fresh run -- healthy or faulted -- is generated here, once,
-        and every worker starts from the packets it owns and the ``iw``
-        tables programmed here; a resumed one hands every worker the
-        whole ``snapshot`` (see :class:`_ShardCore`). The batch dies
-        with this frame: the hub keeps no packet.
-        """
+    def _start_workers(self) -> tuple:
+        """Start the run, then one worker per shard on its engine (see
+        :class:`_ShardCore`); returns the cycle the run is at and its
+        watchdog. The engine dies with this frame: the hub keeps no
+        packet."""
         worker_cls = _InlineWorker if self.transport == "inline" else _ProcessWorker
         profiling = self._profiles is not None
         t_start = time.perf_counter()
-        owned, weight_tables = None, (None, None)
-        if snapshot is None:
-            profiler = _new_profiler(profiling)
-            owned, weight_tables = _profiled(profiler, self._shared_setup)
-            if profiling:
-                self._profiles.append(profiler)
+        profiler = _new_profiler(profiling)
+        engine, tables = _profiled(profiler, self._start)
+        if profiling:
+            self._profiles.append(profiler)
+        started = engine.cycle, engine.watchdog_cycles
         t_spawn = time.perf_counter()
         for shard in range(self.plan.shards):
             self._workers.append(worker_cls({
@@ -766,13 +769,14 @@ class _Hub:
                 "run": self.run,
                 "plan": self.plan,
                 "machine": self.machine,
-                "packets": owned[shard] if owned is not None else None,
-                "weight_tables": weight_tables,
+                "engine": engine,
+                "checkpoint_path": self._resume_path,
+                "weight_tables": tables,
                 "tracing": self.trace is not None,
-                "snapshot": snapshot,
                 "profile": profiling,
             }))
-        watchdogs = [worker.recv_reply()[1] for worker in self._workers]
+        for worker in self._workers:
+            worker.recv_reply()
         if self._timings is not None:
             t_ready = time.perf_counter()
             self._timings.update(
@@ -780,42 +784,17 @@ class _Hub:
                 spawn_s=t_ready - t_spawn,
                 setup_s=t_ready - t_start,
             )
-        return watchdogs[0]
-
-    def _load(self) -> Optional[dict]:
-        """The checkpoint an interrupted run left at the path, if any:
-        read and vetted as :func:`~repro.sim.simulator.run_engine` does,
-        the hub's collector restored from it."""
-        path = self.checkpoint_path
-        if not path or self._halt_at is not None or not os.path.exists(path):
-            return None
-        snapshot = load_checkpoint(path, self._stamp)
-        check_machine(snapshot, self.machine)
-        if snapshot.get("keep_packet_latencies"):
-            raise CheckpointError(
-                f"checkpoint {path} retains per-packet latencies "
-                f"(keep_packet_latencies), which a sharded resume would "
-                f"return in shard order; resume it serially (shards=1)"
-            )
-        state = snapshot["trace"]["collector"]
-        if state is not None:
-            if isinstance(self.trace, MetricsCollector):
-                self.trace.restore_state(state)
-            # The workers trace into recorders, not into a revived copy.
-            snapshot = dict(snapshot, trace=dict(snapshot["trace"], collector=None))
-        return snapshot
+        return started
 
     def _run(self) -> SimStats:
         plan = self.plan
         shards = plan.shards
-        snapshot = self._load()
-        cycle = 0 if snapshot is None else snapshot["cycle"]
-        watchdog = self._start_workers(snapshot)
+        cycle, watchdog = self._start_workers()
         t_ready = time.perf_counter()
         crash_cycle = simulated_crash_cycle()
 
         pending = [([], []) for _ in range(shards)]
-        last_saved = cycle if snapshot is not None else None
+        last_saved = cycle  # a resumed run is at its last save
         halted = False
         while True:
             replies = self._exchange(

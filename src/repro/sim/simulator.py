@@ -33,6 +33,12 @@ What runs share offline -- the elaborated machine, healthy-machine load
 tables, the ``iw`` tables programmed from them -- is computed once per
 process and remembered here, behind :func:`prepare` and :func:`build`.
 
+A run has one way to start, :func:`start`: a checkpoint of it at the
+path it was given is restored, sinks revived; otherwise :func:`build`
+makes the cycle-0 engine. The serial runner (:func:`run_engine`) and the
+shard hub both begin there, so "is this a resume?" is asked, and a file
+that is not this run's refused, in one place.
+
 The ``arbitration`` field selects the policy at every router and adapter
 output:
 
@@ -581,11 +587,10 @@ def build(
 
     ``machine``, ``route_computer`` and ``faults`` are the run's context
     (:func:`run_context`). ``packets`` (already generated from the run's
-    spec, in generation order) stands in for generation -- the shard hub
-    generates once and hands each shard the packets whose source it owns
-    -- and ``weight_tables``, an ``(SA2, SA1)`` pair, for programming
-    ``iw``; a stage left ``None`` is programmed here, from ``load_tables``
-    when the caller has already enumerated them.
+    spec, in generation order) stands in for generation -- a replay's
+    recorded ones -- and ``weight_tables``, an ``(SA2, SA1)`` pair, for
+    programming ``iw``; a stage left ``None`` is programmed here, from
+    ``load_tables`` when the caller has already enumerated them.
     """
     sa2, sa1 = weight_tables or (None, None)
     num_patterns = 1
@@ -617,6 +622,50 @@ def build(
     for packet in packets:
         engine.enqueue(packet)
     return engine
+
+
+def start(
+    run: RunSpec,
+    machine: Optional[Machine] = None,
+    trace=None,
+    checkpoint_path: Optional[str] = None,
+    route_computer=None,
+    faults=None,
+    stamped: bool = True,
+    vet=None,
+    **programmed,
+) -> Engine:
+    """The run's engine, wherever the run has got to: restored from the
+    checkpoint at ``checkpoint_path`` when a file is there, else built at
+    cycle 0 (``programmed`` is :func:`build`'s).
+
+    The one place that decides between the two. A file at the path marks
+    an interrupted run: it must be a checkpoint of this machine and --
+    unless ``stamped`` is off, for a run assembled by hand, which its
+    ``RunSpec`` does not fully describe -- stamped by this run or by none
+    (:func:`~repro.sim.checkpoint.run_stamp`); anything else is refused
+    by name and left as it is -- ``vet``, called with the payload, is a
+    caller's own refusal. Restoring also revives the sinks under
+    ``trace`` (:func:`~repro.sim.checkpoint.restore_engine`), last, so
+    the resumed run's trace and metrics are the uninterrupted run's and
+    a refusal leaves them as they were.
+    ``route_computer`` and ``faults`` are the context of a caller that
+    holds one; by default it is :func:`run_context`'s.
+    """
+    if machine is None:
+        machine = shared_machine(run.config)[0]
+    if checkpoint_path and os.path.exists(checkpoint_path):
+        from .checkpoint import load_checkpoint, restore_engine, run_stamp
+
+        data = load_checkpoint(
+            checkpoint_path, run_stamp(run) if stamped else None
+        )
+        if vet is not None:
+            vet(data)
+        return restore_engine(data, machine=machine, trace=trace)
+    if route_computer is None:
+        _, route_computer, faults = run_context(run, machine)
+    return build(run, machine, route_computer, faults, trace=trace, **programmed)
 
 
 def reject_unshardable(config: MachineConfig, fault_policy=None) -> None:
@@ -656,7 +705,7 @@ def run(
     bytes through :mod:`repro.sim.shard` (``transport``, ``timings`` and
     ``profiles`` are that runner's). The combinations it does not support
     are refused here, by name, before anything is generated or spawned.
-    The checkpoint contract is :func:`run_engine`'s.
+    The checkpoint contract is :func:`run_engine`'s, at any count.
     """
     if shards != 1:
         reject_unshardable(run.config, run.fault_policy)
@@ -666,19 +715,29 @@ def run(
             run, shards, machine, trace, transport, checkpoint_path,
             checkpoint_every, max_cycles, timings=timings, profiles=profiles,
         ).run_to_completion()
-    machine, route_computer, faults = run_context(run, machine)
     return run_engine(
-        lambda: build(run, machine, route_computer, faults, trace=trace),
-        trace=trace,
-        max_cycles=max_cycles,
-        checkpoint_path=checkpoint_path,
-        checkpoint_every=checkpoint_every,
-        machine=machine,
-        run=run,
+        run, machine, trace, max_cycles, checkpoint_path, checkpoint_every
     )
 
 
 # --- entries for callers that hold a machine and a route computer ------------------
+
+
+def _batch_run(
+    machine, spec, arbitration, weight_patterns, weight_tables,
+    vc_weight_tables, weight_bits,
+) -> RunSpec:
+    """The :class:`RunSpec` of a batch assembled by hand. Such a caller
+    names its ``iw`` weights one way or the other; the own-pattern
+    default belongs to runs described by a :class:`RunSpec`."""
+    if arbitration == "iw" and not weight_patterns and (
+        weight_tables is None or vc_weight_tables is None
+    ):
+        raise ValueError("iw arbitration needs weight_patterns or weight tables")
+    return RunSpec(
+        machine.config, spec, arbitration, tuple(weight_patterns or ()),
+        weight_bits,
+    )
 
 
 def build_batch_engine(
@@ -703,17 +762,11 @@ def build_batch_engine(
     fault-aware computer as ``route_computer`` too, so generated routes
     avoid the initially failed channels), and ``weight_tables`` /
     ``vc_weight_tables`` are pre-programmed ``iw`` tables for the two
-    arbitration stages -- a caller assembling by hand names its ``iw``
-    weights one way or the other; the own-pattern default belongs to
-    runs described by a :class:`RunSpec`.
+    arbitration stages.
     """
-    if arbitration == "iw" and not weight_patterns and (
-        weight_tables is None or vc_weight_tables is None
-    ):
-        raise ValueError("iw arbitration needs weight_patterns or weight tables")
-    run = RunSpec(
-        machine.config, spec, arbitration, tuple(weight_patterns or ()),
-        weight_bits,
+    run = _batch_run(
+        machine, spec, arbitration, weight_patterns, weight_tables,
+        vc_weight_tables, weight_bits,
     )
     return build(
         run,
@@ -747,37 +800,34 @@ def run_batch(
 ) -> SimStats:
     """Run one batch experiment and return its statistics.
 
-    :func:`build_batch_engine`, then :func:`run_engine` (whose
-    checkpoint/resume contract applies). ``iw`` weights come from
+    :func:`run_engine` (whose checkpoint/resume contract applies) on the
+    pieces :func:`build_batch_engine` takes. ``iw`` weights come from
     ``weight_tables``/``vc_weight_tables`` (pre-programmed), else from
-    ``weight_patterns``, else from the batch's own pattern, and apply at
-    both arbitration stages (output ports and per-input VC selection).
+    ``weight_patterns``, and apply at both arbitration stages (output
+    ports and per-input VC selection).
 
     ``trace`` attaches a structured-event sink (:mod:`repro.sim.trace`);
     ``latency_quantiles`` enables the streaming p50/p95/p99 estimator on
     the returned stats (:mod:`repro.sim.metrics`). Both are pure
     observers: results are bitwise-identical with or without them.
     """
+    run = _batch_run(
+        machine, spec, arbitration, weight_patterns, weight_tables,
+        vc_weight_tables, weight_bits,
+    )
     return run_engine(
-        lambda: build_batch_engine(
-            machine,
-            route_computer,
-            spec,
-            arbitration=arbitration,
-            weight_patterns=weight_patterns,
-            weight_tables=weight_tables,
-            vc_weight_tables=vc_weight_tables,
-            weight_bits=weight_bits,
-            keep_packet_latencies=keep_packet_latencies,
-            trace=trace,
-            latency_quantiles=latency_quantiles,
-            faults=faults,
-        ),
-        trace=trace,
-        max_cycles=max_cycles,
-        checkpoint_path=checkpoint_path,
-        checkpoint_every=checkpoint_every,
-        machine=machine,
+        run,
+        machine,
+        trace,
+        max_cycles,
+        checkpoint_path,
+        checkpoint_every,
+        stamped=False,
+        route_computer=route_computer,
+        faults=faults,
+        weight_tables=(weight_tables, vc_weight_tables),
+        keep_packet_latencies=keep_packet_latencies,
+        latency_quantiles=latency_quantiles,
     )
 
 
@@ -801,7 +851,7 @@ def run_batch_sharded(
     :func:`run` for a caller that holds the machine. Unlike
     :func:`run_batch`, fault injection is specified by
     ``fault_set``/``fault_policy`` rather than a pre-built runtime,
-    because each shard of a faulted run builds its own deterministic
+    because whoever starts a faulted run builds its own deterministic
     fault-aware route computer.
     """
     return run(
@@ -820,51 +870,38 @@ def run_batch_sharded(
 
 
 def run_engine(
-    build_engine_fn,
+    run: RunSpec,
+    machine: Optional[Machine] = None,
     trace=None,
     max_cycles: int = 10_000_000,
     checkpoint_path: Optional[str] = None,
     checkpoint_every: int = 0,
-    machine: Optional[Machine] = None,
-    run: Optional[RunSpec] = None,
+    stamped: bool = True,
+    **started,
 ) -> SimStats:
-    """Run a freshly built (or checkpoint-resumed) engine to completion.
+    """:func:`start` the run (``stamped`` and ``started`` are its) and
+    run the engine to completion.
 
-    The workload-agnostic core of :func:`run_batch`, shared with the
-    demand-matrix runner (:func:`repro.traffic.demand.run_demand`):
-    ``build_engine_fn`` constructs the cycle-0 engine, and the
-    checkpoint/resume contract is identical -- an existing
-    ``checkpoint_path`` marks an interrupted run and is resumed for a
-    result bitwise-identical to a never-interrupted run. A checkpoint
-    taken on another machine is refused; given ``run``, what the engine
-    is built from, the saves are stamped with it and a file another run
-    stamped is refused too (:func:`~repro.sim.checkpoint.run_stamp`).
+    The serial core of :func:`run`, :func:`run_batch`, the demand runner
+    (:func:`repro.traffic.demand.run_demand`) and the throughput
+    measurements. With ``checkpoint_path`` and a positive
+    ``checkpoint_every`` the engine is saved there every that many
+    cycles, stamped as :func:`start` vets it, so a run killed and made
+    again picks itself up for a result bitwise-identical to a
+    never-interrupted one; the file is removed once the run completes.
     """
-    if checkpoint_path and checkpoint_every > 0:
-        from .checkpoint import (
-            load_checkpoint,
-            restore_engine,
-            run_stamp,
-            run_with_checkpoints,
-        )
-        from .metrics import MetricsCollector
+    path = checkpoint_path if checkpoint_every > 0 else None
+    engine = start(run, machine, trace, path, stamped=stamped, **started)
+    if path:
+        from .checkpoint import run_stamp, run_with_checkpoints
 
-        stamp = None if run is None else run_stamp(run)
-        if os.path.exists(checkpoint_path):
-            data = load_checkpoint(checkpoint_path, stamp)
-            engine = restore_engine(data, machine=machine, trace=trace)
-            collector_state = data["trace"]["collector"]
-            if collector_state is not None and isinstance(trace, MetricsCollector):
-                trace.restore_state(collector_state)
-        else:
-            engine = build_engine_fn()
         stats = run_with_checkpoints(
-            engine, checkpoint_path, checkpoint_every, max_cycles, stamp
+            engine, path, checkpoint_every, max_cycles,
+            run_stamp(run) if stamped else None,
         )
-        if os.path.exists(checkpoint_path):
-            os.unlink(checkpoint_path)
+        if os.path.exists(path):
+            os.unlink(path)
     else:
-        engine = build_engine_fn()
         stats = engine.run(max_cycles=max_cycles)
     if trace is not None:
         trace.flush()

@@ -61,7 +61,7 @@ pays a single ``is None`` check per site when tracing is disabled:
 from __future__ import annotations
 
 import json
-from typing import IO, Iterable, List, NamedTuple, Tuple
+from typing import IO, Iterable, List, NamedTuple, Optional, Tuple
 
 #: Version of the serialized trace schema; bump on any field change.
 TRACE_SCHEMA_VERSION = 1
@@ -175,14 +175,21 @@ class JsonlTraceWriter:
     separators, so a trace's byte representation is a pure function of
     its events -- the property the golden-trace suite pins.
 
-    ``header=False`` suppresses the header record: a checkpoint-resumed
-    run appends its events to the first phase's trace file, which already
-    carries the header. Together with ``resume_counts`` -- the
-    ``(events_written, bytes_written)`` pair recorded in the checkpoint --
-    the concatenated file is byte-identical to the uninterrupted run's,
-    end-record event count included. ``bytes_written`` counts UTF-8 bytes
-    of everything written (header and records too), so a crashed run's
-    trace can be truncated back to its last checkpoint before resuming.
+    A writer only ever writes to its stream unless ``owns_stream`` says
+    the stream is this trace's own file, opened without cutting it (the
+    CLI opens ``--trace`` paths so, before anyone knows whether the run
+    resumes; never stdout, whatever it is redirected to). Such a writer
+    may cut the file. The header is held until the first write, which
+    then cuts whatever the file holds from there on; a resume calls
+    :meth:`rewind` first (:func:`~repro.sim.checkpoint.restore_engine`
+    does, for every writer it is handed), which drops the held header and
+    cuts the file back to the checkpoint instead -- the finished file is
+    byte-identical to the uninterrupted run's, end-record event count
+    included -- and a refused checkpoint leaves the file as it was.
+
+    ``header=False`` writes no header: records for a stream that has its
+    own, or a trace that is always rewound into. ``bytes_written`` counts
+    UTF-8 bytes of everything written (header and records too).
 
     ``flush_every`` is an opt-in liveness mode for *live* consumers (the
     serve package's trace stream, ``tail -f`` on a trace file): every
@@ -199,20 +206,54 @@ class JsonlTraceWriter:
         stream: IO[str],
         meta: dict = None,
         header: bool = True,
-        resume_counts: Tuple[int, int] = (0, 0),
         flush_every: int = 0,
+        owns_stream: bool = False,
     ) -> None:
         if flush_every < 0:
             raise ValueError(f"flush_every must be >= 0, got {flush_every}")
         self.stream = stream
         self.flush_every = flush_every
-        self.events_written, self.bytes_written = resume_counts
+        self.owns_stream = owns_stream
+        self.events_written = self.bytes_written = 0
+        #: The header line until the first write puts it out.
+        self._held: Optional[str] = None
         if header:
             hdr = {"ev": "trace", "schema": TRACE_SCHEMA_VERSION}
             hdr.update(meta or {})
-            self.write_record(hdr)
+            self._held = _record_line(hdr)
+            self.bytes_written = len(self._held.encode("utf-8"))
+
+    def _begin(self) -> None:
+        held, self._held = self._held, None
+        if self.owns_stream:
+            self.stream.truncate()  # an interrupted run's bytes
+        self.stream.write(held)
+
+    def rewind(self, events_written: int, bytes_written: int) -> None:
+        """Cut the stream back to the first ``bytes_written`` bytes of the
+        trace -- what a checkpoint recorded of it -- and go on from there.
+
+        A crashed run may have written events past its last checkpoint.
+        The writer must own its stream, the interrupted run's trace file;
+        one that does not, or a file that holds less, is refused.
+        """
+        stream = self.stream
+        size = stream.seek(0, 2) if self.owns_stream else None
+        if size is None or size < bytes_written:
+            raise ValueError(
+                f"cannot resume this trace: its checkpoint recorded "
+                f"{bytes_written} bytes of it and the stream "
+                f"{'is not a file of its own' if size is None else f'holds {size}'}"
+                f"; pass the interrupted run's trace file, not stdout or a new path"
+            )
+        self._held = None
+        stream.seek(bytes_written)
+        stream.truncate()
+        self.events_written, self.bytes_written = events_written, bytes_written
 
     def emit(self, event: TraceEvent) -> None:
+        if self._held is not None:
+            self._begin()
         line = event.to_json()
         self.stream.write(line)
         self.stream.write("\n")
@@ -222,14 +263,21 @@ class JsonlTraceWriter:
             self.stream.flush()
 
     def write_record(self, record: dict) -> None:
-        """Write one non-event metadata record (header, end summary)."""
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        """Write one non-event metadata record (an end summary)."""
+        if self._held is not None:
+            self._begin()
+        line = _record_line(record)
         self.stream.write(line)
-        self.stream.write("\n")
-        self.bytes_written += len(line.encode("utf-8")) + 1
+        self.bytes_written += len(line.encode("utf-8"))
 
     def flush(self) -> None:
+        if self._held is not None:
+            self._begin()
         self.stream.flush()
+
+
+def _record_line(record: dict) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def read_trace(lines: Iterable[str]) -> Tuple[List[dict], List[TraceEvent]]:

@@ -710,6 +710,17 @@ def default_weight_patterns(spec: DemandSpec) -> List[TrafficPattern]:
     return [DemandMatrixPattern(spec.schedule.epochs[0][1])]
 
 
+def _demand_run(machine, spec, arbitration, weight_patterns, weight_bits):
+    """The :class:`~repro.sim.simulator.RunSpec` of a demand workload
+    assembled by hand."""
+    from repro.sim.simulator import DEFAULT_WEIGHT_BITS, RunSpec
+
+    return RunSpec(
+        machine.config, spec, arbitration, tuple(weight_patterns or ()),
+        DEFAULT_WEIGHT_BITS if weight_bits is None else weight_bits,
+    )
+
+
 def build_demand_engine(
     machine: Machine,
     route_computer: RouteComputer,
@@ -735,14 +746,10 @@ def build_demand_engine(
     generally not translation symmetric, so their loads are enumerated
     exhaustively.
     """
-    from repro.sim.simulator import DEFAULT_WEIGHT_BITS, RunSpec, build
+    from repro.sim.simulator import build
 
-    run = RunSpec(
-        machine.config, spec, arbitration, tuple(weight_patterns or ()),
-        DEFAULT_WEIGHT_BITS if weight_bits is None else weight_bits,
-    )
     return build(
-        run,
+        _demand_run(machine, spec, arbitration, weight_patterns, weight_bits),
         machine,
         route_computer,
         faults,
@@ -781,24 +788,18 @@ def run_demand(
     from repro.sim.simulator import run_engine
 
     return run_engine(
-        lambda: build_demand_engine(
-            machine,
-            route_computer,
-            spec,
-            arbitration=arbitration,
-            weight_patterns=weight_patterns,
-            weight_tables=weight_tables,
-            vc_weight_tables=vc_weight_tables,
-            keep_packet_latencies=keep_packet_latencies,
-            trace=trace,
-            latency_quantiles=latency_quantiles,
-            faults=faults,
-        ),
-        trace=trace,
-        max_cycles=max_cycles,
-        checkpoint_path=checkpoint_path,
-        checkpoint_every=checkpoint_every,
-        machine=machine,
+        _demand_run(machine, spec, arbitration, weight_patterns, None),
+        machine,
+        trace,
+        max_cycles,
+        checkpoint_path,
+        checkpoint_every,
+        stamped=False,
+        route_computer=route_computer,
+        faults=faults,
+        weight_tables=(weight_tables, vc_weight_tables),
+        keep_packet_latencies=keep_packet_latencies,
+        latency_quantiles=latency_quantiles,
     )
 
 

@@ -362,7 +362,7 @@ class TestShardedCli:
         ]
         assert main(args + ["--shards", "1"]) == 0
         serial = capsys.readouterr().out
-        assert main(args + ["--shards", "2", "--transport", "inline"]) == 0
+        assert main(args + ["--shards", "2"]) == 0
         sharded = capsys.readouterr().out
         # Same delivered/injected/cycle counts; only the wall-clock
         # parenthetical and the shards= label may differ.
@@ -434,7 +434,7 @@ class TestShardedCli:
         ]
         monkeypatch.setenv("REPRO_CRASH_AT_CYCLE", "40")
         with pytest.raises(KeyboardInterrupt):
-            main(run_a + ["--shards", "2", "--transport", "inline"])
+            main(run_a + ["--shards", "2"])
         monkeypatch.delenv("REPRO_CRASH_AT_CYCLE")
         assert glob.glob(ck + "*") == [ck]
         before = open(ck, "rb").read()
@@ -471,7 +471,7 @@ class TestShardedCli:
                 "error: checkpoint belongs to a different machine: shape is "
                 "(2, 2, 2) in the checkpoint, (4, 2, 2) in this run\n"
             )
-        assert main(run_a + ["--shards", "2", "--transport", "inline"]) == 0
+        assert main(run_a + ["--shards", "2"]) == 0
         assert "128 of 128 delivered in 79 cycles" in capsys.readouterr().out
 
     def test_profile_sharded_prints_merged_table(self, capsys):
@@ -733,8 +733,8 @@ def test_demand_rejects_a_matrix_file_it_would_not_read(tmp_path, capsys):
 def test_resume_refuses_another_runs_checkpoint_before_rewinding_the_trace(
     tmp_path, capsys, monkeypatch
 ):
-    """``--resume`` truncates the trace file back to the checkpoint; a
-    checkpoint that is not this run's must be refused before that."""
+    """A resume cuts the trace file back to the checkpoint; a checkpoint
+    that is not this run's must be refused before that."""
     trace, ck, straight = (
         str(tmp_path / name) for name in ("t.jsonl", "ck.json", "s.jsonl")
     )
@@ -744,7 +744,6 @@ def test_resume_refuses_another_runs_checkpoint_before_rewinding_the_trace(
     ]
     checkpointed = demand + [
         "--trace", trace, "--checkpoint", ck, "--checkpoint-every", "16",
-        "--resume",
     ]
     assert main(demand + ["--trace", straight]) == 0
     monkeypatch.setenv("REPRO_CRASH_AT_CYCLE", "40")
@@ -761,3 +760,152 @@ def test_resume_refuses_another_runs_checkpoint_before_rewinding_the_trace(
 
     assert main(checkpointed) == 0
     assert open(trace, "rb").read() == open(straight, "rb").read()
+
+
+class TestOneCheckpointContract:
+    """``repro run``, ``repro demand`` and ``repro faults run`` share one
+    ``--checkpoint`` contract: a checkpoint of this run at the path is
+    picked up (trace included) by making the same command again; anything
+    else at the path is refused by name, exit 1, and left as it is."""
+
+    MACHINE = ["--shape", "2x2x2", "--endpoints", "2", "--cores", "2"]
+
+    @pytest.fixture
+    def commands(self, tmp_path):
+        faults = str(tmp_path / "faults.json")
+        assert main(
+            ["faults", "sample", "--shape", "2x2x2", "--endpoints", "2",
+             "-k", "1", "--down", "10", "--out", faults]
+        ) == 0
+        return {
+            "run": ["run", "--batch", "8", "--seed", "3"] + self.MACHINE,
+            "demand": ["demand", "--duration", "96", "--rate", "0.2"] + self.MACHINE,
+            "faults run": ["faults", "run", faults, "--batch", "8"] + self.MACHINE,
+        }
+
+    @staticmethod
+    def _killed(argv, monkeypatch, at="40"):
+        monkeypatch.setenv("REPRO_CRASH_AT_CYCLE", at)
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+        monkeypatch.delenv("REPRO_CRASH_AT_CYCLE")
+
+    @pytest.mark.parametrize("command", ["run", "demand", "faults run"])
+    def test_another_runs_checkpoint_is_refused_and_left(
+        self, command, commands, tmp_path, capsys, monkeypatch
+    ):
+        ck = str(tmp_path / "ck.json")
+        saves = ["--checkpoint", ck, "--checkpoint-every", "16"]
+        self._killed(commands["run"] + ["--seed", "9"] + saves, monkeypatch)
+        before = open(ck, "rb").read()
+        capsys.readouterr()
+        assert main(commands[command] + saves) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(
+            f"error: checkpoint {ck} was written by a different run"
+        )
+        assert open(ck, "rb").read() == before
+
+    @pytest.mark.parametrize(
+        "command", ["run", "demand", "faults run", "checkpoint restore"]
+    )
+    def test_a_file_that_is_no_checkpoint_is_refused_and_left(
+        self, command, commands, tmp_path, capsys
+    ):
+        # ``demand``/``faults run`` without ``--resume`` used to unlink it.
+        ck = tmp_path / "notes.txt"
+        ck.write_text("not a checkpoint\n")
+        if command == "checkpoint restore":
+            argv = ["checkpoint", "restore", str(ck)]
+        else:
+            argv = commands[command] + ["--checkpoint", str(ck)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: {ck}: checkpoint is not valid JSON")
+        assert ck.read_text() == "not a checkpoint\n"
+
+    @pytest.mark.parametrize("command", ["demand", "faults run"])
+    def test_same_command_twice_around_a_crash_gives_the_straight_trace(
+        self, command, commands, tmp_path, capsys, monkeypatch
+    ):
+        trace, ck, straight = (
+            str(tmp_path / name) for name in ("t.jsonl", "ck.json", "s.jsonl")
+        )
+        assert main(commands[command] + ["--trace", straight]) == 0
+        checkpointed = commands[command] + [
+            "--trace", trace, "--checkpoint", ck, "--checkpoint-every", "16",
+        ]
+        self._killed(checkpointed, monkeypatch)
+        assert main(checkpointed) == 0
+        assert open(trace, "rb").read() == open(straight, "rb").read()
+        import os
+
+        assert not os.path.exists(ck)
+
+    def test_stdout_trace_cannot_resume_and_says_what_to_pass(
+        self, commands, tmp_path, capsys, monkeypatch
+    ):
+        ck = str(tmp_path / "ck.json")
+        saves = ["--checkpoint", ck, "--checkpoint-every", "16"]
+        self._killed(
+            commands["demand"] + ["--trace", str(tmp_path / "t.jsonl")] + saves,
+            monkeypatch,
+        )
+        before = open(ck, "rb").read()
+        capsys.readouterr()
+        assert main(commands["demand"] + ["--trace", "-"] + saves) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert "pass the interrupted run's trace file, not stdout" in err
+        assert open(ck, "rb").read() == before
+
+    def test_stdout_appended_to_a_file_keeps_what_the_file_held(
+        self, commands, tmp_path, capsys, monkeypatch
+    ):
+        """``--trace - >> log``: stdout is a seekable file at offset 0
+        that holds the user's bytes. They stay -- on a fresh run, and on
+        one that finds a checkpoint to resume (refused as above)."""
+        import os
+        import sys
+
+        ck, straight = str(tmp_path / "ck.json"), str(tmp_path / "s.jsonl")
+        saves = ["--checkpoint", ck, "--checkpoint-every", "16"]
+        assert main(commands["demand"] + ["--trace", straight]) == 0
+        self._killed(
+            commands["demand"] + ["--trace", str(tmp_path / "t.jsonl")] + saves,
+            monkeypatch,
+        )
+        log = tmp_path / "log"
+        earlier = "earlier output\n" * 4000  # more than the checkpoint's bytes
+        log.write_text(earlier)
+        for argv, status in (
+            (commands["demand"] + ["--trace", "-"] + saves, 1),
+            (commands["demand"] + ["--trace", "-"], 0),
+        ):
+            # As the shell opens it: O_APPEND, not positioned at the end.
+            fd = os.open(log, os.O_WRONLY | os.O_APPEND)
+            with open(fd, "w") as stream, monkeypatch.context() as patch:
+                patch.setattr(sys, "stdout", stream)
+                assert main(argv) == status
+        assert log.read_text() == earlier + open(straight).read()
+
+    def test_trace_to_a_fifo_is_only_written_to(self, commands, tmp_path):
+        """A path that is no regular file (a FIFO, ``/dev/stdout``, a
+        ``>(...)`` substitution) cannot be opened for rewinding."""
+        import os
+        import threading
+
+        straight, fifo = str(tmp_path / "s.jsonl"), str(tmp_path / "fifo")
+        assert main(commands["demand"] + ["--trace", straight]) == 0
+        os.mkfifo(fifo)
+        read = []
+        reader = threading.Thread(
+            target=lambda: read.append(open(fifo).read()), daemon=True
+        )
+        reader.start()
+        assert main(commands["demand"] + ["--trace", fifo]) == 0
+        reader.join(timeout=30)
+        assert read == [open(straight).read()]

@@ -62,7 +62,6 @@ CONTRACT = {
         '--arbitration': ('rr', ARB),
         '--seed': (0, None),
         '--shards': (1, None),
-        '--transport': ('process', ('process', 'inline')),
         '--fault-file': (None, None),
         '--policy': ('reroute', POLICIES),  # PR 16: gained 'retry'
         '--retries': (4, None),
@@ -109,7 +108,6 @@ CONTRACT = {
         '--trace': (None, None),
         '--checkpoint': (None, None),
         '--checkpoint-every': (64, None),
-        '--resume': (False, None),
         '--fault-file': (None, None),
         '--policy': ('reroute', POLICIES),
         '--retries': (4, None),
@@ -178,7 +176,6 @@ CONTRACT = {
         '--trace': (None, None),
         '--checkpoint': (None, None),
         '--checkpoint-every': (64, None),
-        '--resume': (False, None),
     },
     'faults': {
     },

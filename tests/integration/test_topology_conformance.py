@@ -190,22 +190,11 @@ class TestCheckpointSplitRun:
         engine.run_for(split)
         head_writer.flush()
         data = loads(dumps(snapshot_engine(engine)))
-        tail_stream = io.StringIO()
-        resumed = JsonlTraceWriter(
-            tail_stream,
-            header=False,
-            resume_counts=(
-                data["trace"]["events_written"],
-                data["trace"]["bytes_written"],
-            ),
-        )
+        resumed = writer(head_stream, owns_stream=True)
         split_stats = restore_engine(data, trace=resumed).run()
         resumed.flush()
 
-        assert (
-            head_stream.getvalue() + tail_stream.getvalue()
-            == full_stream.getvalue()
-        )
+        assert head_stream.getvalue() == full_stream.getvalue()
         assert json.dumps(split_stats.asdict()) == json.dumps(
             full_stats.asdict()
         )

@@ -210,15 +210,10 @@ def run_split(
         head = stream.getvalue()
         assert len(head.encode("utf-8")) == data["trace"]["bytes_written"]
         # Phase 2: restore into a fresh engine ("new process") with a
-        # header-free resumed writer and run to completion.
-        tail_stream = io.StringIO()
+        # new writer on the interrupted trace, which the restore rewinds
+        # to the checkpoint, and run to completion.
         resumed = JsonlTraceWriter(
-            tail_stream,
-            header=False,
-            resume_counts=(
-                data["trace"]["events_written"],
-                data["trace"]["bytes_written"],
-            ),
+            stream, meta={"run": "prop"}, owns_stream=True
         )
         if read_shards == 1:
             stats = restore_engine(data, trace=resumed).run()
@@ -231,7 +226,7 @@ def run_split(
                 transport="inline",
             )
         resumed.flush()
-    return head + tail_stream.getvalue(), json.dumps(stats.asdict())
+    return stream.getvalue(), json.dumps(stats.asdict())
 
 
 shard_counts = st.tuples(
@@ -308,38 +303,23 @@ class TestResumeEquivalence:
         engine.run_for(first)
         writer.flush()
         data = loads(dumps(snapshot_engine(engine)))
-        text = stream.getvalue()
 
-        mid_stream = io.StringIO()
         mid_writer = JsonlTraceWriter(
-            mid_stream,
-            header=False,
-            resume_counts=(
-                data["trace"]["events_written"],
-                data["trace"]["bytes_written"],
-            ),
+            stream, meta={"run": "prop"}, owns_stream=True
         )
         restored = restore_engine(data, trace=mid_writer)
         restored.run_for(second - first)
         mid_writer.flush()
         data2 = loads(dumps(snapshot_engine(restored)))
-        text += mid_stream.getvalue()
 
-        tail_stream = io.StringIO()
         tail_writer = JsonlTraceWriter(
-            tail_stream,
-            header=False,
-            resume_counts=(
-                data2["trace"]["events_written"],
-                data2["trace"]["bytes_written"],
-            ),
+            stream, meta={"run": "prop"}, owns_stream=True
         )
         final = restore_engine(data2, trace=tail_writer)
         stats = final.run()
         tail_writer.flush()
-        text += tail_stream.getvalue()
 
-        assert text == full_trace
+        assert stream.getvalue() == full_trace
         assert json.dumps(stats.asdict()) == full_stats
 
 

@@ -8,6 +8,7 @@ compare exactly; any divergence is a correctness bug in the lookahead
 protocol, not a tolerance question.
 """
 
+import collections
 import json
 import os
 
@@ -181,6 +182,60 @@ def test_process_transport_matches_inline():
     )
     assert json.dumps(stats.asdict(), sort_keys=False) == serial_stats
     assert sink.events == serial_events
+
+
+@pytest.mark.parametrize("transport", ["inline", "process"])
+@pytest.mark.parametrize("mode", ["reroute", "drop"])
+def test_cycle_0_reroutes_of_a_degraded_start_reach_the_trace_once(
+    mode, transport, monkeypatch
+):
+    """Packets whose routes cross a link already down are re-routed (or
+    dropped) as they are enqueued, before cycle 0 runs. A sharded run
+    enqueues while the hub starts it, and those records and counts must
+    come out once, ahead of everything else, as the serial run's do.
+    (The stock generator routes around the failed set, so nothing is
+    re-routed at enqueue: generate on a healthy computer to get some.)"""
+    from repro.core.routing import RouteComputer
+    from repro.faults import FaultPolicy, FaultSet, FaultSpec
+    from repro.faults.model import failable_channels
+    from repro.sim import simulator
+
+    machine = Machine(CONFIG_2x2x2)
+    healthy = _uniform_run("rr")
+    generate = simulator.generate_workload
+    crossed = collections.Counter(
+        channel
+        for packet in generate(healthy, machine, RouteComputer(machine))
+        for channel, _vc in packet.route.hops
+        if channel in set(failable_channels(machine))
+    )
+    run = ShardedRun(
+        config=healthy.config,
+        spec=healthy.spec,
+        fault_set=FaultSet(
+            specs=tuple(
+                FaultSpec(kind="link", channel=channel, down_cycle=0)
+                for channel, _count in crossed.most_common(2)
+            ),
+            shape=(2, 2, 2),
+        ),
+        fault_policy=FaultPolicy(mode=mode),
+    )
+    monkeypatch.setattr(
+        simulator, "generate_workload",
+        lambda run, machine, _: generate(run, machine, RouteComputer(machine)),
+    )
+    streams = {}
+    for shards in (1, 2, 4):
+        sink = ListSink()
+        stats = run_sharded(run, shards, trace=sink, transport=transport)
+        streams[shards] = json.dumps(stats.asdict()), sink.events
+    stats = json.loads(streams[1][0])
+    at_enqueue = [e for e in streams[1][1] if e.kind in ("reroute", "drop")]
+    assert at_enqueue and {e.kind for e in at_enqueue} == {mode}
+    assert stats["rerouted" if mode == "reroute" else "dropped"] == len(at_enqueue)
+    assert streams[1][1][: len(at_enqueue)] == at_enqueue
+    assert streams[2] == streams[1] and streams[4] == streams[1]
 
 
 @pytest.mark.parametrize("shards", [2, 4])

@@ -1,10 +1,13 @@
 """A sharded run pays its setup once, on any start method, and reaps.
 
-The hub builds one machine, generates the workload once and programs
-the ``iw`` weight tables once -- for faulted runs like any other; each
-worker starts from the packets whose source it owns and from those
-tables. These tests count the generator,
-``Machine`` and table-programming calls under the inline transport,
+The hub starts the run as the serial path does: one machine, the ``iw``
+weight tables programmed once, the workload generated once into one
+whole-machine engine -- for faulted runs like any other. Forked workers
+inherit that engine and cut it down to their part; they generate and
+build nothing. A worker that cannot inherit (inline, ``spawn``) makes
+the same start call itself, from the hub's tables. These tests count the
+generator, ``Machine``, ``Engine`` and table-programming calls in the
+hub *and in whatever it forks* (each call appends its pid to a file),
 force the ``spawn`` start method in a subprocess (so correctness never
 leans on fork inheritance), and kill a worker process outright to pin
 the one-line error and the reaping of its siblings.
@@ -23,6 +26,8 @@ import pytest
 
 from repro.core.machine import Machine
 from repro.sim import shard as shard_mod
+from repro.sim import simulator
+from repro.sim.engine import Engine
 from repro.sim.shard import run_sharded
 
 from .test_conformance import WORKLOADS
@@ -33,57 +38,106 @@ _GENERATORS = {
     "uniform-rr-faulted": ("repro.traffic.batch", "generate_batch"),
 }
 
-
-def _count_calls(monkeypatch, owner, name, calls):
-    original = getattr(owner, name)
-
-    def counted(*args, **kwargs):
-        calls.append(name)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counted)
+forks = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="counts calls in forked workers",
+)
 
 
+class _CallLog:
+    """Calls of patched functions, by pid, in this process and its forks."""
+
+    def __init__(self, monkeypatch, path):
+        self.monkeypatch, self.path = monkeypatch, str(path)
+
+    def watch(self, owner, name, label=None):
+        original, label = getattr(owner, name), label or name
+
+        def logged(*args, **kwargs):
+            with open(self.path, "a") as handle:
+                handle.write(f"{os.getpid()} {label}\n")
+            return original(*args, **kwargs)
+
+        self.monkeypatch.setattr(owner, name, logged)
+
+    def calls(self):
+        """``(the hub's calls in order, everyone else's)``."""
+        if not os.path.exists(self.path):
+            return [], []
+        pairs = [line.split() for line in open(self.path)]
+        mine = str(os.getpid())
+        return (
+            [label for pid, label in pairs if pid == mine],
+            [label for pid, label in pairs if pid != mine],
+        )
+
+
+@forks
 @pytest.mark.parametrize("shards", [2, 4])
 @pytest.mark.parametrize("name", sorted(_GENERATORS))
 def test_run_generates_once_on_the_hubs_machine(
-    name, shards, monkeypatch
+    name, shards, monkeypatch, tmp_path
 ):
     run = WORKLOADS[name]()
     machine = Machine(run.config)
-    module_name, fn_name = _GENERATORS[name]
-    module = importlib.import_module(module_name)
-    generated = len(
-        getattr(module, fn_name)(
-            machine, shard_mod.run_context(run, machine)[1], run.spec
-        )
-    )
     serial = run_sharded(run, 1, machine=machine)
 
-    calls = []
-    _count_calls(monkeypatch, module, fn_name, calls)
-    _count_calls(monkeypatch, Machine, "__init__", calls)
+    module_name, fn_name = _GENERATORS[name]
+    log = _CallLog(monkeypatch, tmp_path / "calls")
+    log.watch(importlib.import_module(module_name), fn_name)
+    log.watch(Machine, "__init__", "Machine")
+    log.watch(Engine, "__init__", "Engine")
+    stats = run_sharded(run, shards, machine=machine, transport="process")
+
+    # One engine, one generation into it, no second Machine -- all in the
+    # hub; the workers inherited the result.
+    assert log.calls() == (["Engine", fn_name], [])
+    assert json.dumps(stats.asdict()) == json.dumps(serial.asdict())
+
+
+@pytest.mark.parametrize("name", sorted(_GENERATORS))
+def test_shards_cut_the_hubs_engine_into_disjoint_parts(name, monkeypatch):
+    """Every packet of the whole-machine engine stays queued in exactly
+    one shard; an inline worker starts its own engine, on the hub's
+    machine."""
+    run = WORKLOADS[name]()
+    machine = Machine(run.config)
+    whole = simulator.start(run, machine)
     queued = []
     core_init = shard_mod._ShardCore.__init__
 
     def recording_init(self, init):
         core_init(self, init)
-        assert self.engine.machine is machine
+        assert self.engine.machine is machine and self.engine is not whole
         queued.append(self.engine._queued)
 
     monkeypatch.setattr(shard_mod._ShardCore, "__init__", recording_init)
-    stats = run_sharded(run, shards, machine=machine, transport="inline")
-
-    assert calls == [fn_name]  # one generation, no second Machine
-    assert len(queued) == shards and sum(queued) == generated
-    assert json.dumps(stats.asdict()) == json.dumps(serial.asdict())
+    run_sharded(run, 4, machine=machine, transport="inline")
+    assert len(queued) == 4 and sum(queued) == whole._queued > 0
 
 
 @pytest.mark.parametrize(
     "name", ["uniform-iw", "demand-iw", "uniform-iw-faulted"]
 )
-def test_iw_tables_are_programmed_once_in_the_hub(name, monkeypatch):
-    from repro.sim import simulator
+def test_iw_tables_are_programmed_once_in_the_hub(name, monkeypatch, tmp_path):
+    _iw_tables_programmed_once(name, 4, "inline", monkeypatch, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "shards,transport",
+    [(2, "inline"), (2, "process"), (4, "process")],
+)
+def test_degraded_loads_are_enumerated_once_at_any_count_and_transport(
+    shards, transport, monkeypatch, tmp_path
+):
+    if transport == "process" and multiprocessing.get_start_method() != "fork":
+        pytest.skip("counts calls in forked workers")
+    _iw_tables_programmed_once(
+        "uniform-iw-faulted", shards, transport, monkeypatch, tmp_path
+    )
+
+
+def _iw_tables_programmed_once(name, shards, transport, monkeypatch, tmp_path):
     from repro.traffic import loads
 
     run = WORKLOADS[name]()
@@ -91,10 +145,10 @@ def test_iw_tables_are_programmed_once_in_the_hub(name, monkeypatch):
 
     # The serial run left its tables in the memo; count from a cold one.
     monkeypatch.setattr(simulator, "_MEMO", {})
-    calls = []
-    _count_calls(monkeypatch, loads, "compute_loads", calls)
-    _count_calls(monkeypatch, simulator, "make_weight_tables", calls)
-    _count_calls(monkeypatch, simulator, "make_vc_weight_tables", calls)
+    log = _CallLog(monkeypatch, tmp_path / "calls")
+    log.watch(loads, "compute_loads")
+    log.watch(simulator, "make_weight_tables")
+    log.watch(simulator, "make_vc_weight_tables")
     handed = []
     core_init = shard_mod._ShardCore.__init__
 
@@ -103,15 +157,18 @@ def test_iw_tables_are_programmed_once_in_the_hub(name, monkeypatch):
         core_init(self, init)
 
     monkeypatch.setattr(shard_mod._ShardCore, "__init__", recording_init)
-    stats = run_sharded(run, 4, transport="inline")
+    stats = run_sharded(run, shards, transport=transport)
 
     # One weight pattern: one load table (enumerated exhaustively on the
-    # faulted row), one table per arbitration stage.
-    assert calls == [
-        "compute_loads", "make_weight_tables", "make_vc_weight_tables"
-    ]
-    assert len(handed) == 4 and all(sa2 and sa1 for sa2, sa1 in handed)
-    assert all(tables is handed[0] for tables in handed)
+    # faulted rows), one table per arbitration stage -- in the hub, at any
+    # shard count, whoever builds the engines.
+    assert log.calls() == (
+        ["compute_loads", "make_weight_tables", "make_vc_weight_tables"], []
+    )
+    if transport == "inline":
+        assert len(handed) == shards
+        assert all(sa2 and sa1 for sa2, sa1 in handed)
+        assert all(tables is handed[0] for tables in handed)
     assert json.dumps(stats.asdict()) == json.dumps(serial.asdict())
 
 

@@ -398,16 +398,9 @@ class TestDoubleCheckpointIdempotence:
         )
         engine.run_for(25)
         first = snapshot_engine(engine)
-        # An equivalent resumed writer (header-free, counters carried
-        # over) must make the second snapshot byte-identical.
-        resumed = JsonlTraceWriter(
-            io.StringIO(),
-            header=False,
-            resume_counts=(
-                first["trace"]["events_written"],
-                first["trace"]["bytes_written"],
-            ),
-        )
+        # A new writer on the same trace, rewound by the restore, must
+        # make the second snapshot byte-identical.
+        resumed = JsonlTraceWriter(stream, meta={"t": 1}, owns_stream=True)
         restored = restore_engine(loads(dumps(first)), trace=resumed)
         assert dumps(snapshot_engine(restored)) == dumps(first)
 
@@ -598,3 +591,59 @@ class TestRunStamp:
         assert json.dumps(resumed.asdict()) == json.dumps(
             run(self.runspec()).asdict()
         )
+
+
+class TestStartRevivesSinks:
+    """``start`` restores through ``restore_engine``, which puts back
+    whatever the save recorded of the sinks it is handed -- behind a
+    ``Tee`` too, where the save finds them."""
+
+    def test_teed_collector_survives_a_crash_through_run_batch(
+        self, tmp_path, monkeypatch
+    ):
+        # At the parent only a collector handed in bare was revived: this
+        # resumed run reported p50/p95/p99 = 54/66/76.
+        from repro.core.routing import RouteComputer
+        from repro.sim.checkpoint import CRASH_ENV_VAR
+        from repro.sim.metrics import MetricsCollector
+        from repro.sim.simulator import run_batch
+        from repro.sim.trace import ListSink, Tee
+
+        machine = make_machine()
+        spec = BatchSpec(UniformRandom(SHAPE), 16, cores_per_chip=2, seed=3)
+
+        def leg(**checkpoint):
+            collector = MetricsCollector()
+            run_batch(
+                machine, RouteComputer(machine), spec,
+                trace=Tee(collector, ListSink()), **checkpoint,
+            )
+            return collector.summary()
+
+        clean = leg()
+        saves = dict(checkpoint_path=str(tmp_path / "ck.json"), checkpoint_every=8)
+        monkeypatch.setenv(CRASH_ENV_VAR, "60")
+        with pytest.raises(KeyboardInterrupt):
+            leg(**saves)
+        monkeypatch.delenv(CRASH_ENV_VAR)
+        resumed = leg(**saves)
+        assert resumed == clean
+        assert [clean.latency_quantiles[q] for q in (0.5, 0.95, 0.99)] == [43, 64, 66]
+
+    def test_a_writer_is_not_rewound_into_a_stream_that_lacks_the_bytes(self):
+        engine = make_engine(
+            make_machine(), trace=JsonlTraceWriter(io.StringIO(), meta={"t": 1})
+        )
+        engine.run_for(25)
+        data = loads(dumps(snapshot_engine(engine)))
+        fresh = JsonlTraceWriter(io.StringIO(), meta={"t": 1}, owns_stream=True)
+        with pytest.raises(CheckpointError, match="cannot resume this trace"):
+            restore_engine(data, trace=fresh)
+        assert fresh.stream.getvalue() == ""  # nothing written, nothing cut
+
+    def test_a_writer_needs_a_checkpoint_that_recorded_one(self):
+        engine = make_engine(make_machine())
+        engine.run_for(25)
+        data = loads(dumps(snapshot_engine(engine)))
+        with pytest.raises(CheckpointError, match="without a JSONL trace writer"):
+            restore_engine(data, trace=JsonlTraceWriter(io.StringIO()))

@@ -1,5 +1,6 @@
 """Tests for the structured event tracing subsystem."""
 
+import io
 import json
 
 import pytest
@@ -51,6 +52,67 @@ class TestJsonlTraceWriter:
         assert records[0]["schema"] == 1
         assert records[0]["name"] == "x"
         assert len(events) == 1 and events[0].kind == "inject"
+
+    def test_header_is_held_until_the_first_write_and_counted_from_the_start(self):
+        stream = io.StringIO()
+        writer = JsonlTraceWriter(stream, meta={"name": "x"})
+        assert stream.getvalue() == "" and writer.bytes_written > 0
+        writer.flush()
+        assert len(stream.getvalue().encode()) == writer.bytes_written
+        assert json.loads(stream.getvalue())["name"] == "x"
+
+    def test_first_write_or_rewind_cuts_what_an_interrupted_run_left(self, tmp_path):
+        event = TraceEvent("inject", 0, 0, 0, 1, 0)
+        path = tmp_path / "t.jsonl"
+        with open(path, "w") as stream:
+            first = JsonlTraceWriter(stream, meta={"name": "x"})
+            first.emit(event)
+            saved = first.events_written, first.bytes_written
+            first.emit(event)
+        interrupted = path.read_bytes()
+
+        def own(stream):
+            return JsonlTraceWriter(stream, meta={"name": "x"}, owns_stream=True)
+
+        # Opened without cutting it, as a command that may resume does.
+        with open(path, "r+") as stream:
+            own(stream)
+        assert path.read_bytes() == interrupted  # never written: untouched
+        with open(path, "r+") as stream:
+            resumed = own(stream)
+            resumed.rewind(*saved)
+            resumed.emit(event)
+            assert (resumed.events_written, resumed.bytes_written) == (
+                first.events_written, first.bytes_written
+            )
+        assert path.read_bytes() == interrupted
+        with open(path, "r+") as stream:
+            own(stream).emit(event)
+        assert path.read_bytes() == interrupted[: saved[1]]  # a fresh run
+
+    def test_a_stream_the_writer_does_not_own_is_only_written_to(self, tmp_path):
+        """Stdout redirected with ``>>`` is seekable, reports offset 0 and
+        holds the user's earlier bytes: the writer neither cuts them at
+        its first write nor rewinds into them."""
+        event = TraceEvent("inject", 0, 0, 0, 1, 0)
+        path = tmp_path / "log"
+        path.write_text("x" * 200)
+        with open(path, "a") as stream:
+            writer = JsonlTraceWriter(stream, meta={"name": "x"})
+            with pytest.raises(ValueError, match="is not a file of its own"):
+                writer.rewind(1, 99)
+            writer.emit(event)
+        text = path.read_text()
+        records, events = read_trace(text[200:].splitlines())
+        assert text[:200] == "x" * 200
+        assert records[0]["name"] == "x" and len(events) == 1
+
+    def test_rewind_refuses_a_file_without_the_bytes(self):
+        writer = JsonlTraceWriter(
+            io.StringIO("x" * 10), meta={"name": "x"}, owns_stream=True
+        )
+        with pytest.raises(ValueError, match="recorded 99 bytes .* holds 10"):
+            writer.rewind(3, 99)
 
     def test_tee_fans_out(self):
         a, b = ListSink(), ListSink()
