@@ -11,9 +11,10 @@ points across cores through :mod:`repro.sim.sweep`: a picklable
 reporting labels, and :func:`measure_batch_point` is prepare, build,
 run, reduce over that value. What a campaign's points share -- machine,
 analytic loads, programmed weight tables -- lives in the simulator's
-memo: the parent prepares every point before its pool forks and the
-workers inherit it (one that cannot fills its own). The engine's exact
-fixed-point timing makes the results bitwise-identical to a serial loop.
+memo: the parent prepares every point that will run before its pool
+forks and the workers inherit it (one that cannot fills its own). The
+engine's exact fixed-point timing makes the results bitwise-identical to
+a serial loop.
 """
 
 from __future__ import annotations
@@ -34,10 +35,19 @@ from repro.sim.simulator import (
     share_machine,
     shared_machine,
 )
-from repro.sim.sweep import SweepPoint, run_sweep
+from repro.sim.sweep import SweepPoint, finished, point_scratch, run_sweep
 from repro.traffic.batch import BatchSpec
 from repro.traffic.loads import LoadTable, ideal_batch_cycles
 from repro.traffic.patterns import Blend, TrafficPattern
+
+
+#: Cycles between the engine checkpoints a point of a campaign directory
+#: keeps while it runs (:func:`measure_batch_point`); a kill loses at
+#: most this many cycles of one point. A save at 8x8x8 costs 1.3 s and
+#: 9 MB plus 0.11 ms and 0.65 KB per packet still outstanding (12.9 s,
+#: 74 MB at cycle 192 of the 696 a 4-core x 64 batch takes in ~55 s), so
+#: points shorter than this -- minutes -- never save and re-run whole.
+CHECKPOINT_EVERY = 4096
 
 
 @dataclasses.dataclass
@@ -113,9 +123,9 @@ def measure_batch(
     also stream per-channel and latency metrics out of the run; its
     summary rides along on the returned point.
 
-    ``checkpoint_path`` + ``checkpoint_every`` enable the periodic
-    checkpoint/resume behavior of :func:`repro.sim.simulator.run_batch`:
-    an interrupted point resumes mid-run and its measured result is
+    ``checkpoint_path`` + ``checkpoint_every`` are the periodic
+    checkpoints of :func:`repro.sim.simulator.run_batch`: an interrupted
+    point made again is restored mid-run and its measured result is
     bitwise-identical to a never-interrupted execution. Unless weight
     tables are handed in -- they do not say what programmed them -- the
     file is stamped with this point's run, so a point edited since
@@ -194,13 +204,6 @@ class BatchPoint:
     collect_metrics: bool = False
     #: Busy-tick window grain (cycles) for collected metrics.
     metrics_window: int = 256
-    #: Mid-run checkpoint file for this point (see
-    #: :mod:`repro.sim.checkpoint`): written every ``checkpoint_every``
-    #: cycles, removed on completion, resumed from when present -- so a
-    #: killed sweep finishes its interrupted point bitwise-identically.
-    checkpoint_path: Optional[str] = None
-    checkpoint_every: int = 0
-
     @property
     def run(self) -> RunSpec:
         """What the point is prepared, built, stamped and cached as."""
@@ -213,15 +216,22 @@ class BatchPoint:
 
 
 def measure_batch_point(point: BatchPoint) -> ThroughputPoint:
-    """Run one :class:`BatchPoint` (the sweep-runner work function)."""
+    """Run one :class:`BatchPoint` (the sweep-runner work function).
+
+    Under a campaign directory the run keeps an engine checkpoint at the
+    runner's :func:`~repro.sim.sweep.point_scratch`, every
+    :data:`CHECKPOINT_EVERY` cycles: the same point executed again after
+    a kill is restored from it (:func:`~repro.sim.simulator.start`) and
+    measures what the uninterrupted run would have; the file is gone once
+    the point finishes.
+    """
     collector = (
         MetricsCollector(window_cycles=point.metrics_window)
         if point.collect_metrics
         else None
     )
     result = measure_run(
-        point.run, point.label, collector,
-        point.checkpoint_path, point.checkpoint_every,
+        point.run, point.label, collector, point_scratch(), CHECKPOINT_EVERY
     )
     if point.pattern_label is not None:
         result.pattern = point.pattern_label
@@ -232,24 +242,36 @@ def run_batch_points(
     points: Sequence[BatchPoint],
     max_workers: Optional[int] = None,
     checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
 ) -> List[ThroughputPoint]:
     """Fan a list of batch points across cores; results in input order.
 
-    ``checkpoint_dir``/``resume`` enable the sweep runner's crash-resume
-    persistence (see :func:`repro.sim.sweep.run_sweep`); pair it with
-    per-point ``checkpoint_path`` on the :class:`BatchPoint` specs to
-    also resume the interrupted point mid-run.
+    ``checkpoint_dir`` is the sweep runner's campaign directory (see
+    :func:`repro.sim.sweep.run_sweep`): killed and made again, this call
+    returns the finished points as recorded, restores the interrupted
+    one mid-run (:func:`measure_batch_point`) and runs the rest.
 
-    The points' offline halves (:func:`_prepare`) run here, in the
-    parent, before any worker exists: machines, load tables and weight
-    tables are programmed once per campaign -- as the paper programs its
-    weights once per traffic pattern -- and forked workers inherit them.
-    Where workers do not fork they would inherit nothing, so the parent
-    leaves the work to them (and to a serial loop's first use).
+    The offline halves (:func:`_prepare`) of the points that will run
+    are computed here, in the parent, before any worker exists:
+    machines, load tables and weight tables are programmed once per
+    campaign -- as the paper programs its weights once per traffic
+    pattern -- and forked workers inherit them. Where workers do not
+    fork they would inherit nothing, so the parent leaves the work to
+    them (and to a serial loop's first use).
     """
+    sweep_points = [
+        SweepPoint(
+            label=f"{p.pattern_label or p.pattern.name}/"
+            f"{p.label or p.arbitration}/b{p.batch_size}",
+            fn=measure_batch_point,
+            kwargs={"point": p},
+        )
+        for p in points
+    ]
     if multiprocessing.get_start_method() == "fork":
-        for point in points:
+        done = finished(sweep_points, checkpoint_dir)
+        for index, point in enumerate(points):
+            if index in done:
+                continue
             try:
                 _prepare(point.run)
             except Exception:
@@ -257,18 +279,7 @@ def run_batch_points(
                 # sweep runner reports it by name beside the others.
                 pass
     results = run_sweep(
-        [
-            SweepPoint(
-                label=f"{p.pattern_label or p.pattern.name}/"
-                f"{p.label or p.arbitration}/b{p.batch_size}",
-                fn=measure_batch_point,
-                kwargs={"point": p},
-            )
-            for p in points
-        ],
-        max_workers=max_workers,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
+        sweep_points, max_workers=max_workers, checkpoint_dir=checkpoint_dir
     )
     return [r.value for r in results]
 

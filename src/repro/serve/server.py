@@ -49,6 +49,7 @@ import re
 import time
 from typing import Dict, List, Optional
 
+from repro.sim.checkpoint import write_atomic
 from repro.sim.metrics import StreamingQuantile
 
 from .protocol import (
@@ -395,7 +396,7 @@ class SimServer:
             self._evict(victim)
 
     def _evict(self, session: Session) -> str:
-        """Freeze one session to its spool file (atomic write).
+        """Freeze one session to its spool file, whole or not at all.
 
         Live subscribers are parked server-side and re-attached on thaw,
         so subscribed clients cannot observe the eviction either -- their
@@ -409,11 +410,10 @@ class SimServer:
         sid = session.session_id
         payload = session.spool_payload()
         path = os.path.join(self.spool_dir, f"{sid}.json")
-        tmp = path + ".tmp"
-        with open(tmp, "w") as stream:
-            json.dump(payload, stream, separators=(",", ":"))
-            stream.write("\n")
-        os.replace(tmp, path)
+        try:
+            write_atomic(path, json.dumps(payload, separators=(",", ":")) + "\n")
+        except OSError as exc:
+            raise SessionError(str(exc)) from None
         if session.subscribers:
             self._evicted_subs[sid] = session.subscribers
         del self.sessions[sid]

@@ -51,6 +51,7 @@ it to a one-line error and exit code 1).
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import random
@@ -713,39 +714,89 @@ def loads(text: str) -> dict:
     return data
 
 
+def canonical(value) -> str:
+    """A value repr stable across processes and interpreter runs: what
+    :func:`run_stamp`, the keys of the simulator's offline memo and a
+    campaign record's name (:func:`repro.sim.sweep.point_fingerprint`)
+    are made of.
+
+    ``repr`` alone is not an identity: objects without a custom
+    ``__repr__`` (e.g. traffic patterns) render their memory address,
+    which would make every run look like a different one. Containers and
+    dataclasses recurse; plain objects render as ``module.Class(sorted
+    vars)``; sets sort their elements so hash randomization cannot
+    reorder them.
+    """
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        cls = type(value)
+        fields = ", ".join(
+            f"{f.name}={canonical(getattr(value, f.name))}"
+            for f in dataclasses.fields(value)
+        )
+        return f"{cls.__module__}.{cls.__qualname__}({fields})"
+    if isinstance(value, dict):
+        items = sorted(
+            (canonical(k), canonical(v)) for k, v in value.items()
+        )
+        return "{" + ", ".join(f"{k}: {v}" for k, v in items) + "}"
+    if isinstance(value, (list, tuple)):
+        inner = ", ".join(canonical(v) for v in value)
+        return f"[{inner}]" if isinstance(value, list) else f"({inner})"
+    if isinstance(value, (set, frozenset)):
+        return "{" + ", ".join(sorted(canonical(v) for v in value)) + "}"
+    if callable(value) and hasattr(value, "__qualname__"):
+        return f"{getattr(value, '__module__', '?')}.{value.__qualname__}"
+    if type(value).__repr__ is object.__repr__:
+        cls = type(value)
+        state = ", ".join(
+            f"{name}={canonical(val)}"
+            for name, val in sorted(getattr(value, "__dict__", {}).items())
+        )
+        return f"{cls.__module__}.{cls.__qualname__}({state})"
+    return repr(value)
+
+
 def run_stamp(run) -> str:
     """The stamp a periodic save writes for ``run`` (a ``RunSpec``): a
-    hash of its canonical rendering, the identity sweep resume and the
-    campaign caches already key on."""
-    import hashlib
-
-    from .sweep import canonical
-
+    hash of its :func:`canonical` rendering."""
     return hashlib.sha256(canonical(run).encode()).hexdigest()
 
 
-def write_checkpoint(data: dict, path: str, stamp: Optional[str] = None) -> None:
-    """Atomically write the snapshot ``data`` to ``path``.
+def write_atomic(path: str, data) -> None:
+    """Put ``data`` (text or bytes) at ``path``, whole or not at all.
 
-    The payload lands via a same-directory temp file and ``os.replace``,
-    so a crash mid-save leaves the previous checkpoint intact -- the
-    invariant the sweep runner's resume path relies on. ``stamp`` (see
-    :func:`run_stamp`) is recorded as the top-level ``run_stamp`` key:
-    :func:`load_checkpoint` refuses the file to any other run.
+    It lands via a same-directory temp file and ``os.replace``, so a
+    crash or a failed write leaves the file that was there intact and no
+    temp file behind -- what every record a killed run is picked up from
+    (engine checkpoints, campaign records, serve spool files) relies on.
+    Failure is an ``OSError`` whose one line names ``path``.
+    """
+    tmp_path = None
+    try:
+        fd, tmp_path = tempfile.mkstemp(
+            dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp"
+        )
+        with os.fdopen(fd, "w" if isinstance(data, str) else "wb") as handle:
+            handle.write(data)
+        os.replace(tmp_path, path)
+        tmp_path = None
+    except OSError as exc:
+        raise OSError(
+            exc.errno, f"cannot write {path}: {exc.strerror or exc}"
+        ) from None
+    finally:
+        if tmp_path is not None and os.path.exists(tmp_path):
+            os.unlink(tmp_path)
+
+
+def write_checkpoint(data: dict, path: str, stamp: Optional[str] = None) -> None:
+    """:func:`write_atomic` the snapshot ``data`` to ``path``. ``stamp``
+    (see :func:`run_stamp`) is recorded as the top-level ``run_stamp``
+    key: :func:`load_checkpoint` refuses the file to any other run.
     """
     if stamp is not None:
         data["run_stamp"] = stamp
-    text = dumps(data)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+    write_atomic(path, dumps(data))
 
 
 def save_checkpoint(engine: Engine, path: str, stamp: Optional[str] = None) -> dict:

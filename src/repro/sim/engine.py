@@ -1091,19 +1091,19 @@ class Engine:
                         )
                     )
                 return packet
+        self._drop(packet, blocked, 0, now)
+        return None
+
+    def _drop(self, packet: Packet, where: int, vc: int, now: int) -> None:
+        """Account and announce the loss of ``packet`` to a fault at
+        channel ``where``; the caller discards it."""
         self.stats.dropped += 1
         if self.trace is not None:
             self.trace.emit(
                 TraceEvent(
-                    "drop",
-                    now,
-                    now * self._ticks_per_cycle,
-                    packet.pid,
-                    blocked,
-                    0,
+                    "drop", now, now * self._ticks_per_cycle, packet.pid, where, vc
                 )
             )
-        return None
 
     def _sweep_source_queues(self, now: int) -> None:
         trace = self.trace
@@ -1149,7 +1149,7 @@ class Engine:
                 for packet in queue[head:]:
                     if self._route_clear_from(packet.route, packet.hop_index):
                         kept.append(packet)
-                    elif self._handle_blocked_buffered(packet, ic, vc, now):
+                    elif self._dispose_stranded(packet, ic, vc, now):
                         kept.append(packet)
                     else:
                         removed += 1
@@ -1167,13 +1167,15 @@ class Engine:
                 if kept:
                     self._active[machine.channels[ic].dst] = None
 
-    def _handle_blocked_buffered(
+    def _dispose_stranded(
         self, packet: Packet, ic: int, vc: int, now: int
     ) -> bool:
-        """Disposition a buffered packet whose remaining route is blocked.
+        """Disposition a packet whose remaining route is blocked, held in
+        (or in flight towards) VC ``vc`` of channel ``ic``.
 
-        Returns True to keep the packet in its buffer (re-routed in
-        place), False to remove it (dropped or re-injected at source).
+        Returns True when it was re-routed in place and stays where it
+        is, False when the caller must discard it (dropped, or
+        re-injected at its source).
         """
         policy = self._fault_runtime.policy
         if policy.mode == "reroute":
@@ -1203,23 +1205,10 @@ class Engine:
         elif policy.mode == "retry" and packet.retries < policy.max_retries:
             self._schedule_retry(packet, ic, now)
             return False
-        self.stats.dropped += 1
-        if self.trace is not None:
-            self.trace.emit(
-                TraceEvent(
-                    "drop",
-                    now,
-                    now * self._ticks_per_cycle,
-                    packet.pid,
-                    ic,
-                    vc,
-                )
-            )
+        self._drop(packet, ic, vc, now)
         return False
 
     def _sweep_inflight(self, now: int) -> None:
-        machine = self.machine
-        policy = self._fault_runtime.policy
         trace = self.trace
         # Snapshot (retry dispositions mutate engine state mid-scan) in
         # canonical pid order -- shard-invariant, unlike insertion
@@ -1237,48 +1226,8 @@ class Engine:
                 continue  # final delivery hop; endpoint links cannot fail
             if self._route_clear_from(packet.route, hop_index):
                 continue
-            vc = arrival_vc(packet)
-            if policy.mode == "reroute":
-                holder = machine.channels[oc].dst
-                try:
-                    tail = self._fault_routes.compute_reroute(
-                        holder, packet.route.dst, packet.traffic_class
-                    )
-                except Unroutable:
-                    self.stats.unroutable += 1
-                else:
-                    self._splice_route(packet, oc, vc, tail)
-                    self.stats.rerouted += 1
-                    if self.trace is not None:
-                        self.trace.emit(
-                            TraceEvent(
-                                "reroute",
-                                now,
-                                now * self._ticks_per_cycle,
-                                packet.pid,
-                                oc,
-                                vc,
-                                (("hops", len(packet.route.hops) - 1),),
-                            )
-                        )
-                    continue
-            elif policy.mode == "retry" and packet.retries < policy.max_retries:
+            if not self._dispose_stranded(packet, oc, arrival_vc(packet), now):
                 packet.drop_on_arrival = True
-                self._schedule_retry(packet, oc, now)
-                continue
-            packet.drop_on_arrival = True
-            self.stats.dropped += 1
-            if self.trace is not None:
-                self.trace.emit(
-                    TraceEvent(
-                        "drop",
-                        now,
-                        now * self._ticks_per_cycle,
-                        packet.pid,
-                        oc,
-                        vc,
-                    )
-                )
 
     def _splice_route(
         self, packet: Packet, holding_channel: int, holding_vc: int, tail: Route
@@ -1320,18 +1269,7 @@ class Engine:
             )
         except Unroutable:
             self.stats.unroutable += 1
-            self.stats.dropped += 1
-            if self.trace is not None:
-                self.trace.emit(
-                    TraceEvent(
-                        "drop",
-                        now,
-                        now * self._ticks_per_cycle,
-                        packet.pid,
-                        where,
-                        0,
-                    )
-                )
+            self._drop(packet, where, 0, now)
             return
         queue = self._source_queues.get(old.src)
         if queue and queue[-1].release_cycle > release:

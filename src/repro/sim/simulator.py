@@ -68,6 +68,13 @@ from repro.core.machine import Machine, MachineConfig
 from repro.core.onchip import ANTON_DIRECTION_ORDER
 from repro.core.routing import RouteComputer
 
+from .checkpoint import (
+    canonical,
+    load_checkpoint,
+    restore_engine,
+    run_stamp,
+    run_with_checkpoints,
+)
 from .engine import ArbiterBuilder, Engine
 from .stats import SimStats
 
@@ -142,8 +149,6 @@ def _remembered(kind, machine, route_computer, faults, patterns, rest, compute):
     if faults is not None or not _is_stock(machine, route_computer):
         return compute()
     from repro.traffic.demand import DemandMatrixPattern
-
-    from .sweep import canonical  # not at module top: it loads the process pool
 
     bounded = any(isinstance(p, DemandMatrixPattern) for p in patterns)
     contents = tuple(canonical(p) for p in patterns)
@@ -655,8 +660,6 @@ def start(
     if machine is None:
         machine = shared_machine(run.config)[0]
     if checkpoint_path and os.path.exists(checkpoint_path):
-        from .checkpoint import load_checkpoint, restore_engine, run_stamp
-
         data = load_checkpoint(
             checkpoint_path, run_stamp(run) if stamped else None
         )
@@ -893,8 +896,6 @@ def run_engine(
     path = checkpoint_path if checkpoint_every > 0 else None
     engine = start(run, machine, trace, path, stamped=stamped, **started)
     if path:
-        from .checkpoint import run_stamp, run_with_checkpoints
-
         stats = run_with_checkpoints(
             engine, path, checkpoint_every, max_cycles,
             run_stamp(run) if stamped else None,

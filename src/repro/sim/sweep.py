@@ -12,8 +12,16 @@ Tasks carry descriptions (a :class:`~repro.sim.simulator.RunSpec`),
 never the elaborated component/channel graph: what points share offline
 lives in :mod:`repro.sim.simulator`'s per-process memo, which a forked
 worker inherits as it stood when the pool was created and any other
-worker fills for itself, keyed like a resume and a checkpoint's run
-stamp on :func:`canonical` content.
+worker fills for itself.
+
+A campaign that must survive a kill names one directory
+(``checkpoint_dir``) and nothing else. Each point has two files there,
+both named by a hash of :func:`point_fingerprint` -- what the point *is*,
+never its place in the list or where the directory lives: its sealed
+record once it has finished, and, while it runs, whatever it keeps at
+:func:`point_scratch` (a batch point, its engine checkpoint). Making the
+same call again picks the campaign up: finished points come back from
+their records, an interrupted one finds its scratch file, the rest run.
 
 Run ``python -m repro.sim.sweep`` for a self-checking smoke sweep (two
 Figure 9-style points executed serially and in parallel, results
@@ -23,13 +31,16 @@ compared); CI uses it as the parallel-runner gate.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import os
 import pickle
-import tempfile
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from contextvars import ContextVar
 from typing import Any, Callable, Dict, List, Optional, Sequence
+
+from .checkpoint import canonical, write_atomic
 
 
 class SweepPointError(RuntimeError):
@@ -87,62 +98,18 @@ class SweepResult:
     #: Formatted traceback when the point's ``fn`` raised; ``None`` on
     #: success. Failed points carry ``value=None``.
     error: Optional[str] = None
-    #: Identity fingerprint of the point that produced this result (see
-    #: :func:`point_fingerprint`); ``resume`` only reuses a persisted
-    #: result whose fingerprint matches the point at the same index.
+    #: Identity of the point that produced this result (see
+    #: :func:`point_fingerprint`): what its record is named and sealed by.
     fingerprint: Optional[str] = None
 
 
-def canonical(value: Any) -> str:
-    """A value repr stable across processes and interpreter runs, behind
-    :func:`point_fingerprint`, the keys of the simulator's offline memo
-    and a checkpoint's run stamp (:func:`repro.sim.checkpoint.run_stamp`).
-
-    ``repr`` alone is not an identity: objects without a custom
-    ``__repr__`` (e.g. traffic patterns) render their memory address,
-    which would make every resume look stale. Containers and dataclasses
-    recurse; plain objects render as ``module.Class(sorted vars)``; sets
-    sort their elements so hash randomization cannot reorder them.
-    """
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        cls = type(value)
-        fields = ", ".join(
-            f"{f.name}={canonical(getattr(value, f.name))}"
-            for f in dataclasses.fields(value)
-        )
-        return f"{cls.__module__}.{cls.__qualname__}({fields})"
-    if isinstance(value, dict):
-        items = sorted(
-            (canonical(k), canonical(v)) for k, v in value.items()
-        )
-        return "{" + ", ".join(f"{k}: {v}" for k, v in items) + "}"
-    if isinstance(value, (list, tuple)):
-        inner = ", ".join(canonical(v) for v in value)
-        return f"[{inner}]" if isinstance(value, list) else f"({inner})"
-    if isinstance(value, (set, frozenset)):
-        return "{" + ", ".join(sorted(canonical(v) for v in value)) + "}"
-    if callable(value) and hasattr(value, "__qualname__"):
-        return f"{getattr(value, '__module__', '?')}.{value.__qualname__}"
-    if type(value).__repr__ is object.__repr__:
-        cls = type(value)
-        state = ", ".join(
-            f"{name}={canonical(val)}"
-            for name, val in sorted(getattr(value, "__dict__", {}).items())
-        )
-        return f"{cls.__module__}.{cls.__qualname__}({state})"
-    return repr(value)
-
-
 def point_fingerprint(point: SweepPoint) -> str:
-    """Canonical identity of a sweep point for resume validation.
-
-    Combines the label, the fully qualified ``fn`` name, and a canonical
+    """Canonical identity of a sweep point: the label, the fully
+    qualified ``fn`` name, and a :func:`~repro.sim.checkpoint.canonical`
     rendering of the effective kwargs (seed merged, keys sorted). Two
-    points with the same fingerprint run the same computation, so a
-    persisted result may stand in for a re-run; a mismatch means the
-    checkpoint dir belongs to a different sweep (or the point list was
-    edited/reordered) and the point must re-run rather than silently
-    returning another point's result.
+    points with the same fingerprint run the same computation, so the
+    record of one may stand in for running the other; an edited point
+    has another fingerprint, another record name, and runs.
     """
     kwargs = point.call_kwargs()
     rendered = ", ".join(
@@ -151,42 +118,87 @@ def point_fingerprint(point: SweepPoint) -> str:
     return f"{point.label}|{canonical(point.fn)}|{rendered}"
 
 
-def _result_path(checkpoint_dir: str, index: int) -> str:
-    return os.path.join(checkpoint_dir, f"point_{index:04d}.result.pkl")
+# --- the campaign directory -------------------------------------------------------
+
+#: What :func:`point_scratch` returns: set around each point's ``fn``.
+_SCRATCH: ContextVar[Optional[str]] = ContextVar("point_scratch", default=None)
 
 
-def _persist_result(result: SweepResult, path: str) -> None:
-    """Atomically pickle one completed point result (crash-consistent)."""
-    fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+def point_scratch() -> Optional[str]:
+    """A path of its own for the point being executed, ``None`` outside
+    a campaign directory. Whatever the point's ``fn`` leaves there is
+    there when the same point is executed again -- the name comes from
+    the point's fingerprint -- so a killed point can pick itself up."""
+    return _SCRATCH.get()
+
+
+def _stems(
+    points: Sequence[SweepPoint], checkpoint_dir: Optional[str]
+) -> List[Optional[str]]:
+    """Per point, the path (less its suffix) of its two files in the
+    campaign directory; ``None`` without one."""
+    if checkpoint_dir is None:
+        return [None] * len(points)
+    names = (
+        hashlib.sha256(point_fingerprint(point).encode()).hexdigest()[:32]
+        for point in points
+    )
+    return [os.path.join(checkpoint_dir, name) for name in names]
+
+
+def _seal(stem: str, payload: bytes) -> bytes:
+    """Digest of a record's payload and of the name it is filed under."""
+    name = os.path.basename(stem).encode()
+    return hashlib.sha256(name + payload).hexdigest().encode()
+
+
+def _store(result: SweepResult, stem: str) -> None:
+    """Write a finished point's record: its pickle under its seal."""
+    payload = pickle.dumps(result)
+    write_atomic(stem + ".result", _seal(stem, payload) + b"\n" + payload)
+
+
+def _stored(stem: str) -> Optional[SweepResult]:
+    """The point's result out of its record -- or ``None``: no record,
+    or one whose seal does not verify (a flipped bit, a truncation,
+    another point's file under this name), or one this code cannot read
+    back. Such a point is simply not done, and runs."""
     try:
-        with os.fdopen(fd, "wb") as handle:
-            pickle.dump(result, handle)
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
-
-
-def _load_result(path: str) -> Optional[SweepResult]:
-    """A previously persisted result, or None if absent/unreadable.
-
-    A truncated pickle (crash mid-write of a pre-atomic-rename tool, or
-    disk corruption) is treated as not-done: the point simply re-runs.
-    """
+        with open(stem + ".result", "rb") as handle:
+            seal, _, payload = handle.read().partition(b"\n")
+    except OSError:
+        return None
+    if seal != _seal(stem, payload):
+        return None
     try:
-        with open(path, "rb") as handle:
-            return pickle.load(handle)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
+        # Only bytes under their own seal are unpickled; what still fails
+        # is a whole record of a class this version of the code lacks.
+        return pickle.loads(payload)
+    except Exception:
         return None
 
 
+def finished(
+    points: Sequence[SweepPoint], checkpoint_dir: Optional[str]
+) -> Dict[int, SweepResult]:
+    """``{index: result}`` of the points whose record is in the campaign
+    directory: what :func:`run_sweep` returns as stored instead of
+    running."""
+    done: Dict[int, SweepResult] = {}
+    for index, stem in enumerate(_stems(points, checkpoint_dir)):
+        result = stem and _stored(stem)
+        if result is not None:
+            done[index] = dataclasses.replace(result, index=index)
+    return done
+
+
 def _execute_point(
-    point: SweepPoint, index: int, result_path: Optional[str] = None
+    point: SweepPoint, index: int, stem: Optional[str] = None
 ) -> SweepResult:
     start = time.perf_counter()
     value = None
     error = None
+    scratch = _SCRATCH.set(stem and stem + ".partial")
     try:
         value = point.fn(**point.call_kwargs())
     except Exception:
@@ -194,12 +206,14 @@ def _execute_point(
         # letting a bare pool traceback kill the whole sweep; the parent
         # reports all failures together once every point has run.
         # KeyboardInterrupt deliberately escapes: a kill mid-sweep must
-        # abort the run (persisted results make it resumable), not be
+        # abort the run (the campaign directory picks it up), not be
         # recorded as a point failure.
         error = (
             f"sweep point {point.label!r} (index {index}) failed with "
             f"kwargs {point.call_kwargs()!r}:\n{traceback.format_exc()}"
         )
+    finally:
+        _SCRATCH.reset(scratch)
     result = SweepResult(
         label=point.label,
         index=index,
@@ -209,9 +223,9 @@ def _execute_point(
         error=error,
         fingerprint=point_fingerprint(point),
     )
-    if result_path is not None and error is None:
-        # Only successes persist; failed points re-run on resume.
-        _persist_result(result, result_path)
+    if stem and error is None:
+        # Only successes are recorded; a failed point runs again.
+        _store(result, stem)
     return result
 
 
@@ -231,9 +245,7 @@ def default_workers() -> int:
 def run_sweep(
     points: Sequence[SweepPoint],
     max_workers: Optional[int] = None,
-    on_error: str = "raise",
     checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
 ) -> List[SweepResult]:
     """Execute every point and return results in sweep order.
 
@@ -246,69 +258,53 @@ def run_sweep(
     A point whose ``fn`` raises does not abort the sweep: every other
     point still runs, and the failure is recorded on its
     :class:`SweepResult` (``value=None``, ``error`` holding the point's
-    parameters and traceback). Afterwards, ``on_error="raise"`` (the
-    default) raises :class:`SweepPointError` summarizing every failed
-    point, with the partial results attached as ``.results``;
-    ``on_error="return"`` returns the result list and leaves failure
-    handling to the caller.
+    parameters and traceback). Afterwards :class:`SweepPointError`
+    summarizes every failed point, the whole result list attached as
+    ``.results``.
 
-    ``checkpoint_dir`` makes the sweep crash-resumable: each point's
-    result is pickled (atomically, as it completes) into the directory,
-    and ``resume=True`` loads completed points instead of re-running them
-    -- a killed sweep restarted with ``resume`` finishes the remaining
-    points and returns results identical to an uninterrupted run. The
-    per-point pickles compose with mid-run engine checkpoints (a
-    :class:`~repro.analysis.throughput.BatchPoint` with
-    ``checkpoint_path`` set), so even the interrupted point resumes from
-    its last engine snapshot rather than from cycle 0.
+    ``checkpoint_dir`` is the campaign directory (module docstring):
+    every finished point is recorded there as it completes, and the same
+    call made again -- after a kill, from another working directory,
+    with points added, dropped or reordered -- returns the recorded
+    points as stored and runs the others, for results identical to an
+    uninterrupted run's. Nothing in the directory is ever overwritten by
+    a different point, so campaigns may share one.
     """
-    if on_error not in ("raise", "return"):
-        raise ValueError(f"unknown on_error mode {on_error!r}")
     if max_workers is None:
         max_workers = default_workers()
-    result_paths: List[Optional[str]] = [None] * len(points)
-    done: Dict[int, SweepResult] = {}
+    stems = _stems(points, checkpoint_dir)
     if checkpoint_dir is not None:
         os.makedirs(checkpoint_dir, exist_ok=True)
-        result_paths = [
-            _result_path(checkpoint_dir, i) for i in range(len(points))
-        ]
-        if resume:
-            for i, path in enumerate(result_paths):
-                loaded = _load_result(path)
-                if (
-                    loaded is not None
-                    and loaded.error is None
-                    and loaded.fingerprint == point_fingerprint(points[i])
-                ):
-                    # Results persisted by an older schema (no
-                    # fingerprint) or by a *different* sweep sharing the
-                    # directory fail the identity check and re-run.
-                    done[i] = loaded
+        twice = {p.label for p, s in zip(points, stems) if stems.count(s) > 1}
+        if twice:
+            # Two writers of one record and one scratch file.
+            raise ValueError(
+                f"sweep points listed twice: {sorted(twice)}; a campaign "
+                f"directory keeps one record per distinct point"
+            )
+    done = finished(points, checkpoint_dir)
     todo = [i for i in range(len(points)) if i not in done]
     if max_workers <= 1 or len(todo) <= 1:
         for i in todo:
-            done[i] = _execute_point(points[i], i, result_paths[i])
+            done[i] = _execute_point(points[i], i, stems[i])
     else:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             futures = {
-                i: pool.submit(_execute_point, points[i], i, result_paths[i])
+                i: pool.submit(_execute_point, points[i], i, stems[i])
                 for i in todo
             }
             for i, future in futures.items():
                 try:
                     done[i] = future.result()
                 except KeyboardInterrupt:
-                    # A kill mid-sweep aborts (persisted results make it
-                    # resumable), exactly as in the serial path.
+                    # A kill mid-sweep aborts (the campaign directory
+                    # picks it up), exactly as in the serial path.
                     raise
                 except BaseException:
                     # A pool-level failure (e.g. BrokenProcessPool from an
-                    # OOM-killed worker) reaches the parent through
-                    # ``future.result()`` without a SweepResult. Recording
-                    # it as a per-point failure preserves the documented
-                    # partial-results contract: every other point's result
-                    # survives, and on_error="raise" reports this point
+                    # OOM-killed worker) reaches the parent without a
+                    # SweepResult. Recorded as this point's failure, every
+                    # other point's result survives and it is reported
                     # alongside ordinary fn failures.
                     done[i] = SweepResult(
                         label=points[i].label,
@@ -325,15 +321,14 @@ def run_sweep(
                         fingerprint=point_fingerprint(points[i]),
                     )
     results = [done[i] for i in range(len(points))]
-    if on_error == "raise":
-        failures = [result for result in results if result.error is not None]
-        if failures:
-            summary = "\n".join(failure.error.rstrip() for failure in failures)
-            raise SweepPointError(
-                f"{len(failures)} of {len(results)} sweep points failed:\n"
-                f"{summary}",
-                results,
-            )
+    failures = [result for result in results if result.error is not None]
+    if failures:
+        summary = "\n".join(failure.error.rstrip() for failure in failures)
+        raise SweepPointError(
+            f"{len(failures)} of {len(results)} sweep points failed:\n"
+            f"{summary}",
+            results,
+        )
     return results
 
 
@@ -385,21 +380,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--checkpoint-dir",
         default=None,
-        help="persist per-point results (parallel leg) for crash resume",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip points already completed in --checkpoint-dir",
+        help="campaign directory of the parallel leg: killed and made "
+        "again, the command picks itself up from it",
     )
     args = parser.parse_args(argv)
 
     serial = run_sweep(_smoke_points(), max_workers=1)
     parallel = run_sweep(
-        _smoke_points(),
-        max_workers=args.workers,
-        checkpoint_dir=args.checkpoint_dir,
-        resume=args.resume,
+        _smoke_points(), max_workers=args.workers, checkpoint_dir=args.checkpoint_dir
     )
     status = 0
     for s, p in zip(serial, parallel):

@@ -22,7 +22,7 @@ from repro.core.machine import Machine, MachineConfig
 from repro.core.onchip import MeshDirection
 from repro.core.routing import RouteComputer
 from repro.sim import simulator
-from repro.sim.sweep import canonical
+from repro.sim.checkpoint import canonical
 from repro.traffic import loads
 from repro.traffic.patterns import (
     Blend,

@@ -158,26 +158,16 @@ class TestSweepFailures:
             assert good.error is None
             assert good.value.normalized_throughput > 0
 
-    def test_on_error_return_yields_partial_results(self):
-        results = run_sweep(_mixed_points(), max_workers=2, on_error="return")
-        assert [r.error is None for r in results] == [True, False, True]
-        assert results[0].value.normalized_throughput > 0
-        assert results[2].value.normalized_throughput > 0
-
-    def test_on_error_mode_validated(self):
-        with pytest.raises(ValueError, match="on_error"):
-            run_sweep(_points(seeds=(1,)), on_error="ignore")
-
     def test_green_path_has_no_errors(self):
         for result in run_sweep(_points(), max_workers=2):
             assert result.error is None
 
 
 class TestResumeFingerprint:
-    """``resume=True`` must only reuse a persisted result whose identity
-    matches the point now at that index: a checkpoint dir left over from
-    a *different* sweep (or an edited point list) re-runs instead of
-    silently returning the other sweep's result."""
+    """A campaign directory only returns a recorded result to the point
+    that produced it: a directory left over from a *different* sweep (or
+    an edited point list) runs the new points instead of silently
+    returning the other sweep's results."""
 
     def _strip_wall(self, result):
         fields = dataclasses.asdict(result.value)
@@ -189,10 +179,7 @@ class TestResumeFingerprint:
         run_sweep(_points(seeds=(3, 4)), max_workers=1, checkpoint_dir=sweep_dir)
         reference = run_sweep(_points(seeds=(8, 9)), max_workers=1)
         resumed = run_sweep(
-            _points(seeds=(8, 9)),
-            max_workers=1,
-            checkpoint_dir=sweep_dir,
-            resume=True,
+            _points(seeds=(8, 9)), max_workers=1, checkpoint_dir=sweep_dir
         )
         assert [r.label for r in resumed] == [r.label for r in reference]
         for got, want in zip(resumed, reference):
@@ -200,15 +187,12 @@ class TestResumeFingerprint:
 
     def test_same_labels_different_kwargs_rerun(self, tmp_path):
         # Labels alone are not identity: the same sweep with one kwarg
-        # changed must not resume from the stale results.
+        # changed must not come back as the stale results.
         sweep_dir = str(tmp_path / "sweep")
         first = run_sweep(_points(), max_workers=1, checkpoint_dir=sweep_dir)
         assert all(r.value.metrics is None for r in first)
         resumed = run_sweep(
-            _points(collect_metrics=True),
-            max_workers=1,
-            checkpoint_dir=sweep_dir,
-            resume=True,
+            _points(collect_metrics=True), max_workers=1, checkpoint_dir=sweep_dir
         )
         assert all(r.value.metrics is not None for r in resumed)
 
@@ -238,10 +222,13 @@ class TestPoolFailure:
             for i in range(count)
         ]
 
+    def _partial(self, points):
+        with pytest.raises(SweepPointError) as excinfo:
+            run_sweep(points, max_workers=2)
+        return excinfo.value.results
+
     def test_pool_failure_becomes_per_point_errors(self):
-        results = run_sweep(
-            self._kill_points(), max_workers=2, on_error="return"
-        )
+        results = self._partial(self._kill_points())
         assert [r.label for r in results] == ["pool/kill0", "pool/kill1"]
         for result in results:
             assert result.value is None
@@ -260,7 +247,7 @@ class TestPoolFailure:
         # result and the dead points report their loss -- nothing
         # propagates raw out of run_sweep.
         points = _points(seeds=(3,)) + self._kill_points()
-        results = run_sweep(points, max_workers=2, on_error="return")
+        results = self._partial(points)
         assert [r.index for r in results] == [0, 1, 2]
         good = results[0]
         assert (good.error is None and good.value is not None) or (
