@@ -371,9 +371,6 @@ def cmd_trace(args) -> int:
         if args.out != "-":
             print(f"{args.golden}: {events} events -> {args.out}", file=sys.stderr)
         return 0
-    if args.shards > 1:
-        print("--shards applies only to --golden regeneration", file=sys.stderr)
-        return 2
 
     params, runspec, machine = _runspec(args)
     pattern = runspec.spec.pattern
@@ -381,7 +378,9 @@ def cmd_trace(args) -> int:
     with _trace_sink(
         args.out, trace_header(params, runspec, machine)
     ) as writer:
-        stats = run(runspec, machine=machine, trace=Tee(writer, collector))
+        stats = run(
+            runspec, args.shards, machine=machine, trace=Tee(writer, collector)
+        )
         writer.write_record(
             _batch_end_record(stats, writer.events_written, faulted=False)
         )
@@ -720,28 +719,17 @@ def cmd_checkpoint_save(args) -> int:
 
     params, runspec, machine = _runspec(args)
     header = trace_header(params, runspec, machine)
-    with _trace_sink(args.trace, header) as writer:
-        if args.shards > 1:
-            # Same bytes at args.out as the serial branch below, and
-            # like it nothing else: the one file resumes under any
-            # shard count.
-            from repro.sim.shard import save_sharded_checkpoint
-
-            stats = save_sharded_checkpoint(
-                runspec, args.shards, args.cycles, args.out,
-                machine=machine, trace=writer,
-            )
-            cycle = args.cycles
-        else:
-            engine = start(runspec, machine, writer)
-            engine.run_for(args.cycles)
-            if writer is not None:
-                writer.flush()
-            save_checkpoint(engine, args.out)
-            stats = engine.stats
-            cycle = engine.cycle
+    # The same bytes at args.out, and nothing else, at any --shards: the
+    # one file resumes under any shard count.
+    with _trace_sink(args.trace, header) as writer, contextlib.closing(
+        start(runspec, machine, writer, shards=args.shards)
+    ) as engine:
+        stats = engine.run_for(args.cycles)
+        if writer is not None:
+            writer.flush()
+        save_checkpoint(engine, args.out)
     print(
-        f"checkpoint at cycle {cycle}: {stats.delivered} of "
+        f"checkpoint at cycle {engine.cycle}: {stats.delivered} of "
         f"{stats.injected} injected packets delivered -> {args.out}",
         file=sys.stderr,
     )
@@ -1048,8 +1036,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list-goldens", action="store_true",
                    help="list canonical golden trace names and exit")
     p.add_argument("--shards", type=int, default=1,
-                   help="regenerate a --golden trace via the sharded "
-                        "runner (bytes must not change)")
+                   help="spatial shard count (the trace bytes do not "
+                        "change with it)")
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser(
@@ -1226,8 +1214,8 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--out", default="checkpoint.json",
                     help="snapshot output path (default: checkpoint.json)")
     cp.add_argument("--shards", type=int, default=1,
-                    help="snapshot via the sharded runner; --out bytes "
-                         "match the serial snapshot at the same cycle")
+                    help="spatial shard count (the --out bytes do not "
+                         "change with it)")
     cp.set_defaults(func=cmd_checkpoint_save)
 
     cp = csub.add_parser("restore", help="resume a snapshot to completion")

@@ -87,17 +87,11 @@ _COUNTER_FIELDS = (
 )
 
 #: Environment variable naming a cycle at which
-#: :func:`run_with_checkpoints` and the shard hub simulate a crash
-#: (raise ``KeyboardInterrupt`` *without* saving). Deterministic
-#: stand-in for kill-at-random-time in the crash-resume tests; inherited
-#: by sweep worker processes.
+#: :func:`run_with_checkpoints` simulates a crash (raises
+#: ``KeyboardInterrupt`` *without* saving). Deterministic stand-in for
+#: kill-at-random-time in the crash-resume tests; inherited by sweep
+#: worker processes.
 CRASH_ENV_VAR = "REPRO_CRASH_AT_CYCLE"
-
-
-def simulated_crash_cycle() -> Optional[int]:
-    """The cycle :data:`CRASH_ENV_VAR` names, or ``None``."""
-    value = os.environ.get(CRASH_ENV_VAR)
-    return int(value) if value else None
 
 
 class CheckpointError(RuntimeError):
@@ -416,8 +410,11 @@ def snapshot_engine(engine: Engine) -> dict:
     The engine is not modified. Raises :class:`CheckpointError` for state
     that cannot be serialized (an ``on_delivery`` hook -- arbitrary
     callables do not survive serialization -- or an unregistered arbiter
-    type).
+    type). A :class:`~repro.sim.shard.ShardedEngine` answers with the
+    same dict, merged from its shards'.
     """
+    if not isinstance(engine, Engine):
+        return engine.snapshot()
     if engine.on_delivery is not None:
         raise CheckpointError(
             "engine has an on_delivery hook attached; callable hooks are "
@@ -869,46 +866,51 @@ def run_with_checkpoints(
     max_cycles: int = 10_000_000,
     stamp: Optional[str] = None,
 ) -> SimStats:
-    """Run to completion, saving a checkpoint every ``every`` cycles.
+    """``engine.run(max_cycles)`` -- serial or sharded -- saving a
+    checkpoint to ``path`` on the way.
 
-    Behaviorally identical to ``engine.run(max_cycles)`` -- the chunked
-    ``run_for`` loop reaches the same end state (pinned by the engine's
-    split-run property tests) -- with a checkpoint written after each
-    chunk that leaves work outstanding. The attached trace sink is
-    flushed before each save so the bytes on disk cover at least the
-    recorded ``bytes_written``; ``stamp`` goes to :func:`write_checkpoint`.
+    The one statement of how a run is saved, capped and killed:
 
-    When the :data:`CRASH_ENV_VAR` environment variable names a cycle,
-    the run raises ``KeyboardInterrupt`` upon reaching it *without*
-    saving -- a deterministic crash for the resume tests, leaving the
-    last periodic checkpoint (and possibly further trace bytes past it)
-    on disk exactly as a real mid-run kill would.
+    * **cadence** -- the run advances in chunks of ``every`` cycles from
+      the cycle it started or resumed at (``run_for``: the same end state
+      as one ``run``, pinned by the split-run property tests), and is
+      saved after each chunk that leaves work outstanding. The attached
+      trace sink is flushed first, so the bytes on disk cover at least
+      the recorded ``bytes_written``; ``stamp`` goes to
+      :func:`write_checkpoint`.
+    * **cap** -- no chunk passes ``max_cycles``; work outstanding there
+      is ``engine.run``'s error, raised at exactly the cap.
+    * **kill** -- when :data:`CRASH_ENV_VAR` names a cycle, the run
+      raises ``KeyboardInterrupt`` upon reaching it *without* saving --
+      a deterministic crash for the resume tests, leaving the last
+      periodic checkpoint (and possibly further trace bytes past it) on
+      disk exactly as a real mid-run kill would. A run that drains
+      first "exits" normally, like a process finishing before the kill
+      lands.
     """
     if every < 1:
         raise ValueError(f"checkpoint interval must be >= 1 cycle, got {every}")
-    crash_cycle = simulated_crash_cycle()
+    # Unset, the kill lands past the cap: never.
+    crash_cycle = int(os.environ.get(CRASH_ENV_VAR) or max_cycles + 1)
     while not engine.drained:
         if engine.cycle >= max_cycles:
-            raise RuntimeError(
-                f"simulation exceeded {max_cycles} cycles with "
-                f"{engine._queued + engine._in_network} packets outstanding"
-            )
-        budget = every
-        crashing = crash_cycle is not None and engine.cycle + budget >= crash_cycle
+            return engine.run(max_cycles)  # raises: work is outstanding
+        budget = min(every, max_cycles - engine.cycle)
+        crashing = engine.cycle + budget >= crash_cycle
         if crashing:
             budget = crash_cycle - engine.cycle
         if budget > 0:
             engine.run_for(budget)
-        if crashing and not engine.drained:
-            # A run that drains before the crash cycle "exits" normally,
-            # like a real process finishing before the kill lands.
+        if engine.drained:
+            break
+        if crashing:
             raise KeyboardInterrupt(
                 f"simulated crash at cycle {engine.cycle} "
                 f"({CRASH_ENV_VAR}={crash_cycle})"
             )
-        if not engine.drained:
-            if engine.trace is not None:
-                engine.trace.flush()
-            save_checkpoint(engine, path, stamp)
-    engine.stats.end_cycle = engine.cycle
-    return engine.stats
+        if engine.trace is not None:
+            engine.trace.flush()
+        save_checkpoint(engine, path, stamp)
+    stats = engine.stats
+    stats.end_cycle = engine.cycle
+    return stats

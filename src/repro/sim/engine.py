@@ -479,6 +479,10 @@ class Engine:
             )
         return self.stats
 
+    def close(self) -> None:
+        """Let go of what the run holds outside this object: nothing, for
+        the serial engine (a sharded one stops its workers)."""
+
     def _advance_to(self, target: int) -> None:
         """The run loop: step until drained or ``self.cycle == target``."""
         events = self._events

@@ -33,22 +33,26 @@ discrete-event simulation, exact rather than approximate:
   the checkpoint module's canonical-JSON packet serialization as the
   wire format; credit returns flow back the same way.
 
-* **Exactness.** A sharded run starts as the serial one does: the hub
-  makes the one :func:`~repro.sim.simulator.start` call -- the serial
-  engine, every packet in its source queue (the serial pids and RNG
-  draws), or restored from the checkpoint an interrupted run left --
-  and each shard *keeps* of that engine what it owns
-  (:func:`_keep_owned`). The engine's canonical within-cycle event order
-  makes every observable stream a pure function of simulation state.
-  Stats, metrics summaries, golden traces, and checkpoint bytes are
-  therefore bit-identical to the serial engine for every shard count --
-  the conformance suite under ``tests/shard/`` pins this.
+* **Exactness.** A sharded run starts as the serial one does:
+  :func:`~repro.sim.simulator.start` makes the serial engine -- every
+  packet in its source queue (the serial pids and RNG draws), or restored
+  from the checkpoint an interrupted run left -- and each shard *keeps*
+  of that engine what it owns (:func:`_keep_owned`). The engine's
+  canonical within-cycle event order makes every observable stream a
+  pure function of simulation state. Stats, metrics summaries, golden
+  traces, and checkpoint bytes are therefore bit-identical to the serial
+  engine for every shard count -- the conformance suite under
+  ``tests/shard/`` pins this.
 
-* **Checkpointing.** A sharded run writes and reads the serial engine's
-  checkpoint and nothing else: :mod:`repro.sim.checkpoint` owns the
-  format and the write, this module only who-owns-what. At a checkpoint
-  barrier the hub *merges* the shards' snapshots into the one file at
-  ``path``, byte-identical to the serial engine's at that cycle
+* **One engine.** What ``start`` hands back is a :class:`ShardedEngine`:
+  the serial engine's driving surface (``cycle``, ``drained``,
+  ``run_for``, ``run``, ``stats``, ``trace``, ``snapshot``, ``close``)
+  over the barrier loop. The one loop that drives any engine
+  (:func:`~repro.sim.simulator.run_engine`) drives it too, so how a run
+  is capped, saved, killed and cleaned up is written once and holds at
+  every shard count; this module knows nothing of checkpoint files. Its
+  :meth:`~ShardedEngine.snapshot` *merges* the shards' snapshots into the
+  serial engine's at that cycle, byte for byte
   (:func:`merge_shard_snapshots`) -- the inverse of the cut every shard
   starts with. So a killed run resumes under any shard count, serial
   included.
@@ -56,10 +60,10 @@ discrete-event simulation, exact rather than approximate:
 Transports: ``transport="process"`` runs each shard in its own
 ``multiprocessing`` process (the performance configuration: forked
 workers inherit the hub's engine); ``transport="inline"`` drives the
-identical shard cores synchronously in-process, each starting its own
-engine as a spawned worker does (deterministic, debuggable, used by most
-conformance tests and by ``repro profile --shards``). Both produce
-byte-identical results.
+identical shard cores synchronously in-process, each restoring its own
+engine from the hub's snapshot as a spawned worker does (deterministic,
+debuggable, used by most conformance tests and by ``repro profile
+--shards``). Both produce byte-identical results.
 """
 
 from __future__ import annotations
@@ -68,7 +72,6 @@ import dataclasses
 import heapq
 import json
 import multiprocessing
-import os
 import time
 import traceback
 from typing import List, Optional, Sequence, Tuple
@@ -76,19 +79,15 @@ from typing import List, Optional, Sequence, Tuple
 from repro.core.machine import Machine
 
 from .checkpoint import (
-    CRASH_ENV_VAR,
     CheckpointError,
     _packet_from_json,
     _packet_to_json,
     restore_engine,
-    run_stamp,
-    simulated_crash_cycle,
     snapshot_engine,
-    write_checkpoint,
 )
 from .engine import _EV_ARRIVAL, _EV_CREDIT, _EV_FAULT, DeadlockError, Engine
 from .metrics import StreamingQuantile
-from .simulator import RunSpec, prepare, reject_unshardable, start
+from .simulator import RunSpec, reject_unshardable
 from .simulator import run as run_sharded  # noqa: F401  (re-exported)
 from .stats import SimStats
 
@@ -283,18 +282,16 @@ class _ShardCore:
 
     def __init__(self, init: dict) -> None:
         self.index: int = init["shard"]
-        run: RunSpec = init["run"]
         plan: ShardPlan = init["plan"]
-        # The hub's machine; a spawned worker is sent none and rebuilds it.
-        machine = init["machine"] or Machine(run.config)
         # The whole machine's engine -- the hub's own, inherited across
-        # fork, else the hub's ``start`` call made again here -- cut down
-        # to this shard's part of it. A resumed worker and a fresh one
-        # differ in nothing else.
-        engine = init["engine"] or start(
-            run, machine, None, init["checkpoint_path"],
-            weight_tables=init["weight_tables"],
+        # fork, else restored from the hub's snapshot of it (on the hub's
+        # machine; a spawned worker is sent none and rebuilds it) -- cut
+        # down to this shard's part of it. A resumed worker and a fresh
+        # one differ in nothing else.
+        engine = init["engine"] or restore_engine(
+            init["snapshot"], machine=init["machine"]
         )
+        machine = engine.machine
         owners = component_owners(machine, plan.parts)
         _keep_owned(engine, owners, self.index)
         recorder = _ShardTraceRecorder(engine) if init["tracing"] else None
@@ -321,8 +318,8 @@ class _ShardCore:
             "drained": engine.drained,
             "queued": engine._queued,
             "in_network": engine._in_network,
-            "pending": engine._events.pending,
             "last_progress": engine._last_progress,
+            "end_cycle": engine.stats.end_cycle,
         }
 
     def feed(self, arrivals: list, credits: list) -> tuple:
@@ -375,7 +372,7 @@ class _ShardCore:
         data["watchdog_cycles"] = self.true_watchdog
         return ("snap", data)
 
-    def finish(self) -> tuple:
+    def stats(self) -> tuple:
         return ("stats", self.engine.stats)
 
 
@@ -387,8 +384,8 @@ def _dispatch(core: _ShardCore, msg: tuple) -> tuple:
         return core.run_window(msg[1])
     if kind == "snapshot":
         return core.snapshot()
-    if kind == "finish":
-        return core.finish()
+    if kind == "stats":
+        return core.stats()
     raise ValueError(f"unknown shard message {kind!r}")
 
 
@@ -411,7 +408,7 @@ class _InlineWorker:
     """Synchronous in-process transport: the conformance default.
 
     With ``init["profile"]`` set, everything this shard executes -- core
-    construction (its engine's start) and every barrier message -- runs
+    construction (its engine restored) and every barrier message -- runs
     under a private :mod:`cProfile` profiler, so ``repro profile --shards
     N`` can merge deterministic per-shard call tables.
     """
@@ -462,8 +459,7 @@ class _ProcessWorker:
 
     ``init`` rides the process start: a forked worker inherits it (the
     hub's machine and its started engine, no copy); a spawned one gets
-    it pickled, without either -- it rebuilds the machine from the config
-    and starts the engine itself, from the ``iw`` tables it is sent.
+    it pickled, without either -- it restores both from the snapshot.
     """
 
     def __init__(self, init: dict) -> None:
@@ -581,8 +577,12 @@ def merge_shard_snapshots(
         if base._inflight is not None:
             base._inflight.update(eng._inflight)
         base.stats.merge(eng.stats)
-    # A serial engine checkpointing mid-run sits exactly at the barrier.
-    base.stats.end_cycle = cycle
+    if base.drained:
+        # The serial engine's clock stopped at the drain cycle.
+        base.cycle = base.stats.end_cycle
+    else:
+        # Mid-run, it sits exactly at the barrier.
+        base.stats.end_cycle = cycle
     base.trace = trace
     return snapshot_engine(base)
 
@@ -644,24 +644,38 @@ def _keep_owned(engine: Engine, owners: Sequence[int], shard: int) -> None:
         engine._stat_channel_busy = stats.channel_busy_ticks
 
 
-# --- hub --------------------------------------------------------------------------
+# --- the sharded engine --------------------------------------------------------------
 
 
-class _Hub:
-    """Barrier coordinator: windows, exchange, checkpoints, merge."""
+class ShardedEngine:
+    """The whole machine's engine, run as one engine per shard.
+
+    What :func:`~repro.sim.simulator.start` returns for ``shards > 1``:
+    the serial engine's driving surface -- ``cycle``, ``drained``,
+    :meth:`run_for`, :meth:`run`, ``stats``, ``trace``, a serial-format
+    :meth:`snapshot`, :meth:`close` -- over barrier-synchronized workers.
+    It keeps who owns what and the window; budgets, saves, kills and
+    files belong to whoever drives it, as they do for any engine.
+
+    ``whole`` starts the whole-machine engine on ``machine`` (its sink
+    becomes this engine's); each worker keeps its shard of that engine.
+    ``timings`` is a caller's dict filled with wall-clock phases:
+    ``setup_s`` = ``generate_s`` (``whole()``: the checkpoint restored,
+    or the workload generated and the engine built) + ``spawn_s`` (first
+    worker start through the last ``ready``: each cutting the engine
+    down), then ``windows_s`` (``ready`` through the latest merged
+    ``stats``). ``profiles`` is a list extended with the
+    :class:`cProfile.Profile` of ``whole()`` and, on :meth:`close`, of
+    each inline worker.
+    """
 
     def __init__(
         self,
-        run: RunSpec,
+        machine: Machine,
+        whole,
         shards: int,
-        machine: Optional[Machine],
-        trace,
-        transport: str,
-        checkpoint_path: Optional[str],
-        checkpoint_every: int,
-        max_cycles: int = 10_000_000,
+        transport: str = "process",
         timings: Optional[dict] = None,
-        halt_at: Optional[int] = None,
         profiles: Optional[list] = None,
     ) -> None:
         if transport not in ("process", "inline"):
@@ -670,259 +684,165 @@ class _Hub:
             raise ValueError(
                 "per-shard profiling requires the inline transport"
             )
-        self.run = run
-        self.machine = machine = machine or Machine(run.config)
+        self.machine = machine
         self.plan = plan = ShardPlan.for_machine(machine, shards)
-        self.trace = trace
-        self.transport = transport
-        self.checkpoint_path = (
-            checkpoint_path if checkpoint_path and checkpoint_every > 0 else None
-        )
-        self.checkpoint_every = checkpoint_every
-        self.max_cycles = max_cycles
-        self._owners = owners = component_owners(machine, plan.parts)
+        owners = component_owners(machine, plan.parts)
         self._arrival_dest = [owners[c.dst] for c in machine.channels]
         self._credit_dest = [owners[c.src] for c in machine.channels]
         self._workers: list = []
-        #: Optional caller-supplied dict filled with wall-clock phase
-        #: timings: ``setup_s`` = ``generate_s`` (the hub starting the
-        #: run: ``iw`` tables, then the checkpoint restored or the
-        #: workload generated and the engine built) + ``spawn_s`` (first
-        #: worker start through the last ``ready``: each cutting the
-        #: engine down), then ``windows_s`` (barrier loop through final
-        #: merge).
         self._timings = timings
-        #: ``halt_at``: start afresh, stop right after the checkpoint
-        #: saved at this barrier and leave it on disk, unstamped (``repro
-        #: checkpoint save --shards``). Windows keep advancing past
-        #: drained engines so the save lands at exactly this cycle,
-        #: mirroring ``run_for``.
-        self._halt_at = halt_at
-        #: Where an interrupted run's checkpoint would be (``halt_at``
-        #: starts afresh whatever is there).
-        self._resume_path = None if halt_at is not None else self.checkpoint_path
-        #: What the periodic saves are stamped with and a resume checks.
-        self._stamp = (
-            run_stamp(run) if self.checkpoint_path and halt_at is None else None
-        )
-        #: ``profiles``: list extended with the :class:`cProfile.Profile`
-        #: of the hub's start and, once the run finishes, of each inline
-        #: worker.
         self._profiles = profiles
-
-    def run_to_completion(self) -> SimStats:
         try:
-            return self._run()
-        finally:
-            for worker in self._workers:
-                try:
-                    worker.send(("stop",))
-                except Exception:
-                    pass
-            for worker in self._workers:
-                worker.close()
+            self._start_workers(whole, transport)
+        except BaseException:
+            self.close()
+            raise
+
+    def _start_workers(self, whole, transport: str) -> None:
+        """Start the run, then one worker per shard on its engine (see
+        :class:`_ShardCore`). The engine dies with this frame: the hub
+        keeps no packet."""
+        inline = transport == "inline"
+        profiling = self._profiles is not None
+        t_start = time.perf_counter()
+        profiler = _new_profiler(profiling)
+        engine = _profiled(profiler, whole)
+        if profiling:
+            self._profiles.append(profiler)
+        #: The run's sink: events reach it in the serial emission order.
+        self.trace, engine.trace = engine.trace, None
+        #: The barrier the run is at; once drained, its drain cycle.
+        self.cycle = engine.cycle
+        self._watchdog = engine.watchdog_cycles
+        t_spawn = time.perf_counter()
+        # Inline cores share this process and a spawned one shares
+        # nothing: a worker that cannot inherit the engine restores its
+        # own from one snapshot of it.
+        inherited = not inline and multiprocessing.get_start_method() == "fork"
+        snapshot = None if inherited else snapshot_engine(engine)
+        worker_cls = _InlineWorker if inline else _ProcessWorker
+        for shard in range(self.plan.shards):
+            self._workers.append(worker_cls({
+                "shard": shard,
+                "plan": self.plan,
+                "machine": self.machine,
+                "engine": engine,
+                "snapshot": snapshot,
+                "tracing": self.trace is not None,
+                "profile": profiling,
+            }))
+        for worker in self._workers:
+            worker.recv_reply()
+        self._t_ready = time.perf_counter()
+        if self._timings is not None:
+            self._timings.update(
+                generate_s=t_spawn - t_start,
+                spawn_s=self._t_ready - t_spawn,
+                setup_s=self._t_ready - t_start,
+            )
+        self._feed([([], []) for _ in self._workers])
 
     def _exchange(self, messages: List[tuple]) -> List[tuple]:
         for worker, msg in zip(self._workers, messages):
             worker.send(msg)
         return [worker.recv_reply() for worker in self._workers]
 
-    def _start(self) -> tuple:
-        """Start the run as the serial path does -- one
-        :func:`~repro.sim.simulator.start` call on the caller's sinks, so
-        a checkpoint at the path is vetted, restored and its sinks
-        revived once, here -- with the ``iw`` tables :func:`prepare`
-        programs, which a worker that cannot inherit the engine builds
-        its own from."""
-        machine, route_computer, faults, tables = prepare(self.run, self.machine)
-        engine = start(
-            self.run, machine, self.trace, self._resume_path, route_computer,
-            faults, vet=self._vet, weight_tables=tables,
+    def _feed(self, pending: List[tuple]) -> None:
+        """Hand every shard what the barrier at ``cycle`` owes it, and
+        take stock: drained or not, and the run's watchdog, which only
+        the hub can apply -- progress is global."""
+        replies = self._exchange(
+            [("feed", arrivals, credits) for arrivals, credits in pending]
         )
-        return engine, tables
-
-    def _vet(self, data: dict) -> None:
-        if data.get("keep_packet_latencies"):
-            raise CheckpointError(
-                f"checkpoint {self._resume_path} retains per-packet latencies "
-                f"(keep_packet_latencies), which a sharded resume would "
-                f"return in shard order; resume it serially (shards=1)"
+        self._reports = reports = [reply[1] for reply in replies]
+        if self.drained:
+            # The clock stops where the serial engine's does.
+            self.cycle = max(report["end_cycle"] for report in reports)
+            return
+        in_network = sum(report["in_network"] for report in reports)
+        progress = max(report["last_progress"] for report in reports)
+        if in_network and self.cycle - progress > self._watchdog:
+            raise DeadlockError(
+                f"no progress for {self._watchdog} cycles at cycle "
+                f"{self.cycle}; {in_network} packets stuck in the network"
             )
 
-    def _start_workers(self) -> tuple:
-        """Start the run, then one worker per shard on its engine (see
-        :class:`_ShardCore`); returns the cycle the run is at and its
-        watchdog. The engine dies with this frame: the hub keeps no
-        packet."""
-        worker_cls = _InlineWorker if self.transport == "inline" else _ProcessWorker
-        profiling = self._profiles is not None
-        t_start = time.perf_counter()
-        profiler = _new_profiler(profiling)
-        engine, tables = _profiled(profiler, self._start)
-        if profiling:
-            self._profiles.append(profiler)
-        started = engine.cycle, engine.watchdog_cycles
-        t_spawn = time.perf_counter()
-        for shard in range(self.plan.shards):
-            self._workers.append(worker_cls({
-                "shard": shard,
-                "run": self.run,
-                "plan": self.plan,
-                "machine": self.machine,
-                "engine": engine,
-                "checkpoint_path": self._resume_path,
-                "weight_tables": tables,
-                "tracing": self.trace is not None,
-                "profile": profiling,
-            }))
-        for worker in self._workers:
-            worker.recv_reply()
-        if self._timings is not None:
-            t_ready = time.perf_counter()
-            self._timings.update(
-                generate_s=t_spawn - t_start,
-                spawn_s=t_ready - t_spawn,
-                setup_s=t_ready - t_start,
+    def _window(self, w_end: int) -> None:
+        """Run every shard to the barrier at ``w_end`` and exchange."""
+        pending = [([], []) for _ in self._workers]
+        records: list = []
+        for _, packets, credits, shard_records in self._exchange(
+            [("run", w_end)] * len(self._workers)
+        ):
+            for oc, text in packets:
+                pending[self._arrival_dest[oc]][0].append(text)
+            for cid, text in credits:
+                pending[self._credit_dest[cid]][1].append(text)
+            records.extend(shard_records)
+        if self.trace is not None and records:
+            records.sort(key=lambda item: (item[0], item[1], item[2]))
+            emit = self.trace.emit
+            for _cycle, _key, _seq, event in records:
+                emit(event)
+        self.cycle = w_end
+        self._feed(pending)
+
+    @property
+    def drained(self) -> bool:
+        return all(report["drained"] for report in self._reports)
+
+    def run_for(self, cycles: int) -> SimStats:
+        """:meth:`Engine.run_for`: lookahead windows, the last clipped to
+        ``cycle + cycles``; returns early, at the drain cycle, if all
+        traffic drains first."""
+        target = self.cycle + cycles
+        while not self.drained and self.cycle < target:
+            self._window(min(self.cycle + self.plan.lookahead, target))
+        return self.stats
+
+    def run(self, max_cycles: int = 10_000_000) -> SimStats:
+        """:meth:`Engine.run`: to the drain, or raise at ``max_cycles``."""
+        stats = self.run_for(max_cycles - self.cycle)
+        if not self.drained:
+            outstanding = sum(
+                report["queued"] + report["in_network"]
+                for report in self._reports
             )
-        return started
-
-    def _run(self) -> SimStats:
-        plan = self.plan
-        shards = plan.shards
-        cycle, watchdog = self._start_workers()
-        t_ready = time.perf_counter()
-        crash_cycle = simulated_crash_cycle()
-
-        pending = [([], []) for _ in range(shards)]
-        last_saved = cycle  # a resumed run is at its last save
-        halted = False
-        while True:
-            replies = self._exchange(
-                [("feed", pending[s][0], pending[s][1]) for s in range(shards)]
+            raise RuntimeError(
+                f"simulation exceeded {max_cycles} cycles with "
+                f"{outstanding} packets outstanding"
             )
-            pending = [([], []) for _ in range(shards)]
-            reports = [reply[1] for reply in replies]
-            if (
-                all(report["drained"] for report in reports)
-                and self._halt_at is None
-            ):
-                break
-            if cycle >= self.max_cycles:
-                outstanding = sum(
-                    report["queued"] + report["in_network"]
-                    for report in reports
-                )
-                raise RuntimeError(
-                    f"simulation exceeded {self.max_cycles} cycles with "
-                    f"{outstanding} packets outstanding"
-                )
-            in_network = sum(report["in_network"] for report in reports)
-            progress = max(report["last_progress"] for report in reports)
-            if in_network and cycle - progress > watchdog:
-                raise DeadlockError(
-                    f"no progress for {watchdog} cycles at cycle {cycle}; "
-                    f"{in_network} packets stuck in the network"
-                )
-            if crash_cycle is not None and cycle >= crash_cycle:
-                # Not drained by the crash cycle: die like a killed
-                # process, without saving (run_with_checkpoints' rule).
-                raise KeyboardInterrupt(
-                    f"simulated crash at cycle {cycle} "
-                    f"({CRASH_ENV_VAR}={crash_cycle})"
-                )
-            if (
-                self.checkpoint_path
-                and cycle > 0
-                and cycle % self.checkpoint_every == 0
-                and cycle != last_saved
-            ):
-                self._save()
-                last_saved = cycle
-                if self._halt_at is not None and cycle >= self._halt_at:
-                    halted = True
-            if halted:
-                break
-            w_end = cycle + plan.lookahead
-            if self.checkpoint_path:
-                next_save = (
-                    cycle // self.checkpoint_every + 1
-                ) * self.checkpoint_every
-                w_end = min(w_end, next_save)
-            if crash_cycle is not None:
-                w_end = min(w_end, crash_cycle)
-            w_end = min(w_end, self.max_cycles)
+        return stats
 
-            replies = self._exchange([("run", w_end)] * shards)
-            records: list = []
-            for reply in replies:
-                _, packets, credits, shard_records = reply
-                for oc, text in packets:
-                    pending[self._arrival_dest[oc]][0].append(text)
-                for cid, text in credits:
-                    pending[self._credit_dest[cid]][1].append(text)
-                records.extend(shard_records)
-            if self.trace is not None and records:
-                records.sort(key=lambda item: (item[0], item[1], item[2]))
-                emit = self.trace.emit
-                for _cycle, _key, _seq, event in records:
-                    emit(event)
-            cycle = w_end
-
-        replies = self._exchange([("finish",)] * shards)
-        merged = replies[0][1]
-        for reply in replies[1:]:
+    @property
+    def stats(self) -> SimStats:
+        """The shards' stats merged, as of ``cycle``: a new object each
+        time, so a caller's edits never reach a shard's."""
+        merged = SimStats(ticks_per_cycle=self.machine.ticks_per_cycle)
+        for reply in self._exchange([("stats",)] * len(self._workers)):
             merged.merge(reply[1])
+        merged.end_cycle = self.cycle
         if self._timings is not None:
-            self._timings["windows_s"] = time.perf_counter() - t_ready
-        if self._profiles is not None:
-            self._profiles.extend(
-                worker.profiler for worker in self._workers
-            )
-        if self.trace is not None:
-            self.trace.flush()
-        if self.checkpoint_path and not halted:
-            if os.path.exists(self.checkpoint_path):
-                os.unlink(self.checkpoint_path)
+            self._timings["windows_s"] = time.perf_counter() - self._t_ready
         return merged
 
-    def _save(self) -> None:
-        replies = self._exchange([("snapshot",)] * self.plan.shards)
-        if self.trace is not None:
-            self.trace.flush()
-        data = merge_shard_snapshots(
+    def snapshot(self) -> dict:
+        """What :func:`~repro.sim.checkpoint.snapshot_engine` returns for
+        the serial engine at this cycle, merged from the shards'."""
+        replies = self._exchange([("snapshot",)] * len(self._workers))
+        return merge_shard_snapshots(
             self.plan, self.machine, [reply[1] for reply in replies], self.trace
         )
-        write_checkpoint(data, self.checkpoint_path, self._stamp)
 
-
-# --- entry points -----------------------------------------------------------------
-
-
-def save_sharded_checkpoint(
-    run: RunSpec,
-    shards: int,
-    cycle: int,
-    path: str,
-    machine: Optional[Machine] = None,
-    trace=None,
-    transport: str = "inline",
-) -> SimStats:
-    """Run to the barrier at ``cycle``, save there, and stop.
-
-    The sharded analogue of ``build -> run_for(cycle) ->
-    save_checkpoint``: the checkpoint left at ``path`` (replacing
-    whatever was there) is byte-identical to what the serial engine
-    writes at the same cycle. Returns the merged stats as of the save
-    barrier.
-    """
-    if cycle <= 0:
-        raise ValueError(f"checkpoint cycle must be positive, got {cycle}")
-    if shards == 1:
-        raise ValueError(
-            "save_sharded_checkpoint needs shards >= 2; use the serial "
-            "snapshot_engine/save_checkpoint flow for one shard"
-        )
-    reject_unshardable(run.config, run.fault_policy)
-    return _Hub(
-        run, shards, machine, trace, transport, path, cycle, halt_at=cycle
-    ).run_to_completion()
+    def close(self) -> None:
+        """Stop the workers; nothing of the run outlives them."""
+        for worker in self._workers:
+            try:
+                worker.send(("stop",))
+            except Exception:
+                pass
+        for worker in self._workers:
+            worker.close()
+        if self._profiles is not None:
+            self._profiles.extend(worker.profiler for worker in self._workers)
+        self._workers = []

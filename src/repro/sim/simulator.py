@@ -31,13 +31,15 @@ hub and its workers) describes its run this way and goes through
 
 What runs share offline -- the elaborated machine, healthy-machine load
 tables, the ``iw`` tables programmed from them -- is computed once per
-process and remembered here, behind :func:`prepare` and :func:`build`.
+process and remembered here, behind :func:`build`.
 
 A run has one way to start, :func:`start`: a checkpoint of it at the
 path it was given is restored, sinks revived; otherwise :func:`build`
-makes the cycle-0 engine. The serial runner (:func:`run_engine`) and the
-shard hub both begin there, so "is this a resume?" is asked, and a file
-that is not this run's refused, in one place.
+makes the cycle-0 engine -- cut over ``shards`` workers when the caller
+asks for more than one. And one way to be driven, :func:`run_engine`:
+whatever ``start`` returned has the engine's surface, so "is this a
+resume?", the cycle cap, the save cadence and the clean-up are each
+asked or applied in one place, at any shard count.
 
 The ``arbitration`` field selects the policy at every router and adapter
 output:
@@ -54,6 +56,7 @@ and a route computer.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -69,6 +72,7 @@ from repro.core.onchip import ANTON_DIRECTION_ORDER
 from repro.core.routing import RouteComputer
 
 from .checkpoint import (
+    CheckpointError,
     canonical,
     load_checkpoint,
     restore_engine,
@@ -563,18 +567,6 @@ def program_weights(
     )
 
 
-def prepare(run: RunSpec, machine: Optional[Machine] = None):
-    """The offline half of a run: ``(machine, route computer, fault
-    runtime, (SA2, SA1) weight tables)``.
-
-    What the shards of a run share is prepared here once; :func:`build`
-    accepts the tables back.
-    """
-    machine, route_computer, faults = run_context(run, machine)
-    tables = program_weights(run, machine, route_computer, faults)
-    return machine, route_computer, faults, tables
-
-
 def build(
     run: RunSpec,
     machine: Machine,
@@ -637,7 +629,10 @@ def start(
     route_computer=None,
     faults=None,
     stamped: bool = True,
-    vet=None,
+    shards: int = 1,
+    transport: str = "process",
+    timings: Optional[dict] = None,
+    profiles: Optional[list] = None,
     **programmed,
 ) -> Engine:
     """The run's engine, wherever the run has got to: restored from the
@@ -649,26 +644,47 @@ def start(
     unless ``stamped`` is off, for a run assembled by hand, which its
     ``RunSpec`` does not fully describe -- stamped by this run or by none
     (:func:`~repro.sim.checkpoint.run_stamp`); anything else is refused
-    by name and left as it is -- ``vet``, called with the payload, is a
-    caller's own refusal. Restoring also revives the sinks under
+    by name and left as it is. Restoring also revives the sinks under
     ``trace`` (:func:`~repro.sim.checkpoint.restore_engine`), last, so
     the resumed run's trace and metrics are the uninterrupted run's and
     a refusal leaves them as they were.
     ``route_computer`` and ``faults`` are the context of a caller that
     holds one; by default it is :func:`run_context`'s.
+
+    ``shards=1`` is the serial engine itself; any other count cuts it
+    over as many workers behind a :class:`~repro.sim.shard.ShardedEngine`
+    (``transport``, ``timings`` and ``profiles`` are its) -- the same
+    surface, bit-identical stats, trace events and checkpoint bytes. What
+    that does not support is refused by name, before anything is
+    generated or spawned.
     """
     if machine is None:
         machine = shared_machine(run.config)[0]
-    if checkpoint_path and os.path.exists(checkpoint_path):
-        data = load_checkpoint(
-            checkpoint_path, run_stamp(run) if stamped else None
-        )
-        if vet is not None:
-            vet(data)
-        return restore_engine(data, machine=machine, trace=trace)
-    if route_computer is None:
-        _, route_computer, faults = run_context(run, machine)
-    return build(run, machine, route_computer, faults, trace=trace, **programmed)
+
+    def whole() -> Engine:
+        if checkpoint_path and os.path.exists(checkpoint_path):
+            data = load_checkpoint(
+                checkpoint_path, run_stamp(run) if stamped else None
+            )
+            if shards != 1 and data.get("keep_packet_latencies"):
+                raise CheckpointError(
+                    f"checkpoint {checkpoint_path} retains per-packet "
+                    f"latencies (keep_packet_latencies), which a sharded "
+                    f"resume would return in shard order; resume it "
+                    f"serially (shards=1)"
+                )
+            return restore_engine(data, machine=machine, trace=trace)
+        context = (route_computer, faults)
+        if route_computer is None:
+            context = run_context(run, machine)[1:]
+        return build(run, machine, *context, trace=trace, **programmed)
+
+    if shards == 1:
+        return whole()
+    reject_unshardable(run.config, run.fault_policy)
+    from .shard import ShardedEngine
+
+    return ShardedEngine(machine, whole, shards, transport, timings, profiles)
 
 
 def reject_unshardable(config: MachineConfig, fault_policy=None) -> None:
@@ -701,25 +717,12 @@ def run(
     timings: Optional[dict] = None,
     profiles: Optional[list] = None,
 ) -> SimStats:
-    """Simulate ``run`` to completion, decomposed over ``shards`` sub-boxes.
-
-    ``shards=1`` is the serial engine itself (no hub, no proxies); any
-    other count produces bit-identical stats, trace events and checkpoint
-    bytes through :mod:`repro.sim.shard` (``transport``, ``timings`` and
-    ``profiles`` are that runner's). The combinations it does not support
-    are refused here, by name, before anything is generated or spawned.
-    The checkpoint contract is :func:`run_engine`'s, at any count.
-    """
-    if shards != 1:
-        reject_unshardable(run.config, run.fault_policy)
-        from .shard import _Hub
-
-        return _Hub(
-            run, shards, machine, trace, transport, checkpoint_path,
-            checkpoint_every, max_cycles, timings=timings, profiles=profiles,
-        ).run_to_completion()
+    """Simulate ``run`` to completion, decomposed over ``shards`` sub-boxes:
+    :func:`run_engine` on the engine :func:`start` makes of that count
+    (``transport``, ``timings`` and ``profiles`` are its too)."""
     return run_engine(
-        run, machine, trace, max_cycles, checkpoint_path, checkpoint_every
+        run, machine, trace, max_cycles, checkpoint_path, checkpoint_every,
+        shards=shards, transport=transport, timings=timings, profiles=profiles,
     )
 
 
@@ -885,25 +888,29 @@ def run_engine(
     """:func:`start` the run (``stamped`` and ``started`` are its) and
     run the engine to completion.
 
-    The serial core of :func:`run`, :func:`run_batch`, the demand runner
+    The one loop above an engine, serial or sharded: the core of
+    :func:`run`, :func:`run_batch`, the demand runner
     (:func:`repro.traffic.demand.run_demand`) and the throughput
     measurements. With ``checkpoint_path`` and a positive
-    ``checkpoint_every`` the engine is saved there every that many
-    cycles, stamped as :func:`start` vets it, so a run killed and made
-    again picks itself up for a result bitwise-identical to a
-    never-interrupted one; the file is removed once the run completes.
+    ``checkpoint_every`` the engine is saved there as
+    :func:`~repro.sim.checkpoint.run_with_checkpoints` says, stamped as
+    :func:`start` vets it, so a run killed and made again picks itself
+    up for a result bitwise-identical to a never-interrupted one; the
+    file is removed once the run completes.
     """
     path = checkpoint_path if checkpoint_every > 0 else None
-    engine = start(run, machine, trace, path, stamped=stamped, **started)
-    if path:
-        stats = run_with_checkpoints(
-            engine, path, checkpoint_every, max_cycles,
-            run_stamp(run) if stamped else None,
-        )
-        if os.path.exists(path):
-            os.unlink(path)
-    else:
-        stats = engine.run(max_cycles=max_cycles)
+    with contextlib.closing(
+        start(run, machine, trace, path, stamped=stamped, **started)
+    ) as engine:
+        if path:
+            stats = run_with_checkpoints(
+                engine, path, checkpoint_every, max_cycles,
+                run_stamp(run) if stamped else None,
+            )
+            if os.path.exists(path):
+                os.unlink(path)
+        else:
+            stats = engine.run(max_cycles=max_cycles)
     if trace is not None:
         trace.flush()
     return stats

@@ -351,9 +351,9 @@ def _stamp_of(argv):
 
 
 class TestShardedCli:
-    """The --shards surface: run, trace --golden, checkpoint save, and
-    profile all route through the sharded runner and must agree with
-    their serial counterparts."""
+    """The --shards surface: run, trace, checkpoint save, and profile
+    all take the shard count as one more input and must agree with their
+    serial counterparts."""
 
     def test_run_sharded_matches_serial_summary(self, capsys):
         args = [
@@ -392,13 +392,26 @@ class TestShardedCli:
         assert code == 2
         assert "cannot run sharded" in capsys.readouterr().err
 
-    def test_shards_require_golden_mode(self, tmp_path, capsys):
+    def test_trace_sharded_matches_serial_bytes(self, tmp_path, capsys):
+        """A described run traced under --shards is the same run: the
+        same file, the same summary line. (The command used to refuse:
+        "--shards applies only to --golden regeneration".)"""
+        args = ["trace", "--shape", "4x2x2", "--endpoints", "2", "--batch",
+                "4", "--cores", "2", "--seed", "5", "--arbitration", "iw"]
+        outputs = set()
+        for shards in (1, 2, 4):
+            out_path = tmp_path / f"t{shards}.jsonl"
+            assert main(args + ["--shards", str(shards), "--out", str(out_path)]) == 0
+            outputs.add((out_path.read_bytes(), capsys.readouterr().err))
+        assert len(outputs) == 1
+
+        # What cannot be sharded is refused by the runner, by name.
         code = main(
-            ["trace", "--shape", "2x2x2", "--endpoints", "2", "--shards",
-             "2", "--out", str(tmp_path / "x.jsonl")]
+            ["trace", "--topology", "mesh", "--shape", "4x4", "--shards", "2",
+             "--out", str(tmp_path / "x.jsonl")]
         )
-        assert code == 2
-        assert "--golden" in capsys.readouterr().err
+        assert code == 1
+        assert "only the torus topology" in capsys.readouterr().err
 
     def test_checkpoint_save_sharded_matches_golden(self, tmp_path, capsys):
         import pathlib

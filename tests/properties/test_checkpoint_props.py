@@ -27,13 +27,11 @@ from repro.core.routing import RouteComputer
 from repro.faults import FaultPolicy, FaultRuntime, FaultSet, FaultSpec
 from repro.sim.checkpoint import (
     dumps,
-    load_checkpoint,
     loads,
     restore_engine,
     snapshot_engine,
 )
-from repro.sim.shard import save_sharded_checkpoint
-from repro.sim.simulator import RunSpec, build_batch_engine, run
+from repro.sim.simulator import RunSpec, build_batch_engine, run, start
 from repro.sim.trace import JsonlTraceWriter
 from repro.traffic.batch import BatchSpec
 from repro.traffic.demand import (
@@ -198,15 +196,15 @@ def run_split(
         writer = JsonlTraceWriter(stream, meta={"run": "prop"})
         if write_shards == 1:
             engine = build_fn(*params, writer)
-            engine.run_for(split_cycle)
-            writer.flush()
-            data = loads(dumps(snapshot_engine(engine)))
         else:
-            save_sharded_checkpoint(
-                runspec, write_shards, split_cycle, path,
-                machine=machine, trace=writer,
+            engine = start(
+                runspec, machine, writer, shards=write_shards,
+                transport="inline",
             )
-            data = load_checkpoint(path)
+        engine.run_for(split_cycle)
+        writer.flush()
+        data = loads(dumps(snapshot_engine(engine)))
+        engine.close()
         head = stream.getvalue()
         assert len(head.encode("utf-8")) == data["trace"]["bytes_written"]
         # Phase 2: restore into a fresh engine ("new process") with a

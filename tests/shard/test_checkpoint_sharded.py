@@ -3,8 +3,8 @@
 A checkpointed run writes the serial engine's checkpoint at ``path`` and
 nothing else, whatever its shard count, and resumes from that file under
 any other count, serial included. The cross-path matrix below kills each
-workload three times (``REPRO_CRASH_AT_CYCLE``, honoured by the serial
-driver and by the shard hub alike), resumes every leg under the next
+workload three times (``REPRO_CRASH_AT_CYCLE``, honoured by the one
+driver above any engine), resumes every leg under the next
 shard count of a chain, and compares *bytes*: each file a kill leaves
 behind against the serial run's file at that cycle, the final stats and
 collector state against the uninterrupted serial run. The remaining
@@ -30,8 +30,8 @@ from repro.sim.checkpoint import (
     save_checkpoint,
 )
 from repro.sim.metrics import MetricsCollector
-from repro.sim.shard import ShardedRun, run_sharded, save_sharded_checkpoint
-from repro.sim.simulator import build, run_context
+from repro.sim.shard import ShardedRun, run_sharded
+from repro.sim.simulator import build, run_context, start
 
 CONFIG = MachineConfig(shape=(2, 2, 2), endpoints_per_chip=2)
 #: Eight chips too (one per shard at 8 shards), with a ring long enough
@@ -373,16 +373,19 @@ def _golden_run():
     return _uniform(seed=3, per_source=8)
 
 
-@pytest.mark.parametrize("shards", [2, 4])
+@pytest.mark.parametrize("shards", [1, 2, 4])
 def test_save_sharded_checkpoint_matches_committed_golden(tmp_path, shards):
-    """The golden checkpoint recipe, halted at cycle 40 by the sharded
-    runner, must reproduce the committed serial golden byte for byte --
-    the hook CI's ``repro checkpoint save --shards`` leg relies on --
-    replacing whatever was at the path and writing nothing beside it."""
+    """The golden checkpoint recipe -- start, ``run_for(40)``, save: the
+    three calls of ``repro checkpoint save`` -- must reproduce the
+    committed serial golden byte for byte at any shard count, replacing
+    whatever was at the path and writing nothing beside it."""
     out = tmp_path / "golden.json"
     out.write_text("stale")
-    stats = save_sharded_checkpoint(_golden_run(), shards, 40, str(out))
-    assert stats.end_cycle == 40
+    engine = start(_golden_run(), shards=shards, transport="inline")
+    stats = engine.run_for(40)
+    save_checkpoint(engine, str(out))
+    engine.close()
+    assert stats.end_cycle == engine.cycle == 40
     assert out.read_bytes() == GOLDEN.read_bytes()
     assert glob.glob(str(out) + "*") == [str(out)]
 

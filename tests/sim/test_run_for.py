@@ -1,6 +1,8 @@
-"""Regression tests for ``Engine.run_for``.
+"""Regression tests for ``run_for``, the engine's and the sharded engine's.
 
-Three contracts pinned here:
+Three contracts pinned here, the split-run ones at 1, 2 and 4 shards
+(whatever :func:`~repro.sim.simulator.start` returns is driven the same
+way):
 
 * ``stats.end_cycle`` is updated on *every* return path (it was once
   only set by :meth:`run`, so mid-run snapshots reported a stale span);
@@ -11,13 +13,16 @@ Three contracts pinned here:
 * ``run(max_cycles)`` stops at the budget and raises if work remains.
 """
 
+import json
 import random
 
 import pytest
 
 from repro.core.geometry import all_coords
+from repro.sim.checkpoint import dumps, snapshot_engine
 from repro.sim.engine import Engine
 from repro.sim.packet import Packet
+from repro.sim.simulator import RunSpec, start
 from repro.sim.trace import ListSink
 
 
@@ -115,3 +120,78 @@ class TestRunBudget:
         # The budget is not sticky: a larger one finishes the same run.
         single = fresh_engine(tiny_machine, tiny_routes)
         assert engine.run().asdict() == single.run().asdict()
+
+
+#: A described run (so it can be cut over shards): drains at cycle 110.
+DESCRIBED = RunSpec.from_params(
+    {"kind": "batch", "shape": [4, 2, 2], "cores": 2, "batch": 16, "seed": 3}
+)
+
+
+@pytest.mark.parametrize("shards", [1, 2, 4])
+class TestSplitRunAtAnyShardCount:
+    """``run_for(a); run_for(b)`` == ``run_for(a + b)`` == ``run()``, on
+    the clock, the stats JSON, the trace and the snapshot bytes -- and all
+    of them the serial engine's."""
+
+    @staticmethod
+    def observed(shards, drive):
+        sink = ListSink()
+        engine = start(DESCRIBED, trace=sink, shards=shards, transport="inline")
+        try:
+            drive(engine)
+            return (
+                engine.cycle,
+                engine.drained,
+                json.dumps(engine.stats.asdict()),
+                sink.events,
+                dumps(snapshot_engine(engine)),
+            )
+        finally:
+            engine.close()
+
+    # 12 is the lookahead of this machine: splits on, inside and across
+    # window boundaries, and one past the drain.
+    @pytest.mark.parametrize("a,b", [(1, 7), (12, 12), (13, 50), (5, 31), (90, 500)])
+    def test_split_matches_single_run(self, shards, a, b):
+        split = self.observed(shards, lambda e: (e.run_for(a), e.run_for(b)))
+        single = self.observed(shards, lambda e: e.run_for(a + b))
+        assert split == single
+        assert single == self.observed(1, lambda e: e.run_for(a + b))
+        assert single[0] == min(a + b, 110)
+        assert json.loads(single[2])["end_cycle"] == single[0]
+
+    def test_split_run_to_completion(self, shards):
+        def in_slices(engine):
+            while not engine.drained:
+                engine.run_for(7)
+
+        sliced = self.observed(shards, in_slices)
+        assert sliced == self.observed(shards, lambda e: e.run())
+        assert sliced == self.observed(1, lambda e: e.run())
+        assert sliced[:2] == (110, True)
+
+    def test_run_for_returns_the_stats_of_that_cycle(self, shards):
+        engine = start(DESCRIBED, shards=shards, transport="inline")
+        try:
+            for _ in range(4):
+                stats = engine.run_for(9)
+                assert stats.end_cycle == engine.cycle
+            assert engine.run_for(0).asdict() == stats.asdict()
+        finally:
+            engine.close()
+
+    def test_over_budget_run_raises_at_the_budget(self, shards):
+        engine = start(DESCRIBED, shards=shards, transport="inline")
+        try:
+            with pytest.raises(
+                RuntimeError,
+                match=r"simulation exceeded 30 cycles with \d+ packets outstanding",
+            ):
+                engine.run(max_cycles=30)
+            assert engine.cycle == 30
+            # The budget is not sticky: a larger one finishes the same run.
+            finished = json.dumps(engine.run().asdict())
+        finally:
+            engine.close()
+        assert finished == self.observed(1, lambda e: e.run())[2]
