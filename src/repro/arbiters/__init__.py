@@ -3,12 +3,14 @@
 The package provides the paper's inverse-weighted arbiter (Section 3) as a
 pair of bit-faithful hardware models plus a packaged policy object, along
 with the baselines the paper measures against (round-robin) or cites
-(age-based, fixed-priority).
+(age-based, fixed-priority). Those are one object per arbiter; the
+engine runs the same policies a stage at a time, over the flat rows of
+:mod:`repro.arbiters.bank`.
 """
 
 from .accumulator import AccumulatorBank
 from .age_based import AgeBasedArbiter
-from .base import Arbiter, ArbiterFactory, SimpleRequest
+from .base import Arbiter, SimpleRequest
 from .cost import (
     ArbiterCost,
     anton2_router_arbiter_cost,
@@ -36,7 +38,6 @@ __all__ = [
     "AgeBasedArbiter",
     "Arbiter",
     "ArbiterCost",
-    "ArbiterFactory",
     "FixedPriorityArbiter",
     "InverseWeightedArbiter",
     "RoundRobinArbiter",

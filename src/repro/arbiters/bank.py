@@ -1,0 +1,254 @@
+"""Arbiter banks: every arbitration site of one stage in flat rows.
+
+The paper's router state is a small register bank -- per arbiter "a few
+accumulators and a priority encoder" (Sections 3.3-3.4, Figures 6-8) --
+and the engine (:mod:`repro.sim.engine`) keeps it one: a bank holds all
+the sites of an arbitration stage as a pointer row by site and a grant
+row (for ``iw`` also an accumulator and a weight row) by *input*, input
+``i`` of site ``s`` at ``offsets[s] + i``
+(:class:`~repro.core.machine.ArbiterSites`), with ``peek`` / ``commit``
+integer arithmetic over them. A whole machine's arbiters are a few
+lists of ints, not 92 160 objects (plain lists: DESIGN.md section 9
+measures ``array`` reads at 2.2x theirs).
+
+The per-site classes next door stay as the standalone models and as the
+banks' oracle: a site grants what the object would, and :meth:`state` is
+the object's ``state()`` dict for dict -- the form a checkpoint stores
+(``tests/properties/test_arbiter_bank_props.py``).
+
+Requests are *sparse*: ``peek`` takes the requesting inputs only, as
+tuples starting ``(input index, request)``, and returns the winning
+tuple, so the engine hands over the nominations it holds and gets back
+the one that departs.
+"""
+
+from __future__ import annotations
+
+from operator import itemgetter
+from typing import Dict, Optional, Sequence
+
+from .weights import WeightTable, compute_inverse_weights
+
+
+class ArbiterBank:
+    """Service history by input, and fixed priority (the highest
+    requesting index wins): the base of every policy."""
+
+    #: The policy's name in a checkpoint.
+    tag = "fixed"
+
+    def __init__(self, sites) -> None:
+        self.offsets = sites.offsets
+        self.num_inputs = sites.num_inputs
+        #: Total grants issued, by input.
+        self.grants = [0] * sites.size
+
+    def peek(self, site: int, entries: Sequence[tuple]) -> Optional[tuple]:
+        """The entry ``site`` would grant, without changing state."""
+        return max(entries, key=itemgetter(0), default=None)
+
+    def commit(self, site: int, index: int, request) -> None:
+        """Apply the state updates for an actual grant of ``index``."""
+        self.grants[self.offsets[site] + index] += 1
+
+    def grants_of(self, site: int) -> list:
+        """``site``'s grants, by input."""
+        start = self.offsets[site]
+        return self.grants[start:start + self.num_inputs[site]]
+
+    def state(self, site: int) -> dict:
+        """What the per-site object's ``state()`` would be."""
+        return {"grants": self.grants_of(site)}
+
+    def restore(self, site: int, state: dict) -> None:
+        """Reinstate a :meth:`state` snapshot of ``site``."""
+        self._assign(self.grants, site, state["grants"], "arbiter")
+
+    def _assign(self, row: list, site: int, values, what: str) -> None:
+        start, count = self.offsets[site], self.num_inputs[site]
+        if len(values) != count:
+            raise ValueError(
+                f"{what} state has {len(values)} inputs, expected {count}"
+            )
+        row[start:start + count] = values
+
+
+FixedPriorityBank = ArbiterBank
+
+
+class RoundRobinBank(ArbiterBank):
+    """Round-robin, descending from the pointer (Figure 8's order)."""
+
+    tag = "rr"
+
+    def __init__(self, sites) -> None:
+        super().__init__(sites)
+        #: By site: one above the most-preferred input (the last granted).
+        self.pointer = [0] * len(sites.offsets)
+
+    def peek(self, site, entries):
+        count = self.num_inputs[site]
+        before = self.pointer[site] - 1
+        best = None
+        best_rank = count
+        for entry in entries:
+            rank = (before - entry[0]) % count
+            if rank < best_rank:
+                best_rank = rank
+                best = entry
+        return best
+
+    def commit(self, site, index, request):
+        self.pointer[site] = index
+        self.grants[self.offsets[site] + index] += 1
+
+    def state(self, site):
+        return dict(super().state(site), pointer=self.pointer[site])
+
+    def restore(self, site, state):
+        super().restore(site, state)
+        self.pointer[site] = state["pointer"]
+
+
+class AgeBank(RoundRobinBank):
+    """Oldest packet first, ties broken round-robin."""
+
+    tag = "age"
+
+    def peek(self, site, entries):
+        count = self.num_inputs[site]
+        before = self.pointer[site] - 1
+        return min(
+            entries,
+            key=lambda e: (e[1].inject_cycle, (before - e[0]) % count),
+            default=None,
+        )
+
+
+class InverseWeightedBank(RoundRobinBank):
+    """The inverse-weighted arbiter of Section 3: the accumulators of
+    Figure 6 under the two-level prioritized round-robin of Figure 8.
+
+    ``weight_tables`` programs the sites it names; any other is charged
+    the maximum weight (no modeled traffic crosses it). One stage has one
+    pattern count and one weight width -- its tables', else
+    ``num_patterns`` and ``weight_bits``.
+    """
+
+    tag = "iw"
+
+    def __init__(
+        self,
+        sites,
+        weight_tables: Optional[Dict[int, WeightTable]] = None,
+        num_patterns: int = 1,
+        weight_bits: int = 5,
+    ) -> None:
+        super().__init__(sites)
+        tables = weight_tables or {}
+        for table in tables.values():
+            num_patterns, weight_bits = table.num_patterns, table.weight_bits
+            break
+        self.num_patterns = num_patterns
+        self.weight_bits = weight_bits
+        #: Half the accumulators' sliding window, ``2^M``.
+        self.window = 1 << weight_bits
+        self.accumulators = [0] * sites.size
+        idle = compute_inverse_weights(
+            [[0.0] * num_patterns], weight_bits=weight_bits
+        ).inverse_weights[0]
+        #: By input: its inverse weight per pattern.
+        self.weights = [idle] * sites.size
+        for site in sites.order:
+            table = tables.get(site)
+            if table is not None:
+                self.program(site, table.inverse_weights, table.weight_bits)
+
+    def program(self, site: int, weights, weight_bits: int) -> None:
+        """Load ``site``'s weight memory: ``weights[i][n]`` for input
+        ``i``, pattern ``n``, each of the stage's ``weight_bits`` bits."""
+        if (
+            weight_bits != self.weight_bits
+            or any(len(row) != self.num_patterns for row in weights)
+            or not all(0 <= m < self.window for row in weights for m in row)
+        ):
+            raise ValueError(
+                f"arbiter {site} lists {weight_bits}-bit weights {weights}; "
+                f"its stage stores {self.num_patterns} of {self.weight_bits} "
+                f"bits per input"
+            )
+        self._assign(self.weights, site, weights, "weight")
+
+    def peek(self, site, entries):
+        start = self.offsets[site]
+        count = self.num_inputs[site]
+        pointer = self.pointer[site]
+        window = self.window
+        accumulators = self.accumulators
+        best = None
+        best_key = -1
+        for entry in entries:
+            index = entry[0]
+            # (effective priority level, index): the accumulator's
+            # priority bit plus the round-robin boost below the pointer.
+            key = (
+                (accumulators[start + index] < window) + (index < pointer)
+            ) * count + index
+            if key > best_key:
+                best_key = key
+                best = entry
+        return best
+
+    def commit(self, site, index, request):
+        start = self.offsets[site]
+        granted = start + index
+        # A packet marked with a pattern the stage has no weights for is
+        # charged against the last it does have.
+        pattern = request.pattern
+        if pattern >= self.num_patterns:
+            pattern = self.num_patterns - 1
+        accumulators = self.accumulators
+        value = accumulators[granted]
+        window = self.window
+        if value >= window:
+            # A low-priority grant: the window slides for every input,
+            # high-priority accumulators clamping at zero.
+            mask = window - 1
+            for slot in range(start, start + self.num_inputs[site]):
+                other = accumulators[slot]
+                accumulators[slot] = other & mask if other >= window else 0
+            value &= mask
+        accumulators[granted] = value + self.weights[granted][pattern]
+        self.pointer[site] = index
+        self.grants[granted] += 1
+
+    def state(self, site):
+        start = self.offsets[site]
+        stop = start + self.num_inputs[site]
+        return dict(
+            super().state(site),
+            bit_exact=False,
+            weight_bits=self.weight_bits,
+            weights=[list(row) for row in self.weights[start:stop]],
+            accumulators=self.accumulators[start:stop],
+        )
+
+    def restore(self, site, state):
+        super().restore(site, state)
+        if state["bit_exact"]:
+            raise ValueError(
+                f"arbiter {site} is the bit-level model "
+                f"(InverseWeightedArbiter(bit_exact=True)), which no engine "
+                f"runs"
+            )
+        self.program(site, state["weights"], state["weight_bits"])
+        self._assign(
+            self.accumulators, site, state["accumulators"], "accumulator"
+        )
+
+
+#: Bank class by checkpoint tag.
+BANKS = {
+    cls.tag: cls
+    for cls in (RoundRobinBank, InverseWeightedBank, AgeBank, FixedPriorityBank)
+}

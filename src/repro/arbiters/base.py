@@ -115,14 +115,3 @@ class Arbiter(abc.ABC):
                 f"{self.num_inputs}"
             )
         self.grants = grants
-
-
-class ArbiterFactory(Protocol):
-    """Callable that builds an arbiter for an output port.
-
-    The simulator invokes the factory with the number of inputs and an
-    opaque *site* key identifying the arbitration point (used by the
-    inverse-weighted factory to look up per-site loads).
-    """
-
-    def __call__(self, num_inputs: int, site: object) -> Arbiter: ...

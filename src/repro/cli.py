@@ -813,8 +813,9 @@ def cmd_profile(args) -> int:
     speed), sorted by descending count then name. Wall-clock and
     per-function times go to the trailing summary line only, so output
     can be diffed across runs and machines. With ``--shards N`` each
-    shard worker is profiled separately (inline transport) and the
-    per-shard tables are merged by summing call counts per function.
+    shard worker is profiled separately (inline transport), from the
+    moment the run is prepared, and the per-shard tables are merged by
+    summing call counts per function.
     """
     import cProfile
 

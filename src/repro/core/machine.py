@@ -24,9 +24,10 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import itertools
 import math
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from . import params
 from .chip import ChipFloorplan, default_floorplan
@@ -334,6 +335,51 @@ class ChipBlockLayout:
         )
 
 
+class ArbiterSites(NamedTuple):
+    """Where one arbitration stage's sites sit in flat per-input rows.
+
+    A site is named by a channel id: an SA2 site by the output channel it
+    guards (its inputs are the input ports of the channel's source), an
+    SA1 site by the input channel whose VCs it picks among. Input ``i`` of
+    site ``s`` is at ``offsets[s] + i`` of every per-input row of
+    :mod:`repro.arbiters.bank`; the SA1 offsets are the channel's VC
+    slots, ``s << Machine.vc_bits``.
+    """
+
+    #: Site ids in the order checkpoints list them.
+    order: Tuple[int, ...]
+    #: By channel id.
+    offsets: Tuple[int, ...]
+    #: By channel id; 0 where the channel is no site of this stage.
+    num_inputs: Tuple[int, ...]
+    #: Length of a per-input row.
+    size: int
+
+
+class EngineRows(NamedTuple):
+    """What every engine built on one machine indexes its state by
+    (:mod:`repro.sim.engine`), tabulated once: see
+    :attr:`Machine.engine_rows`."""
+
+    #: ``Channel.latency`` / ``.src`` / ``.dst`` by channel id, and
+    #: whether a component is an endpoint adapter, by component id.
+    latency: Tuple[int, ...]
+    src: Tuple[int, ...]
+    dst: Tuple[int, ...]
+    is_endpoint: Tuple[bool, ...]
+    #: Width of the VC field of a (channel, VC) *slot*,
+    #: ``(cid << vc_bits) | vc``: the index of the flat per-VC rows.
+    vc_bits: int
+    #: Each channel's slots, by channel id.
+    slots: Tuple[range, ...]
+    #: The credits every slot starts with: the buffer depth, and 0 in the
+    #: padding a channel with fewer VCs leaves.
+    credits: Tuple[int, ...]
+    #: The sites of the SA2 (output) and SA1 (VC selection) stages.
+    arbiter_sites: ArbiterSites
+    vc_arbiter_sites: ArbiterSites
+
+
 class Machine:
     """A fully elaborated Anton 2 machine (component/channel graph)."""
 
@@ -363,7 +409,7 @@ class Machine:
         #: (src component id, dst component id) -> channel id
         self.channel_between: Dict[Tuple[int, int], int] = {}
         #: incoming channel ids per component, in input-index order
-        self.component_inputs: List[List[int]] = []
+        self.component_inputs: Tuple[Tuple[int, ...], ...] = ()
         #: outgoing channel ids per component
         self.component_outputs: List[List[int]] = []
         #: input index of each channel at its destination component
@@ -501,14 +547,15 @@ class Machine:
                     )
 
         # Input/output indices.
-        self.component_inputs = [[] for _ in self.components]
+        component_inputs: List[List[int]] = [[] for _ in self.components]
         self.component_outputs = [[] for _ in self.components]
         self.input_index = [0] * len(self.channels)
         for channel in self.channels:
-            inputs = self.component_inputs[channel.dst]
+            inputs = component_inputs[channel.dst]
             self.input_index[channel.cid] = len(inputs)
             inputs.append(channel.cid)
             self.component_outputs[channel.src].append(channel.cid)
+        self.component_inputs = tuple(map(tuple, component_inputs))
 
         self.ticks_per_cycle = math.lcm(
             *(channel.cycles_per_flit.denominator for channel in self.channels)
@@ -612,6 +659,67 @@ class Machine:
             internode_base=internode_base,
             internode_per_chip=(len(channels) - internode_base) // len(chips),
             cids=[channel.cid for channel in channels],
+        )
+
+    @functools.cached_property
+    def engine_rows(self) -> EngineRows:
+        """The static tables of this machine's engines.
+
+        Built on first use, like :attr:`layout`, and shared by every
+        engine built or restored on the machine afterwards -- a sweep's
+        points, a serve session's, a shard worker's.
+        """
+        channels = self.channels
+        src = tuple(c.src for c in channels)
+        dst = tuple(c.dst for c in channels)
+        is_endpoint = tuple(
+            comp.kind == ComponentKind.ENDPOINT for comp in self.components
+        )
+        vcs = self.channel_vcs
+        bits = (max(vcs, default=1) - 1).bit_length()
+        slots = tuple(
+            range(cid << bits, (cid << bits) + n) for cid, n in enumerate(vcs)
+        )
+        credits: List[int] = []
+        for n, depth in zip(vcs, self.channel_buffer_depth):
+            credits += [depth] * n + [0] * ((1 << bits) - n)
+        # An endpoint adapter arbitrates nothing: its output has no SA2
+        # site, the channel into it no SA1 site.
+        fan_in = [
+            0 if is_endpoint[cid] else len(inputs)
+            for cid, inputs in enumerate(self.component_inputs)
+        ]
+        num_inputs = tuple(fan_in[comp] for comp in src)
+        offsets = (0,) + tuple(itertools.accumulate(num_inputs))
+        return EngineRows(
+            latency=tuple(c.latency for c in channels),
+            src=src,
+            dst=dst,
+            is_endpoint=is_endpoint,
+            vc_bits=bits,
+            slots=slots,
+            credits=tuple(credits),
+            arbiter_sites=ArbiterSites(
+                order=tuple(
+                    oc
+                    for comp, outputs in enumerate(self.component_outputs)
+                    if not is_endpoint[comp]
+                    for oc in outputs
+                ),
+                offsets=offsets[:-1],
+                num_inputs=num_inputs,
+                size=offsets[-1],
+            ),
+            vc_arbiter_sites=ArbiterSites(
+                order=tuple(
+                    cid for cid, comp in enumerate(dst) if not is_endpoint[comp]
+                ),
+                offsets=tuple(r.start for r in slots),
+                num_inputs=tuple(
+                    0 if is_endpoint[comp] else n for comp, n in zip(dst, vcs)
+                ),
+                size=len(credits),
+            ),
         )
 
     def neighbor(self, chip: Coord3, direction: TorusDirection) -> Optional[Coord3]:

@@ -6,7 +6,7 @@ from .endpoints import (
     PingPongResult,
     measure_one_way_latency,
 )
-from .engine import ArbiterBuilder, DeadlockError, Engine, round_robin_builder
+from .engine import ArbiterBuilder, DeadlockError, Engine
 from .metrics import (
     ChannelBusyWindows,
     MetricsCollector,
@@ -53,7 +53,6 @@ __all__ = [
     "make_weight_tables",
     "measure_one_way_latency",
     "read_trace",
-    "round_robin_builder",
     "run",
     "run_batch",
     "run_single_packet",

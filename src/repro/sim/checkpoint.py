@@ -39,9 +39,13 @@ serial run and a shard-merged one). ``json.loads`` preserves object key
 order, so a save/load/save round trip is byte-stable (double-checkpoint
 idempotence, also pinned by tests).
 
-FIFO queues (VC buffers, source queues) are serialized *compacted* --
-dead prefixes before the head index dropped, heads zeroed -- which is
-observationally invisible and keeps snapshots minimal and canonical.
+Source queues are serialized *compacted* -- the dead prefix before the
+head index dropped, the head zeroed -- which is observationally invisible
+and keeps snapshots minimal and canonical. Per-channel state is rendered
+channel by channel (:meth:`~repro.sim.engine.Engine.channel_rows`) out of
+the engine's flat rows, a VC buffer as the list of its packets and an
+arbitration site as the per-site arbiter object's ``state()``: the file
+says nothing of how the engine lays its state out.
 
 Failure is explicit: any malformed, truncated, corrupted, or
 future-versioned payload raises :class:`CheckpointError` (the CLI maps
@@ -51,23 +55,21 @@ it to a one-line error and exit code 1).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
 import random
 import tempfile
 from contextlib import contextmanager
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.arbiters.age_based import AgeBasedArbiter
-from repro.arbiters.base import Arbiter
-from repro.arbiters.inverse_weighted import InverseWeightedArbiter
-from repro.arbiters.round_robin import FixedPriorityArbiter, RoundRobinArbiter
+from repro.arbiters.bank import BANKS, InverseWeightedBank
 from repro.core.geometry import Dim
 from repro.core.machine import Fraction, Machine, MachineConfig
 from repro.core.routing import Route, RouteChoice
 
-from .engine import Engine, event_sort_key
+from .engine import ChannelRows, Engine, event_sort_key
 from .metrics import MetricsCollector
 from .packet import Packet
 from .stats import SimStats
@@ -98,47 +100,40 @@ class CheckpointError(RuntimeError):
     """A checkpoint payload is invalid, unsupported, or unserializable."""
 
 
-# --- arbiter registry -------------------------------------------------------------
-
-#: isinstance-dispatch order matters: subclasses before bases.
-_ARBITER_TAGS: Tuple[Tuple[type, str], ...] = (
-    (InverseWeightedArbiter, "iw"),
-    (AgeBasedArbiter, "age"),
-    (RoundRobinArbiter, "rr"),
-    (FixedPriorityArbiter, "fixed"),
-)
+# --- arbiter stages ---------------------------------------------------------------
+#
+# A stage is stored site by site, ``[site, {"type": tag, "state": ...}]``
+# with the state :meth:`repro.arbiters.bank.ArbiterBank.state` renders --
+# the per-site arbiter object's own ``state()``, so the bytes are those
+# written when the engine held one object per site.
 
 
-def _dump_arbiter(arbiter: Arbiter) -> dict:
-    for cls, tag in _ARBITER_TAGS:
-        if type(arbiter) is cls:
-            return {"type": tag, "state": arbiter.state()}
-    raise CheckpointError(
-        f"cannot checkpoint arbiter of type {type(arbiter).__name__}; "
-        f"supported: {', '.join(tag for _, tag in _ARBITER_TAGS)}"
-    )
+def _dump_stage(bank, order, states) -> list:
+    return [[site, {"type": bank.tag, "state": states[site]}] for site in order]
 
 
-def _build_arbiter(spec: dict) -> Arbiter:
-    tag = spec["type"]
-    state = spec["state"]
-    num_inputs = len(state["grants"])
-    if tag == "iw":
-        arbiter: Arbiter = InverseWeightedArbiter(
-            [list(row) for row in state["weights"]],
-            state["weight_bits"],
-            bit_exact=bool(state["bit_exact"]),
+def _stage_builder(specs: list, stage: str):
+    """The builder (``Engine``'s ``arbiter_builder``) of the bank a
+    checkpoint's ``stage`` section describes."""
+    tags = sorted({spec["type"] for _site, spec in specs}) or ["rr"]
+    if len(tags) > 1:
+        raise CheckpointError(
+            f"checkpoint mixes arbiter types {', '.join(tags)} in "
+            f"{stage!r}; an engine runs one policy per stage"
         )
-    elif tag == "age":
-        arbiter = AgeBasedArbiter(num_inputs)
-    elif tag == "rr":
-        arbiter = RoundRobinArbiter(num_inputs)
-    elif tag == "fixed":
-        arbiter = FixedPriorityArbiter(num_inputs)
-    else:
+    (tag,) = tags
+    if tag not in BANKS:
         raise CheckpointError(f"unknown arbiter type {tag!r} in checkpoint")
-    arbiter.restore(state)
-    return arbiter
+    if tag == "iw":
+        # The stage's shape, from its first site; ``restore`` holds every
+        # site to it.
+        state = specs[0][1]["state"]
+        return functools.partial(
+            InverseWeightedBank,
+            num_patterns=len(state["weights"][0]),
+            weight_bits=state["weight_bits"],
+        )
+    return BANKS[tag]
 
 
 # --- RNG state helpers ------------------------------------------------------------
@@ -409,9 +404,9 @@ def snapshot_engine(engine: Engine) -> dict:
 
     The engine is not modified. Raises :class:`CheckpointError` for state
     that cannot be serialized (an ``on_delivery`` hook -- arbitrary
-    callables do not survive serialization -- or an unregistered arbiter
-    type). A :class:`~repro.sim.shard.ShardedEngine` answers with the
-    same dict, merged from its shards'.
+    callables do not survive serialization). A
+    :class:`~repro.sim.shard.ShardedEngine` answers with the same dict,
+    merged from its shards'.
     """
     if not isinstance(engine, Engine):
         return engine.snapshot()
@@ -428,12 +423,12 @@ def snapshot_engine(engine: Engine) -> dict:
         head = engine._source_heads[src]
         source_queues.append([src, [pindex.index(p) for p in queue[head:]]])
 
-    buffers = []
-    for cid, bufs in enumerate(engine._buffers):
-        heads = engine._buffer_heads[cid]
-        buffers.append(
-            [[pindex.index(p) for p in queue[heads[vc]:]] for vc, queue in enumerate(bufs)]
-        )
+    rows = [engine.channel_rows(cid) for cid in range(len(engine.machine.channels))]
+    buffers = [
+        [[pindex.index(p) for p in queue] for queue in channel.queues]
+        for channel in rows
+    ]
+    stages = engine.machine.engine_rows
 
     def encode(payload: tuple) -> list:
         kind, a, b, c = payload
@@ -480,17 +475,19 @@ def snapshot_engine(engine: Engine) -> dict:
         "packets": [_packet_to_json(p) for p in pindex.packets],
         "source_queues": source_queues,
         "buffers": buffers,
-        "credits": [list(vcs) for vcs in engine._credits],
-        "channel_free_at": list(engine._channel_free_at),
-        "input_free_at": list(engine._input_free_at),
-        "arbiters": [
-            [oc, _dump_arbiter(arb)] for oc, arb in engine.arbiters.items()
-        ],
-        "vc_arbiters": [
-            [cid, _dump_arbiter(arb)]
-            for cid, arb in enumerate(engine.vc_arbiters)
-            if arb is not None
-        ],
+        "credits": [channel.credits for channel in rows],
+        "channel_free_at": [channel.channel_free_at for channel in rows],
+        "input_free_at": [channel.input_free_at for channel in rows],
+        "arbiters": _dump_stage(
+            engine.arbiters,
+            stages.arbiter_sites.order,
+            [channel.arbiter for channel in rows],
+        ),
+        "vc_arbiters": _dump_stage(
+            engine.vc_arbiters,
+            stages.vc_arbiter_sites.order,
+            [channel.vc_arbiter for channel in rows],
+        ),
         "wheel": wheel,
         "active": sorted(engine._active),
         "queued": engine._queued,
@@ -533,19 +530,20 @@ def _restore_into(engine: Engine, data: dict, packets: List[Packet]) -> None:
         engine._source_queues[src] = [packets[i] for i in indices]
         engine._source_heads[src] = 0
 
-    for cid, bufs in enumerate(data["buffers"]):
-        engine._buffers[cid] = [[packets[i] for i in queue] for queue in bufs]
-        engine._buffer_heads[cid] = [0] * len(bufs)
-        engine._buffered_count[cid] = sum(len(queue) for queue in bufs)
-
-    engine._credits = [list(values) for values in data["credits"]]
-    engine._channel_free_at = list(data["channel_free_at"])
-    engine._input_free_at = list(data["input_free_at"])
-
-    for oc, spec in data["arbiters"]:
-        engine.arbiters[oc] = _build_arbiter(spec)
-    for cid, spec in data["vc_arbiters"]:
-        engine.vc_arbiters[cid] = _build_arbiter(spec)
+    # JSON's [site, spec] pairs make the by-site dicts as they are.
+    stages = dict(data["arbiters"]), dict(data["vc_arbiters"])
+    for cid in range(len(engine.machine.channels)):
+        sa2, sa1 = (
+            specs[cid]["state"] if cid in specs else None for specs in stages
+        )
+        engine.assign_channel(cid, ChannelRows(
+            credits=data["credits"][cid],
+            channel_free_at=data["channel_free_at"][cid],
+            arbiter=sa2,
+            queues=[[packets[i] for i in queue] for queue in data["buffers"][cid]],
+            input_free_at=data["input_free_at"][cid],
+            vc_arbiter=sa1,
+        ))
 
     def decode(enc: list) -> tuple:
         kind, a, b, c = enc
@@ -625,6 +623,8 @@ def restore_engine(
             trace = MetricsCollector()  # revived below, like one handed in
         engine = Engine(
             machine,
+            arbiter_builder=_stage_builder(data["arbiters"], "arbiters"),
+            vc_arbiter_builder=_stage_builder(data["vc_arbiters"], "vc_arbiters"),
             watchdog_cycles=data["watchdog_cycles"],
             keep_packet_latencies=data["keep_packet_latencies"],
             trace=trace,

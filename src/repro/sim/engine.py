@@ -54,11 +54,10 @@ no datelines) really do deadlock.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
-from repro.arbiters.base import Arbiter
-from repro.arbiters.round_robin import RoundRobinArbiter
-from repro.core.machine import ComponentKind, Machine
+from repro.arbiters.bank import ArbiterBank, RoundRobinBank
+from repro.core.machine import ArbiterSites, Machine
 from repro.core.routing import Route, Unroutable
 
 from .metrics import StreamingQuantile
@@ -72,18 +71,31 @@ class DeadlockError(RuntimeError):
     """Raised when the network makes no progress for the watchdog period."""
 
 
-#: Builds an arbiter given (number of inputs, output channel id).
-ArbiterBuilder = Callable[[int, int], Arbiter]
+#: Builds one arbitration stage's bank given the stage's sites: a bank
+#: class, or a partial of one carrying its tables
+#: (:func:`repro.sim.simulator.arbiter_builder_for`).
+ArbiterBuilder = Callable[[ArbiterSites], ArbiterBank]
 
 
-def round_robin_builder(num_inputs: int, site: int) -> Arbiter:
-    """Default arbiter builder: locally fair round-robin everywhere."""
-    return RoundRobinArbiter(num_inputs)
+class ChannelRows(NamedTuple):
+    """One channel's share of an engine's state, out of the flat rows:
+    what :meth:`Engine.channel_rows` renders and
+    :meth:`Engine.assign_channel` puts back. The layout of the rows
+    themselves is this module's alone; checkpoints and the shard cut and
+    merge move state through these.
+    """
 
-
-#: Builds the SA1 (per-input VC selection) arbiter given (number of VCs,
-#: input channel id).
-VcArbiterBuilder = Callable[[int, int], Arbiter]
+    #: Source side -- the arbitration point feeding the channel: its
+    #: credit view per VC, the staging timer, the SA2 site's
+    #: :meth:`~repro.arbiters.bank.ArbiterBank.state` (``None``: no site).
+    credits: List[int]
+    channel_free_at: int
+    arbiter: Optional[dict]
+    #: Destination side -- the buffers the channel fills: per VC the
+    #: packets in FIFO order, the input timer, the SA1 site's state.
+    queues: List[List[Packet]]
+    input_free_at: int
+    vc_arbiter: Optional[dict]
 
 
 _EV_ARRIVAL = 0
@@ -173,8 +185,8 @@ class Engine:
     def __init__(
         self,
         machine: Machine,
-        arbiter_builder: ArbiterBuilder = round_robin_builder,
-        vc_arbiter_builder: VcArbiterBuilder = round_robin_builder,
+        arbiter_builder: ArbiterBuilder = RoundRobinBank,
+        vc_arbiter_builder: ArbiterBuilder = RoundRobinBank,
         watchdog_cycles: int = 20_000,
         keep_packet_latencies: bool = False,
         trace=None,
@@ -195,69 +207,54 @@ class Engine:
             # lists (see :mod:`repro.sim.metrics`).
             self.stats.latency_estimator = StreamingQuantile()
 
-        channels = machine.channels
-        #: Per-channel, per-VC buffers at the channel's destination.
-        self._buffers: List[List[List[Packet]]] = []
+        rows = machine.engine_rows
+        num_channels = len(rows.latency)
         #: Integer ticks per cycle; all channel timing below is in ticks.
         self._ticks_per_cycle: int = machine.ticks_per_cycle
         #: Tick at which each channel's staging buffer drains (the last
         #: flit of the previous packet clears the channel).
-        self._channel_free_at: List[int] = [0] * len(channels)
-        self._input_free_at: List[int] = [0] * len(channels)
-        self._latency: List[int] = [c.latency for c in channels]
+        self._channel_free_at: List[int] = [0] * num_channels
+        self._input_free_at: List[int] = [0] * num_channels
+        self._latency = rows.latency
         #: Ticks of channel occupancy per flit (45 vs the mesh's 14 on a
         #: default machine: torus effective bandwidth is below one flit
         #: per on-chip cycle, by exactly 45/14).
         self._occupancy_ticks: List[int] = machine.channel_occupancy_ticks
         self._pipeline = machine.config.router_pipeline_cycles
         self.stats.ticks_per_cycle = self._ticks_per_cycle
-        channel_vcs = machine.channel_vcs
-        #: Per-channel, per-VC credits available to the channel's source.
-        self._credits: List[List[int]] = []
-        for vcs, depth in zip(channel_vcs, machine.channel_buffer_depth):
-            self._buffers.append([[] for _ in range(vcs)])
-            self._credits.append([depth] * vcs)
-        # Buffers are plain lists used as FIFOs with an explicit head index
-        # to avoid O(n) pops; heads are compacted periodically.
-        self._buffer_heads: List[List[int]] = [
-            [0] * len(bufs) for bufs in self._buffers
-        ]
+        # Per-(channel, VC) state is one flat row per kind, indexed by
+        # the slot ``(cid << vc_bits) | vc``; nothing is allocated per
+        # slot, so an engine is a few dozen objects whatever the machine
+        # (DESIGN.md section 9).
+        self._vc_bits: int = rows.vc_bits
+        self._slots = rows.slots
+        #: Credits available to the channel's source, by slot.
+        self._credits: List[int] = list(rows.credits)
+        #: The VC buffers at the channel's destination, by slot: FIFOs
+        #: linked through ``Packet.fifo_next``, from ``_fifo_head`` (what
+        #: arbitrates) to ``_fifo_tail`` (where arrivals join).
+        self._fifo_head: List[Optional[Packet]] = [None] * len(rows.credits)
+        self._fifo_tail: List[Optional[Packet]] = [None] * len(rows.credits)
         #: Packets buffered per channel (all VCs); lets the hot loop skip
         #: empty inputs without scanning their VC queues.
-        self._buffered_count: List[int] = [0] * len(channels)
-        # Flat per-channel endpoint lookups, hoisted out of the hot loop
-        # (attribute chains through Machine/Channel cost more than the
-        # work they guard).
-        self._channel_src: List[int] = [c.src for c in channels]
-        self._channel_dst: List[int] = [c.dst for c in channels]
-        self._is_endpoint: List[bool] = [
-            comp.kind == ComponentKind.ENDPOINT for comp in machine.components
-        ]
-        self._component_inputs: List[tuple] = [
-            tuple(ics) for ics in machine.component_inputs
-        ]
+        self._buffered_count: List[int] = [0] * num_channels
+        self._channel_src = rows.src
+        self._channel_dst = rows.dst
+        self._is_endpoint = rows.is_endpoint
+        self._component_inputs = machine.component_inputs
         # Hot-path aliases into the stats counter dicts (defaultdicts):
         # ``_depart`` increments these directly instead of calling
         # ``stats.record_channel_use`` tens of thousands of times.
         self._stat_channel_flits = self.stats.channel_flits
         self._stat_channel_busy = self.stats.channel_busy_ticks
 
-        #: Output (SA2) arbiters keyed by output channel id.
-        self.arbiters: Dict[int, Arbiter] = {}
-        for comp in machine.components:
-            if comp.kind == ComponentKind.ENDPOINT:
-                continue
-            num_inputs = len(machine.component_inputs[comp.cid])
-            for oc in machine.component_outputs[comp.cid]:
-                self.arbiters[oc] = arbiter_builder(num_inputs, oc)
-        #: Input (SA1) VC-selection arbiters keyed by input channel id;
-        #: only channels whose destination forwards packets need one.
-        self.vc_arbiters: List[Optional[Arbiter]] = [None] * len(channels)
-        for channel in channels:
-            if machine.components[channel.dst].kind == ComponentKind.ENDPOINT:
-                continue
-            cid = channel.cid
-            self.vc_arbiters[cid] = vc_arbiter_builder(channel_vcs[cid], cid)
+        #: The output (SA2) arbiters, sites keyed by output channel id.
+        self.arbiters: ArbiterBank = arbiter_builder(rows.arbiter_sites)
+        #: The input (SA1) VC-selection arbiters, sites keyed by input
+        #: channel id.
+        self.vc_arbiters: ArbiterBank = vc_arbiter_builder(
+            rows.vc_arbiter_sites
+        )
 
         #: Injection queues per endpoint component id.
         self._source_queues: Dict[int, List[Packet]] = {}
@@ -349,8 +346,7 @@ class Engine:
         this naturally).
         """
         src = packet.src
-        component = self.machine.components[src]
-        if component.kind != ComponentKind.ENDPOINT:
+        if not self._is_endpoint[src]:
             raise ValueError(f"packet source {src} is not an endpoint adapter")
         if self._failed_channels:
             # The machine is currently degraded: resolve the route against
@@ -568,8 +564,8 @@ class Engine:
             # the batch is complete before it is sorted.
             batch.sort(key=event_sort_key)
         credits = self._credits
+        vc_bits = self._vc_bits
         active = self._active
-        channel_src = self._channel_src
         handle_arrival = self._handle_arrival
         trace = self.trace
         for kind, a, b, c in batch:
@@ -578,8 +574,10 @@ class Engine:
                     self._trace_key = (2, b)
                 handle_arrival(a, b)
             elif kind == _EV_CREDIT:
-                credits[a][b] += c
-                active[channel_src[a]] = None
+                # No wake: a component holding work never left
+                # ``_active`` (a router stays while any input buffers a
+                # packet, an endpoint while its head is released).
+                credits[(a << vc_bits) | b] += c
             elif kind == _EV_WAKE:
                 active[a] = None
             else:  # fault
@@ -637,7 +635,13 @@ class Engine:
             return
         vc = arrival_vc(packet)
         packet.ready_cycle = now + self._pipeline
-        self._buffers[channel_id][vc].append(packet)
+        slot = (channel_id << self._vc_bits) | vc
+        tail = self._fifo_tail[slot]
+        if tail is None:
+            self._fifo_head[slot] = packet
+        else:
+            tail.fifo_next = packet
+        self._fifo_tail[slot] = packet
         self._buffered_count[channel_id] += 1
         self._active[self._channel_dst[channel_id]] = None
         if self.trace is not None:
@@ -664,14 +668,18 @@ class Engine:
         active = self._active
         is_endpoint = self._is_endpoint
         component_inputs = self._component_inputs
-        buffers = self._buffers
-        heads = self._buffer_heads
+        slots = self._slots
+        fifo_head = self._fifo_head
+        vc_bits = self._vc_bits
+        vc_mask = (1 << vc_bits) - 1
         buffered_count = self._buffered_count
         input_free_at = self._input_free_at
         channel_free_at = self._channel_free_at
         credits = self._credits
-        vc_arbiters = self.vc_arbiters
-        arbiters = self.arbiters
+        sa1_peek = self.vc_arbiters.peek
+        sa1_commit = self.vc_arbiters.commit
+        sa2_peek = self.arbiters.peek
+        sa2_commit = self.arbiters.commit
         failed = self._failed_channels
         trace = self.trace
         inject = self._inject_endpoint
@@ -694,7 +702,6 @@ class Engine:
                 if not inject(comp_id, now):
                     idle.append(comp_id)
                 continue
-            inputs = component_inputs[comp_id]
             has_packets = False
             # SA1: each input port nominates one VC's head packet among
             # the *eligible* ones (next channel accepting, credits
@@ -704,26 +711,21 @@ class Engine:
             # output contention, so the common uncontended case allocates
             # nothing per output.
             candidates: Optional[Dict[int, object]] = None
-            for input_idx, ic in enumerate(inputs):
+            for input_idx, ic in enumerate(component_inputs[comp_id]):
                 if not buffered_count[ic]:
                     continue
                 has_packets = True
                 if input_free_at[ic] > now:
                     continue
-                bufs = buffers[ic]
-                hds = heads[ic]
-                # The request vector is materialized lazily: inputs whose
-                # scan yields a single eligible VC (the common case)
-                # never build it.
+                # The (vc, packet) requests are materialized lazily:
+                # inputs whose scan yields a single eligible VC (the
+                # common case) never build the list.
                 vc_requests: Optional[List] = None
-                first_vc = -1
+                first_slot = -1
                 first_packet = None
-                for vc, queue in enumerate(bufs):
-                    head = hds[vc]
-                    if head >= len(queue):
-                        continue
-                    packet = queue[head]
-                    if packet.ready_cycle > now:
+                for slot in slots[ic]:
+                    packet = fifo_head[slot]
+                    if packet is None or packet.ready_cycle > now:
                         continue
                     oc, ovc = packet.next_hop
                     # Frozen channels grant nothing. (The fault sweep
@@ -739,29 +741,30 @@ class Engine:
                     # channels) is not quantized away.
                     if channel_free_at[oc] >= horizon_ticks:
                         continue
-                    if credits[oc][ovc] < packet.size_flits:
+                    if credits[(oc << vc_bits) | ovc] < packet.size_flits:
                         continue
                     if first_packet is None:
-                        first_vc = vc
+                        first_slot = slot
                         first_packet = packet
-                        continue
-                    if vc_requests is None:
-                        vc_requests = [None] * len(bufs)
-                        vc_requests[first_vc] = first_packet
-                    vc_requests[vc] = packet
+                    elif vc_requests is None:
+                        vc_requests = [
+                            (first_slot & vc_mask, first_packet),
+                            (slot & vc_mask, packet),
+                        ]
+                    else:
+                        vc_requests.append((slot & vc_mask, packet))
                 if first_packet is None:
                     continue
                 if vc_requests is None:
                     # A sole eligible VC needs no SA1 arbitration: every
-                    # policy's ``peek`` returns the index of the only
-                    # non-None request, so skipping the call is
-                    # bit-identical (``commit`` still runs on an SA2 win,
-                    # keeping arbiter state in lockstep).
-                    vc = first_vc
+                    # policy's ``peek`` returns the only request, so
+                    # skipping the call is bit-identical (``commit``
+                    # still runs on an SA2 win, keeping arbiter state in
+                    # lockstep).
+                    vc = first_slot & vc_mask
                     packet = first_packet
                 else:
-                    vc = vc_arbiters[ic].peek(vc_requests)
-                    packet = vc_requests[vc]
+                    vc, packet = sa1_peek(ic, vc_requests)
                 oc = packet.next_hop[0]
                 entry = (input_idx, packet, ic, vc)
                 if candidates is None:
@@ -775,29 +778,16 @@ class Engine:
                     else:
                         candidates[oc] = [prev, entry]
             if candidates is not None:
-                # SA2: arbitrate each requested output channel.
+                # SA2: arbitrate each requested output channel. A sole
+                # nominator is granted unconditionally, as every policy
+                # would: commit directly.
                 for oc, entry in candidates.items():
-                    if type(entry) is not list:
-                        # Sole nominator: every policy's ``peek`` over a
-                        # request vector with one non-None slot returns
-                        # that slot, so the grant is unconditional --
-                        # commit directly (the same state update
-                        # ``arbitrate`` would have applied).
-                        input_idx, packet, ic, vc = entry
-                        arbiters[oc].commit(input_idx, packet)
-                    else:
-                        requests: List = [None] * len(inputs)
-                        for slot in entry:
-                            requests[slot[0]] = slot[1]
-                        winner = arbiters[oc].arbitrate(requests)
-                        if winner is None:  # pragma: no cover
-                            continue
-                        for slot in entry:
-                            if slot[0] == winner:
-                                break
-                        input_idx, packet, ic, vc = slot
+                    if type(entry) is list:
+                        entry = sa2_peek(oc, entry)
+                    input_idx, packet, ic, vc = entry
+                    sa2_commit(oc, input_idx, packet)
+                    sa1_commit(ic, vc, packet)
                     ovc = packet.next_hop[1]
-                    vc_arbiters[ic].commit(vc, packet)
                     if trace is not None:
                         trace.emit(
                             TraceEvent(
@@ -833,7 +823,7 @@ class Engine:
         oc, ovc = packet.next_hop
         if self._channel_free_at[oc] > now * self._ticks_per_cycle:
             return True
-        if self._credits[oc][ovc] < packet.size_flits:
+        if self._credits[(oc << self._vc_bits) | ovc] < packet.size_flits:
             return True
         self._source_heads[comp_id] = head + 1
         if head + 1 >= len(queue):
@@ -882,7 +872,7 @@ class Engine:
         start = free_at if free_at > now_ticks else now_ticks
         end_ticks = start + busy_ticks
         channel_free_at[oc] = end_ticks
-        self._credits[oc][ovc] -= size
+        self._credits[(oc << self._vc_bits) | ovc] -= size
         self._stat_channel_flits[oc] += size
         self._stat_channel_busy[oc] += busy_ticks
         self._last_progress = now
@@ -919,17 +909,15 @@ class Engine:
         mask = events.mask
         if from_channel is not None:
             self._input_free_at[from_channel] = now + size
-            # _pop_head(), inlined: advance the FIFO head index and
-            # compact once the dead prefix dominates (amortized O(1)).
-            hds = self._buffer_heads[from_channel]
-            head = hds[from_vc] + 1
-            hds[from_vc] = head
+            # Unlink the FIFO head: only a head is ever granted.
+            slot = (from_channel << self._vc_bits) | from_vc
+            behind = packet.fifo_next
+            self._fifo_head[slot] = behind
+            if behind is None:
+                self._fifo_tail[slot] = None
+            else:
+                packet.fifo_next = None
             self._buffered_count[from_channel] -= 1
-            if head > 32:
-                queue = self._buffers[from_channel][from_vc]
-                if head * 2 >= len(queue):
-                    del queue[:head]
-                    hds[from_vc] = 0
             # Credit-return push, inlined timing-wheel fast path. A
             # channel fed from another shard returns its credits over
             # the barrier instead (repro/sim/shard.py).
@@ -1135,28 +1123,24 @@ class Engine:
                 del self._source_heads[src]
 
     def _sweep_buffers(self, now: int) -> None:
-        machine = self.machine
-        for ic in range(len(self._buffers)):
-            if not self._buffered_count[ic]:
+        vc_mask = (1 << self._vc_bits) - 1
+        for ic, count in enumerate(self._buffered_count):
+            if not count:
                 continue
-            bufs = self._buffers[ic]
-            heads = self._buffer_heads[ic]
-            for vc in range(len(bufs)):
-                queue = bufs[vc]
-                head = heads[vc]
-                if head >= len(queue):
+            for slot in self._slots[ic]:
+                queue = self._fifo_packets(slot)
+                if not queue:
                     continue
+                vc = slot & vc_mask
                 if self.trace is not None:
                     self._trace_key = (1, self._fault_idx_now, 2, ic, vc)
                 kept = []
-                removed = 0
-                for packet in queue[head:]:
+                for packet in queue:
                     if self._route_clear_from(packet.route, packet.hop_index):
                         kept.append(packet)
                     elif self._dispose_stranded(packet, ic, vc, now):
                         kept.append(packet)
                     else:
-                        removed += 1
                         self._buffered_count[ic] -= 1
                         self._in_network -= 1
                         self._push_credit(
@@ -1165,11 +1149,10 @@ class Engine:
                             vc,
                             packet.size_flits,
                         )
-                if removed or head:
-                    bufs[vc] = kept
-                    heads[vc] = 0
+                if len(kept) < len(queue):
+                    self._link_fifo(slot, kept)
                 if kept:
-                    self._active[machine.channels[ic].dst] = None
+                    self._active[self._channel_dst[ic]] = None
 
     def _dispose_stranded(
         self, packet: Packet, ic: int, vc: int, now: int
@@ -1183,7 +1166,7 @@ class Engine:
         """
         policy = self._fault_runtime.policy
         if policy.mode == "reroute":
-            holder = self.machine.channels[ic].dst
+            holder = self._channel_dst[ic]
             try:
                 tail = self._fault_routes.compute_reroute(
                     holder, packet.route.dst, packet.traffic_class
@@ -1303,19 +1286,73 @@ class Engine:
             )
         self.enqueue(clone)
 
+    # --- state by channel ------------------------------------------------------------
+
+    def _fifo_packets(self, slot: int) -> List[Packet]:
+        """The packets buffered at ``slot``, head first."""
+        out = []
+        packet = self._fifo_head[slot]
+        while packet is not None:
+            out.append(packet)
+            packet = packet.fifo_next
+        return out
+
+    def _link_fifo(self, slot: int, queue: List[Packet]) -> None:
+        """Make ``queue`` (head first) the FIFO at ``slot``."""
+        for packet, behind in zip(queue, queue[1:]):
+            packet.fifo_next = behind
+        if queue:
+            queue[-1].fifo_next = None
+        self._fifo_head[slot] = queue[0] if queue else None
+        self._fifo_tail[slot] = queue[-1] if queue else None
+
+    def channel_rows(self, cid: int) -> ChannelRows:
+        """Everything this engine holds for channel ``cid``."""
+        slots = self._slots[cid]
+        sa2, sa1 = self.arbiters, self.vc_arbiters
+        return ChannelRows(
+            credits=self._credits[slots.start:slots.stop],
+            channel_free_at=self._channel_free_at[cid],
+            arbiter=sa2.state(cid) if sa2.num_inputs[cid] else None,
+            queues=[self._fifo_packets(slot) for slot in slots],
+            input_free_at=self._input_free_at[cid],
+            vc_arbiter=sa1.state(cid) if sa1.num_inputs[cid] else None,
+        )
+
+    def assign_channel(
+        self, cid: int, rows: ChannelRows, src: bool = True, dst: bool = True
+    ) -> None:
+        """Put ``rows`` back as channel ``cid``'s state: its source side,
+        its destination side, or both. The inverse of
+        :meth:`channel_rows`, for an engine of the same machine and
+        policies; anything else raises ``ValueError``."""
+        slots = self._slots[cid]
+        if len(rows.credits) != len(slots) or len(rows.queues) != len(slots):
+            raise ValueError(
+                f"channel {cid} has {len(slots)} VCs, its state "
+                f"{len(rows.credits)} credit counts and {len(rows.queues)} "
+                f"buffers"
+            )
+        if src:
+            self._credits[slots.start:slots.stop] = rows.credits
+            self._channel_free_at[cid] = rows.channel_free_at
+            if rows.arbiter is not None:
+                self.arbiters.restore(cid, rows.arbiter)
+        if dst:
+            for slot, queue in zip(slots, rows.queues):
+                self._link_fifo(slot, queue)
+            self._buffered_count[cid] = sum(map(len, rows.queues))
+            self._input_free_at[cid] = rows.input_free_at
+            if rows.vc_arbiter is not None:
+                self.vc_arbiters.restore(cid, rows.vc_arbiter)
+
     # --- introspection (used by tests) ------------------------------------------
 
     def buffered_packets(self) -> int:
         """Packets currently sitting in network buffers."""
-        total = 0
-        for cid, bufs in enumerate(self._buffers):
-            heads = self._buffer_heads[cid]
-            for vc, queue in enumerate(bufs):
-                total += len(queue) - heads[vc]
-        return total
+        return sum(self._buffered_count)
 
     def credits_outstanding(self, channel_id: int, vc: int) -> int:
         """Credits currently held (buffer depth minus available credits)."""
-        channel = self.machine.channels[channel_id]
-        depth = self.machine.buffer_depth_for_channel(channel)
-        return depth - self._credits[channel_id][vc]
+        depth = self.machine.channel_buffer_depth[channel_id]
+        return depth - self._credits[(channel_id << self._vc_bits) | vc]

@@ -41,6 +41,7 @@ class Packet:
         "ready_cycle",
         "retries",
         "drop_on_arrival",
+        "fifo_next",
     )
 
     def __init__(
@@ -83,6 +84,9 @@ class Packet:
         #: engine discards it (returning its credits) on arrival instead
         #: of buffering it.
         self.drop_on_arrival = False
+        #: The packet behind this one in the VC buffer holding it: the
+        #: engine's FIFOs are linked through their packets.
+        self.fifo_next: Optional["Packet"] = None
 
     @property
     def src(self) -> int:

@@ -389,21 +389,6 @@ def _dispatch(core: _ShardCore, msg: tuple) -> tuple:
     raise ValueError(f"unknown shard message {kind!r}")
 
 
-def _new_profiler(wanted: bool):
-    if not wanted:
-        return None
-    import cProfile
-
-    return cProfile.Profile()
-
-
-def _profiled(profiler, fn, *args):
-    """``fn(*args)``, under ``profiler`` when there is one."""
-    if profiler is None:
-        return fn(*args)
-    return profiler.runcall(fn, *args)
-
-
 class _InlineWorker:
     """Synchronous in-process transport: the conformance default.
 
@@ -414,18 +399,22 @@ class _InlineWorker:
     """
 
     def __init__(self, init: dict) -> None:
-        self.profiler = _new_profiler(init["profile"])
+        self.profiler = None
+        self._call = lambda fn, *args: fn(*args)
+        if init["profile"]:
+            import cProfile
+
+            self.profiler = cProfile.Profile()
+            self._call = self.profiler.runcall
         # Cores sharing a process cannot share the hub's engine object.
-        self._core = _profiled(
-            self.profiler, _ShardCore, dict(init, engine=None)
-        )
+        self._core = self._call(_ShardCore, dict(init, engine=None))
         self._reply: Optional[tuple] = ("ready",)
 
     def send(self, msg: tuple) -> None:
         if msg[0] == "stop":
             self._reply = None
         else:
-            self._reply = _profiled(self.profiler, _dispatch, self._core, msg)
+            self._reply = self._call(_dispatch, self._core, msg)
 
     def recv_reply(self) -> tuple:
         return self._reply
@@ -546,19 +535,11 @@ def merge_shard_snapshots(
         base._source_queues.update(eng._source_queues)
         base._source_heads.update(eng._source_heads)
         for channel in machine.channels:
-            cid = channel.cid
-            if owners[channel.dst] == shard:
-                base._buffers[cid] = eng._buffers[cid]
-                base._buffer_heads[cid] = eng._buffer_heads[cid]
-                base._buffered_count[cid] = eng._buffered_count[cid]
-                base._input_free_at[cid] = eng._input_free_at[cid]
-                if base.vc_arbiters[cid] is not None:
-                    base.vc_arbiters[cid] = eng.vc_arbiters[cid]
-            if owners[channel.src] == shard:
-                base._channel_free_at[cid] = eng._channel_free_at[cid]
-                base._credits[cid] = eng._credits[cid]
-                if cid in base.arbiters:
-                    base.arbiters[cid] = eng.arbiters[cid]
+            src = owners[channel.src] == shard
+            dst = owners[channel.dst] == shard
+            if src or dst:
+                cid = channel.cid
+                base.assign_channel(cid, eng.channel_rows(cid), src, dst)
         wheel, into = eng._events, base._events
         for index, bucket in enumerate(wheel.buckets):
             kept = [p for p in bucket if p[0] != _EV_FAULT]
@@ -611,13 +592,14 @@ def _keep_owned(engine: Engine, owners: Sequence[int], shard: int) -> None:
             return owners[channel_dst[b]] == shard
         return owners[channel_src[a] if kind == _EV_CREDIT else a] == shard
 
-    # (A build and a restore both leave every queue and buffer head at 0.)
+    # (A build and a restore both leave every source queue's head at 0.)
     for src in [s for s in engine._source_queues if owners[s] != shard]:
         del engine._source_queues[src], engine._source_heads[src]
     for cid, dst in enumerate(channel_dst):
         if owners[dst] != shard and engine._buffered_count[cid]:
-            engine._buffers[cid] = [[] for _ in engine._buffers[cid]]
-            engine._buffered_count[cid] = 0
+            rows = engine.channel_rows(cid)
+            emptied = rows._replace(queues=[[] for _ in rows.queues])
+            engine.assign_channel(cid, emptied, src=False)
     wheel = engine._events
     wheel.buckets = [[p for p in bucket if mine(p)] for bucket in wheel.buckets]
     # A sorted list is a valid heap, and filtering keeps it sorted.
@@ -664,9 +646,11 @@ class ShardedEngine:
     or the workload generated and the engine built) + ``spawn_s`` (first
     worker start through the last ``ready``: each cutting the engine
     down), then ``windows_s`` (``ready`` through the latest merged
-    ``stats``). ``profiles`` is a list extended with the
-    :class:`cProfile.Profile` of ``whole()`` and, on :meth:`close`, of
-    each inline worker.
+    ``stats``). ``profiles`` is a list extended, on :meth:`close`, with
+    the :class:`cProfile.Profile` of each inline worker: what the run
+    does once ``whole()`` has prepared it, so the tables are a function
+    of the run and not of what this process had already computed (the
+    offline memo, ``Machine.layout``) when it was started.
     """
 
     def __init__(
@@ -705,10 +689,7 @@ class ShardedEngine:
         inline = transport == "inline"
         profiling = self._profiles is not None
         t_start = time.perf_counter()
-        profiler = _new_profiler(profiling)
-        engine = _profiled(profiler, whole)
-        if profiling:
-            self._profiles.append(profiler)
+        engine = whole()
         #: The run's sink: events reach it in the serial emission order.
         self.trace, engine.trace = engine.trace, None
         #: The barrier the run is at; once drained, its drain cycle.

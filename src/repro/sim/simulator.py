@@ -58,13 +58,11 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.arbiters.age_based import AgeBasedArbiter
-from repro.arbiters.base import Arbiter
-from repro.arbiters.inverse_weighted import InverseWeightedArbiter
-from repro.arbiters.round_robin import RoundRobinArbiter
+from repro.arbiters.bank import BANKS, InverseWeightedBank
 from repro.arbiters.weights import WeightTable, compute_inverse_weights
 from repro.core.chip import default_floorplan
 from repro.core.machine import Machine, MachineConfig
@@ -263,31 +261,28 @@ def arbiter_builder_for(
     num_patterns: int = 1,
     weight_bits: int = DEFAULT_WEIGHT_BITS,
 ) -> ArbiterBuilder:
-    """Build the per-site arbiter factory for an arbitration policy.
+    """The bank builder of one arbitration stage under a policy: what
+    :class:`~repro.sim.engine.Engine` takes as ``arbiter_builder`` /
+    ``vc_arbiter_builder``.
 
-    Used for both arbitration stages: SA2 sites are keyed by output
-    channel id with per-input-port weights, SA1 sites by input channel id
-    with per-VC weights.
+    Used for both stages: SA2 sites are keyed by output channel id with
+    per-input-port weights, SA1 sites by input channel id with per-VC
+    weights. A site ``weight_tables`` does not name sees no modeled
+    traffic; packets that do show up there are charged equal (maximal)
+    weights, ``num_patterns`` of ``weight_bits`` bits when there is no
+    table at all to take the stage's shape from.
     """
-    if arbitration == "rr":
-        return lambda num_inputs, site: RoundRobinArbiter(num_inputs)
-    if arbitration == "age":
-        return lambda num_inputs, site: AgeBasedArbiter(num_inputs)
     if arbitration == "iw":
         if weight_tables is None:
             raise ValueError("inverse-weighted arbitration requires weight tables")
-
-        def build(num_inputs: int, site: int) -> Arbiter:
-            table = weight_tables.get(site)
-            if table is None:
-                # No modeled traffic ever crosses this output; any packets
-                # that do show up are handled with equal (maximal) weights.
-                table = compute_inverse_weights(
-                    [[0.0] * num_patterns] * num_inputs, weight_bits=weight_bits
-                )
-            return InverseWeightedArbiter(table.inverse_weights, table.weight_bits)
-
-        return build
+        return functools.partial(
+            InverseWeightedBank,
+            weight_tables=weight_tables,
+            num_patterns=num_patterns,
+            weight_bits=weight_bits,
+        )
+    if arbitration in ("rr", "age"):
+        return BANKS[arbitration]
     raise ValueError(f"unknown arbitration policy {arbitration!r}")
 
 

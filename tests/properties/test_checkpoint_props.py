@@ -21,7 +21,7 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arbiters.round_robin import FixedPriorityArbiter
+from repro.arbiters.bank import FixedPriorityBank
 from repro.core.machine import Machine, MachineConfig
 from repro.core.routing import RouteComputer
 from repro.faults import FaultPolicy, FaultRuntime, FaultSet, FaultSpec
@@ -104,11 +104,9 @@ def build(pattern_kind, arbitration, seed, batch, faulted, policy, writer):
     )
     if arbitration == "fixed":
         # The builder does not expose fixed priority; swap it in at cycle 0.
-        for oc, arb in engine.arbiters.items():
-            engine.arbiters[oc] = FixedPriorityArbiter(len(arb.grants))
-        for ic, arb in enumerate(engine.vc_arbiters):
-            if arb is not None:
-                engine.vc_arbiters[ic] = FixedPriorityArbiter(len(arb.grants))
+        rows = machine.engine_rows
+        engine.arbiters = FixedPriorityBank(rows.arbiter_sites)
+        engine.vc_arbiters = FixedPriorityBank(rows.vc_arbiter_sites)
     return engine
 
 

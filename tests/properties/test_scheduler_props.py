@@ -17,8 +17,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arbiters.age_based import AgeBasedArbiter
-from repro.arbiters.round_robin import FixedPriorityArbiter, RoundRobinArbiter
+from repro.arbiters.bank import AgeBank, FixedPriorityBank, RoundRobinBank
 from repro.core.geometry import all_coords
 from repro.core.machine import ChannelKind, Machine, MachineConfig
 from repro.core.routing import RouteComputer
@@ -33,9 +32,9 @@ from repro.traffic.patterns import UniformRandom
 _CACHE = {}
 
 ARBITERS = {
-    "rr": RoundRobinArbiter,
-    "age": AgeBasedArbiter,
-    "fixed": FixedPriorityArbiter,
+    "rr": RoundRobinBank,
+    "age": AgeBank,
+    "fixed": FixedPriorityBank,
 }
 
 
@@ -107,13 +106,10 @@ def fill_engine(machine, routes, seed, count, trace, policy):
     rng = random.Random(seed)
     chips = list(all_coords(machine.config.shape))
 
-    def builder(num_inputs, site):
-        return ARBITERS[policy](num_inputs)
-
     engine = Engine(
         machine,
-        arbiter_builder=builder,
-        vc_arbiter_builder=builder,
+        arbiter_builder=ARBITERS[policy],
+        vc_arbiter_builder=ARBITERS[policy],
         keep_packet_latencies=True,
         trace=trace,
     )

@@ -10,23 +10,28 @@ end-to-end bitwise guarantee lives in
 failure to the component that lost state.
 """
 
+import functools
 import io
 import json
 import random
 
 import pytest
 
-from repro.arbiters.age_based import AgeBasedArbiter
+from repro.arbiters.bank import (
+    AgeBank,
+    FixedPriorityBank,
+    InverseWeightedBank,
+    RoundRobinBank,
+)
 from repro.arbiters.base import SimpleRequest
 from repro.arbiters.inverse_weighted import InverseWeightedArbiter
-from repro.arbiters.round_robin import FixedPriorityArbiter, RoundRobinArbiter
-from repro.core.machine import Machine, MachineConfig
+from repro.arbiters.weights import WeightTable
+from repro.core.machine import ArbiterSites, Machine, MachineConfig
 from repro.faults import FaultPolicy, FaultRuntime, FaultSet, FaultSpec
 from repro.sim.checkpoint import (
     CHECKPOINT_SCHEMA_VERSION,
     CheckpointError,
-    _build_arbiter,
-    _dump_arbiter,
+    _stage_builder,
     _wheel_from_json,
     _wheel_to_json,
     checkpoint_info,
@@ -159,73 +164,106 @@ class TestTimingWheelRoundTrip:
 
 # --- arbiters ---------------------------------------------------------------------
 
+#: Two four-input sites side by side: a site's state must not leak into
+#: its neighbour's rows.
+SITES = ArbiterSites(order=(0, 1), offsets=(0, 4), num_inputs=(4, 4), size=8)
+IW_TABLES = {
+    site: WeightTable([[31], [16], [8], [4]], 5, 1.0) for site in SITES.order
+}
 
-def arbiter_cases():
+
+def bank_cases():
     return [
-        ("rr", RoundRobinArbiter(4)),
-        ("fixed", FixedPriorityArbiter(4)),
-        ("age", AgeBasedArbiter(4)),
-        (
-            "iw",
-            InverseWeightedArbiter(
-                [[31], [16], [8], [4]], 5, bit_exact=False
-            ),
-        ),
-        (
-            "iw-exact",
-            InverseWeightedArbiter(
-                [[31], [16], [8], [4]], 5, bit_exact=True
-            ),
-        ),
+        ("rr", RoundRobinBank),
+        ("fixed", FixedPriorityBank),
+        ("age", AgeBank),
+        ("iw", functools.partial(InverseWeightedBank, weight_tables=IW_TABLES)),
     ]
 
 
-def drive(arbiter, seed, rounds=40):
+def drive(bank, site, seed, rounds=40):
     """Deterministic pseudo-random request stream; returns grant list."""
     rng = random.Random(seed)
     grants = []
     for cycle in range(rounds):
-        requests = [
-            SimpleRequest(inject_cycle=cycle) if rng.random() < 0.7 else None
-            for _ in range(4)
-        ]
-        if not any(requests):
-            requests[0] = SimpleRequest(inject_cycle=cycle)
-        grants.append(arbiter.arbitrate(requests))
+        entries = [
+            (index, SimpleRequest(inject_cycle=cycle))
+            for index in range(4)
+            if rng.random() < 0.7
+        ] or [(0, SimpleRequest(inject_cycle=cycle))]
+        index, request = bank.peek(site, entries)
+        bank.commit(site, index, request)
+        grants.append(index)
     return grants
 
 
 class TestArbiterRoundTrip:
-    @pytest.mark.parametrize("name,arbiter", arbiter_cases())
-    def test_resume_equals_uninterrupted(self, name, arbiter):
-        # Warm the arbiter (pointer/accumulator state away from reset),
-        # snapshot, and check both copies grant identically afterwards.
-        drive(arbiter, seed=1)
-        spec = json.loads(json.dumps(_dump_arbiter(arbiter)))
-        restored = _build_arbiter(spec)
-        assert type(restored) is type(arbiter)
-        assert restored.state() == arbiter.state()
-        assert drive(restored, seed=2) == drive(arbiter, seed=2)
+    @pytest.mark.parametrize("name,build", bank_cases())
+    def test_resume_equals_uninterrupted(self, name, build):
+        # Warm both sites (pointer/accumulator state away from reset),
+        # move one through JSON into a fresh bank, and check both copies
+        # grant identically afterwards.
+        bank = build(SITES)
+        drive(bank, 0, seed=1)
+        drive(bank, 1, seed=5)
+        state = json.loads(json.dumps(bank.state(1)))
+        restored = _stage_builder([[1, {"type": bank.tag, "state": state}]], "arbiters")(SITES)
+        assert type(restored) is type(bank)
+        restored.restore(1, state)
+        assert restored.state(1) == bank.state(1)
+        assert not any(restored.grants_of(0))  # the neighbour is untouched
+        assert drive(restored, 1, seed=2) == drive(bank, 1, seed=2)
 
-    @pytest.mark.parametrize("name,arbiter", arbiter_cases())
-    def test_double_checkpoint_idempotent(self, name, arbiter):
-        drive(arbiter, seed=3)
-        first = _dump_arbiter(arbiter)
-        second = _dump_arbiter(_build_arbiter(first))
-        assert json.dumps(second) == json.dumps(first)
+    @pytest.mark.parametrize("name,build", bank_cases())
+    def test_double_checkpoint_idempotent(self, name, build):
+        bank = build(SITES)
+        drive(bank, 0, seed=3)
+        first = bank.state(0)
+        again = build(SITES)
+        again.restore(0, json.loads(json.dumps(first)))
+        assert json.dumps(again.state(0)) == json.dumps(first)
 
     def test_unknown_arbiter_type_rejected(self):
-        with pytest.raises(CheckpointError):
-            _build_arbiter({"type": "mystery", "state": {"grants": [0]}})
+        with pytest.raises(CheckpointError, match="unknown arbiter type 'mystery'"):
+            _stage_builder([[0, {"type": "mystery", "state": {"grants": [0]}}]], "arbiters")
+
+    def test_mixed_stage_rejected_by_name(self):
+        specs = [
+            [0, {"type": "rr", "state": {"grants": [0] * 4, "pointer": 0}}],
+            [1, {"type": "age", "state": {"grants": [0] * 4, "pointer": 0}}],
+        ]
+        with pytest.raises(
+            CheckpointError, match="mixes arbiter types age, rr in 'vc_arbiters'"
+        ):
+            _stage_builder(specs, "vc_arbiters")
+
+    def test_mixed_engine_checkpoint_rejected(self):
+        engine = make_engine(make_machine())
+        engine.run_for(10)
+        data = json.loads(dumps(snapshot_engine(engine)))
+        data["arbiters"][3][1]["type"] = "fixed"
+        with pytest.raises(CheckpointError, match="mixes arbiter types fixed, rr"):
+            restore_engine(data)
+
+    def test_wrong_width_site_rejected(self):
+        bank = RoundRobinBank(SITES)
+        with pytest.raises(ValueError, match="has 3 inputs, expected 4"):
+            bank.restore(0, {"grants": [0, 0, 0], "pointer": 0})
+
+    def test_bit_level_model_state_rejected(self):
+        arbiter = InverseWeightedArbiter([[31], [16], [8], [4]], 5, bit_exact=True)
+        with pytest.raises(ValueError, match="bit-level model"):
+            InverseWeightedBank(SITES).restore(0, arbiter.state())
 
     def test_iw_accumulators_survive(self):
-        arbiter = InverseWeightedArbiter([[31], [8], [16]], 5)
-        for cycle in range(7):
-            arbiter.arbitrate([SimpleRequest(inject_cycle=cycle)] * 3)
-        state = arbiter.state()
+        bank = InverseWeightedBank(SITES, IW_TABLES)
+        drive(bank, 0, seed=7)
+        state = bank.state(0)
         assert any(state["accumulators"])
-        restored = _build_arbiter(_dump_arbiter(arbiter))
-        assert restored.state()["accumulators"] == state["accumulators"]
+        restored = InverseWeightedBank(SITES)
+        restored.restore(0, state)
+        assert restored.state(0) == state
+        assert restored.state(1)["accumulators"] == [0] * 4
 
 
 # --- RNG streams ------------------------------------------------------------------

@@ -9,6 +9,7 @@ A diff here means either a bug or an intentional schema change; bump
         --seed 3 --cycles 40 --out tests/golden/checkpoint_uniform_2x2x2.json
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -18,6 +19,7 @@ import pytest
 from repro.cli import main
 from repro.core.machine import Machine, MachineConfig
 from repro.core.routing import RouteComputer
+from repro.faults import FaultPolicy, FaultRuntime, FaultSet, FaultSpec
 from repro.sim.checkpoint import (
     CHECKPOINT_SCHEMA_VERSION,
     checkpoint_info,
@@ -29,7 +31,7 @@ from repro.sim.checkpoint import (
 from repro.sim.goldens import GOLDEN_DIR
 from repro.sim.simulator import build_batch_engine
 from repro.traffic.batch import BatchSpec
-from repro.traffic.patterns import UniformRandom
+from repro.traffic.patterns import Tornado, UniformRandom
 
 FIXTURE = GOLDEN_DIR / "checkpoint_uniform_2x2x2.json"
 
@@ -83,6 +85,82 @@ class TestCommittedFixture:
         restored = restore_engine(load_checkpoint(str(FIXTURE)))
         resumed_stats = json.dumps(restored.run().asdict())
         assert resumed_stats == full_stats
+
+
+# --- bytes written before the engine's state was flat rows -----------------------
+#
+# The engine keeps per-(channel, VC) and per-arbiter state in flat rows
+# (DESIGN.md section 9); a checkpoint still lists it channel by channel
+# and site by site, in the bytes the nested containers and per-site
+# arbiter objects were serialized to. Pinned: sha256 of the mid-run
+# checkpoint each recipe wrote at the last commit that held those
+# (PR 23, e56f30b) -- the golden fixture above is the ``rr`` case.
+
+PINNED_CHECKPOINT_DIGESTS = {
+    "iw-tornado-4x2x2":
+        "4d968a3d51ed4e1dd35891497e6177e66bfffb14eedc4b921c719ee4d4ab53d7",
+    "age-uniform-2x2x2":
+        "046aad694753a731bc6fa659ce50d49343d167a53afa20d71d127809c7ebc8bd",
+    "rr-uniform-faulted-reroute-4x2x2":
+        "fb90b1a4d87e936b02aeb2c825eeb8bd7637bd5298eddb3c14c9745d2601c936",
+}
+
+
+def pinned_engine(name):
+    arbitration, pattern_kind, *faulted, shape_text = name.split("-")
+    shape = tuple(int(k) for k in shape_text.split("x"))
+    machine = Machine(MachineConfig(shape=shape, endpoints_per_chip=2))
+    routes, runtime = RouteComputer(machine), None
+    if faulted:
+        torus = [c.cid for c in machine.channels if c.kind.name == "TORUS"]
+        fault_set = FaultSet(
+            specs=(
+                FaultSpec(kind="link", channel=torus[0]),
+                FaultSpec(kind="link", channel=torus[5], down_cycle=20),
+                FaultSpec(
+                    kind="link", channel=torus[9], down_cycle=30, up_cycle=90
+                ),
+            ),
+            shape=shape,
+        )
+        runtime = FaultRuntime(
+            machine, fault_set, policy=FaultPolicy(mode=faulted[1])
+        )
+        routes = runtime.route_computer
+    pattern = {"tornado": Tornado, "uniform": UniformRandom}[pattern_kind](shape)
+    spec = BatchSpec(pattern, packets_per_source=12, cores_per_chip=2, seed=7)
+    return build_batch_engine(
+        machine, routes, spec, arbitration=arbitration,
+        weight_patterns=[pattern] if arbitration == "iw" else None,
+        faults=runtime,
+    )
+
+
+def pinned_checkpoint_text(name):
+    engine = pinned_engine(name)
+    engine.run_for(60)
+    assert not engine.drained
+    return dumps(snapshot_engine(engine))
+
+
+class TestBytesWrittenByNestedState:
+    @pytest.mark.parametrize("name", sorted(PINNED_CHECKPOINT_DIGESTS))
+    def test_mid_run_checkpoint_is_the_pinned_bytes(self, name):
+        text = pinned_checkpoint_text(name)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == PINNED_CHECKPOINT_DIGESTS[name]
+        # ... so the file that commit wrote restores, and saves again as
+        # it was, here and after running on.
+        restored = restore_engine(json.loads(text))
+        assert dumps(snapshot_engine(restored)) == text
+        straight = pinned_engine(name)
+        straight.run_for(100)
+        restored.run_for(40)
+        assert dumps(snapshot_engine(restored)) == dumps(snapshot_engine(straight))
+
+    def test_committed_fixture_saves_again_as_committed(self):
+        text = FIXTURE.read_text()
+        assert dumps(snapshot_engine(restore_engine(json.loads(text)))) == text
 
 
 class TestRejectionViaCli:

@@ -82,9 +82,12 @@ class TestWeightTables:
         pattern = Tornado((2, 2, 2))
         tables = make_weight_tables(machine, routes, [pattern], cores_per_chip=2)
         builder = arbiter_builder_for("iw", tables, num_patterns=1)
-        # A site with no modeled load still gets a working arbiter.
-        arbiter = builder(4, site=-1)
-        assert arbiter.num_inputs == 4
+        # A site with no modeled load still gets a working arbiter, every
+        # input charged the maximum weight.
+        sites = machine.engine_rows.arbiter_sites
+        unknown = next(oc for oc in sites.order if oc not in tables)
+        state = builder(sites).state(unknown)
+        assert state["weights"] == [[31]] * sites.num_inputs[unknown]
 
 
 class TestRunSinglePacket:
