@@ -305,13 +305,13 @@ def _timed_serial(run, machine: Machine) -> Tuple[SimStats, dict]:
     """What ``run_sharded(run, 1)`` does for a healthy rr batch (route
     computer, generate, build, run), timed stage by stage under the
     sharded runner's term names."""
-    from repro.sim.simulator import build_batch_engine
+    from repro.sim.simulator import build
 
     t_start = time.perf_counter()
     routes = RouteComputer(machine)
     packets = generate_batch(machine, routes, run.spec)
     t_generated = time.perf_counter()
-    engine = build_batch_engine(machine, routes, run.spec, packets=packets)
+    engine = build(run, machine, routes, packets=packets)
     t_built = time.perf_counter()
     stats = engine.run()
     return stats, {

@@ -10,8 +10,15 @@ throughput.
 Run:  python examples/quickstart.py
 """
 
-from repro import Machine, MachineConfig, RouteComputer, UniformRandom
-from repro.analysis import format_table, measure_batch
+from repro import (
+    BatchSpec,
+    Machine,
+    MachineConfig,
+    RouteComputer,
+    RunSpec,
+    UniformRandom,
+)
+from repro.analysis import format_table, measure_run
 from repro.core.routing import RouteChoice
 
 
@@ -40,13 +47,15 @@ def main() -> None:
     show_one_route(machine, routes)
 
     pattern = UniformRandom(config.shape)
+    spec = BatchSpec(pattern, packets_per_source=64, cores_per_chip=4)
     print(f"Batch experiment: {pattern.name} traffic, 64 packets per core, "
           f"4 cores per chip")
     rows = []
     for arbitration in ("rr", "iw"):
-        point = measure_batch(
-            machine, routes, pattern,
-            batch_size=64, cores_per_chip=4, arbitration=arbitration,
+        # One description of the run, measured on the machine built above.
+        point = measure_run(
+            RunSpec(config, spec, arbitration),
+            machine=machine, route_computer=routes,
         )
         rows.append([
             arbitration,

@@ -25,15 +25,15 @@ three design contributions and the tooling to reproduce its evaluation:
 
 Quick start::
 
-    from repro import Machine, MachineConfig, RouteComputer, UniformRandom
-    from repro.analysis import measure_batch
+    from repro import BatchSpec, MachineConfig, RunSpec, UniformRandom, run
+    from repro.analysis import measure_run
 
-    machine = Machine(MachineConfig(shape=(4, 4, 4), endpoints_per_chip=4))
-    routes = RouteComputer(machine)
-    pattern = UniformRandom(machine.config.shape)
-    point = measure_batch(machine, routes, pattern, batch_size=64,
-                          cores_per_chip=4, arbitration="iw")
-    print(point.normalized_throughput)
+    config = MachineConfig(shape=(4, 4, 4), endpoints_per_chip=4)
+    spec = BatchSpec(UniformRandom(config.shape), packets_per_source=64,
+                     cores_per_chip=4)
+    stats = run(RunSpec(config, spec, arbitration="iw"))
+    point = measure_run(RunSpec(config, spec, arbitration="iw"))
+    print(stats.end_cycle, point.normalized_throughput)
 """
 
 from .arbiters import (
@@ -56,7 +56,7 @@ from .core import (
 )
 from .core import params
 from .models import AreaModel, EnergyModel, LatencyModel
-from .sim import Engine, Packet, SimStats, run_batch, run_single_packet
+from .sim import Engine, Packet, RunSpec, SimStats, run, run_single_packet
 from .traffic import (
     BatchSpec,
     Blend,
@@ -90,6 +90,7 @@ __all__ = [
     "RouteChoice",
     "RouteComputer",
     "RoundRobinArbiter",
+    "RunSpec",
     "SimStats",
     "Tornado",
     "UniformRandom",
@@ -98,7 +99,7 @@ __all__ = [
     "compute_loads",
     "default_floorplan",
     "params",
-    "run_batch",
+    "run",
     "run_single_packet",
     "search_direction_orders",
     "__version__",

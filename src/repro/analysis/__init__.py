@@ -18,7 +18,7 @@ from .report import ascii_bar_chart, format_series, format_table, side_by_side
 from .throughput import (
     ThroughputPoint,
     blend_sweep,
-    measure_batch,
+    measure_run,
     throughput_vs_batch_size,
 )
 
@@ -38,7 +38,7 @@ __all__ = [
     "grant_ratio_experiment",
     "jain_index",
     "latency_vs_load",
-    "measure_batch",
+    "measure_run",
     "saturation_rate",
     "mid_run_service_fairness",
     "side_by_side",

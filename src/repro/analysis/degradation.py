@@ -87,8 +87,7 @@ def measure_degraded_point(point: RunSpec) -> DegradedThroughputPoint:
     # Degraded loads over the fault-aware routes, enumerated once: they
     # normalize the result below and, under ``iw``, program the weights.
     (load_table,) = loads_of(
-        machine, routes, [spec.pattern], spec.cores_per_chip,
-        spec.dst_endpoint_mode, faults,
+        machine, routes, [spec.pattern], spec.cores_per_chip, faults
     )
     start = time.perf_counter()
     stats = build(point, machine, routes, faults, load_tables=[load_table]).run()

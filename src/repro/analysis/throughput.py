@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.machine import Machine, MachineConfig
 from repro.core.routing import RouteComputer
@@ -31,13 +31,13 @@ from repro.sim.simulator import (
     RunSpec,
     loads_of,
     program_weights,
-    run_engine,
+    run as simulate,
     share_machine,
     shared_machine,
 )
 from repro.sim.sweep import SweepPoint, finished, point_scratch, run_sweep
 from repro.traffic.batch import BatchSpec
-from repro.traffic.loads import LoadTable, ideal_batch_cycles
+from repro.traffic.loads import ideal_batch_cycles
 from repro.traffic.patterns import Blend, TrafficPattern
 
 
@@ -66,22 +66,61 @@ class ThroughputPoint:
     metrics: Optional[MetricsSummary] = None
 
 
-def _measure(
-    run, machine, route_computer, load_table, label, collector,
-    checkpoint_path, checkpoint_every, stamped=True, **programmed,
+def _prepare(
+    run: RunSpec,
+    machine: Optional[Machine] = None,
+    route_computer: Optional[RouteComputer] = None,
+) -> tuple:
+    """The offline half of a batch run: ``(machine, route computer, the
+    measured pattern's load table, (SA2, SA1) weight tables)``. On the
+    config's shared pair all of it comes out of the simulator's memo, so
+    whoever asks first pays: a campaign's parent before its workers
+    fork, else each worker."""
+    if machine is None:
+        machine, route_computer = shared_machine(run.config)
+    elif route_computer is None:
+        route_computer = RouteComputer(machine)
+    spec = run.spec
+    (load_table,) = loads_of(
+        machine, route_computer, [spec.pattern], spec.cores_per_chip
+    )
+    tables = program_weights(run, machine, route_computer)
+    return machine, route_computer, load_table, tables
+
+
+def measure_run(
+    run: RunSpec,
+    label: Optional[str] = None,
+    collector: Optional[MetricsCollector] = None,
+    checkpoint_path: Optional[str] = None,
+    checkpoint_every: int = 0,
+    machine: Optional[Machine] = None,
+    route_computer: Optional[RouteComputer] = None,
 ) -> ThroughputPoint:
-    """Start ``run`` (``programmed`` is :func:`build`'s), run it, and
-    normalize its completion time by ``load_table``, the measured
-    pattern's: following Section 4.1, a throughput of 1 means the busiest
-    torus channel (under the pattern's expected loads) was never idle."""
+    """Measure one described batch run: prepare, build, run, reduce.
+
+    Its completion time is normalized by the measured pattern's load
+    table: following Section 4.1, a throughput of 1 means the busiest
+    torus channel (under the pattern's expected loads) was never idle.
+    ``machine`` (with ``route_computer``, else a stock one on it) is a
+    pair the caller holds -- a custom floorplan or route computer, which
+    a campaign refuses -- measured as it is; by default the config's
+    shared pair. A :class:`~repro.sim.metrics.MetricsCollector` streams
+    per-channel and latency metrics out of the run; its summary rides
+    along on the returned point. ``checkpoint_path`` +
+    ``checkpoint_every`` are :func:`repro.sim.simulator.run`'s: the file
+    is stamped with ``run``, ``weight_patterns`` included, so editing
+    what programs a point's weights refuses the old point's file like
+    any other edit.
+    """
+    machine, route_computer, load_table, tables = _prepare(
+        run, machine, route_computer
+    )
     start = time.perf_counter()
-    stats = run_engine(
-        run, machine, collector,
-        checkpoint_path=checkpoint_path,
-        checkpoint_every=checkpoint_every,
-        stamped=stamped,
-        route_computer=route_computer,
-        **programmed,
+    stats = simulate(
+        run, machine=machine, trace=collector,
+        checkpoint_path=checkpoint_path, checkpoint_every=checkpoint_every,
+        route_computer=route_computer, weight_tables=tables,
     )
     wall = time.perf_counter() - start
     batch_size = run.spec.packets_per_source
@@ -97,84 +136,6 @@ def _measure(
         metrics=(
             None if collector is None else collector.summary(stats.end_cycle)
         ),
-    )
-
-
-def measure_batch(
-    machine: Machine,
-    route_computer: RouteComputer,
-    pattern: TrafficPattern,
-    batch_size: int,
-    cores_per_chip: int,
-    arbitration: str,
-    load_table: Optional[LoadTable] = None,
-    weight_tables: Optional[Dict] = None,
-    vc_weight_tables: Optional[Dict] = None,
-    seed: int = 0,
-    label: Optional[str] = None,
-    collector: Optional[MetricsCollector] = None,
-    checkpoint_path: Optional[str] = None,
-    checkpoint_every: int = 0,
-) -> ThroughputPoint:
-    """Run one batch on a pair the caller holds and normalize its
-    completion time (:func:`measure_run` takes a described run).
-
-    A :class:`~repro.sim.metrics.MetricsCollector` may be attached to
-    also stream per-channel and latency metrics out of the run; its
-    summary rides along on the returned point.
-
-    ``checkpoint_path`` + ``checkpoint_every`` are the periodic
-    checkpoints of :func:`repro.sim.simulator.run_batch`: an interrupted
-    point made again is restored mid-run and its measured result is
-    bitwise-identical to a never-interrupted execution. Unless weight
-    tables are handed in -- they do not say what programmed them -- the
-    file is stamped with this point's run, so a point edited since
-    (another pattern, batch size, seed or policy) refuses it by name.
-    """
-    spec = BatchSpec(pattern, batch_size, cores_per_chip, seed=seed)
-    if load_table is None:
-        (load_table,) = loads_of(machine, route_computer, [pattern], cores_per_chip)
-    return _measure(
-        RunSpec(machine.config, spec, arbitration), machine, route_computer,
-        load_table, label, collector, checkpoint_path, checkpoint_every,
-        stamped=weight_tables is None and vc_weight_tables is None,
-        # Weights not handed in are programmed from the measured pattern
-        # itself, off the load table that also normalizes the result.
-        weight_tables=(weight_tables, vc_weight_tables),
-        load_tables=[load_table],
-    )
-
-
-def _prepare(run: RunSpec) -> tuple:
-    """The offline half of a batch run on the shared pair: ``(machine,
-    route computer, the measured pattern's load table, (SA2, SA1) weight
-    tables)``, all out of the simulator's memo, so whoever asks first
-    pays: a campaign's parent before its workers fork, else each worker."""
-    machine, route_computer = shared_machine(run.config)
-    spec = run.spec
-    (load_table,) = loads_of(
-        machine, route_computer, [spec.pattern], spec.cores_per_chip,
-        spec.dst_endpoint_mode,
-    )
-    tables = program_weights(run, machine, route_computer)
-    return machine, route_computer, load_table, tables
-
-
-def measure_run(
-    run: RunSpec,
-    label: Optional[str] = None,
-    collector: Optional[MetricsCollector] = None,
-    checkpoint_path: Optional[str] = None,
-    checkpoint_every: int = 0,
-) -> ThroughputPoint:
-    """Measure one described batch run: prepare, build, run, reduce.
-    The checkpoint is stamped with ``run``, ``weight_patterns`` included:
-    editing what programs a point's weights refuses the old point's file
-    like any other edit."""
-    machine, route_computer, load_table, tables = _prepare(run)
-    return _measure(
-        run, machine, route_computer, load_table, label, collector,
-        checkpoint_path, checkpoint_every, weight_tables=tables,
     )
 
 

@@ -1,12 +1,12 @@
 """One served simulation session: an engine, its streams, its budget.
 
 A :class:`Session` wraps exactly the engine a direct
-:func:`~repro.sim.simulator.run_batch` / :func:`~repro.traffic.demand.run_demand`
-call would build -- same builders, same arbiter programming, same seeds --
-and advances it in bounded quanta on the server's event loop. That makes
-the direct runner the *oracle* for the server: the conformance tests
-drive a workload over the wire and byte-compare stats and checkpoint text
-against the serial run.
+``run(RunSpec.from_params(workload))`` (:func:`~repro.sim.simulator.run`)
+would build -- same decoder, same builder, same arbiter programming, same
+seeds -- and advances it in bounded quanta on the server's event loop.
+That makes the direct runner the *oracle* for the server: the
+conformance tests drive a workload over the wire and byte-compare stats
+and checkpoint text against the serial run.
 
 Determinism argument
 --------------------
@@ -490,7 +490,7 @@ class Session:
     def submit_demand(self, demand_cfg: dict) -> dict:
         """Generate a demand workload and enqueue it at the current cycle.
 
-        Uses the same generator as ``run_demand`` (so a submission into a
+        Uses the same generator as a demand run (so a submission into a
         fresh session is oracle-identical), with every packet's timing
         shifted by the session's current cycle. Seed and cores default to
         the session's workload-level values -- the same defaults

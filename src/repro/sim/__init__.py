@@ -22,7 +22,6 @@ from .simulator import (
     make_vc_weight_tables,
     make_weight_tables,
     run,
-    run_batch,
     run_single_packet,
 )
 from .stats import SimStats
@@ -54,6 +53,5 @@ __all__ = [
     "measure_one_way_latency",
     "read_trace",
     "run",
-    "run_batch",
     "run_single_packet",
 ]

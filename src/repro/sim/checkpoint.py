@@ -399,6 +399,15 @@ def _revive_sinks(trace, section: dict) -> None:
                 sink.restore_state(section["collector"])
 
 
+def _stats_to_json(stats: SimStats) -> dict:
+    """``stats.asdict()`` in schema 1's layout, which lists the retained
+    per-packet latencies -- always none now -- before the estimator."""
+    out = stats.asdict()
+    out["packet_latencies"] = []
+    out["latency_estimator"] = out.pop("latency_estimator")
+    return out
+
+
 def snapshot_engine(engine: Engine) -> dict:
     """Full mutable-state snapshot of a quiescent engine (between cycles).
 
@@ -471,7 +480,7 @@ def snapshot_engine(engine: Engine) -> dict:
         "cycle": engine.cycle,
         "machine": _machine_to_json(engine.machine),
         "watchdog_cycles": engine.watchdog_cycles,
-        "keep_packet_latencies": engine.keep_packet_latencies,
+        "keep_packet_latencies": False,
         "packets": [_packet_to_json(p) for p in pindex.packets],
         "source_queues": source_queues,
         "buffers": buffers,
@@ -493,7 +502,7 @@ def snapshot_engine(engine: Engine) -> dict:
         "queued": engine._queued,
         "in_network": engine._in_network,
         "last_progress": engine._last_progress,
-        "stats": engine.stats.asdict(),
+        "stats": _stats_to_json(engine.stats),
         "trace": _trace_section(engine),
         "faults": faults,
     }
@@ -558,7 +567,9 @@ def _restore_into(engine: Engine, data: dict, packets: List[Packet]) -> None:
     engine._in_network = data["in_network"]
     engine._last_progress = data["last_progress"]
 
-    engine.stats = SimStats.from_dict(data["stats"])
+    stats = dict(data["stats"])
+    del stats["packet_latencies"]  # schema 1's, vetted empty by restore_engine
+    engine.stats = SimStats.from_dict(stats)
     # ``_depart`` increments these aliases directly; re-point them at
     # the restored stats object's dicts.
     engine._stat_channel_flits = engine.stats.channel_flits
@@ -618,6 +629,13 @@ def restore_engine(
             machine = Machine(_config_from_json(data["machine"]))
         else:
             check_machine(data, machine)
+        retained = data["stats"]["packet_latencies"]
+        if data["keep_packet_latencies"] is not False or retained != []:
+            raise CheckpointError(
+                "checkpoint retains per-packet latencies "
+                "(keep_packet_latencies), which engines no longer keep; "
+                "read them from a trace's deliver events instead"
+            )
         section = data["trace"]
         if trace is None and section["collector"] is not None:
             trace = MetricsCollector()  # revived below, like one handed in
@@ -626,7 +644,6 @@ def restore_engine(
             arbiter_builder=_stage_builder(data["arbiters"], "arbiters"),
             vc_arbiter_builder=_stage_builder(data["vc_arbiters"], "vc_arbiters"),
             watchdog_cycles=data["watchdog_cycles"],
-            keep_packet_latencies=data["keep_packet_latencies"],
             trace=trace,
         )
         choice_cache: Dict[tuple, RouteChoice] = {}
@@ -811,8 +828,8 @@ def load_checkpoint(path: str, stamp: Optional[str] = None) -> dict:
 
     With ``stamp``, the resuming run's :func:`run_stamp`, a file some
     other run stamped is refused by name and left untouched; a file
-    without a stamp (``repro checkpoint save``, serve snapshots, hand-
-    assembled runs) belongs to whoever holds a matching machine.
+    without a stamp (``repro checkpoint save``, serve snapshots) belongs
+    to whoever holds a matching machine.
     """
     try:
         with open(path, "r") as handle:

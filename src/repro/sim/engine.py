@@ -188,7 +188,6 @@ class Engine:
         arbiter_builder: ArbiterBuilder = RoundRobinBank,
         vc_arbiter_builder: ArbiterBuilder = RoundRobinBank,
         watchdog_cycles: int = 20_000,
-        keep_packet_latencies: bool = False,
         trace=None,
         latency_quantiles: bool = False,
         faults=None,
@@ -197,7 +196,6 @@ class Engine:
         self.stats = SimStats()
         self.cycle = 0
         self.watchdog_cycles = watchdog_cycles
-        self.keep_packet_latencies = keep_packet_latencies
         #: Optional structured-event sink (see :mod:`repro.sim.trace`).
         #: ``None`` keeps tracing zero-overhead: one attribute check per
         #: emission site, no event construction.
@@ -605,7 +603,7 @@ class Engine:
         if packet.next_hop is None:
             # Final hop: consume at the destination endpoint.
             packet.deliver_cycle = now
-            self.stats.record_delivery(packet, self.keep_packet_latencies)
+            self.stats.record_delivery(packet)
             self._in_network -= 1
             self._last_progress = now
             vc = arrival_vc(packet)

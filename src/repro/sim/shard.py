@@ -48,7 +48,7 @@ discrete-event simulation, exact rather than approximate:
   the serial engine's driving surface (``cycle``, ``drained``,
   ``run_for``, ``run``, ``stats``, ``trace``, ``snapshot``, ``close``)
   over the barrier loop. The one loop that drives any engine
-  (:func:`~repro.sim.simulator.run_engine`) drives it too, so how a run
+  (:func:`~repro.sim.simulator.run`) drives it too, so how a run
   is capped, saved, killed and cleaned up is written once and holds at
   every shard count; this module knows nothing of checkpoint files. Its
   :meth:`~ShardedEngine.snapshot` *merges* the shards' snapshots into the

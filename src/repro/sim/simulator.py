@@ -36,10 +36,13 @@ process and remembered here, behind :func:`build`.
 A run has one way to start, :func:`start`: a checkpoint of it at the
 path it was given is restored, sinks revived; otherwise :func:`build`
 makes the cycle-0 engine -- cut over ``shards`` workers when the caller
-asks for more than one. And one way to be driven, :func:`run_engine`:
-whatever ``start`` returned has the engine's surface, so "is this a
-resume?", the cycle cap, the save cadence and the clean-up are each
-asked or applied in one place, at any shard count.
+asks for more than one. And one way to be driven, :func:`run`: whatever
+``start`` returned has the engine's surface, so "is this a resume?",
+the cycle cap, the save cadence and the clean-up are each asked or
+applied in one place, at any shard count. A caller that holds pieces of
+its own -- a route computer, a fault runtime, programmed tables, packets
+-- hands them to :func:`run` too; the run is still stamped as its
+``RunSpec``.
 
 The ``arbitration`` field selects the policy at every router and adapter
 output:
@@ -49,9 +52,9 @@ output:
 * ``"iw"`` -- inverse-weighted, programmed from analytically computed
   loads of one or more traffic patterns (the paper's black curves).
 
-:func:`build_batch_engine`, :func:`run_batch` and their demand/replay
-counterparts remain as entries for callers that already hold a machine
-and a route computer.
+:func:`build_batch_engine` and :func:`run_batch_sharded` (and
+:func:`repro.traffic.demand.build_demand_engine`) are thin entries into
+:func:`build` and :func:`run` for a caller that holds a machine.
 """
 
 from __future__ import annotations
@@ -70,7 +73,6 @@ from repro.core.onchip import ANTON_DIRECTION_ORDER
 from repro.core.routing import RouteComputer
 
 from .checkpoint import (
-    CheckpointError,
     canonical,
     load_checkpoint,
     restore_engine,
@@ -91,7 +93,7 @@ DEFAULT_WEIGHT_BITS = 5
 #: config elaborates to; ``("loads" | "tables", ...)`` -> a load table or
 #: an ``(SA2, SA1)`` pair computed on such a pair. A value is a pure
 #: function of its key -- config, the patterns' canonical *content*
-#: (never their names), cores, endpoint mode, weight bits -- so none is
+#: (never their names), cores, weight bits -- so none is
 #: ever invalidated and a forked pool worker inherits all of it. Nothing
 #: computed on a custom floorplan or route computer, or on a faulted
 #: run's fault-aware one, is kept: the key could not say so.
@@ -140,7 +142,8 @@ def share_machine(machine: Machine, route_computer: RouteComputer) -> None:
         raise ValueError(
             "a campaign runs on the machine its MachineConfig describes "
             "(default floorplan, stock RouteComputer) and this pair is not "
-            "that one; measure_batch takes the pair itself"
+            "that one; measure_run(run, machine=, route_computer=) takes "
+            "the pair itself"
         )
     _MEMO["machine", machine.config] = (machine, route_computer)
 
@@ -169,7 +172,6 @@ def loads_of(
     route_computer: RouteComputer,
     patterns: Sequence["TrafficPattern"],
     cores_per_chip: int,
-    dst_endpoint_mode: str = "same_index",
     faults=None,
 ) -> List["LoadTable"]:
     """The analytic loads of each of ``patterns``, one table per pattern.
@@ -185,10 +187,9 @@ def loads_of(
     return [
         _remembered(
             "loads", machine, route_computer, faults, (pattern,),
-            (cores_per_chip, dst_endpoint_mode),
+            (cores_per_chip,),
             lambda pattern=pattern: compute_loads(
                 machine, route_computer, pattern, cores_per_chip,
-                dst_endpoint_mode,
                 use_symmetry=None if faults is None else False,
             ),
         )
@@ -201,7 +202,6 @@ def make_weight_tables(
     route_computer: RouteComputer,
     patterns: Sequence["TrafficPattern"],
     cores_per_chip: int,
-    dst_endpoint_mode: str = "same_index",
     weight_bits: int = DEFAULT_WEIGHT_BITS,
     load_tables: Optional[Sequence["LoadTable"]] = None,
 ) -> Dict[int, WeightTable]:
@@ -215,9 +215,7 @@ def make_weight_tables(
     from repro.traffic.loads import merge_arbiter_loads
 
     if load_tables is None:
-        load_tables = loads_of(
-            machine, route_computer, patterns, cores_per_chip, dst_endpoint_mode
-        )
+        load_tables = loads_of(machine, route_computer, patterns, cores_per_chip)
     merged = merge_arbiter_loads(machine, load_tables)
     return {
         oc: compute_inverse_weights(matrix, weight_bits=weight_bits)
@@ -230,7 +228,6 @@ def make_vc_weight_tables(
     route_computer: RouteComputer,
     patterns: Sequence["TrafficPattern"],
     cores_per_chip: int,
-    dst_endpoint_mode: str = "same_index",
     weight_bits: int = DEFAULT_WEIGHT_BITS,
     load_tables: Optional[Sequence["LoadTable"]] = None,
 ) -> Dict[int, WeightTable]:
@@ -245,9 +242,7 @@ def make_vc_weight_tables(
     from repro.traffic.loads import merge_vc_loads
 
     if load_tables is None:
-        load_tables = loads_of(
-            machine, route_computer, patterns, cores_per_chip, dst_endpoint_mode
-        )
+        load_tables = loads_of(machine, route_computer, patterns, cores_per_chip)
     merged = merge_vc_loads(machine, load_tables)
     return {
         cid: compute_inverse_weights(matrix, weight_bits=weight_bits)
@@ -540,15 +535,15 @@ def program_weights(
     they are made of."""
     if run.arbitration != "iw":
         return None, None
-    sources = (run.spec.cores_per_chip, run.spec.dst_endpoint_mode)
+    cores = run.spec.cores_per_chip
 
     def program(loads=load_tables):
         if loads is None:
             loads = loads_of(
-                machine, route_computer, _weight_patterns(run), *sources, faults
+                machine, route_computer, _weight_patterns(run), cores, faults
             )
         # The loads are all the tables depend on: no pattern is consulted.
-        args = (machine, route_computer, (), *sources, run.weight_bits)
+        args = (machine, route_computer, (), cores, run.weight_bits)
         return (
             make_weight_tables(*args, load_tables=loads),
             make_vc_weight_tables(*args, load_tables=loads),
@@ -558,7 +553,7 @@ def program_weights(
         return program()
     return _remembered(
         "tables", machine, route_computer, faults, _weight_patterns(run),
-        sources + (run.weight_bits,), program,
+        (cores, run.weight_bits), program,
     )
 
 
@@ -571,7 +566,6 @@ def build(
     packets: Optional[Sequence["Packet"]] = None,
     weight_tables=None,
     load_tables: Optional[Sequence["LoadTable"]] = None,
-    keep_packet_latencies: bool = False,
     latency_quantiles: bool = False,
 ) -> Engine:
     """The run's cycle-0 engine: arbiters programmed, sinks attached,
@@ -604,7 +598,6 @@ def build(
         vc_arbiter_builder=arbiter_builder_for(
             run.arbitration, sa1, num_patterns, run.weight_bits
         ),
-        keep_packet_latencies=keep_packet_latencies,
         trace=trace,
         latency_quantiles=latency_quantiles,
         faults=faults,
@@ -623,7 +616,6 @@ def start(
     checkpoint_path: Optional[str] = None,
     route_computer=None,
     faults=None,
-    stamped: bool = True,
     shards: int = 1,
     transport: str = "process",
     timings: Optional[dict] = None,
@@ -635,14 +627,13 @@ def start(
     cycle 0 (``programmed`` is :func:`build`'s).
 
     The one place that decides between the two. A file at the path marks
-    an interrupted run: it must be a checkpoint of this machine and --
-    unless ``stamped`` is off, for a run assembled by hand, which its
-    ``RunSpec`` does not fully describe -- stamped by this run or by none
-    (:func:`~repro.sim.checkpoint.run_stamp`); anything else is refused
-    by name and left as it is. Restoring also revives the sinks under
-    ``trace`` (:func:`~repro.sim.checkpoint.restore_engine`), last, so
-    the resumed run's trace and metrics are the uninterrupted run's and
-    a refusal leaves them as they were.
+    an interrupted run: it must be a checkpoint of this machine, stamped
+    by this run or by none (:func:`~repro.sim.checkpoint.run_stamp`);
+    anything else is refused by name and left as it is. Restoring also
+    revives the sinks under ``trace``
+    (:func:`~repro.sim.checkpoint.restore_engine`), last, so the resumed
+    run's trace and metrics are the uninterrupted run's and a refusal
+    leaves them as they were.
     ``route_computer`` and ``faults`` are the context of a caller that
     holds one; by default it is :func:`run_context`'s.
 
@@ -658,16 +649,7 @@ def start(
 
     def whole() -> Engine:
         if checkpoint_path and os.path.exists(checkpoint_path):
-            data = load_checkpoint(
-                checkpoint_path, run_stamp(run) if stamped else None
-            )
-            if shards != 1 and data.get("keep_packet_latencies"):
-                raise CheckpointError(
-                    f"checkpoint {checkpoint_path} retains per-packet "
-                    f"latencies (keep_packet_latencies), which a sharded "
-                    f"resume would return in shard order; resume it "
-                    f"serially (shards=1)"
-                )
+            data = load_checkpoint(checkpoint_path, run_stamp(run))
             return restore_engine(data, machine=machine, trace=trace)
         context = (route_computer, faults)
         if route_computer is None:
@@ -708,199 +690,28 @@ def run(
     max_cycles: int = 10_000_000,
     checkpoint_path: Optional[str] = None,
     checkpoint_every: int = 0,
-    transport: str = "process",
-    timings: Optional[dict] = None,
-    profiles: Optional[list] = None,
-) -> SimStats:
-    """Simulate ``run`` to completion, decomposed over ``shards`` sub-boxes:
-    :func:`run_engine` on the engine :func:`start` makes of that count
-    (``transport``, ``timings`` and ``profiles`` are its too)."""
-    return run_engine(
-        run, machine, trace, max_cycles, checkpoint_path, checkpoint_every,
-        shards=shards, transport=transport, timings=timings, profiles=profiles,
-    )
-
-
-# --- entries for callers that hold a machine and a route computer ------------------
-
-
-def _batch_run(
-    machine, spec, arbitration, weight_patterns, weight_tables,
-    vc_weight_tables, weight_bits,
-) -> RunSpec:
-    """The :class:`RunSpec` of a batch assembled by hand. Such a caller
-    names its ``iw`` weights one way or the other; the own-pattern
-    default belongs to runs described by a :class:`RunSpec`."""
-    if arbitration == "iw" and not weight_patterns and (
-        weight_tables is None or vc_weight_tables is None
-    ):
-        raise ValueError("iw arbitration needs weight_patterns or weight tables")
-    return RunSpec(
-        machine.config, spec, arbitration, tuple(weight_patterns or ()),
-        weight_bits,
-    )
-
-
-def build_batch_engine(
-    machine: Machine,
-    route_computer: RouteComputer,
-    spec: "BatchSpec",
-    arbitration: str = "rr",
-    weight_patterns: Optional[Sequence["TrafficPattern"]] = None,
-    weight_tables: Optional[Dict[int, WeightTable]] = None,
-    vc_weight_tables: Optional[Dict[int, WeightTable]] = None,
-    weight_bits: int = DEFAULT_WEIGHT_BITS,
-    keep_packet_latencies: bool = False,
-    trace=None,
-    latency_quantiles: bool = False,
-    faults=None,
-    packets: Optional[Sequence["Packet"]] = None,
-) -> Engine:
-    """Construct a cycle-0 engine with a full batch enqueued.
-
-    :func:`build` for a caller that holds the pieces: ``faults`` is an
-    already-built :class:`repro.faults.FaultRuntime` (pass its
-    fault-aware computer as ``route_computer`` too, so generated routes
-    avoid the initially failed channels), and ``weight_tables`` /
-    ``vc_weight_tables`` are pre-programmed ``iw`` tables for the two
-    arbitration stages.
-    """
-    run = _batch_run(
-        machine, spec, arbitration, weight_patterns, weight_tables,
-        vc_weight_tables, weight_bits,
-    )
-    return build(
-        run,
-        machine,
-        route_computer,
-        faults,
-        trace=trace,
-        packets=packets,
-        weight_tables=(weight_tables, vc_weight_tables),
-        keep_packet_latencies=keep_packet_latencies,
-        latency_quantiles=latency_quantiles,
-    )
-
-
-def run_batch(
-    machine: Machine,
-    route_computer: RouteComputer,
-    spec: "BatchSpec",
-    arbitration: str = "rr",
-    weight_patterns: Optional[Sequence["TrafficPattern"]] = None,
-    weight_tables: Optional[Dict[int, WeightTable]] = None,
-    vc_weight_tables: Optional[Dict[int, WeightTable]] = None,
-    weight_bits: int = DEFAULT_WEIGHT_BITS,
-    max_cycles: int = 10_000_000,
-    keep_packet_latencies: bool = False,
-    trace=None,
-    latency_quantiles: bool = False,
-    faults=None,
-    checkpoint_path: Optional[str] = None,
-    checkpoint_every: int = 0,
-) -> SimStats:
-    """Run one batch experiment and return its statistics.
-
-    :func:`run_engine` (whose checkpoint/resume contract applies) on the
-    pieces :func:`build_batch_engine` takes. ``iw`` weights come from
-    ``weight_tables``/``vc_weight_tables`` (pre-programmed), else from
-    ``weight_patterns``, and apply at both arbitration stages (output
-    ports and per-input VC selection).
-
-    ``trace`` attaches a structured-event sink (:mod:`repro.sim.trace`);
-    ``latency_quantiles`` enables the streaming p50/p95/p99 estimator on
-    the returned stats (:mod:`repro.sim.metrics`). Both are pure
-    observers: results are bitwise-identical with or without them.
-    """
-    run = _batch_run(
-        machine, spec, arbitration, weight_patterns, weight_tables,
-        vc_weight_tables, weight_bits,
-    )
-    return run_engine(
-        run,
-        machine,
-        trace,
-        max_cycles,
-        checkpoint_path,
-        checkpoint_every,
-        stamped=False,
-        route_computer=route_computer,
-        faults=faults,
-        weight_tables=(weight_tables, vc_weight_tables),
-        keep_packet_latencies=keep_packet_latencies,
-        latency_quantiles=latency_quantiles,
-    )
-
-
-def run_batch_sharded(
-    machine: Machine,
-    spec: "BatchSpec",
-    shards: int = 1,
-    arbitration: str = "rr",
-    weight_patterns: Optional[Sequence["TrafficPattern"]] = None,
-    weight_bits: int = DEFAULT_WEIGHT_BITS,
-    fault_set=None,
-    fault_policy=None,
-    max_cycles: int = 10_000_000,
-    trace=None,
-    checkpoint_path: Optional[str] = None,
-    checkpoint_every: int = 0,
-    transport: str = "process",
-) -> SimStats:
-    """Run a batch experiment decomposed over ``shards`` torus sub-boxes.
-
-    :func:`run` for a caller that holds the machine. Unlike
-    :func:`run_batch`, fault injection is specified by
-    ``fault_set``/``fault_policy`` rather than a pre-built runtime,
-    because whoever starts a faulted run builds its own deterministic
-    fault-aware route computer.
-    """
-    return run(
-        RunSpec(
-            machine.config, spec, arbitration, tuple(weight_patterns or ()),
-            weight_bits, fault_set, fault_policy,
-        ),
-        shards,
-        machine=machine,
-        trace=trace,
-        max_cycles=max_cycles,
-        checkpoint_path=checkpoint_path,
-        checkpoint_every=checkpoint_every,
-        transport=transport,
-    )
-
-
-def run_engine(
-    run: RunSpec,
-    machine: Optional[Machine] = None,
-    trace=None,
-    max_cycles: int = 10_000_000,
-    checkpoint_path: Optional[str] = None,
-    checkpoint_every: int = 0,
-    stamped: bool = True,
     **started,
 ) -> SimStats:
-    """:func:`start` the run (``stamped`` and ``started`` are its) and
-    run the engine to completion.
+    """Simulate ``run`` to completion, decomposed over ``shards`` sub-boxes.
 
-    The one loop above an engine, serial or sharded: the core of
-    :func:`run`, :func:`run_batch`, the demand runner
-    (:func:`repro.traffic.demand.run_demand`) and the throughput
-    measurements. With ``checkpoint_path`` and a positive
-    ``checkpoint_every`` the engine is saved there as
-    :func:`~repro.sim.checkpoint.run_with_checkpoints` says, stamped as
-    :func:`start` vets it, so a run killed and made again picks itself
-    up for a result bitwise-identical to a never-interrupted one; the
-    file is removed once the run completes.
+    The one loop above an engine, serial or sharded: :func:`start` the
+    run (``started`` is its: a caller's ``route_computer``/``faults``,
+    the shard ``transport``/``timings``/``profiles``, and :func:`build`'s
+    ``weight_tables``/``packets``/``load_tables``/``latency_quantiles``)
+    and run the engine to completion. With ``checkpoint_path`` and a
+    positive ``checkpoint_every`` the engine is saved there as
+    :func:`~repro.sim.checkpoint.run_with_checkpoints` says, stamped with
+    ``run`` as :func:`start` vets it, so a run killed and made again
+    picks itself up for a result bitwise-identical to a never-interrupted
+    one; the file is removed once the run completes.
     """
     path = checkpoint_path if checkpoint_every > 0 else None
     with contextlib.closing(
-        start(run, machine, trace, path, stamped=stamped, **started)
+        start(run, machine, trace, path, shards=shards, **started)
     ) as engine:
         if path:
             stats = run_with_checkpoints(
-                engine, path, checkpoint_every, max_cycles,
-                run_stamp(run) if stamped else None,
+                engine, path, checkpoint_every, max_cycles, run_stamp(run)
             )
             if os.path.exists(path):
                 os.unlink(path)
@@ -909,6 +720,42 @@ def run_engine(
     if trace is not None:
         trace.flush()
     return stats
+
+
+# --- entries for callers that hold a machine ---------------------------------------
+
+
+def build_batch_engine(
+    machine: Machine,
+    route_computer: RouteComputer,
+    spec: "BatchSpec",
+    arbitration: str = "rr",
+    weight_tables: Optional[Dict[int, WeightTable]] = None,
+    vc_weight_tables: Optional[Dict[int, WeightTable]] = None,
+    trace=None,
+) -> Engine:
+    """A cycle-0 engine with a full batch enqueued: :func:`build` for a
+    caller that holds the pair. ``weight_tables``/``vc_weight_tables``
+    are pre-programmed ``iw`` tables for the two arbitration stages; a
+    stage left ``None`` is programmed from the batch's own pattern."""
+    return build(
+        RunSpec(machine.config, spec, arbitration), machine, route_computer,
+        trace=trace, weight_tables=(weight_tables, vc_weight_tables),
+    )
+
+
+def run_batch_sharded(
+    machine: Machine,
+    spec: "BatchSpec",
+    shards: int = 1,
+    transport: str = "process",
+) -> SimStats:
+    """Run a round-robin batch decomposed over ``shards`` torus
+    sub-boxes: :func:`run` for a caller that holds the machine."""
+    return run(
+        RunSpec(machine.config, spec), shards, machine=machine,
+        transport=transport,
+    )
 
 
 def run_single_packet(

@@ -3,7 +3,8 @@
 The statistics mirror the paper's measurement methodology (Section 4):
 batch completion time for throughput, per-source delivery counts for
 fairness (equality of service), per-channel flit counts for utilization,
-and per-packet latencies for the ping-pong experiments.
+and latency sums (and, optionally, streamed quantiles) for the latency
+experiments.
 """
 
 from __future__ import annotations
@@ -71,9 +72,6 @@ class SimStats:
     unroutable: int = 0
     #: Link-down/link-up events applied mid-run.
     fault_events: int = 0
-    #: Retained per-packet latencies when ``keep_packet_latencies`` is set
-    #: on the engine (used by the latency-vs-hops experiment).
-    packet_latencies: List[int] = dataclasses.field(default_factory=list)
     #: Streaming injection-to-delivery latency quantile estimator,
     #: attached by ``Engine(latency_quantiles=True)``: p50/p95/p99 without
     #: retaining every packet's latency.
@@ -82,7 +80,7 @@ class SimStats:
     def record_injection(self, packet: Packet) -> None:
         self.injected += 1
 
-    def record_delivery(self, packet: Packet, keep_latency: bool = False) -> None:
+    def record_delivery(self, packet: Packet) -> None:
         self.delivered += 1
         assert packet.deliver_cycle is not None
         self.last_delivery_cycle = max(self.last_delivery_cycle, packet.deliver_cycle)
@@ -90,8 +88,6 @@ class SimStats:
         self.source_finish_cycle[packet.src] = packet.deliver_cycle
         self.latency_sum += packet.latency
         self.network_latency_sum += packet.network_latency
-        if keep_latency:
-            self.packet_latencies.append(packet.network_latency)
         if self.latency_estimator is not None:
             self.latency_estimator.add(packet.network_latency)
 
@@ -188,7 +184,6 @@ class SimStats:
         for name in _COUNTER_DICT_FIELDS + ("source_finish_cycle",):
             src = out[name]
             out[name] = {key: src[key] for key in sorted(src)}
-        out["packet_latencies"] = list(out["packet_latencies"])
         out["latency_estimator"] = (
             None if self.latency_estimator is None
             else self.latency_estimator.state()
@@ -261,7 +256,6 @@ class SimStats:
         self.retried += other.retried
         self.unroutable += other.unroutable
         self.fault_events += other.fault_events
-        self.packet_latencies.extend(other.packet_latencies)
         if other.latency_estimator is not None:
             if self.latency_estimator is None:
                 self.latency_estimator = StreamingQuantile.from_state(

@@ -189,16 +189,8 @@ class JsonlTraceWriter:
 
     ``header=False`` writes no header: records for a stream that has its
     own, or a trace that is always rewound into. ``bytes_written`` counts
-    UTF-8 bytes of everything written (header and records too).
-
-    ``flush_every`` is an opt-in liveness mode for *live* consumers (the
-    serve package's trace stream, ``tail -f`` on a trace file): every
-    ``flush_every``-th event flushes the underlying stream, so a reader
-    sees events promptly instead of at Python's buffer granularity
-    (``flush_every=1`` flushes line by line). The default ``0`` keeps the
-    historical buffering behavior; the serialized bytes are identical
-    either way -- flushing changes *when* bytes land, never what they are
-    -- so the golden-trace contract is untouched.
+    UTF-8 bytes of everything written (header and records too). The
+    stream is flushed only by :meth:`flush`.
     """
 
     def __init__(
@@ -206,13 +198,9 @@ class JsonlTraceWriter:
         stream: IO[str],
         meta: dict = None,
         header: bool = True,
-        flush_every: int = 0,
         owns_stream: bool = False,
     ) -> None:
-        if flush_every < 0:
-            raise ValueError(f"flush_every must be >= 0, got {flush_every}")
         self.stream = stream
-        self.flush_every = flush_every
         self.owns_stream = owns_stream
         self.events_written = self.bytes_written = 0
         #: The header line until the first write puts it out.
@@ -259,8 +247,6 @@ class JsonlTraceWriter:
         self.stream.write("\n")
         self.events_written += 1
         self.bytes_written += len(line.encode("utf-8")) + 1
-        if self.flush_every and self.events_written % self.flush_every == 0:
-            self.stream.flush()
 
     def write_record(self, record: dict) -> None:
         """Write one non-event metadata record (an end summary)."""

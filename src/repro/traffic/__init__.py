@@ -12,7 +12,6 @@ from .demand import (
     build_demand_engine,
     generate_demand,
     measure_demand_point,
-    run_demand,
 )
 from .md import MdMulticastWorkload, import_region, random_particle_destinations
 from .loads import (
@@ -75,7 +74,6 @@ __all__ = [
     "measure_demand_point",
     "merge_arbiter_loads",
     "replay_trace",
-    "run_demand",
     "score_permutation",
     "search_worst_permutation",
 ]

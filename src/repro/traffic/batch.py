@@ -27,11 +27,12 @@ class _RouteSampler:
     """Destination/route sampling shared by the batch and open-loop
     generators.
 
-    Both generators draw, per packet: a destination chip (blend-aware), a
-    destination endpoint index (``dst_endpoint_mode``), and a randomized
-    route choice -- in that RNG order, which seeded workloads depend on.
-    Centralizing the draw keeps blend handling and endpoint-mode handling
-    from drifting apart between the two generators.
+    Both generators draw, per packet: a destination chip (blend-aware)
+    and a randomized route choice -- in that RNG order, which seeded
+    workloads depend on. A source's packets go to the endpoint of the
+    same index on the destination chip (core i talks to core i).
+    Centralizing the draw keeps blend handling from drifting apart
+    between the generators.
     """
 
     def __init__(
@@ -39,20 +40,14 @@ class _RouteSampler:
         machine: Machine,
         route_computer: RouteComputer,
         pattern: TrafficPattern,
-        cores_per_chip: int,
-        dst_endpoint_mode: str,
         size_flits: int,
         traffic_class: int,
     ) -> None:
-        if dst_endpoint_mode not in ("same_index", "uniform"):
-            raise ValueError(f"unknown dst_endpoint_mode {dst_endpoint_mode!r}")
         if pattern.shape != machine.config.shape:
             raise ValueError("pattern shape does not match the machine")
         self.machine = machine
         self.route_computer = route_computer
         self.pattern = pattern
-        self.cores_per_chip = cores_per_chip
-        self.dst_endpoint_mode = dst_endpoint_mode
         self.size_flits = size_flits
         self.traffic_class = traffic_class
         self.is_blend = isinstance(pattern, Blend)
@@ -71,11 +66,7 @@ class _RouteSampler:
         else:
             dst_chip = self.pattern.sample(rng, src_chip)
             pattern_id = 0
-        if self.dst_endpoint_mode == "same_index":
-            dst_index = src_index
-        else:
-            dst_index = rng.randrange(self.cores_per_chip)
-        dst_ep = self.machine.ep_id[(dst_chip, dst_index)]
+        dst_ep = self.machine.ep_id[(dst_chip, src_index)]
         choice = self.route_computer.random_choice(rng, src_chip, dst_chip)
         src_ep = self.machine.ep_id[(src_chip, src_index)]
         route = self.route_computer.compute(
@@ -98,7 +89,6 @@ class BatchSpec:
     pattern: TrafficPattern
     packets_per_source: int
     cores_per_chip: int
-    dst_endpoint_mode: str = "same_index"
     size_flits: int = 1
     traffic_class: int = 0
     seed: int = 0
@@ -106,8 +96,6 @@ class BatchSpec:
     def __post_init__(self) -> None:
         if self.packets_per_source < 1:
             raise ValueError("packets_per_source must be at least 1")
-        if self.dst_endpoint_mode not in ("same_index", "uniform"):
-            raise ValueError(f"unknown dst_endpoint_mode {self.dst_endpoint_mode!r}")
 
 
 def generate_batch(
@@ -122,12 +110,7 @@ def generate_batch(
     field.
     """
     sampler = _RouteSampler(
-        machine,
-        route_computer,
-        spec.pattern,
-        spec.cores_per_chip,
-        spec.dst_endpoint_mode,
-        spec.size_flits,
+        machine, route_computer, spec.pattern, spec.size_flits,
         spec.traffic_class,
     )
     rng = random.Random(spec.seed)
@@ -150,7 +133,6 @@ def generate_open_loop(
     injection_rate: float,
     duration_cycles: int,
     cores_per_chip: int,
-    dst_endpoint_mode: str = "same_index",
     size_flits: int = 1,
     seed: int = 0,
     traffic_class: int = 0,
@@ -160,13 +142,7 @@ def generate_open_loop(
     if not 0 < injection_rate <= 1:
         raise ValueError(f"injection_rate must be in (0, 1], got {injection_rate}")
     sampler = _RouteSampler(
-        machine,
-        route_computer,
-        pattern,
-        cores_per_chip,
-        dst_endpoint_mode,
-        size_flits,
-        traffic_class,
+        machine, route_computer, pattern, size_flits, traffic_class
     )
     rng = random.Random(seed)
     packets: List[Packet] = []

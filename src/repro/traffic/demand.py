@@ -37,7 +37,7 @@ RNG draw order (seeded workloads depend on it): sources are visited in
 :func:`~repro.traffic.loads.active_endpoints` order; for each source,
 cycles (open) or packet slots (closed) in increasing order; each emitted
 packet draws through :class:`repro.traffic.batch._RouteSampler` --
-destination, endpoint index (uniform mode only), then route choice.
+destination, then route choice.
 Bernoulli injection draws one ``rng.random()`` per (source, cycle) of
 every epoch whose row rate is positive; zero-rate spans draw nothing.
 """
@@ -54,7 +54,6 @@ from repro.core.geometry import Coord3, all_coords
 from repro.core.machine import Machine, MachineConfig
 from repro.core.routing import RouteComputer
 from repro.sim.packet import Packet
-from repro.sim.stats import SimStats
 
 from .batch import _RouteSampler
 from .loads import active_endpoints
@@ -533,7 +532,6 @@ class DemandSpec:
     duration_cycles: int = 0
     packets_scale: float = 1.0
     injection: str = "bernoulli"
-    dst_endpoint_mode: str = "same_index"
     size_flits: int = 1
     traffic_class: int = 0
     seed: int = 0
@@ -550,10 +548,6 @@ class DemandSpec:
             raise ValueError("open-loop demand needs duration_cycles >= 1")
         if self.mode == "closed" and self.packets_scale <= 0:
             raise ValueError("closed-loop demand needs packets_scale > 0")
-        if self.dst_endpoint_mode not in ("same_index", "uniform"):
-            raise ValueError(
-                f"unknown dst_endpoint_mode {self.dst_endpoint_mode!r}"
-            )
 
     @property
     def schedule(self) -> DemandSchedule:
@@ -645,13 +639,8 @@ def generate_demand(
         )
     samplers = [
         _RouteSampler(
-            machine,
-            route_computer,
-            DemandMatrixPattern(matrix),
-            spec.cores_per_chip,
-            spec.dst_endpoint_mode,
-            spec.size_flits,
-            spec.traffic_class,
+            machine, route_computer, DemandMatrixPattern(matrix),
+            spec.size_flits, spec.traffic_class,
         )
         for _start, matrix in schedule.epochs
     ]
@@ -710,97 +699,20 @@ def default_weight_patterns(spec: DemandSpec) -> List[TrafficPattern]:
     return [DemandMatrixPattern(spec.schedule.epochs[0][1])]
 
 
-def _demand_run(machine, spec, arbitration, weight_patterns, weight_bits):
-    """The :class:`~repro.sim.simulator.RunSpec` of a demand workload
-    assembled by hand."""
-    from repro.sim.simulator import DEFAULT_WEIGHT_BITS, RunSpec
-
-    return RunSpec(
-        machine.config, spec, arbitration, tuple(weight_patterns or ()),
-        DEFAULT_WEIGHT_BITS if weight_bits is None else weight_bits,
-    )
-
-
 def build_demand_engine(
     machine: Machine,
     route_computer: RouteComputer,
     spec: DemandSpec,
-    arbitration: str = "rr",
-    weight_patterns: Optional[Sequence[TrafficPattern]] = None,
-    weight_tables=None,
-    vc_weight_tables=None,
-    weight_bits: Optional[int] = None,
-    keep_packet_latencies: bool = False,
-    trace=None,
-    latency_quantiles: bool = False,
     faults=None,
-    packets: Optional[Sequence[Packet]] = None,
 ):
-    """Construct a cycle-0 engine with a full demand workload enqueued.
+    """A cycle-0 round-robin engine with a full demand workload enqueued:
+    the demand entry into :func:`repro.sim.simulator.build`, as
+    :func:`~repro.sim.simulator.build_batch_engine` is the batch one, for
+    a caller that holds the pair (and perhaps a fault runtime, whose
+    fault-aware computer ``route_computer`` should then be)."""
+    from repro.sim.simulator import RunSpec, build
 
-    The demand entry into :func:`repro.sim.simulator.build`, as
-    :func:`~repro.sim.simulator.build_batch_engine` is the batch one:
-    what differs is the generator (:func:`generate_demand`) and, for
-    ``arbitration="iw"`` with no pattern named, the default weight
-    pattern (:func:`default_weight_patterns`) -- demand matrices are
-    generally not translation symmetric, so their loads are enumerated
-    exhaustively.
-    """
-    from repro.sim.simulator import build
-
-    return build(
-        _demand_run(machine, spec, arbitration, weight_patterns, weight_bits),
-        machine,
-        route_computer,
-        faults,
-        trace=trace,
-        packets=packets,
-        weight_tables=(weight_tables, vc_weight_tables),
-        keep_packet_latencies=keep_packet_latencies,
-        latency_quantiles=latency_quantiles,
-    )
-
-
-def run_demand(
-    machine: Machine,
-    route_computer: RouteComputer,
-    spec: DemandSpec,
-    arbitration: str = "rr",
-    weight_patterns: Optional[Sequence[TrafficPattern]] = None,
-    weight_tables=None,
-    vc_weight_tables=None,
-    max_cycles: int = 10_000_000,
-    keep_packet_latencies: bool = False,
-    trace=None,
-    latency_quantiles: bool = False,
-    faults=None,
-    checkpoint_path: Optional[str] = None,
-    checkpoint_every: int = 0,
-) -> SimStats:
-    """Run one demand-matrix experiment and return its statistics.
-
-    Mirrors :func:`repro.sim.simulator.run_batch`, including the
-    checkpoint/resume contract: an existing ``checkpoint_path`` marks an
-    interrupted run and is resumed bitwise-identically (workload state
-    needs no extra serialization because packets are pre-generated into
-    the checkpointed source queues).
-    """
-    from repro.sim.simulator import run_engine
-
-    return run_engine(
-        _demand_run(machine, spec, arbitration, weight_patterns, None),
-        machine,
-        trace,
-        max_cycles,
-        checkpoint_path,
-        checkpoint_every,
-        stamped=False,
-        route_computer=route_computer,
-        faults=faults,
-        weight_tables=(weight_tables, vc_weight_tables),
-        keep_packet_latencies=keep_packet_latencies,
-        latency_quantiles=latency_quantiles,
-    )
+    return build(RunSpec(machine.config, spec), machine, route_computer, faults)
 
 
 @dataclasses.dataclass

@@ -110,15 +110,11 @@ def compute_loads(
     route_computer: RouteComputer,
     pattern: TrafficPattern,
     cores_per_chip: int,
-    dst_endpoint_mode: str = "same_index",
     use_symmetry: Optional[bool] = None,
 ) -> LoadTable:
-    """Exact expected loads for ``pattern`` over the oblivious router.
-
-    ``dst_endpoint_mode`` selects how node-level destinations map to
-    endpoints: ``"same_index"`` (core i talks to core i, the default) or
-    ``"uniform"`` (uniform over the active endpoints of the destination
-    node).
+    """Exact expected loads for ``pattern`` over the oblivious router,
+    core i of a chip talking to core i of the destination chip (the
+    generators' own rule).
 
     For translation-symmetric patterns (``pattern.node_symmetric``) on a
     translation-invariant topology (every dimension wraps -- the torus),
@@ -133,8 +129,6 @@ def compute_loads(
     """
     if pattern.shape != machine.config.shape:
         raise ValueError("pattern shape does not match the machine")
-    if dst_endpoint_mode not in ("same_index", "uniform"):
-        raise ValueError(f"unknown dst_endpoint_mode {dst_endpoint_mode!r}")
     failed = getattr(route_computer, "failed", ())
     if use_symmetry is None:
         use_symmetry = (
@@ -172,30 +166,19 @@ def compute_loads(
         src_chip = src_comp.chip
         src_index = src_comp.detail
         for dst_chip, node_prob in pattern.destinations(src_chip):
-            if dst_endpoint_mode == "same_index":
-                dst_choices = [(machine.ep_id[(dst_chip, src_index)], node_prob)]
-            else:
-                prob = node_prob / cores_per_chip
-                dst_choices = [
-                    (machine.ep_id[(dst_chip, e)], prob)
-                    for e in range(cores_per_chip)
-                ]
-            for dst_ep, ep_prob in dst_choices:
-                for choice, choice_prob in route_computer.all_choices(
-                    src_chip, dst_chip
-                ):
-                    prob = ep_prob * choice_prob
-                    route = route_computer.compute(src_ep, dst_ep, choice)
-                    hops = route.hops
-                    prev_channel = None
-                    for channel_id, vc in hops:
-                        channel_load[channel_id] += prob
-                        vc_load[channel_id][vc] += prob
-                        if prev_channel is not None:
-                            arbiter_load[channel_id][
-                                input_index[prev_channel]
-                            ] += prob
-                        prev_channel = channel_id
+            dst_ep = machine.ep_id[(dst_chip, src_index)]
+            for choice, choice_prob in route_computer.all_choices(
+                src_chip, dst_chip
+            ):
+                prob = node_prob * choice_prob
+                route = route_computer.compute(src_ep, dst_ep, choice)
+                prev_channel = None
+                for channel_id, vc in route.hops:
+                    channel_load[channel_id] += prob
+                    vc_load[channel_id][vc] += prob
+                    if prev_channel is not None:
+                        arbiter_load[channel_id][input_index[prev_channel]] += prob
+                    prev_channel = channel_id
 
     if use_symmetry:
         # Translate the single-chip result over every nonzero offset.

@@ -92,9 +92,6 @@ class ReplayWorkload:
             topology=self.topology,
         )
 
-    # What programming ``iw`` weights reads off a workload spec.
-    dst_endpoint_mode = "same_index"
-
     @property
     def cores_per_chip(self) -> int:
         return self.cores or self.endpoints_per_chip

@@ -12,8 +12,8 @@ from repro.analysis import throughput
 from repro.analysis.throughput import (
     BatchPoint,
     blend_sweep,
-    measure_batch,
     measure_batch_point,
+    measure_run,
     throughput_vs_batch_size,
 )
 from repro.core.chip import default_floorplan
@@ -23,7 +23,9 @@ from repro.core.onchip import MeshDirection
 from repro.core.routing import RouteComputer
 from repro.sim import simulator
 from repro.sim.checkpoint import canonical
+from repro.sim.simulator import RunSpec
 from repro.traffic import loads
+from repro.traffic.batch import BatchSpec
 from repro.traffic.patterns import (
     Blend,
     FixedPermutation,
@@ -33,13 +35,18 @@ from repro.traffic.patterns import (
 )
 
 
-class TestMeasureBatch:
+def _measure(machine, routes, pattern, batch_size, arbitration, **kwargs):
+    spec = BatchSpec(pattern, batch_size, cores_per_chip=2)
+    return measure_run(
+        RunSpec(machine.config, spec, arbitration),
+        machine=machine, route_computer=routes, **kwargs,
+    )
+
+
+class TestMeasureRun:
     def test_returns_sane_point(self, tiny_machine, tiny_routes):
         pattern = UniformRandom((2, 2, 2))
-        point = measure_batch(
-            tiny_machine, tiny_routes, pattern, batch_size=8,
-            cores_per_chip=2, arbitration="rr",
-        )
+        point = _measure(tiny_machine, tiny_routes, pattern, 8, "rr")
         assert point.pattern == "uniform"
         assert point.arbitration == "rr"
         assert 0 < point.normalized_throughput <= 1.5
@@ -47,17 +54,13 @@ class TestMeasureBatch:
 
     def test_iw_defaults_weights_to_pattern(self, tiny_machine, tiny_routes):
         pattern = Tornado((2, 2, 2))
-        point = measure_batch(
-            tiny_machine, tiny_routes, pattern, batch_size=8,
-            cores_per_chip=2, arbitration="iw",
-        )
+        point = _measure(tiny_machine, tiny_routes, pattern, 8, "iw")
         assert point.arbitration == "iw"
 
     def test_label_override(self, tiny_machine, tiny_routes):
         pattern = UniformRandom((2, 2, 2))
-        point = measure_batch(
-            tiny_machine, tiny_routes, pattern, batch_size=4,
-            cores_per_chip=2, arbitration="rr", label="none",
+        point = _measure(
+            tiny_machine, tiny_routes, pattern, 4, "rr", label="none"
         )
         assert point.arbitration == "none"
 
@@ -110,7 +113,7 @@ class TestCacheKeysAreContent:
         result = measure_batch_point(point_spec)
         return result.normalized_throughput * result.completion_cycles
 
-    def test_same_named_permutations_get_their_own_loads(self):
+    def test_same_named_permutations_get_their_own_loads(self, monkeypatch):
         config = MachineConfig(shape=self.SHAPE, endpoints_per_chip=1)
         near = FixedPermutation(self.SHAPE, _ring_shift(self.SHAPE, 1))
         far = FixedPermutation(self.SHAPE, _ring_shift(self.SHAPE, 2))
@@ -125,16 +128,17 @@ class TestCacheKeysAreContent:
         # Two hops load every link twice as much as one.
         assert ideals["far", "rr"] == pytest.approx(2 * ideals["near", "rr"])
         assert ideals["far", "iw"] == ideals["far", "rr"]
-        # And each agrees with the uncached harness.
-        machine = Machine(config)
-        direct = measure_batch(
-            machine, RouteComputer(machine), far, batch_size=4,
-            cores_per_chip=1, arbitration="iw",
-        )
-        cached = measure_batch_point(BatchPoint(
+        # And each agrees with a run prepared on an empty memo.
+        point = BatchPoint(
             config=config, pattern=far, batch_size=4, cores_per_chip=1,
             arbitration="iw",
-        ))
+        )
+        cached = measure_batch_point(point)
+        monkeypatch.setattr(simulator, "_MEMO", {})
+        machine = Machine(config)
+        direct = measure_run(
+            point.run, machine=machine, route_computer=RouteComputer(machine)
+        )
         assert cached.normalized_throughput == direct.normalized_throughput
         assert cached.completion_cycles == direct.completion_cycles
 
@@ -233,15 +237,18 @@ class TestCampaignSetupHappensOnce:
             (stock, RouteComputer(stock, allow_nonminimal=True)),
             (stock, RouteComputer(Machine(config))),
         ):
-            with pytest.raises(ValueError, match="measure_batch takes the pair"):
+            with pytest.raises(ValueError, match="takes the pair itself"):
                 throughput_vs_batch_size(machine, routes, [pattern], (2,), 2)
-            with pytest.raises(ValueError, match="measure_batch takes the pair"):
+            with pytest.raises(ValueError, match="takes the pair itself"):
                 blend_sweep(
                     machine, routes, pattern, Tornado(shape), (0.5,), 2, 2
                 )
         assert simulator._MEMO == {}
-        # measure_batch does take it, and measures it.
-        point = measure_batch(stock, reordered, pattern, 4, 2, "iw")
+        # measure_run does take it, and measures it.
+        point = measure_run(
+            RunSpec(config, BatchSpec(pattern, 4, 2), "iw"),
+            machine=stock, route_computer=reordered,
+        )
         assert point.completion_cycles > 0 and simulator._MEMO == {}
         # The stock pair is adopted: the campaign runs on the caller's.
         routes = RouteComputer(stock)

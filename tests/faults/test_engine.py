@@ -24,7 +24,7 @@ from repro.faults import (
     FaultSpec,
     sample_link_faults,
 )
-from repro.sim.simulator import run_batch
+from repro.sim.simulator import RunSpec, run
 from repro.sim.trace import ListSink
 from repro.traffic.batch import BatchSpec
 from repro.traffic.patterns import BitComplement, UniformRandom
@@ -61,13 +61,13 @@ def _run(machine, fault_set, policy_mode, batch=16, seed=7, max_cycles=10_000_00
         cores_per_chip=machine.config.endpoints_per_chip,
         seed=seed,
     )
-    stats = run_batch(
-        machine,
-        runtime.route_computer,
-        spec,
+    stats = run(
+        RunSpec(machine.config, spec),
+        machine=machine,
         trace=sink,
-        faults=runtime,
         max_cycles=max_cycles,
+        route_computer=runtime.route_computer,
+        faults=runtime,
     )
     return stats, sink.events
 
@@ -177,11 +177,11 @@ class TestZeroDelivery:
         )
         # Routes are generated against the healthy machine (as a real
         # workload's would be); the engine screens them at enqueue.
-        stats = run_batch(
-            tiny_machine,
-            tiny_routes,
-            spec,
+        stats = run(
+            RunSpec(tiny_machine.config, spec),
+            machine=tiny_machine,
             trace=collector,
+            route_computer=tiny_routes,
             faults=runtime,
             latency_quantiles=True,
         )
@@ -224,16 +224,17 @@ class TestZeroFaultIdentity:
         from repro.core.routing import RouteComputer
 
         plain_sink = ListSink()
-        plain = run_batch(
-            tiny_machine, RouteComputer(tiny_machine), spec, trace=plain_sink
+        plain = run(
+            RunSpec(tiny_machine.config, spec), machine=tiny_machine,
+            trace=plain_sink, route_computer=RouteComputer(tiny_machine),
         )
         runtime = FaultRuntime(tiny_machine, FaultSet())
         faulted_sink = ListSink()
-        faulted = run_batch(
-            tiny_machine,
-            runtime.route_computer,
-            spec,
+        faulted = run(
+            RunSpec(tiny_machine.config, spec),
+            machine=tiny_machine,
             trace=faulted_sink,
+            route_computer=runtime.route_computer,
             faults=runtime,
         )
         assert plain_sink.events == faulted_sink.events

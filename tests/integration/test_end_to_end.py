@@ -5,7 +5,7 @@ import pytest
 from repro.analysis.fairness import finish_time_fairness
 from repro.core.machine import ChannelKind, Machine, MachineConfig
 from repro.core.routing import RouteComputer
-from repro.sim.simulator import run_batch
+from repro.sim.simulator import RunSpec, run
 from repro.traffic.batch import BatchSpec, generate_batch
 from repro.traffic.loads import compute_loads, ideal_batch_cycles
 from repro.traffic.patterns import Tornado, UniformRandom
@@ -19,7 +19,7 @@ class TestLoadsPredictSimulation:
         batch = 64
         table = compute_loads(tiny_machine, tiny_routes, pattern, cores_per_chip=2)
         spec = BatchSpec(pattern, packets_per_source=batch, cores_per_chip=2, seed=2)
-        stats = run_batch(tiny_machine, tiny_routes, spec, arbitration="rr")
+        stats = run(RunSpec(tiny_machine.config, spec), machine=tiny_machine)
         # Aggregate per channel kind: statistical noise washes out.
         expected = {}
         measured = {}
@@ -41,7 +41,7 @@ class TestLoadsPredictSimulation:
         batch = 32
         table = compute_loads(tiny_machine, tiny_routes, pattern, cores_per_chip=2)
         spec = BatchSpec(pattern, packets_per_source=batch, cores_per_chip=2, seed=1)
-        stats = run_batch(tiny_machine, tiny_routes, spec, arbitration="rr")
+        stats = run(RunSpec(tiny_machine.config, spec), machine=tiny_machine)
         expected_torus = sum(
             load * batch
             for cid, load in table.channel_load.items()
@@ -59,7 +59,7 @@ class TestLoadsPredictSimulation:
         table = compute_loads(tiny_machine, tiny_routes, pattern, cores_per_chip=2)
         batch = 64
         spec = BatchSpec(pattern, packets_per_source=batch, cores_per_chip=2, seed=3)
-        stats = run_batch(tiny_machine, tiny_routes, spec, arbitration="rr")
+        stats = run(RunSpec(tiny_machine.config, spec), machine=tiny_machine)
         # The torus-normalized ideal is a lower bound on completion time
         # up to batch sampling noise.
         ideal = ideal_batch_cycles(tiny_machine, table, batch)
@@ -92,10 +92,9 @@ class TestFairnessEndToEnd:
             spec = BatchSpec(
                 pattern, packets_per_source=batch, cores_per_chip=2, seed=5
             )
-            stats = run_batch(
-                machine, routes, spec,
-                arbitration=arbitration,
-                weight_patterns=[pattern] if arbitration == "iw" else None,
+            stats = run(
+                RunSpec(machine.config, spec, arbitration), machine=machine,
+                route_computer=routes,
             )
             results[arbitration] = {
                 "throughput": ideal / stats.last_delivery_cycle,
@@ -111,10 +110,9 @@ class TestFairnessEndToEnd:
         machine, routes, pattern, _table = tornado_setup
         for arbitration in ("rr", "iw"):
             spec = BatchSpec(pattern, packets_per_source=16, cores_per_chip=2, seed=1)
-            stats = run_batch(
-                machine, routes, spec,
-                arbitration=arbitration,
-                weight_patterns=[pattern] if arbitration == "iw" else None,
+            stats = run(
+                RunSpec(machine.config, spec, arbitration), machine=machine,
+                route_computer=routes,
             )
             assert stats.delivered == stats.injected
 
@@ -130,6 +128,6 @@ class TestBothVcSchemesRunIdenticalWorkloads:
             routes = RouteComputer(machine)
             pattern = UniformRandom((3, 3, 3))
             spec = BatchSpec(pattern, packets_per_source=16, cores_per_chip=2, seed=7)
-            stats = run_batch(machine, routes, spec, arbitration="rr")
+            stats = run(RunSpec(config, spec), machine=machine)
             results[scheme] = stats.delivered
         assert results["anton"] == results["baseline"]

@@ -26,7 +26,7 @@ from repro.core.machine import Machine, MachineConfig
 from repro.core.routing import RouteComputer
 from repro.faults.verify import verify_single_link_failures
 from repro.sim.goldens import GOLDEN_NAMES, check_goldens
-from repro.sim.simulator import build_batch_engine, run_batch
+from repro.sim.simulator import RunSpec, build_batch_engine, run
 from repro.traffic.batch import BatchSpec
 from repro.traffic.patterns import Tornado, UniformRandom
 
@@ -147,7 +147,9 @@ class TestFairnessHarness:
         spec = BatchSpec(
             pattern, packets_per_source=4, cores_per_chip=2, seed=11
         )
-        stats = run_batch(machine, routes, spec)
+        stats = run(
+            RunSpec(machine.config, spec), machine=machine, route_computer=routes
+        )
         assert stats.delivered == stats.injected > 0
         index, spread = finish_time_fairness(stats)
         assert 0.0 < index <= 1.0

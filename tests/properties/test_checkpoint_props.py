@@ -31,7 +31,8 @@ from repro.sim.checkpoint import (
     restore_engine,
     snapshot_engine,
 )
-from repro.sim.simulator import RunSpec, build_batch_engine, run, start
+from repro.sim import simulator
+from repro.sim.simulator import RunSpec, run, start
 from repro.sim.trace import JsonlTraceWriter
 from repro.traffic.batch import BatchSpec
 from repro.traffic.demand import (
@@ -39,7 +40,6 @@ from repro.traffic.demand import (
     DemandMatrixPattern,
     DemandSchedule,
     DemandSpec,
-    build_demand_engine,
 )
 from repro.traffic.patterns import BitComplement, Tornado, UniformRandom
 
@@ -93,14 +93,11 @@ def build(pattern_kind, arbitration, seed, batch, faulted, policy, writer):
     spec = BatchSpec(
         pattern, packets_per_source=batch, cores_per_chip=2, seed=seed
     )
-    engine = build_batch_engine(
-        machine,
-        routes,
-        spec,
-        arbitration=arbitration if arbitration != "fixed" else "rr",
-        weight_patterns=[pattern] if arbitration == "iw" else None,
-        faults=runtime,
-        trace=writer,
+    engine = simulator.build(
+        RunSpec(
+            machine.config, spec, arbitration if arbitration != "fixed" else "rr"
+        ),
+        machine, routes, runtime, trace=writer,
     )
     if arbitration == "fixed":
         # The builder does not expose fixed priority; swap it in at cycle 0.
@@ -154,8 +151,8 @@ def demand_spec(seed, mseed, injection, mode):
 def build_demand_case(seed, mseed, injection, arbitration, mode, writer):
     machine, routes = shared_machine()
     spec = demand_spec(seed, mseed, injection, mode)
-    return build_demand_engine(
-        machine, routes, spec, arbitration=arbitration, trace=writer
+    return simulator.build(
+        RunSpec(machine.config, spec, arbitration), machine, routes, trace=writer
     )
 
 

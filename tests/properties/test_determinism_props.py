@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from repro.core.machine import Machine, MachineConfig
 from repro.core.routing import RouteComputer
-from repro.sim.simulator import run_batch
+from repro.sim.simulator import RunSpec, run
+from repro.sim.trace import ListSink
 from repro.traffic.batch import BatchSpec
 from repro.traffic.patterns import Blend, Tornado, UniformRandom
 
@@ -56,20 +57,16 @@ class TestBitwiseReproducibility:
         spec = BatchSpec(
             pattern, batch, cores_per_chip=2, size_flits=size, seed=seed
         )
-        runs = [
-            run_batch(
-                machine,
-                routes,
-                spec,
-                arbitration=arbitration,
-                weight_patterns=[pattern] if arbitration == "iw" else None,
-                keep_packet_latencies=True,
-            )
-            for _ in range(2)
-        ]
+        runs, sinks = [], [ListSink(), ListSink()]
+        for sink in sinks:
+            runs.append(run(
+                RunSpec(machine.config, spec, arbitration),
+                machine=machine, trace=sink, route_computer=routes,
+            ))
         # Dataclass equality compares every field: injection/delivery
         # counts, per-source and per-pattern tallies, per-channel flit
-        # and busy-tick maps, latency sums, and the full per-packet
-        # latency list.
+        # and busy-tick maps, latency sums; every packet's latency is its
+        # deliver event's ``lat``.
         assert runs[0] == runs[1]
+        assert sinks[0].events == sinks[1].events
         assert runs[0].delivered == batch * 2 * machine.config.num_chips

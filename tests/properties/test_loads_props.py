@@ -29,8 +29,7 @@ def load_case(draw):
     shape = draw(st.sampled_from([(2, 2, 2), (3, 2, 2), (4, 2, 1)]))
     pattern_kind = draw(st.sampled_from(["uniform", "1hop", "tornado", "reverse"]))
     cores = draw(st.integers(min_value=1, max_value=2))
-    mode = draw(st.sampled_from(["same_index", "uniform"]))
-    return shape, pattern_kind, cores, mode
+    return shape, pattern_kind, cores
 
 
 def make_pattern(kind, shape):
@@ -47,10 +46,10 @@ class TestLoadInvariants:
     @given(load_case())
     @settings(max_examples=20)
     def test_flow_conservation(self, case):
-        shape, kind, cores, mode = case
+        shape, kind, cores = case
         machine, routes = setup_for(shape)
         pattern = make_pattern(kind, shape)
-        table = compute_loads(machine, routes, pattern, cores, mode)
+        table = compute_loads(machine, routes, pattern, cores)
         # Every source injects one packet per round.
         injected = sum(
             load
@@ -69,10 +68,10 @@ class TestLoadInvariants:
     @given(load_case())
     @settings(max_examples=20)
     def test_arbiter_and_vc_loads_consistent(self, case):
-        shape, kind, cores, mode = case
+        shape, kind, cores = case
         machine, routes = setup_for(shape)
         pattern = make_pattern(kind, shape)
-        table = compute_loads(machine, routes, pattern, cores, mode)
+        table = compute_loads(machine, routes, pattern, cores)
         for oc, per_input in table.arbiter_load.items():
             assert sum(per_input) == pytest.approx(table.channel_load[oc])
         for cid, per_vc in table.vc_load.items():
@@ -81,13 +80,13 @@ class TestLoadInvariants:
     @given(load_case())
     @settings(max_examples=10)
     def test_symmetry_path_exact(self, case):
-        shape, kind, cores, mode = case
+        shape, kind, cores = case
         machine, routes = setup_for(shape)
         pattern = make_pattern(kind, shape)
         if not pattern.node_symmetric:
             return
-        fast = compute_loads(machine, routes, pattern, cores, mode, use_symmetry=True)
-        slow = compute_loads(machine, routes, pattern, cores, mode, use_symmetry=False)
+        fast = compute_loads(machine, routes, pattern, cores, use_symmetry=True)
+        slow = compute_loads(machine, routes, pattern, cores, use_symmetry=False)
         keys = set(fast.channel_load) | set(slow.channel_load)
         for key in keys:
             assert fast.channel_load.get(key, 0.0) == pytest.approx(
@@ -97,10 +96,10 @@ class TestLoadInvariants:
     @given(load_case())
     @settings(max_examples=15)
     def test_loads_nonnegative_and_mean_hops_consistent(self, case):
-        shape, kind, cores, mode = case
+        shape, kind, cores = case
         machine, routes = setup_for(shape)
         pattern = make_pattern(kind, shape)
-        table = compute_loads(machine, routes, pattern, cores, mode)
+        table = compute_loads(machine, routes, pattern, cores)
         assert all(load >= 0 for load in table.channel_load.values())
         torus_total = sum(
             load

@@ -24,7 +24,7 @@ from repro.core.routing import RouteComputer
 from repro.faults import FaultPolicy, FaultRuntime, FaultSet, FaultSpec
 from repro.sim.engine import Engine
 from repro.sim.packet import Packet
-from repro.sim.simulator import run_batch
+from repro.sim.simulator import RunSpec, run
 from repro.sim.trace import ListSink
 from repro.traffic.batch import BatchSpec
 from repro.traffic.patterns import UniformRandom
@@ -80,13 +80,12 @@ def run_case(case):
         runtime = FaultRuntime(
             machine, fault_set, policy=FaultPolicy(mode=policy)
         )
-    stats = run_batch(
-        machine,
-        runtime.route_computer if runtime else routes,
-        spec,
+    stats = run(
+        RunSpec(machine.config, spec),
+        machine=machine,
         trace=sink,
+        route_computer=runtime.route_computer if runtime else routes,
         faults=runtime,
-        max_cycles=10_000_000,
     )
     return machine, stats, sink
 
@@ -110,7 +109,6 @@ def fill_engine(machine, routes, seed, count, trace, policy):
         machine,
         arbiter_builder=ARBITERS[policy],
         vc_arbiter_builder=ARBITERS[policy],
-        keep_packet_latencies=True,
         trace=trace,
     )
     per_source_release = {}

@@ -204,27 +204,24 @@ class TestOracleEquality:
         assert result["drained"]
         assert session_artifacts(session) == oracle_artifacts(workload)
 
-    def test_batch_stats_match_run_batch_itself(self):
-        # Belt and braces on the oracle builder: the engine it constructs
-        # reproduces run_batch() exactly for the same spec.
-        from repro.core.machine import Machine, MachineConfig
-        from repro.core.routing import RouteComputer
-        from repro.sim.simulator import run_batch
+    def test_batch_stats_match_a_run_spelt_by_hand(self):
+        # Belt and braces on the decoder: a RunSpec written out field by
+        # field runs to exactly the session's stats.
+        from repro.core.machine import MachineConfig
+        from repro.sim.simulator import RunSpec, run
         from repro.traffic.batch import BatchSpec
         from repro.traffic.patterns import pattern_factories
 
         shape = tuple(BATCH_RR["shape"])
-        machine = Machine(MachineConfig(shape=shape, endpoints_per_chip=2))
-        stats = run_batch(
-            machine,
-            RouteComputer(machine),
+        stats = run(RunSpec(
+            MachineConfig(shape=shape, endpoints_per_chip=2),
             BatchSpec(
                 pattern=pattern_factories(shape)["uniform"](),
                 packets_per_source=BATCH_RR["batch"],
                 cores_per_chip=BATCH_RR["cores"],
                 seed=BATCH_RR["seed"],
             ),
-        )
+        ))
         session = Session.create("s", dict(BATCH_RR))
         drive(session)
         assert canon(session.stats_payload()["stats"]) == canon(

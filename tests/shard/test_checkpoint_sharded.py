@@ -10,9 +10,9 @@ behind against the serial run's file at that cycle, the final stats and
 collector state against the uninterrupted serial run. The remaining
 tests pin what the matrix cannot state row by row: that a finished run
 leaves nothing for the next one to trip over, the stamp and machine
-refusals through the hub, the ``keep_packet_latencies`` /
-``latency_estimator`` edges, far-future events keeping their place in
-the merged wheel, and the committed golden checkpoint at 2 and 4 shards.
+refusals through the hub, the ``latency_estimator`` edge, far-future
+events keeping their place in the merged wheel, and the committed golden
+checkpoint at 2 and 4 shards.
 """
 
 import gc
@@ -335,22 +335,6 @@ def test_another_machines_checkpoint_is_refused_by_name(shards, tmp_path):
         run_sharded(
             _uniform(RING), shards, checkpoint_path=path, checkpoint_every=EVERY
         )
-
-
-def test_retained_packet_latencies_refuse_a_sharded_resume(tmp_path):
-    run, path = _hand_saved(
-        tmp_path, keep_packet_latencies=True, trace=MetricsCollector()
-    )
-    collector = MetricsCollector()
-    with pytest.raises(CheckpointError, match="keep_packet_latencies"):
-        run_sharded(
-            run, 2, trace=collector, checkpoint_path=path,
-            checkpoint_every=EVERY, transport="inline",
-        )
-    # Refused before the caller's sinks are revived.
-    assert collector.state() == MetricsCollector().state()
-    serial = run_sharded(run, 1, checkpoint_path=path, checkpoint_every=EVERY)
-    assert len(serial.packet_latencies) == serial.delivered
 
 
 def test_latency_estimator_survives_a_sharded_resume(tmp_path):

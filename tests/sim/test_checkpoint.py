@@ -45,7 +45,7 @@ from repro.sim.checkpoint import (
     snapshot_engine,
 )
 from repro.sim.metrics import MetricsCollector, StreamingQuantile
-from repro.sim.simulator import build_batch_engine
+from repro.sim.simulator import RunSpec, build
 from repro.sim.trace import JsonlTraceWriter
 from repro.sim.wheel import TimingWheel
 from repro.traffic.batch import BatchSpec
@@ -69,13 +69,8 @@ def make_engine(machine, seed=11, batch=8, arbitration="rr", faults=None,
     spec = BatchSpec(
         pattern, packets_per_source=batch, cores_per_chip=2, seed=seed
     )
-    return build_batch_engine(
-        machine,
-        routes,
-        spec,
-        arbitration=arbitration,
-        weight_patterns=[pattern] if arbitration == "iw" else None,
-        faults=faults,
+    return build(
+        RunSpec(machine.config, spec, arbitration), machine, routes, faults,
         trace=trace,
     )
 
@@ -557,12 +552,10 @@ class TestRunStamp:
     resume under any other run is refused by name, file untouched."""
 
     @staticmethod
-    def runspec(seed=11):
-        from repro.sim.simulator import RunSpec
-
+    def runspec(seed=11, arbitration="rr"):
         config = MachineConfig(shape=SHAPE, endpoints_per_chip=2)
         spec = BatchSpec(UniformRandom(SHAPE), 8, cores_per_chip=2, seed=seed)
-        return RunSpec(config, spec)
+        return RunSpec(config, spec, arbitration)
 
     def killed(self, tmp_path, monkeypatch, **kwargs):
         from repro.sim.checkpoint import CRASH_ENV_VAR
@@ -606,29 +599,32 @@ class TestRunStamp:
         resumed = run(self.runspec(), checkpoint_path=path, checkpoint_every=16)
         assert json.dumps(resumed.asdict()) == json.dumps(expect.asdict())
 
-    def test_hand_assembled_entries_stay_unstamped(self, tmp_path, monkeypatch):
-        # run_batch is handed a built fault runtime, not a description:
-        # it neither stamps nor checks a stamp, and relies on the machine.
-        from repro.core.routing import RouteComputer
-        from repro.sim.checkpoint import CRASH_ENV_VAR
-        from repro.sim.simulator import run, run_batch
+    def test_a_run_handed_its_tables_is_stamped_too(self, tmp_path, monkeypatch):
+        # The hand-held entries used to save unstamped files, which any
+        # run on a matching machine would finish as its own.
+        from repro.sim.checkpoint import CRASH_ENV_VAR, run_stamp
+        from repro.sim.simulator import program_weights, run, shared_machine
 
-        machine = make_machine()
-        spec = self.runspec().spec
+        described = self.runspec(arbitration="iw")
+        tables = program_weights(described, *shared_machine(described.config))
         path = str(tmp_path / "ck.json")
+        saves = dict(checkpoint_path=path, checkpoint_every=16, weight_tables=tables)
         monkeypatch.setenv(CRASH_ENV_VAR, "40")
         with pytest.raises(KeyboardInterrupt):
-            run_batch(
-                machine, RouteComputer(machine), spec,
-                checkpoint_path=path, checkpoint_every=16,
-            )
+            run(described, **saves)
         monkeypatch.delenv(CRASH_ENV_VAR)
-        assert "run_stamp" not in load_checkpoint(path)
-        # ... and whoever holds a matching machine may finish it.
-        resumed = run(self.runspec(), checkpoint_path=path, checkpoint_every=16)
-        assert json.dumps(resumed.asdict()) == json.dumps(
-            run(self.runspec()).asdict()
-        )
+        assert load_checkpoint(path)["run_stamp"] == run_stamp(described)
+        with open(path, "rb") as handle:
+            before = handle.read()
+        with pytest.raises(
+            CheckpointError,
+            match=f"checkpoint {path} was written by a different run",
+        ):
+            run(self.runspec(seed=12, arbitration="iw"), **saves)
+        with open(path, "rb") as handle:
+            assert handle.read() == before
+        resumed = run(described, **saves)
+        assert json.dumps(resumed.asdict()) == json.dumps(run(described).asdict())
 
 
 class TestStartRevivesSinks:
@@ -636,7 +632,7 @@ class TestStartRevivesSinks:
     whatever the save recorded of the sinks it is handed -- behind a
     ``Tee`` too, where the save finds them."""
 
-    def test_teed_collector_survives_a_crash_through_run_batch(
+    def test_teed_collector_survives_a_crash_through_run(
         self, tmp_path, monkeypatch
     ):
         # At the parent only a collector handed in bare was revived: this
@@ -644,7 +640,7 @@ class TestStartRevivesSinks:
         from repro.core.routing import RouteComputer
         from repro.sim.checkpoint import CRASH_ENV_VAR
         from repro.sim.metrics import MetricsCollector
-        from repro.sim.simulator import run_batch
+        from repro.sim.simulator import run
         from repro.sim.trace import ListSink, Tee
 
         machine = make_machine()
@@ -652,9 +648,10 @@ class TestStartRevivesSinks:
 
         def leg(**checkpoint):
             collector = MetricsCollector()
-            run_batch(
-                machine, RouteComputer(machine), spec,
-                trace=Tee(collector, ListSink()), **checkpoint,
+            run(
+                RunSpec(machine.config, spec), machine=machine,
+                trace=Tee(collector, ListSink()),
+                route_computer=RouteComputer(machine), **checkpoint,
             )
             return collector.summary()
 

@@ -22,6 +22,7 @@ from repro.core.routing import RouteComputer
 from repro.faults import FaultPolicy, FaultRuntime, FaultSet, FaultSpec
 from repro.sim.checkpoint import (
     CHECKPOINT_SCHEMA_VERSION,
+    CheckpointError,
     checkpoint_info,
     dumps,
     load_checkpoint,
@@ -29,7 +30,7 @@ from repro.sim.checkpoint import (
     snapshot_engine,
 )
 from repro.sim.goldens import GOLDEN_DIR
-from repro.sim.simulator import build_batch_engine
+from repro.sim.simulator import RunSpec, build, build_batch_engine
 from repro.traffic.batch import BatchSpec
 from repro.traffic.patterns import Tornado, UniformRandom
 
@@ -129,10 +130,8 @@ def pinned_engine(name):
         routes = runtime.route_computer
     pattern = {"tornado": Tornado, "uniform": UniformRandom}[pattern_kind](shape)
     spec = BatchSpec(pattern, packets_per_source=12, cores_per_chip=2, seed=7)
-    return build_batch_engine(
-        machine, routes, spec, arbitration=arbitration,
-        weight_patterns=[pattern] if arbitration == "iw" else None,
-        faults=runtime,
+    return build(
+        RunSpec(machine.config, spec, arbitration), machine, routes, runtime
     )
 
 
@@ -161,6 +160,26 @@ class TestBytesWrittenByNestedState:
     def test_committed_fixture_saves_again_as_committed(self):
         text = FIXTURE.read_text()
         assert dumps(snapshot_engine(restore_engine(json.loads(text)))) == text
+
+
+class TestRetainedLatencies:
+    """Schema 1 lists per-packet latencies an engine could retain; none
+    does now, so every save writes the flag off and the list empty."""
+
+    def test_saves_write_the_flag_off_and_the_list_empty(self):
+        data = json.loads(FIXTURE.read_text())
+        assert data["keep_packet_latencies"] is False
+        assert data["stats"]["packet_latencies"] == []
+
+    @pytest.mark.parametrize("field", ["flag", "list"])
+    def test_a_file_that_retains_them_is_refused_by_name(self, field):
+        data = json.loads(FIXTURE.read_text())
+        if field == "flag":
+            data["keep_packet_latencies"] = True
+        else:
+            data["stats"]["packet_latencies"] = [25]
+        with pytest.raises(CheckpointError, match="keep_packet_latencies"):
+            restore_engine(data)
 
 
 class TestRejectionViaCli:

@@ -10,7 +10,7 @@ from repro.sim.metrics import (
     StreamingQuantile,
     VcOccupancyHistogram,
 )
-from repro.sim.simulator import run_batch
+from repro.sim.simulator import RunSpec, run
 from repro.sim.trace import TraceEvent
 from repro.traffic.batch import BatchSpec
 from repro.traffic.patterns import UniformRandom
@@ -142,17 +142,15 @@ class TestMetricsCollectorEndToEnd:
     @pytest.fixture(scope="class")
     def run(self, tiny_machine, tiny_routes):
         collector = MetricsCollector(window_cycles=16)
-        stats = run_batch(
-            tiny_machine,
-            tiny_routes,
-            BatchSpec(
-                UniformRandom(tiny_machine.config.shape),
-                packets_per_source=4,
-                cores_per_chip=2,
-                seed=2,
-            ),
-            trace=collector,
-            latency_quantiles=True,
+        spec = BatchSpec(
+            UniformRandom(tiny_machine.config.shape),
+            packets_per_source=4,
+            cores_per_chip=2,
+            seed=2,
+        )
+        stats = run(
+            RunSpec(tiny_machine.config, spec), machine=tiny_machine,
+            trace=collector, route_computer=tiny_routes, latency_quantiles=True,
         )
         return collector.summary(stats.end_cycle), stats
 

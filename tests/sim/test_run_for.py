@@ -48,7 +48,7 @@ def build_workload(machine, routes, seed=11, count=48):
 
 
 def fresh_engine(machine, routes, trace=None, seed=11):
-    engine = Engine(machine, keep_packet_latencies=True, trace=trace)
+    engine = Engine(machine, trace=trace)
     for packet in build_workload(machine, routes, seed=seed):
         engine.enqueue(packet)
     return engine
@@ -89,8 +89,9 @@ class TestSplitRunEquivalence:
             split.run_for(m)
             single.run_for(n + m)
             assert split.cycle == single.cycle
-            # Dataclass equality: every counter, per-source tally,
-            # per-channel flit/busy map, and retained latency list.
+            # Dataclass equality: every counter, per-source tally and
+            # per-channel flit/busy map; per-packet latencies are the
+            # deliver events' ``lat``.
             assert split.stats == single.stats
             assert sink_a.events == sink_b.events
             assert split.buffered_packets() == single.buffered_packets()

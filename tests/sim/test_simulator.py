@@ -1,13 +1,19 @@
 """Tests for the high-level simulation facade."""
 
+import json
+
 import pytest
 
 from repro.core.machine import Machine, MachineConfig
 from repro.core.routing import RouteComputer
+from repro.sim.checkpoint import dumps, snapshot_engine
 from repro.sim.simulator import (
+    RunSpec,
     arbiter_builder_for,
+    build,
+    build_batch_engine,
     make_weight_tables,
-    run_batch,
+    run,
     run_single_packet,
 )
 from repro.traffic.batch import BatchSpec
@@ -20,45 +26,59 @@ def setup():
     return machine, RouteComputer(machine)
 
 
-class TestRunBatch:
+def _run(machine, routes, spec, arbitration, **kwargs):
+    return run(
+        RunSpec(machine.config, spec, arbitration, **kwargs),
+        machine=machine, route_computer=routes,
+    )
+
+
+class TestRun:
     def test_all_policies_deliver_everything(self, setup):
         machine, routes = setup
         pattern = UniformRandom((2, 2, 2))
         spec = BatchSpec(pattern, packets_per_source=8, cores_per_chip=2, seed=1)
         for arbitration in ("rr", "age"):
-            stats = run_batch(machine, routes, spec, arbitration=arbitration)
+            stats = _run(machine, routes, spec, arbitration)
             assert stats.delivered == stats.injected == 16 * 8
 
     def test_iw_with_weight_patterns(self, setup):
         machine, routes = setup
         pattern = UniformRandom((2, 2, 2))
         spec = BatchSpec(pattern, packets_per_source=8, cores_per_chip=2, seed=1)
-        stats = run_batch(
-            machine, routes, spec, arbitration="iw", weight_patterns=[pattern]
-        )
+        stats = _run(machine, routes, spec, "iw", weight_patterns=(pattern,))
         assert stats.delivered == 16 * 8
-
-    def test_iw_requires_weights(self, setup):
-        machine, routes = setup
-        pattern = UniformRandom((2, 2, 2))
-        spec = BatchSpec(pattern, packets_per_source=4, cores_per_chip=2)
-        with pytest.raises(ValueError):
-            run_batch(machine, routes, spec, arbitration="iw")
 
     def test_unknown_policy(self, setup):
         machine, routes = setup
         pattern = UniformRandom((2, 2, 2))
         spec = BatchSpec(pattern, packets_per_source=4, cores_per_chip=2)
         with pytest.raises(ValueError):
-            run_batch(machine, routes, spec, arbitration="lottery")
+            _run(machine, routes, spec, "lottery")
 
     def test_deterministic_given_seed(self, setup):
         machine, routes = setup
         pattern = UniformRandom((2, 2, 2))
         spec = BatchSpec(pattern, packets_per_source=8, cores_per_chip=2, seed=9)
-        first = run_batch(machine, routes, spec, arbitration="rr")
-        second = run_batch(machine, routes, spec, arbitration="rr")
+        first = _run(machine, routes, spec, "rr")
+        second = _run(machine, routes, spec, "rr")
         assert first.last_delivery_cycle == second.last_delivery_cycle
+
+
+class TestBuildBatchEngine:
+    def test_iw_without_patterns_programs_the_batchs_own(self, setup):
+        # The own-pattern rule every RunSpec follows: the entry used to
+        # refuse ``iw`` with neither patterns nor tables.
+        machine, routes = setup
+        spec = BatchSpec(Tornado((2, 2, 2)), 8, cores_per_chip=2, seed=4)
+        entry = build_batch_engine(machine, routes, spec, arbitration="iw")
+        described = build(RunSpec(machine.config, spec, "iw"), machine, routes)
+        for engine in (entry, described):
+            engine.run_for(20)
+        assert dumps(snapshot_engine(entry)) == dumps(snapshot_engine(described))
+        assert json.dumps(entry.run().asdict()) == json.dumps(
+            described.run().asdict()
+        )
 
 
 class TestWeightTables:

@@ -38,11 +38,6 @@ class TestRecording:
         assert stats.mean_latency == 30  # release 0 -> deliver 30
         assert stats.mean_network_latency == 25
 
-    def test_keep_latencies(self, delivered_packet):
-        stats = SimStats()
-        stats.record_delivery(delivered_packet, keep_latency=True)
-        assert stats.packet_latencies == [25]
-
     def test_channel_use(self):
         stats = SimStats()
         stats.record_channel_use(7, 2)

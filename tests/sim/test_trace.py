@@ -9,7 +9,7 @@ from repro.core.machine import Machine, MachineConfig
 from repro.core.routing import RouteChoice, RouteComputer
 from repro.sim.engine import DeadlockError, Engine
 from repro.sim.packet import Packet
-from repro.sim.simulator import run_batch
+from repro.sim.simulator import RunSpec, run
 from repro.sim.trace import (
     EVENT_KINDS,
     JsonlTraceWriter,
@@ -125,17 +125,15 @@ class TestJsonlTraceWriter:
 
 def _traced_batch(machine, routes, seed=5, **engine_kwargs):
     sink = ListSink()
-    stats = run_batch(
-        machine,
-        routes,
-        BatchSpec(
-            UniformRandom(machine.config.shape),
-            packets_per_source=2,
-            cores_per_chip=2,
-            seed=seed,
-        ),
-        trace=sink,
-        **engine_kwargs,
+    spec = BatchSpec(
+        UniformRandom(machine.config.shape),
+        packets_per_source=2,
+        cores_per_chip=2,
+        seed=seed,
+    )
+    stats = run(
+        RunSpec(machine.config, spec), machine=machine, trace=sink,
+        route_computer=routes, **engine_kwargs,
     )
     return sink.events, stats
 
@@ -211,15 +209,15 @@ class TestEngineEmission:
 
     def test_tracing_does_not_change_results(self, tiny_machine, tiny_routes, traced):
         _, traced_stats = traced
-        untraced = run_batch(
-            tiny_machine,
-            tiny_routes,
-            BatchSpec(
-                UniformRandom(tiny_machine.config.shape),
-                packets_per_source=2,
-                cores_per_chip=2,
-                seed=5,
-            ),
+        spec = BatchSpec(
+            UniformRandom(tiny_machine.config.shape),
+            packets_per_source=2,
+            cores_per_chip=2,
+            seed=5,
+        )
+        untraced = run(
+            RunSpec(tiny_machine.config, spec), machine=tiny_machine,
+            route_computer=tiny_routes,
         )
         assert untraced.asdict() == traced_stats.asdict()
 

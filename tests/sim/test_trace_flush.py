@@ -1,17 +1,15 @@
-"""Pins for JsonlTraceWriter's opt-in flush_every liveness mode.
+"""JsonlTraceWriter flushes its stream on ``flush()`` and nowhere else.
 
-Flushing changes *when* bytes reach the stream, never what they are:
-the serialized output must be byte-identical across flush cadences, and
-the default (0) must never flush mid-run -- the golden-trace contract.
+An emitted event only writes; when bytes reach the file is the caller's
+call (the periodic checkpoint driver flushes before each save, ``run``
+once at the end), and never a per-event branch in the hot path.
 """
 
 import io
 
-import pytest
-
 from repro.core.machine import Machine, MachineConfig
 from repro.core.routing import RouteComputer
-from repro.sim.simulator import run_batch
+from repro.sim.simulator import build_batch_engine
 from repro.sim.trace import JsonlTraceWriter
 from repro.traffic.batch import BatchSpec
 from repro.traffic.patterns import pattern_factories
@@ -27,57 +25,33 @@ class FlushCountingStream(io.StringIO):
         super().flush()
 
 
-def _run_traced(machine, writer):
-    shape = machine.config.shape
-    return run_batch(
-        machine,
-        RouteComputer(machine),
-        BatchSpec(
-            pattern=pattern_factories(shape)["uniform"](),
-            packets_per_source=4,
-            cores_per_chip=2,
-            seed=9,
-        ),
-        trace=writer,
+def _traced_engine(writer):
+    machine = Machine(MachineConfig(shape=(2, 2, 2), endpoints_per_chip=2))
+    spec = BatchSpec(
+        pattern=pattern_factories(machine.config.shape)["uniform"](),
+        packets_per_source=4,
+        cores_per_chip=2,
+        seed=9,
     )
+    return build_batch_engine(machine, RouteComputer(machine), spec, trace=writer)
 
 
-def test_flush_every_rejects_negative():
-    with pytest.raises(ValueError, match="flush_every"):
-        JsonlTraceWriter(io.StringIO(), flush_every=-1)
-
-
-def test_flush_cadence_never_changes_bytes(tiny_machine):
-    outputs = {}
-    for flush_every in (0, 1, 7):
-        stream = io.StringIO()
-        writer = JsonlTraceWriter(
-            stream, meta={"run": "flush-pin"}, flush_every=flush_every
-        )
-        _run_traced(tiny_machine, writer)
-        outputs[flush_every] = stream.getvalue()
-    assert outputs[0] == outputs[1] == outputs[7]
-    assert outputs[0].count("\n") > 1
-
-
-def test_default_never_flushes_line_by_line_mode_does(tiny_machine):
-    buffered = FlushCountingStream()
-    writer = JsonlTraceWriter(buffered, flush_every=0)
-    _run_traced(tiny_machine, writer)
-    midrun_flushes = buffered.flushes
-    # run_batch's final sink flush is the only one allowed by default.
-    assert midrun_flushes <= 1
-
-    live = FlushCountingStream()
-    writer = JsonlTraceWriter(live, flush_every=1)
-    _run_traced(tiny_machine, writer)
-    assert writer.events_written > 0
-    assert live.flushes >= writer.events_written
-
-
-def test_flush_every_counts_from_events_not_records(tiny_machine):
+def test_a_run_never_flushes_the_stream():
     stream = FlushCountingStream()
-    writer = JsonlTraceWriter(stream, flush_every=5)
-    assert stream.flushes == 0  # the header record does not flush
-    _run_traced(tiny_machine, writer)
-    assert stream.flushes >= writer.events_written // 5
+    writer = JsonlTraceWriter(stream, meta={"run": "flush-pin"})
+    _traced_engine(writer).run()
+    assert writer.events_written > 0
+    assert stream.flushes == 0
+    writer.flush()
+    assert stream.flushes == 1
+    assert stream.getvalue().count("\n") == writer.events_written + 1
+
+
+def test_flush_puts_out_the_held_header():
+    stream = FlushCountingStream()
+    writer = JsonlTraceWriter(stream, meta={"run": "flush-pin"})
+    assert stream.getvalue() == ""  # held until the first write
+    writer.flush()
+    assert stream.flushes == 1
+    assert stream.getvalue().startswith('{"ev":"trace"')
+    assert len(stream.getvalue().encode()) == writer.bytes_written

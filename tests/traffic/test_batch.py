@@ -14,13 +14,6 @@ class TestBatchSpec:
         with pytest.raises(ValueError):
             BatchSpec(UniformRandom((2, 2, 2)), 0, cores_per_chip=2)
 
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            BatchSpec(
-                UniformRandom((2, 2, 2)), 4, cores_per_chip=2,
-                dst_endpoint_mode="nearest",
-            )
-
 
 class TestGenerateBatch:
     def test_count(self, tiny_machine, tiny_routes):
@@ -60,10 +53,8 @@ class TestGenerateBatch:
         for packet in generate_batch(tiny_machine, tiny_routes, spec):
             assert packet.pattern == 0
 
-    def test_same_index_mode(self, tiny_machine, tiny_routes):
-        spec = BatchSpec(
-            Tornado((2, 2, 2)), 2, cores_per_chip=2, dst_endpoint_mode="same_index"
-        )
+    def test_core_i_talks_to_core_i(self, tiny_machine, tiny_routes):
+        spec = BatchSpec(Tornado((2, 2, 2)), 2, cores_per_chip=2)
         for packet in generate_batch(tiny_machine, tiny_routes, spec):
             src = tiny_machine.components[packet.src]
             dst = tiny_machine.components[packet.dst]

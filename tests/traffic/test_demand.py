@@ -20,7 +20,7 @@ from repro.core.machine import Machine, MachineConfig
 from repro.core.routing import RouteComputer
 from repro.faults import FaultPolicy, FaultRuntime, FaultSet, FaultSpec
 from repro.faults.model import failable_channels
-from repro.sim.simulator import RunSpec
+from repro.sim.simulator import RunSpec, run
 from repro.sim.sweep import SweepPoint, run_sweep
 from repro.sim.trace import JsonlTraceWriter
 from repro.traffic.demand import (
@@ -31,7 +31,6 @@ from repro.traffic.demand import (
     as_schedule,
     generate_demand,
     measure_demand_point,
-    run_demand,
 )
 from repro.traffic.loads import active_endpoints
 
@@ -298,7 +297,7 @@ class TestConservation:
             demand=matrix, cores_per_chip=2, mode="closed", packets_scale=8.0
         )
         generated = len(generate_demand(machine, routes, spec))
-        stats = run_demand(machine, routes, spec)
+        stats = run(RunSpec(machine.config, spec), machine=machine)
         assert stats.injected == generated
         assert stats.dropped == 0
         assert stats.delivered == generated
@@ -307,7 +306,7 @@ class TestConservation:
         machine, routes = setup()
         spec = open_spec(injection="bernoulli", rate=0.5, seed=2)
         generated = len(generate_demand(machine, routes, spec))
-        stats = run_demand(machine, routes, spec)
+        stats = run(RunSpec(machine.config, spec), machine=machine)
         assert stats.injected == generated
         assert stats.delivered + stats.dropped == generated
         assert stats.dropped == 0
@@ -337,8 +336,9 @@ class TestConservation:
         generated = len(
             generate_demand(machine, runtime.route_computer, spec)
         )
-        stats = run_demand(
-            machine, runtime.route_computer, spec, faults=runtime
+        stats = run(
+            RunSpec(machine.config, spec), machine=machine,
+            route_computer=runtime.route_computer, faults=runtime,
         )
         # Drops can happen at the source (never injected) and retries
         # re-inject, so ``injected`` counts injection *attempts*:
@@ -350,15 +350,16 @@ class TestConservation:
         assert stats.delivered <= stats.injected
 
 
-class TestRunDemand:
+class TestDemandRun:
     def test_trace_bytes_are_deterministic(self):
-        machine, routes = setup()
+        machine, _routes = setup()
 
         def trace_bytes():
             stream = io.StringIO()
             writer = JsonlTraceWriter(stream, meta={"run": "demand-test"})
-            run_demand(
-                machine, routes, open_spec(seed=5), trace=writer
+            run(
+                RunSpec(machine.config, open_spec(seed=5)), machine=machine,
+                trace=writer,
             )
             writer.flush()
             return stream.getvalue()
@@ -368,12 +369,12 @@ class TestRunDemand:
         assert '"ev":"inject"' in first.replace(" ", "")
 
     def test_iw_arbitration_runs(self):
-        machine, routes = setup()
+        machine, _routes = setup()
         matrix = DemandMatrix.hotspot(SHAPE, rate=0.4, seed=8)
         spec = DemandSpec(
             demand=matrix, cores_per_chip=2, mode="closed", packets_scale=4.0
         )
-        stats = run_demand(machine, routes, spec, arbitration="iw")
+        stats = run(RunSpec(machine.config, spec, "iw"), machine=machine)
         assert stats.delivered == stats.injected > 0
 
 

@@ -265,30 +265,11 @@ class TestSymmetryShortcut:
         table = compute_loads(tiny_machine, tiny_routes, pattern, 2)
         assert table.num_sources == 16
 
-    def test_dst_endpoint_modes(self, tiny_machine, tiny_routes):
-        pattern = UniformRandom((2, 2, 2))
-        same = compute_loads(tiny_machine, tiny_routes, pattern, 2, "same_index")
-        uniform = compute_loads(tiny_machine, tiny_routes, pattern, 2, "uniform")
-        # Total torus load identical; per-endpoint ejection differs only
-        # in distribution.
-        total = lambda t: sum(
-            load
-            for cid, load in t.channel_load.items()
-            if tiny_machine.channels[cid].kind == ChannelKind.TORUS
-        )
-        assert total(same) == pytest.approx(total(uniform))
-
 
 class TestValidation:
     def test_shape_mismatch(self, tiny_machine, tiny_routes):
         with pytest.raises(ValueError):
             compute_loads(tiny_machine, tiny_routes, UniformRandom((3, 3, 3)), 2)
-
-    def test_bad_mode(self, tiny_machine, tiny_routes):
-        with pytest.raises(ValueError):
-            compute_loads(
-                tiny_machine, tiny_routes, UniformRandom((2, 2, 2)), 2, "roundrobin"
-            )
 
 
 class TestMerging:

@@ -16,12 +16,9 @@ import pytest
 
 from repro.core.machine import Machine, MachineConfig
 from repro.sim.goldens import GOLDEN_DIR, render_golden
+from repro.sim.simulator import RunSpec, build
 from repro.sim.trace import JsonlTraceWriter
-from repro.traffic.demand import (
-    DemandMatrix,
-    DemandSpec,
-    build_demand_engine,
-)
+from repro.traffic.demand import DemandMatrix, DemandSpec
 from repro.traffic.patterns import Tornado, UniformRandom
 from repro.traffic.replay import (
     ReplayError,
@@ -117,9 +114,7 @@ class TestFreshTraceRoundTrip:
                 "arb": "rr",
             },
         )
-        engine = build_demand_engine(
-            machine, routes, spec, arbitration="rr", trace=writer
-        )
+        engine = build(RunSpec(machine.config, spec), machine, routes, trace=writer)
         engine.run()
         writer.flush()
         text = stream.getvalue()
