@@ -12,8 +12,8 @@ lists of ints, not 92 160 objects (plain lists: DESIGN.md section 9
 measures ``array`` reads at 2.2x theirs).
 
 The per-site classes next door stay as the standalone models and as the
-banks' oracle: a site grants what the object would, and :meth:`state` is
-the object's ``state()`` dict for dict -- the form a checkpoint stores
+banks' oracle: a site grants what the object would, and ``site_state``
+is the object's ``state()`` dict for dict
 (``tests/properties/test_arbiter_bank_props.py``).
 
 Requests are *sparse*: ``peek`` takes the requesting inputs only, as
@@ -24,6 +24,7 @@ the one that departs.
 
 from __future__ import annotations
 
+import functools
 from operator import itemgetter
 from typing import Dict, Optional, Sequence
 
@@ -36,8 +37,12 @@ class ArbiterBank:
 
     #: The policy's name in a checkpoint.
     tag = "fixed"
+    #: What :meth:`state` writes after the tag: each row's name, and
+    #: whether it runs by input (else by site).
+    state_rows = (("grants", True),)
 
     def __init__(self, sites) -> None:
+        self.order = sites.order
         self.offsets = sites.offsets
         self.num_inputs = sites.num_inputs
         #: Total grants issued, by input.
@@ -56,13 +61,46 @@ class ArbiterBank:
         start = self.offsets[site]
         return self.grants[start:start + self.num_inputs[site]]
 
-    def state(self, site: int) -> dict:
+    def site_state(self, site: int) -> dict:
         """What the per-site object's ``state()`` would be."""
         return {"grants": self.grants_of(site)}
 
-    def restore(self, site: int, state: dict) -> None:
-        """Reinstate a :meth:`state` snapshot of ``site``."""
+    def restore_site(self, site: int, state: dict) -> None:
+        """Reinstate a :meth:`site_state` snapshot of ``site``."""
         self._assign(self.grants, site, state["grants"], "arbiter")
+
+    @functools.cached_property
+    def _input_order(self) -> list:
+        """Each input's index in the per-input rows, sites in ``order``."""
+        offsets, counts = self.offsets, self.num_inputs
+        return [i for s in self.order for i in range(offsets[s], offsets[s] + counts[s])]
+
+    def state(self) -> dict:
+        """The whole stage, as a checkpoint stores it: the policy's tag, then
+        each row with its sites in ``order``, a site's inputs side by side."""
+        out = {"type": self.tag}
+        for name, by_input in self.state_rows:
+            row = getattr(self, name)
+            out[name] = [row[i] for i in (self._input_order if by_input else self.order)]
+        return out
+
+    def restore(self, state: dict) -> None:
+        """Reinstate a :meth:`state`; a row of another length raises ValueError."""
+        for name, by_input in self.state_rows:
+            order = self._input_order if by_input else self.order
+            row = getattr(self, name)
+            for index, value in zip(order, self._row(state, name, order)):
+                row[index] = value
+
+    def _row(self, state: dict, name: str, order: list) -> list:
+        """``state``'s ``name`` row, refused unless one entry per ``order``."""
+        values = state[name]
+        if len(values) != len(order):
+            raise ValueError(
+                f"the {name} row of a {self.tag} stage has {len(values)} "
+                f"entries, this machine's {len(order)}"
+            )
+        return values
 
     def _assign(self, row: list, site: int, values, what: str) -> None:
         start, count = self.offsets[site], self.num_inputs[site]
@@ -80,6 +118,7 @@ class RoundRobinBank(ArbiterBank):
     """Round-robin, descending from the pointer (Figure 8's order)."""
 
     tag = "rr"
+    state_rows = ArbiterBank.state_rows + (("pointer", False),)
 
     def __init__(self, sites) -> None:
         super().__init__(sites)
@@ -102,11 +141,11 @@ class RoundRobinBank(ArbiterBank):
         self.pointer[site] = index
         self.grants[self.offsets[site] + index] += 1
 
-    def state(self, site):
-        return dict(super().state(site), pointer=self.pointer[site])
+    def site_state(self, site):
+        return dict(super().site_state(site), pointer=self.pointer[site])
 
-    def restore(self, site, state):
-        super().restore(site, state)
+    def restore_site(self, site, state):
+        super().restore_site(site, state)
         self.pointer[site] = state["pointer"]
 
 
@@ -136,6 +175,7 @@ class InverseWeightedBank(RoundRobinBank):
     """
 
     tag = "iw"
+    state_rows = RoundRobinBank.state_rows + (("accumulators", True),)
 
     def __init__(
         self,
@@ -222,19 +262,19 @@ class InverseWeightedBank(RoundRobinBank):
         self.pointer[site] = index
         self.grants[granted] += 1
 
-    def state(self, site):
+    def site_state(self, site):
         start = self.offsets[site]
         stop = start + self.num_inputs[site]
         return dict(
-            super().state(site),
+            super().site_state(site),
             bit_exact=False,
             weight_bits=self.weight_bits,
             weights=[list(row) for row in self.weights[start:stop]],
             accumulators=self.accumulators[start:stop],
         )
 
-    def restore(self, site, state):
-        super().restore(site, state)
+    def restore_site(self, site, state):
+        super().restore_site(site, state)
         if state["bit_exact"]:
             raise ValueError(
                 f"arbiter {site} is the bit-level model "
@@ -245,6 +285,21 @@ class InverseWeightedBank(RoundRobinBank):
         self._assign(
             self.accumulators, site, state["accumulators"], "accumulator"
         )
+
+    def state(self):
+        out = super().state()
+        out["weights"] = [list(self.weights[i]) for i in self._input_order]
+        out["weight_bits"] = self.weight_bits
+        return out
+
+    def restore(self, state):
+        super().restore(state)
+        weights = self._row(state, "weights", self._input_order)
+        start = 0  # each site's weights held to what the stage stores
+        for site in self.order:
+            stop = start + self.num_inputs[site]
+            self.program(site, weights[start:stop], state["weight_bits"])
+            start = stop
 
 
 #: Bank class by checkpoint tag.

@@ -39,13 +39,14 @@ serial run and a shard-merged one). ``json.loads`` preserves object key
 order, so a save/load/save round trip is byte-stable (double-checkpoint
 idempotence, also pinned by tests).
 
-Source queues are serialized *compacted* -- the dead prefix before the
-head index dropped, the head zeroed -- which is observationally invisible
-and keeps snapshots minimal and canonical. Per-channel state is rendered
-channel by channel (:meth:`~repro.sim.engine.Engine.channel_rows`) out of
-the engine's flat rows, a VC buffer as the list of its packets and an
-arbitration site as the per-site arbiter object's ``state()``: the file
-says nothing of how the engine lays its state out.
+Schema 2 writes a packet as one flat row of integers (:data:`PACKET_ROW`)
+and the machine-sized state as whole rows in canonical order: credits by
+(channel, VC) and the timers by channel, the non-empty VC buffers, each
+arbitration stage as its bank's rows -- the file says nothing of how the
+engine lays its state out. Source queues are written *compacted* (the
+dead prefix before the head dropped), which is observationally
+invisible. Schema 1 is read through one up-converter,
+:func:`_upgrade_schema1`, and then restored like any other payload.
 
 Failure is explicit: any malformed, truncated, corrupted, or
 future-versioned payload raises :class:`CheckpointError` (the CLI maps
@@ -56,7 +57,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import gc
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -65,18 +68,17 @@ from contextlib import contextmanager
 from typing import Dict, List, Optional
 
 from repro.arbiters.bank import BANKS, InverseWeightedBank
-from repro.core.geometry import Dim
 from repro.core.machine import Fraction, Machine, MachineConfig
-from repro.core.routing import Route, RouteChoice
+from repro.core.routing import ALL_DIM_ORDERS, Route, RouteChoice
 
-from .engine import ChannelRows, Engine, event_sort_key
+from .engine import _EV_ARRIVAL, Engine, event_sort_key
 from .metrics import MetricsCollector
 from .packet import Packet
 from .stats import SimStats
 from .trace import JsonlTraceWriter, Tee
 
 #: Version of the checkpoint payload schema; bump on any layout change.
-CHECKPOINT_SCHEMA_VERSION = 1
+CHECKPOINT_SCHEMA_VERSION = 2
 
 #: Top-level scalar fields :func:`restore_engine` requires to be
 #: non-negative integers.
@@ -100,38 +102,37 @@ class CheckpointError(RuntimeError):
     """A checkpoint payload is invalid, unsupported, or unserializable."""
 
 
-# --- arbiter stages ---------------------------------------------------------------
-#
-# A stage is stored site by site, ``[site, {"type": tag, "state": ...}]``
-# with the state :meth:`repro.arbiters.bank.ArbiterBank.state` renders --
-# the per-site arbiter object's own ``state()``, so the bytes are those
-# written when the engine held one object per site.
+def _collector_paused(fn):
+    """``fn`` with the cyclic garbage collector paused: it allocates a
+    container per packet, hop and row, none in a cycle, and the collector
+    would rescan the growing heap again and again (DESIGN.md section 10)."""
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
 
 
-def _dump_stage(bank, order, states) -> list:
-    return [[site, {"type": bank.tag, "state": states[site]}] for site in order]
-
-
-def _stage_builder(specs: list, stage: str):
+def _stage_builder(stage: dict):
     """The builder (``Engine``'s ``arbiter_builder``) of the bank a
-    checkpoint's ``stage`` section describes."""
-    tags = sorted({spec["type"] for _site, spec in specs}) or ["rr"]
-    if len(tags) > 1:
-        raise CheckpointError(
-            f"checkpoint mixes arbiter types {', '.join(tags)} in "
-            f"{stage!r}; an engine runs one policy per stage"
-        )
-    (tag,) = tags
+    stage's :meth:`~repro.arbiters.bank.ArbiterBank.state` describes."""
+    tag = stage["type"]
     if tag not in BANKS:
         raise CheckpointError(f"unknown arbiter type {tag!r} in checkpoint")
     if tag == "iw":
-        # The stage's shape, from its first site; ``restore`` holds every
-        # site to it.
-        state = specs[0][1]["state"]
+        # The stage's shape from its first input; ``restore`` holds all to it.
+        weights = stage["weights"]
         return functools.partial(
             InverseWeightedBank,
-            num_patterns=len(state["weights"][0]),
-            weight_bits=state["weight_bits"],
+            num_patterns=len(weights[0]) if weights else 1,
+            weight_bits=stage["weight_bits"],
         )
     return BANKS[tag]
 
@@ -199,107 +200,112 @@ def _config_from_json(data: dict) -> MachineConfig:
     )
 
 
-def _route_to_json(route: Route) -> dict:
-    choice = route.choice
-    return {
-        "src": route.src,
-        "dst": route.dst,
-        "choice": {
-            "order": [int(d) for d in choice.dim_order],
-            "slice": choice.slice_index,
-            "deltas": None if choice.deltas is None else list(choice.deltas),
-        },
-        "hops": [[channel, vc] for channel, vc in route.hops],
-        "internode": route.internode_hops,
-        "via": None if route.via is None else list(route.via),
-    }
+# --- packets ----------------------------------------------------------------------
+
+#: A packet as schema 2 writes it, in a checkpoint and on the shard wire:
+#: these fields, then its route's hops as one flat ``channel, vc, channel,
+#: vc, ...`` run. ``drop`` is 0 or 1, ``order`` the dimension order's index
+#: in :data:`~repro.core.routing.ALL_DIM_ORDERS`; the deltas ``dx, dy, dz``
+#: are ``null`` when the route choice pins none; ``via`` is a detour's
+#: intermediate chip as its index in chip order, ``-1`` for none. There is
+#: no ``deliver_cycle``: the engine lets go of a packet as it delivers it,
+#: so a checkpoint holds none delivered.
+PACKET_ROW = (
+    "pid", "size_flits", "pattern", "traffic_class", "release_cycle",
+    "inject_cycle", "hop_index", "ready_cycle", "retries", "drop",
+    "src", "dst", "order", "slice", "dx", "dy", "dz", "internode", "via",
+)
+_HEAD = len(PACKET_ROW)
+_ORDER_CODE = {order: code for code, order in enumerate(ALL_DIM_ORDERS)}
 
 
-def _packet_to_json(packet: Packet) -> dict:
-    return {
-        "pid": packet.pid,
-        "route": _route_to_json(packet.route),
-        "size_flits": packet.size_flits,
-        "pattern": packet.pattern,
-        "traffic_class": packet.traffic_class,
-        "release_cycle": packet.release_cycle,
-        "inject_cycle": packet.inject_cycle,
-        "deliver_cycle": packet.deliver_cycle,
-        "hop_index": packet.hop_index,
-        "ready_cycle": packet.ready_cycle,
-        "retries": packet.retries,
-        "drop": packet.drop_on_arrival,
-    }
+class _PacketCodec:
+    """Packets to and from :data:`PACKET_ROW` rows on a machine of
+    ``shape``: one per payload (or shard wire), so that the rows it
+    reads share their route choices."""
+
+    def __init__(self, shape) -> None:
+        _nx, self._ny, self._nz = shape
+        self._choices: Dict[tuple, RouteChoice] = {}
+
+    def row(self, packet: Packet) -> list:
+        route = packet.route
+        choice = route.choice
+        via = route.via
+        return [
+            packet.pid, packet.size_flits, packet.pattern,
+            packet.traffic_class, packet.release_cycle, packet.inject_cycle,
+            packet.hop_index, packet.ready_cycle, packet.retries,
+            int(packet.drop_on_arrival), route.src, route.dst,
+            _ORDER_CODE[choice.dim_order], choice.slice_index,
+            *(choice.deltas or (None, None, None)), route.internode_hops,
+            -1 if via is None else (via[0] * self._ny + via[1]) * self._nz + via[2],
+            *itertools.chain.from_iterable(route.hops),
+        ]
+
+    def packet(self, row: list) -> Packet:
+        if len(row) < _HEAD or (len(row) - _HEAD) % 2:
+            raise CheckpointError(
+                f"a packet row has {len(row)} fields: not {_HEAD} and a run "
+                f"of (channel, vc) hops of even length"
+            )
+        (pid, size_flits, pattern, traffic_class, release, inject, hop_index,
+         ready, retries, drop, src, dst, code, slice_index, dx, dy, dz,
+         internode, via) = row[:_HEAD]
+        run = row[_HEAD:]
+        key = (code, slice_index, dx, dy, dz)
+        choice = self._choices.get(key)
+        if choice is None:
+            if not 0 <= code < len(ALL_DIM_ORDERS):
+                raise CheckpointError(f"packet {pid} has dimension-order code {code}")
+            deltas = None if dx is None else (dx, dy, dz)
+            choice = RouteChoice(ALL_DIM_ORDERS[code], slice_index, deltas)
+            self._choices[key] = choice
+        hops = tuple(zip(run[::2], run[1::2]))
+        if not 0 <= hop_index <= len(hops):
+            raise CheckpointError(
+                f"packet {pid}'s hop_index {hop_index} is outside its "
+                f"{len(hops)}-hop route"
+            )
+        if via != -1:
+            rest, z = divmod(via, self._nz)
+            via = (*divmod(rest, self._ny), z)
+        route = Route(src, dst, choice, hops, internode, None if via == -1 else via)
+        packet = Packet(pid, route, size_flits, pattern, traffic_class, release)
+        packet.inject_cycle, packet.ready_cycle = inject, ready
+        packet.retries, packet.drop_on_arrival = retries, bool(drop)
+        packet.hop_index = hop_index
+        # ``next_hop`` is an invariant of (route, hop_index) at checkpoint
+        # boundaries, so it is derived rather than stored.
+        packet.next_hop = hops[hop_index] if hop_index < len(hops) else None
+        return packet
 
 
-def _packet_from_json(data: dict, choice_cache: Dict[tuple, RouteChoice]) -> Packet:
-    rdata = data["route"]
-    cdata = rdata["choice"]
-    deltas = cdata["deltas"]
-    key = (tuple(cdata["order"]), cdata["slice"], None if deltas is None else tuple(deltas))
-    choice = choice_cache.get(key)
-    if choice is None:
-        choice = RouteChoice(
-            dim_order=tuple(Dim(d) for d in cdata["order"]),
-            slice_index=cdata["slice"],
-            deltas=None if deltas is None else tuple(deltas),
-        )
-        choice_cache[key] = choice
-    via = rdata["via"]
-    route = Route(
-        src=rdata["src"],
-        dst=rdata["dst"],
-        choice=choice,
-        hops=tuple((channel, vc) for channel, vc in rdata["hops"]),
-        internode_hops=rdata["internode"],
-        via=None if via is None else tuple(via),
-    )
-    packet = Packet(
-        data["pid"],
-        route,
-        size_flits=data["size_flits"],
-        pattern=data["pattern"],
-        traffic_class=data["traffic_class"],
-        release_cycle=data["release_cycle"],
-    )
-    packet.inject_cycle = data["inject_cycle"]
-    packet.deliver_cycle = data["deliver_cycle"]
-    packet.hop_index = data["hop_index"]
-    packet.ready_cycle = data["ready_cycle"]
-    packet.retries = data["retries"]
-    packet.drop_on_arrival = data["drop"]
-    # ``next_hop`` is an invariant of (route, hop_index) at checkpoint
-    # boundaries, so it is derived rather than stored.
-    hops = route.hops
-    packet.next_hop = hops[packet.hop_index] if packet.hop_index < len(hops) else None
-    return packet
+class _Placement:
+    """The packet table handed out in the order :func:`snapshot_engine`
+    numbered it -- source queues, buffers, wheel arrivals -- where every
+    packet sits in exactly one place: a section naming anything but the
+    next indices is refused by name."""
 
+    def __init__(self, packets: List[Packet]) -> None:
+        self.packets, self.placed = packets, 0
 
-# Event kind constants mirrored from the engine (module-private there).
-_EV_ARRIVAL = 0
-
-
-class _PacketIndex:
-    """Identity-keyed packet index table.
-
-    Pids are *not* unique (a retry clone shares its pid with the
-    condemned in-flight copy it replaces), so packets are indexed by
-    object identity in one canonical traversal order: source queues,
-    then VC buffers, then wheel events. The restored engine shares one
-    object per index, exactly as the live engine does.
-    """
-
-    def __init__(self) -> None:
-        self._ids: Dict[int, int] = {}
-        self.packets: List[Packet] = []
-
-    def index(self, packet: Packet) -> int:
-        idx = self._ids.get(id(packet))
-        if idx is None:
-            idx = len(self.packets)
-            self._ids[id(packet)] = idx
-            self.packets.append(packet)
-        return idx
+    def take(self, indices: list, where: str) -> List[Packet]:
+        start, count = self.placed, len(self.packets)
+        for want, index in enumerate(indices, start):
+            if index == want < count:
+                continue
+            if type(index) is not int or not 0 <= index < count:
+                raise CheckpointError(
+                    f"{where} names packet {index}; the checkpoint lists {count}"
+                )
+            raise CheckpointError(
+                f"{where} names packet {index} "
+                f"{'a second time' if index < want else 'out of turn'}: packets "
+                f"are numbered as the snapshot meets them, so {want} comes next"
+            )
+        self.placed += len(indices)
+        return self.packets[start:self.placed]
 
 
 def _wheel_to_json(wheel, now: int, encode=list) -> dict:
@@ -399,15 +405,7 @@ def _revive_sinks(trace, section: dict) -> None:
                 sink.restore_state(section["collector"])
 
 
-def _stats_to_json(stats: SimStats) -> dict:
-    """``stats.asdict()`` in schema 1's layout, which lists the retained
-    per-packet latencies -- always none now -- before the estimator."""
-    out = stats.asdict()
-    out["packet_latencies"] = []
-    out["latency_estimator"] = out.pop("latency_estimator")
-    return out
-
-
+@_collector_paused
 def snapshot_engine(engine: Engine) -> dict:
     """Full mutable-state snapshot of a quiescent engine (between cycles).
 
@@ -424,25 +422,35 @@ def snapshot_engine(engine: Engine) -> dict:
             "engine has an on_delivery hook attached; callable hooks are "
             "not checkpointable"
         )
-    pindex = _PacketIndex()
+    # Pids are *not* unique (a retry clone shares its pid with the
+    # condemned in-flight copy it replaces), so packets are numbered by
+    # identity in one canonical traversal -- source queues, VC buffers,
+    # wheel events -- and the restored engine shares one object per
+    # number, exactly as the live engine does.
+    numbers: Dict[int, int] = {}
+    packets: List[Packet] = []
+
+    def number(packet: Packet) -> int:
+        index = numbers.setdefault(id(packet), len(packets))
+        if index == len(packets):
+            packets.append(packet)
+        return index
 
     source_queues = []
     for src in sorted(engine._source_queues):
         queue = engine._source_queues[src]
         head = engine._source_heads[src]
-        source_queues.append([src, [pindex.index(p) for p in queue[head:]]])
+        source_queues.append([src, [number(p) for p in queue[head:]]])
 
-    rows = [engine.channel_rows(cid) for cid in range(len(engine.machine.channels))]
+    credits, channel_free_at, input_free_at, buffers = engine.rows()
     buffers = [
-        [[pindex.index(p) for p in queue] for queue in channel.queues]
-        for channel in rows
+        [cid, vc, [number(p) for p in queue]] for cid, vc, queue in buffers
     ]
-    stages = engine.machine.engine_rows
 
     def encode(payload: tuple) -> list:
         kind, a, b, c = payload
         if kind == _EV_ARRIVAL:
-            a = pindex.index(a)
+            a = number(a)
         return [kind, a, b, c]
 
     wheel = _wheel_to_json(engine._events, engine.cycle, encode)
@@ -464,7 +472,7 @@ def snapshot_engine(engine: Engine) -> dict:
             # a pending wheel arrival, so its index was assigned by the
             # canonical traversal above and the sort erases push history.
             "inflight": sorted(
-                [pindex.index(packet), oc]
+                [number(packet), oc]
                 for packet, oc in engine._inflight.items()
             ),
             # Nothing of the route computer is state: its resolution
@@ -480,29 +488,20 @@ def snapshot_engine(engine: Engine) -> dict:
         "cycle": engine.cycle,
         "machine": _machine_to_json(engine.machine),
         "watchdog_cycles": engine.watchdog_cycles,
-        "keep_packet_latencies": False,
-        "packets": [_packet_to_json(p) for p in pindex.packets],
+        "packets": list(map(_PacketCodec(engine.machine.config.shape).row, packets)),
         "source_queues": source_queues,
         "buffers": buffers,
-        "credits": [channel.credits for channel in rows],
-        "channel_free_at": [channel.channel_free_at for channel in rows],
-        "input_free_at": [channel.input_free_at for channel in rows],
-        "arbiters": _dump_stage(
-            engine.arbiters,
-            stages.arbiter_sites.order,
-            [channel.arbiter for channel in rows],
-        ),
-        "vc_arbiters": _dump_stage(
-            engine.vc_arbiters,
-            stages.vc_arbiter_sites.order,
-            [channel.vc_arbiter for channel in rows],
-        ),
+        "credits": credits,
+        "channel_free_at": channel_free_at,
+        "input_free_at": input_free_at,
+        "arbiters": engine.arbiters.state(),
+        "vc_arbiters": engine.vc_arbiters.state(),
         "wheel": wheel,
         "active": sorted(engine._active),
         "queued": engine._queued,
         "in_network": engine._in_network,
         "last_progress": engine._last_progress,
-        "stats": _stats_to_json(engine.stats),
+        "stats": engine.stats.asdict(),
         "trace": _trace_section(engine),
         "faults": faults,
     }
@@ -533,43 +532,45 @@ def _wheel_from_json(wheel, data: dict, decode=tuple) -> None:
 def _restore_into(engine: Engine, data: dict, packets: List[Packet]) -> None:
     engine.cycle = data["cycle"]
 
+    placement = _Placement(packets)
     engine._source_queues = {}
     engine._source_heads = {}
     for src, indices in data["source_queues"]:
-        engine._source_queues[src] = [packets[i] for i in indices]
+        engine._source_queues[src] = placement.take(indices, "source_queues")
         engine._source_heads[src] = 0
 
-    # JSON's [site, spec] pairs make the by-site dicts as they are.
-    stages = dict(data["arbiters"]), dict(data["vc_arbiters"])
-    for cid in range(len(engine.machine.channels)):
-        sa2, sa1 = (
-            specs[cid]["state"] if cid in specs else None for specs in stages
+    buffers = [
+        (cid, vc, placement.take(indices, "buffers"))
+        for cid, vc, indices in data["buffers"]
+    ]
+    try:
+        engine.assign_rows(
+            data["credits"], data["channel_free_at"], data["input_free_at"], buffers
         )
-        engine.assign_channel(cid, ChannelRows(
-            credits=data["credits"][cid],
-            channel_free_at=data["channel_free_at"][cid],
-            arbiter=sa2,
-            queues=[[packets[i] for i in queue] for queue in data["buffers"][cid]],
-            input_free_at=data["input_free_at"][cid],
-            vc_arbiter=sa1,
-        ))
+        engine.arbiters.restore(data["arbiters"])
+        engine.vc_arbiters.restore(data["vc_arbiters"])
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint does not fit this machine: {exc}") from None
 
     def decode(enc: list) -> tuple:
         kind, a, b, c = enc
         if kind == _EV_ARRIVAL:
-            a = packets[a]
+            (a,) = placement.take([a], "a wheel arrival")
         return (kind, a, b, c)
 
     _wheel_from_json(engine._events, data["wheel"], decode)
+    if placement.placed != len(packets):
+        raise CheckpointError(
+            f"the checkpoint lists {len(packets)} packets but places "
+            f"{placement.placed} in its source queues, buffers and wheel"
+        )
 
     engine._active = dict.fromkeys(data["active"])
     engine._queued = data["queued"]
     engine._in_network = data["in_network"]
     engine._last_progress = data["last_progress"]
 
-    stats = dict(data["stats"])
-    del stats["packet_latencies"]  # schema 1's, vetted empty by restore_engine
-    engine.stats = SimStats.from_dict(stats)
+    engine.stats = SimStats.from_dict(data["stats"])
     # ``_depart`` increments these aliases directly; re-point them at
     # the restored stats object's dicts.
     engine._stat_channel_flits = engine.stats.channel_flits
@@ -597,9 +598,18 @@ def _restore_into(engine: Engine, data: dict, packets: List[Packet]) -> None:
         engine._failed_channels = set(fdata["failed"])
         runtime.route_computer.set_failed(engine._failed_channels)
         # (Older files also carry a "resolution" list here: ignored.)
+        previous = -1  # each of the table's packets at most once, rising
+        for index, _oc in fdata["inflight"]:
+            if type(index) is not int or not previous < index < len(packets):
+                raise CheckpointError(
+                    f"faults.inflight names packet {index} after {previous}; "
+                    f"the checkpoint lists {len(packets)}"
+                )
+            previous = index
         engine._inflight = {packets[i]: oc for i, oc in fdata["inflight"]}
 
 
+@_collector_paused
 def restore_engine(
     data: dict,
     machine: Optional[Machine] = None,
@@ -618,7 +628,8 @@ def restore_engine(
     back to the recorded bytes). When ``trace`` is omitted and the
     checkpoint captured a collector, the collector is revived and
     attached. The sinks are touched last: a payload that is refused
-    leaves them as they were.
+    leaves them as they were. A schema-1 payload is read through
+    :func:`_upgrade_schema1` first.
 
     Raises :class:`CheckpointError` on any structural defect.
     """
@@ -629,28 +640,104 @@ def restore_engine(
             machine = Machine(_config_from_json(data["machine"]))
         else:
             check_machine(data, machine)
-        retained = data["stats"]["packet_latencies"]
-        if data["keep_packet_latencies"] is not False or retained != []:
-            raise CheckpointError(
-                "checkpoint retains per-packet latencies "
-                "(keep_packet_latencies), which engines no longer keep; "
-                "read them from a trace's deliver events instead"
-            )
+        if data["schema"] == 1:
+            data = _upgrade_schema1(data, machine)
         section = data["trace"]
         if trace is None and section["collector"] is not None:
             trace = MetricsCollector()  # revived below, like one handed in
         engine = Engine(
             machine,
-            arbiter_builder=_stage_builder(data["arbiters"], "arbiters"),
-            vc_arbiter_builder=_stage_builder(data["vc_arbiters"], "vc_arbiters"),
+            arbiter_builder=_stage_builder(data["arbiters"]),
+            vc_arbiter_builder=_stage_builder(data["vc_arbiters"]),
             watchdog_cycles=data["watchdog_cycles"],
             trace=trace,
         )
-        choice_cache: Dict[tuple, RouteChoice] = {}
-        packets = [_packet_from_json(p, choice_cache) for p in data["packets"]]
+        codec = _PacketCodec(machine.config.shape)
+        packets = list(map(codec.packet, data["packets"]))
         _restore_into(engine, data, packets)
         _revive_sinks(trace, section)
     return engine
+
+
+# --- schema 1 ---------------------------------------------------------------------
+
+
+def _packet_from_json(data: dict) -> Packet:
+    """A schema-1 packet: named fields, its route a dict with nested
+    ``[channel, vc]`` hops."""
+    rdata, cdata = data["route"], data["route"]["choice"]
+    deltas, via = cdata["deltas"], rdata["via"]
+    choice = RouteChoice(
+        tuple(cdata["order"]), cdata["slice"],
+        None if deltas is None else tuple(deltas),
+    )
+    route = Route(
+        rdata["src"], rdata["dst"], choice,
+        tuple((channel, vc) for channel, vc in rdata["hops"]),
+        rdata["internode"], None if via is None else tuple(via),
+    )
+    packet = Packet(
+        data["pid"], route, data["size_flits"], data["pattern"],
+        data["traffic_class"], data["release_cycle"],
+    )
+    for name in ("inject_cycle", "hop_index", "ready_cycle", "retries"):
+        setattr(packet, name, data[name])
+    packet.drop_on_arrival = data["drop"]
+    return packet
+
+
+def _upgrade_stage(specs: list, sites, stage: str) -> dict:
+    """Schema 1's ``[site, {"type", "state"}]`` list as the stage's rows, by
+    way of a scratch bank: every per-site check holds (widths, weights, bit_exact)."""
+    tags = sorted({spec["type"] for _site, spec in specs}) or ["rr"]
+    if len(tags) > 1:
+        raise CheckpointError(
+            f"checkpoint mixes arbiter types {', '.join(tags)} in "
+            f"{stage!r}; an engine runs one policy per stage"
+        )
+    first = specs[0][1]["state"] if specs else {}
+    bank = _stage_builder(dict(first, type=tags[0]))(sites)
+    for site, spec in specs:
+        bank.restore_site(site, spec["state"])
+    return bank.state()
+
+
+def _upgrade_schema1(data: dict, machine: Machine) -> dict:
+    """A schema-1 payload in schema 2's layout, on its own (vetted)
+    ``machine``: the one way schema 1 is read, a pure data transform.
+    Packet indices stay: both schemas number packets in one traversal."""
+    retained = data["stats"]["packet_latencies"]
+    if data["keep_packet_latencies"] is not False or retained != []:
+        raise CheckpointError(
+            "checkpoint retains per-packet latencies "
+            "(keep_packet_latencies), which engines no longer keep; "
+            "read them from a trace's deliver events instead"
+        )
+    rows = machine.engine_rows
+    for name in ("credits", "buffers"):
+        if list(map(len, data[name])) != list(map(len, rows.slots)):
+            raise CheckpointError(
+                f"checkpoint does not fit this machine: its {name} are not "
+                f"one entry per VC of each channel"
+            )
+    codec = _PacketCodec(machine.config.shape)
+    return dict(
+        {k: v for k, v in data.items() if k != "keep_packet_latencies"},
+        schema=2,
+        packets=[codec.row(_packet_from_json(p)) for p in data["packets"]],
+        buffers=[
+            [cid, vc, queue]
+            for cid, queues in enumerate(data["buffers"])
+            for vc, queue in enumerate(queues)
+            if queue
+        ],
+        credits=[credit for channel in data["credits"] for credit in channel],
+        arbiters=_upgrade_stage(data["arbiters"], rows.arbiter_sites, "arbiters"),
+        vc_arbiters=_upgrade_stage(
+            data["vc_arbiters"], rows.vc_arbiter_sites, "vc_arbiters"
+        ),
+        stats={k: v for k, v in data["stats"].items() if k != "packet_latencies"},
+    )
 
 
 def check_machine(data: dict, machine: Machine) -> None:
@@ -697,10 +784,10 @@ def _validate_header(data) -> None:
             "not an engine checkpoint (missing kind='engine-checkpoint')"
         )
     schema = data.get("schema")
-    if schema != CHECKPOINT_SCHEMA_VERSION:
+    if schema not in (1, CHECKPOINT_SCHEMA_VERSION):
         raise CheckpointError(
             f"unsupported checkpoint schema version {schema!r}; this build "
-            f"reads version {CHECKPOINT_SCHEMA_VERSION}"
+            f"reads versions 1 and {CHECKPOINT_SCHEMA_VERSION}"
         )
 
 
@@ -718,6 +805,7 @@ def dumps(data: dict) -> str:
     return json.dumps(data, separators=(",", ":")) + "\n"
 
 
+@_collector_paused
 def loads(text: str) -> dict:
     """Parse and header-validate checkpoint text."""
     try:
@@ -803,23 +891,16 @@ def write_atomic(path: str, data) -> None:
             os.unlink(tmp_path)
 
 
-def write_checkpoint(data: dict, path: str, stamp: Optional[str] = None) -> None:
-    """:func:`write_atomic` the snapshot ``data`` to ``path``. ``stamp``
-    (see :func:`run_stamp`) is recorded as the top-level ``run_stamp``
-    key: :func:`load_checkpoint` refuses the file to any other run.
+def save_checkpoint(engine: Engine, path: str, stamp: Optional[str] = None) -> dict:
+    """Snapshot ``engine`` and :func:`write_atomic` it to ``path``;
+    return the snapshot. ``stamp`` (see :func:`run_stamp`) is recorded as
+    the top-level ``run_stamp`` key: :func:`load_checkpoint` refuses the
+    file to any other run.
     """
+    data = snapshot_engine(engine)
     if stamp is not None:
         data["run_stamp"] = stamp
     write_atomic(path, dumps(data))
-
-
-def save_checkpoint(engine: Engine, path: str, stamp: Optional[str] = None) -> dict:
-    """Snapshot ``engine`` and :func:`write_checkpoint` it to ``path``.
-
-    Returns the snapshot dict.
-    """
-    data = snapshot_engine(engine)
-    write_checkpoint(data, path, stamp)
     return data
 
 
@@ -894,7 +975,7 @@ def run_with_checkpoints(
       saved after each chunk that leaves work outstanding. The attached
       trace sink is flushed first, so the bytes on disk cover at least
       the recorded ``bytes_written``; ``stamp`` goes to
-      :func:`write_checkpoint`.
+      :func:`save_checkpoint`.
     * **cap** -- no chunk passes ``max_cycles``; work outstanding there
       is ``engine.run``'s error, raised at exactly the cap.
     * **kill** -- when :data:`CRASH_ENV_VAR` names a cycle, the run

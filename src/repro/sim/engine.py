@@ -53,6 +53,7 @@ no datelines) really do deadlock.
 
 from __future__ import annotations
 
+import itertools
 from heapq import heappop, heappush
 from typing import Callable, Dict, List, NamedTuple, Optional
 
@@ -81,8 +82,8 @@ class ChannelRows(NamedTuple):
     """One channel's share of an engine's state, out of the flat rows:
     what :meth:`Engine.channel_rows` renders and
     :meth:`Engine.assign_channel` puts back. The layout of the rows
-    themselves is this module's alone; checkpoints and the shard cut and
-    merge move state through these.
+    themselves is this module's alone: the shard cut and merge move state
+    through these, a checkpoint through :meth:`Engine.rows`.
     """
 
     #: Source side -- the arbitration point feeding the channel: its
@@ -1311,10 +1312,10 @@ class Engine:
         return ChannelRows(
             credits=self._credits[slots.start:slots.stop],
             channel_free_at=self._channel_free_at[cid],
-            arbiter=sa2.state(cid) if sa2.num_inputs[cid] else None,
+            arbiter=sa2.site_state(cid) if sa2.num_inputs[cid] else None,
             queues=[self._fifo_packets(slot) for slot in slots],
             input_free_at=self._input_free_at[cid],
-            vc_arbiter=sa1.state(cid) if sa1.num_inputs[cid] else None,
+            vc_arbiter=sa1.site_state(cid) if sa1.num_inputs[cid] else None,
         )
 
     def assign_channel(
@@ -1335,14 +1336,59 @@ class Engine:
             self._credits[slots.start:slots.stop] = rows.credits
             self._channel_free_at[cid] = rows.channel_free_at
             if rows.arbiter is not None:
-                self.arbiters.restore(cid, rows.arbiter)
+                self.arbiters.restore_site(cid, rows.arbiter)
         if dst:
             for slot, queue in zip(slots, rows.queues):
                 self._link_fifo(slot, queue)
             self._buffered_count[cid] = sum(map(len, rows.queues))
             self._input_free_at[cid] = rows.input_free_at
             if rows.vc_arbiter is not None:
-                self.vc_arbiters.restore(cid, rows.vc_arbiter)
+                self.vc_arbiters.restore_site(cid, rows.vc_arbiter)
+
+    def rows(self) -> tuple:
+        """This engine's state by channel and by (channel, VC), without the
+        slot layout: the credits in (channel, VC) order, the two timers,
+        and the non-empty VC buffers as ``(cid, vc, packets head first)``."""
+        slots, head = self._slots, self._fifo_head
+        credits = [self._credits[slot] for vcs in slots for slot in vcs]
+        buffers = [
+            (cid, vc, self._fifo_packets(slot))
+            for cid, count in enumerate(self._buffered_count) if count
+            for vc, slot in enumerate(slots[cid]) if head[slot] is not None
+        ]
+        return credits, list(self._channel_free_at), list(self._input_free_at), buffers
+
+    def assign_rows(self, credits, channel_free_at, input_free_at, buffers) -> None:
+        """Put :meth:`rows` back into a new engine of the same machine. A
+        row of another length, or a buffer that is empty, out of (channel,
+        VC) order or at no VC of this machine, raises ``ValueError``."""
+        slots = self._slots
+        for name, row, size in (
+            ("credits", credits, sum(map(len, slots))),
+            ("channel_free_at", channel_free_at, len(slots)),
+            ("input_free_at", input_free_at, len(slots)),
+        ):
+            if len(row) != size:
+                raise ValueError(
+                    f"the {name} row has {len(row)} entries, this machine's {size}"
+                )
+        for slot, value in zip(itertools.chain.from_iterable(slots), credits):
+            self._credits[slot] = value
+        self._channel_free_at[:] = channel_free_at
+        self._input_free_at[:] = input_free_at
+        last = (0, -1)  # below every (channel, VC)
+        for cid, vc, queue in buffers:
+            if not (
+                last < (cid, vc) and cid < len(slots)
+                and 0 <= vc < len(slots[cid]) and queue
+            ):
+                raise ValueError(
+                    f"buffer ({cid}, {vc}) is empty, out of (channel, VC) order "
+                    f"or at no VC of this machine"
+                )
+            last = (cid, vc)
+            self._link_fifo(slots[cid][vc], queue)
+            self._buffered_count[cid] += len(queue)
 
     # --- introspection (used by tests) ------------------------------------------
 

@@ -29,9 +29,10 @@ discrete-event simulation, exact rather than approximate:
 * **Exchange.** Cross-shard grants divert to a per-engine outbox
   (``Engine._remote_dst``); at each barrier the hub routes them to the
   destination shard, which replays them with
-  :meth:`~repro.sim.engine.Engine.feed_arrival`. Transfer records ride
-  the checkpoint module's canonical-JSON packet serialization as the
-  wire format; credit returns flow back the same way.
+  :meth:`~repro.sim.engine.Engine.feed_arrival`. A transfer record
+  carries the packet as the checkpoint's packet row
+  (:data:`~repro.sim.checkpoint.PACKET_ROW`); credit returns flow back
+  the same way.
 
 * **Exactness.** A sharded run starts as the serial one does:
   :func:`~repro.sim.simulator.start` makes the serial engine -- every
@@ -80,8 +81,7 @@ from repro.core.machine import Machine
 
 from .checkpoint import (
     CheckpointError,
-    _packet_from_json,
-    _packet_to_json,
+    _PacketCodec,
     restore_engine,
     snapshot_engine,
 )
@@ -224,19 +224,11 @@ class ShardPlan:
 # --- wire format ------------------------------------------------------------------
 
 
-def _encode_transfer(packet, oc: int, cycle: int) -> str:
-    """Canonical-JSON transfer record: the cross-shard wire format."""
-    record = {
-        "cycle": cycle,
-        "oc": oc,
-        "packet": _packet_to_json(packet),
-    }
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-
-def _encode_credit(cid: int, vc: int, size: int, cycle: int) -> str:
-    record = {"channel": cid, "cycle": cycle, "size": size, "vc": vc}
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+def _wire(record) -> str:
+    """A barrier record as compact JSON: a transfer ``[cycle, oc, packet
+    row]`` (:data:`~repro.sim.checkpoint.PACKET_ROW`), a credit return
+    ``[cid, vc, size, cycle]``."""
+    return json.dumps(record, separators=(",", ":"))
 
 
 # --- shard worker -----------------------------------------------------------------
@@ -308,7 +300,7 @@ class _ShardCore:
         #: The run's watchdog; the hub enforces it across all shards.
         self.true_watchdog = engine.watchdog_cycles
         engine.watchdog_cycles = _HUGE_WATCHDOG
-        self._choices: dict = {}
+        self._codec = _PacketCodec(machine.config.shape)
         self.engine = engine
         self.recorder = recorder
 
@@ -326,14 +318,10 @@ class _ShardCore:
         """Replay the barrier's incoming transfer and credit records."""
         engine = self.engine
         for text in arrivals:
-            record = json.loads(text)
-            packet = _packet_from_json(record["packet"], self._choices)
-            engine.feed_arrival(packet, record["oc"], record["cycle"])
+            cycle, oc, row = json.loads(text)
+            engine.feed_arrival(self._codec.packet(row), oc, cycle)
         for text in credits:
-            record = json.loads(text)
-            engine.feed_credit(
-                record["channel"], record["vc"], record["size"], record["cycle"]
-            )
+            engine.feed_credit(*json.loads(text))
         return ("fed", self._report())
 
     def run_window(self, w_end: int) -> tuple:
@@ -356,12 +344,9 @@ class _ShardCore:
             engine._in_network -= 1
             if inflight is not None:
                 inflight.pop(packet, None)
-            packets.append((oc, _encode_transfer(packet, oc, cycle)))
+            packets.append((oc, _wire([cycle, oc, self._codec.row(packet)])))
         del engine._outbox[:]
-        credits = [
-            (cid, _encode_credit(cid, vc, size, cycle))
-            for cid, vc, size, cycle in engine._outbox_credits
-        ]
+        credits = [(record[0], _wire(record)) for record in engine._outbox_credits]
         del engine._outbox_credits[:]
         records = self.recorder.drain() if self.recorder is not None else []
         return ("ok", packets, credits, records)

@@ -1,0 +1,215 @@
+"""Hostile checkpoints get a named one-line error, on both schemas.
+
+Every packet index a checkpoint holds must name a packet of its table,
+in the order the snapshot numbered them (source queues, buffers, wheel
+arrivals: each packet sits in exactly one place), every packet row must
+be one, and every row must be as long as the machine's. One that is not
+-- a negative index, an index named twice, a row too many, a row cut
+short -- is refused with a :class:`CheckpointError` that names it,
+and by the CLI as ``error: ...`` and exit 1: never a traceback, and
+never a run that goes on with a packet buffered twice. Each edit is made
+to the committed golden (schema 2) and to the same snapshot as schema 1
+wrote it, which the up-converter brings to the same checks.
+"""
+
+import dataclasses
+import json
+import re
+
+import pytest
+
+from repro.cli import main
+from repro.faults import FaultPolicy, FaultSet, FaultSpec
+from repro.sim.checkpoint import CheckpointError, dumps, restore_engine
+from repro.sim.goldens import GOLDEN_DIR
+
+GOLDENS = {
+    1: GOLDEN_DIR / "checkpoint_uniform_2x2x2.schema1.json",
+    2: GOLDEN_DIR / "checkpoint_uniform_2x2x2.json",
+}
+#: The golden's packet count; every one of them is on the wheel.
+PACKETS = 70
+#: An endpoint of the golden's machine, and a torus link of it.
+SOURCE = 209
+TORUS_LINK = 640
+
+
+def edits(*cases):
+    """``(schema, named, edit)`` params. A case is ``(name, named, s2[,
+    s1])``: an edit ``s2`` to the schema-2 golden, ``s1`` to schema 1's
+    (by default the same; ``None`` where schema 1 cannot say it), and the
+    pattern the error must match, one for both or one per schema."""
+    params = []
+    for name, named, s2, *s1 in cases:
+        s1 = s1[0] if s1 else s2
+        named = named if isinstance(named, dict) else {1: named, 2: named}
+        for schema, change in ((1, s1), (2, s2)):
+            if change is not None:
+                params.append(pytest.param(
+                    schema, named[schema], change, id=f"{name}-schema{schema}"
+                ))
+    return pytest.mark.parametrize("schema,named,edit", params)
+
+
+def assert_refused(schema, named, edit, tmp_path, capsys):
+    data = json.loads(GOLDENS[schema].read_text())
+    edit(data)
+    with pytest.raises(CheckpointError, match=named) as caught:
+        restore_engine(json.loads(dumps(data)))
+    assert "\n" not in str(caught.value)
+    path = tmp_path / "hostile.json"
+    path.write_text(dumps(data))
+    assert main(["checkpoint", "restore", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and re.search(named, err)
+
+
+def arrival(data, nth=0):
+    """The golden's ``nth`` wheel arrival; the first names packet 0."""
+    return [
+        event
+        for _cycle, events in data["wheel"]["buckets"]
+        for event in events
+        if event[0] == 0
+    ][nth]
+
+
+def faulted(inflight):
+    """An edit giving the golden a fault section holding ``inflight``."""
+    fault_set = FaultSet(
+        specs=(FaultSpec(kind="link", channel=TORUS_LINK),), shape=(2, 2, 2)
+    )
+
+    def apply(data):
+        data["faults"] = {
+            "fault_set": json.loads(fault_set.to_json()),
+            "policy": dataclasses.asdict(FaultPolicy()),
+            "failed": [TORUS_LINK],
+            "inflight": inflight,
+        }
+
+    return apply
+
+
+def hop_index(value):
+    def apply(data):
+        packet = data["packets"][4]
+        if isinstance(packet, dict):
+            packet["hop_index"] = value
+        else:
+            packet[6] = value
+
+    return apply
+
+
+@edits(
+    ("negative", "source_queues names packet -1",
+     lambda d: d["source_queues"].append([SOURCE, [-1]])),
+    ("past the table", f"source_queues names packet {PACKETS}",
+     lambda d: d["source_queues"].append([SOURCE, [0, PACKETS]])),
+    ("twice", "source_queues names packet 0 a second time",
+     lambda d: d["source_queues"].append([SOURCE, [0, 0]])),
+    ("out of turn", "source_queues names packet 1 out of turn: .* so 0 comes next",
+     lambda d: d["source_queues"].append([SOURCE, [1, 0]])),
+)
+def test_source_queue_indices(schema, named, edit, tmp_path, capsys):
+    assert_refused(schema, named, edit, tmp_path, capsys)
+
+
+@edits(
+    # Appended to an empty VC buffer, -1 used to buffer the table's last
+    # packet a second time, and the run went on to the end.
+    ("negative", "buffers names packet -1",
+     lambda d: d["buffers"].append([5, 1, [-1]]),
+     lambda d: d["buffers"][5][1].append(-1)),
+    ("past the table", f"buffers names packet {PACKETS}",
+     lambda d: d["buffers"].append([5, 1, [PACKETS]]),
+     lambda d: d["buffers"][5][1].append(PACKETS)),
+    ("twice", "buffers names packet 0 a second time",
+     lambda d: d["buffers"].append([5, 1, [0, 0]]),
+     lambda d: d["buffers"][5][1].extend([0, 0])),
+    # A packet on the wheel buffered too: the wheel names it again.
+    ("buffered and on the wheel", "a wheel arrival names packet 0 a second time",
+     lambda d: d["buffers"].append([5, 1, [0]]),
+     lambda d: d["buffers"][5][1].append(0)),
+    ("no such VC",
+     {1: "buffers are not one entry per VC", 2: r"buffer \(5, 9\) is empty, out of \(channel, VC\) order or at no VC"},
+     lambda d: d["buffers"].append([5, 9, [0]]),
+     lambda d: d["buffers"][5].append([0])),
+    ("out of order", r"buffer \(5, 1\) is empty, out of \(channel, VC\) order",
+     lambda d: d["buffers"].extend([[5, 2, [0]], [5, 1, [1]]]), None),
+)
+def test_buffer_indices(schema, named, edit, tmp_path, capsys):
+    assert_refused(schema, named, edit, tmp_path, capsys)
+
+
+@edits(
+    ("negative", "a wheel arrival names packet -1",
+     lambda d: arrival(d).__setitem__(1, -1)),
+    ("past the table", f"a wheel arrival names packet {PACKETS}",
+     lambda d: arrival(d).__setitem__(1, PACKETS)),
+    ("twice", "a wheel arrival names packet 0 a second time",
+     lambda d: arrival(d, 1).__setitem__(1, 0)),
+    ("out of turn", "a wheel arrival names packet 5 out of turn",
+     lambda d: arrival(d).__setitem__(1, 5)),
+)
+def test_wheel_arrival_indices(schema, named, edit, tmp_path, capsys):
+    assert_refused(schema, named, edit, tmp_path, capsys)
+
+
+@edits(
+    ("negative", "faults.inflight names packet -1",
+     faulted([[-1, TORUS_LINK]])),
+    ("past the table", f"faults.inflight names packet {PACKETS}",
+     faulted([[3, TORUS_LINK], [PACKETS, TORUS_LINK]])),
+    ("twice", "faults.inflight names packet 3 after 3",
+     faulted([[3, TORUS_LINK], [3, TORUS_LINK]])),
+)
+def test_inflight_indices(schema, named, edit, tmp_path, capsys):
+    assert_refused(schema, named, edit, tmp_path, capsys)
+
+
+@edits(
+    ("fields",
+     {1: r"truncated or corrupted checkpoint: KeyError\('retries'\)",
+      2: "a packet row has 10 fields: not 19 and a run"},
+     lambda d: d["packets"].__setitem__(2, d["packets"][2][:10]),
+     lambda d: d["packets"][2].pop("retries")),
+    ("odd hop run",
+     {1: "truncated or corrupted checkpoint: ValueError",
+      2: "a packet row has 60 fields: not 19 and a run"},
+     lambda d: d["packets"][3].append(7),
+     lambda d: d["packets"][3]["route"]["hops"][0].append(7)),
+    ("hop_index past the route", "hop_index 999 is outside its",
+     hop_index(999)),
+    ("negative hop_index", "hop_index -1 is outside its", hop_index(-1)),
+    # A row too many is a packet placed nowhere.
+    ("a row too many", f"lists {PACKETS + 1} packets but places {PACKETS}",
+     lambda d: d["packets"].append(d["packets"][0])),
+)
+def test_packet_rows(schema, named, edit, tmp_path, capsys):
+    assert_refused(schema, named, edit, tmp_path, capsys)
+
+
+@edits(
+    # A channel row too many used to be ignored without a word.
+    ("credits",
+     {1: "its credits are not one entry per VC",
+      2: "the credits row has 2849 entries, this machine's 2848"},
+     lambda d: d["credits"].append(8),
+     lambda d: d["credits"].append([8, 8, 8, 8])),
+    ("channel_free_at", "the channel_free_at row has 737 entries, this machine's 736",
+     lambda d: d["channel_free_at"].append(0)),
+    ("input_free_at", "the input_free_at row has 735 entries, this machine's 736",
+     lambda d: d["input_free_at"].pop()),
+    ("arbiter grants",
+     {1: "arbiter state has 6 inputs, expected 5",
+      2: "the grants row of a rr stage has"},
+     lambda d: d["arbiters"]["grants"].append(0),
+     lambda d: d["arbiters"][0][1]["state"]["grants"].append(0)),
+    ("arbiter pointers", "the pointer row of a rr stage has",
+     lambda d: d["vc_arbiters"]["pointer"].append(0), None),
+)
+def test_row_lengths(schema, named, edit, tmp_path, capsys):
+    assert_refused(schema, named, edit, tmp_path, capsys)

@@ -9,8 +9,12 @@ two must have granted the same input and hold the same ``state()``.
 
 ``iw`` is held to the literal bit-level model of Figure 8
 (``bit_exact=True``); the bank reports ``bit_exact`` ``False``, the one
-key compared apart.
+key compared apart. Whatever state a stream leaves, the whole stage's
+``state()`` -- what a checkpoint stores -- restores into a fresh bank
+site for site.
 """
+
+import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -68,7 +72,7 @@ def request_stream(draw, max_pattern=0):
 
 
 def assert_lockstep(bank, oracle, steps, same_state):
-    neighbours = [bank.state(site) for site in (3, 2)]
+    neighbours = [bank.site_state(site) for site in (3, 2)]
     for requests in steps:
         entries = [
             (index, request)
@@ -83,9 +87,18 @@ def assert_lockstep(bank, oracle, steps, same_state):
         assert granted == (expected, requests[expected])
         bank.commit(0, *granted)
         oracle.commit(expected, requests[expected])
-        same_state(bank.state(0), oracle.state())
+        same_state(bank.site_state(0), oracle.state())
         assert bank.grants_of(0) == oracle.grants
-    assert [bank.state(site) for site in (3, 2)] == neighbours
+    assert [bank.site_state(site) for site in (3, 2)] == neighbours
+
+
+def assert_stage_round_trips(bank, fresh):
+    state = bank.state()
+    fresh.restore(json.loads(json.dumps(state)))
+    assert fresh.state() == state
+    assert [fresh.site_state(site) for site in fresh.order] == [
+        bank.site_state(site) for site in bank.order
+    ]
 
 
 class TestBankMatchesObjects:
@@ -101,6 +114,7 @@ class TestBankMatchesObjects:
             assert ours == theirs
 
         assert_lockstep(bank, oracle_cls(k), steps, same_state)
+        assert_stage_round_trips(bank, bank_cls(three_sites(k)))
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -138,6 +152,10 @@ class TestBankMatchesObjects:
         assert all(
             0 <= value < 2 << bits for value in bank.accumulators
         )
+        assert_stage_round_trips(
+            bank,
+            InverseWeightedBank(sites, num_patterns=patterns, weight_bits=bits),
+        )
 
     def test_window_slide_and_clamp_by_hand(self):
         # M = 2: window 4. Input 0 is granted twice (3 + 3 = 6 >= 4, low
@@ -150,6 +168,6 @@ class TestBankMatchesObjects:
         for index in (0, 1, 0, 0):
             bank.commit(0, index, request)
             oracle.commit(index, request)
-        assert bank.state(0)["accumulators"] == [5, 0]
-        assert bank.state(0)["accumulators"] == oracle.state()["accumulators"]
-        assert bank.state(0)["pointer"] == oracle.state()["pointer"] == 0
+        assert bank.site_state(0)["accumulators"] == [5, 0]
+        assert bank.site_state(0)["accumulators"] == oracle.state()["accumulators"]
+        assert bank.site_state(0)["pointer"] == oracle.state()["pointer"] == 0

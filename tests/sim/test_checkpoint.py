@@ -32,6 +32,7 @@ from repro.sim.checkpoint import (
     CHECKPOINT_SCHEMA_VERSION,
     CheckpointError,
     _stage_builder,
+    _upgrade_stage,
     _wheel_from_json,
     _wheel_to_json,
     checkpoint_info,
@@ -44,6 +45,7 @@ from repro.sim.checkpoint import (
     save_checkpoint,
     snapshot_engine,
 )
+from repro.sim.goldens import GOLDEN_DIR
 from repro.sim.metrics import MetricsCollector, StreamingQuantile
 from repro.sim.simulator import RunSpec, build
 from repro.sim.trace import JsonlTraceWriter
@@ -52,6 +54,7 @@ from repro.traffic.batch import BatchSpec
 from repro.traffic.patterns import UniformRandom
 
 SHAPE = (2, 2, 2)
+SCHEMA1_GOLDEN = GOLDEN_DIR / "checkpoint_uniform_2x2x2.schema1.json"
 
 
 def make_machine():
@@ -196,33 +199,68 @@ class TestArbiterRoundTrip:
     @pytest.mark.parametrize("name,build", bank_cases())
     def test_resume_equals_uninterrupted(self, name, build):
         # Warm both sites (pointer/accumulator state away from reset),
-        # move one through JSON into a fresh bank, and check both copies
-        # grant identically afterwards.
+        # move the stage through JSON into a fresh bank, and check both
+        # copies grant identically afterwards.
         bank = build(SITES)
         drive(bank, 0, seed=1)
         drive(bank, 1, seed=5)
-        state = json.loads(json.dumps(bank.state(1)))
-        restored = _stage_builder([[1, {"type": bank.tag, "state": state}]], "arbiters")(SITES)
+        state = json.loads(json.dumps(bank.state()))
+        assert state["type"] == name
+        restored = _stage_builder(state)(SITES)
         assert type(restored) is type(bank)
-        restored.restore(1, state)
-        assert restored.state(1) == bank.state(1)
-        assert not any(restored.grants_of(0))  # the neighbour is untouched
+        restored.restore(state)
+        assert restored.state() == bank.state()
+        for site, seed in ((1, 2), (0, 4)):
+            assert drive(restored, site, seed) == drive(bank, site, seed)
+
+    @pytest.mark.parametrize("name,build", bank_cases())
+    def test_site_resume_equals_uninterrupted(self, name, build):
+        # Warm both sites, move site 1 alone through JSON into a fresh
+        # bank: it grants as the original does, and its neighbour is
+        # untouched -- every row of site 0 still reads as a fresh bank's.
+        bank = build(SITES)
+        drive(bank, 0, seed=1)
+        drive(bank, 1, seed=5)
+        state = json.loads(json.dumps(bank.site_state(1)))
+        fresh = _stage_builder(dict(state, type=bank.tag))
+        restored = fresh(SITES)
+        assert type(restored) is type(bank)
+        restored.restore_site(1, state)
+        assert restored.site_state(1) == bank.site_state(1)
+        assert not any(restored.grants_of(0))
+        assert restored.site_state(0) == fresh(SITES).site_state(0)
         assert drive(restored, 1, seed=2) == drive(bank, 1, seed=2)
+
+    @pytest.mark.parametrize("name,build", bank_cases())
+    def test_rows_are_the_sites_in_order(self, name, build):
+        # Site 1 is listed first: the rows run site by site in ``order``.
+        sites = SITES._replace(order=(1, 0))
+        bank = build(sites)
+        drive(bank, 0, seed=3)
+        drive(bank, 1, seed=6)
+        state = bank.state()
+        first, second = (bank.site_state(site) for site in (1, 0))
+        assert state["grants"] == first["grants"] + second["grants"]
+        for key in ("accumulators", "weights"):
+            if key in state:
+                assert state[key] == first[key] + second[key]
+        if "pointer" in state:
+            assert state["pointer"] == [first["pointer"], second["pointer"]]
 
     @pytest.mark.parametrize("name,build", bank_cases())
     def test_double_checkpoint_idempotent(self, name, build):
         bank = build(SITES)
         drive(bank, 0, seed=3)
-        first = bank.state(0)
+        first = bank.state()
         again = build(SITES)
-        again.restore(0, json.loads(json.dumps(first)))
-        assert json.dumps(again.state(0)) == json.dumps(first)
+        again.restore(json.loads(json.dumps(first)))
+        assert json.dumps(again.state()) == json.dumps(first)
 
     def test_unknown_arbiter_type_rejected(self):
         with pytest.raises(CheckpointError, match="unknown arbiter type 'mystery'"):
-            _stage_builder([[0, {"type": "mystery", "state": {"grants": [0]}}]], "arbiters")
+            _stage_builder({"type": "mystery", "grants": [0]})
 
-    def test_mixed_stage_rejected_by_name(self):
+    def test_mixed_schema1_stage_rejected_by_name(self):
         specs = [
             [0, {"type": "rr", "state": {"grants": [0] * 4, "pointer": 0}}],
             [1, {"type": "age", "state": {"grants": [0] * 4, "pointer": 0}}],
@@ -230,12 +268,10 @@ class TestArbiterRoundTrip:
         with pytest.raises(
             CheckpointError, match="mixes arbiter types age, rr in 'vc_arbiters'"
         ):
-            _stage_builder(specs, "vc_arbiters")
+            _upgrade_stage(specs, SITES, "vc_arbiters")
 
-    def test_mixed_engine_checkpoint_rejected(self):
-        engine = make_engine(make_machine())
-        engine.run_for(10)
-        data = json.loads(dumps(snapshot_engine(engine)))
+    def test_mixed_schema1_engine_checkpoint_rejected(self):
+        data = json.loads(SCHEMA1_GOLDEN.read_text())
         data["arbiters"][3][1]["type"] = "fixed"
         with pytest.raises(CheckpointError, match="mixes arbiter types fixed, rr"):
             restore_engine(data)
@@ -243,22 +279,47 @@ class TestArbiterRoundTrip:
     def test_wrong_width_site_rejected(self):
         bank = RoundRobinBank(SITES)
         with pytest.raises(ValueError, match="has 3 inputs, expected 4"):
-            bank.restore(0, {"grants": [0, 0, 0], "pointer": 0})
+            bank.restore_site(0, {"grants": [0, 0, 0], "pointer": 0})
+
+    @pytest.mark.parametrize("row,length", [("grants", 7), ("pointer", 3)])
+    def test_wrong_length_row_rejected(self, row, length):
+        bank = RoundRobinBank(SITES)
+        state = dict(bank.state(), **{row: [0] * length})
+        with pytest.raises(ValueError, match=f"{row} row of a rr stage has {length}"):
+            bank.restore(state)
+
+    @pytest.mark.parametrize("weights", [[[32]] * 8, [[1, 1]] * 8, [[-1]] * 8])
+    def test_iw_weights_the_stage_cannot_hold_rejected(self, weights):
+        bank = InverseWeightedBank(SITES, IW_TABLES)
+        state = dict(bank.state(), weights=weights)
+        with pytest.raises(ValueError, match="its stage stores 1 of 5 bits per input"):
+            InverseWeightedBank(SITES).restore(state)
 
     def test_bit_level_model_state_rejected(self):
         arbiter = InverseWeightedArbiter([[31], [16], [8], [4]], 5, bit_exact=True)
         with pytest.raises(ValueError, match="bit-level model"):
-            InverseWeightedBank(SITES).restore(0, arbiter.state())
+            InverseWeightedBank(SITES).restore_site(0, arbiter.state())
 
     def test_iw_accumulators_survive(self):
         bank = InverseWeightedBank(SITES, IW_TABLES)
         drive(bank, 0, seed=7)
-        state = bank.state(0)
+        state = bank.state()
         assert any(state["accumulators"])
         restored = InverseWeightedBank(SITES)
-        restored.restore(0, state)
-        assert restored.state(0) == state
-        assert restored.state(1)["accumulators"] == [0] * 4
+        restored.restore(state)
+        assert restored.state() == state
+        assert restored.site_state(1)["accumulators"] == [0] * 4
+
+    def test_iw_site_accumulators_survive(self):
+        bank = InverseWeightedBank(SITES, IW_TABLES)
+        drive(bank, 0, seed=7)
+        drive(bank, 1, seed=8)
+        state = bank.site_state(1)
+        assert any(state["accumulators"])
+        restored = InverseWeightedBank(SITES)
+        restored.restore_site(1, state)
+        assert restored.site_state(1) == state
+        assert restored.site_state(0)["accumulators"] == [0] * 4
 
 
 # --- RNG streams ------------------------------------------------------------------
@@ -453,6 +514,36 @@ class TestDoubleCheckpointIdempotence:
         assert second == first
 
 
+# --- packet rows ------------------------------------------------------------------
+
+
+class TestPacketRow:
+    """What no batch route has: a detour's via chip, a choice that pins no
+    deltas, a condemned copy, a retry count."""
+
+    def test_every_field_survives(self):
+        from repro.core.geometry import Dim
+        from repro.core.routing import Route, RouteChoice
+        from repro.sim.checkpoint import PACKET_ROW, _PacketCodec
+        from repro.sim.packet import Packet
+
+        choice = RouteChoice((Dim.Z, Dim.X, Dim.Y), 1, None)
+        route = Route(3, 77, choice, ((5, 0), (9, 1), (12, 2)), 2, (1, 0, 1))
+        packet = Packet(41, route, size_flits=2, pattern=1, traffic_class=0,
+                        release_cycle=6)
+        packet.inject_cycle, packet.ready_cycle, packet.hop_index = 8, 11, 2
+        packet.retries, packet.drop_on_arrival = 3, True
+        codec = _PacketCodec((2, 2, 2))
+        row = json.loads(json.dumps(codec.row(packet)))
+        assert len(row) == len(PACKET_ROW) + 6
+        back = _PacketCodec((2, 2, 2)).packet(row)
+        assert back.route == route and back.next_hop == (12, 2)
+        for name in Packet.__slots__:
+            if name not in ("route", "next_hop", "fifo_next"):
+                assert getattr(back, name) == getattr(packet, name), name
+        assert codec.row(back) == row
+
+
 # --- payload validation -----------------------------------------------------------
 
 
@@ -511,7 +602,7 @@ class TestPayloadValidation:
     def test_mangled_packet_index_rejected(self):
         data = self.snapshot()
         data["source_queues"] = [[0, [10_000_000]]]
-        with pytest.raises(CheckpointError, match="truncated or corrupted"):
+        with pytest.raises(CheckpointError, match="names packet 10000000"):
             restore_engine(json.loads(dumps(data)))
 
     def test_missing_file_rejected(self, tmp_path):

@@ -7,6 +7,9 @@ A diff here means either a bug or an intentional schema change; bump
     python -m repro checkpoint save --shape 2x2x2 --endpoints 2 \
         --pattern uniform --batch 8 --cores 2 --arbitration rr \
         --seed 3 --cycles 40 --out tests/golden/checkpoint_uniform_2x2x2.json
+
+``checkpoint_uniform_2x2x2.schema1.json`` is the same snapshot as schema 1
+wrote it, kept as a read test of the up-converter.
 """
 
 import hashlib
@@ -35,6 +38,7 @@ from repro.traffic.batch import BatchSpec
 from repro.traffic.patterns import Tornado, UniformRandom
 
 FIXTURE = GOLDEN_DIR / "checkpoint_uniform_2x2x2.json"
+SCHEMA1_FIXTURE = GOLDEN_DIR / "checkpoint_uniform_2x2x2.schema1.json"
 
 # The exact recipe the fixture was generated with (see module docstring).
 SHAPE = (2, 2, 2)
@@ -88,22 +92,37 @@ class TestCommittedFixture:
         assert resumed_stats == full_stats
 
 
-# --- bytes written before the engine's state was flat rows -----------------------
+class TestSchema1Fixture:
+    """The committed golden as schema 1 wrote it: read through the
+    up-converter, it is the schema-2 golden."""
+
+    def test_restored_and_saved_it_is_the_schema2_golden(self):
+        data = load_checkpoint(str(SCHEMA1_FIXTURE))
+        assert data["schema"] == 1
+        assert checkpoint_info(data)["cycle"] == CYCLES
+        restored = restore_engine(data)
+        assert dumps(snapshot_engine(restored)) == FIXTURE.read_text()
+
+    def test_it_finishes_with_the_uninterrupted_stats(self):
+        full_stats = json.dumps(build_fixture_engine().run().asdict())
+        restored = restore_engine(load_checkpoint(str(SCHEMA1_FIXTURE)))
+        assert json.dumps(restored.run().asdict()) == full_stats
+
+
+# --- schema-2 bytes of three more policies and a fault ---------------------------
 #
-# The engine keeps per-(channel, VC) and per-arbiter state in flat rows
-# (DESIGN.md section 9); a checkpoint still lists it channel by channel
-# and site by site, in the bytes the nested containers and per-site
-# arbiter objects were serialized to. Pinned: sha256 of the mid-run
-# checkpoint each recipe wrote at the last commit that held those
-# (PR 23, e56f30b) -- the golden fixture above is the ``rr`` case.
+# Pinned: sha256 of the mid-run checkpoint each recipe writes -- the golden
+# fixture above is the ``rr`` case. Each equals, byte for byte, what the
+# up-converter makes of the schema-1 file the same recipe wrote before
+# schema 2.
 
 PINNED_CHECKPOINT_DIGESTS = {
     "iw-tornado-4x2x2":
-        "4d968a3d51ed4e1dd35891497e6177e66bfffb14eedc4b921c719ee4d4ab53d7",
+        "a54c0ea7815dfb1caa0741b34da2c21cd1a041cdeaf3ec0448c423ff231bc81b",
     "age-uniform-2x2x2":
-        "046aad694753a731bc6fa659ce50d49343d167a53afa20d71d127809c7ebc8bd",
+        "5cdf21641ecb7a9c20a09712b39120ad9056e19bb5fcc955890637b98be2628f",
     "rr-uniform-faulted-reroute-4x2x2":
-        "fb90b1a4d87e936b02aeb2c825eeb8bd7637bd5298eddb3c14c9745d2601c936",
+        "14ef92db313f1ec51f0fcd5b5ba1604291f3bb10ed2e42cfa2f325109117da2c",
 }
 
 
@@ -142,14 +161,14 @@ def pinned_checkpoint_text(name):
     return dumps(snapshot_engine(engine))
 
 
-class TestBytesWrittenByNestedState:
+class TestPinnedSchema2Bytes:
     @pytest.mark.parametrize("name", sorted(PINNED_CHECKPOINT_DIGESTS))
     def test_mid_run_checkpoint_is_the_pinned_bytes(self, name):
         text = pinned_checkpoint_text(name)
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == PINNED_CHECKPOINT_DIGESTS[name]
-        # ... so the file that commit wrote restores, and saves again as
-        # it was, here and after running on.
+        # ... and it restores, and saves again as it was, here and after
+        # running on.
         restored = restore_engine(json.loads(text))
         assert dumps(snapshot_engine(restored)) == text
         straight = pinned_engine(name)
@@ -164,16 +183,16 @@ class TestBytesWrittenByNestedState:
 
 class TestRetainedLatencies:
     """Schema 1 lists per-packet latencies an engine could retain; none
-    does now, so every save writes the flag off and the list empty."""
+    does now, and schema 2 has neither the flag nor the list."""
 
-    def test_saves_write_the_flag_off_and_the_list_empty(self):
+    def test_schema2_writes_neither(self):
         data = json.loads(FIXTURE.read_text())
-        assert data["keep_packet_latencies"] is False
-        assert data["stats"]["packet_latencies"] == []
+        assert "keep_packet_latencies" not in data
+        assert "packet_latencies" not in data["stats"]
 
     @pytest.mark.parametrize("field", ["flag", "list"])
     def test_a_file_that_retains_them_is_refused_by_name(self, field):
-        data = json.loads(FIXTURE.read_text())
+        data = json.loads(SCHEMA1_FIXTURE.read_text())
         if field == "flag":
             data["keep_packet_latencies"] = True
         else:

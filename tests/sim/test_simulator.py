@@ -106,7 +106,7 @@ class TestWeightTables:
         # input charged the maximum weight.
         sites = machine.engine_rows.arbiter_sites
         unknown = next(oc for oc in sites.order if oc not in tables)
-        state = builder(sites).state(unknown)
+        state = builder(sites).site_state(unknown)
         assert state["weights"] == [[31]] * sites.num_inputs[unknown]
 
 
