@@ -632,23 +632,15 @@ def cmd_serve(args) -> int:
         server = SimServer(
             host=args.host,
             port=args.port,
-            spool_dir=args.spool_dir,
             max_sessions=args.max_sessions,
             session_config=config,
         )
         await server.start()
         print(
             f"repro-serve listening on {server.host}:{server.port} "
-            f"(proto {PROTOCOL_VERSION}, max {args.max_sessions} sessions, "
-            f"spool {args.spool_dir or 'off'})",
+            f"(proto {PROTOCOL_VERSION}, max {args.max_sessions} sessions)",
             flush=True,
         )
-        if server.counters["recovered"]:
-            print(
-                f"recovered {server.counters['recovered']} spooled "
-                f"session(s) from {args.spool_dir}",
-                flush=True,
-            )
         try:
             await server.serve_forever()
         finally:
@@ -1109,11 +1101,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7777,
                    help="TCP port (0 picks an ephemeral port; default 7777)")
-    p.add_argument("--spool-dir", default=None,
-                   help="checkpoint spool directory (enables LRU eviction "
-                        "and crash recovery)")
     p.add_argument("--max-sessions", type=int, default=1024,
-                   help="live-session table size (default: 1024)")
+                   help="session table cap: a create past it is refused "
+                        "(default: 1024)")
     p.add_argument("--quantum", type=int, default=256,
                    help="cycles per session scheduling quantum (default: 256)")
     p.add_argument("--backpressure", default="drop-oldest",

@@ -91,8 +91,8 @@ class FaultRuntime:
 
         Supports live fault injection (``repro serve``'s ``inject_fault``
         request): the merged set is what a checkpoint of the engine
-        serializes, so an evict/thaw cycle after an injection restores
-        the same fault schedule bitwise. Returns the timeline events of
+        serializes, so a session resumed from a ``snapshot`` taken after
+        an injection restores the same fault schedule bitwise. Returns the timeline events of
         just the *new* specs, for the caller to push onto the engine's
         wheel; ``initial_failed`` is deliberately untouched -- a running
         engine's failed-set lives on the engine, not here.

@@ -2,17 +2,17 @@
 
 The serving layer over the deterministic engine stack: many concurrent
 simulation sessions multiplexed on one asyncio loop, each advancing in
-bounded quanta, observable over versioned NDJSON frames, and evictable
-to checkpoint files without a client being able to tell. See
-:mod:`repro.serve.protocol` for the wire format,
+bounded quanta, observable over versioned NDJSON frames, and resumable
+from the text of a ``snapshot`` reply on any server without a client
+being able to tell. See :mod:`repro.serve.protocol` for the wire format,
 :mod:`repro.serve.session` for the determinism argument, and
-:mod:`repro.serve.server` for the table/eviction/recovery machinery.
+:mod:`repro.serve.server` for the session table and dispatch.
 """
 
 from .client import ServeClient, ServeError
 from .loadtest import LoadTestSpec, check_report, run_loadtest
 from .protocol import PROTOCOL_VERSION, ProtocolError
-from .server import SimServer, run_server
+from .server import SimServer
 from .session import (
     BACKPRESSURE_MODES,
     OutboundChannel,
@@ -39,5 +39,4 @@ __all__ = [
     "TraceStreamBuffer",
     "check_report",
     "run_loadtest",
-    "run_server",
 ]

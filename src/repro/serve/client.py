@@ -17,6 +17,13 @@ Example::
     stats = await client.stats(sid)
     await client.close_session(sid)
     await client.close()
+
+A session is freed and resumed later -- on any server -- by keeping the
+text of its ``snapshot``::
+
+    text = (await client.snapshot(sid))["checkpoint"]
+    await client.close_session(sid)
+    await client.create(workload, session=sid, checkpoint=text)
 """
 
 from __future__ import annotations
@@ -152,9 +159,14 @@ class ServeClient:
         workload: Dict[str, Any],
         config: Optional[Dict[str, Any]] = None,
         session: Optional[str] = None,
+        checkpoint: Optional[str] = None,
     ) -> Dict[str, Any]:
         return await self.request(
-            "create", session=session, workload=workload, config=config
+            "create",
+            session=session,
+            workload=workload,
+            config=config,
+            checkpoint=checkpoint,
         )
 
     async def step(self, session: str, cycles: int = 1) -> Dict[str, Any]:
@@ -195,9 +207,6 @@ class ServeClient:
             streams=list(streams) if streams is not None else None,
             metrics_every=metrics_every or None,
         )
-
-    async def evict(self, session: str) -> Dict[str, Any]:
-        return await self.request("evict", session=session)
 
     async def close_session(self, session: str) -> Dict[str, Any]:
         return await self.request("close", session=session)

@@ -30,7 +30,8 @@ Three frame shapes flow on a connection:
 Request types (see :mod:`repro.serve.server` for handler semantics):
 
 ========================= =========================================================
-``create``                 build a session around a workload spec
+``create``                 build a session around a workload spec (resumed from a
+                           ``snapshot`` reply's text when it carries ``checkpoint``)
 ``step``                   advance a session at most N cycles
 ``run``                    advance a session until its traffic drains
 ``submit_demand``          enqueue a demand-matrix workload into a session
@@ -39,7 +40,6 @@ Request types (see :mod:`repro.serve.server` for handler semantics):
 ``stats``                  stats dict + metrics snapshot (valid mid-run)
 ``subscribe``              attach this connection to a session's event streams
 ``close``                  finalize and discard a session
-``evict``                  force-evict a session to the checkpoint spool
 ``server_stats``           server-wide counters and request-latency quantiles
 ``ping``                   liveness probe
 ========================= =========================================================
@@ -62,7 +62,7 @@ import json
 from typing import Any, Dict, Optional, Tuple, Union
 
 #: Version of the frame schema; bump on any shape change.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Hard per-frame size bound (bytes, newline included). Generous enough
 #: for a snapshot reply carrying a large session checkpoint; a limit at
@@ -80,7 +80,6 @@ REQUEST_TYPES = (
     "stats",
     "subscribe",
     "close",
-    "evict",
     "server_stats",
     "ping",
 )

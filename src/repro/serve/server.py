@@ -1,21 +1,14 @@
-"""The asyncio session server: table, eviction, recovery, dispatch.
+"""The asyncio session server: table and dispatch.
 
-One :class:`SimServer` owns a table of live :class:`~repro.serve.session.Session`
-objects plus an index of *spooled* ones -- sessions evicted to checkpoint
-files in a spool directory. The table is LRU-ordered (every session
-request touches its entry); when a ``create`` would exceed
-``max_sessions``, the least-recently-used idle session is frozen to the
-spool, and any request addressing a spooled session transparently thaws
-it first. Because an evict/thaw cycle is bitwise-invisible (PR 5's
-checkpoint contract, re-argued in :mod:`repro.serve.session`), clients
-cannot observe whether their session stayed resident -- the property
-that makes the LRU policy safe to apply blindly.
-
-The spool doubles as crash recovery: spool files are written atomically
-(temp file + ``os.replace``, the same pattern as
-:func:`~repro.sim.checkpoint.save_checkpoint`), and a starting server
-scans its spool directory and re-indexes every record it finds, so
-sessions evicted before a crash survive it.
+One :class:`SimServer` owns a table of live
+:class:`~repro.serve.session.Session` objects: a session lives in it from
+``create`` until ``close``, and ``max_sessions`` caps it -- a ``create``
+past the cap is refused, and only ``close`` makes room. A client that
+wants to free a session and resume it later (on this server or another)
+keeps the text of its ``snapshot`` reply, ``close``s it, and later sends
+that text back as ``create``'s ``checkpoint``: checkpoint/restore is bitwise
+resume-equivalent (re-argued in :mod:`repro.serve.session`), so the
+resumed session ends byte-identical to one never interrupted.
 
 Concurrency model
 -----------------
@@ -26,30 +19,20 @@ therefore in request order -- the protocol invariant). A second task per
 connection drains its :class:`~repro.serve.session.OutboundChannel` to
 the socket. The channel carries two lanes through one FIFO: control
 frames (hello, replies) are never dropped, while stream event frames
-are bounded by ``outbound_limit`` and governed by each session's
+are bounded by :data:`OUTBOUND_LIMIT` and governed by each session's
 backpressure policy -- overload can discard events, never a reply. Long
 ``run`` requests yield the loop every quantum, so N connections advance
 N sessions concurrently with no thread in sight.
-
-Eviction keeps live subscriptions: spool files cannot carry them (a
-subscriber is a handle on a live connection), so :meth:`SimServer._evict`
-parks a session's subscribers in server memory keyed by session id and
-thaw re-attaches them -- streams resume exactly where the frozen session
-does. A crash loses only those parked handles, whose connections died
-with the process anyway.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
-import os
-import pathlib
+import dataclasses
 import re
 import time
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from repro.sim.checkpoint import write_atomic
 from repro.sim.metrics import StreamingQuantile
 
 from .protocol import (
@@ -71,12 +54,12 @@ from .session import (
     Subscriber,
 )
 
-#: Session ids must be filesystem-safe: they name spool files.
+#: Session ids come from outside the program: a short, printable charset.
 _SESSION_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
-#: Default bound of each connection's outbound event lane (frames);
-#: control frames (replies, hello) are never bounded or dropped.
-DEFAULT_OUTBOUND_LIMIT = 1024
+#: Bound of each connection's outbound event lane (frames); control
+#: frames (replies, hello) are never bounded or dropped.
+OUTBOUND_LIMIT = 1024
 
 
 class SimServer:
@@ -86,28 +69,17 @@ class SimServer:
         self,
         host: str = "127.0.0.1",
         port: int = 0,
-        spool_dir: Optional[str] = None,
         max_sessions: int = 1024,
         session_config: Optional[SessionConfig] = None,
-        outbound_limit: int = DEFAULT_OUTBOUND_LIMIT,
     ) -> None:
         if max_sessions < 1:
             raise ValueError("max_sessions must be >= 1")
-        if outbound_limit < 1:
-            raise ValueError("outbound_limit must be >= 1")
         self.host = host
         self.port = port
-        self.spool_dir = spool_dir
         self.max_sessions = max_sessions
         self.session_config = session_config or SessionConfig()
-        self.outbound_limit = outbound_limit
-        #: Live sessions, LRU-ordered: first entry is coldest.
+        #: Live sessions, in creation order.
         self.sessions: Dict[str, Session] = {}
-        #: Spooled sessions: id -> spool file path.
-        self.spooled: Dict[str, str] = {}
-        #: Subscribers of spooled sessions, parked until thaw re-attaches
-        #: them (spool files cannot carry live connection handles).
-        self._evicted_subs: Dict[str, List[Subscriber]] = {}
         self._server: Optional[asyncio.AbstractServer] = None
         self._next_sid = 0
         #: Request latencies in integer microseconds.
@@ -119,22 +91,12 @@ class SimServer:
             "errors": 0,
             "created": 0,
             "closed": 0,
-            "evictions": 0,
-            "thaws": 0,
-            "recovered": 0,
         }
 
     # --- lifecycle --------------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the listening socket and recover any spooled sessions."""
-        if self.spool_dir is not None:
-            os.makedirs(self.spool_dir, exist_ok=True)
-            for path in sorted(pathlib.Path(self.spool_dir).glob("*.json")):
-                sid = path.stem
-                if _SESSION_ID_RE.match(sid) and sid not in self.spooled:
-                    self.spooled[sid] = str(path)
-                    self.counters["recovered"] += 1
+        """Bind the listening socket."""
         self._server = await asyncio.start_server(
             self._handle_connection,
             host=self.host,
@@ -164,7 +126,7 @@ class SimServer:
 
     async def _handle_connection(self, reader, writer) -> None:
         self.counters["connections"] += 1
-        outbound = OutboundChannel(self.outbound_limit)
+        outbound = OutboundChannel(OUTBOUND_LIMIT)
         drain = asyncio.ensure_future(self._drain_outbound(outbound, writer))
         outbound.put_control(encode_frame(hello_frame()))
         try:
@@ -188,7 +150,6 @@ class SimServer:
         finally:
             for session in self.sessions.values():
                 session.unsubscribe_channel(outbound)
-            self._unpark_channel(outbound)
             outbound.put_control(None)  # sentinel: flush then stop
             try:
                 await drain
@@ -201,17 +162,6 @@ class SimServer:
                 await writer.wait_closed()
             except (asyncio.CancelledError, ConnectionError, OSError):
                 pass
-
-    def _unpark_channel(self, channel: OutboundChannel) -> None:
-        """Forget parked subscriptions of a closing connection."""
-        for sid in list(self._evicted_subs):
-            kept = [
-                s for s in self._evicted_subs[sid] if s.channel is not channel
-            ]
-            if kept:
-                self._evicted_subs[sid] = kept
-            else:
-                del self._evicted_subs[sid]
 
     @staticmethod
     async def _drain_outbound(outbound: OutboundChannel, writer) -> None:
@@ -303,29 +253,31 @@ class SimServer:
             return {"session": sid, "streams": sorted(streams)}
         if rtype == "close":
             return self._handle_close(session)
-        if rtype == "evict":
-            session._require_idle("evict")
-            path = self._evict(session)
-            return {"session": sid, "evicted": True, "spool": path}
         raise ProtocolError(f"unhandled request type {rtype!r}")  # pragma: no cover
 
     def _handle_create(self, sid: Optional[str], frame: dict) -> dict:
         if sid is None:
+            # Skip the ids clients chose for themselves.
+            while f"s{self._next_sid}" in self.sessions:
+                self._next_sid += 1
             sid = f"s{self._next_sid}"
             self._next_sid += 1
         elif not _SESSION_ID_RE.match(sid):
             raise SessionError(
                 "session ids are 1-64 chars of [A-Za-z0-9._-], starting "
-                "with an alphanumeric (they name spool files)"
+                "with an alphanumeric"
             )
-        if sid in self.sessions or sid in self.spooled:
+        if sid in self.sessions:
             raise SessionError(f"session {sid!r} already exists")
+        if len(self.sessions) >= self.max_sessions:
+            raise SessionError(
+                f"session table is full ({self.max_sessions} sessions); "
+                "close a session first"
+            )
         overrides = frame.get("config") or {}
         if not isinstance(overrides, dict):
             raise SessionError("'config' must be a JSON object")
-        import dataclasses as _dc
-
-        base = _dc.asdict(self.session_config)
+        base = dataclasses.asdict(self.session_config)
         unknown = set(overrides) - set(base)
         if unknown:
             raise SessionError(
@@ -334,8 +286,9 @@ class SimServer:
             )
         base.update(overrides)
         config = SessionConfig(**base)
-        session = Session.create(sid, frame.get("workload") or {}, config)
-        self._make_room()
+        session = Session.create(
+            sid, frame.get("workload") or {}, config, frame.get("checkpoint")
+        )
         self.sessions[sid] = session
         self.counters["created"] += 1
         return {
@@ -356,70 +309,10 @@ class SimServer:
     # --- session table ----------------------------------------------------------
 
     def _session(self, sid: str) -> Session:
-        """Resolve a live session, thawing from the spool on a miss."""
         session = self.sessions.get(sid)
-        if session is not None:
-            self.sessions[sid] = self.sessions.pop(sid)  # LRU touch
-            return session
-        path = self.spooled.get(sid)
-        if path is None:
+        if session is None:
             raise SessionError(f"unknown session {sid!r}")
-        try:
-            payload = json.loads(pathlib.Path(path).read_text())
-        except (OSError, ValueError) as exc:
-            raise SessionError(
-                f"session {sid!r} is spooled but unreadable: {exc}"
-            ) from exc
-        session = Session.thaw(payload)
-        # Make room *before* forgetting the spool record: if the table is
-        # full of busy sessions this raises, and the session must still
-        # be reachable (spooled) for a later retry rather than lost.
-        self._make_room()
-        for sub in self._evicted_subs.pop(sid, []):
-            session.subscribe(sub)
-        self.sessions[sid] = session
-        del self.spooled[sid]
-        os.unlink(path)
-        self.counters["thaws"] += 1
         return session
-
-    def _make_room(self) -> None:
-        """Evict LRU idle sessions until one table slot is free."""
-        while len(self.sessions) >= self.max_sessions:
-            victim = next(
-                (s for s in self.sessions.values() if not s.busy), None
-            )
-            if victim is None:
-                raise SessionError(
-                    "session table is full and every session is busy"
-                )
-            self._evict(victim)
-
-    def _evict(self, session: Session) -> str:
-        """Freeze one session to its spool file, whole or not at all.
-
-        Live subscribers are parked server-side and re-attached on thaw,
-        so subscribed clients cannot observe the eviction either -- their
-        streams resume when the session does.
-        """
-        if self.spool_dir is None:
-            raise SessionError(
-                "eviction needs a spool directory (start the server with "
-                "--spool-dir)"
-            )
-        sid = session.session_id
-        payload = session.spool_payload()
-        path = os.path.join(self.spool_dir, f"{sid}.json")
-        try:
-            write_atomic(path, json.dumps(payload, separators=(",", ":")) + "\n")
-        except OSError as exc:
-            raise SessionError(str(exc)) from None
-        if session.subscribers:
-            self._evicted_subs[sid] = session.subscribers
-        del self.sessions[sid]
-        self.spooled[sid] = path
-        self.counters["evictions"] += 1
-        return path
 
     # --- observation ------------------------------------------------------------
 
@@ -433,7 +326,6 @@ class SimServer:
             "proto": PROTOCOL_VERSION,
             "sessions": {
                 "live": len(self.sessions),
-                "spooled": len(self.spooled),
                 "max": self.max_sessions,
             },
             "latency_us": {
@@ -445,35 +337,3 @@ class SimServer:
         }
         payload.update(self.counters)
         return payload
-
-
-async def run_server(
-    host: str = "127.0.0.1",
-    port: int = 0,
-    spool_dir: Optional[str] = None,
-    max_sessions: int = 1024,
-    session_config: Optional[SessionConfig] = None,
-    ready=None,
-) -> None:
-    """Start a server and serve until cancelled (the CLI entry point).
-
-    ``ready``, when given, is an :class:`asyncio.Event` set once the
-    socket is bound -- tests use it to learn the ephemeral port.
-    """
-    server = SimServer(
-        host=host,
-        port=port,
-        spool_dir=spool_dir,
-        max_sessions=max_sessions,
-        session_config=session_config,
-    )
-    await server.start()
-    if ready is not None:
-        ready.server = server  # type: ignore[attr-defined]
-        ready.set()
-    try:
-        await server.serve_forever()
-    except asyncio.CancelledError:
-        raise
-    finally:
-        await server.close()

@@ -21,11 +21,11 @@ Determinism argument
   checkpoint bytes identical to an engine traced by the collector alone.
   The buffer itself is a pure observer; metrics pushes use the
   non-mutating :meth:`~repro.sim.metrics.MetricsCollector.snapshot`.
-* **Eviction.** :meth:`spool_payload` embeds a
-  :func:`~repro.sim.checkpoint.snapshot_engine` snapshot; :meth:`thaw`
-  restores it, which revives the collector. Checkpoint/restore is bitwise
-  resume-equivalent (PR 5), so an evict/thaw cycle cannot change a
-  single byte of the final stats.
+* **Resume.** :meth:`snapshot_text` is a
+  :func:`~repro.sim.checkpoint.snapshot_engine` checkpoint; handed back
+  to :meth:`create` it is restored, which revives the collector.
+  Checkpoint/restore is bitwise resume-equivalent, so a snapshot, close
+  and resume cannot change a single byte of the final stats.
 
 Backpressure
 ------------
@@ -51,8 +51,14 @@ import dataclasses
 from typing import Deque, List, Optional, Tuple
 
 from repro.core.routing import RouteComputer
+from repro.sim.checkpoint import (
+    check_stamp,
+    restore_engine,
+    run_stamp,
+    snapshot_engine,
+)
 from repro.sim.checkpoint import dumps as checkpoint_dumps
-from repro.sim.checkpoint import snapshot_engine
+from repro.sim.checkpoint import loads as checkpoint_loads
 from repro.sim.engine import Engine
 from repro.sim.metrics import MetricsCollector
 from repro.sim.simulator import RunSpec, build, run_context
@@ -64,10 +70,6 @@ from .protocol import (
     metrics_event_frame,
     trace_event_frame,
 )
-
-#: Version of the spool-file schema (the eviction payload wrapping an
-#: engine checkpoint); bump on any shape change.
-SPOOL_SCHEMA_VERSION = 1
 
 #: Outbound-queue overflow policies (see the module docstring).
 BACKPRESSURE_MODES = ("drop-oldest", "pause")
@@ -99,6 +101,14 @@ class SessionConfig:
     max_cycles: int = 10_000_000
 
     def __post_init__(self) -> None:
+        # A ``create`` request's ``config`` comes from outside the program:
+        # a float or a string here would fail much later, inside the engine.
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if field.type == "int" and type(value) is not int:
+                raise ValueError(
+                    f"{field.name} must be an integer, got {value!r}"
+                )
         if self.quantum_cycles < 1:
             raise ValueError("quantum_cycles must be >= 1")
         if self.backpressure not in BACKPRESSURE_MODES:
@@ -279,7 +289,6 @@ class Session:
         config: SessionConfig,
         workload: dict,
         routes: RouteComputer,
-        counters: Optional[dict] = None,
     ) -> None:
         self.session_id = session_id
         self.engine = engine
@@ -287,8 +296,7 @@ class Session:
         self.collector = collector
         self.buffer = buffer
         self.config = config
-        #: The creating workload spec, verbatim -- respooled on eviction
-        #: so a thawed session still knows what it is running.
+        #: The creating workload spec, verbatim.
         self.workload = workload
         #: Route computer used for post-create workload generation
         #: (``submit_demand``); the fault-aware one on faulted sessions.
@@ -296,19 +304,15 @@ class Session:
         self.subscribers: List[Subscriber] = []
         #: True while a step/run quantum loop holds the engine.
         self.busy = False
-        counters = counters or {}
-        self.cycles_run = int(counters.get("cycles_run", 0))
-        self.quanta = int(counters.get("quanta", 0))
-        self.trace_events_streamed = int(
-            counters.get("trace_events_streamed", 0)
-        )
-        self.trace_frames_dropped = int(
-            counters.get("trace_frames_dropped", 0)
-        )
-        self.backpressure_pauses = int(counters.get("backpressure_pauses", 0))
-        self.demands_submitted = int(counters.get("demands_submitted", 0))
-        self.faults_injected = int(counters.get("faults_injected", 0))
-        self.thaws = int(counters.get("thaws", 0))
+        # Serving counters, not simulation state: a resumed session
+        # starts them at zero.
+        self.cycles_run = 0
+        self.quanta = 0
+        self.trace_events_streamed = 0
+        self.trace_frames_dropped = 0
+        self.backpressure_pauses = 0
+        self.demands_submitted = 0
+        self.faults_injected = 0
 
     # --- construction -----------------------------------------------------------
 
@@ -318,6 +322,7 @@ class Session:
         session_id: str,
         workload: dict,
         config: Optional[SessionConfig] = None,
+        checkpoint: Optional[str] = None,
     ) -> "Session":
         """Build a session from a workload spec dict.
 
@@ -329,10 +334,18 @@ class Session:
         a fault runtime (``policy`` alone, an empty set that only enables
         live ``inject_fault``). Machine, loads and ``iw`` tables are the
         simulator's memo's; the route computer is the session's own.
+
+        ``checkpoint``, the text of a :meth:`snapshot_text` of a session
+        of the same workload, resumes that session instead: it must be a
+        checkpoint of the workload's machine, stamped by its run or by
+        none, or it is refused as :func:`~repro.sim.simulator.start`
+        refuses a file.
         """
         config = config or SessionConfig()
         if not isinstance(workload, dict):
             raise SessionError("workload must be a JSON object")
+        if checkpoint is not None and not isinstance(checkpoint, str):
+            raise SessionError("checkpoint must be the text of a snapshot")
         try:
             run = RunSpec.from_params(workload)
             # The fault-aware computer of a faulted session also resolves
@@ -344,7 +357,16 @@ class Session:
         collector = MetricsCollector(window_cycles=config.window_cycles)
         buffer = TraceStreamBuffer()
         trace = Tee(collector, buffer)
-        if run.spec is not None:
+        if checkpoint is not None:
+            data = checkpoint_loads(checkpoint)
+            check_stamp(data, run_stamp(run))
+            # The restore revives the collector from what the snapshot
+            # captured of it, behind the Tee as it was saved.
+            engine = restore_engine(data, machine=machine, trace=trace)
+            # A faulted engine re-routes through its restored runtime's
+            # computer; a healthy one through the session's fresh one.
+            routes = engine._fault_routes or routes
+        elif run.spec is not None:
             engine = build(run, machine, routes, faults, trace=trace)
         elif run.arbitration != "rr":
             raise SessionError(
@@ -558,7 +580,6 @@ class Session:
             "backpressure_pauses": self.backpressure_pauses,
             "demands_submitted": self.demands_submitted,
             "faults_injected": self.faults_injected,
-            "thaws": self.thaws,
         }
 
     def stats_payload(self) -> dict:
@@ -582,65 +603,3 @@ class Session:
         """Canonical engine-checkpoint text (the ``snapshot`` reply)."""
         self._require_idle("snapshot")
         return checkpoint_dumps(snapshot_engine(self.engine))
-
-    # --- eviction ---------------------------------------------------------------
-
-    def spool_payload(self) -> dict:
-        """The eviction record: serving metadata around a full checkpoint."""
-        self._require_idle("evict")
-        return {
-            "kind": "serve-session",
-            "schema": SPOOL_SCHEMA_VERSION,
-            "session": self.session_id,
-            "workload": self.workload,
-            "config": dataclasses.asdict(self.config),
-            "counters": self.counters(),
-            "engine": snapshot_engine(self.engine),
-        }
-
-    @classmethod
-    def thaw(cls, payload: dict) -> "Session":
-        """Rebuild a session from a :meth:`spool_payload` record."""
-        if (
-            not isinstance(payload, dict)
-            or payload.get("kind") != "serve-session"
-        ):
-            raise SessionError("not a serve-session spool record")
-        if payload.get("schema") != SPOOL_SCHEMA_VERSION:
-            raise SessionError(
-                f"spool schema {payload.get('schema')!r} is not "
-                f"{SPOOL_SCHEMA_VERSION}"
-            )
-        from repro.sim.checkpoint import restore_engine
-
-        config = SessionConfig(**payload["config"])
-        workload = payload.get("workload") or {}
-        # The machine its workload names -- the process's copy, as in
-        # create(); the restore refuses a checkpoint of any other.
-        machine, routes, _ = run_context(RunSpec.from_params({
-            key: workload[key]
-            for key in ("topology", "shape", "endpoints")
-            if key in workload
-        }))
-        # The restore revives the collector from what the snapshot
-        # captured of it, behind the Tee as it was saved.
-        collector = MetricsCollector(window_cycles=config.window_cycles)
-        buffer = TraceStreamBuffer()
-        engine = restore_engine(
-            payload["engine"], machine=machine, trace=Tee(collector, buffer)
-        )
-        # Faulted engines re-route through the runtime's computer, like
-        # create(); healthy ones through their own fresh one.
-        routes = engine._fault_routes or routes
-        session = cls(
-            str(payload["session"]),
-            engine,
-            collector,
-            buffer,
-            config,
-            workload,
-            routes,
-            counters=payload.get("counters"),
-        )
-        session.thaws += 1
-        return session

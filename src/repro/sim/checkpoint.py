@@ -870,7 +870,7 @@ def write_atomic(path: str, data) -> None:
     It lands via a same-directory temp file and ``os.replace``, so a
     crash or a failed write leaves the file that was there intact and no
     temp file behind -- what every record a killed run is picked up from
-    (engine checkpoints, campaign records, serve spool files) relies on.
+    (engine checkpoints, campaign records) relies on.
     Failure is an ``OSError`` whose one line names ``path``.
     """
     tmp_path = None
@@ -921,13 +921,22 @@ def load_checkpoint(path: str, stamp: Optional[str] = None) -> dict:
         data = loads(text)
     except CheckpointError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
-    if stamp is not None and data.get("run_stamp", stamp) != stamp:
+    if stamp is not None:
+        check_stamp(data, stamp, f"checkpoint {path}")
+    return data
+
+
+def check_stamp(data: dict, stamp: str, what: str = "checkpoint") -> None:
+    """Refuse, naming ``what``, a payload some run other than the one
+    ``stamp`` (its :func:`run_stamp`) names has stamped; an unstamped one
+    belongs to any run on a matching machine."""
+    theirs = data.get("run_stamp", stamp)
+    if theirs != stamp:
         raise CheckpointError(
-            f"checkpoint {path} was written by a different run (its stamp is "
-            f"{data['run_stamp'][:12]}, this run's {stamp[:12]}); remove it "
+            f"{what} was written by a different run (its stamp is "
+            f"{str(theirs)[:12]}, this run's {stamp[:12]}); remove it "
             f"or pass the run that wrote it"
         )
-    return data
 
 
 def checkpoint_info(data: dict) -> dict:

@@ -121,7 +121,6 @@ CONTRACT = {
     'serve': {
         '--host': ('127.0.0.1', None),
         '--port': (7777, None),
-        '--spool-dir': (None, None),
         '--max-sessions': (1024, None),
         '--quantum': (256, None),
         '--backpressure': ('drop-oldest', ('drop-oldest', 'pause')),

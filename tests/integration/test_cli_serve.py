@@ -75,6 +75,6 @@ class TestServeCommand:
             main(["serve", "--help"])
         assert excinfo.value.code == 0
         helptext = capsys.readouterr().out
-        assert "--spool-dir" in helptext
+        assert "--spool-dir" not in helptext
         assert "--max-sessions" in helptext
         assert "--backpressure" in helptext

@@ -1,7 +1,7 @@
 """Serial oracles for the serve conformance tests.
 
 The serving path's acceptance bar is byte-identity against the direct
-runner: a workload driven over the wire (in quanta, across evictions)
+runner: a workload driven over the wire (in quanta, across resumes)
 must produce the same stats dict, the same metrics snapshot, and the
 same checkpoint text as one uninterrupted
 ``run(RunSpec.from_params(workload))``. The helpers here start and run

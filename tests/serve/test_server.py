@@ -1,16 +1,14 @@
 """Wire-level conformance and table-management tests for SimServer.
 
 The headline test drives K interleaved sessions over real TCP -- one of
-them force-evicted to the spool and transparently thawed mid-run -- and
-byte-compares every session's stats, metrics, and checkpoint text
-against its serial oracle. A second test kills a server after an
-eviction and proves a fresh server on the same spool directory picks the
-session up and still matches the oracle.
+them snapshotted, closed and resumed from its snapshot text mid-run --
+and byte-compares every session's stats, metrics, and checkpoint text
+against its serial oracle. A second test resumes a snapshot on a fresh
+server after the one that took it is gone, and still matches the oracle.
 """
 
 import asyncio
 import json
-import pathlib
 
 import pytest
 
@@ -18,6 +16,8 @@ from repro.serve.client import ServeClient, ServeError
 from repro.serve.protocol import PROTOCOL_VERSION, encode_frame
 from repro.serve.server import SimServer
 from repro.serve.session import SessionConfig
+from repro.sim.checkpoint import dumps, run_stamp
+from repro.sim.simulator import RunSpec
 
 from tests.serve.oracle import canon, oracle_artifacts
 
@@ -84,16 +84,13 @@ async def _wire_artifacts(client, sid):
     }
 
 
-def test_interleaved_wire_sessions_match_serial_oracles(tmp_path):
+def test_interleaved_wire_sessions_match_serial_oracles():
     """K concurrent sessions, stepped round-robin over TCP, one of them
-    evicted to the spool and thawed mid-run: every one must end
-    byte-identical to its uninterrupted serial run."""
+    snapshotted, closed and resumed from its snapshot mid-run: every one
+    must end byte-identical to its uninterrupted serial run."""
 
     async def scenario():
-        server = SimServer(
-            spool_dir=str(tmp_path / "spool"),
-            session_config=SessionConfig(quantum_cycles=16),
-        )
+        server = SimServer(session_config=SessionConfig(quantum_cycles=16))
         await server.start()
         try:
             client = await ServeClient.connect(*server.address)
@@ -102,12 +99,17 @@ def test_interleaved_wire_sessions_match_serial_oracles(tmp_path):
                 assert created["session"] == sid
                 assert created["cycle"] == 0
 
-            # Freeze one session mid-run; the next step request must
-            # thaw it without the client doing anything.
+            # Free one session mid-run, keeping only its snapshot text,
+            # and resume it under the same id.
             result = await client.step("bravo", 4)
             assert not result["drained"]
-            result = await client.evict("bravo")
-            assert result["evicted"]
+            text = (await client.snapshot("bravo"))["checkpoint"]
+            await client.close_session("bravo")
+            assert "bravo" not in server.sessions
+            resumed = await client.create(
+                WORKLOADS["bravo"], session="bravo", checkpoint=text
+            )
+            assert resumed["cycle"] == result["cycle"]
 
             done = set()
             while len(done) < len(WORKLOADS):
@@ -122,8 +124,8 @@ def test_interleaved_wire_sessions_match_serial_oracles(tmp_path):
                 sid: await _wire_artifacts(client, sid) for sid in WORKLOADS
             }
             stats = await client.server_stats()
-            assert stats["evictions"] == 1
-            assert stats["thaws"] == 1
+            assert stats["created"] == len(WORKLOADS) + 1
+            assert stats["closed"] == 1
             await client.close()
             return wire
         finally:
@@ -134,72 +136,149 @@ def test_interleaved_wire_sessions_match_serial_oracles(tmp_path):
         assert wire[sid] == oracle_artifacts(workload), sid
 
 
-def test_killed_server_recovers_spooled_sessions(tmp_path):
-    """A server dying after an eviction loses nothing: a fresh server on
-    the same spool directory re-indexes the record, and the session
-    still completes byte-identical to its oracle."""
-    spool = str(tmp_path / "spool")
+def test_a_snapshot_outlives_its_server():
+    """A client holding a session's snapshot text resumes it on a fresh
+    server after the one that took it is gone, byte-identical to its
+    oracle."""
     workload = WORKLOADS["charlie"]
 
     async def first_life():
-        server = SimServer(
-            spool_dir=spool,
-            session_config=SessionConfig(quantum_cycles=16),
-        )
+        server = SimServer(session_config=SessionConfig(quantum_cycles=16))
         await server.start()
         try:
             client = await ServeClient.connect(*server.address)
             await client.create(workload, session="survivor")
             result = await client.step("survivor", 48)
             assert not result["drained"]
-            await client.evict("survivor")
+            snapshot = await client.snapshot("survivor")
             await client.close()
+            return snapshot["checkpoint"]
         finally:
-            # No graceful shutdown of the session table: everything not
-            # already spooled dies with the process.
+            # No graceful shutdown of the session table: the session dies
+            # with the server, its snapshot text lives on in the client.
             await server.close()
 
-    async def second_life():
-        server = SimServer(spool_dir=spool)
+    async def second_life(text):
+        server = SimServer()
         await server.start()
         try:
-            assert server.counters["recovered"] == 1
-            assert "survivor" in server.spooled
             client = await ServeClient.connect(*server.address)
+            created = await client.create(
+                workload, session="survivor", checkpoint=text
+            )
+            assert created["cycle"] == 48
             result = await client.run("survivor")
             assert result["drained"]
             artifacts = await _wire_artifacts(client, "survivor")
-            stats = await client.server_stats()
-            assert stats["thaws"] == 1
             await client.close()
             return artifacts
         finally:
             await server.close()
 
-    asyncio.run(first_life())
-    artifacts = asyncio.run(second_life())
+    text = asyncio.run(first_life())
+    artifacts = asyncio.run(second_life(text))
     assert artifacts == oracle_artifacts(workload)
 
 
-def test_lru_eviction_makes_room_and_thaw_is_transparent(tmp_path):
+def test_a_full_table_frees_a_slot_by_snapshot_and_close():
+    """At the cap, a client frees a slot by keeping a session's snapshot
+    text and closing it; the slot serves another session, and the
+    resumed one still ends byte-identical to its oracle."""
+
     async def scenario():
-        server = SimServer(spool_dir=str(tmp_path / "spool"), max_sessions=2)
+        server = SimServer(
+            max_sessions=1, session_config=SessionConfig(quantum_cycles=16)
+        )
         await server.start()
         try:
             client = await ServeClient.connect(*server.address)
-            for sid in ("one", "two", "three"):
-                await client.create(WORKLOADS["alpha"], session=sid)
-            # "one" was coldest when "three" arrived.
-            stats = await client.server_stats()
-            assert stats["sessions"] == {"live": 2, "spooled": 1, "max": 2}
-            assert set(server.spooled) == {"one"}
-            # Addressing "one" thaws it, which in turn evicts the new
-            # coldest ("two") to make room.
-            payload = await client.stats("one")
-            assert payload["session"] == "one"
-            assert set(server.spooled) == {"two"}
-            assert server.counters["evictions"] == 2
-            assert server.counters["thaws"] == 1
+            await client.create(WORKLOADS["charlie"], session="held")
+            assert not (await client.step("held", 32))["drained"]
+            text = (await client.snapshot("held"))["checkpoint"]
+            await client.close_session("held")
+
+            await client.create(WORKLOADS["alpha"], session="other")
+            assert (await client.run("other"))["drained"]
+            other = await _wire_artifacts(client, "other")
+            with pytest.raises(ServeError, match="session table is full"):
+                await client.create(
+                    WORKLOADS["charlie"], session="held", checkpoint=text
+                )
+            await client.close_session("other")
+
+            resumed = await client.create(
+                WORKLOADS["charlie"], session="held", checkpoint=text
+            )
+            assert resumed["cycle"] == 32
+            assert (await client.run("held"))["drained"]
+            held = await _wire_artifacts(client, "held")
+            await client.close()
+            return other, held
+        finally:
+            await server.close()
+
+    other, held = asyncio.run(scenario())
+    assert other == oracle_artifacts(WORKLOADS["alpha"])
+    assert held == oracle_artifacts(WORKLOADS["charlie"])
+
+
+def _stamped_by_another_run(text):
+    data = json.loads(text)
+    other = RunSpec.from_params(dict(WORKLOADS["alpha"], seed=22))
+    data["run_stamp"] = run_stamp(other)
+    return dumps(data)
+
+
+REFUSALS = {
+    "another machine": (
+        dict(WORKLOADS["alpha"], shape=[4, 2, 2]),
+        lambda text: text,
+        r"CheckpointError: checkpoint belongs to a different machine: "
+        r"shape is \(2, 2, 2\) in the checkpoint, \(4, 2, 2\) in this run",
+    ),
+    "another run's stamp": (
+        WORKLOADS["alpha"],
+        _stamped_by_another_run,
+        r"CheckpointError: checkpoint was written by a different run",
+    ),
+    "not JSON": (
+        WORKLOADS["alpha"],
+        lambda text: "no checkpoint here",
+        r"CheckpointError: checkpoint is not valid JSON",
+    ),
+    "past max_sessions": (
+        WORKLOADS["alpha"],
+        lambda text: None,
+        r"SessionError: session table is full \(2 sessions\); "
+        r"close a session first",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_create_refusals_are_one_line_replies(case):
+    """A ``create`` the server cannot honour is refused by name in one
+    line, adds nothing to the table, and leaves the server up."""
+    workload, checkpoint, match = REFUSALS[case]
+
+    async def scenario():
+        server = SimServer(max_sessions=2)
+        await server.start()
+        try:
+            client = await ServeClient.connect(*server.address)
+            await client.create(WORKLOADS["alpha"], session="a")
+            await client.step("a", 4)
+            text = (await client.snapshot("a"))["checkpoint"]
+            if case == "past max_sessions":
+                await client.create(WORKLOADS["alpha"], session="b")
+            live = set(server.sessions)
+            with pytest.raises(ServeError, match=match) as caught:
+                await client.create(
+                    workload, session="resumed", checkpoint=checkpoint(text)
+                )
+            assert "\n" not in str(caught.value)
+            assert set(server.sessions) == live
+            assert (await client.ping())["pong"] is True
             await client.close()
         finally:
             await server.close()
@@ -207,23 +286,7 @@ def test_lru_eviction_makes_room_and_thaw_is_transparent(tmp_path):
     asyncio.run(scenario())
 
 
-def test_eviction_without_spool_dir_is_an_error():
-    async def scenario():
-        server = SimServer(max_sessions=16)
-        await server.start()
-        try:
-            client = await ServeClient.connect(*server.address)
-            await client.create(WORKLOADS["alpha"], session="s")
-            with pytest.raises(ServeError, match="spool"):
-                await client.evict("s")
-            await client.close()
-        finally:
-            await server.close()
-
-    asyncio.run(scenario())
-
-
-def test_raw_wire_protocol_errors(tmp_path):
+def test_raw_wire_protocol_errors():
     """Drive the socket by hand: hello first, malformed lines get error
     replies (id -1 when unknowable), and the connection survives."""
 
@@ -270,7 +333,7 @@ def test_raw_wire_protocol_errors(tmp_path):
     asyncio.run(scenario())
 
 
-def test_create_validation_and_close(tmp_path):
+def test_create_validation_and_close():
     async def scenario():
         server = SimServer()
         await server.start()
@@ -280,6 +343,10 @@ def test_create_validation_and_close(tmp_path):
             # Generated ids when the client does not pick one.
             sid = (await client.create(WORKLOADS["alpha"]))["session"]
             assert sid == "s0"
+            # ... which skip the ids clients chose for themselves.
+            await client.create(WORKLOADS["alpha"], session="s1")
+            sid = (await client.create(WORKLOADS["alpha"]))["session"]
+            assert sid == "s2"
 
             with pytest.raises(ServeError, match="session ids"):
                 await client.create(WORKLOADS["alpha"], session="../escape")
@@ -348,83 +415,6 @@ def test_subscribe_over_the_wire_streams_events():
     assert seen["metrics"] > 0
 
 
-def test_subscriptions_survive_evict_and_thaw(tmp_path):
-    """Eviction parks a session's subscribers server-side and thaw
-    re-attaches them: a subscribed client keeps receiving events after
-    its session bounced through the spool."""
-
-    async def scenario():
-        server = SimServer(
-            spool_dir=str(tmp_path / "spool"),
-            session_config=SessionConfig(quantum_cycles=16),
-        )
-        await server.start()
-        try:
-            client = await ServeClient.connect(*server.address)
-            await client.create(WORKLOADS["alpha"], session="s")
-            await client.subscribe("s", streams=["trace"])
-            await client.evict("s")
-            assert "s" in server._evicted_subs
-            result = await client.run("s")  # transparent thaw
-            assert result["drained"]
-            assert not server._evicted_subs
-            await client.close_session("s")
-            events = 0
-            while not client.events.empty():
-                frame = client.events.get_nowait()
-                if frame is None:
-                    break
-                assert frame["stream"] == "trace"
-                events += len(frame.get("events", []))
-            await client.close()
-            return events
-        finally:
-            await server.close()
-
-    assert asyncio.run(scenario()) > 0
-
-
-def test_full_table_of_busy_sessions_keeps_spooled_session_reachable(
-    tmp_path,
-):
-    """A thaw that cannot make room fails as an error reply, but the
-    session must stay spooled -- reachable once the table clears."""
-
-    async def scenario():
-        server = SimServer(
-            spool_dir=str(tmp_path / "spool"),
-            max_sessions=1,
-            session_config=SessionConfig(quantum_cycles=4),
-        )
-        await server.start()
-        try:
-            c1 = await ServeClient.connect(*server.address)
-            c2 = await ServeClient.connect(*server.address)
-            await c1.create(WORKLOADS["alpha"], session="a")
-            await c1.evict("a")
-            await c1.create(WORKLOADS["alpha"], session="b")
-            run_task = asyncio.ensure_future(c1.run("b"))
-            while not (
-                "b" in server.sessions and server.sessions["b"].busy
-            ):
-                await asyncio.sleep(0)
-            with pytest.raises(ServeError, match="busy"):
-                await c2.stats("a")
-            assert "a" in server.spooled
-            assert pathlib.Path(server.spooled["a"]).exists()
-            await run_task
-            # Retry succeeds now that "b" is idle (it gets evicted).
-            payload = await c2.stats("a")
-            assert payload["session"] == "a"
-            assert set(server.spooled) == {"b"}
-            await c1.close()
-            await c2.close()
-        finally:
-            await server.close()
-
-    asyncio.run(scenario())
-
-
 def test_server_stats_shape_and_counters():
     async def scenario():
         server = SimServer()
@@ -442,7 +432,7 @@ def test_server_stats_shape_and_counters():
 
     stats = asyncio.run(scenario())
     assert stats["proto"] == PROTOCOL_VERSION
-    assert stats["sessions"]["live"] == 1
+    assert stats["sessions"] == {"live": 1, "max": 1024}
     assert stats["connections"] == 1
     assert stats["created"] == 1
     # ping + create + run were counted; the server_stats request itself
@@ -455,5 +445,3 @@ def test_server_stats_shape_and_counters():
 def test_constructor_validation():
     with pytest.raises(ValueError, match="max_sessions"):
         SimServer(max_sessions=0)
-    with pytest.raises(ValueError, match="outbound_limit"):
-        SimServer(outbound_limit=0)

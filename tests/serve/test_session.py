@@ -2,8 +2,9 @@
 
 The load-bearing claims: advancing a session in bounded quanta (with
 stream publishing interleaved) is bitwise-invisible next to one
-uninterrupted ``run()``; so is an evict/thaw cycle, including after a
-mid-run fault injection; and the trace stream carries exactly the lines
+uninterrupted ``run()``; so is resuming a session from its snapshot
+text, including after a mid-run fault injection; and the trace stream
+carries exactly the lines
 a :class:`~repro.sim.trace.JsonlTraceWriter` would have written.
 """
 
@@ -23,7 +24,8 @@ from repro.serve.session import (
 )
 from repro.core.machine import Machine
 from repro.sim import simulator
-from repro.sim.checkpoint import CheckpointError
+from repro.sim.checkpoint import CheckpointError, snapshot_engine
+from repro.sim.checkpoint import dumps as checkpoint_dumps
 from repro.sim.metrics import MetricsCollector
 from repro.traffic import loads
 
@@ -91,6 +93,17 @@ class TestConfigAndWorkloadValidation:
             SessionConfig(metrics_every=-1)
         with pytest.raises(ValueError):
             SessionConfig(max_cycles=0)
+        # A create's config comes from outside: non-integers are refused
+        # here, by name, not deep inside the engine on a later run.
+        for key, value in [
+            ("quantum_cycles", 2.5),
+            ("quantum_cycles", "8"),
+            ("quantum_cycles", True),
+            ("trace_batch", 2.5),
+            ("metrics_every", 1.5),
+        ]:
+            with pytest.raises(ValueError, match=f"{key} must be an integer"):
+                SessionConfig(**{key: value})
 
     def test_workload_rejects_bad_specs(self):
         with pytest.raises(SessionError, match="JSON object"):
@@ -144,28 +157,28 @@ class TestSessionsShareTheMemo:
         assert len(enumerated) == 3
         assert warm == cold
 
-    def test_thaw_elaborates_no_machine_when_its_config_is_resident(
+    def test_restore_elaborates_no_machine_when_its_config_is_resident(
         self, monkeypatch
     ):
         session = Session.create("s", dict(BATCH_IW))
         drive(session, 16)
-        spooled = json.loads(canon(session.spool_payload()))
+        text = session.snapshot_text()
         built = _count_calls(monkeypatch, Machine, "__init__")
-        thawed = Session.thaw(spooled)
-        assert built == [] and thawed.engine.machine is session.engine.machine
-        assert thawed.routes is not session.routes
-        drive(thawed)
-        assert session_artifacts(thawed) == oracle_artifacts(BATCH_IW)
+        restored = Session.create("s", dict(BATCH_IW), checkpoint=text)
+        assert built == []
+        assert restored.engine.machine is session.engine.machine
+        assert restored.routes is not session.routes
+        drive(restored)
+        assert session_artifacts(restored) == oracle_artifacts(BATCH_IW)
 
-    def test_thaw_refuses_a_record_whose_workload_names_another_machine(self):
-        payload = Session.create("s", dict(BATCH_RR)).spool_payload()
-        payload["workload"] = dict(BATCH_RR, shape=[4, 2, 2])
+    def test_restore_refuses_a_snapshot_of_another_machine(self):
+        text = Session.create("s", dict(BATCH_RR)).snapshot_text()
         with pytest.raises(
             CheckpointError,
             match=r"checkpoint belongs to a different machine: shape is "
             r"\(2, 2, 2\) in the checkpoint, \(4, 2, 2\) in this run",
         ):
-            Session.thaw(payload)
+            Session.create("s", dict(BATCH_RR, shape=[4, 2, 2]), checkpoint=text)
 
     def test_client_chosen_matrices_are_kept_to_a_constant(self, monkeypatch):
         monkeypatch.setattr(simulator, "_MEMO", {})
@@ -255,39 +268,77 @@ class TestOracleEquality:
         assert not session.busy  # guard is released on the error path
 
 
-class TestSpoolThaw:
-    def test_evict_thaw_midrun_is_bitwise_invisible(self):
+class TestResume:
+    def test_snapshot_restore_midrun_is_bitwise_invisible(self):
         session = Session.create(
             "s", dict(DEMAND_AGE), SessionConfig(quantum_cycles=16)
         )
         drive(session, 48)
         assert not session.drained  # the cut lands mid-run
-        spooled = json.loads(canon(session.spool_payload()))
-        thawed = Session.thaw(spooled)
-        drive(thawed)
-        assert thawed.thaws == 1
-        assert session_artifacts(thawed) == oracle_artifacts(DEMAND_AGE)
-
-    def test_thaw_preserves_serving_counters(self):
-        session = Session.create(
-            "s", dict(BATCH_RR), SessionConfig(quantum_cycles=8)
+        restored = Session.create(
+            "s",
+            dict(DEMAND_AGE),
+            SessionConfig(quantum_cycles=16),
+            checkpoint=session.snapshot_text(),
         )
-        drive(session, 24)
-        before = session.counters()
-        thawed = Session.thaw(json.loads(canon(session.spool_payload())))
-        after = thawed.counters()
-        assert after["cycles_run"] == before["cycles_run"]
-        assert after["quanta"] == before["quanta"]
-        assert after["thaws"] == before["thaws"] + 1
+        # Serving counters are not simulation state: they start over.
+        assert restored.cycles_run == restored.quanta == 0
+        drive(restored)
+        assert session_artifacts(restored) == oracle_artifacts(DEMAND_AGE)
 
-    def test_thaw_rejects_foreign_payloads(self):
-        with pytest.raises(SessionError, match="spool record"):
-            Session.thaw({"kind": "checkpoint"})
-        session = Session.create("s", dict(BATCH_RR))
-        payload = session.spool_payload()
-        payload["schema"] = 99
-        with pytest.raises(SessionError, match="schema"):
-            Session.thaw(payload)
+    def test_restore_rejects_foreign_text(self):
+        with pytest.raises(CheckpointError, match="not an engine checkpoint"):
+            Session.create("s", dict(BATCH_RR), checkpoint='{"kind": "x"}')
+        data = json.loads(Session.create("s", dict(BATCH_RR)).snapshot_text())
+        data["schema"] = 99
+        with pytest.raises(CheckpointError, match="schema"):
+            Session.create("s", dict(BATCH_RR), checkpoint=json.dumps(data))
+        with pytest.raises(SessionError, match="text of a snapshot"):
+            Session.create("s", dict(BATCH_RR), checkpoint=data)
+
+    def test_a_record_of_the_old_spool_resumes_through_create(self):
+        # Servers before protocol 2 spooled a session as a record whose
+        # ``engine`` field is a checkpoint: ``create`` resumes it as is.
+        session = Session.create("s", dict(BATCH_IW))
+        drive(session, 16)
+        record = json.loads(canon({
+            "kind": "serve-session",
+            "schema": 1,
+            "session": "s",
+            "workload": dict(BATCH_IW),
+            "config": {},
+            "counters": session.counters(),
+            "engine": snapshot_engine(session.engine),
+        }))
+        restored = Session.create(
+            record["session"],
+            record["workload"],
+            checkpoint=checkpoint_dumps(record["engine"]),
+        )
+        drive(restored)
+        assert session_artifacts(restored) == oracle_artifacts(BATCH_IW)
+
+    def test_restored_idle_session_takes_later_demand_bitwise(self):
+        # A healthy idle session resumes on a fresh route computer of its
+        # own: a demand submitted after the restore lands exactly as in
+        # the session that was never freed.
+        idle = {"kind": "idle", "shape": [2, 2, 2], "endpoints": 2}
+        demand = dict(TestSubmitDemand.DEMAND)
+        finals = []
+        for restore in (False, True):
+            session = Session.create("s", dict(idle))
+            session.submit_demand(dict(demand))
+            drive(session, 32)
+            assert not session.drained  # the cut lands mid-run
+            if restore:
+                session = Session.create(
+                    "s", dict(idle), checkpoint=session.snapshot_text()
+                )
+            assert drive(session)["drained"]
+            session.submit_demand(dict(demand, seed=8))
+            assert drive(session)["drained"]
+            finals.append(session_artifacts(session))
+        assert finals[0] == finals[1]
 
 
 class TestSubmitDemand:
@@ -368,10 +419,11 @@ class TestFaultInjection:
         with pytest.raises(ValueError):
             session.inject_faults(self._fault_obj(session, down=10))
 
-    def test_injection_schedules_and_survives_thaw_bitwise(self):
-        # Two identical sessions, the same injection; one is frozen and
-        # thawed after the injection but before the fault lands. Equal
-        # final bytes pin that injected schedules live in the checkpoint.
+    def test_injection_schedules_and_survives_restore_bitwise(self):
+        # Two identical sessions, the same injection; one is restored
+        # from its snapshot after the injection but before the fault
+        # lands. Equal final bytes pin that injected schedules live in
+        # the checkpoint.
         down, up = 64, 96
         finals = []
         for freeze in (False, True):
@@ -386,20 +438,23 @@ class TestFaultInjection:
             )
             assert result["scheduled"] == 2  # down + up events
             if freeze:
-                session = Session.thaw(
-                    json.loads(canon(session.spool_payload()))
+                session = Session.create(
+                    "s",
+                    self._faulted_workload(),
+                    SessionConfig(quantum_cycles=16),
+                    checkpoint=session.snapshot_text(),
                 )
             drive(session)
-            assert session.faults_injected == 2
+            assert session.faults_injected == (0 if freeze else 2)
             finals.append(session_artifacts(session))
         assert finals[0] == finals[1]
 
-    def test_thaw_is_invisible_in_a_faulted_snapshot(self):
+    def test_restore_is_invisible_in_a_faulted_snapshot(self):
         # One cycle-0 link fault, the same demand submitted twice with a
         # drain between: the second submission resolves the same pairs
-        # under the same failed set. A thaw in between restarts the
+        # under the same failed set. A restore in between restarts the
         # computer's memo cold; its miss counters once rode the snapshot
-        # (primary 155 / repick 5 never evicted, 310 / 10 thawed).
+        # (primary 155 / repick 5 never restored, 310 / 10 restored).
         demand = dict(TestSubmitDemand.DEMAND)
         texts = []
         for freeze in (False, True):
@@ -417,8 +472,8 @@ class TestFaultInjection:
             session.submit_demand(dict(demand))
             assert drive(session)["drained"]
             if freeze:
-                session = Session.thaw(
-                    json.loads(canon(session.spool_payload()))
+                session = Session.create(
+                    "s", workload, checkpoint=session.snapshot_text()
                 )
             session.submit_demand(dict(demand))
             assert drive(session)["drained"]
@@ -629,8 +684,6 @@ class TestBusyGuards:
                 session.snapshot_text()
             with pytest.raises(SessionError, match="busy"):
                 session.submit_demand({})
-            with pytest.raises(SessionError, match="busy"):
-                session.spool_payload()
             # stats stays valid mid-run -- the one observation that must
             # not require quiescence.
             payload = session.stats_payload()

@@ -415,7 +415,8 @@ class TestFaultRuntimeRoundTrip:
         # *misses* of its resolution memo, which restarts cold on every
         # restore: they depend on when the memo was last emptied, not on
         # the simulation, so the snapshot does not carry them (it once
-        # did, and an evict/thaw doubled them in the next snapshot).
+        # did, and a serve session resumed from its snapshot doubled them
+        # in the next one).
         engine, runtime = faulted_engine(policy="reroute")
         engine.run_for(25)
         assert runtime.route_computer.resolution_counts

@@ -1,21 +1,18 @@
 """One atomic writer behind every record a killed run is picked up from.
 
-Engine checkpoints, campaign records and serve spool files all land
-through :func:`repro.sim.checkpoint.write_atomic`. A write the directory
-refuses must say so in one line that names the *target* path, leave no
-temp file behind and leave the record that was there intact -- whichever
-of the three asked.
+Engine checkpoints and campaign records both land through
+:func:`repro.sim.checkpoint.write_atomic`. A write the directory refuses
+must say so in one line that names the *target* path, leave no temp file
+behind and leave the record that was there intact -- whichever of the two
+asked.
 """
 
-import asyncio
 import errno
 import os
 
 import pytest
 
 from repro.core.machine import Machine, MachineConfig
-from repro.serve.client import ServeClient, ServeError
-from repro.serve.server import SimServer
 from repro.sim.checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from repro.sim.engine import Engine
 from repro.sim.sweep import SweepResult, _store, _stored
@@ -79,34 +76,3 @@ def test_campaign_record_write_refused(tmp_path, refuse_writes):
         _store(SweepResult("p", 0, 2.5, 0.1, 1), stem)
     _assert_refused(caught.value, record, tmp_path, [record.name])
     assert _stored(stem) == first
-
-
-def test_evict_refused_is_a_session_error_reply(tmp_path, refuse_writes):
-    workload = {"kind": "batch", "shape": [2, 2, 2], "batch": 2, "seed": 1}
-
-    async def scenario():
-        server = SimServer(max_sessions=4, spool_dir=str(tmp_path))
-        await server.start()
-        try:
-            client = await ServeClient.connect(*server.address)
-            await client.create(workload, session="s")
-            await client.evict("s")
-            await client.step("s", 2)  # thawed: the spool file is consumed
-            await client.evict("s")
-            previous = (tmp_path / "s.json").read_bytes()
-            await client.step("s", 2)
-            (tmp_path / "s.json").write_bytes(previous)  # an older record
-            refuse_writes(tmp_path)
-            with pytest.raises(ServeError, match="SessionError") as caught:
-                await client.evict("s")
-            _assert_refused(
-                caught.value, tmp_path / "s.json", tmp_path, ["s.json"]
-            )
-            assert (tmp_path / "s.json").read_bytes() == previous
-            # The session was not lost to the failed eviction.
-            assert (await client.step("s", 1))["session"] == "s"
-            await client.close()
-        finally:
-            await server.close()
-
-    asyncio.run(scenario())
