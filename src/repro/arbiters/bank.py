@@ -7,9 +7,11 @@ the sites of an arbitration stage as a pointer row by site and a grant
 row (for ``iw`` also an accumulator and a weight row) by *input*, input
 ``i`` of site ``s`` at ``offsets[s] + i``
 (:class:`~repro.core.machine.ArbiterSites`), with ``peek`` / ``commit``
-integer arithmetic over them. A whole machine's arbiters are a few
-lists of ints, not 92 160 objects (plain lists: DESIGN.md section 9
-measures ``array`` reads at 2.2x theirs).
+integer arithmetic over them; ``commit_all`` applies a stage's grants of
+one cycle in one call (each site is granted at most once a cycle in the
+engine, but a batch is applied in order either way). A whole machine's
+arbiters are a few lists of ints, not 92 160 objects (plain lists:
+DESIGN.md section 9 measures ``array`` reads at 2.2x theirs).
 
 The per-site classes next door stay as the standalone models and as the
 banks' oracle: a site grants what the object would, and ``site_state``
@@ -54,7 +56,14 @@ class ArbiterBank:
 
     def commit(self, site: int, index: int, request) -> None:
         """Apply the state updates for an actual grant of ``index``."""
-        self.grants[self.offsets[site] + index] += 1
+        self.commit_all((site,), (index,), (request,))
+
+    def commit_all(self, sites, indices, requests) -> None:
+        """:meth:`commit` each ``(site, index, request)`` of the parallel
+        sequences in turn: a stage's grants of one cycle, in one call."""
+        grants, offsets = self.grants, self.offsets
+        for site, index in zip(sites, indices):
+            grants[offsets[site] + index] += 1
 
     def grants_of(self, site: int) -> list:
         """``site``'s grants, by input."""
@@ -137,9 +146,11 @@ class RoundRobinBank(ArbiterBank):
                 best = entry
         return best
 
-    def commit(self, site, index, request):
-        self.pointer[site] = index
-        self.grants[self.offsets[site] + index] += 1
+    def commit_all(self, sites, indices, requests):
+        grants, offsets, pointer = self.grants, self.offsets, self.pointer
+        for site, index in zip(sites, indices):
+            pointer[site] = index
+            grants[offsets[site] + index] += 1
 
     def site_state(self, site):
         return dict(super().site_state(site), pointer=self.pointer[site])
@@ -239,28 +250,31 @@ class InverseWeightedBank(RoundRobinBank):
                 best = entry
         return best
 
-    def commit(self, site, index, request):
-        start = self.offsets[site]
-        granted = start + index
-        # A packet marked with a pattern the stage has no weights for is
-        # charged against the last it does have.
-        pattern = request.pattern
-        if pattern >= self.num_patterns:
-            pattern = self.num_patterns - 1
-        accumulators = self.accumulators
-        value = accumulators[granted]
+    def commit_all(self, sites, indices, requests):
+        offsets, num_inputs, pointer = self.offsets, self.num_inputs, self.pointer
+        grants, accumulators, weights = self.grants, self.accumulators, self.weights
         window = self.window
-        if value >= window:
-            # A low-priority grant: the window slides for every input,
-            # high-priority accumulators clamping at zero.
-            mask = window - 1
-            for slot in range(start, start + self.num_inputs[site]):
-                other = accumulators[slot]
-                accumulators[slot] = other & mask if other >= window else 0
-            value &= mask
-        accumulators[granted] = value + self.weights[granted][pattern]
-        self.pointer[site] = index
-        self.grants[granted] += 1
+        mask = window - 1
+        last_pattern = self.num_patterns - 1
+        for site, index, request in zip(sites, indices, requests):
+            start = offsets[site]
+            granted = start + index
+            # A packet marked with a pattern the stage has no weights for
+            # is charged against the last it does have.
+            pattern = request.pattern
+            if pattern > last_pattern:
+                pattern = last_pattern
+            value = accumulators[granted]
+            if value >= window:
+                # A low-priority grant: the window slides for every input,
+                # high-priority accumulators clamping at zero.
+                for slot in range(start, start + num_inputs[site]):
+                    other = accumulators[slot]
+                    accumulators[slot] = other & mask if other >= window else 0
+                value &= mask
+            accumulators[granted] = value + weights[granted][pattern]
+            pointer[site] = index
+            grants[granted] += 1
 
     def site_state(self, site):
         start = self.offsets[site]

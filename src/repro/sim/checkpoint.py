@@ -21,9 +21,10 @@ fully determined by serializable data:
   ``now + ((i - now) & mask)``, valid because every pending event
   satisfies ``now <= cycle < now + size`` between cycles), and each
   cycle's events are serialized in the *canonical within-cycle order*
-  (:func:`~repro.sim.engine.event_sort_key`) the engine processes them
-  in -- so the serialized schedule is a function of simulation state,
-  identical whether it was produced serially or merged from shards;
+  (:func:`~repro.sim.engine.event_sort_key`), which the engine's drain
+  agrees with wherever order is observable -- so the serialized
+  schedule is a function of simulation state, identical whether it was
+  produced serially or merged from shards;
 * ``Engine._active`` serializes as a sorted membership list (the engine
   walks it in sorted order);
 * packets are tracked by *identity* (pids are reused by fault-retry
@@ -316,9 +317,9 @@ def _wheel_to_json(wheel, now: int, encode=list) -> dict:
     bucket at index ``i`` holds exactly the events for cycle
     ``now + ((i - now) & mask)``. Each cycle's events -- bucket and
     overflow alike -- are serialized in the canonical within-cycle order
-    (:func:`~repro.sim.engine.event_sort_key`), which is exactly the
-    order the engine processes them in, so the serialized schedule is a
-    pure function of simulation state: a sharded run's merged wheel
+    (:func:`~repro.sim.engine.event_sort_key`), which the engine's drain
+    agrees with wherever order is observable, so the serialized schedule
+    is a pure function of simulation state: a sharded run's merged wheel
     equals the serial engine's. Overflow sequence numbers are
     *renumbered* ``0..k-1`` in that canonical order (with ``seq`` = k),
     erasing push history while preserving pop order; the sorted tuples
@@ -571,7 +572,7 @@ def _restore_into(engine: Engine, data: dict, packets: List[Packet]) -> None:
     engine._last_progress = data["last_progress"]
 
     engine.stats = SimStats.from_dict(data["stats"])
-    # ``_depart`` increments these aliases directly; re-point them at
+    # ``Engine._step`` increments these aliases directly; re-point them at
     # the restored stats object's dicts.
     engine._stat_channel_flits = engine.stats.channel_flits
     engine._stat_channel_busy = engine.stats.channel_busy_ticks

@@ -32,13 +32,16 @@ since channel latencies are small bounded integers, almost every event
 lands within a few cycles and is an O(1) FIFO append into
 :class:`~repro.sim.wheel.TimingWheel` rather than an O(log n) heap push
 (far-future events -- fault timelines, open-loop release wakes --
-overflow into a small heap). Each cycle's batch is processed in the
-*canonical within-cycle order* (see :func:`event_sort_key`): a fixed
-rank over event kinds with state-derived tie keys, so the observable
-event stream is a pure function of simulation state rather than push
-history -- the property the sharded runner (:mod:`repro.sim.shard`)
-relies on to reproduce serial bytes from per-shard streams. See
-DESIGN.md sections 9 and 14.
+overflow into a small heap). Each cycle's batch is drained in an order
+that agrees with the *canonical within-cycle order* (see
+:func:`event_sort_key`) wherever it is observable -- faults by timeline
+index, then arrivals by channel -- so the observable event stream is a
+pure function of simulation state rather than push history: the
+property the sharded runner (:mod:`repro.sim.shard`) relies on to
+reproduce serial bytes from per-shard streams. Then each cycle
+arbitrates every active component and only afterwards moves the
+winners across the switch (:meth:`Engine._step`). See DESIGN.md
+sections 9 and 14.
 
 Endpoint adapters inject from an unbounded source queue (the Section 4.1
 batch methodology: every core has a batch of packets ready at time zero)
@@ -54,7 +57,8 @@ no datelines) really do deadlock.
 from __future__ import annotations
 
 import itertools
-from heapq import heappop, heappush
+from heapq import heappop
+from operator import itemgetter
 from typing import Callable, Dict, List, NamedTuple, Optional
 
 from repro.arbiters.bank import ArbiterBank, RoundRobinBank
@@ -106,25 +110,25 @@ _EV_FAULT = 3
 
 
 def event_sort_key(payload: tuple) -> tuple:
-    """Canonical within-cycle event order, shared by the engine and
-    checkpoint serialization.
+    """Canonical within-cycle event order: the order checkpoint
+    serialization writes a cycle's events in.
 
-    Same-cycle events are processed in a fixed rank order -- faults (by
-    timeline index, carried in the payload's spare slot), source wakes
-    (by component id), credit returns (by channel then VC), arrivals
-    (by channel id) -- rather than in push order. Within one cycle the
-    physical state updates commute (a channel receives at most one
-    arrival per cycle, credits add, per-component grant state is
-    disjoint), so the rank order pins only the *observable* stream:
-    trace emission, stats dict fill order, and serialized wheel
-    contents become functions of simulation state, not push history.
-    That is what lets a spatially sharded run (repro/sim/shard.py)
-    reproduce the serial engine's bytes: each shard generates its own
-    events, and the union processed in (cycle, key) order equals the
-    serial schedule. Ties (several credits for one (channel, VC) swept
-    in the same cycle) fall back to push order via sort stability;
-    every tie class has a single producing component, so the order is
-    shard-invariant too.
+    The key ranks faults (by timeline index, carried in the payload's
+    spare slot), then source wakes (by component id), credit returns (by
+    channel then VC) and arrivals (by channel id). Processing needs less
+    of it: credits add and wakes only set membership, so the engine's
+    drain applies them as it walks the batch, and pins only what is
+    observable -- faults by timeline index, then arrivals by channel id
+    (a channel receives at most one arrival per cycle, per-component
+    state is disjoint). Trace emission, stats dict fill order and the
+    serialized wheel are thereby functions of simulation state, not push
+    history. That is what lets a spatially sharded run
+    (repro/sim/shard.py) reproduce the serial engine's bytes: each shard
+    generates its own events, and the union taken in (cycle, key) order
+    equals the serial schedule. Ties (several credits for one (channel,
+    VC) swept in the same cycle) fall back to push order via sort
+    stability; every tie class has a single producing component, so the
+    order is shard-invariant too.
     """
     kind, a, b, c = payload
     if kind == _EV_ARRIVAL:
@@ -150,8 +154,11 @@ def serialization_end_ticks(
     return start + size_flits * occupancy_ticks
 
 
-def arrival_cycle(end_ticks: int, ticks_per_cycle: int, latency: int) -> int:
-    """Cycle at which a packet is fully received downstream.
+def arrival_cycle(
+    end_ticks: int, ticks_per_cycle: int, latency: int, now: int
+) -> int:
+    """Cycle at which a packet granted at cycle ``now`` is fully received
+    downstream -- the engine's expression (its traversal inlines it).
 
     The channel-latency pipeline is counted from the last whole cycle the
     packet's serialization has begun by the time it ends: ``latency``
@@ -164,8 +171,14 @@ def arrival_cycle(end_ticks: int, ticks_per_cycle: int, latency: int) -> int:
     Python's ``int()`` truncates toward zero -- exactly, for every value
     the float code computed correctly: the epsilon forgave upward float
     drift at integer boundaries, which exact ticks render impossible.
+
+    The result is clamped to at least ``now + 1``: a packet arrives no
+    earlier than the cycle after its grant. The clamp fires on every
+    one-flit hop over an idle latency-1 channel (the on-chip and endpoint
+    channels), where the expression gives ``now``.
     """
-    return (end_ticks - 1) // ticks_per_cycle - 1 + latency
+    arrival = (end_ticks - 1) // ticks_per_cycle - 1 + latency
+    return arrival if arrival > now else now + 1
 
 
 def arrival_vc(packet: Packet) -> int:
@@ -242,7 +255,7 @@ class Engine:
         self._is_endpoint = rows.is_endpoint
         self._component_inputs = machine.component_inputs
         # Hot-path aliases into the stats counter dicts (defaultdicts):
-        # ``_depart`` increments these directly instead of calling
+        # the traversal increments these directly instead of calling
         # ``stats.record_channel_use`` tens of thousands of times.
         self._stat_channel_flits = self.stats.channel_flits
         self._stat_channel_busy = self.stats.channel_busy_ticks
@@ -382,7 +395,7 @@ class Engine:
 
         The peer shard granted ``packet`` onto channel ``oc`` and its
         barrier exchange delivered the transfer record here; schedule
-        the arrival exactly as the local ``_depart`` would have.
+        the arrival exactly as a local grant's traversal would have.
         """
         self._feed_event(cycle, (_EV_ARRIVAL, packet, oc, None))
         self._in_network += 1
@@ -536,6 +549,18 @@ class Engine:
             self._events.push(cycle, self.cycle, (_EV_CREDIT, cid, vc, size))
 
     def _process_events(self) -> None:
+        """Apply this cycle's events: one body, healthy or faulted.
+
+        Credits and wakes are applied as the batch is walked -- they emit
+        nothing and commute with everything else in the cycle. Faults
+        (rare) follow in timeline order, then arrivals by channel id: the
+        only orders an observable stream depends on (see
+        :func:`event_sort_key`). No handler schedules work for the
+        current cycle -- channel latency is at least 1, an arrival is
+        clamped past its grant cycle (:func:`arrival_cycle`) and a retry
+        backs off at least one cycle -- so the batch is complete before it
+        is walked.
+        """
         events = self._events
         now = self.cycle
         overflow = events.overflow
@@ -555,23 +580,15 @@ class Engine:
                 batch.extend(bucket)
         elif batch is None:
             return
-        if len(batch) > 1:
-            # Canonical within-cycle order (see event_sort_key): the
-            # processing order -- and every observable stream derived
-            # from it -- is a function of simulation state, not of the
-            # push history. Handlers never schedule same-cycle work, so
-            # the batch is complete before it is sorted.
-            batch.sort(key=event_sort_key)
         credits = self._credits
         vc_bits = self._vc_bits
         active = self._active
-        handle_arrival = self._handle_arrival
-        trace = self.trace
-        for kind, a, b, c in batch:
+        arrivals = []
+        faults = []
+        for event in batch:
+            kind, a, b, c = event
             if kind == _EV_ARRIVAL:
-                if trace is not None:
-                    self._trace_key = (2, b)
-                handle_arrival(a, b)
+                arrivals.append(event)
             elif kind == _EV_CREDIT:
                 # No wake: a component holding work never left
                 # ``_active`` (a router stays while any input buffers a
@@ -579,94 +596,98 @@ class Engine:
                 credits[(a << vc_bits) | b] += c
             elif kind == _EV_WAKE:
                 active[a] = None
-            else:  # fault
-                self._apply_fault(a, b, c)
-
-    def _handle_arrival(self, packet: Packet, channel_id: int) -> None:
-        now = self.cycle
+            else:
+                faults.append(event)
+        if faults:
+            faults.sort(key=event_sort_key)
+            for _, cid, is_down, idx in faults:
+                self._apply_fault(cid, is_down, idx)
+        if len(arrivals) > 1:
+            arrivals.sort(key=itemgetter(2))
+        trace = self.trace
         inflight = self._inflight
-        if inflight is not None:
-            inflight.pop(packet, None)
-        if packet.drop_on_arrival:
-            # A mid-run fault condemned this copy while it was in flight
-            # (drop policy, retry re-injection, or unroutable stranding);
-            # discard it and return its buffer credits. Accounting was
-            # done when the fault was applied.
-            self._in_network -= 1
-            self._last_progress = now
-            self._push_credit(
-                now + self._latency[channel_id],
-                channel_id,
-                arrival_vc(packet),
-                packet.size_flits,
-            )
-            return
-        if packet.next_hop is None:
-            # Final hop: consume at the destination endpoint.
-            packet.deliver_cycle = now
-            self.stats.record_delivery(packet)
-            self._in_network -= 1
-            self._last_progress = now
-            vc = arrival_vc(packet)
-            if self.trace is not None:
-                self.trace.emit(
-                    TraceEvent(
-                        "deliver",
-                        now,
-                        now * self._ticks_per_cycle,
-                        packet.pid,
-                        channel_id,
-                        vc,
-                        (
-                            ("lat", packet.network_latency),
-                            ("qlat", packet.latency),
-                        ),
-                    )
+        latency = self._latency
+        fifo_head = self._fifo_head
+        fifo_tail = self._fifo_tail
+        buffered_count = self._buffered_count
+        channel_dst = self._channel_dst
+        ready_cycle = now + self._pipeline
+        now_ticks = now * self._ticks_per_cycle
+        for _, packet, cid, _ in arrivals:
+            if trace is not None:
+                self._trace_key = (2, cid)
+            if inflight is not None:
+                inflight.pop(packet, None)
+            vc = packet.route.hops[packet.hop_index - 1][1]  # arrival_vc()
+            if packet.drop_on_arrival or packet.next_hop is None:
+                # Consumed here: at its destination endpoint, or -- a
+                # copy a mid-run fault condemned in flight (drop policy,
+                # retry re-injection, unroutable stranding), accounted
+                # when the fault was applied -- discarded. Either way its
+                # buffer credits go back.
+                self._in_network -= 1
+                self._last_progress = now
+                delivered = not packet.drop_on_arrival
+                if delivered:
+                    packet.deliver_cycle = now
+                    self.stats.record_delivery(packet)
+                    if trace is not None:
+                        trace.emit(
+                            TraceEvent(
+                                "deliver", now, now_ticks, packet.pid, cid, vc,
+                                (
+                                    ("lat", packet.network_latency),
+                                    ("qlat", packet.latency),
+                                ),
+                            )
+                        )
+                self._push_credit(now + latency[cid], cid, vc, packet.size_flits)
+                if delivered and self.on_delivery is not None:
+                    self.on_delivery(packet, now)
+                continue
+            packet.ready_cycle = ready_cycle
+            slot = (cid << vc_bits) | vc
+            tail = fifo_tail[slot]
+            if tail is None:
+                fifo_head[slot] = packet
+            else:
+                tail.fifo_next = packet
+            fifo_tail[slot] = packet
+            buffered_count[cid] += 1
+            active[channel_dst[cid]] = None
+            if trace is not None:
+                trace.emit(
+                    TraceEvent("arrive", now, now_ticks, packet.pid, cid, vc)
                 )
-            self._push_credit(
-                now + self._latency[channel_id],
-                channel_id,
-                vc,
-                packet.size_flits,
-            )
-            if self.on_delivery is not None:
-                self.on_delivery(packet, now)
-            return
-        vc = arrival_vc(packet)
-        packet.ready_cycle = now + self._pipeline
-        slot = (channel_id << self._vc_bits) | vc
-        tail = self._fifo_tail[slot]
-        if tail is None:
-            self._fifo_head[slot] = packet
-        else:
-            tail.fifo_next = packet
-        self._fifo_tail[slot] = packet
-        self._buffered_count[channel_id] += 1
-        self._active[self._channel_dst[channel_id]] = None
-        if self.trace is not None:
-            self.trace.emit(
-                TraceEvent(
-                    "arrive",
-                    now,
-                    now * self._ticks_per_cycle,
-                    packet.pid,
-                    channel_id,
-                    vc,
-                )
-            )
 
     def _step(self) -> None:
-        """One SA1+SA2 allocation pass over every active component.
+        """One cycle of the router pipeline over every active component,
+        in two phases.
 
-        This is the hottest loop in the repository, so the per-component
-        arbitration body lives inline here (rather than in a helper
-        called ~500 times per saturated cycle): every engine attribute it
-        touches is hoisted to a local exactly once per cycle.
+        *Arbitrate*: the sorted active set is scanned -- SA1 and SA2 for
+        a router, the release/credit/channel check for an endpoint -- and
+        each win is appended to ``grants`` in grant order (an injection
+        carries ``ic = -1``); each arbiter stage then commits its wins in
+        one :meth:`~repro.arbiters.bank.ArbiterBank.commit_all`.
+        *Traverse*: one loop departs every grant. Deferring traversal
+        past the scan is exact: what a departure writes that is read in
+        the same cycle -- its output's timer and credits, its input's
+        timer, FIFO and buffered count -- is read only by the granting
+        component, whose scan is over; everything else it writes lands in
+        a future cycle. Likewise a stage's sites (output channels for
+        SA2, input channels for SA1) are each peeked and committed at
+        most once a cycle.
+
+        This is the hottest loop in the repository, so both phases live
+        inline here, over engine attributes hoisted to locals once per
+        cycle.
         """
         now = self.cycle
         active = self._active
         is_endpoint = self._is_endpoint
         component_inputs = self._component_inputs
+        source_queues = self._source_queues
+        source_heads = self._source_heads
         slots = self._slots
         fifo_head = self._fifo_head
         vc_bits = self._vc_bits
@@ -676,30 +697,53 @@ class Engine:
         channel_free_at = self._channel_free_at
         credits = self._credits
         sa1_peek = self.vc_arbiters.peek
-        sa1_commit = self.vc_arbiters.commit
         sa2_peek = self.arbiters.peek
-        sa2_commit = self.arbiters.commit
         failed = self._failed_channels
-        trace = self.trace
-        inject = self._inject_endpoint
-        depart = self._depart
+        tpc = self._ticks_per_cycle
+        now_ticks = now * tpc
         # First tick of the next cycle: a channel accepts a new packet in
         # any cycle in which its staging buffer drains (free_at strictly
         # before this horizon). A drain exactly on a cycle boundary keeps
         # the channel busy through the drain cycle -- the whole-cycle
         # convention the original integer-vs-float comparison expressed.
-        horizon_ticks = (now + 1) * self._ticks_per_cycle
+        horizon_ticks = now_ticks + tpc
         idle: List[int] = []
+        # ``(comp_id, packet, ic, vc, oc)`` per grant, in grant order, and
+        # the router grants' SA entries ``(input_idx, packet, ic, vc, oc)``.
+        grants: List[tuple] = []
+        won: List[tuple] = []
         # Sorted, not insertion, order: part of the canonical
         # within-cycle schedule (event_sort_key) -- same-cycle grants
         # across components are physically independent, so sorting only
         # pins the observable emission order.
         for comp_id in sorted(active):
-            if trace is not None:
-                self._trace_key = (3, comp_id)
             if is_endpoint[comp_id]:
-                if not inject(comp_id, now):
+                queue = source_queues.get(comp_id)
+                if queue is None:
                     idle.append(comp_id)
+                    continue
+                head = source_heads[comp_id]
+                if head >= len(queue):
+                    del source_queues[comp_id], source_heads[comp_id]
+                    idle.append(comp_id)
+                    continue
+                packet = queue[head]
+                if packet.release_cycle > now:
+                    # Head not released yet; a wake event will re-activate us.
+                    idle.append(comp_id)
+                    continue
+                oc, ovc = packet.next_hop
+                if (
+                    channel_free_at[oc] > now_ticks
+                    or credits[(oc << vc_bits) | ovc] < packet.size_flits
+                ):
+                    continue
+                if head + 1 < len(queue):
+                    source_heads[comp_id] = head + 1
+                else:
+                    # Let the drained queue list be garbage collected.
+                    del source_queues[comp_id], source_heads[comp_id]
+                grants.append((comp_id, packet, -1, 0, oc))
                 continue
             has_packets = False
             # SA1: each input port nominates one VC's head packet among
@@ -757,7 +801,7 @@ class Engine:
                 if vc_requests is None:
                     # A sole eligible VC needs no SA1 arbitration: every
                     # policy's ``peek`` returns the only request, so
-                    # skipping the call is bit-identical (``commit``
+                    # skipping the call is bit-identical (its commit
                     # still runs on an SA2 win, keeping arbiter state in
                     # lockstep).
                     vc = first_slot & vc_mask
@@ -765,7 +809,7 @@ class Engine:
                 else:
                     vc, packet = sa1_peek(ic, vc_requests)
                 oc = packet.next_hop[0]
-                entry = (input_idx, packet, ic, vc)
+                entry = (input_idx, packet, ic, vc, oc)
                 if candidates is None:
                     candidates = {oc: entry}
                 else:
@@ -779,201 +823,128 @@ class Engine:
             if candidates is not None:
                 # SA2: arbitrate each requested output channel. A sole
                 # nominator is granted unconditionally, as every policy
-                # would: commit directly.
+                # would.
                 for oc, entry in candidates.items():
                     if type(entry) is list:
                         entry = sa2_peek(oc, entry)
-                    input_idx, packet, ic, vc = entry
-                    sa2_commit(oc, input_idx, packet)
-                    sa1_commit(ic, vc, packet)
-                    ovc = packet.next_hop[1]
-                    if trace is not None:
-                        trace.emit(
-                            TraceEvent(
-                                "grant",
-                                now,
-                                now * self._ticks_per_cycle,
-                                packet.pid,
-                                oc,
-                                ovc,
-                                (("in_ch", ic), ("in_vc", vc)),
-                            )
-                        )
-                    depart(packet, ic, vc, oc, ovc, now)
+                    won.append(entry)
+                    grants.append((comp_id, entry[1], entry[2], entry[3], oc))
             if not has_packets:
                 idle.append(comp_id)
         for comp_id in idle:
             active.pop(comp_id, None)
+        if not grants:
+            return
+        if won:
+            indices, requests, ics, vcs, ocs = zip(*won)
+            self.arbiters.commit_all(ocs, indices, requests)
+            self.vc_arbiters.commit_all(ics, vcs, requests)
 
-    def _inject_endpoint(self, comp_id: int, now: int) -> bool:
-        queue = self._source_queues.get(comp_id)
-        if queue is None:
-            return False
-        head = self._source_heads[comp_id]
-        if head >= len(queue):
-            # Allow the queue list to be garbage collected once drained.
-            del self._source_queues[comp_id]
-            del self._source_heads[comp_id]
-            return False
-        packet = queue[head]
-        if packet.release_cycle > now:
-            # Head not released yet; a wake event will re-activate us.
-            return False
-        oc, ovc = packet.next_hop
-        if self._channel_free_at[oc] > now * self._ticks_per_cycle:
-            return True
-        if self._credits[(oc << self._vc_bits) | ovc] < packet.size_flits:
-            return True
-        self._source_heads[comp_id] = head + 1
-        if head + 1 >= len(queue):
-            del self._source_queues[comp_id]
-            del self._source_heads[comp_id]
-        self._queued -= 1
-        self._in_network += 1
-        packet.inject_cycle = now
-        self.stats.record_injection(packet)
-        if self.trace is not None:
-            self.trace.emit(
-                TraceEvent(
-                    "inject",
-                    now,
-                    now * self._ticks_per_cycle,
-                    packet.pid,
-                    oc,
-                    ovc,
-                    (
-                        ("src", comp_id),
-                        ("dst", packet.dst),
-                        ("flits", packet.size_flits),
-                    ),
-                )
-            )
-        self._depart(packet, None, 0, oc, ovc, now)
-        return True
-
-    def _depart(
-        self,
-        packet: Packet,
-        from_channel: Optional[int],
-        from_vc: int,
-        oc: int,
-        ovc: int,
-        now: int,
-    ) -> None:
-        size = packet.size_flits
-        busy_ticks = size * self._occupancy_ticks[oc]
-        tpc = self._ticks_per_cycle
-        latency = self._latency
-        # serialization_end_ticks(), inlined: departs dominate the profile.
-        channel_free_at = self._channel_free_at
-        free_at = channel_free_at[oc]
-        now_ticks = now * tpc
-        start = free_at if free_at > now_ticks else now_ticks
-        end_ticks = start + busy_ticks
-        channel_free_at[oc] = end_ticks
-        self._credits[(oc << self._vc_bits) | ovc] -= size
-        self._stat_channel_flits[oc] += size
-        self._stat_channel_busy[oc] += busy_ticks
-        self._last_progress = now
+        # Traverse: every grant crosses the switch, in grant order.
+        stats = self.stats
         trace = self.trace
-        if trace is not None:
-            trace.emit(
-                TraceEvent(
-                    "depart",
-                    now,
-                    now_ticks,
-                    packet.pid,
-                    oc,
-                    ovc,
-                    (("flits", size), ("busy", busy_ticks), ("end", end_ticks)),
-                )
-            )
-            if from_channel is not None and ovc != from_vc:
-                # Dateline / dimension-completion VC promotion: the hop
-                # carried the packet onto a higher VC (Section 2.5).
-                trace.emit(
-                    TraceEvent(
-                        "promote",
-                        now,
-                        now_ticks,
-                        packet.pid,
-                        oc,
-                        ovc,
-                        (("from_vc", from_vc),),
-                    )
-                )
+        latency = self._latency
+        occupancy_ticks = self._occupancy_ticks
+        stat_channel_flits = self._stat_channel_flits
+        stat_channel_busy = self._stat_channel_busy
+        fifo_tail = self._fifo_tail
+        remote_src = self._remote_src
+        remote_dst = self._remote_dst
+        inflight = self._inflight
         events = self._events
         wheel_size = events.size
         buckets = events.buckets
         mask = events.mask
-        if from_channel is not None:
-            self._input_free_at[from_channel] = now + size
-            # Unlink the FIFO head: only a head is ever granted.
-            slot = (from_channel << self._vc_bits) | from_vc
-            behind = packet.fifo_next
-            self._fifo_head[slot] = behind
-            if behind is None:
-                self._fifo_tail[slot] = None
+        pushed = 0
+        injected = 0
+        for comp_id, packet, ic, vc, oc in grants:
+            size = packet.size_flits
+            ovc = packet.next_hop[1]
+            busy_ticks = size * occupancy_ticks[oc]
+            # serialization_end_ticks(), inlined.
+            free_at = channel_free_at[oc]
+            end_ticks = (free_at if free_at > now_ticks else now_ticks) + busy_ticks
+            channel_free_at[oc] = end_ticks
+            credits[(oc << vc_bits) | ovc] -= size
+            stat_channel_flits[oc] += size
+            stat_channel_busy[oc] += busy_ticks
+            if ic >= 0:
+                input_free_at[ic] = now + size
+                # Unlink the FIFO head: only a head is ever granted.
+                slot = (ic << vc_bits) | vc
+                behind = packet.fifo_next
+                fifo_head[slot] = behind
+                if behind is None:
+                    fifo_tail[slot] = None
+                else:
+                    packet.fifo_next = None
+                buffered_count[ic] -= 1
+                # The credit return; a channel fed from another shard
+                # returns its credits over the barrier instead
+                # (repro/sim/shard.py).
+                credit_cycle = now + latency[ic]
+                if remote_src is not None and ic in remote_src:
+                    self._outbox_credits.append((ic, vc, size, credit_cycle))
+                elif credit_cycle - now < wheel_size:
+                    buckets[credit_cycle & mask].append((_EV_CREDIT, ic, vc, size))
+                    pushed += 1
+                else:
+                    events.push(credit_cycle, now, (_EV_CREDIT, ic, vc, size))
             else:
-                packet.fifo_next = None
-            self._buffered_count[from_channel] -= 1
-            # Credit-return push, inlined timing-wheel fast path. A
-            # channel fed from another shard returns its credits over
-            # the barrier instead (repro/sim/shard.py).
-            credit_cycle = now + latency[from_channel]
-            remote_src = self._remote_src
-            if remote_src is not None and from_channel in remote_src:
-                self._outbox_credits.append(
-                    (from_channel, from_vc, size, credit_cycle)
+                injected += 1
+                packet.inject_cycle = now
+                stats.record_injection(packet)
+            if trace is not None:
+                self._trace_key = (3, comp_id)
+                pid = packet.pid
+                if ic < 0:
+                    kind = "inject"
+                    detail = (("src", comp_id), ("dst", packet.dst), ("flits", size))
+                else:
+                    kind = "grant"
+                    detail = (("in_ch", ic), ("in_vc", vc))
+                trace.emit(TraceEvent(kind, now, now_ticks, pid, oc, ovc, detail))
+                trace.emit(
+                    TraceEvent(
+                        "depart", now, now_ticks, pid, oc, ovc,
+                        (("flits", size), ("busy", busy_ticks), ("end", end_ticks)),
+                    )
                 )
-            elif 0 < credit_cycle - now < wheel_size:
-                buckets[credit_cycle & mask].append(
-                    (_EV_CREDIT, from_channel, from_vc, size)
-                )
-                events.pending += 1
+                if ic >= 0 and ovc != vc:
+                    # Dateline / dimension-completion VC promotion: the hop
+                    # carried the packet onto a higher VC (Section 2.5).
+                    trace.emit(
+                        TraceEvent(
+                            "promote", now, now_ticks, pid, oc, ovc, (("from_vc", vc),)
+                        )
+                    )
+            hop_index = packet.hop_index + 1
+            packet.hop_index = hop_index
+            hops = packet.route.hops
+            packet.next_hop = hops[hop_index] if hop_index < len(hops) else None
+            # arrival_cycle(), inlined.
+            arrival = (end_ticks - 1) // tpc - 1 + latency[oc]
+            if arrival <= now:
+                arrival = now + 1
+            if remote_dst is not None and oc in remote_dst:
+                # Cross-shard hop: the peer shard materializes the arrival
+                # after the next barrier. The packet stays in ``_inflight``
+                # (and in ``_in_network``) until the barrier flush so a
+                # fault landing inside this window sweeps it exactly as the
+                # serial engine would -- its arrival provably lies beyond
+                # the lookahead window.
+                self._outbox.append((packet, oc, arrival))
+            elif arrival - now < wheel_size:
+                buckets[arrival & mask].append((_EV_ARRIVAL, packet, oc, None))
+                pushed += 1
             else:
-                events.seq += 1
-                heappush(
-                    events.overflow,
-                    (
-                        credit_cycle,
-                        events.seq,
-                        (_EV_CREDIT, from_channel, from_vc, size),
-                    ),
-                )
-                events.pending += 1
-        hop_index = packet.hop_index + 1
-        packet.hop_index = hop_index
-        hops = packet.route.hops
-        packet.next_hop = hops[hop_index] if hop_index < len(hops) else None
-        # The packet is fully received downstream one latency after the
-        # cycle in which its last flit finishes serializing
-        # (arrival_cycle(), inlined).
-        arrival = (end_ticks - 1) // tpc - 1 + latency[oc]
-        if arrival <= now:  # pragma: no cover - latency >= 1 prevents this
-            arrival = now + 1
-        remote_dst = self._remote_dst
-        if remote_dst is not None and oc in remote_dst:
-            # Cross-shard hop: the peer shard materializes the arrival
-            # after the next barrier. The packet stays in ``_inflight``
-            # (and in ``_in_network``) until the barrier flush so a
-            # fault landing inside this window sweeps it exactly as the
-            # serial engine would -- its arrival provably lies beyond
-            # the lookahead window.
-            self._outbox.append((packet, oc, arrival))
-        elif 0 < arrival - now < wheel_size:
-            buckets[arrival & mask].append((_EV_ARRIVAL, packet, oc, None))
-            events.pending += 1
-        else:
-            events.seq += 1
-            heappush(
-                events.overflow,
-                (arrival, events.seq, (_EV_ARRIVAL, packet, oc, None)),
-            )
-            events.pending += 1
-        inflight = self._inflight
-        if inflight is not None:
-            inflight[packet] = oc
+                events.push(arrival, now, (_EV_ARRIVAL, packet, oc, None))
+            if inflight is not None:
+                inflight[packet] = oc
+        events.pending += pushed
+        self._queued -= injected
+        self._in_network += injected
+        self._last_progress = now
 
     # --- fault handling ----------------------------------------------------------
     #

@@ -31,13 +31,15 @@ order exactly:
   cannot coexist with wheel events for ``c``, which require a push
   strictly before ``c``) -- so draining overflow events ``<= now``
   *before* the bucket preserves global seq order;
-* same-cycle pushes made *by handlers during processing* have the
-  largest seq of the cycle and go to overflow (``delta == 0``), so a
-  final overflow drain after the bucket keeps even that case in order
-  (no engine handler currently does this; the drain is a single heap
-  peek in practice).
+* no handler schedules for the current cycle, so the overflow events
+  due now and the bucket are the whole of a cycle's batch once taken:
+  channel latency is at least 1 (``MachineConfig`` refuses less), an
+  arrival is clamped to the cycle after its grant
+  (:func:`~repro.sim.engine.arrival_cycle`), and a retry backs off at
+  least one cycle (``FaultPolicy.__post_init__``). There is no second
+  overflow drain after the bucket.
 
-The engine inlines the push fast path (one ``and``-chain plus a list
+The engine inlines the push fast path (one comparison plus a list
 append) rather than calling :meth:`push`; this class carries the shared
 state, the sizing rule, and the cold paths (overflow, next-event scan).
 """
@@ -95,8 +97,9 @@ class TimingWheel:
         a fresh list is swapped in and ``pending`` is decremented up
         front, so the caller may process the batch without touching the
         wheel again -- and a handler that pushes new events never mutates
-        the list being iterated. Overflow events are not touched; drain
-        them around the batch exactly as :meth:`push` ordering requires.
+        the list being iterated. Overflow events are not touched; the
+        ones due are drained ahead of the bucket, as :meth:`push`
+        ordering requires.
         """
         index = now & self.mask
         bucket = self.buckets[index]

@@ -177,9 +177,16 @@ class TestProfileCommand:
         assert main(self.ARGS) == 0
         out = capsys.readouterr().out
         assert "ncalls" in out
-        assert "sim/engine.py" in out
         # Preamble + header row + 12 table rows + summary line.
         assert len(out.strip().splitlines()) == 15
+
+    def test_whole_table_lists_the_engine_step(self, capsys):
+        # The table ranks by call count, and the engine's own functions
+        # run about once a cycle: below the builtins at --top 12, listed
+        # once --top covers every function.
+        args = self.ARGS[:-1] + ["100000"]
+        assert main(args) == 0
+        assert "sim/engine.py:_step" in capsys.readouterr().out
 
     def test_stdout_is_deterministic(self):
         # Two fresh processes, which is what a user diffs: in-process the
@@ -496,7 +503,6 @@ class TestShardedCli:
         out = capsys.readouterr().out
         assert "shards=2" in out
         assert "ncalls" in out
-        assert "sim/engine.py" in out
         assert len(out.strip().splitlines()) == 15
         # Deterministic across invocations, like the serial table.
         assert main(args) == 0

@@ -11,7 +11,8 @@ two must have granted the same input and hold the same ``state()``.
 (``bit_exact=True``); the bank reports ``bit_exact`` ``False``, the one
 key compared apart. Whatever state a stream leaves, the whole stage's
 ``state()`` -- what a checkpoint stores -- restores into a fresh bank
-site for site.
+site for site. ``commit_all`` -- one stage's grants of a cycle in one
+call -- leaves the state committing them one at a time would.
 """
 
 import json
@@ -171,3 +172,62 @@ class TestBankMatchesObjects:
         assert bank.site_state(0)["accumulators"] == [5, 0]
         assert bank.site_state(0)["accumulators"] == oracle.state()["accumulators"]
         assert bank.site_state(0)["pointer"] == oracle.state()["pointer"] == 0
+
+
+def make_bank(policy, k, data):
+    if policy != "iw":
+        return lambda: PLAIN[policy][0](three_sites(k))
+    bits = data.draw(st.integers(min_value=2, max_value=4))
+    patterns = data.draw(st.integers(min_value=1, max_value=3))
+    weight = st.integers(min_value=1 << (bits - 1), max_value=(1 << bits) - 1)
+    rows = st.lists(weight, min_size=patterns, max_size=patterns)
+    tables = {
+        0: WeightTable(data.draw(st.lists(rows, min_size=k, max_size=k)), bits, 1.0),
+        2: WeightTable(data.draw(st.lists(rows, min_size=3, max_size=3)), bits, 1.0),
+    }
+    return lambda: InverseWeightedBank(three_sites(k), tables)
+
+
+class TestCommitAll:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(["fixed", "rr", "age", "iw"]),
+        st.integers(min_value=1, max_value=6),
+        st.data(),
+    )
+    def test_matches_committing_one_grant_at_a_time(self, policy, k, data):
+        make = make_bank(policy, k, data)
+        inputs = {3: 2, 0: k, 2: 3}
+        request = st.builds(
+            SimpleRequest,
+            pattern=st.integers(min_value=0, max_value=3),
+            inject_cycle=st.integers(min_value=0, max_value=5),
+        )
+        # Sites repeat within a stream: a batch is applied in order.
+        grants = data.draw(
+            st.lists(
+                st.sampled_from(sorted(inputs)).flatmap(
+                    lambda site: st.tuples(
+                        st.just(site),
+                        st.integers(min_value=0, max_value=inputs[site] - 1),
+                        request,
+                    )
+                ),
+                max_size=60,
+            )
+        )
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(grants)), max_size=4)))
+        batched, single = make(), make()
+        warm(batched)
+        warm(single)
+        for site, index, request in grants:
+            single.commit(site, index, request)
+        for start, stop in zip([0] + cuts, cuts + [len(grants)]):
+            chunk = grants[start:stop]
+            batched.commit_all(
+                [g[0] for g in chunk], [g[1] for g in chunk], [g[2] for g in chunk]
+            )
+        assert batched.state() == single.state()
+        assert [batched.site_state(site) for site in batched.order] == [
+            single.site_state(site) for site in single.order
+        ]

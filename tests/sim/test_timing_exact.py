@@ -18,6 +18,10 @@ from repro.core.machine import ChannelKind, Machine, MachineConfig
 from repro.core.routing import RouteChoice, RouteComputer
 from repro.sim.engine import Engine, arrival_cycle, serialization_end_ticks
 from repro.sim.packet import Packet
+from repro.sim.simulator import RunSpec, run
+from repro.sim.trace import ListSink
+from repro.traffic.batch import BatchSpec
+from repro.traffic.patterns import UniformRandom
 
 #: Ticks per cycle on any default machine (LCM of mesh 1 and torus 14).
 TPC = 14
@@ -46,8 +50,10 @@ class TestArrivalCycleBoundaries:
         ],
     )
     def test_boundary_cases_at_14_ticks_per_cycle(self, end_ticks, base):
-        assert arrival_cycle(end_ticks, TPC, latency=0) == base
-        assert arrival_cycle(end_ticks, TPC, latency=12) == base + 12
+        # Granted at cycle 0 (every end here is past tick 0): latency 12
+        # is far above the clamp, latency 1 meets it on the short ends.
+        assert arrival_cycle(end_ticks, TPC, latency=12, now=0) == base + 12
+        assert arrival_cycle(end_ticks, TPC, latency=1, now=0) == max(base + 1, 1)
 
     @pytest.mark.parametrize("end_cycle", [1, 2, 3, 10, 1_000_000])
     @pytest.mark.parametrize("tpc", [1, 2, 14, 630])
@@ -55,7 +61,7 @@ class TestArrivalCycleBoundaries:
         # A serialization ending exactly on a cycle boundary belongs to
         # the cycle it closes -- the case the old epsilon hack guarded,
         # and the one float drift could flip by a cycle.
-        assert arrival_cycle(end_cycle * tpc, tpc, latency=12) == end_cycle + 10
+        assert arrival_cycle(end_cycle * tpc, tpc, latency=12, now=0) == end_cycle + 10
 
     def test_matches_seed_float_expression_where_float_was_correct(self):
         # The original engine computed the arrival cycle from a float
@@ -67,7 +73,24 @@ class TestArrivalCycleBoundaries:
         for end_ticks in range(1, 2000):
             end = end_ticks / TPC  # one rounding, error ~1e-15 << 1e-6
             seed_arrival = -int(-(end - 0.000001)) - 1 + 12
-            assert arrival_cycle(end_ticks, TPC, latency=12) == seed_arrival
+            assert arrival_cycle(end_ticks, TPC, latency=12, now=0) == seed_arrival
+
+    @pytest.mark.parametrize("now", [0, 1, 7, 1_000_000])
+    def test_latency_one_hop_arrives_the_cycle_after_its_grant(self, now):
+        # An idle on-chip or endpoint channel: latency 1, one 14-tick flit.
+        one_flit = serialization_end_ticks(0, now * TPC, 1, TPC)
+        two_flits = serialization_end_ticks(0, now * TPC, 2, TPC)
+        # One flit ends on the next cycle boundary, which the expression
+        # attributes to the grant cycle itself; the clamp moves it on.
+        assert (one_flit - 1) // TPC - 1 + 1 == now
+        assert arrival_cycle(one_flit, TPC, latency=1, now=now) == now + 1
+        # Two flits reach now + 1 without the clamp, three go past it.
+        assert arrival_cycle(two_flits, TPC, latency=1, now=now) == now + 1
+        assert arrival_cycle(two_flits + TPC, TPC, latency=1, now=now) == now + 2
+
+    def test_never_before_the_cycle_after_the_grant(self):
+        for end_ticks in range(1, 5 * TPC):
+            assert arrival_cycle(end_ticks, TPC, latency=1, now=4) >= 5
 
 
 class TestSerializationStart:
@@ -176,6 +199,32 @@ class TestBackToBackDeratedChannel:
             stats.channel_busy_ticks[torus_cid],
         )
         assert carried == Fraction(TPC, TORUS_FLIT_TICKS)
+
+
+class TestOneFlitOnChipHop:
+    def test_mesh_depart_to_arrive_is_exactly_one_cycle(self):
+        # Every one-flit crossing of a mesh channel (latency 1) in a
+        # traced 2x2x2 run: the arrival lands the cycle after the grant,
+        # as arrival_cycle says, whatever the channel's backlog.
+        machine = Machine(MachineConfig(shape=(2, 2, 2), endpoints_per_chip=2))
+        spec = BatchSpec(UniformRandom((2, 2, 2)), 16, cores_per_chip=2, seed=5)
+        sink = ListSink()
+        run(RunSpec(machine.config, spec), machine=machine, trace=sink)
+        mesh = {
+            c.cid for c in machine.channels if c.kind == ChannelKind.MESH
+        }
+        departs = {
+            (e.pid, e.channel): e.cycle
+            for e in sink.events
+            if e.kind == "depart" and e.channel in mesh and e.get("flits") == 1
+        }
+        arrives = {
+            (e.pid, e.channel): e.cycle
+            for e in sink.events
+            if e.kind == "arrive" and (e.pid, e.channel) in departs
+        }
+        assert len(departs) > 50 and arrives.keys() == departs.keys()
+        assert all(arrives[key] == departs[key] + 1 for key in departs)
 
 
 @pytest.mark.slow
