@@ -14,13 +14,18 @@ Determinism argument
 * **Slicing.** ``run_for(q)`` chunks compose bitwise into ``run()``
   (pinned since PR 1 by the split-run property tests), so cooperative
   time-slicing is invisible in the results.
-* **Observation.** The session traces through ``Tee(collector, buffer)``.
-  The checkpoint module's trace section records the
-  :class:`~repro.sim.metrics.MetricsCollector` and *ignores* sinks it
-  does not recognize, so the extra :class:`TraceStreamBuffer` leaves
-  checkpoint bytes identical to an engine traced by the collector alone.
-  The buffer itself is a pure observer; metrics pushes use the
-  non-mutating :meth:`~repro.sim.metrics.MetricsCollector.snapshot`.
+* **Observation.** The session traces through its
+  :class:`~repro.sim.metrics.MetricsCollector` alone, which the engine
+  feeds directly: an unobserved session builds no
+  :class:`~repro.sim.trace.TraceEvent`. Only while a ``trace``
+  subscriber exists is the engine's sink ``Tee(collector, buffer)``;
+  the last one leaving puts the collector back alone. The checkpoint
+  module's trace section records the collector and *ignores* sinks it
+  does not recognize, so the :class:`TraceStreamBuffer` leaves
+  checkpoint bytes identical either way, and the collector sees the
+  same calls whether or not the buffer is attached. The buffer itself
+  is a pure observer; metrics pushes use the non-mutating
+  :meth:`~repro.sim.metrics.MetricsCollector.snapshot`.
 * **Resume.** :meth:`snapshot_text` is a
   :func:`~repro.sim.checkpoint.snapshot_engine` checkpoint; handed back
   to :meth:`create` it is restored, which revives the collector.
@@ -127,21 +132,18 @@ class SessionConfig:
 class TraceStreamBuffer:
     """Trace sink that batches canonical event lines for streaming.
 
-    Sits behind a :class:`~repro.sim.trace.Tee` next to the session's
-    collector. Disabled (the default, until a ``trace`` subscriber
-    attaches) it discards events, so an unobserved long run does not
-    accumulate memory; enabled, it buffers exactly the single-line JSON a
+    Attached behind a :class:`~repro.sim.trace.Tee` next to the session's
+    collector only while a ``trace`` subscriber exists, it buffers
+    exactly the single-line JSON a
     :class:`~repro.sim.trace.JsonlTraceWriter` would emit. The checkpoint
     trace section ignores this sink entirely -- see the module docstring.
     """
 
     def __init__(self) -> None:
-        self.enabled = False
         self.lines: List[str] = []
 
     def emit(self, event) -> None:
-        if self.enabled:
-            self.lines.append(event.to_json())
+        self.lines.append(event.to_json())
 
     def flush(self) -> None:
         pass
@@ -355,28 +357,27 @@ class Session:
             raise SessionError(str(exc))
 
         collector = MetricsCollector(window_cycles=config.window_cycles)
-        buffer = TraceStreamBuffer()
-        trace = Tee(collector, buffer)
         if checkpoint is not None:
             data = checkpoint_loads(checkpoint)
             check_stamp(data, run_stamp(run))
             # The restore revives the collector from what the snapshot
-            # captured of it, behind the Tee as it was saved.
-            engine = restore_engine(data, machine=machine, trace=trace)
+            # captured of it.
+            engine = restore_engine(data, machine=machine, trace=collector)
             # A faulted engine re-routes through its restored runtime's
             # computer; a healthy one through the session's fresh one.
             routes = engine._fault_routes or routes
         elif run.spec is not None:
-            engine = build(run, machine, routes, faults, trace=trace)
+            engine = build(run, machine, routes, faults, trace=collector)
         elif run.arbitration != "rr":
             raise SessionError(
                 "idle sessions use rr arbitration; create a demand or "
                 "batch session for age/iw programming"
             )
         else:
-            engine = Engine(machine, trace=trace, faults=faults)
+            engine = Engine(machine, trace=collector, faults=faults)
         return cls(
-            session_id, engine, collector, buffer, config, workload, routes
+            session_id, engine, collector, TraceStreamBuffer(), config,
+            workload, routes,
         )
 
     # --- advancing --------------------------------------------------------------
@@ -446,7 +447,7 @@ class Session:
     def subscribe(self, subscriber: Subscriber) -> None:
         self.subscribers.append(subscriber)
         if "trace" in subscriber.streams:
-            self.buffer.enabled = True
+            self.engine.trace = Tee(self.collector, self.buffer)
         # First metrics frame fires at the first publish past this point.
         subscriber.next_metrics_cycle = self.engine.cycle
 
@@ -456,7 +457,7 @@ class Session:
             s for s in self.subscribers if s.channel is not channel
         ]
         if not any("trace" in s.streams for s in self.subscribers):
-            self.buffer.enabled = False
+            self.engine.trace = self.collector
             self.buffer.take()
 
     async def _publish(self) -> None:

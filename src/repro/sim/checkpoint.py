@@ -76,7 +76,7 @@ from .engine import _EV_ARRIVAL, Engine, event_sort_key
 from .metrics import MetricsCollector
 from .packet import Packet
 from .stats import SimStats
-from .trace import JsonlTraceWriter, Tee
+from .trace import JsonlTraceWriter, leaf_sinks
 
 #: Version of the checkpoint payload schema; bump on any layout change.
 CHECKPOINT_SCHEMA_VERSION = 2
@@ -356,15 +356,6 @@ def _wheel_to_json(wheel, now: int, encode=list) -> dict:
     }
 
 
-def _sinks(trace):
-    """Every sink ``trace`` reaches, through any :class:`~repro.sim.trace.Tee`."""
-    if isinstance(trace, Tee):
-        for sub in trace.sinks:
-            yield from _sinks(sub)
-    elif trace is not None:
-        yield trace
-
-
 def _trace_section(engine: Engine) -> dict:
     """Record enough about the attached sink(s) to resume byte-identically.
 
@@ -377,7 +368,7 @@ def _trace_section(engine: Engine) -> dict:
     :func:`_revive_sinks` is the inverse.
     """
     section: dict = {"events_written": None, "bytes_written": None, "collector": None}
-    for sink in _sinks(engine.trace):
+    for sink in leaf_sinks(engine.trace):
         if isinstance(sink, JsonlTraceWriter):
             section["events_written"] = sink.events_written
             section["bytes_written"] = sink.bytes_written
@@ -390,7 +381,7 @@ def _revive_sinks(trace, section: dict) -> None:
     """Put every sink ``trace`` reaches where :func:`_trace_section`
     recorded it: writers rewound to the recorded counts, collectors
     holding the captured reducers."""
-    for sink in _sinks(trace):
+    for sink in leaf_sinks(trace):
         if isinstance(sink, JsonlTraceWriter):
             if section["bytes_written"] is None:
                 raise CheckpointError(

@@ -65,7 +65,7 @@ from repro.arbiters.bank import ArbiterBank, RoundRobinBank
 from repro.core.machine import ArbiterSites, Machine
 from repro.core.routing import Route, Unroutable
 
-from .metrics import StreamingQuantile
+from .metrics import StreamingQuantile, split_collector
 from .packet import Packet
 from .stats import SimStats
 from .trace import TraceEvent
@@ -210,9 +210,6 @@ class Engine:
         self.stats = SimStats()
         self.cycle = 0
         self.watchdog_cycles = watchdog_cycles
-        #: Optional structured-event sink (see :mod:`repro.sim.trace`).
-        #: ``None`` keeps tracing zero-overhead: one attribute check per
-        #: emission site, no event construction.
         self.trace = trace
         if latency_quantiles:
             # Streaming p50/p95/p99 without retaining per-packet latency
@@ -301,9 +298,10 @@ class Engine:
         #: sweeps key their trace records by it).
         self._fault_idx_now = -1
         #: Canonical merge key for the event/phase currently emitting
-        #: trace records, maintained only while a trace sink is attached.
-        #: The sharded runner (repro/sim/shard.py) keys per-shard trace
-        #: streams by it to interleave them into the serial order.
+        #: trace records, maintained only while a sink that takes events
+        #: is attached (a directly-fed collector needs none). The sharded
+        #: runner (repro/sim/shard.py) keys per-shard trace streams by it
+        #: to interleave them into the serial order.
         self._trace_key: Optional[tuple] = None
         # Shard-boundary hooks (repro/sim/shard.py). ``None`` on a
         # serial engine keeps every gate below a single falsy check --
@@ -349,6 +347,26 @@ class Engine:
             self._fault_push_seq = len(faults.timeline)
 
     # --- public API -------------------------------------------------------------
+
+    @property
+    def trace(self):
+        """The structured-event sink (see :mod:`repro.sim.trace`), or None.
+
+        ``None`` keeps tracing zero-overhead: one falsy check per emission
+        site, no event construction. Assigning splits the sink once
+        (:func:`~repro.sim.metrics.split_collector`): a
+        :class:`~repro.sim.metrics.MetricsCollector` it reaches is fed
+        directly at grant, depart, arrive and deliver, and only the other
+        sinks get those events. Fault, drop, re-route and retry records
+        still go to the whole sink. The split is read once a cycle, so the
+        sink may be reassigned between cycles.
+        """
+        return self._trace
+
+    @trace.setter
+    def trace(self, sink) -> None:
+        self._trace = sink
+        self._metrics, self._sink = split_collector(sink)
 
     def enqueue(self, packet: Packet) -> None:
         """Add a packet to its source endpoint's injection queue.
@@ -604,7 +622,13 @@ class Engine:
                 self._apply_fault(cid, is_down, idx)
         if len(arrivals) > 1:
             arrivals.sort(key=itemgetter(2))
-        trace = self.trace
+        # One guard for both observers: the collector fed directly
+        # (``metrics``), every other sink fed events (``sink``).
+        trace = self._trace
+        metrics = self._metrics
+        sink = self._sink
+        if metrics is not None:
+            occupancy_move = metrics.occupancy.move
         inflight = self._inflight
         latency = self._latency
         fifo_head = self._fifo_head
@@ -614,7 +638,7 @@ class Engine:
         ready_cycle = now + self._pipeline
         now_ticks = now * self._ticks_per_cycle
         for _, packet, cid, _ in arrivals:
-            if trace is not None:
+            if sink is not None:
                 self._trace_key = (2, cid)
             if inflight is not None:
                 inflight.pop(packet, None)
@@ -632,15 +656,20 @@ class Engine:
                     packet.deliver_cycle = now
                     self.stats.record_delivery(packet)
                     if trace is not None:
-                        trace.emit(
-                            TraceEvent(
-                                "deliver", now, now_ticks, packet.pid, cid, vc,
-                                (
-                                    ("lat", packet.network_latency),
-                                    ("qlat", packet.latency),
-                                ),
+                        if metrics is not None:
+                            if now > metrics.last_cycle:
+                                metrics.last_cycle = now
+                            metrics.deliver(now - packet.inject_cycle)
+                        if sink is not None:
+                            sink.emit(
+                                TraceEvent(
+                                    "deliver", now, now_ticks, packet.pid, cid, vc,
+                                    (
+                                        ("lat", packet.network_latency),
+                                        ("qlat", packet.latency),
+                                    ),
+                                )
                             )
-                        )
                 self._push_credit(now + latency[cid], cid, vc, packet.size_flits)
                 if delivered and self.on_delivery is not None:
                     self.on_delivery(packet, now)
@@ -656,9 +685,14 @@ class Engine:
             buffered_count[cid] += 1
             active[channel_dst[cid]] = None
             if trace is not None:
-                trace.emit(
-                    TraceEvent("arrive", now, now_ticks, packet.pid, cid, vc)
-                )
+                if metrics is not None:
+                    if now > metrics.last_cycle:
+                        metrics.last_cycle = now
+                    occupancy_move(cid, vc, now, 1)
+                if sink is not None:
+                    sink.emit(
+                        TraceEvent("arrive", now, now_ticks, packet.pid, cid, vc)
+                    )
 
     def _step(self) -> None:
         """One cycle of the router pipeline over every active component,
@@ -840,9 +874,17 @@ class Engine:
             self.arbiters.commit_all(ocs, indices, requests)
             self.vc_arbiters.commit_all(ics, vcs, requests)
 
-        # Traverse: every grant crosses the switch, in grant order.
+        # Traverse: every grant crosses the switch, in grant order. One
+        # guard for both observers, as in the drain.
         stats = self.stats
-        trace = self.trace
+        trace = self._trace
+        metrics = self._metrics
+        sink = self._sink
+        if metrics is not None:
+            occupancy_move = metrics.occupancy.move
+            busy_add = metrics.busy.add
+            if now > metrics.last_cycle:
+                metrics.last_cycle = now
         latency = self._latency
         occupancy_ticks = self._occupancy_ticks
         stat_channel_flits = self._stat_channel_flits
@@ -895,29 +937,34 @@ class Engine:
                 packet.inject_cycle = now
                 stats.record_injection(packet)
             if trace is not None:
-                self._trace_key = (3, comp_id)
-                pid = packet.pid
-                if ic < 0:
-                    kind = "inject"
-                    detail = (("src", comp_id), ("dst", packet.dst), ("flits", size))
-                else:
-                    kind = "grant"
-                    detail = (("in_ch", ic), ("in_vc", vc))
-                trace.emit(TraceEvent(kind, now, now_ticks, pid, oc, ovc, detail))
-                trace.emit(
-                    TraceEvent(
-                        "depart", now, now_ticks, pid, oc, ovc,
-                        (("flits", size), ("busy", busy_ticks), ("end", end_ticks)),
-                    )
-                )
-                if ic >= 0 and ovc != vc:
-                    # Dateline / dimension-completion VC promotion: the hop
-                    # carried the packet onto a higher VC (Section 2.5).
-                    trace.emit(
+                if metrics is not None:
+                    if ic >= 0:
+                        occupancy_move(ic, vc, now, -1)
+                    busy_add(oc, now, busy_ticks)
+                if sink is not None:
+                    self._trace_key = (3, comp_id)
+                    pid = packet.pid
+                    if ic < 0:
+                        kind = "inject"
+                        detail = (("src", comp_id), ("dst", packet.dst), ("flits", size))
+                    else:
+                        kind = "grant"
+                        detail = (("in_ch", ic), ("in_vc", vc))
+                    sink.emit(TraceEvent(kind, now, now_ticks, pid, oc, ovc, detail))
+                    sink.emit(
                         TraceEvent(
-                            "promote", now, now_ticks, pid, oc, ovc, (("from_vc", vc),)
+                            "depart", now, now_ticks, pid, oc, ovc,
+                            (("flits", size), ("busy", busy_ticks), ("end", end_ticks)),
                         )
                     )
+                    if ic >= 0 and ovc != vc:
+                        # Dateline / dimension-completion VC promotion: the
+                        # hop carried the packet onto a higher VC (Section 2.5).
+                        sink.emit(
+                            TraceEvent(
+                                "promote", now, now_ticks, pid, oc, ovc, (("from_vc", vc),)
+                            )
+                        )
             hop_index = packet.hop_index + 1
             packet.hop_index = hop_index
             hops = packet.route.hops

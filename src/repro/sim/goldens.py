@@ -85,7 +85,7 @@ def _run_golden(writer: JsonlTraceWriter, runspec: RunSpec, shards: int) -> None
     writer.write_record(record)
 
 
-def _run_demand_2x2x2(writer: JsonlTraceWriter, shards: int = 1) -> None:
+def _demand_2x2x2() -> RunSpec:
     """Open-loop demand-matrix golden: a seeded hotspot matrix whose
     rates, hotspot count, and skew all shift at the cycle-32 epoch
     boundary, pinning the paced-injection schedule and the epoch
@@ -106,7 +106,7 @@ def _run_demand_2x2x2(writer: JsonlTraceWriter, shards: int = 1) -> None:
         duration_cycles=64,
         seed=7,
     )
-    _run_golden(writer, RunSpec(config, spec), shards)
+    return RunSpec(config, spec)
 
 
 def _run_pingpong_2x2x2(writer: JsonlTraceWriter, shards: int = 1) -> None:
@@ -234,12 +234,10 @@ _GOLDEN_EXTRA_PARAMS = {
     },
 }
 
-#: Goldens no parameter form expresses: a two-epoch schedule whose every
-#: generator parameter shifts, and a delivery-hook driver.
-_HAND_BUILT = {
-    "demand_2x2x2": _run_demand_2x2x2,
-    "pingpong_2x2x2": _run_pingpong_2x2x2,
-}
+#: The golden that is no run at all: a delivery-hook driver. (The demand
+#: golden is a run no parameter form expresses: a two-epoch schedule whose
+#: every generator parameter shifts.)
+_HAND_BUILT = {"pingpong_2x2x2": _run_pingpong_2x2x2}
 
 GOLDEN_NAMES = tuple(_GOLDEN_HEADERS)
 
@@ -254,6 +252,21 @@ SHARDABLE_GOLDEN_NAMES = (
     "faulted_2x2x2",
     "demand_2x2x2",
 )
+
+
+def golden_runspec(name: str) -> RunSpec:
+    """The run a golden pins: its header read back as the parameter form
+    (:func:`~repro.sim.simulator.header_params`), or the hand-built
+    demand run. The pingpong golden is a driver, not a run, and is
+    refused."""
+    if name == "demand_2x2x2":
+        return _demand_2x2x2()
+    if name not in _GOLDEN_HEADERS or name in _HAND_BUILT:
+        raise ValueError(f"golden trace {name!r} is not described by a RunSpec")
+    params = dict(
+        header_params(_GOLDEN_HEADERS[name]), **_GOLDEN_EXTRA_PARAMS.get(name, {})
+    )
+    return RunSpec.from_params(params)
 
 
 def write_golden(name: str, stream: IO[str], shards: int = 1) -> int:
@@ -286,8 +299,7 @@ def write_golden(name: str, stream: IO[str], shards: int = 1) -> int:
     if name in _HAND_BUILT:
         _HAND_BUILT[name](writer, shards)
     else:
-        params = dict(header_params(meta), **_GOLDEN_EXTRA_PARAMS.get(name, {}))
-        _run_golden(writer, RunSpec.from_params(params), shards)
+        _run_golden(writer, golden_runspec(name), shards)
     writer.flush()
     return writer.events_written
 

@@ -18,7 +18,9 @@ measurement quantities without retaining per-packet state:
   level per (channel, VC): the VC-residency view behind the dateline/
   promotion analysis.
 * :class:`MetricsCollector` -- a trace sink that feeds all of the above
-  and renders a picklable :class:`MetricsSummary` for sweep results.
+  and renders a picklable :class:`MetricsSummary` for sweep results. An
+  engine feeds it directly, with no events (:func:`split_collector`);
+  everything else feeds it events through ``emit``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import dataclasses
 import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .trace import TraceEvent
+from .trace import Tee, TraceEvent, leaf_sinks
 
 #: The quantiles reported by default everywhere (p50/p95/p99).
 DEFAULT_QUANTILES = (0.5, 0.95, 0.99)
@@ -164,8 +166,8 @@ class StreamingQuantile:
 class ChannelBusyWindows:
     """Per-channel busy-tick time series in fixed cycle windows.
 
-    Consumes ``depart`` events: a departure's exact occupancy ticks are
-    attributed to the window containing the cycle serialization was
+    Fed one departure at a time (:meth:`add`): its exact occupancy ticks
+    are attributed to the window containing the cycle serialization was
     granted (windows are an observability grain, not a timing model, so
     spill across a window edge is not split).
     """
@@ -176,10 +178,13 @@ class ChannelBusyWindows:
         self.window_cycles = window_cycles
         self._windows: Dict[int, Dict[int, int]] = {}
 
-    def on_depart(self, event: TraceEvent) -> None:
-        window = event.cycle // self.window_cycles
-        per_channel = self._windows.setdefault(event.channel, {})
-        per_channel[window] = per_channel.get(window, 0) + event.get("busy")
+    def add(self, channel: int, cycle: int, busy: int) -> None:
+        """Charge ``busy`` ticks granted on ``channel`` at ``cycle``."""
+        window = cycle // self.window_cycles
+        per_channel = self._windows.get(channel)
+        if per_channel is None:
+            per_channel = self._windows[channel] = {}
+        per_channel[window] = per_channel.get(window, 0) + busy
 
     def series(self, channel: int) -> List[int]:
         """Busy ticks per window for one channel, zero-filled, from t=0."""
@@ -221,39 +226,41 @@ class ChannelBusyWindows:
 class VcOccupancyHistogram:
     """Cycles spent at each occupancy level per (channel, VC) buffer.
 
-    ``arrive`` events raise a buffer's occupancy; ``grant`` events (whose
-    ``in_ch``/``in_vc`` name the buffer a packet is leaving) lower it.
-    Each transition charges the elapsed cycles to the level the buffer
-    was at; call :meth:`finalize` (idempotent per end cycle) to charge
-    the tail through the end of the run.
+    :meth:`move` records a buffer's occupancy changing by ``step``: +1
+    for an arrival, -1 for a grant out of it. Each transition charges
+    the elapsed cycles to the level the buffer was at; call
+    :meth:`finalize` (idempotent per end cycle) to charge the tail
+    through the end of the run.
+
+    Each buffer is one flat row ``[level, since, hist]`` -- its
+    occupancy, the cycle it was last charged to, and its histogram once
+    it has one -- so a transition costs one keyed lookup.
     """
 
     def __init__(self) -> None:
-        self._occupancy: Dict[Tuple[int, int], int] = {}
-        self._since: Dict[Tuple[int, int], int] = {}
+        self._rows: Dict[Tuple[int, int], list] = {}
+        #: The histograms, in the order buffers first accrued cycles.
         self._hist: Dict[Tuple[int, int], Dict[int, int]] = {}
 
-    def _charge(self, key: Tuple[int, int], now: int) -> None:
-        level = self._occupancy.get(key, 0)
-        elapsed = now - self._since.get(key, 0)
+    def move(self, channel: int, vc: int, cycle: int, step: int) -> None:
+        """Buffer ``(channel, vc)`` changed occupancy by ``step`` at ``cycle``."""
+        key = (channel, vc)
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = [0, 0, None]
+        level = row[0]
+        elapsed = cycle - row[1]
         if elapsed:
-            hist = self._hist.setdefault(key, {})
+            hist = row[2]
+            if hist is None:
+                hist = row[2] = self._hist[key] = {}
             hist[level] = hist.get(level, 0) + elapsed
-        self._since[key] = now
-
-    def on_arrive(self, event: TraceEvent) -> None:
-        key = (event.channel, event.vc)
-        self._charge(key, event.cycle)
-        self._occupancy[key] = self._occupancy.get(key, 0) + 1
-
-    def on_grant(self, event: TraceEvent) -> None:
-        key = (event.get("in_ch"), event.get("in_vc"))
-        self._charge(key, event.cycle)
-        self._occupancy[key] = self._occupancy.get(key, 0) - 1
+            row[1] = cycle
+        row[0] = level + step
 
     def finalize(self, end_cycle: int) -> None:
-        for key in list(self._since):
-            self._charge(key, end_cycle)
+        for channel, vc in list(self._rows):
+            self.move(channel, vc, end_cycle, 0)
 
     def histogram(self, channel: int, vc: int) -> Dict[int, int]:
         """``{occupancy level: cycles}`` for one buffer."""
@@ -264,28 +271,32 @@ class VcOccupancyHistogram:
 
     def state(self) -> dict:
         """JSON-safe serialized state ((channel, vc) keys as pairs)."""
+        rows = self._rows.items()
         return {
-            "occupancy": [
-                [list(key), level] for key, level in self._occupancy.items()
-            ],
-            "since": [
-                [list(key), cycle] for key, cycle in self._since.items()
-            ],
+            "occupancy": [[[*key], row[0]] for key, row in rows],
+            "since": [[[*key], row[1]] for key, row in rows],
             "hist": [
-                [list(key), list(hist.items())]
-                for key, hist in self._hist.items()
+                [[*key], list(hist.items())] for key, hist in self._hist.items()
             ],
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "VcOccupancyHistogram":
         out = cls()
-        out._occupancy = {tuple(key): level for key, level in state["occupancy"]}
-        out._since = {tuple(key): cycle for key, cycle in state["since"]}
+        occupancy = [(tuple(key), level) for key, level in state["occupancy"]]
+        since = [(tuple(key), cycle) for key, cycle in state["since"]]
+        if [key for key, _ in occupancy] != [key for key, _ in since]:
+            raise ValueError("occupancy state names its buffers in two orders")
         out._hist = {
             tuple(key): {level: cycles for level, cycles in pairs}
             for key, pairs in state["hist"]
         }
+        out._rows = {
+            key: [level, cycle, out._hist.get(key)]
+            for (key, level), (_, cycle) in zip(occupancy, since)
+        }
+        if not out._hist.keys() <= out._rows.keys():
+            raise ValueError("occupancy state has a histogram of no buffer")
         return out
 
 
@@ -307,10 +318,20 @@ class MetricsSummary:
 
 
 class MetricsCollector:
-    """Trace sink feeding the streaming reducers.
+    """The streaming reducers above, fed as one sink.
 
     Attach directly as ``Engine(trace=collector)`` or fan out alongside a
-    JSONL writer via :class:`repro.sim.trace.Tee`.
+    JSONL writer via :class:`repro.sim.trace.Tee`. It has two entries
+    that land in the same reducer methods:
+
+    * an :class:`~repro.sim.engine.Engine` feeds it directly: where it
+      would emit ``grant``/``depart``/``arrive``/``deliver`` it calls
+      ``occupancy.move``, ``busy.add`` and :meth:`deliver` with the
+      integers it holds and raises :attr:`last_cycle` itself, so a
+      collector attached alone costs no
+      :class:`~repro.sim.trace.TraceEvent` (see :func:`split_collector`);
+    * :meth:`emit` takes the event stream -- the sharded hub's merged
+      one, a replayed JSONL file, the engine's rare fault-path records.
     """
 
     def __init__(
@@ -323,22 +344,28 @@ class MetricsCollector:
         self.busy = ChannelBusyWindows(window_cycles=window_cycles)
         self.occupancy = VcOccupancyHistogram()
         self.delivered = 0
+        #: The latest cycle any event (of any kind) was stamped with.
         self.last_cycle = 0
         self._quantiles = tuple(quantiles)
 
+    def deliver(self, latency: int) -> None:
+        """A packet was delivered ``latency`` cycles after injection."""
+        self.delivered += 1
+        self.latency.add(latency)
+
     def emit(self, event: TraceEvent) -> None:
         kind = event.kind
-        if event.cycle > self.last_cycle:
-            self.last_cycle = event.cycle
+        cycle = event.cycle
+        if cycle > self.last_cycle:
+            self.last_cycle = cycle
         if kind == "depart":
-            self.busy.on_depart(event)
+            self.busy.add(event.channel, cycle, event.get("busy"))
         elif kind == "arrive":
-            self.occupancy.on_arrive(event)
+            self.occupancy.move(event.channel, event.vc, cycle, 1)
         elif kind == "grant":
-            self.occupancy.on_grant(event)
+            self.occupancy.move(event.get("in_ch"), event.get("in_vc"), cycle, -1)
         elif kind == "deliver":
-            self.delivered += 1
-            self.latency.add(event.get("lat"))
+            self.deliver(event.get("lat"))
 
     def flush(self) -> None:
         pass
@@ -418,3 +445,25 @@ class MetricsCollector:
             },
             vc_occupancy=self.occupancy.histograms(),
         )
+
+
+def split_collector(sink) -> Tuple[Optional[MetricsCollector], object]:
+    """``(collector, rest)`` of an engine's trace sink.
+
+    ``collector`` is the first :class:`MetricsCollector` the sink reaches
+    (through any :class:`~repro.sim.trace.Tee`), which the engine feeds
+    directly; ``rest`` is the sink of everything else, in its order --
+    ``None``, the one remaining sink, or a ``Tee`` of them -- which gets
+    every :class:`~repro.sim.trace.TraceEvent`. A subclass of the
+    collector stays in ``rest``: it is fed through its own ``emit``.
+    """
+    sinks = list(leaf_sinks(sink))
+    for index, leaf in enumerate(sinks):
+        if type(leaf) is MetricsCollector:
+            del sinks[index]
+            break
+    else:
+        return None, sink
+    if not sinks:
+        return leaf, None
+    return leaf, sinks[0] if len(sinks) == 1 else Tee(*sinks)

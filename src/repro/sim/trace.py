@@ -56,6 +56,15 @@ pays a single ``is None`` check per site when tracing is disabled:
   per line with a fixed key order, so equal traces are equal *bytes*;
 * :class:`Tee` -- fan one stream out to several sinks (e.g. a JSONL file
   plus a :class:`repro.sim.metrics.MetricsCollector`).
+
+A :class:`~repro.sim.metrics.MetricsCollector` in the engine's sink is
+not sent the hot events: the engine splits it out when the sink is
+assigned and calls its reducers directly at grant, depart, arrive and
+deliver, so :class:`TraceEvent` objects are built only for the other
+sinks (none at all under a collector alone). Fault, drop, re-route and
+retry records, the sharded hub's merged stream and replayed files reach
+a collector as events, through its ``emit``. Every other sink sees
+exactly the stream described above.
 """
 
 from __future__ import annotations
@@ -163,6 +172,16 @@ class Tee:
     def flush(self) -> None:
         for sink in self.sinks:
             sink.flush()
+
+
+def leaf_sinks(sink):
+    """Every sink ``sink`` reaches, through any :class:`Tee`, in the order
+    they are sent each event."""
+    if isinstance(sink, Tee):
+        for sub in sink.sinks:
+            yield from leaf_sinks(sub)
+    elif sink is not None:
+        yield sink
 
 
 class JsonlTraceWriter:

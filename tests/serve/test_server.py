@@ -8,6 +8,7 @@ server after the one that took it is gone, and still matches the oracle.
 """
 
 import asyncio
+import io
 import json
 
 import pytest
@@ -17,7 +18,8 @@ from repro.serve.protocol import PROTOCOL_VERSION, encode_frame
 from repro.serve.server import SimServer
 from repro.serve.session import SessionConfig
 from repro.sim.checkpoint import dumps, run_stamp
-from repro.sim.simulator import RunSpec
+from repro.sim.simulator import RunSpec, run
+from repro.sim.trace import EVENT_KINDS, JsonlTraceWriter
 
 from tests.serve.oracle import canon, oracle_artifacts
 
@@ -413,6 +415,63 @@ def test_subscribe_over_the_wire_streams_events():
     seen = asyncio.run(scenario())
     assert seen["trace"] > 0
     assert seen["metrics"] > 0
+
+
+def test_a_trace_subscriber_joins_mid_run_and_drops():
+    """A session gains a trace subscriber at cycle 16 and loses it when
+    that connection drops at cycle 40: its stats and snapshot are an
+    unobserved twin's, and the watcher got exactly the lines a JSONL
+    writer writes for cycles 16..39."""
+    workload = WORKLOADS["alpha"]
+
+    async def scenario():
+        server = SimServer(session_config=SessionConfig(quantum_cycles=8))
+        await server.start()
+        try:
+            owner = await ServeClient.connect(*server.address)
+            for sid in ("seen", "unseen"):
+                await owner.create(workload, session=sid)
+                await owner.step(sid, 16)
+            watcher = await ServeClient.connect(*server.address)
+            await watcher.subscribe("seen", streams=["trace"])
+            for sid in ("seen", "unseen"):
+                await owner.step(sid, 24)
+            # Replies share the event frames' FIFO: once this one is
+            # back, every line of cycles 16..39 has arrived.
+            await watcher.stats("seen")
+            lines = []
+            while not watcher.events.empty():
+                lines.extend(watcher.events.get_nowait()["events"])
+            await watcher.close()
+            while server.sessions["seen"].subscribers:
+                await asyncio.sleep(0.01)
+            out = {}
+            for sid in ("seen", "unseen"):
+                await owner.run(sid)
+                stats = await owner.stats(sid)
+                stats.pop("session")
+                out[sid] = (stats, (await owner.snapshot(sid))["checkpoint"])
+            await owner.close()
+            return lines, out
+        finally:
+            await server.close()
+
+    lines, out = asyncio.run(scenario())
+    (seen, seen_text), (unseen, unseen_text) = out["seen"], out["unseen"]
+    assert seen_text == unseen_text
+    streamed = seen["counters"].pop("trace_events_streamed")
+    assert unseen["counters"].pop("trace_events_streamed") == 0
+    assert canon(seen) == canon(unseen)
+    assert streamed == len(lines)
+
+    stream = io.StringIO()
+    run(RunSpec.from_params(workload), trace=JsonlTraceWriter(stream))
+    written = [
+        line for line in stream.getvalue().splitlines()
+        if json.loads(line).get("ev") in EVENT_KINDS
+        and 16 <= json.loads(line)["cyc"] < 40
+    ]
+    assert written and lines == written
 
 
 def test_server_stats_shape_and_counters():

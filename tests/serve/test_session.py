@@ -564,12 +564,13 @@ class TestStreams:
 
     def test_unsubscribe_disables_and_drains_the_buffer(self):
         session = Session.create("s", dict(BATCH_RR))
+        assert session.engine.trace is session.collector
         channel = OutboundChannel()
         session.subscribe(Subscriber(channel, ["trace"]))
-        assert session.buffer.enabled
+        assert session.engine.trace.sinks == (session.collector, session.buffer)
         session.buffer.lines.append("pending")
         session.unsubscribe_channel(channel)
-        assert not session.buffer.enabled
+        assert session.engine.trace is session.collector
         assert session.buffer.lines == []
 
     def test_unobserved_sessions_buffer_nothing(self):

@@ -11,7 +11,6 @@ from repro.sim.metrics import (
     VcOccupancyHistogram,
 )
 from repro.sim.simulator import RunSpec, run
-from repro.sim.trace import TraceEvent
 from repro.traffic.batch import BatchSpec
 from repro.traffic.patterns import UniformRandom
 
@@ -94,20 +93,13 @@ class TestStreamingQuantile:
             StreamingQuantile(max_bins=1)
 
 
-def _depart(cycle, channel, busy, pid=0, flits=1):
-    return TraceEvent(
-        "depart", cycle, cycle * 14, pid, channel, 0,
-        (("flits", flits), ("busy", busy), ("end", 0)),
-    )
-
-
 class TestChannelBusyWindows:
     def test_series_and_totals(self):
         busy = ChannelBusyWindows(window_cycles=10)
-        busy.on_depart(_depart(0, channel=3, busy=14))
-        busy.on_depart(_depart(9, channel=3, busy=14))
-        busy.on_depart(_depart(25, channel=3, busy=45))
-        busy.on_depart(_depart(4, channel=7, busy=28))
+        busy.add(3, 0, 14)
+        busy.add(3, 9, 14)
+        busy.add(3, 25, 45)
+        busy.add(7, 4, 28)
         assert busy.series(3) == [28, 0, 45]
         assert busy.series(7) == [28]
         assert busy.series(99) == []
@@ -122,11 +114,9 @@ class TestVcOccupancyHistogram:
     def test_residency_accounting(self):
         hist = VcOccupancyHistogram()
         # Buffer (5, 1): empty 0-10, one packet 10-14, two 14-20, one 20-30.
-        hist.on_arrive(TraceEvent("arrive", 10, 140, 1, 5, 1))
-        hist.on_arrive(TraceEvent("arrive", 14, 196, 2, 5, 1))
-        hist.on_grant(
-            TraceEvent("grant", 20, 280, 1, 9, 0, (("in_ch", 5), ("in_vc", 1)))
-        )
+        hist.move(5, 1, 10, 1)
+        hist.move(5, 1, 14, 1)
+        hist.move(5, 1, 20, -1)
         hist.finalize(30)
         assert hist.histogram(5, 1) == {0: 10, 1: 14, 2: 6}
         # Total residency covers the whole observed span.
@@ -136,6 +126,33 @@ class TestVcOccupancyHistogram:
         hist = VcOccupancyHistogram()
         hist.finalize(100)
         assert hist.histogram(0, 0) == {}
+
+    def test_state_round_trip(self):
+        hist = VcOccupancyHistogram()
+        for channel, vc, cycle, step in [
+            (5, 1, 0, 1), (3, 0, 4, 1), (5, 1, 9, -1), (3, 0, 9, -1), (7, 2, 12, 1)
+        ]:
+            hist.move(channel, vc, cycle, step)
+        revived = VcOccupancyHistogram.from_state(hist.state())
+        assert revived.state() == hist.state()
+        for each in (hist, revived):
+            each.move(7, 2, 20, -1)
+            each.finalize(30)
+        assert revived.state() == hist.state()
+        assert [key for key, _ in hist.state()["since"]] == [[5, 1], [3, 0], [7, 2]]
+        assert [key for key, _ in hist.state()["hist"]] == [[3, 0], [5, 1], [7, 2]]
+
+    @pytest.mark.parametrize("field, value", [
+        ("since", [[[3, 0], 4], [[5, 1], 9]]),
+        ("hist", [[[9, 9], [[0, 4]]]]),
+    ])
+    def test_from_state_refuses_rows_that_disagree(self, field, value):
+        hist = VcOccupancyHistogram()
+        hist.move(5, 1, 0, 1)
+        hist.move(3, 0, 4, 1)
+        state = dict(hist.state(), **{field: value})
+        with pytest.raises(ValueError):
+            VcOccupancyHistogram.from_state(state)
 
 
 class TestMetricsCollectorEndToEnd:
