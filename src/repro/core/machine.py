@@ -432,6 +432,8 @@ class Machine:
         self.channel_occupancy_ticks: List[int] = []
         self.channel_vcs: List[int] = []
         self.channel_buffer_depth: List[int] = []
+        #: :meth:`route_memo`'s tables, by (direction order, non-minimal).
+        self._route_memos: Dict[Tuple[tuple, bool], dict] = {}
         self._build()
 
     # --- construction -----------------------------------------------------
@@ -660,6 +662,23 @@ class Machine:
             internode_per_chip=(len(channels) - internode_base) // len(chips),
             cids=[channel.cid for channel in channels],
         )
+
+    def route_memo(self, direction_order: tuple, allow_nonminimal: bool) -> dict:
+        """The routes built on this machine under one on-chip direction
+        order and one displacement rule, by ``(src, dst, choice, class)``.
+
+        A route is a pure function of the machine and that key, so every
+        :class:`~repro.core.routing.RouteComputer` of this machine with the
+        same order and rule reads and fills the one table -- a run's, a
+        campaign's, a fault-aware computer's base lookups, a checkpoint
+        restore's -- and no entry ever goes stale. Keying by the rule keeps
+        a minimal-only computer refusing the non-minimal choices a
+        fault-aware one has built. It holds the routes asked for, up to
+        :data:`~repro.core.routing.ROUTE_MEMO_ENTRIES` a table: a computer
+        empties a full table before it adds a route, which costs later
+        lookups a rebuild of an equal route and nothing else.
+        """
+        return self._route_memos.setdefault((direction_order, allow_nonminimal), {})
 
     @functools.cached_property
     def engine_rows(self) -> EngineRows:

@@ -98,8 +98,19 @@ class Unroutable(RuntimeError):
         self.dst = dst
 
 
+#: The most routes one table of a machine's route memo holds; a table
+#: that would pass it is emptied first. The machine, and with it the
+#: memo, lives as long as the process that elaborated it (a server's, a
+#: campaign's), so the memo must not grow to a machine's route space
+#: (exhaustive load enumeration at 4x4x4 asks for all 190 464 routes,
+#: ~1.9 KB each); the 131 072 packets of an 8x8x8 x 4 cores x 64 point
+#: still fit, so its saves find every live route (~2.2 KB each there).
+ROUTE_MEMO_ENTRIES = 1 << 17
+
+
 class RouteComputer:
-    """Builds and caches routes over one machine."""
+    """Builds routes over one machine, into the machine's route memo
+    (:meth:`~repro.core.machine.Machine.route_memo`)."""
 
     def __init__(
         self,
@@ -113,7 +124,11 @@ class RouteComputer:
         #: the other way around a ring). Off by default: healthy-machine
         #: routing is strictly minimal; fault-aware routing enables it.
         self.allow_nonminimal = allow_nonminimal
-        self._cache: Dict[Tuple[int, int, RouteChoice, int], Route] = {}
+        #: ``compute``'s routes: the machine's memo for this order and
+        #: rule, shared with every other computer on the machine.
+        self._cache: Dict[Tuple[int, int, RouteChoice, int], Route] = (
+            machine.route_memo(self.direction_order, allow_nonminimal)
+        )
         self._plan_cache: Dict[Tuple, Route] = {}
         #: Interned :class:`RouteChoice` flyweights keyed by their field
         #: tuple. Sampling draws the same few hundred distinct choices
@@ -205,14 +220,19 @@ class RouteComputer:
     ) -> Route:
         """The route from one endpoint adapter to another.
 
-        Routes are cached; callers must treat the result as immutable.
+        Routes are memoized per machine (every computer of this order and
+        rule returns the same object while the memo holds it); callers
+        must treat the result as immutable.
         """
         key = (src_endpoint, dst_endpoint, choice, traffic_class)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
         route = self._build(src_endpoint, dst_endpoint, choice, traffic_class)
-        self._cache[key] = route
+        cache = self._cache
+        if len(cache) >= ROUTE_MEMO_ENTRIES:
+            cache.clear()
+        cache[key] = route
         return route
 
     def compute_plan(

@@ -40,14 +40,18 @@ serial run and a shard-merged one). ``json.loads`` preserves object key
 order, so a save/load/save round trip is byte-stable (double-checkpoint
 idempotence, also pinned by tests).
 
-Schema 2 writes a packet as one flat row of integers (:data:`PACKET_ROW`)
-and the machine-sized state as whole rows in canonical order: credits by
+A packet is one flat row of integers (:data:`PACKET_ROW`), and the
+machine-sized state is whole rows in canonical order: credits by
 (channel, VC) and the timers by channel, the non-empty VC buffers, each
 arbitration stage as its bank's rows -- the file says nothing of how the
-engine lays its state out. Source queues are written *compacted* (the
-dead prefix before the head dropped), which is observationally
-invisible. Schema 1 is read through one up-converter,
-:func:`_upgrade_schema1`, and then restored like any other payload.
+engine lays its state out. Schema 3 leaves a packet row's hops out when
+the machine rebuilds exactly that route from the row's head, decided by
+value, so the bytes stay a function of simulation state alone
+(:class:`_PacketCodec`). Source queues are written *compacted* (the dead
+prefix before the head dropped), which is observationally invisible.
+Schema 2 -- every row with its hops -- is read as it is; schema 1 through
+one up-converter, :func:`_upgrade_schema1`, and then restored like any
+other payload.
 
 Failure is explicit: any malformed, truncated, corrupted, or
 future-versioned payload raises :class:`CheckpointError` (the CLI maps
@@ -70,7 +74,7 @@ from typing import Dict, List, Optional
 
 from repro.arbiters.bank import BANKS, InverseWeightedBank
 from repro.core.machine import Fraction, Machine, MachineConfig
-from repro.core.routing import ALL_DIM_ORDERS, Route, RouteChoice
+from repro.core.routing import ALL_DIM_ORDERS, Route, RouteChoice, RouteComputer
 
 from .engine import _EV_ARRIVAL, Engine, event_sort_key
 from .metrics import MetricsCollector
@@ -79,7 +83,7 @@ from .stats import SimStats
 from .trace import JsonlTraceWriter, leaf_sinks
 
 #: Version of the checkpoint payload schema; bump on any layout change.
-CHECKPOINT_SCHEMA_VERSION = 2
+CHECKPOINT_SCHEMA_VERSION = 3
 
 #: Top-level scalar fields :func:`restore_engine` requires to be
 #: non-negative integers.
@@ -203,10 +207,11 @@ def _config_from_json(data: dict) -> MachineConfig:
 
 # --- packets ----------------------------------------------------------------------
 
-#: A packet as schema 2 writes it, in a checkpoint and on the shard wire:
-#: these fields, then its route's hops as one flat ``channel, vc, channel,
-#: vc, ...`` run. ``drop`` is 0 or 1, ``order`` the dimension order's index
-#: in :data:`~repro.core.routing.ALL_DIM_ORDERS`; the deltas ``dx, dy, dz``
+#: A packet as a checkpoint and the shard wire write it: these fields, then
+#: -- unless the machine rebuilds them (see :class:`_PacketCodec`) -- its
+#: route's hops as one flat ``channel, vc, channel, vc, ...`` run.
+#: ``drop`` is 0 or 1, ``order`` the dimension order's index in
+#: :data:`~repro.core.routing.ALL_DIM_ORDERS`; the deltas ``dx, dy, dz``
 #: are ``null`` when the route choice pins none; ``via`` is a detour's
 #: intermediate chip as its index in chip order, ``-1`` for none. There is
 #: no ``deliver_cycle``: the engine lets go of a packet as it delivers it,
@@ -221,19 +226,40 @@ _ORDER_CODE = {order: code for code, order in enumerate(ALL_DIM_ORDERS)}
 
 
 class _PacketCodec:
-    """Packets to and from :data:`PACKET_ROW` rows on a machine of
-    ``shape``: one per payload (or shard wire), so that the rows it
-    reads share their route choices."""
+    """Packets to and from :data:`PACKET_ROW` rows on ``machine``: one per
+    payload (or shard wire), so that the rows it reads share their route
+    choices.
 
-    def __init__(self, shape) -> None:
-        _nx, self._ny, self._nz = shape
+    With ``routes`` -- a checkpoint's codec (:func:`_checkpoint_codec`) --
+    a row stops after its head when the packet's route *equals*, field by
+    field, the route ``routes`` builds from the head's ``(src, dst,
+    choice, traffic_class)``; such a row is read back through the
+    machine's route memo that computer fills, so restored packets share
+    its routes (DESIGN.md section 10). Every row it reads is checked
+    against the machine: a hop-less one must be routable, a full one a
+    walk of the machine's (channel, VC) pairs into ``dst``. Without
+    ``routes`` -- the shard wire, written and read by the run's own
+    engines -- every row carries its hops and is trusted.
+    """
+
+    def __init__(self, machine: Machine, routes: Optional[RouteComputer] = None) -> None:
+        _nx, self._ny, self._nz = machine.config.shape
         self._choices: Dict[tuple, RouteChoice] = {}
+        self._routes = routes
+        if routes is not None:
+            self._memo = machine.route_memo(
+                routes.direction_order, routes.allow_nonminimal
+            )
+            rows = machine.engine_rows
+            self._from, self._into = rows.src, rows.dst
+            self._components = len(machine.components)
+            self._vcs = machine.channel_vcs
 
     def row(self, packet: Packet) -> list:
         route = packet.route
         choice = route.choice
         via = route.via
-        return [
+        row = [
             packet.pid, packet.size_flits, packet.pattern,
             packet.traffic_class, packet.release_cycle, packet.inject_cycle,
             packet.hop_index, packet.ready_cycle, packet.retries,
@@ -241,8 +267,20 @@ class _PacketCodec:
             _ORDER_CODE[choice.dim_order], choice.slice_index,
             *(choice.deltas or (None, None, None)), route.internode_hops,
             -1 if via is None else (via[0] * self._ny + via[1]) * self._nz + via[2],
-            *itertools.chain.from_iterable(route.hops),
         ]
+        if self._routes is not None:
+            try:
+                rebuilt = self._route(
+                    packet.pid, route.src, route.dst, choice, packet.traffic_class
+                )
+            except CheckpointError:  # a key the machine does not route
+                rebuilt = None
+            # ``is`` only skips the field compare: the rule is equality,
+            # or the bytes would depend on what the memo held.
+            if rebuilt is route or rebuilt == route:
+                return row
+        row += itertools.chain.from_iterable(route.hops)
+        return row
 
     def packet(self, row: list) -> Packet:
         if len(row) < _HEAD or (len(row) - _HEAD) % 2:
@@ -253,25 +291,42 @@ class _PacketCodec:
         (pid, size_flits, pattern, traffic_class, release, inject, hop_index,
          ready, retries, drop, src, dst, code, slice_index, dx, dy, dz,
          internode, via) = row[:_HEAD]
-        run = row[_HEAD:]
         key = (code, slice_index, dx, dy, dz)
         choice = self._choices.get(key)
         if choice is None:
             if not 0 <= code < len(ALL_DIM_ORDERS):
                 raise CheckpointError(f"packet {pid} has dimension-order code {code}")
             deltas = None if dx is None else (dx, dy, dz)
-            choice = RouteChoice(ALL_DIM_ORDERS[code], slice_index, deltas)
+            try:
+                choice = RouteChoice(ALL_DIM_ORDERS[code], slice_index, deltas)
+            except ValueError as exc:
+                raise CheckpointError(f"packet {pid}'s route choice: {exc}") from None
             self._choices[key] = choice
-        hops = tuple(zip(run[::2], run[1::2]))
+        if len(row) == _HEAD:
+            if self._routes is None:
+                raise CheckpointError(f"packet {pid}'s row carries no hops")
+            route = self._route(pid, src, dst, choice, traffic_class)
+            if (internode, via) != (route.internode_hops, -1):
+                raise CheckpointError(
+                    f"packet {pid}'s row carries no hops, so its internode "
+                    f"and via must be those of the route the machine builds "
+                    f"({route.internode_hops}, -1), not ({internode}, {via})"
+                )
+        else:
+            run = row[_HEAD:]
+            hops = tuple(zip(run[::2], run[1::2]))
+            if self._routes is not None:
+                self._check_walk(pid, src if hop_index == 0 else None, dst, hops)
+            if via != -1:
+                rest, z = divmod(via, self._nz)
+                via = (*divmod(rest, self._ny), z)
+            route = Route(src, dst, choice, hops, internode, None if via == -1 else via)
+        hops = route.hops
         if not 0 <= hop_index <= len(hops):
             raise CheckpointError(
                 f"packet {pid}'s hop_index {hop_index} is outside its "
                 f"{len(hops)}-hop route"
             )
-        if via != -1:
-            rest, z = divmod(via, self._nz)
-            via = (*divmod(rest, self._ny), z)
-        route = Route(src, dst, choice, hops, internode, None if via == -1 else via)
         packet = Packet(pid, route, size_flits, pattern, traffic_class, release)
         packet.inject_cycle, packet.ready_cycle = inject, ready
         packet.retries, packet.drop_on_arrival = retries, bool(drop)
@@ -280,6 +335,66 @@ class _PacketCodec:
         # boundaries, so it is derived rather than stored.
         packet.next_hop = hops[hop_index] if hop_index < len(hops) else None
         return packet
+
+    def _route(self, pid, src, dst, choice, traffic_class) -> Route:
+        """The machine's route for a packet's key -- the memo's, else
+        built into it -- or, by name, why there is none."""
+        route = self._memo.get((src, dst, choice, traffic_class))
+        if route is not None:
+            return route
+        for name, component in (("src", src), ("dst", dst)):
+            # A negative index would silently wrap in the builder.
+            if not (type(component) is int and 0 <= component < self._components):
+                raise CheckpointError(
+                    f"packet {pid}'s row carries no hops and its {name} "
+                    f"{component!r} is no component of this machine"
+                )
+        try:
+            return self._routes.compute(src, dst, choice, traffic_class)
+        except ValueError as exc:
+            raise CheckpointError(
+                f"packet {pid}'s row carries no hops and the machine cannot "
+                f"route it: {exc}"
+            ) from None
+
+    def _check_walk(self, pid, at, dst, hops) -> None:
+        """Refuse, by name, hops that are not a walk of this machine's
+        (channel, VC) pairs from ``at`` into ``dst``. ``at`` is ``None``
+        once the packet has moved: a route spliced around a fault starts
+        at the channel that held the packet (at hop 1), so then the first
+        hop may leave any component; at hop 0 it leaves the source."""
+        vcs, leaves, enters = self._vcs, self._from, self._into
+        for channel, vc in hops:
+            if not (
+                type(channel) is int and 0 <= channel < len(vcs)
+                and type(vc) is int and 0 <= vc < vcs[channel]
+            ):
+                raise CheckpointError(
+                    f"packet {pid}'s route has hop ({channel!r}, {vc!r}), which "
+                    f"is no (channel, VC) of this machine"
+                )
+            if at is not None and leaves[channel] != at:
+                raise CheckpointError(
+                    f"packet {pid}'s route hops onto channel {channel}, which "
+                    f"does not leave component {at}, where the packet is by then"
+                )
+            at = enters[channel]
+        if at != dst:
+            raise CheckpointError(
+                f"packet {pid}'s route ends at component {at}, not at its dst {dst}"
+            )
+
+
+def _checkpoint_codec(machine: Machine, faulted: bool) -> _PacketCodec:
+    """The codec a checkpoint's packet rows are written and read with.
+
+    Its rebuild is a plain computer under the default direction order over
+    the machine's route memo -- the memo the run's own routes went into:
+    minimal-only for a healthy run, accepting the non-minimal choices fault
+    resolution takes for a faulted one (the payload's ``faults`` section
+    says which, before any packet is read).
+    """
+    return _PacketCodec(machine, RouteComputer(machine, allow_nonminimal=faulted))
 
 
 class _Placement:
@@ -480,7 +595,9 @@ def snapshot_engine(engine: Engine) -> dict:
         "cycle": engine.cycle,
         "machine": _machine_to_json(engine.machine),
         "watchdog_cycles": engine.watchdog_cycles,
-        "packets": list(map(_PacketCodec(engine.machine.config.shape).row, packets)),
+        "packets": list(map(
+            _checkpoint_codec(engine.machine, faults is not None).row, packets
+        )),
         "source_queues": source_queues,
         "buffers": buffers,
         "credits": credits,
@@ -621,7 +738,10 @@ def restore_engine(
     checkpoint captured a collector, the collector is revived and
     attached. The sinks are touched last: a payload that is refused
     leaves them as they were. A schema-1 payload is read through
-    :func:`_upgrade_schema1` first.
+    :func:`_upgrade_schema1` first. Hop-less packet rows are rebuilt
+    through the machine's route memo, so a restore onto a machine that
+    has routed the run before is warm, one onto a fresh machine rebuilds
+    every route it names.
 
     Raises :class:`CheckpointError` on any structural defect.
     """
@@ -644,7 +764,7 @@ def restore_engine(
             watchdog_cycles=data["watchdog_cycles"],
             trace=trace,
         )
-        codec = _PacketCodec(machine.config.shape)
+        codec = _checkpoint_codec(machine, data["faults"] is not None)
         packets = list(map(codec.packet, data["packets"]))
         _restore_into(engine, data, packets)
         _revive_sinks(trace, section)
@@ -695,9 +815,10 @@ def _upgrade_stage(specs: list, sites, stage: str) -> dict:
 
 
 def _upgrade_schema1(data: dict, machine: Machine) -> dict:
-    """A schema-1 payload in schema 2's layout, on its own (vetted)
-    ``machine``: the one way schema 1 is read, a pure data transform.
-    Packet indices stay: both schemas number packets in one traversal."""
+    """A schema-1 payload in schema 2's layout (every packet row with its
+    hops), on its own (vetted) ``machine``: the one way schema 1 is read,
+    a pure data transform. Packet indices stay: every schema numbers
+    packets in one traversal."""
     retained = data["stats"]["packet_latencies"]
     if data["keep_packet_latencies"] is not False or retained != []:
         raise CheckpointError(
@@ -712,7 +833,7 @@ def _upgrade_schema1(data: dict, machine: Machine) -> dict:
                 f"checkpoint does not fit this machine: its {name} are not "
                 f"one entry per VC of each channel"
             )
-    codec = _PacketCodec(machine.config.shape)
+    codec = _PacketCodec(machine)
     return dict(
         {k: v for k, v in data.items() if k != "keep_packet_latencies"},
         schema=2,
@@ -776,10 +897,10 @@ def _validate_header(data) -> None:
             "not an engine checkpoint (missing kind='engine-checkpoint')"
         )
     schema = data.get("schema")
-    if schema not in (1, CHECKPOINT_SCHEMA_VERSION):
+    if schema not in (1, 2, CHECKPOINT_SCHEMA_VERSION):
         raise CheckpointError(
             f"unsupported checkpoint schema version {schema!r}; this build "
-            f"reads versions 1 and {CHECKPOINT_SCHEMA_VERSION}"
+            f"reads versions 1, 2 and {CHECKPOINT_SCHEMA_VERSION}"
         )
 
 

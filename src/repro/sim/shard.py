@@ -300,7 +300,7 @@ class _ShardCore:
         #: The run's watchdog; the hub enforces it across all shards.
         self.true_watchdog = engine.watchdog_cycles
         engine.watchdog_cycles = _HUGE_WATCHDOG
-        self._codec = _PacketCodec(machine.config.shape)
+        self._codec = _PacketCodec(machine)
         self.engine = engine
         self.recorder = recorder
 

@@ -109,9 +109,10 @@ _DEMAND_ENTRIES = 8
 def shared_machine(config: MachineConfig) -> Tuple[Machine, RouteComputer]:
     """The ``(machine, route computer)`` pair of a config, elaborated once
     per process. Engines never mutate their machine, so every run of a
-    config shares it; the computer is for campaigns, whose points share
-    its route cache -- any other run gets its own (:func:`run_context`),
-    because that cache only grows."""
+    config shares it, and with it the machine's route memo
+    (:meth:`~repro.core.machine.Machine.route_memo`): this computer, a
+    run's own (:func:`run_context`) and a restore's all read and fill the
+    one table."""
     pair = _MEMO.get(("machine", config))
     if pair is None:
         machine = Machine(config)
@@ -478,10 +479,12 @@ def run_context(run: RunSpec, machine: Optional[Machine] = None):
 
     The machine is the run's config elaborated -- the process's one
     (:func:`shared_machine`), or ``machine``, the same already built by
-    the caller -- and the route computer is the run's own. A faulted run
-    routes through one fault-aware computer shared by workload
-    generation, load enumeration and the runtime's re-resolutions, so it
-    sees the same initially-failed set wherever the run is built.
+    the caller -- and the route computer is the run's own, over the
+    machine's route memo. A faulted run routes through one fault-aware
+    computer shared by workload generation, load enumeration and the
+    runtime's re-resolutions, so it sees the same initially-failed set
+    wherever the run is built; its fault resolutions are its own, its
+    base routes the machine's.
     """
     if machine is None:
         machine = shared_machine(run.config)[0]

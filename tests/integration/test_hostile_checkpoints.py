@@ -1,15 +1,19 @@
-"""Hostile checkpoints get a named one-line error, on both schemas.
+"""Hostile checkpoints get a named one-line error, on every schema.
 
 Every packet index a checkpoint holds must name a packet of its table,
 in the order the snapshot numbered them (source queues, buffers, wheel
 arrivals: each packet sits in exactly one place), every packet row must
-be one, and every row must be as long as the machine's. One that is not
--- a negative index, an index named twice, a row too many, a row cut
-short -- is refused with a :class:`CheckpointError` that names it,
-and by the CLI as ``error: ...`` and exit 1: never a traceback, and
-never a run that goes on with a packet buffered twice. Each edit is made
-to the committed golden (schema 2) and to the same snapshot as schema 1
-wrote it, which the up-converter brings to the same checks.
+be one, and every row must be as long as the machine's. A packet row
+that carries its hops must walk the machine's (channel, VC) pairs into
+its destination; one that carries none must name a route the machine
+builds. One that is not -- a negative index, an index named twice, a row
+too many, a row cut short, a hop off the machine, a source that is no
+endpoint -- is refused with a :class:`CheckpointError` that names it,
+and by the CLI as ``error: ...`` and exit 1: never a traceback, never a
+hang, and never a run that goes on with a packet buffered twice or a
+route the hardware has not got. Each edit is made to the committed
+golden (schema 3), to the same snapshot as schema 2 wrote it, and to it
+as schema 1 wrote it, which the up-converter brings to the same checks.
 """
 
 import dataclasses
@@ -25,7 +29,8 @@ from repro.sim.goldens import GOLDEN_DIR
 
 GOLDENS = {
     1: GOLDEN_DIR / "checkpoint_uniform_2x2x2.schema1.json",
-    2: GOLDEN_DIR / "checkpoint_uniform_2x2x2.json",
+    2: GOLDEN_DIR / "checkpoint_uniform_2x2x2.schema2.json",
+    3: GOLDEN_DIR / "checkpoint_uniform_2x2x2.json",
 }
 #: The golden's packet count; every one of them is on the wheel.
 PACKETS = 70
@@ -35,15 +40,16 @@ TORUS_LINK = 640
 
 
 def edits(*cases):
-    """``(schema, named, edit)`` params. A case is ``(name, named, s2[,
-    s1])``: an edit ``s2`` to the schema-2 golden, ``s1`` to schema 1's
-    (by default the same; ``None`` where schema 1 cannot say it), and the
-    pattern the error must match, one for both or one per schema."""
+    """``(schema, named, edit)`` params. A case is ``(name, named, rows[,
+    s1])``: an edit ``rows`` to the goldens that write packets as rows
+    (schemas 2 and 3), ``s1`` to schema 1's (by default the same; ``None``
+    where schema 1 cannot say it), and the pattern the error must match,
+    one for all or one per schema."""
     params = []
-    for name, named, s2, *s1 in cases:
-        s1 = s1[0] if s1 else s2
-        named = named if isinstance(named, dict) else {1: named, 2: named}
-        for schema, change in ((1, s1), (2, s2)):
+    for name, named, rows, *s1 in cases:
+        s1 = s1[0] if s1 else rows
+        named = named if isinstance(named, dict) else dict.fromkeys(GOLDENS, named)
+        for schema, change in ((1, s1), (2, rows), (3, rows)):
             if change is not None:
                 params.append(pytest.param(
                     schema, named[schema], change, id=f"{name}-schema{schema}"
@@ -134,7 +140,9 @@ def test_source_queue_indices(schema, named, edit, tmp_path, capsys):
      lambda d: d["buffers"].append([5, 1, [0]]),
      lambda d: d["buffers"][5][1].append(0)),
     ("no such VC",
-     {1: "buffers are not one entry per VC", 2: r"buffer \(5, 9\) is empty, out of \(channel, VC\) order or at no VC"},
+     {1: "buffers are not one entry per VC",
+      2: r"buffer \(5, 9\) is empty, out of \(channel, VC\) order or at no VC",
+      3: r"buffer \(5, 9\) is empty, out of \(channel, VC\) order or at no VC"},
      lambda d: d["buffers"].append([5, 9, [0]]),
      lambda d: d["buffers"][5].append([0])),
     ("out of order", r"buffer \(5, 1\) is empty, out of \(channel, VC\) order",
@@ -173,12 +181,14 @@ def test_inflight_indices(schema, named, edit, tmp_path, capsys):
 @edits(
     ("fields",
      {1: r"truncated or corrupted checkpoint: KeyError\('retries'\)",
-      2: "a packet row has 10 fields: not 19 and a run"},
+      2: "a packet row has 10 fields: not 19 and a run",
+      3: "a packet row has 10 fields: not 19 and a run"},
      lambda d: d["packets"].__setitem__(2, d["packets"][2][:10]),
      lambda d: d["packets"][2].pop("retries")),
     ("odd hop run",
      {1: "truncated or corrupted checkpoint: ValueError",
-      2: "a packet row has 60 fields: not 19 and a run"},
+      2: "a packet row has 60 fields: not 19 and a run",
+      3: "a packet row has 20 fields: not 19 and a run"},
      lambda d: d["packets"][3].append(7),
      lambda d: d["packets"][3]["route"]["hops"][0].append(7)),
     ("hop_index past the route", "hop_index 999 is outside its",
@@ -196,7 +206,8 @@ def test_packet_rows(schema, named, edit, tmp_path, capsys):
     # A channel row too many used to be ignored without a word.
     ("credits",
      {1: "its credits are not one entry per VC",
-      2: "the credits row has 2849 entries, this machine's 2848"},
+      2: "the credits row has 2849 entries, this machine's 2848",
+      3: "the credits row has 2849 entries, this machine's 2848"},
      lambda d: d["credits"].append(8),
      lambda d: d["credits"].append([8, 8, 8, 8])),
     ("channel_free_at", "the channel_free_at row has 737 entries, this machine's 736",
@@ -205,11 +216,122 @@ def test_packet_rows(schema, named, edit, tmp_path, capsys):
      lambda d: d["input_free_at"].pop()),
     ("arbiter grants",
      {1: "arbiter state has 6 inputs, expected 5",
-      2: "the grants row of a rr stage has"},
+      2: "the grants row of a rr stage has",
+      3: "the grants row of a rr stage has"},
      lambda d: d["arbiters"]["grants"].append(0),
      lambda d: d["arbiters"][0][1]["state"]["grants"].append(0)),
     ("arbiter pointers", "the pointer row of a rr stage has",
      lambda d: d["vc_arbiters"]["pointer"].append(0), None),
 )
 def test_row_lengths(schema, named, edit, tmp_path, capsys):
+    assert_refused(schema, named, edit, tmp_path, capsys)
+
+
+#: The golden's packet 4: pid 100, from endpoint 208 to 118 at hop 10 of
+#: 13, its last three hops still to go.
+PACKET, PID, DST = 4, 100, 118
+HEAD = 19
+FULL_ROW = json.loads(GOLDENS[2].read_text())["packets"][PACKET]
+
+
+def full_row(hop=None, at=11, dst=None, src=None):
+    """Edits to the packet's full row and its schema-1 dict: its hop
+    ``at`` (11 is the second still to go, 12 its last) set to ``hop``,
+    its ``dst`` moved, or its ``src`` moved with the packet sent back to
+    hop 0, as if still queued there. Schema 3's row first gets back the
+    hops it left out, which are the machine's route."""
+
+    def rows(data):
+        row = data["packets"][PACKET]
+        row[HEAD:] = FULL_ROW[HEAD:]
+        if hop is not None:
+            row[HEAD + 2 * at:HEAD + 2 * at + 2] = hop
+        if dst is not None:
+            row[11] = dst
+        if src is not None:
+            row[6], row[10] = 0, src
+
+    def s1(data):
+        packet = data["packets"][PACKET]
+        route = packet["route"]
+        if hop is not None:
+            route["hops"][at] = list(hop)
+        if dst is not None:
+            route["dst"] = dst
+        if src is not None:
+            packet["hop_index"], route["src"] = 0, src
+
+    return rows, s1
+
+
+# What each did before these checks is noted above it.
+@edits(
+    # An IndexError traceback mid-run.
+    ("channel past the machine", rf"packet {PID}'s route has hop \(736, 2\), which is no",
+     *full_row((736, 2))),
+    # Ran to completion on the machine's last channel.
+    ("negative channel", rf"packet {PID}'s route has hop \(-1, 2\), which is no",
+     *full_row((-1, 2))),
+    # Ran to completion.
+    ("VC past its channel", rf"packet {PID}'s route has hop \(255, 9\), which is no",
+     *full_row((255, 9))),
+    # A 20 000-cycle hang, then a DeadlockError.
+    ("VC past the endpoint link", rf"packet {PID}'s route has hop \(316, 9\), which is no",
+     *full_row((316, 9), at=12)),
+    # Ran to completion, the packet jumping to another chip.
+    ("hop onto an unconnected channel",
+     rf"packet {PID}'s route hops onto channel 557, which does not leave component",
+     *full_row((557, 0))),
+    ("last hop misses dst",
+     rf"packet {PID}'s route ends at component {DST}, not at its dst 119",
+     *full_row(dst=119)),
+    # Ran to completion.
+    ("queued packet's first hop leaves another endpoint",
+     rf"packet {PID}'s route hops onto channel 557, which does not leave component {SOURCE}",
+     *full_row(src=SOURCE)),
+)
+def test_a_full_row_walks_the_machine_into_dst(schema, named, edit, tmp_path, capsys):
+    assert_refused(schema, named, edit, tmp_path, capsys)
+
+
+def head_field(index, value):
+    def apply(data):
+        data["packets"][PACKET][index] = value
+
+    return apply
+
+
+@pytest.mark.parametrize("named,edit", [
+    pytest.param(named, edit, id=name) for name, named, edit in (
+        ("src past the machine", "its src 240 is no component", head_field(10, 240)),
+        ("src a router",
+         "the machine cannot route it: routes connect endpoint adapters",
+         head_field(10, 0)),
+        ("negative dst", "its dst -1 is no component", head_field(11, -1)),
+        ("class past num_classes",
+         "the machine cannot route it: traffic class 1 is out of range",
+         head_field(3, 1)),
+        ("delta the pair has not got",
+         "the machine cannot route it: delta 3", head_field(14, 3)),
+    )
+])
+def test_a_hopless_row_names_a_route_the_machine_builds(named, edit, tmp_path, capsys):
+    named = f"packet {PID}'s row carries no hops and {named}"
+    assert_refused(3, named, edit, tmp_path, capsys)
+
+
+def test_a_hopless_row_carries_its_routes_internode(tmp_path, capsys):
+    named = f"packet {PID}'s row carries no hops, so its internode and via must be"
+    assert_refused(3, named, head_field(17, 9), tmp_path, capsys)
+
+
+@edits(
+    ("slice",
+     {1: "truncated or corrupted checkpoint: ValueError",
+      2: f"packet {PID}'s route choice: slice_index must be 0 or 1",
+      3: f"packet {PID}'s route choice: slice_index must be 0 or 1"},
+     head_field(13, 5),
+     lambda d: d["packets"][PACKET]["route"]["choice"].__setitem__("slice", 5)),
+)
+def test_a_route_choice_is_one(schema, named, edit, tmp_path, capsys):
     assert_refused(schema, named, edit, tmp_path, capsys)

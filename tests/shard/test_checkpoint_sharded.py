@@ -392,3 +392,24 @@ def test_committed_golden_resumes_under_any_shard_count(tmp_path, shards):
     assert json.dumps(stats.asdict()) == json.dumps(expect.asdict())
     assert (stats.delivered, stats.end_cycle) == (128, 79)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("shards", [1, 2, 4])
+@pytest.mark.parametrize("schema", [1, 2])
+def test_the_goldens_older_schema_twins_resume_under_any_shard_count(
+    tmp_path, schema, shards
+):
+    """The golden as schemas 1 and 2 wrote it finishes like the straight
+    run at every shard count too."""
+    path = tmp_path / "ck.json"
+    path.write_bytes(GOLDEN.with_suffix(f".schema{schema}.json").read_bytes())
+    stats = run_sharded(
+        _golden_run(),
+        shards,
+        checkpoint_path=str(path),
+        checkpoint_every=64,
+        transport="inline",
+    )
+    expect = run_sharded(_golden_run(), 1)
+    assert json.dumps(stats.asdict()) == json.dumps(expect.asdict())
+    assert not path.exists()

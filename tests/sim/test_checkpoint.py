@@ -534,10 +534,11 @@ class TestPacketRow:
                         release_cycle=6)
         packet.inject_cycle, packet.ready_cycle, packet.hop_index = 8, 11, 2
         packet.retries, packet.drop_on_arrival = 3, True
-        codec = _PacketCodec((2, 2, 2))
+        machine = Machine(MachineConfig(shape=(2, 2, 2)))
+        codec = _PacketCodec(machine)  # the wire's: hops always, unchecked
         row = json.loads(json.dumps(codec.row(packet)))
         assert len(row) == len(PACKET_ROW) + 6
-        back = _PacketCodec((2, 2, 2)).packet(row)
+        back = _PacketCodec(machine).packet(row)
         assert back.route == route and back.next_hop == (12, 2)
         for name in Packet.__slots__:
             if name not in ("route", "next_hop", "fifo_next"):

@@ -8,8 +8,10 @@ A diff here means either a bug or an intentional schema change; bump
         --pattern uniform --batch 8 --cores 2 --arbitration rr \
         --seed 3 --cycles 40 --out tests/golden/checkpoint_uniform_2x2x2.json
 
-``checkpoint_uniform_2x2x2.schema1.json`` is the same snapshot as schema 1
-wrote it, kept as a read test of the up-converter.
+``checkpoint_uniform_2x2x2.schema2.json`` and ``.schema1.json`` are the
+same snapshot as schemas 2 and 1 wrote it, kept as read tests: schema 2
+as it is (every packet row with its hops), schema 1 through the
+up-converter.
 """
 
 import hashlib
@@ -25,6 +27,7 @@ from repro.core.routing import RouteComputer
 from repro.faults import FaultPolicy, FaultRuntime, FaultSet, FaultSpec
 from repro.sim.checkpoint import (
     CHECKPOINT_SCHEMA_VERSION,
+    PACKET_ROW,
     CheckpointError,
     checkpoint_info,
     dumps,
@@ -38,6 +41,7 @@ from repro.traffic.batch import BatchSpec
 from repro.traffic.patterns import Tornado, UniformRandom
 
 FIXTURE = GOLDEN_DIR / "checkpoint_uniform_2x2x2.json"
+SCHEMA2_FIXTURE = GOLDEN_DIR / "checkpoint_uniform_2x2x2.schema2.json"
 SCHEMA1_FIXTURE = GOLDEN_DIR / "checkpoint_uniform_2x2x2.schema1.json"
 
 # The exact recipe the fixture was generated with (see module docstring).
@@ -92,9 +96,26 @@ class TestCommittedFixture:
         assert resumed_stats == full_stats
 
 
+class TestSchema2Fixture:
+    """The committed golden as schema 2 wrote it, every packet row with
+    its hops: read as it is and saved, it is the golden."""
+
+    def test_restored_and_saved_it_is_the_golden(self):
+        data = load_checkpoint(str(SCHEMA2_FIXTURE))
+        assert data["schema"] == 2
+        assert all(len(row) > len(PACKET_ROW) for row in data["packets"])
+        restored = restore_engine(data)
+        assert dumps(snapshot_engine(restored)) == FIXTURE.read_text()
+
+    def test_it_finishes_with_the_uninterrupted_stats(self):
+        full_stats = json.dumps(build_fixture_engine().run().asdict())
+        restored = restore_engine(load_checkpoint(str(SCHEMA2_FIXTURE)))
+        assert json.dumps(restored.run().asdict()) == full_stats
+
+
 class TestSchema1Fixture:
     """The committed golden as schema 1 wrote it: read through the
-    up-converter, it is the schema-2 golden."""
+    up-converter, it is the golden."""
 
     def test_restored_and_saved_it_is_the_schema2_golden(self):
         data = load_checkpoint(str(SCHEMA1_FIXTURE))
@@ -109,14 +130,25 @@ class TestSchema1Fixture:
         assert json.dumps(restored.run().asdict()) == full_stats
 
 
-# --- schema-2 bytes of three more policies and a fault ---------------------------
+# --- pinned bytes of three more policies and a fault -----------------------------
 #
 # Pinned: sha256 of the mid-run checkpoint each recipe writes -- the golden
-# fixture above is the ``rr`` case. Each equals, byte for byte, what the
-# up-converter makes of the schema-1 file the same recipe wrote before
-# schema 2.
+# fixture above is the ``rr`` case. Each equals, byte for byte, what a
+# restore and save makes of the file the same recipe wrote as schema 2
+# (``checkpoint_<name>.schema2.json``, pinned by its own digest), which
+# in turn was what the up-converter made of the schema-1 file before it.
 
 PINNED_CHECKPOINT_DIGESTS = {
+    "iw-tornado-4x2x2":
+        "18acc98e1ef5028496019a7962f46783f68d1602a87c8d65fd960c09e5bb2122",
+    "age-uniform-2x2x2":
+        "202153a691d8795c578481532f8cbdf63b449b540223f274ee87f16d4ba6e1ce",
+    "rr-uniform-faulted-reroute-4x2x2":
+        "74526d74aeade60ac438efc8579f2cea109f09f72349893948170fc06a6298cc",
+}
+
+#: The same recipes' files as schema 2 wrote them.
+PINNED_SCHEMA2_DIGESTS = {
     "iw-tornado-4x2x2":
         "a54c0ea7815dfb1caa0741b34da2c21cd1a041cdeaf3ec0448c423ff231bc81b",
     "age-uniform-2x2x2":
@@ -176,6 +208,14 @@ class TestPinnedSchema2Bytes:
         restored.run_for(40)
         assert dumps(snapshot_engine(restored)) == dumps(snapshot_engine(straight))
 
+    @pytest.mark.parametrize("name", sorted(PINNED_SCHEMA2_DIGESTS))
+    def test_the_schema2_file_upgrades_to_the_pinned_bytes(self, name):
+        text = (GOLDEN_DIR / f"checkpoint_{name}.schema2.json").read_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SCHEMA2_DIGESTS[name]
+        saved = dumps(snapshot_engine(restore_engine(json.loads(text))))
+        digest = hashlib.sha256(saved.encode()).hexdigest()
+        assert digest == PINNED_CHECKPOINT_DIGESTS[name]
+
     def test_committed_fixture_saves_again_as_committed(self):
         text = FIXTURE.read_text()
         assert dumps(snapshot_engine(restore_engine(json.loads(text)))) == text
@@ -183,7 +223,7 @@ class TestPinnedSchema2Bytes:
 
 class TestRetainedLatencies:
     """Schema 1 lists per-packet latencies an engine could retain; none
-    does now, and schema 2 has neither the flag nor the list."""
+    does now, and later schemas have neither the flag nor the list."""
 
     def test_schema2_writes_neither(self):
         data = json.loads(FIXTURE.read_text())
