@@ -658,7 +658,7 @@ def cmd_loadtest(args) -> int:
     import json
     import pathlib
 
-    from repro.serve import LoadTestSpec, check_report, run_loadtest
+    from repro.serve import LoadTestSpec, run_loadtest
 
     spec = LoadTestSpec(
         sessions=args.sessions,
@@ -692,17 +692,20 @@ def cmd_loadtest(args) -> int:
     if report.get("first_error"):
         print(f"first error: {report['first_error']}", file=sys.stderr)
 
-    if args.check:
-        baseline = _read_json(args.check)
-        problems = check_report(report, baseline, factor=args.tolerance)
-        if problems:
-            for problem in problems:
-                # GitHub Actions annotation format; harmless elsewhere.
-                print(f"::warning title=serve regression::{problem}")
-                print(f"SERVE REGRESSION: {problem}", file=sys.stderr)
-            return 0 if args.soft else 2
-        print(f"within {args.tolerance:g}x of {args.check}: ok")
-    return 1 if report["failed"] else 0
+    # The two floors are absolute: no session fails, and every one of
+    # them is live at once while the creation barrier holds.
+    broken = []
+    if report["failed"]:
+        broken.append(f"{report['failed']} sessions failed")
+    if report["peak_live_sessions"] < report["sessions"]:
+        broken.append(
+            f"peak_live_sessions {report['peak_live_sessions']} < "
+            f"sessions {report['sessions']}"
+        )
+    if broken:
+        print(f"loadtest floor broken: {'; '.join(broken)}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def cmd_checkpoint_save(args) -> int:
@@ -1132,13 +1135,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seeded arrival spread in seconds (default: 0.25)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None,
-                   help="write the BENCH_serve.json report here")
-    p.add_argument("--check", default=None,
-                   help="soft-gate against a committed baseline report")
-    p.add_argument("--tolerance", type=float, default=5.0,
-                   help="allowed p99 latency factor vs baseline (default: 5)")
-    p.add_argument("--soft", action="store_true",
-                   help="report regressions as warnings but exit 0")
+                   help="write the JSON report here")
     p.set_defaults(func=cmd_loadtest)
 
     p = sub.add_parser(

@@ -10,7 +10,7 @@ being able to tell. See :mod:`repro.serve.protocol` for the wire format,
 """
 
 from .client import ServeClient, ServeError
-from .loadtest import LoadTestSpec, check_report, run_loadtest
+from .loadtest import LoadTestSpec, run_loadtest
 from .protocol import PROTOCOL_VERSION, ProtocolError
 from .server import SimServer
 from .session import (
@@ -37,6 +37,5 @@ __all__ = [
     "SimServer",
     "Subscriber",
     "TraceStreamBuffer",
-    "check_report",
     "run_loadtest",
 ]

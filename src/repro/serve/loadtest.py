@@ -11,8 +11,8 @@ sessions resident.
 Latency is reported from both ends in integer microseconds through the
 same :class:`~repro.sim.metrics.StreamingQuantile` the engine uses for
 packet latencies: client-side per-request round trips, and the server's
-own per-request dispatch times. The report is the ``BENCH_serve.json``
-schema checked (softly) by CI.
+own per-request dispatch times. ``repro loadtest`` exits 1 when a
+session failed or fewer than all of them were live at once.
 """
 
 from __future__ import annotations
@@ -145,12 +145,15 @@ async def run_loadtest(
     host: Optional[str] = None,
     port: Optional[int] = None,
 ) -> Dict[str, Any]:
-    """Run one load test; returns the ``BENCH_serve.json`` report dict.
+    """Run one load test; returns the report dict.
 
     With ``host`` ``None`` an in-process :class:`SimServer` is started on
     the current loop (sized to hold every session live) and torn down
     afterwards; otherwise an external server at ``host:port`` is driven.
+    A ``port`` without a ``host`` is refused.
     """
+    if host is None and port is not None:
+        raise ValueError("--port names an external server; give --host too")
     server: Optional[SimServer] = None
     if host is None:
         server = SimServer(max_sessions=spec.sessions + 8)
@@ -240,39 +243,3 @@ async def run_loadtest(
     if tally.get("_error_text"):
         report["first_error"] = tally["_error_text"]
     return report
-
-
-def check_report(
-    report: Dict[str, Any],
-    baseline: Dict[str, Any],
-    factor: float = 5.0,
-) -> list:
-    """Soft regression gate: compare a report against a baseline.
-
-    Returns a list of human-readable violations (empty when clean).
-    Latency may regress up to ``factor``x the baseline p99 -- generous,
-    because CI wallclock is noisy -- while correctness fields (failures,
-    sustained concurrency) are hard floors.
-    """
-    problems = []
-    if report.get("failed"):
-        problems.append(f"{report['failed']} sessions failed")
-    want = baseline.get("peak_live_sessions", 0)
-    if report.get("peak_live_sessions", 0) < want:
-        problems.append(
-            f"peak_live_sessions {report.get('peak_live_sessions')} < "
-            f"baseline {want}"
-        )
-    for side in ("client_latency_us", "server"):
-        base_q = baseline.get(side, {})
-        got_q = report.get(side, {})
-        if side == "server":
-            base_q = base_q.get("latency_us", {})
-            got_q = got_q.get("latency_us", {})
-        base_p99 = base_q.get("p99", 0)
-        got_p99 = got_q.get("p99", 0)
-        if base_p99 and got_p99 > factor * base_p99:
-            problems.append(
-                f"{side} p99 {got_p99}us > {factor}x baseline {base_p99}us"
-            )
-    return problems

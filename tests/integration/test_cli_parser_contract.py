@@ -136,9 +136,6 @@ CONTRACT = {
         '--spread': (0.25, None),
         '--seed': (0, None),
         '--out': (None, None),
-        '--check': (None, None),
-        '--tolerance': (5.0, None),
-        '--soft': (False, None),
     },
     'faults sample': {
         '--shape': ((4, 4, 4), None),

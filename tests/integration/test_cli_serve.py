@@ -8,8 +8,8 @@ from repro.cli import main
 
 
 class TestLoadtestCommand:
-    def _run(self, tmp_path, *extra):
-        out = tmp_path / "BENCH_serve.json"
+    def _run(self, tmp_path):
+        out = tmp_path / "serve.json"
         rc = main(
             [
                 "loadtest",
@@ -25,7 +25,6 @@ class TestLoadtestCommand:
                 "0.0",
                 "--out",
                 str(out),
-                *extra,
             ]
         )
         return rc, out
@@ -42,31 +41,64 @@ class TestLoadtestCommand:
         assert "12/12 sessions completed" in stdout
         assert "latency us" in stdout
 
-    def test_check_against_own_baseline_passes(self, tmp_path, capsys):
-        rc, out = self._run(tmp_path)
-        assert rc == 0
-        rc, _ = self._run(tmp_path, "--check", str(out), "--tolerance", "1e9")
-        assert rc == 0
-        assert "ok" in capsys.readouterr().out
-
-    def test_check_regression_is_soft_gateable(self, tmp_path, capsys):
-        rc, out = self._run(tmp_path)
-        assert rc == 0
-        baseline = json.loads(out.read_text())
-        baseline["peak_live_sessions"] = 10_000  # unreachable floor
-        gate = tmp_path / "impossible.json"
-        gate.write_text(json.dumps(baseline))
-
-        (tmp_path / "hard").mkdir()
-        (tmp_path / "soft").mkdir()
-        rc, _ = self._run(tmp_path / "hard", "--check", str(gate))
+    def test_port_without_host_is_a_one_line_error(self, capsys):
+        rc = main(["loadtest", "--port", "9", "--sessions", "4",
+                   "--connections", "1", "--steps", "1",
+                   "--step-cycles", "8", "--spread", "0"])
+        assert rc == 1
         captured = capsys.readouterr()
-        assert rc == 2
-        assert "::warning title=serve regression::" in captured.out
-        assert "SERVE REGRESSION" in captured.err
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --port names an external server; give --host too\n"
+        )
 
-        rc, _ = self._run(tmp_path / "soft", "--check", str(gate), "--soft")
-        assert rc == 0
+    @staticmethod
+    def _fake(monkeypatch, **overrides):
+        """Make ``run_loadtest`` return a clean 12-session report, changed
+        by ``overrides``."""
+        report = {
+            "sessions": 12, "completed": 12, "failed": 0,
+            "peak_live_sessions": 12, "requests": 48, "duration_s": 1.0,
+            "requests_per_s": 48.0,
+            "client_latency_us": {"p50": 1, "p95": 2, "p99": 3},
+            "server": {"latency_us": {"p50": 1, "p95": 2, "p99": 3}},
+        }
+        report.update(overrides)
+
+        async def run_loadtest(spec, host=None, port=None):
+            return report
+
+        monkeypatch.setattr("repro.serve.run_loadtest", run_loadtest)
+
+    def test_a_failed_session_exits_one(self, monkeypatch, capsys):
+        self._fake(monkeypatch, completed=9, failed=3)
+        assert main(["loadtest"]) == 1
+        assert "3 sessions failed" in capsys.readouterr().err
+
+    def test_lost_concurrency_exits_one_naming_the_floor(
+        self, monkeypatch, capsys
+    ):
+        self._fake(monkeypatch, peak_live_sessions=10)
+        assert main(["loadtest"]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "loadtest floor broken: peak_live_sessions 10 < sessions 12\n"
+        )
+
+    def test_both_broken_floors_share_one_line(self, monkeypatch, capsys):
+        self._fake(monkeypatch, completed=10, failed=2, peak_live_sessions=10)
+        assert main(["loadtest"]) == 1
+        assert capsys.readouterr().err == (
+            "loadtest floor broken: 2 sessions failed; "
+            "peak_live_sessions 10 < sessions 12\n"
+        )
+
+    def test_every_session_live_at_once_meets_the_floor(
+        self, monkeypatch, capsys
+    ):
+        self._fake(monkeypatch)
+        assert main(["loadtest"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestServeCommand:

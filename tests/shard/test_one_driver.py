@@ -81,3 +81,23 @@ def test_a_snapshot_requested_past_the_drain_is_taken_at_the_drain(
     data = json.loads(files[0])
     assert (data["cycle"], data["stats"]["end_cycle"]) == (108, 108)
     assert files[0] == files[1] == files[2]
+
+
+def test_a_drained_4x4x4_snapshot_is_one_file_at_any_shard_count(
+    tmp_path, capsys
+):
+    """The 8x8x8 byte-compare CI runs, at a size tier-1 can afford: two
+    endpoints per node, every dimension wrapped, split 1, 2 and 4 ways."""
+    files = []
+    for shards in (1, 2, 4):
+        out = tmp_path / f"drained{shards}.json"
+        code = main(
+            ["checkpoint", "save", "--shape", "4x4x4", "--endpoints", "2",
+             "--pattern", "uniform", "--batch", "8", "--cores", "2",
+             "--seed", "4", "--cycles", "100000", "--shards", str(shards),
+             "--out", str(out)]
+        )
+        assert code == 0
+        assert "checkpoint at cycle 129: 1024 of 1024" in capsys.readouterr().err
+        files.append(out.read_bytes())
+    assert files[0] == files[1] == files[2]
