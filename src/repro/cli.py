@@ -173,6 +173,19 @@ PATTERN_CHOICES = ("uniform", "1hop", "2hop", "tornado", "reverse-tornado")
 TOPOLOGY_CHOICES = ("torus", "mesh", "chiplet")
 
 
+def _checkpoint_every(args) -> int:
+    """Cycles between a ``--checkpoint`` run's saves (``0``: no file, no
+    saves); a cadence that would save nothing is refused by name."""
+    if not args.checkpoint:
+        return 0
+    if args.checkpoint_every < 1:
+        raise ValueError(
+            f"--checkpoint-every must be at least 1 with --checkpoint, "
+            f"got {args.checkpoint_every}"
+        )
+    return args.checkpoint_every
+
+
 def _batch_end_record(stats, events_written: int, faulted: bool) -> dict:
     """The trailing ``"ev":"end"`` summary record of a batch trace.
 
@@ -316,6 +329,7 @@ def cmd_run(args) -> int:
 
     from repro.sim.simulator import run
 
+    every = _checkpoint_every(args)
     _, runspec, machine = _runspec(args)
     start = time.perf_counter()
     stats = run(
@@ -323,7 +337,7 @@ def cmd_run(args) -> int:
         args.shards,
         machine=machine,
         checkpoint_path=args.checkpoint,
-        checkpoint_every=args.checkpoint_every if args.checkpoint else 0,
+        checkpoint_every=every,
     )
     wall = time.perf_counter() - start
     extra = (
@@ -403,6 +417,7 @@ def _run_checkpointed(args, kind: str):
     is picked up, trace included; anything else there is refused."""
     from repro.sim.simulator import run, trace_header
 
+    every = _checkpoint_every(args)
     params, runspec, machine = _runspec(args, kind)
     with _trace_sink(
         args.trace, trace_header(params, runspec, machine)
@@ -412,7 +427,7 @@ def _run_checkpointed(args, kind: str):
             machine=machine,
             trace=writer,
             checkpoint_path=args.checkpoint,
-            checkpoint_every=args.checkpoint_every if args.checkpoint else 0,
+            checkpoint_every=every,
         )
         if writer is not None:
             writer.write_record(
@@ -712,6 +727,8 @@ def cmd_checkpoint_save(args) -> int:
     from repro.sim.checkpoint import save_checkpoint
     from repro.sim.simulator import start, trace_header
 
+    if args.cycles < 0:
+        raise ValueError(f"--cycles must not be negative, got {args.cycles}")
     params, runspec, machine = _runspec(args)
     header = trace_header(params, runspec, machine)
     # The same bytes at args.out, and nothing else, at any --shards: the
@@ -764,25 +781,24 @@ def cmd_checkpoint_info(args) -> int:
     return 0
 
 
-def _merged_profile_rows(profilers):
-    """Merge one or more cProfile profilers into deterministic rows.
+def _merged_profile_rows(tables):
+    """Merge one or more cProfile call tables (``pstats.Stats(...).stats``)
+    into deterministic rows.
 
     Rows are ``(ncalls, 'dir/file.py:func', tottime)`` with call counts
-    summed across profilers per qualified function name, sorted by
+    summed across tables per qualified function name, sorted by
     descending count then name. Call counts are a pure function of the
     seeded simulation, so the merged table is diffable across runs.
     """
-    import pstats
-
     merged = {}
-    for profiler in profilers:
+    for table in tables:
         for (filename, _lineno, funcname), (
             _cc,
             ncalls,
             tottime,
             _cumtime,
             _callers,
-        ) in pstats.Stats(profiler).stats.items():
+        ) in table.items():
             # Qualify by the last two path components: 'sim/engine.py'
             # disambiguates the repo's several routing.py / __init__.py.
             parts = filename.replace("\\", "/").rsplit("/", 2)
@@ -808,28 +824,28 @@ def cmd_profile(args) -> int:
     speed), sorted by descending count then name. Wall-clock and
     per-function times go to the trailing summary line only, so output
     can be diffed across runs and machines. With ``--shards N`` each
-    shard worker is profiled separately (inline transport), from the
-    moment the run is prepared, and the per-shard tables are merged by
-    summing call counts per function.
+    shard worker process is profiled separately, from the moment the run
+    is prepared, and the per-shard tables are merged by summing call
+    counts per function.
     """
     import cProfile
+    import pstats
 
     from repro.sim.simulator import run
 
+    if args.top < 0:
+        raise ValueError(f"--top must not be negative, got {args.top}")
     _, runspec, machine = _runspec(args)
     pattern = runspec.spec.pattern
     if args.shards > 1:
-        profilers: list = []
-        stats = run(
-            runspec, args.shards, machine=machine, transport="inline",
-            profiles=profilers,
-        )
+        tables: list = []
+        stats = run(runspec, args.shards, machine=machine, profiles=tables)
     else:
         profiler = cProfile.Profile()
         stats = profiler.runcall(run, runspec, machine=machine)
-        profilers = [profiler]
+        tables = [pstats.Stats(profiler).stats]
 
-    rows = _merged_profile_rows(profilers)
+    rows = _merged_profile_rows(tables)
     total_calls = sum(row[0] for row in rows)
 
     shard_note = f" / shards={args.shards}" if args.shards > 1 else ""

@@ -71,7 +71,7 @@ def _run_golden(writer: JsonlTraceWriter, runspec: RunSpec, shards: int) -> None
     regenerated under --shards N must byte-match the committed serial
     artifact; CI relies on exactly that.
     """
-    stats = run(runspec, shards, trace=writer, transport="inline")
+    stats = run(runspec, shards, trace=writer)
     record = {
         "ev": "end",
         "cyc": stats.end_cycle,

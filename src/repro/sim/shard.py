@@ -58,20 +58,15 @@ discrete-event simulation, exact rather than approximate:
   starts with. So a killed run resumes under any shard count, serial
   included.
 
-Transports: ``transport="process"`` runs each shard in its own
-``multiprocessing`` process (the performance configuration: forked
-workers inherit the hub's engine); ``transport="inline"`` drives the
-identical shard cores synchronously in-process, each restoring its own
-engine from the hub's snapshot as a spawned worker does (deterministic,
-debuggable, used by most conformance tests and by ``repro profile
---shards``). Both produce byte-identical results.
+Each shard runs in its own ``multiprocessing`` process, driven over a
+pipe; a forked worker inherits the hub's engine, a spawned one restores
+it from one snapshot.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import heapq
-import json
 import multiprocessing
 import time
 import traceback
@@ -221,16 +216,6 @@ class ShardPlan:
         return cls(parts=parts, shards=shards, lookahead=lookahead)
 
 
-# --- wire format ------------------------------------------------------------------
-
-
-def _wire(record) -> str:
-    """A barrier record as compact JSON: a transfer ``[cycle, oc, packet
-    row]`` (:data:`~repro.sim.checkpoint.PACKET_ROW`), a credit return
-    ``[cid, vc, size, cycle]``."""
-    return json.dumps(record, separators=(",", ":"))
-
-
 # --- shard worker -----------------------------------------------------------------
 
 
@@ -265,24 +250,17 @@ class _ShardTraceRecorder:
 
 
 class _ShardCore:
-    """One shard's engine plus the barrier-protocol message handlers.
-
-    Transport-agnostic: the inline worker calls the handlers directly,
-    the process worker drives them over a pipe. Identical computation
-    either way.
-    """
+    """One shard's engine plus the barrier-protocol message handlers
+    (:func:`_dispatch`), which its worker process drives over a pipe."""
 
     def __init__(self, init: dict) -> None:
         self.index: int = init["shard"]
         plan: ShardPlan = init["plan"]
         # The whole machine's engine -- the hub's own, inherited across
-        # fork, else restored from the hub's snapshot of it (on the hub's
-        # machine; a spawned worker is sent none and rebuilds it) -- cut
-        # down to this shard's part of it. A resumed worker and a fresh
-        # one differ in nothing else.
-        engine = init["engine"] or restore_engine(
-            init["snapshot"], machine=init["machine"]
-        )
+        # fork, else restored (machine and all) from the hub's snapshot
+        # of it -- cut down to this shard's part of it. A resumed worker
+        # and a fresh one differ in nothing else.
+        engine = init["engine"] or restore_engine(init["snapshot"])
         machine = engine.machine
         owners = component_owners(machine, plan.parts)
         _keep_owned(engine, owners, self.index)
@@ -317,11 +295,10 @@ class _ShardCore:
     def feed(self, arrivals: list, credits: list) -> tuple:
         """Replay the barrier's incoming transfer and credit records."""
         engine = self.engine
-        for text in arrivals:
-            cycle, oc, row = json.loads(text)
+        for cycle, oc, row in arrivals:
             engine.feed_arrival(self._codec.packet(row), oc, cycle)
-        for text in credits:
-            engine.feed_credit(*json.loads(text))
+        for credit in credits:
+            engine.feed_credit(*credit)
         return ("fed", self._report())
 
     def run_window(self, w_end: int) -> tuple:
@@ -334,8 +311,9 @@ class _ShardCore:
         # (run_for already left stats.end_cycle at the true drain cycle;
         # forcing the clock does not disturb it.)
         engine.cycle = w_end
-        # Each record travels as (channel id, wire text): the hub picks
-        # the destination shard from the id without parsing the text.
+        # A transfer travels as ``(cycle, oc, PACKET_ROW row)``, a credit
+        # return as ``(cid, vc, size, cycle)``: the hub picks the
+        # destination shard from the channel id.
         packets = []
         inflight = engine._inflight
         for packet, oc, cycle in engine._outbox:
@@ -344,9 +322,9 @@ class _ShardCore:
             engine._in_network -= 1
             if inflight is not None:
                 inflight.pop(packet, None)
-            packets.append((oc, _wire([cycle, oc, self._codec.row(packet)])))
+            packets.append((cycle, oc, self._codec.row(packet)))
         del engine._outbox[:]
-        credits = [(record[0], _wire(record)) for record in engine._outbox_credits]
+        credits = engine._outbox_credits[:]
         del engine._outbox_credits[:]
         records = self.recorder.drain() if self.recorder is not None else []
         return ("ok", packets, credits, records)
@@ -374,49 +352,30 @@ def _dispatch(core: _ShardCore, msg: tuple) -> tuple:
     raise ValueError(f"unknown shard message {kind!r}")
 
 
-class _InlineWorker:
-    """Synchronous in-process transport: the conformance default.
-
-    With ``init["profile"]`` set, everything this shard executes -- core
-    construction (its engine restored) and every barrier message -- runs
-    under a private :mod:`cProfile` profiler, so ``repro profile --shards
-    N`` can merge deterministic per-shard call tables.
-    """
-
-    def __init__(self, init: dict) -> None:
-        self.profiler = None
-        self._call = lambda fn, *args: fn(*args)
+def _shard_worker_main(conn, init: dict) -> None:
+    """A worker's loop. With ``init["profile"]`` set, everything the shard
+    executes -- its core's start and every barrier message -- runs under
+    a private :mod:`cProfile` profiler, and ``stop`` is answered with its
+    call table (``pstats.Stats(profiler).stats``)."""
+    call = lambda fn, *args: fn(*args)
+    profiler = None
+    try:
         if init["profile"]:
             import cProfile
 
-            self.profiler = cProfile.Profile()
-            self._call = self.profiler.runcall
-        # Cores sharing a process cannot share the hub's engine object.
-        self._core = self._call(_ShardCore, dict(init, engine=None))
-        self._reply: Optional[tuple] = ("ready",)
-
-    def send(self, msg: tuple) -> None:
-        if msg[0] == "stop":
-            self._reply = None
-        else:
-            self._reply = self._call(_dispatch, self._core, msg)
-
-    def recv_reply(self) -> tuple:
-        return self._reply
-
-    def close(self) -> None:
-        pass
-
-
-def _shard_worker_main(conn, init: dict) -> None:
-    try:
-        core = _ShardCore(init)
+            profiler = cProfile.Profile()
+            call = profiler.runcall
+        core = call(_ShardCore, init)
         conn.send(("ready",))
         while True:
             msg = conn.recv()
             if msg[0] == "stop":
+                if profiler is not None:
+                    import pstats
+
+                    conn.send(("profile", pstats.Stats(profiler).stats))
                 return
-            conn.send(_dispatch(core, msg))
+            conn.send(call(_dispatch, core, msg))
     except EOFError:
         return
     except BaseException:
@@ -432,14 +391,12 @@ class _ProcessWorker:
     """One shard in its own process, driven over a ``multiprocessing`` pipe.
 
     ``init`` rides the process start: a forked worker inherits it (the
-    hub's machine and its started engine, no copy); a spawned one gets
-    it pickled, without either -- it restores both from the snapshot.
+    hub's started engine, no copy); a spawned one gets it pickled, with
+    the engine's snapshot in its place.
     """
 
     def __init__(self, init: dict) -> None:
         ctx = multiprocessing.get_context()
-        if ctx.get_start_method() != "fork":
-            init = dict(init, machine=None, engine=None)
         self._index: int = init["shard"]
         self._conn, child_conn = ctx.Pipe()
         self._proc = ctx.Process(
@@ -632,10 +589,11 @@ class ShardedEngine:
     worker start through the last ``ready``: each cutting the engine
     down), then ``windows_s`` (``ready`` through the latest merged
     ``stats``). ``profiles`` is a list extended, on :meth:`close`, with
-    the :class:`cProfile.Profile` of each inline worker: what the run
-    does once ``whole()`` has prepared it, so the tables are a function
-    of the run and not of what this process had already computed (the
-    offline memo, ``Machine.layout``) when it was started.
+    each worker's :mod:`cProfile` call table (``pstats.Stats(...).stats``):
+    what its shard does once ``whole()`` has prepared the run, so the
+    tables are a function of the run and not of what this process had
+    already computed (the offline memo, ``Machine.layout``) when it was
+    started.
     """
 
     def __init__(
@@ -643,36 +601,29 @@ class ShardedEngine:
         machine: Machine,
         whole,
         shards: int,
-        transport: str = "process",
         timings: Optional[dict] = None,
         profiles: Optional[list] = None,
     ) -> None:
-        if transport not in ("process", "inline"):
-            raise ValueError(f"unknown shard transport {transport!r}")
-        if profiles is not None and transport != "inline":
-            raise ValueError(
-                "per-shard profiling requires the inline transport"
-            )
         self.machine = machine
         self.plan = plan = ShardPlan.for_machine(machine, shards)
         owners = component_owners(machine, plan.parts)
         self._arrival_dest = [owners[c.dst] for c in machine.channels]
         self._credit_dest = [owners[c.src] for c in machine.channels]
         self._workers: list = []
+        #: Every worker has answered every message sent to it.
+        self._synced = False
         self._timings = timings
         self._profiles = profiles
         try:
-            self._start_workers(whole, transport)
+            self._start_workers(whole)
         except BaseException:
             self.close()
             raise
 
-    def _start_workers(self, whole, transport: str) -> None:
+    def _start_workers(self, whole) -> None:
         """Start the run, then one worker per shard on its engine (see
         :class:`_ShardCore`). The engine dies with this frame: the hub
         keeps no packet."""
-        inline = transport == "inline"
-        profiling = self._profiles is not None
         t_start = time.perf_counter()
         engine = whole()
         #: The run's sink: events reach it in the serial emission order.
@@ -681,24 +632,22 @@ class ShardedEngine:
         self.cycle = engine.cycle
         self._watchdog = engine.watchdog_cycles
         t_spawn = time.perf_counter()
-        # Inline cores share this process and a spawned one shares
-        # nothing: a worker that cannot inherit the engine restores its
-        # own from one snapshot of it.
-        inherited = not inline and multiprocessing.get_start_method() == "fork"
+        # A spawned worker shares nothing: it restores its own engine
+        # from one snapshot of the hub's.
+        inherited = multiprocessing.get_start_method() == "fork"
         snapshot = None if inherited else snapshot_engine(engine)
-        worker_cls = _InlineWorker if inline else _ProcessWorker
         for shard in range(self.plan.shards):
-            self._workers.append(worker_cls({
+            self._workers.append(_ProcessWorker({
                 "shard": shard,
                 "plan": self.plan,
-                "machine": self.machine,
-                "engine": engine,
+                "engine": engine if inherited else None,
                 "snapshot": snapshot,
                 "tracing": self.trace is not None,
-                "profile": profiling,
+                "profile": self._profiles is not None,
             }))
         for worker in self._workers:
             worker.recv_reply()
+        self._synced = True
         self._t_ready = time.perf_counter()
         if self._timings is not None:
             self._timings.update(
@@ -709,9 +658,12 @@ class ShardedEngine:
         self._feed([([], []) for _ in self._workers])
 
     def _exchange(self, messages: List[tuple]) -> List[tuple]:
+        self._synced = False
         for worker, msg in zip(self._workers, messages):
             worker.send(msg)
-        return [worker.recv_reply() for worker in self._workers]
+        replies = [worker.recv_reply() for worker in self._workers]
+        self._synced = True
+        return replies
 
     def _feed(self, pending: List[tuple]) -> None:
         """Hand every shard what the barrier at ``cycle`` owes it, and
@@ -740,10 +692,10 @@ class ShardedEngine:
         for _, packets, credits, shard_records in self._exchange(
             [("run", w_end)] * len(self._workers)
         ):
-            for oc, text in packets:
-                pending[self._arrival_dest[oc]][0].append(text)
-            for cid, text in credits:
-                pending[self._credit_dest[cid]][1].append(text)
+            for record in packets:
+                pending[self._arrival_dest[record[1]]][0].append(record)
+            for record in credits:
+                pending[self._credit_dest[record[0]]][1].append(record)
             records.extend(shard_records)
         if self.trace is not None and records:
             records.sort(key=lambda item: (item[0], item[1], item[2]))
@@ -801,14 +753,18 @@ class ShardedEngine:
         )
 
     def close(self) -> None:
-        """Stop the workers; nothing of the run outlives them."""
+        """Stop the workers; nothing of the run outlives them. A profiled
+        run's workers answer ``stop`` with their call tables -- unless a
+        message went unanswered (a failed start or window), whose error
+        is the one that reaches the caller."""
         for worker in self._workers:
-            try:
-                worker.send(("stop",))
-            except Exception:
-                pass
-        for worker in self._workers:
-            worker.close()
-        if self._profiles is not None:
-            self._profiles.extend(worker.profiler for worker in self._workers)
-        self._workers = []
+            worker.send(("stop",))
+        try:
+            if self._profiles is not None and self._synced:
+                self._profiles.extend(
+                    worker.recv_reply()[1] for worker in self._workers
+                )
+        finally:
+            for worker in self._workers:
+                worker.close()
+            self._workers = []

@@ -620,7 +620,6 @@ def start(
     route_computer=None,
     faults=None,
     shards: int = 1,
-    transport: str = "process",
     timings: Optional[dict] = None,
     profiles: Optional[list] = None,
     **programmed,
@@ -641,8 +640,9 @@ def start(
     holds one; by default it is :func:`run_context`'s.
 
     ``shards=1`` is the serial engine itself; any other count cuts it
-    over as many workers behind a :class:`~repro.sim.shard.ShardedEngine`
-    (``transport``, ``timings`` and ``profiles`` are its) -- the same
+    over as many worker processes behind a
+    :class:`~repro.sim.shard.ShardedEngine` (``timings`` and ``profiles``
+    are its) -- the same
     surface, bit-identical stats, trace events and checkpoint bytes. What
     that does not support is refused by name, before anything is
     generated or spawned.
@@ -664,7 +664,7 @@ def start(
     reject_unshardable(run.config, run.fault_policy)
     from .shard import ShardedEngine
 
-    return ShardedEngine(machine, whole, shards, transport, timings, profiles)
+    return ShardedEngine(machine, whole, shards, timings, profiles)
 
 
 def reject_unshardable(config: MachineConfig, fault_policy=None) -> None:
@@ -699,7 +699,7 @@ def run(
 
     The one loop above an engine, serial or sharded: :func:`start` the
     run (``started`` is its: a caller's ``route_computer``/``faults``,
-    the shard ``transport``/``timings``/``profiles``, and :func:`build`'s
+    the shard ``timings``/``profiles``, and :func:`build`'s
     ``weight_tables``/``packets``/``load_tables``/``latency_quantiles``)
     and run the engine to completion. With ``checkpoint_path`` and a
     positive ``checkpoint_every`` the engine is saved there as
@@ -754,11 +754,15 @@ def run_batch_sharded(
     transport: str = "process",
 ) -> SimStats:
     """Run a round-robin batch decomposed over ``shards`` torus
-    sub-boxes: :func:`run` for a caller that holds the machine."""
-    return run(
-        RunSpec(machine.config, spec), shards, machine=machine,
-        transport=transport,
-    )
+    sub-boxes: :func:`run` for a caller that holds the machine. Shards
+    run in worker processes; ``transport`` names that, and nothing else
+    is accepted."""
+    if transport != "process":
+        raise ValueError(
+            f"unknown shard transport {transport!r}: shards run only in "
+            f"worker processes (\"process\")"
+        )
+    return run(RunSpec(machine.config, spec), shards, machine=machine)
 
 
 def run_single_packet(

@@ -257,6 +257,84 @@ class TestVersionAndErrors:
         assert "version" in err
 
 
+class TestUnhonourableCounts:
+    """A count the command cannot honour is refused by name -- one
+    ``error:`` line, exit 1, nothing written -- where it used to be
+    accepted and silently mean something else."""
+
+    SMALL = ["--shape", "2x2x2", "--endpoints", "2", "--cores", "2",
+             "--batch", "4"]
+
+    @staticmethod
+    def _refused(argv, capsys, message):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("every,shards", [("0", "1"), ("-3", "2")])
+    def test_checkpoint_every_below_one_on_run(
+        self, every, shards, tmp_path, capsys
+    ):
+        path = tmp_path / "ck.json"
+        self._refused(
+            ["run", *self.SMALL, "--shards", shards, "--checkpoint", str(path),
+             "--checkpoint-every", every],
+            capsys,
+            f"--checkpoint-every must be at least 1 with --checkpoint, "
+            f"got {every}",
+        )
+        assert not path.exists()
+
+    def test_checkpoint_every_below_one_on_demand(self, tmp_path, capsys):
+        path, trace = tmp_path / "ck.json", tmp_path / "t.jsonl"
+        self._refused(
+            ["demand", "--shape", "2x2x2", "--trace", str(trace),
+             "--checkpoint", str(path), "--checkpoint-every", "-3"],
+            capsys,
+            "--checkpoint-every must be at least 1 with --checkpoint, got -3",
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_checkpoint_every_below_one_on_faults_run(self, tmp_path, capsys):
+        faults = tmp_path / "faults.json"
+        assert main(
+            ["faults", "sample", "--shape", "2x2x2", "--endpoints", "2",
+             "-k", "1", "--seed", "3", "--out", str(faults)]
+        ) == 0
+        capsys.readouterr()
+        path = tmp_path / "ck.json"
+        self._refused(
+            ["faults", "run", str(faults), "--checkpoint", str(path),
+             "--checkpoint-every", "0"],
+            capsys,
+            "--checkpoint-every must be at least 1 with --checkpoint, got 0",
+        )
+        assert not path.exists()
+
+    def test_checkpoint_every_needs_a_checkpoint_to_matter(self, capsys):
+        # Without --checkpoint the cadence is unused, as it always was.
+        assert main(["run", *self.SMALL, "--checkpoint-every", "0"]) == 0
+        assert "delivered" in capsys.readouterr().out
+
+    def test_checkpoint_save_refuses_negative_cycles(self, tmp_path, capsys):
+        out = tmp_path / "ck.json"
+        self._refused(
+            ["checkpoint", "save", *self.SMALL, "--cycles", "-5",
+             "--out", str(out)],
+            capsys,
+            "--cycles must not be negative, got -5",
+        )
+        assert not out.exists()
+
+    def test_profile_refuses_a_negative_top(self, capsys):
+        self._refused(
+            ["profile", *self.SMALL, "--top", "-1"],
+            capsys,
+            "--top must not be negative, got -1",
+        )
+
+
 class TestFaultsCommand:
     def _sample(self, tmp_path, capsys, k="2", shape="2x2x2", seed="3",
                 down=None):

@@ -90,7 +90,7 @@ def test_surfaces_agree(topology, shape, faulted, arbitration, tmp_path, capsys)
     reference = json.dumps(stats.asdict())
     assert stats.delivered == stats.injected > 0
     if topology == "torus":
-        sharded = run(spec, shards=2, transport="inline")
+        sharded = run(spec, shards=2)
         assert json.dumps(sharded.asdict()) == reference
 
     # --- the CLI ----------------------------------------------------------------

@@ -178,7 +178,7 @@ def run_split(
     """Head and tail of a run split at ``split_cycle`` by a checkpoint.
 
     ``shards`` is the shard count on each side; a side other than 1 goes
-    through the shard runner (inline transport) on ``runspec``, the
+    through the shard runner on ``runspec``, the
     description of the run ``build_fn`` assembles by hand.
     """
     machine, _ = shared_machine()
@@ -192,10 +192,7 @@ def run_split(
         if write_shards == 1:
             engine = build_fn(*params, writer)
         else:
-            engine = start(
-                runspec, machine, writer, shards=write_shards,
-                transport="inline",
-            )
+            engine = start(runspec, machine, writer, shards=write_shards)
         engine.run_for(split_cycle)
         writer.flush()
         data = loads(dumps(snapshot_engine(engine)))
@@ -216,7 +213,6 @@ def run_split(
             stats = run(
                 runspec, read_shards, machine=machine, trace=resumed,
                 checkpoint_path=path, checkpoint_every=1 << 30,
-                transport="inline",
             )
         resumed.flush()
     return stream.getvalue(), json.dumps(stats.asdict())

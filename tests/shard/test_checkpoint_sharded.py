@@ -140,7 +140,7 @@ KILLS = (20, 36, 52)
 CHAINS = ((1, 2, 4, 1), (4, 1, 2, 8), (2, 2, 1, 4), (8, 4, 2, 1))
 
 
-def _leg(run, shards, path, monkeypatch, crash_at=None, transport="inline"):
+def _leg(run, shards, path, monkeypatch, crash_at=None):
     """One leg of a chain under a fresh collector: ``(stats, collector)``
     of a leg that finishes, ``None`` of one killed at ``crash_at``."""
     collector = MetricsCollector(window_cycles=16)
@@ -148,7 +148,6 @@ def _leg(run, shards, path, monkeypatch, crash_at=None, transport="inline"):
         trace=collector,
         checkpoint_path=path,
         checkpoint_every=EVERY,
-        transport=transport,
     )
     if crash_at is None:
         return run_sharded(run, shards, **kwargs), collector
@@ -186,10 +185,7 @@ def test_cross_path_matrix(name, chain, tmp_path, monkeypatch):
     files, stats_json, collector_state = _oracle(name, tmp_path, monkeypatch)
     path = str(tmp_path / "ck.json")
     for leg, (shards, kill) in enumerate(zip(chain, KILLS)):
-        # One leg of the matrix runs real worker processes.
-        process = (name, chain, leg) == ("faulted-reroute", CHAINS[0], 1)
-        transport = "process" if process else "inline"
-        _leg(factory(), shards, path, monkeypatch, kill, transport)
+        _leg(factory(), shards, path, monkeypatch, kill)
         assert glob.glob(path + "*") == [path]
         assert pathlib.Path(path).read_bytes() == files[leg], (shards, kill)
     stats, collector = _leg(factory(), chain[-1], path, monkeypatch)
@@ -210,7 +206,7 @@ def test_merged_checkpoint_bytes_match_serial_oracle(tmp_path, monkeypatch):
 
 def test_crash_resume_bit_identical(tmp_path, monkeypatch):
     clean = MetricsCollector(window_cycles=16)
-    expect = run_sharded(_uniform(), 2, trace=clean, transport="inline")
+    expect = run_sharded(_uniform(), 2, trace=clean)
 
     # The interrupted run carries its own collector: its reducer state
     # rides the checkpoint, and the resumed run's (fresh) collector is
@@ -243,7 +239,7 @@ def test_sinks_behind_a_tee_are_revived_by_the_walk_that_saved_them(
             try:
                 run_sharded(
                     _uniform(seed=3, per_source=16), shards, trace=trace,
-                    transport="inline", **checkpoint,
+                    **checkpoint,
                 )
             except KeyboardInterrupt:
                 assert crash_at is not None
@@ -266,8 +262,8 @@ def test_sinks_behind_a_tee_are_revived_by_the_walk_that_saved_them(
 def test_process_transport_crash_resume(tmp_path, monkeypatch):
     """Kill and resume a run whose shards are real worker processes."""
     path = str(tmp_path / "ck.json")
-    _leg(_uniform(), 2, path, monkeypatch, crash_at=40, transport="process")
-    stats, _ = _leg(_uniform(), 2, path, monkeypatch, transport="process")
+    _leg(_uniform(), 2, path, monkeypatch, crash_at=40)
+    stats, _ = _leg(_uniform(), 2, path, monkeypatch)
     expect = run_sharded(_uniform(), 1)
     assert json.dumps(stats.asdict()) == json.dumps(expect.asdict())
 
@@ -345,7 +341,7 @@ def test_latency_estimator_survives_a_sharded_resume(tmp_path):
     run, path = _hand_saved(tmp_path, latency_quantiles=True)
     expect = build(run, *run_context(run), latency_quantiles=True).run()
     stats = run_sharded(
-        run, 4, checkpoint_path=path, checkpoint_every=EVERY, transport="inline"
+        run, 4, checkpoint_path=path, checkpoint_every=EVERY
     )
     assert stats.latency_estimator == expect.latency_estimator
     assert stats.latency_quantiles() == expect.latency_quantiles()
@@ -365,7 +361,7 @@ def test_save_sharded_checkpoint_matches_committed_golden(tmp_path, shards):
     whatever was at the path and writing nothing beside it."""
     out = tmp_path / "golden.json"
     out.write_text("stale")
-    engine = start(_golden_run(), shards=shards, transport="inline")
+    engine = start(_golden_run(), shards=shards)
     stats = engine.run_for(40)
     save_checkpoint(engine, str(out))
     engine.close()
@@ -386,7 +382,6 @@ def test_committed_golden_resumes_under_any_shard_count(tmp_path, shards):
         shards,
         checkpoint_path=str(path),
         checkpoint_every=64,
-        transport="inline",
     )
     expect = run_sharded(_golden_run(), 1)
     assert json.dumps(stats.asdict()) == json.dumps(expect.asdict())
@@ -408,7 +403,6 @@ def test_the_goldens_older_schema_twins_resume_under_any_shard_count(
         shards,
         checkpoint_path=str(path),
         checkpoint_every=64,
-        transport="inline",
     )
     expect = run_sharded(_golden_run(), 1)
     assert json.dumps(stats.asdict()) == json.dumps(expect.asdict())

@@ -152,9 +152,7 @@ def _serial(name):
 def test_stats_and_trace_bit_identical(name, shards):
     serial_stats, serial_events = _serial(name)
     sink = ListSink()
-    stats = run_sharded(
-        WORKLOADS[name](), shards, trace=sink, transport="inline"
-    )
+    stats = run_sharded(WORKLOADS[name](), shards, trace=sink)
     # JSON text comparison pins dict *key order*, not just values.
     assert json.dumps(stats.asdict(), sort_keys=False) == serial_stats
     assert sink.events == serial_events
@@ -168,29 +166,15 @@ def test_metrics_collector_state_identical(name, shards):
     serial = MetricsCollector(window_cycles=16)
     run_sharded(WORKLOADS[name](), 1, trace=serial)
     sharded = MetricsCollector(window_cycles=16)
-    run_sharded(WORKLOADS[name](), shards, trace=sharded, transport="inline")
+    run_sharded(WORKLOADS[name](), shards, trace=sharded)
     assert json.dumps(sharded.state()) == json.dumps(serial.state())
     end = serial.last_cycle
     assert sharded.summary(end) == serial.summary(end)
 
 
-def test_process_transport_matches_inline():
-    """The multiprocessing transport is the perf configuration; it must
-    produce the same bytes the inline transport does."""
-    name = "uniform-rr-faulted"
-    serial_stats, serial_events = _serial(name)
-    sink = ListSink()
-    stats = run_sharded(
-        WORKLOADS[name](), 2, trace=sink, transport="process"
-    )
-    assert json.dumps(stats.asdict(), sort_keys=False) == serial_stats
-    assert sink.events == serial_events
-
-
-@pytest.mark.parametrize("transport", ["inline", "process"])
 @pytest.mark.parametrize("mode", ["reroute", "drop"])
 def test_cycle_0_reroutes_of_a_degraded_start_reach_the_trace_once(
-    mode, transport, monkeypatch
+    mode, monkeypatch
 ):
     """Packets whose routes cross a link already down are re-routed (or
     dropped) as they are enqueued, before cycle 0 runs. A sharded run
@@ -231,7 +215,7 @@ def test_cycle_0_reroutes_of_a_degraded_start_reach_the_trace_once(
     streams = {}
     for shards in (1, 2, 4):
         sink = ListSink()
-        stats = run_sharded(run, shards, trace=sink, transport=transport)
+        stats = run_sharded(run, shards, trace=sink)
         streams[shards] = json.dumps(stats.asdict()), sink.events
     stats = json.loads(streams[1][0])
     at_enqueue = [e for e in streams[1][1] if e.kind in ("reroute", "drop")]
@@ -279,5 +263,5 @@ def test_larger_machine_8_shards():
     )
     serial = run_sharded(run, 1)
     for shards in (2, 8):
-        stats = run_sharded(run, shards, transport="inline")
+        stats = run_sharded(run, shards)
         assert json.dumps(stats.asdict()) == json.dumps(serial.asdict())

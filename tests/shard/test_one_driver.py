@@ -30,10 +30,10 @@ def test_max_cycles_is_enforced_at_exactly_the_cap(shards, every, tmp_path):
         RuntimeError, match=r"simulation exceeded 100 cycles with 4 packets"
     ):
         run(
-            RUN, shards, max_cycles=100, transport="inline",
+            RUN, shards, max_cycles=100,
             checkpoint_path=str(tmp_path / "ck.json"), checkpoint_every=every,
         )
-    straight = run(RUN, shards, max_cycles=110, transport="inline")
+    straight = run(RUN, shards, max_cycles=110)
     assert straight.end_cycle == 110
 
 

@@ -127,21 +127,28 @@ class TestRunShardedValidation:
         with pytest.raises(ValueError, match="retry"):
             run_sharded(run, 2, machine=tiny_machine)
 
-    def test_rejects_unknown_transport(self, tiny_machine):
+    @pytest.mark.parametrize("transport", ["thread", "carrier-pigeon"])
+    def test_run_batch_sharded_refuses_any_transport_but_process(
+        self, tiny_machine, transport
+    ):
+        """``transport`` survives only on :func:`run_batch_sharded`, for
+        callers that name the one there is."""
+        from repro.sim.simulator import run_batch_sharded
         from repro.traffic.batch import BatchSpec
         from repro.traffic.patterns import UniformRandom
 
-        run = ShardedRun(
-            config=MachineConfig(shape=(2, 2, 2), endpoints_per_chip=2),
-            spec=BatchSpec(
-                UniformRandom((2, 2, 2)),
-                packets_per_source=1,
-                cores_per_chip=2,
-                seed=1,
-            ),
+        spec = BatchSpec(
+            UniformRandom((2, 2, 2)),
+            packets_per_source=1,
+            cores_per_chip=2,
+            seed=1,
         )
-        with pytest.raises(ValueError, match="transport"):
-            run_sharded(run, 2, machine=tiny_machine, transport="carrier-pigeon")
+        with pytest.raises(
+            ValueError, match=f"unknown shard transport '{transport}'"
+        ):
+            run_batch_sharded(tiny_machine, spec, 2, transport=transport)
+        stats = run_batch_sharded(tiny_machine, spec, 2, transport="process")
+        assert stats.delivered == stats.injected > 0
 
 
 class TestNamedRejections:
@@ -193,5 +200,5 @@ class TestNamedRejections:
                 owner, name, lambda *a, _name=name, **k: started.append(_name)
             )
         with pytest.raises(ValueError, match=message):
-            run(self._rejected_run(case), shards=2, transport="inline")
+            run(self._rejected_run(case), shards=2)
         assert started == []

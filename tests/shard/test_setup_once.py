@@ -4,8 +4,8 @@ The hub starts the run as the serial path does: one machine, the ``iw``
 weight tables programmed once, the workload generated once into one
 whole-machine engine -- for faulted runs like any other. Forked workers
 inherit that engine and cut it down to their part; they generate and
-build nothing. A worker that cannot inherit (inline, ``spawn``) restores
-its own from the hub's snapshot of it. These tests count the
+build nothing. A worker that cannot inherit (``spawn``) restores its own
+from the hub's snapshot of it. These tests count the
 generator, ``Machine``, ``Engine`` and table-programming calls in the
 hub *and in whatever it forks* (each call appends its pid to a file),
 force the ``spawn`` start method in a subprocess (so correctness never
@@ -27,6 +27,7 @@ import pytest
 from repro.core.machine import Machine
 from repro.sim import shard as shard_mod
 from repro.sim import simulator
+from repro.sim.checkpoint import dumps, snapshot_engine
 from repro.sim.engine import Engine
 from repro.sim.shard import run_sharded
 
@@ -87,7 +88,7 @@ def test_run_generates_once_on_the_hubs_machine(
     log.watch(importlib.import_module(module_name), fn_name)
     log.watch(Machine, "__init__", "Machine")
     log.watch(Engine, "__init__", "Engine")
-    stats = run_sharded(run, shards, machine=machine, transport="process")
+    stats = run_sharded(run, shards, machine=machine)
 
     # One engine, one generation into it, no second Machine -- all in the
     # hub; the workers inherited the result.
@@ -96,48 +97,85 @@ def test_run_generates_once_on_the_hubs_machine(
 
 
 @pytest.mark.parametrize("name", sorted(_GENERATORS))
-def test_shards_cut_the_hubs_engine_into_disjoint_parts(name, monkeypatch):
-    """Every packet of the whole-machine engine stays queued in exactly
-    one shard; an inline worker restores its own engine, on the hub's
-    machine."""
+def test_shard_cores_cut_the_hubs_engine_and_merge_back_to_serial(name):
+    """The shard cores, built in this process from the hub's engine: each
+    keeps a disjoint part of it -- every queued packet in exactly one --
+    and one barrier round through ``_dispatch`` (feed, run, exchange,
+    snapshot) merges into the serial engine's snapshot at that cycle.
+    (A worker process runs these handlers where coverage does not look.)
+    """
     run = WORKLOADS[name]()
     machine = Machine(run.config)
     whole = simulator.start(run, machine)
-    queued = []
-    core_init = shard_mod._ShardCore.__init__
+    plan = shard_mod.ShardPlan.for_machine(machine, 4)
+    cores = [
+        shard_mod._ShardCore({
+            "shard": shard,
+            "plan": plan,
+            # What a forked worker inherits: the hub's started engine.
+            "engine": simulator.start(run, machine),
+            "snapshot": None,
+            "tracing": False,
+            "profile": False,
+        })
+        for shard in range(plan.shards)
+    ]
 
-    def recording_init(self, init):
-        core_init(self, init)
-        assert self.engine.machine is machine and self.engine is not whole
-        queued.append(self.engine._queued)
+    def pids(engine):
+        return [
+            packet.pid for queue in engine._source_queues.values()
+            for packet in queue
+        ]
 
-    monkeypatch.setattr(shard_mod._ShardCore, "__init__", recording_init)
-    run_sharded(run, 4, machine=machine, transport="inline")
-    assert len(queued) == 4 and sum(queued) == whole._queued > 0
+    kept = [pids(core.engine) for core in cores]
+    assert all(core.engine.machine is machine for core in cores)
+    assert sum(map(len, kept)) == len(set().union(*kept)) == whole._queued > 0
+    assert sorted(set().union(*kept)) == sorted(pids(whole))
+    active = [set(core.engine._active) for core in cores]
+    assert sum(map(len, active)) == len(set().union(*active))
+
+    dispatch = shard_mod._dispatch
+    assert {dispatch(core, ("feed", [], []))[0] for core in cores} == {"fed"}
+    barrier = plan.lookahead
+    owners = shard_mod.component_owners(machine, plan.parts)
+    pending = [([], []) for _ in cores]
+    for core in cores:
+        kind, packets, credits, records = dispatch(core, ("run", barrier))
+        assert kind == "ok" and records == []
+        for record in packets:  # (cycle, oc, PACKET_ROW row)
+            channel = machine.channels[record[1]]
+            pending[owners[channel.dst]][0].append(record)
+        for record in credits:  # (cid, vc, size, cycle)
+            channel = machine.channels[record[0]]
+            pending[owners[channel.src]][1].append(record)
+    assert any(arrivals for arrivals, _ in pending)
+    for core, (arrivals, credits) in zip(cores, pending):
+        assert dispatch(core, ("feed", arrivals, credits))[0] == "fed"
+    snaps = [dispatch(core, ("snapshot",))[1] for core in cores]
+
+    serial = simulator.start(run, machine)
+    serial.run_for(barrier)
+    merged = shard_mod.merge_shard_snapshots(plan, machine, snaps)
+    assert dumps(merged) == dumps(snapshot_engine(serial))
 
 
+@forks
 @pytest.mark.parametrize(
     "name", ["uniform-iw", "demand-iw", "uniform-iw-faulted"]
 )
 def test_iw_tables_are_programmed_once_in_the_hub(name, monkeypatch, tmp_path):
-    _iw_tables_programmed_once(name, 4, "inline", monkeypatch, tmp_path)
+    _iw_tables_programmed_once(name, 4, monkeypatch, tmp_path)
 
 
-@pytest.mark.parametrize(
-    "shards,transport",
-    [(2, "inline"), (2, "process"), (4, "process")],
-)
-def test_degraded_loads_are_enumerated_once_at_any_count_and_transport(
-    shards, transport, monkeypatch, tmp_path
+@forks
+@pytest.mark.parametrize("shards", [2, 4])
+def test_degraded_loads_are_enumerated_once_at_any_count(
+    shards, monkeypatch, tmp_path
 ):
-    if transport == "process" and multiprocessing.get_start_method() != "fork":
-        pytest.skip("counts calls in forked workers")
-    _iw_tables_programmed_once(
-        "uniform-iw-faulted", shards, transport, monkeypatch, tmp_path
-    )
+    _iw_tables_programmed_once("uniform-iw-faulted", shards, monkeypatch, tmp_path)
 
 
-def _iw_tables_programmed_once(name, shards, transport, monkeypatch, tmp_path):
+def _iw_tables_programmed_once(name, shards, monkeypatch, tmp_path):
     from repro.traffic import loads
 
     run = WORKLOADS[name]()
@@ -149,7 +187,7 @@ def _iw_tables_programmed_once(name, shards, transport, monkeypatch, tmp_path):
     log.watch(loads, "compute_loads")
     log.watch(simulator, "make_weight_tables")
     log.watch(simulator, "make_vc_weight_tables")
-    stats = run_sharded(run, shards, transport=transport)
+    stats = run_sharded(run, shards)
 
     # One weight pattern: one load table (enumerated exhaustively on the
     # faulted rows), one table per arbitration stage -- in the hub, at any
@@ -167,12 +205,12 @@ _SPAWN_SCRIPT = textwrap.dedent(
 
     sys.path.insert(0, {tests_root!r})
 
-    def digest(run, transport):
+    def digest(run, shards):
         from repro.sim.shard import run_sharded
         from repro.sim.trace import ListSink
 
         sink = ListSink()
-        stats = run_sharded(run, 2, trace=sink, transport=transport)
+        stats = run_sharded(run, shards, trace=sink)
         text = json.dumps(stats.asdict()) + repr(sink.events)
         return hashlib.sha256(text.encode()).hexdigest()
 
@@ -183,15 +221,16 @@ _SPAWN_SCRIPT = textwrap.dedent(
         for name in (
             "uniform-rr", "uniform-iw", "demand-rr", "uniform-rr-faulted",
         ):
-            inline = digest(WORKLOADS[name](), "inline")
-            assert digest(WORKLOADS[name](), "process") == inline, name
-        print("spawn == inline")
+            serial = digest(WORKLOADS[name](), 1)
+            assert digest(WORKLOADS[name](), 2) == serial, name
+        print("spawn == serial")
     """
 )
 
 
-def test_process_transport_matches_inline_under_spawn(tmp_path):
-    """Nothing a worker needs may reach it only through fork."""
+def test_spawned_workers_match_serial(tmp_path):
+    """Nothing a worker needs may reach it only through fork: a spawned
+    worker restores its engine from the hub's snapshot alone."""
     script = tmp_path / "spawn_shards.py"
     root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
     script.write_text(_SPAWN_SCRIPT.format(tests_root=root))
@@ -202,7 +241,7 @@ def test_process_transport_matches_inline_under_spawn(tmp_path):
         timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "spawn == inline"
+    assert done.stdout.strip() == "spawn == serial"
 
 
 @pytest.mark.parametrize("wait_for_death", [True, False])
@@ -224,8 +263,27 @@ def test_killed_worker_is_a_one_line_error_and_siblings_are_reaped(
 
     monkeypatch.setattr(shard_mod._ProcessWorker, "send", killing_send)
     with pytest.raises(RuntimeError) as caught:
-        run_sharded(WORKLOADS["uniform-rr"](), 2, transport="process")
+        run_sharded(WORKLOADS["uniform-rr"](), 2)
     assert str(caught.value) == (
         "shard worker 1 exited unexpectedly (exit code -9)"
     )
     assert killed and multiprocessing.active_children() == []
+
+
+@forks
+@pytest.mark.parametrize("profiles", [None, []], ids=["plain", "profiled"])
+def test_a_worker_that_cannot_start_reports_its_own_error(monkeypatch, profiles):
+    """The hub raises the failed worker's traceback, not what closing the
+    run finds afterwards: a profiled run's workers are asked for their
+    tables only when every message was answered."""
+
+    def failing_init(self, init):
+        raise ValueError(f"cannot cut shard {init['shard']}")
+
+    monkeypatch.setattr(shard_mod._ShardCore, "__init__", failing_init)
+    with pytest.raises(RuntimeError) as caught:
+        run_sharded(WORKLOADS["uniform-rr"](), 2, profiles=profiles)
+    assert str(caught.value).startswith("shard worker failed:\n")
+    assert "ValueError: cannot cut shard 0" in str(caught.value)
+    assert profiles in (None, [])
+    assert multiprocessing.active_children() == []

@@ -84,7 +84,7 @@ def test_saved_warm_cold_or_sharded_it_is_the_same_bytes(saved):
     cold = restore_engine(json.loads(saved), machine=Machine(CONFIG))
     assert dumps(snapshot_engine(cold)) == saved
     for shards in (2, 4):
-        engine = start(demand_run(), shards=shards, transport="inline")
+        engine = start(demand_run(), shards=shards)
         engine.run_for(SAVE_AT)
         assert dumps(snapshot_engine(engine)) == saved, shards
         engine.close()

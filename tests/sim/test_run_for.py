@@ -138,7 +138,7 @@ class TestSplitRunAtAnyShardCount:
     @staticmethod
     def observed(shards, drive):
         sink = ListSink()
-        engine = start(DESCRIBED, trace=sink, shards=shards, transport="inline")
+        engine = start(DESCRIBED, trace=sink, shards=shards)
         try:
             drive(engine)
             return (
@@ -173,7 +173,7 @@ class TestSplitRunAtAnyShardCount:
         assert sliced[:2] == (110, True)
 
     def test_run_for_returns_the_stats_of_that_cycle(self, shards):
-        engine = start(DESCRIBED, shards=shards, transport="inline")
+        engine = start(DESCRIBED, shards=shards)
         try:
             for _ in range(4):
                 stats = engine.run_for(9)
@@ -183,7 +183,7 @@ class TestSplitRunAtAnyShardCount:
             engine.close()
 
     def test_over_budget_run_raises_at_the_budget(self, shards):
-        engine = start(DESCRIBED, shards=shards, transport="inline")
+        engine = start(DESCRIBED, shards=shards)
         try:
             with pytest.raises(
                 RuntimeError,
