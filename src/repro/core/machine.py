@@ -6,7 +6,9 @@ skip, router/adapter links, inter-node torus channels) for a configurable
 torus shape, and exposes the lookup tables that routing
 (:mod:`repro.core.routing`), the deadlock checker
 (:mod:`repro.core.deadlock`) and the simulator (:mod:`repro.sim`) operate
-on.
+on. Every node is the same ASIC, so chip 0's block is elaborated once and
+copied to every other chip by id offset; channels are flat rows by
+channel id, and :class:`Channel` objects are made only when asked for.
 
 The deadlock analysis of Section 2.5 divides channels into two groups:
 
@@ -399,27 +401,33 @@ class Machine:
                 "floorplan endpoint count does not match configuration"
             )
         self.components: List[Component] = []
-        self.channels: List[Channel] = []
         #: (chip, (u, v)) -> router component id
         self.router_id: Dict[Tuple[Coord3, Coord2], int] = {}
         #: (chip, direction, slice) -> channel-adapter component id
         self.ca_id: Dict[Tuple[Coord3, TorusDirection, int], int] = {}
         #: (chip, endpoint index) -> endpoint component id
         self.ep_id: Dict[Tuple[Coord3, int], int] = {}
-        #: (src component id, dst component id) -> channel id
-        self.channel_between: Dict[Tuple[int, int], int] = {}
+        #: The channels as rows, by channel id: what a :class:`Channel`
+        #: holds, without one object per channel (:attr:`channels` builds
+        #: those on first use). A component id in a row is that
+        #: component's own ``Component.cid`` object.
+        self.channel_src: List[int] = []
+        self.channel_dst: List[int] = []
+        self.channel_kind: List[ChannelKind] = []
+        self.channel_latency: List[int] = []
+        self.channel_cycles_per_flit: List[Fraction] = []
         #: incoming channel ids per component, in input-index order
         self.component_inputs: Tuple[Tuple[int, ...], ...] = ()
         #: outgoing channel ids per component
         self.component_outputs: List[List[int]] = []
         #: input index of each channel at its destination component
         self.input_index: List[int] = []
-        #: Every chip creates the same on-chip channels in the same
-        #: order, chip after chip in ``all_coords`` order, before any
-        #: inter-node channel exists: on-chip channel ids are
-        #: ``chip index * onchip_channels_per_chip + slot``, and the
-        #: inter-node ids (chip-major too) start where they end. What
-        #: sits at each slot is :attr:`layout`.
+        #: Every chip holds the same on-chip channels in the same order,
+        #: chip after chip in ``all_coords`` order, before any inter-node
+        #: channel: on-chip channel ids are ``chip index *
+        #: onchip_channels_per_chip + slot``, and the inter-node ids
+        #: (chip-major too) start where they end. What sits at each slot
+        #: is :attr:`layout`.
         self.onchip_channels_per_chip: int = 0
         #: Integer ticks per on-chip cycle: the LCM of the denominators of
         #: every channel's ``cycles_per_flit``, so each channel's per-flit
@@ -432,6 +440,12 @@ class Machine:
         self.channel_occupancy_ticks: List[int] = []
         self.channel_vcs: List[int] = []
         self.channel_buffer_depth: List[int] = []
+        #: ``_channel_ids[channel id]`` is the one int object that names
+        #: the channel everywhere: in :attr:`component_inputs` and
+        #: :attr:`component_outputs`, the layout's ``cids`` and inter-node
+        #: rows, and ``Channel.cid`` (DESIGN.md section 9, the
+        #: int-identity trap).
+        self._channel_ids: List[int] = []
         #: :meth:`route_memo`'s tables, by (direction order, non-minimal).
         self._route_memos: Dict[Tuple[tuple, bool], dict] = {}
         self._build()
@@ -449,87 +463,109 @@ class Machine:
         dst: int,
         kind: ChannelKind,
         latency: int,
-        cycles_per_flit: Optional[Fraction] = None,
-    ) -> int:
-        cid = len(self.channels)
-        if cycles_per_flit is None:
-            cycles_per_flit = (
-                self.config.torus_cycles_per_flit
-                if kind == ChannelKind.TORUS
-                else _ONE_CYCLE_PER_FLIT
-            )
-        channel = Channel(cid, src, dst, kind, group_of(kind), latency, cycles_per_flit)
-        self.channels.append(channel)
-        key = (src, dst)
-        if key in self.channel_between:
-            raise ValueError(f"duplicate channel between {src} and {dst}")
-        self.channel_between[key] = cid
-        return cid
+        cycles_per_flit: Fraction = _ONE_CYCLE_PER_FLIT,
+    ) -> None:
+        self.channel_src.append(src)
+        self.channel_dst.append(dst)
+        self.channel_kind.append(kind)
+        self.channel_latency.append(latency)
+        self.channel_cycles_per_flit.append(cycles_per_flit)
 
     def _build(self) -> None:
+        """Elaborate chip 0 the long way, copy it to every other chip by
+        id offset, then add the inter-node channels."""
         cfg = self.config
         plan = self.floorplan
-        for chip in all_coords(cfg.shape):
-            for coord in plan.router_coords():
-                self.router_id[(chip, coord)] = self._add_component(
-                    ComponentKind.ROUTER, chip, coord
-                )
-            for (direction, slice_index), _coord in sorted(
-                plan.channel_adapter_router.items(),
-                key=lambda item: (item[0][0].dim, item[0][0].sign, item[0][1]),
-            ):
-                self.ca_id[(chip, direction, slice_index)] = self._add_component(
-                    ComponentKind.CHANNEL_ADAPTER, chip, (direction, slice_index)
-                )
-            for index in range(plan.num_endpoints):
-                self.ep_id[(chip, index)] = self._add_component(
-                    ComponentKind.ENDPOINT, chip, index
-                )
+        chips = tuple(all_coords(cfg.shape))
+        chip = chips[0]
 
-        for chip in all_coords(cfg.shape):
-            # Mesh channels (both directions of each link).
-            for a, b in plan.mesh_links():
-                ra = self.router_id[(chip, a)]
-                rb = self.router_id[(chip, b)]
-                self._add_channel(ra, rb, ChannelKind.MESH, cfg.mesh_latency)
-                self._add_channel(rb, ra, ChannelKind.MESH, cfg.mesh_latency)
-            # Skip channels.
-            for skip in plan.skip_channels:
-                ra = self.router_id[(chip, skip.ends[0])]
-                rb = self.router_id[(chip, skip.ends[1])]
-                self._add_channel(ra, rb, ChannelKind.SKIP, cfg.skip_latency)
-                self._add_channel(rb, ra, ChannelKind.SKIP, cfg.skip_latency)
-            # Router <-> channel-adapter links.
-            for (direction, slice_index), coord in plan.channel_adapter_router.items():
-                router = self.router_id[(chip, coord)]
-                adapter = self.ca_id[(chip, direction, slice_index)]
-                self._add_channel(
-                    router, adapter, ChannelKind.ROUTER_TO_CA, cfg.adapter_link_latency
-                )
-                self._add_channel(
-                    adapter, router, ChannelKind.CA_TO_ROUTER, cfg.adapter_link_latency
-                )
-            # Router <-> endpoint-adapter links.
-            for index, coord in enumerate(plan.endpoint_router):
-                router = self.router_id[(chip, coord)]
-                endpoint = self.ep_id[(chip, index)]
-                self._add_channel(
-                    router, endpoint, ChannelKind.ROUTER_TO_EP, cfg.adapter_link_latency
-                )
-                self._add_channel(
-                    endpoint, router, ChannelKind.EP_TO_ROUTER, cfg.adapter_link_latency
-                )
+        # Chip 0's block: the one statement of how a floorplan maps to
+        # components and on-chip channels.
+        for coord in plan.router_coords():
+            self.router_id[(chip, coord)] = self._add_component(
+                ComponentKind.ROUTER, chip, coord
+            )
+        for (direction, slice_index), _coord in sorted(
+            plan.channel_adapter_router.items(),
+            key=lambda item: (item[0][0].dim, item[0][0].sign, item[0][1]),
+        ):
+            self.ca_id[(chip, direction, slice_index)] = self._add_component(
+                ComponentKind.CHANNEL_ADAPTER, chip, (direction, slice_index)
+            )
+        for index in range(plan.num_endpoints):
+            self.ep_id[(chip, index)] = self._add_component(
+                ComponentKind.ENDPOINT, chip, index
+            )
 
-        self.onchip_channels_per_chip = len(self.channels) // cfg.num_chips
+        # Mesh channels (both directions of each link).
+        for a, b in plan.mesh_links():
+            ra = self.router_id[(chip, a)]
+            rb = self.router_id[(chip, b)]
+            self._add_channel(ra, rb, ChannelKind.MESH, cfg.mesh_latency)
+            self._add_channel(rb, ra, ChannelKind.MESH, cfg.mesh_latency)
+        # Skip channels.
+        for skip in plan.skip_channels:
+            ra = self.router_id[(chip, skip.ends[0])]
+            rb = self.router_id[(chip, skip.ends[1])]
+            self._add_channel(ra, rb, ChannelKind.SKIP, cfg.skip_latency)
+            self._add_channel(rb, ra, ChannelKind.SKIP, cfg.skip_latency)
+        # Router <-> channel-adapter links.
+        for (direction, slice_index), coord in plan.channel_adapter_router.items():
+            router = self.router_id[(chip, coord)]
+            adapter = self.ca_id[(chip, direction, slice_index)]
+            self._add_channel(
+                router, adapter, ChannelKind.ROUTER_TO_CA, cfg.adapter_link_latency
+            )
+            self._add_channel(
+                adapter, router, ChannelKind.CA_TO_ROUTER, cfg.adapter_link_latency
+            )
+        # Router <-> endpoint-adapter links.
+        for index, coord in enumerate(plan.endpoint_router):
+            router = self.router_id[(chip, coord)]
+            endpoint = self.ep_id[(chip, index)]
+            self._add_channel(
+                router, endpoint, ChannelKind.ROUTER_TO_EP, cfg.adapter_link_latency
+            )
+            self._add_channel(
+                endpoint, router, ChannelKind.EP_TO_ROUTER, cfg.adapter_link_latency
+            )
+
+        # Every other chip is the same block, its ids shifted by chip
+        # index x block size.
+        onchip = self.onchip_channels_per_chip = len(self.channel_src)
+        block = self.components[:]
+        for chip in chips[1:]:
+            for first in block:
+                cid = self._add_component(first.kind, chip, first.detail)
+                if first.kind == ComponentKind.ROUTER:
+                    self.router_id[(chip, first.detail)] = cid
+                elif first.kind == ComponentKind.CHANNEL_ADAPTER:
+                    self.ca_id[(chip,) + first.detail] = cid
+                else:
+                    self.ep_id[(chip, first.detail)] = cid
+        # A row holds each component's own cid object: dicts keyed by
+        # component id (the engine's active set) find a different int
+        # object only by comparing values, which costs.
+        component_ids = [component.cid for component in self.components]
+        bases = range(0, len(component_ids), len(block))
+        for row in (self.channel_src, self.channel_dst):
+            row[:] = [component_ids[base + c] for base in bases for c in row]
+        for row in (
+            self.channel_kind,
+            self.channel_latency,
+            self.channel_cycles_per_flit,
+        ):
+            row *= len(chips)
 
         # Inter-node channels. A packet departing chip c in direction d
         # arrives at the neighbor's adapter for the opposite direction. The
         # topology decides which links exist (a torus dimension wraps; a
         # mesh/chiplet line has no edge-wrapping link) and what the channel
         # costs (torus cable vs. interposer trace).
+        internode_base = len(self.channel_src)
         internode_latency = self.topology.internode_latency(cfg)
         internode_cpf = self.topology.internode_cycles_per_flit(cfg)
-        for chip in all_coords(cfg.shape):
+        for chip in chips:
             for direction in TORUS_DIRECTIONS:
                 radix = cfg.shape[direction.dim]
                 if radix < 2:
@@ -538,62 +574,83 @@ class Machine:
                 if neighbor is None:
                     continue
                 for slice_index in range(params.NUM_SLICES):
-                    src = self.ca_id[(chip, direction, slice_index)]
-                    dst = self.ca_id[(neighbor, direction.opposite, slice_index)]
                     self._add_channel(
-                        src,
-                        dst,
+                        self.ca_id[(chip, direction, slice_index)],
+                        self.ca_id[(neighbor, direction.opposite, slice_index)],
                         ChannelKind.TORUS,
                         internode_latency,
-                        cycles_per_flit=internode_cpf,
+                        internode_cpf,
                     )
 
+        # Different chips' blocks join different components, so only
+        # chip 0's block and the inter-node channels can repeat a pair.
+        seen = set()
+        for start, stop in ((0, onchip), (internode_base, len(self.channel_src))):
+            for key in zip(self.channel_src[start:stop], self.channel_dst[start:stop]):
+                if key in seen:
+                    raise ValueError(f"duplicate channel between {key[0]} and {key[1]}")
+                seen.add(key)
+
         # Input/output indices.
+        cids = self._channel_ids = list(range(len(self.channel_src)))
         component_inputs: List[List[int]] = [[] for _ in self.components]
         self.component_outputs = [[] for _ in self.components]
-        self.input_index = [0] * len(self.channels)
-        for channel in self.channels:
-            inputs = component_inputs[channel.dst]
-            self.input_index[channel.cid] = len(inputs)
-            inputs.append(channel.cid)
-            self.component_outputs[channel.src].append(channel.cid)
+        input_index = self.input_index
+        for cid, src, dst in zip(cids, self.channel_src, self.channel_dst):
+            inputs = component_inputs[dst]
+            input_index.append(len(inputs))
+            inputs.append(cid)
+            self.component_outputs[src].append(cid)
         self.component_inputs = tuple(map(tuple, component_inputs))
 
+        # Each per-channel constant, once per distinct kind or
+        # cycles-per-flit value. The rows share one Fraction object per
+        # value (chip 0's block and the inter-node channels hold them
+        # all), so identity keys them: hashing a Fraction costs more than
+        # the lookup saves.
+        cpfs = self.channel_cycles_per_flit
+        distinct = {id(cpf): cpf for cpf in cpfs[:onchip] + cpfs[internode_base:]}
         self.ticks_per_cycle = math.lcm(
-            *(channel.cycles_per_flit.denominator for channel in self.channels)
+            *(cpf.denominator for cpf in distinct.values())
         )
-        # Keyed by identity: hashing and comparing Fractions costs more
-        # than the multiply it saves, and _add_channel shares one object
-        # per distinct value.
-        self.channel_occupancy_ticks = self._per_channel(
-            lambda c: id(c.cycles_per_flit), self.occupancy_ticks_for_channel
-        )
-        self.channel_vcs = self._per_channel(
-            lambda c: c.group, self.vcs_for_channel
-        )
-        self.channel_buffer_depth = self._per_channel(
-            lambda c: c.kind, self.buffer_depth_for_channel
-        )
-
-    def _per_channel(self, key, derive) -> List[int]:
-        """``derive(channel)`` for every channel, by channel id.
-
-        Each derived constant depends on the channel only through
-        ``key(channel)``, which takes a handful of values on a machine of
-        tens of thousands of channels: ``derive`` runs once per value,
-        here, instead of once per channel in every engine built on this
-        machine.
-        """
-        memo: dict = {}
-        table = []
-        for channel in self.channels:
-            k = key(channel)
-            if k not in memo:
-                memo[k] = derive(channel)
-            table.append(memo[k])
-        return table
+        ticks = {key: self._occupancy_ticks(cpf) for key, cpf in distinct.items()}
+        self.channel_occupancy_ticks = [ticks[id(cpf)] for cpf in cpfs]
+        kinds = set(self.channel_kind)
+        vcs = {kind: self._vcs(group_of(kind)) for kind in kinds}
+        depth = {kind: self._buffer_depth(kind) for kind in kinds}
+        self.channel_vcs = [vcs[kind] for kind in self.channel_kind]
+        self.channel_buffer_depth = [depth[kind] for kind in self.channel_kind]
 
     # --- queries ------------------------------------------------------------
+
+    @functools.cached_property
+    def channels(self) -> Tuple[Channel, ...]:
+        """Every channel as a :class:`Channel`, by channel id.
+
+        Built from the rows on first use: a run reads the rows and
+        :attr:`engine_rows`, so a machine that is only simulated never
+        makes these objects.
+        """
+        groups = {kind: group_of(kind) for kind in ChannelKind}
+        return tuple(
+            Channel(cid, src, dst, kind, groups[kind], latency, cpf)
+            for cid, src, dst, kind, latency, cpf in zip(
+                self._channel_ids,
+                self.channel_src,
+                self.channel_dst,
+                self.channel_kind,
+                self.channel_latency,
+                self.channel_cycles_per_flit,
+            )
+        )
+
+    @functools.cached_property
+    def channel_between(self) -> Dict[Tuple[int, int], int]:
+        """(src component id, dst component id) -> channel id; built on
+        first use, like :attr:`channels`."""
+        return dict(
+            zip(zip(self.channel_src, self.channel_dst), self._channel_ids)
+        )
 
     @functools.cached_property
     def layout(self) -> ChipBlockLayout:
@@ -603,7 +660,8 @@ class Machine:
         machine that never routes does not pay for it.
         """
         components = self.components
-        channels = self.channels
+        src, dst = self.channel_src, self.channel_dst
+        cids = self._channel_ids
         chips = tuple(all_coords(self.config.shape))
         components_per_chip = len(components) // len(chips)
         internode_base = len(chips) * self.onchip_channels_per_chip
@@ -614,15 +672,14 @@ class Machine:
         to_adapter: Dict[object, int] = {}
         from_adapter: Dict[object, int] = {}
         for slot in range(self.onchip_channels_per_chip):
-            channel = channels[slot]
-            src = components[channel.src]
-            dst = components[channel.dst]
-            if dst.kind != ComponentKind.ROUTER:
-                to_adapter[dst.detail] = slot
-            elif src.kind != ComponentKind.ROUTER:
-                from_adapter[src.detail] = slot
+            head = components[src[slot]]
+            tail = components[dst[slot]]
+            if tail.kind != ComponentKind.ROUTER:
+                to_adapter[tail.detail] = slot
+            elif head.kind != ComponentKind.ROUTER:
+                from_adapter[head.detail] = slot
             else:
-                router_link[(src.detail, dst.detail)] = slot
+                router_link[(head.detail, tail.detail)] = slot
         adapter_link = {
             key: (to_adapter[key], from_adapter[key])
             for key in self.floorplan.channel_adapter_router
@@ -637,12 +694,12 @@ class Machine:
             for key, row in internode.items()
         }
         crossing_step = self.topology.crossing_step
-        for channel in channels[internode_base:]:
-            src_chip, adapter = divmod(channel.src, components_per_chip)
-            dst_chip = channel.dst // components_per_chip
+        for cid in cids[internode_base:]:
+            src_chip, adapter = divmod(src[cid], components_per_chip)
+            dst_chip = dst[cid] // components_per_chip
             dim, row = rows[adapter]
             row[src_chip] = (
-                channel.cid,
+                cid,
                 dst_chip,
                 crossing_step(dim, chips[src_chip][dim], chips[dst_chip][dim]),
             )
@@ -659,8 +716,8 @@ class Machine:
             internode=internode,
             onchip_per_chip=self.onchip_channels_per_chip,
             internode_base=internode_base,
-            internode_per_chip=(len(channels) - internode_base) // len(chips),
-            cids=[channel.cid for channel in channels],
+            internode_per_chip=(len(cids) - internode_base) // len(chips),
+            cids=cids,
         )
 
     def route_memo(self, direction_order: tuple, allow_nonminimal: bool) -> dict:
@@ -688,9 +745,8 @@ class Machine:
         engine built or restored on the machine afterwards -- a sweep's
         points, a serve session's, a shard worker's.
         """
-        channels = self.channels
-        src = tuple(c.src for c in channels)
-        dst = tuple(c.dst for c in channels)
+        src = tuple(self.channel_src)
+        dst = tuple(self.channel_dst)
         is_endpoint = tuple(
             comp.kind == ComponentKind.ENDPOINT for comp in self.components
         )
@@ -711,7 +767,7 @@ class Machine:
         num_inputs = tuple(fan_in[comp] for comp in src)
         offsets = (0,) + tuple(itertools.accumulate(num_inputs))
         return EngineRows(
-            latency=tuple(c.latency for c in channels),
+            latency=tuple(self.channel_latency),
             src=src,
             dst=dst,
             is_endpoint=is_endpoint,
@@ -755,28 +811,35 @@ class Machine:
 
     def vcs_for_channel(self, channel: Channel) -> int:
         """Total VC count implemented on a channel's destination buffer."""
+        return self._vcs(channel.group)
+
+    def buffer_depth_for_channel(self, channel: Channel) -> int:
+        """Per-VC input buffer depth (flits) at a channel's destination."""
+        return self._buffer_depth(channel.kind)
+
+    def occupancy_ticks_for_channel(self, channel: Channel) -> int:
+        """Exact channel occupancy per flit, in integer ticks."""
+        return self._occupancy_ticks(channel.cycles_per_flit)
+
+    def _vcs(self, group: ChannelGroup) -> int:
         cfg = self.config
-        if channel.group == ChannelGroup.M:
+        if group == ChannelGroup.M:
             per_class = cfg.vcs_per_class_m
-        elif channel.group == ChannelGroup.T:
+        elif group == ChannelGroup.T:
             per_class = cfg.vcs_per_class_t
         else:
             per_class = 1
         return per_class * cfg.num_classes
 
-    def buffer_depth_for_channel(self, channel: Channel) -> int:
-        """Per-VC input buffer depth (flits) at a channel's destination."""
-        if channel.kind == ChannelKind.TORUS:
+    def _buffer_depth(self, kind: ChannelKind) -> int:
+        if kind == ChannelKind.TORUS:
             return self.config.torus_buffer_flits
         return self.config.onchip_buffer_flits
 
-    def occupancy_ticks_for_channel(self, channel: Channel) -> int:
-        """Exact channel occupancy per flit, in integer ticks.
-
-        ``ticks_per_cycle`` is the LCM of all channel denominators, so the
-        product is integral by construction.
-        """
-        occupancy = channel.cycles_per_flit * self.ticks_per_cycle
+    def _occupancy_ticks(self, cycles_per_flit: Fraction) -> int:
+        # ``ticks_per_cycle`` is the LCM of all channel denominators, so
+        # the product is integral by construction.
+        occupancy = cycles_per_flit * self.ticks_per_cycle
         assert occupancy.denominator == 1
         return occupancy.numerator
 
@@ -803,12 +866,12 @@ class Machine:
             return (
                 f"Anton 2 machine {self.topology.describe()} "
                 f"({self.config.num_chips} chips, {len(self.components)} "
-                f"components, {len(self.channels)} directed channels, "
+                f"components, {len(self.channel_src)} directed channels, "
                 f"vc_scheme={self.config.vc_scheme})"
             )
         return (
             f"Anton 2 machine {kx}x{ky}x{kz} "
             f"({self.config.num_chips} chips, {len(self.components)} components, "
-            f"{len(self.channels)} directed channels, vc_scheme="
+            f"{len(self.channel_src)} directed channels, vc_scheme="
             f"{self.config.vc_scheme})"
         )

@@ -335,7 +335,7 @@ class RouteComputer:
         if arrival != departure:
             # Slot == channel id on chip index 0.
             skip = layout.router_link.get((arrival, departure))
-            if skip is None or machine.channels[skip].kind != ChannelKind.SKIP:
+            if skip is None or machine.channel_kind[skip] != ChannelKind.SKIP:
                 through = None
             else:
                 through = (arrive_slot, skip, depart_slot)

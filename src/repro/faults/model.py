@@ -41,6 +41,11 @@ FAILABLE_KINDS: Tuple[ChannelKind, ...] = (
 )
 
 
+def _is_int(value) -> bool:
+    """An integer, and not a bool (JSON ``true`` is no channel id)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclasses.dataclass(frozen=True)
 class FaultSpec:
     """One fault: a failed link or a failed node, with a down/up schedule.
@@ -60,6 +65,25 @@ class FaultSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("link", "node"):
             raise ValueError(f"fault kind must be 'link' or 'node', got {self.kind!r}")
+        # Named by their JSON keys (to_dict): a fault file is where a
+        # wrong type comes from. Only ``down`` may not be null.
+        for key, value in (
+            ("channel", self.channel),
+            ("down", self.down_cycle),
+            ("up", self.up_cycle),
+        ):
+            if value is None and key != "down":
+                continue
+            if not _is_int(value):
+                raise ValueError(f"fault {key!r} must be an integer, got {value!r}")
+        if self.chip is not None and not (
+            type(self.chip) is tuple
+            and len(self.chip) == 3
+            and all(map(_is_int, self.chip))
+        ):
+            raise ValueError(
+                f"fault 'chip' must be three integers, got {self.chip!r}"
+            )
         if self.kind == "link" and self.channel is None:
             raise ValueError("link fault needs a channel id")
         if self.kind == "node" and self.chip is None:
@@ -83,11 +107,13 @@ class FaultSpec:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "FaultSpec":
+        if not isinstance(data, dict):
+            raise ValueError(f"a fault is a JSON object, got {data!r}")
         chip = data.get("chip")
         return cls(
-            kind=data["kind"],
+            kind=data.get("kind"),
             channel=data.get("channel"),
-            chip=tuple(chip) if chip is not None else None,
+            chip=tuple(chip) if isinstance(chip, list) else chip,
             down_cycle=data.get("down", 0),
             up_cycle=data.get("up"),
         )
@@ -220,8 +246,11 @@ class FaultSet:
                 f"(this build reads version {FAULT_SCHEMA_VERSION})"
             )
         shape = data.get("shape")
+        faults = data.get("faults")
+        if not isinstance(faults, list):
+            raise ValueError(f"'faults' must be a JSON list, got {faults!r}")
         return cls(
-            specs=tuple(FaultSpec.from_dict(d) for d in data["faults"]),
+            specs=tuple(FaultSpec.from_dict(d) for d in faults),
             shape=tuple(shape) if shape is not None else None,
             seed=data.get("seed"),
             note=data.get("note", ""),

@@ -1,8 +1,14 @@
 """Tests for whole-machine elaboration."""
 
+import dataclasses
+import enum
+import hashlib
+from fractions import Fraction
+
 import pytest
 
 from repro.core import params
+from repro.core.chip import SkipChannel, default_floorplan
 from repro.core.geometry import Dim, TorusDirection, XP, XM, YP
 from repro.core.machine import (
     Channel,
@@ -330,3 +336,198 @@ class TestDescribe:
                 assert depth == config.torus_buffer_flits
             else:
                 assert depth == config.onchip_buffer_flits
+
+
+# The elaboration oracle. Machine._build elaborates chip 0's block and
+# copies it to every other chip by id offset, and builds ``channels`` and
+# ``channel_between`` only when asked; ELABORATION_DIGESTS was printed at
+# commit 43dd0c9 (every component and channel elaborated one object at a
+# time) by
+#
+#     PYTHONPATH=src:. python -c "import json; \
+#         from tests.core.test_machine import elaboration_digests; \
+#         print(json.dumps(elaboration_digests(), indent=4))"
+#
+# and every machine below must reproduce it. A digest is the SHA-256 of
+# the canonical form (_canonical) of everything a machine states, section
+# by section (_STATED).
+
+
+def _custom_floorplan():
+    """One X skip channel instead of two, endpoints on inner routers."""
+    return dataclasses.replace(
+        default_floorplan(num_endpoints=3),
+        skip_channels=(SkipChannel(ends=((3, 0), (0, 0)), slice_index=1),),
+        endpoint_router=((1, 1), (2, 2), (1, 1)),
+    )
+
+
+#: case name -> (MachineConfig keywords, floorplan factory or None).
+ELABORATION_CASES = {
+    "torus-1x1x1": (dict(shape=(1, 1, 1), endpoints_per_chip=2), None),
+    "torus-2x2x2": (dict(shape=(2, 2, 2), endpoints_per_chip=2), None),
+    "torus-3x2x4": (dict(shape=(3, 2, 4), endpoints_per_chip=3), None),
+    "torus-4x4x2": (dict(shape=(4, 4, 2), endpoints_per_chip=2), None),
+    "torus-8x8x8": (dict(shape=(8, 8, 8), endpoints_per_chip=2), None),
+    "mesh-3x4": (dict(shape=(3, 4), topology="mesh", endpoints_per_chip=2), None),
+    "chiplet-2x3": (
+        dict(shape=(2, 3), topology="chiplet", endpoints_per_chip=2), None,
+    ),
+    "torus-2x3x2-baseline": (
+        dict(shape=(2, 3, 2), endpoints_per_chip=2, vc_scheme="baseline"), None,
+    ),
+    "torus-2x2x2-unsafe-single": (
+        dict(shape=(2, 2, 2), endpoints_per_chip=1, vc_scheme="unsafe-single"),
+        None,
+    ),
+    "torus-3x2x2-two-classes": (
+        dict(shape=(3, 2, 2), endpoints_per_chip=2, num_classes=2), None,
+    ),
+    "torus-2x2x3-latencies": (
+        dict(
+            shape=(2, 2, 3), endpoints_per_chip=2, mesh_latency=2,
+            skip_latency=3, adapter_link_latency=2, torus_latency=7,
+            onchip_buffer_flits=4, torus_buffer_flits=16,
+            torus_cycles_per_flit=3.2,
+        ),
+        None,
+    ),
+    "torus-3x3x1-custom-floorplan": (
+        dict(shape=(3, 3, 1), endpoints_per_chip=3), _custom_floorplan,
+    ),
+}
+
+#: What a machine states, in digest order.
+_STATED = (
+    "components", "router_id", "ca_id", "ep_id", "channels",
+    "channel_between", "component_inputs", "component_outputs",
+    "input_index", "channel_vcs", "channel_buffer_depth",
+    "channel_occupancy_ticks", "ticks_per_cycle", "onchip_channels_per_chip",
+    "layout", "engine_rows",
+)
+
+
+def _canonical(value):
+    """``value`` as nested tuples of ints, bools, strings and None: one
+    form for a list and a tuple, a dict as its items in insertion order,
+    an enum member by name, so the digest reads the same on every
+    supported Python."""
+    kind = type(value)
+    if kind is int or kind is bool or kind is str or value is None:
+        return value
+    if kind is tuple or kind is list:
+        if all(type(item) is int for item in value):
+            return tuple(value)
+        return tuple(map(_canonical, value))
+    if isinstance(value, enum.Enum):
+        return f"{kind.__name__}.{value.name}"
+    if kind is Fraction:
+        return ("Fraction", value.numerator, value.denominator)
+    if kind is range:
+        return ("range", value.start, value.stop, value.step)
+    if kind is dict:
+        return tuple((_canonical(k), _canonical(v)) for k, v in value.items())
+    if dataclasses.is_dataclass(value):
+        return (kind.__name__,) + tuple(
+            _canonical(getattr(value, field.name))
+            for field in dataclasses.fields(value)
+        )
+    if isinstance(value, tuple):  # a NamedTuple
+        return (kind.__name__,) + tuple(map(_canonical, value))
+    raise TypeError(f"no canonical form for {kind.__name__}")
+
+
+def _machine_of(case):
+    keywords, floorplan = ELABORATION_CASES[case]
+    return Machine(
+        MachineConfig(**keywords), floorplan=floorplan() if floorplan else None
+    )
+
+
+def elaboration_digest(machine):
+    digest = hashlib.sha256()
+    for name in _STATED:
+        digest.update(repr((name, _canonical(getattr(machine, name)))).encode())
+    return digest.hexdigest()
+
+
+def elaboration_digests():
+    """The table, recomputed (what the command above prints)."""
+    return {
+        case: elaboration_digest(_machine_of(case)) for case in ELABORATION_CASES
+    }
+
+
+ELABORATION_DIGESTS = {
+    "torus-1x1x1":
+        "a93f30b042b2a9c9709e9e6c63ac7d0526bf43e275ff3d4a431a2f392b2494d7",
+    "torus-2x2x2":
+        "463f8472afb50f0f1470dc157d1ec3dd044c22223167f40afe81c9f396650e6c",
+    "torus-3x2x4":
+        "dd179e0b62e7f1079e8748183aeeed16e3daad8d75217b209da982651599c8da",
+    "torus-4x4x2":
+        "264d31496c72811a5081d3c7beaedccd13cb148dd4f588ae43e2af648e90b97c",
+    "torus-8x8x8":
+        "9bfe04d2b9c9a3d69b47bfe3d2cbf128490fe7f6ab9c4f6c31fdf202593225c0",
+    "mesh-3x4":
+        "1eb2f53d358d6330b40773013f55373cf6b3fda56482936d03f7ef62efd8922d",
+    "chiplet-2x3":
+        "c1d918c6d863ccf7b3c783c27608d38ec46bb8213d41fa197838a84140ccdbba",
+    "torus-2x3x2-baseline":
+        "19d5ba7d480cec02503ca522801f9bcc44c2eb2746694e9e5f47cb954e78be7b",
+    "torus-2x2x2-unsafe-single":
+        "6ce68baaf6a546ddf7fb6e53e1fa43e6296294d3c229d8e4077ba954e0737d18",
+    "torus-3x2x2-two-classes":
+        "8b38dc75aee0ceee8fed9326b4725decc6363cb7e16130b2ded193583bd4ac1a",
+    "torus-2x2x3-latencies":
+        "0257067df07cd2892773aeeee9e6c96d4930293479adaf189f85735d44988414",
+    "torus-3x3x1-custom-floorplan":
+        "6575481b917ccb5784d67635e173156487d2fc1ae3a39cb416755da746d6d3f6",
+}
+
+
+class TestElaborationOracle:
+    """Every machine states what the object-by-object walk stated."""
+
+    def test_table_names_every_case(self):
+        assert list(ELABORATION_DIGESTS) == list(ELABORATION_CASES)
+
+    @pytest.mark.parametrize("case", list(ELABORATION_CASES))
+    def test_machine_states_the_walks_bytes(self, case):
+        assert elaboration_digest(_machine_of(case)) == ELABORATION_DIGESTS[case]
+
+    def test_a_floorplan_that_repeats_a_link_is_refused(self):
+        plan = dataclasses.replace(
+            default_floorplan(num_endpoints=1),
+            skip_channels=(SkipChannel(ends=((0, 0), (1, 0)), slice_index=0),),
+        )
+        with pytest.raises(
+            ValueError, match=r"^duplicate channel between 0 and 4$"
+        ):
+            Machine(
+                MachineConfig(shape=(2, 1, 1), endpoints_per_chip=1),
+                floorplan=plan,
+            )
+
+    def test_a_run_builds_no_channel_objects(self):
+        from repro.core.routing import RouteComputer
+        from repro.sim.simulator import build_batch_engine
+        from repro.traffic.batch import BatchSpec, generate_batch
+        from repro.traffic.patterns import UniformRandom
+
+        machine = Machine(MachineConfig(shape=(8, 8, 8), endpoints_per_chip=2))
+        routes = RouteComputer(machine)
+        spec = BatchSpec(
+            UniformRandom(machine.config.shape), packets_per_source=1,
+            cores_per_chip=2, seed=3,
+        )
+        assert generate_batch(machine, routes, spec)
+        assert build_batch_engine(machine, routes, spec).run().delivered
+        assert "channels" not in vars(machine)
+        assert "channel_between" not in vars(machine)
+
+    def test_engine_rows_hold_the_components_own_ids(self):
+        machine = _machine_of("torus-3x2x4")
+        rows = machine.engine_rows
+        components = machine.components
+        assert all(cid is components[cid].cid for cid in rows.src + rows.dst)

@@ -6,6 +6,8 @@ CLI as ``error: ...`` and exit 1. None may regress to a bare
 ``AttributeError``/``TypeError`` or a silently truncated value.
 """
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -49,12 +51,45 @@ def test_hostile_workloads_get_a_named_error(workload, named):
             RunSpec.from_params(workload)
 
 
+#: fault-file text -> what the one-line error must name. Every spec case
+#: was accepted as "valid" or died with IndexError / TypeError before
+#: FaultSpec checked its field types.
+HOSTILE_FAULT_FILES = [
+    ("[1, 2]", "a fault set is a JSON object"),
+    ('{"version": 1, "faults": {}}', "'faults' must be a JSON list"),
+    ('{"version": 1, "faults": [7]}', "a fault is a JSON object"),
+    ('{"version": 1, "faults": [{"chip": [0, 0, 0]}]}',
+     "fault kind must be 'link' or 'node', got None"),
+    ('{"version": 1, "faults": [{"kind": "node", "chip": [0, 0, 0, 0]}]}',
+     "fault 'chip' must be three integers"),
+    ('{"version": 1, "faults": [{"kind": "node", "chip": [1, 1]}]}',
+     "fault 'chip' must be three integers"),
+    ('{"version": 1, "faults": [{"kind": "node", "chip": [0, true, 0]}]}',
+     "fault 'chip' must be three integers"),
+    ('{"version": 1, "faults": [{"kind": "link", "channel": true}]}',
+     "fault 'channel' must be an integer, got True"),
+    ('{"version": 1, "faults": [{"kind": "link", "channel": "12"}]}',
+     "fault 'channel' must be an integer, got '12'"),
+    ('{"version": 1, "faults": [{"kind": "link", "channel": 12, "down": "3"}]}',
+     "fault 'down' must be an integer, got '3'"),
+    ('{"version": 1, "faults": [{"kind": "link", "channel": 12, "up": 2.5}]}',
+     "fault 'up' must be an integer, got 2.5"),
+]
+
+
 def test_a_hostile_fault_file_is_a_one_line_cli_error(tmp_path, capsys):
+    import json
+
     bad = tmp_path / "faults.json"
-    bad.write_text("[1, 2]")
-    for command in (["run", "--fault-file"], ["demand", "--fault-file"],
-                    ["faults", "run"], ["faults", "validate"]):
-        assert main(command + [str(bad)]) == 1
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: a fault set is a JSON object")
-        assert len(err.splitlines()) == 1
+    for text, named in HOSTILE_FAULT_FILES:
+        bad.write_text(text)
+        for command in (["run", "--fault-file"], ["demand", "--fault-file"],
+                        ["faults", "run"], ["faults", "validate"]):
+            assert main(command + [str(bad), "--shape", "2x2x2"]) == 1, text
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith(f"error: {named}"), (text, err)
+            assert len(err.splitlines()) == 1
+        faults = json.loads(text)
+        if isinstance(faults, dict):
+            with pytest.raises(SessionError, match=re.escape(named)):
+                Session.create("s", {"kind": "batch", "faults": faults})
