@@ -3,9 +3,9 @@
 The paper's router state is a small register bank -- per arbiter "a few
 accumulators and a priority encoder" (Sections 3.3-3.4, Figures 6-8) --
 and the engine (:mod:`repro.sim.engine`) keeps it one: a bank holds all
-the sites of an arbitration stage as a pointer row by site and a grant
-row (for ``iw`` also an accumulator and a weight row) by *input*, input
-``i`` of site ``s`` at ``offsets[s] + i``
+the sites of an arbitration stage as a pointer row (for ``iw`` also a
+debt row) by site and a grant row (for ``iw`` also an accumulator and a
+weight row) by *input*, input ``i`` of site ``s`` at ``offsets[s] + i``
 (:class:`~repro.core.machine.ArbiterSites`), with ``peek`` / ``commit``
 integer arithmetic over them; ``commit_all`` applies a stage's grants of
 one cycle in one call (each site is granted at most once a cycle in the
@@ -27,6 +27,7 @@ the one that departs.
 from __future__ import annotations
 
 import functools
+import itertools
 from operator import itemgetter
 from typing import Dict, Optional, Sequence
 
@@ -75,14 +76,38 @@ class ArbiterBank:
         return {"grants": self.grants_of(site)}
 
     def restore_site(self, site: int, state: dict) -> None:
-        """Reinstate a :meth:`site_state` snapshot of ``site``."""
-        self._assign(self.grants, site, state["grants"], "arbiter")
+        """Reinstate a :meth:`site_state` snapshot of ``site``; an entry out
+        of its row's range (:meth:`_limit`) raises ValueError."""
+        self._assign(self.grants, site, state["grants"], "arbiter", "grants")
+
+    def _limit(self, name: str, site: int) -> Optional[int]:
+        """One past the largest value row ``name`` may hold at ``site``;
+        None when only negatives are out of range."""
+        return None
+
+    def _check(self, name: str, sites, values) -> None:
+        """Refuse ``values`` of row ``name`` (one per site of ``sites``)
+        unless each is an int (not a bool) in its :meth:`_limit`."""
+        for site, value in zip(sites, values):
+            limit = self._limit(name, site)
+            if type(value) is not int or not (
+                0 <= value and (limit is None or value < limit)
+            ):
+                wanted = "integer >= 0" if limit is None else f"integer in [0, {limit})"
+                raise ValueError(
+                    f"arbiter {site}'s {name} entry is {value!r}, not an {wanted}"
+                )
 
     @functools.cached_property
     def _input_order(self) -> list:
         """Each input's index in the per-input rows, sites in ``order``."""
         offsets, counts = self.offsets, self.num_inputs
         return [i for s in self.order for i in range(offsets[s], offsets[s] + counts[s])]
+
+    @functools.cached_property
+    def _input_sites(self) -> list:
+        """The site of each entry of :attr:`_input_order`."""
+        return [s for s in self.order for _ in range(self.num_inputs[s])]
 
     def state(self) -> dict:
         """The whole stage, as a checkpoint stores it: the policy's tag, then
@@ -94,11 +119,14 @@ class ArbiterBank:
         return out
 
     def restore(self, state: dict) -> None:
-        """Reinstate a :meth:`state`; a row of another length raises ValueError."""
+        """Reinstate a :meth:`state`; a row of another length, or an entry
+        out of its row's range (:meth:`_limit`), raises ValueError."""
         for name, by_input in self.state_rows:
             order = self._input_order if by_input else self.order
+            values = self._row(state, name, order)
+            self._check(name, self._input_sites if by_input else order, values)
             row = getattr(self, name)
-            for index, value in zip(order, self._row(state, name, order)):
+            for index, value in zip(order, values):
                 row[index] = value
 
     def _row(self, state: dict, name: str, order: list) -> list:
@@ -111,12 +139,14 @@ class ArbiterBank:
             )
         return values
 
-    def _assign(self, row: list, site: int, values, what: str) -> None:
+    def _assign(self, row: list, site: int, values, what: str, name=None) -> None:
         start, count = self.offsets[site], self.num_inputs[site]
         if len(values) != count:
             raise ValueError(
                 f"{what} state has {len(values)} inputs, expected {count}"
             )
+        if name is not None:
+            self._check(name, itertools.repeat(site), values)
         row[start:start + count] = values
 
 
@@ -157,7 +187,11 @@ class RoundRobinBank(ArbiterBank):
 
     def restore_site(self, site, state):
         super().restore_site(site, state)
+        self._check("pointer", (site,), (state["pointer"],))
         self.pointer[site] = state["pointer"]
+
+    def _limit(self, name, site):
+        return self.num_inputs[site] if name == "pointer" else None
 
 
 class AgeBank(RoundRobinBank):
@@ -204,7 +238,13 @@ class InverseWeightedBank(RoundRobinBank):
         self.weight_bits = weight_bits
         #: Half the accumulators' sliding window, ``2^M``.
         self.window = 1 << weight_bits
-        self.accumulators = [0] * sites.size
+        # A low-priority grant slides every accumulator of its site down
+        # by 2^M, clamping at zero (Figure 6); an O(1) debt books it, as
+        # ``max(max(x - d, 0) - W, 0) == max(x - (d + W), 0)``.
+        #: By input: its accumulator plus its site's debt.
+        self.raw = [0] * sites.size
+        #: By site: the window slides not yet taken off its raw values.
+        self.debt = [0] * len(sites.offsets)
         idle = compute_inverse_weights(
             [[0.0] * num_patterns], weight_bits=weight_bits
         ).inverse_weights[0]
@@ -214,6 +254,27 @@ class InverseWeightedBank(RoundRobinBank):
             table = tables.get(site)
             if table is not None:
                 self.program(site, table.inverse_weights, table.weight_bits)
+
+    @property
+    def accumulators(self) -> list:
+        """The accumulators, by input: every site's debt taken off its raw
+        values, they are :attr:`raw` itself (what :meth:`state` reads and
+        :meth:`restore` writes)."""
+        raw, debt = self.raw, self.debt
+        for site in self.order:
+            owed = debt[site]
+            if owed:
+                start = self.offsets[site]
+                for slot in range(start, start + self.num_inputs[site]):
+                    value = raw[slot] - owed
+                    raw[slot] = value if value > 0 else 0
+                debt[site] = 0
+        return raw
+
+    def _limit(self, name, site):
+        # The stage holds values below 2^(M+1): on that range a debt's
+        # slide is the hardware's ``value & (2^M - 1)``.
+        return 2 * self.window if name == "accumulators" else super()._limit(name, site)
 
     def program(self, site: int, weights, weight_bits: int) -> None:
         """Load ``site``'s weight memory: ``weights[i][n]`` for input
@@ -234,57 +295,56 @@ class InverseWeightedBank(RoundRobinBank):
         start = self.offsets[site]
         count = self.num_inputs[site]
         pointer = self.pointer[site]
-        window = self.window
-        accumulators = self.accumulators
+        # An accumulator below the window: a raw value below this.
+        high = self.debt[site] + self.window
+        raw = self.raw
         best = None
         best_key = -1
         for entry in entries:
             index = entry[0]
             # (effective priority level, index): the accumulator's
             # priority bit plus the round-robin boost below the pointer.
-            key = (
-                (accumulators[start + index] < window) + (index < pointer)
-            ) * count + index
+            key = ((raw[start + index] < high) + (index < pointer)) * count + index
             if key > best_key:
                 best_key = key
                 best = entry
         return best
 
     def commit_all(self, sites, indices, requests):
-        offsets, num_inputs, pointer = self.offsets, self.num_inputs, self.pointer
-        grants, accumulators, weights = self.grants, self.accumulators, self.weights
+        offsets, pointer, debt = self.offsets, self.pointer, self.debt
+        grants, raw, weights = self.grants, self.raw, self.weights
         window = self.window
-        mask = window - 1
         last_pattern = self.num_patterns - 1
         for site, index, request in zip(sites, indices, requests):
-            start = offsets[site]
-            granted = start + index
+            granted = offsets[site] + index
             # A packet marked with a pattern the stage has no weights for
             # is charged against the last it does have.
             pattern = request.pattern
             if pattern > last_pattern:
                 pattern = last_pattern
-            value = accumulators[granted]
-            if value >= window:
-                # A low-priority grant: the window slides for every input,
-                # high-priority accumulators clamping at zero.
-                for slot in range(start, start + num_inputs[site]):
-                    other = accumulators[slot]
-                    accumulators[slot] = other & mask if other >= window else 0
-                value &= mask
-            accumulators[granted] = value + weights[granted][pattern]
+            value = raw[granted]
+            floor = debt[site]
+            if value < floor:
+                value = floor  # an accumulator clamped at zero
+            elif value >= floor + window:
+                # A low-priority grant: the window slides for every input.
+                debt[site] = floor + window
+            raw[granted] = value + weights[granted][pattern]
             pointer[site] = index
             grants[granted] += 1
 
     def site_state(self, site):
         start = self.offsets[site]
         stop = start + self.num_inputs[site]
+        debt = self.debt[site]
         return dict(
             super().site_state(site),
             bit_exact=False,
             weight_bits=self.weight_bits,
             weights=[list(row) for row in self.weights[start:stop]],
-            accumulators=self.accumulators[start:stop],
+            accumulators=[
+                value - debt if value > debt else 0 for value in self.raw[start:stop]
+            ],
         )
 
     def restore_site(self, site, state):
@@ -297,8 +357,9 @@ class InverseWeightedBank(RoundRobinBank):
             )
         self.program(site, state["weights"], state["weight_bits"])
         self._assign(
-            self.accumulators, site, state["accumulators"], "accumulator"
+            self.raw, site, state["accumulators"], "accumulator", "accumulators"
         )
+        self.debt[site] = 0
 
     def state(self):
         out = super().state()

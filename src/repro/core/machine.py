@@ -382,6 +382,18 @@ class EngineRows(NamedTuple):
     vc_arbiter_sites: ArbiterSites
 
 
+class OccupancyRows(NamedTuple):
+    """What an engine's occupancy masks are read by, tabulated once: see
+    :attr:`Machine.occupancy_rows`."""
+
+    #: ``1 << input_index``, by channel id: the channel's bit in the
+    #: occupancy mask of the component it feeds.
+    input_bit: Tuple[int, ...]
+    #: The set bits of ``m``, lowest first, by ``m`` below ``2^w`` for
+    #: ``w`` the widest fan-in or VC set: what an occupancy mask names.
+    bits: Tuple[Tuple[int, ...], ...]
+
+
 class Machine:
     """A fully elaborated Anton 2 machine (component/channel graph)."""
 
@@ -795,6 +807,20 @@ class Machine:
                 ),
                 size=len(credits),
             ),
+        )
+
+    @functools.cached_property
+    def occupancy_rows(self) -> OccupancyRows:
+        """The tables of the engines' occupancy masks (DESIGN.md section
+        9), shared like :attr:`engine_rows`. Floorplans cap a router at 6
+        ports and the widest VC set is 12 (``baseline``, two classes), so
+        ``bits`` has at most 2^12 entries."""
+        width = max(max(self.channel_vcs), max(map(len, self.component_inputs)))
+        bits: List[Tuple[int, ...]] = [()]
+        for bit in range(width):
+            bits += [low + (bit,) for low in bits]
+        return OccupancyRows(
+            input_bit=tuple(1 << i for i in self.input_index), bits=tuple(bits)
         )
 
     def neighbor(self, chip: Coord3, direction: TorusDirection) -> Optional[Coord3]:

@@ -674,6 +674,15 @@ def _restore_into(engine: Engine, data: dict, packets: List[Packet]) -> None:
             f"{placement.placed} in its source queues, buffers and wheel"
         )
 
+    previous = -1  # each of the machine's components at most once, rising
+    components = len(engine.machine.components)
+    for comp in data["active"]:
+        if type(comp) is not int or not previous < comp < components:
+            raise CheckpointError(
+                f"active names component {comp!r} after {previous}; the "
+                f"machine has {components}"
+            )
+        previous = comp
     engine._active = dict.fromkeys(data["active"])
     engine._queued = data["queued"]
     engine._in_network = data["in_network"]

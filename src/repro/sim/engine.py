@@ -244,9 +244,15 @@ class Engine:
         #: arbitrates) to ``_fifo_tail`` (where arrivals join).
         self._fifo_head: List[Optional[Packet]] = [None] * len(rows.credits)
         self._fifo_tail: List[Optional[Packet]] = [None] * len(rows.credits)
-        #: Packets buffered per channel (all VCs); lets the hot loop skip
-        #: empty inputs without scanning their VC queues.
-        self._buffered_count: List[int] = [0] * num_channels
+        # What is buffered, as bitmasks (DESIGN.md section 9): the scan
+        # visits the inputs and VCs that hold a packet and no others,
+        # as SA1 sees request lines only from occupied VCs (Section 3.4).
+        #: By channel: bit ``vc`` set while that VC's FIFO holds a packet.
+        self._vc_occupied: List[int] = [0] * num_channels
+        #: By component: bit ``input_index[cid]`` set while input ``cid``
+        #: holds any packet.
+        self._input_occupied: List[int] = [0] * len(rows.is_endpoint)
+        self._input_bit, self._bits = machine.occupancy_rows
         self._channel_src = rows.src
         self._channel_dst = rows.dst
         self._is_endpoint = rows.is_endpoint
@@ -633,7 +639,9 @@ class Engine:
         latency = self._latency
         fifo_head = self._fifo_head
         fifo_tail = self._fifo_tail
-        buffered_count = self._buffered_count
+        vc_occupied = self._vc_occupied
+        input_occupied = self._input_occupied
+        input_bit = self._input_bit
         channel_dst = self._channel_dst
         ready_cycle = now + self._pipeline
         now_ticks = now * self._ticks_per_cycle
@@ -677,13 +685,15 @@ class Engine:
             packet.ready_cycle = ready_cycle
             slot = (cid << vc_bits) | vc
             tail = fifo_tail[slot]
+            dst = channel_dst[cid]
             if tail is None:
                 fifo_head[slot] = packet
+                vc_occupied[cid] |= 1 << vc
+                input_occupied[dst] |= input_bit[cid]
             else:
                 tail.fifo_next = packet
             fifo_tail[slot] = packet
-            buffered_count[cid] += 1
-            active[channel_dst[cid]] = None
+            active[dst] = None
             if trace is not None:
                 if metrics is not None:
                     if now > metrics.last_cycle:
@@ -706,7 +716,7 @@ class Engine:
         *Traverse*: one loop departs every grant. Deferring traversal
         past the scan is exact: what a departure writes that is read in
         the same cycle -- its output's timer and credits, its input's
-        timer, FIFO and buffered count -- is read only by the granting
+        timer, FIFO and occupancy bits -- is read only by the granting
         component, whose scan is over; everything else it writes lands in
         a future cycle. Likewise a stage's sites (output channels for
         SA2, input channels for SA1) are each peeked and committed at
@@ -722,11 +732,11 @@ class Engine:
         component_inputs = self._component_inputs
         source_queues = self._source_queues
         source_heads = self._source_heads
-        slots = self._slots
         fifo_head = self._fifo_head
         vc_bits = self._vc_bits
-        vc_mask = (1 << vc_bits) - 1
-        buffered_count = self._buffered_count
+        vc_occupied = self._vc_occupied
+        input_occupied = self._input_occupied
+        bits = self._bits
         input_free_at = self._input_free_at
         channel_free_at = self._channel_free_at
         credits = self._credits
@@ -779,30 +789,35 @@ class Engine:
                     del source_queues[comp_id], source_heads[comp_id]
                 grants.append((comp_id, packet, -1, 0, oc))
                 continue
-            has_packets = False
+            occupied = input_occupied[comp_id]
+            if not occupied:
+                # Nothing buffered: nothing to arbitrate until an arrival.
+                idle.append(comp_id)
+                continue
             # SA1: each input port nominates one VC's head packet among
             # the *eligible* ones (next channel accepting, credits
             # available). The SA1 arbiter state is only committed if the
             # packet also wins SA2. ``candidates`` maps oc -> one
             # nomination tuple, widened to a list of them only under
             # output contention, so the common uncontended case allocates
-            # nothing per output.
+            # nothing per output. Only occupied inputs and VCs are
+            # visited, in ascending order: the order of a full scan.
             candidates: Optional[Dict[int, object]] = None
-            for input_idx, ic in enumerate(component_inputs[comp_id]):
-                if not buffered_count[ic]:
-                    continue
-                has_packets = True
+            inputs = component_inputs[comp_id]
+            for input_idx in bits[occupied]:
+                ic = inputs[input_idx]
                 if input_free_at[ic] > now:
                     continue
                 # The (vc, packet) requests are materialized lazily:
                 # inputs whose scan yields a single eligible VC (the
                 # common case) never build the list.
                 vc_requests: Optional[List] = None
-                first_slot = -1
+                first_vc = -1
                 first_packet = None
-                for slot in slots[ic]:
-                    packet = fifo_head[slot]
-                    if packet is None or packet.ready_cycle > now:
+                base = ic << vc_bits
+                for vc in bits[vc_occupied[ic]]:
+                    packet = fifo_head[base | vc]
+                    if packet.ready_cycle > now:
                         continue
                     oc, ovc = packet.next_hop
                     # Frozen channels grant nothing. (The fault sweep
@@ -821,15 +836,12 @@ class Engine:
                     if credits[(oc << vc_bits) | ovc] < packet.size_flits:
                         continue
                     if first_packet is None:
-                        first_slot = slot
+                        first_vc = vc
                         first_packet = packet
                     elif vc_requests is None:
-                        vc_requests = [
-                            (first_slot & vc_mask, first_packet),
-                            (slot & vc_mask, packet),
-                        ]
+                        vc_requests = [(first_vc, first_packet), (vc, packet)]
                     else:
-                        vc_requests.append((slot & vc_mask, packet))
+                        vc_requests.append((vc, packet))
                 if first_packet is None:
                     continue
                 if vc_requests is None:
@@ -838,7 +850,7 @@ class Engine:
                     # skipping the call is bit-identical (its commit
                     # still runs on an SA2 win, keeping arbiter state in
                     # lockstep).
-                    vc = first_slot & vc_mask
+                    vc = first_vc
                     packet = first_packet
                 else:
                     vc, packet = sa1_peek(ic, vc_requests)
@@ -863,8 +875,6 @@ class Engine:
                         entry = sa2_peek(oc, entry)
                     won.append(entry)
                     grants.append((comp_id, entry[1], entry[2], entry[3], oc))
-            if not has_packets:
-                idle.append(comp_id)
         for comp_id in idle:
             active.pop(comp_id, None)
         if not grants:
@@ -890,6 +900,7 @@ class Engine:
         stat_channel_flits = self._stat_channel_flits
         stat_channel_busy = self._stat_channel_busy
         fifo_tail = self._fifo_tail
+        input_bit = self._input_bit
         remote_src = self._remote_src
         remote_dst = self._remote_dst
         inflight = self._inflight
@@ -918,9 +929,12 @@ class Engine:
                 fifo_head[slot] = behind
                 if behind is None:
                     fifo_tail[slot] = None
+                    left = vc_occupied[ic] ^ (1 << vc)
+                    vc_occupied[ic] = left
+                    if not left:
+                        input_occupied[comp_id] ^= input_bit[ic]
                 else:
                     packet.fifo_next = None
-                buffered_count[ic] -= 1
                 # The credit return; a channel fed from another shard
                 # returns its credits over the barrier instead
                 # (repro/sim/shard.py).
@@ -1140,36 +1154,28 @@ class Engine:
                 del self._source_heads[src]
 
     def _sweep_buffers(self, now: int) -> None:
-        vc_mask = (1 << self._vc_bits) - 1
-        for ic, count in enumerate(self._buffered_count):
-            if not count:
-                continue
-            for slot in self._slots[ic]:
-                queue = self._fifo_packets(slot)
-                if not queue:
-                    continue
-                vc = slot & vc_mask
-                if self.trace is not None:
-                    self._trace_key = (1, self._fault_idx_now, 2, ic, vc)
-                kept = []
-                for packet in queue:
-                    if self._route_clear_from(packet.route, packet.hop_index):
-                        kept.append(packet)
-                    elif self._dispose_stranded(packet, ic, vc, now):
-                        kept.append(packet)
-                    else:
-                        self._buffered_count[ic] -= 1
-                        self._in_network -= 1
-                        self._push_credit(
-                            now + self._latency[ic],
-                            ic,
-                            vc,
-                            packet.size_flits,
-                        )
-                if len(kept) < len(queue):
-                    self._link_fifo(slot, kept)
-                if kept:
-                    self._active[self._channel_dst[ic]] = None
+        # A disposal writes no FIFO but its own: list the buffers first.
+        for ic, vc, queue in self._buffers():
+            if self.trace is not None:
+                self._trace_key = (1, self._fault_idx_now, 2, ic, vc)
+            kept = []
+            for packet in queue:
+                if self._route_clear_from(packet.route, packet.hop_index):
+                    kept.append(packet)
+                elif self._dispose_stranded(packet, ic, vc, now):
+                    kept.append(packet)
+                else:
+                    self._in_network -= 1
+                    self._push_credit(
+                        now + self._latency[ic],
+                        ic,
+                        vc,
+                        packet.size_flits,
+                    )
+            if len(kept) < len(queue):
+                self._link_fifo((ic << self._vc_bits) | vc, kept)
+            if kept:
+                self._active[self._channel_dst[ic]] = None
 
     def _dispose_stranded(
         self, packet: Packet, ic: int, vc: int, now: int
@@ -1315,13 +1321,21 @@ class Engine:
         return out
 
     def _link_fifo(self, slot: int, queue: List[Packet]) -> None:
-        """Make ``queue`` (head first) the FIFO at ``slot``."""
+        """Make ``queue`` (head first) the FIFO at ``slot``, and its
+        channel's occupancy bits say so: the one writer of whole FIFOs."""
         for packet, behind in zip(queue, queue[1:]):
             packet.fifo_next = behind
         if queue:
             queue[-1].fifo_next = None
         self._fifo_head[slot] = queue[0] if queue else None
         self._fifo_tail[slot] = queue[-1] if queue else None
+        cid = slot >> self._vc_bits
+        occupied = self._vc_occupied[cid] = sum(
+            1 << vc for vc, s in enumerate(self._slots[cid]) if self._fifo_head[s]
+        )
+        dst, bit = self._channel_dst[cid], self._input_bit[cid]
+        others = self._input_occupied[dst] & ~bit
+        self._input_occupied[dst] = others | bit if occupied else others
 
     def channel_rows(self, cid: int) -> ChannelRows:
         """Everything this engine holds for channel ``cid``."""
@@ -1358,7 +1372,6 @@ class Engine:
         if dst:
             for slot, queue in zip(slots, rows.queues):
                 self._link_fifo(slot, queue)
-            self._buffered_count[cid] = sum(map(len, rows.queues))
             self._input_free_at[cid] = rows.input_free_at
             if rows.vc_arbiter is not None:
                 self.vc_arbiters.restore_site(cid, rows.vc_arbiter)
@@ -1367,14 +1380,21 @@ class Engine:
         """This engine's state by channel and by (channel, VC), without the
         slot layout: the credits in (channel, VC) order, the two timers,
         and the non-empty VC buffers as ``(cid, vc, packets head first)``."""
-        slots, head = self._slots, self._fifo_head
-        credits = [self._credits[slot] for vcs in slots for slot in vcs]
-        buffers = [
-            (cid, vc, self._fifo_packets(slot))
-            for cid, count in enumerate(self._buffered_count) if count
-            for vc, slot in enumerate(slots[cid]) if head[slot] is not None
+        credits = [self._credits[slot] for vcs in self._slots for slot in vcs]
+        return (
+            credits, list(self._channel_free_at), list(self._input_free_at),
+            self._buffers(),
+        )
+
+    def _buffers(self) -> list:
+        """The non-empty VC buffers as ``(cid, vc, packets head first)``,
+        in (channel, VC) order: what the occupancy masks name."""
+        vc_bits = self._vc_bits
+        return [
+            (cid, vc, self._fifo_packets((cid << vc_bits) | vc))
+            for cid, occupied in enumerate(self._vc_occupied) if occupied
+            for vc in self._bits[occupied]
         ]
-        return credits, list(self._channel_free_at), list(self._input_free_at), buffers
 
     def assign_rows(self, credits, channel_free_at, input_free_at, buffers) -> None:
         """Put :meth:`rows` back into a new engine of the same machine. A
@@ -1406,13 +1426,12 @@ class Engine:
                 )
             last = (cid, vc)
             self._link_fifo(slots[cid][vc], queue)
-            self._buffered_count[cid] += len(queue)
 
     # --- introspection (used by tests) ------------------------------------------
 
     def buffered_packets(self) -> int:
-        """Packets currently sitting in network buffers."""
-        return sum(self._buffered_count)
+        """Packets currently sitting in network buffers (a recount)."""
+        return sum(len(queue) for _cid, _vc, queue in self._buffers())
 
     def credits_outstanding(self, channel_id: int, vc: int) -> int:
         """Credits currently held (buffer depth minus available credits)."""

@@ -538,7 +538,7 @@ def _keep_owned(engine: Engine, owners: Sequence[int], shard: int) -> None:
     for src in [s for s in engine._source_queues if owners[s] != shard]:
         del engine._source_queues[src], engine._source_heads[src]
     for cid, dst in enumerate(channel_dst):
-        if owners[dst] != shard and engine._buffered_count[cid]:
+        if owners[dst] != shard and engine._vc_occupied[cid]:
             rows = engine.channel_rows(cid)
             emptied = rows._replace(queues=[[] for _ in rows.queues])
             engine.assign_channel(cid, emptied, src=False)
@@ -556,7 +556,7 @@ def _keep_owned(engine: Engine, owners: Sequence[int], shard: int) -> None:
             if owners[channel_dst[oc]] == shard
         }
     engine._queued = sum(len(queue) for queue in engine._source_queues.values())
-    engine._in_network = sum(engine._buffered_count) + sum(
+    engine._in_network = engine.buffered_packets() + sum(
         1 for payload in events if payload[0] == _EV_ARRIVAL
     )
     if shard:

@@ -6,11 +6,13 @@ arrivals: each packet sits in exactly one place), every packet row must
 be one, and every row must be as long as the machine's. A packet row
 that carries its hops must walk the machine's (channel, VC) pairs into
 its destination; one that carries none must name a route the machine
-builds. One that is not -- a negative index, an index named twice, a row
-too many, a row cut short, a hop off the machine, a source that is no
-endpoint -- is refused with a :class:`CheckpointError` that names it,
-and by the CLI as ``error: ...`` and exit 1: never a traceback, never a
-hang, and never a run that goes on with a packet buffered twice or a
+builds. Every arbiter entry must be an integer in its row's range (an
+``iw`` accumulator below 2^(M+1)), and the active list the machine's
+components, rising. One that is not -- a negative index, an index
+named twice, a row too many, a row cut short, a hop off the machine, a
+source that is no endpoint, a pointer past its fan-in -- is refused
+with a :class:`CheckpointError` that names it, and by the CLI as
+``error: ...`` and exit 1: never a traceback, never a hang, and never a run that goes on with a packet buffered twice or a
 route the hardware has not got. Each edit is made to the committed
 golden (schema 3), to the same snapshot as schema 2 wrote it, and to it
 as schema 1 wrote it, which the up-converter brings to the same checks.
@@ -24,7 +26,12 @@ import pytest
 
 from repro.cli import main
 from repro.faults import FaultPolicy, FaultSet, FaultSpec
-from repro.sim.checkpoint import CheckpointError, dumps, restore_engine
+from repro.sim.checkpoint import (
+    CheckpointError,
+    dumps,
+    restore_engine,
+    snapshot_engine,
+)
 from repro.sim.goldens import GOLDEN_DIR
 
 GOLDENS = {
@@ -60,6 +67,10 @@ def edits(*cases):
 def assert_refused(schema, named, edit, tmp_path, capsys):
     data = json.loads(GOLDENS[schema].read_text())
     edit(data)
+    assert_data_refused(data, named, tmp_path, capsys)
+
+
+def assert_data_refused(data, named, tmp_path, capsys):
     with pytest.raises(CheckpointError, match=named) as caught:
         restore_engine(json.loads(dumps(data)))
     assert "\n" not in str(caught.value)
@@ -224,6 +235,86 @@ def test_packet_rows(schema, named, edit, tmp_path, capsys):
      lambda d: d["vc_arbiters"]["pointer"].append(0), None),
 )
 def test_row_lengths(schema, named, edit, tmp_path, capsys):
+    assert_refused(schema, named, edit, tmp_path, capsys)
+
+
+def stage_entry(stage, row, value):
+    """Edits setting the first entry of ``stage``'s ``row`` to ``value``:
+    the stage's rows (schemas 2 and 3), then its first site's state
+    (schema 1)."""
+
+    def rows(data):
+        data[stage][row][0] = value
+
+    def s1(data):
+        state = data[stage][0][1]["state"]
+        if row == "pointer":
+            state[row] = value
+        else:
+            state[row][0] = value
+
+    return rows, s1
+
+
+# Before these checks, a string was a TypeError traceback mid-run and
+# every other case was accepted, the run going on to the end.
+@edits(
+    ("grants below zero", r"arbiter 0's grants entry is -5, not an integer >= 0",
+     *stage_entry("arbiters", "grants", -5)),
+    ("grants a string", r"arbiter 0's grants entry is '7', not an integer >= 0",
+     *stage_entry("arbiters", "grants", "7")),
+    ("grants a bool", r"arbiter 0's grants entry is True, not an integer >= 0",
+     *stage_entry("vc_arbiters", "grants", True)),
+    ("pointer null", r"arbiter 0's pointer entry is None, not an integer in \[0, 5\)",
+     *stage_entry("arbiters", "pointer", None)),
+    ("pointer past the fan-in",
+     r"arbiter 0's pointer entry is 5, not an integer in \[0, 5\)",
+     *stage_entry("arbiters", "pointer", 5)),
+)
+def test_arbiter_entries(schema, named, edit, tmp_path, capsys):
+    assert_refused(schema, named, edit, tmp_path, capsys)
+
+
+#: An iw stage's file, as schema 2 wrote it.
+IW_GOLDEN = GOLDEN_DIR / "checkpoint_iw-tornado-4x2x2.schema2.json"
+
+
+@pytest.mark.parametrize("schema", [2, 3])
+@pytest.mark.parametrize("value", [
+    # The stage holds values below 2^(M+1) = 64 (M = 5).
+    "7", 64, 1000, -1, True,
+])
+def test_iw_accumulator_entries(schema, value, tmp_path, capsys):
+    data = json.loads(IW_GOLDEN.read_text())
+    if schema == 3:
+        data = json.loads(dumps(snapshot_engine(restore_engine(data))))
+    data["arbiters"]["accumulators"][3] = value
+    named = (
+        rf"arbiter \d+'s accumulators entry is {value!r}, not an integer "
+        rf"in \[0, 64\)"
+    )
+    assert_data_refused(data, named, tmp_path, capsys)
+
+
+# Before these checks, a component past the machine was an IndexError
+# traceback, a string a TypeError one, and -1 (the machine's last
+# component's rows) or a repeated id was accepted.
+@edits(
+    ("past the machine",
+     "active names component 1000000000 after 236; the machine has 240",
+     lambda d: d["active"].append(1_000_000_000)),
+    ("a string", "active names component '5' after 236",
+     lambda d: d["active"].append("5")),
+    ("a bool", "active names component True after -1",
+     lambda d: d["active"].insert(0, True)),
+    ("negative", "active names component -1 after 236",
+     lambda d: d["active"].append(-1)),
+    ("twice", "active names component 236 after 236",
+     lambda d: d["active"].append(236)),
+    ("out of order", "active names component 231 after 236",
+     lambda d: d["active"].reverse()),
+)
+def test_active_components(schema, named, edit, tmp_path, capsys):
     assert_refused(schema, named, edit, tmp_path, capsys)
 
 

@@ -16,6 +16,7 @@ call -- leaves the state committing them one at a time would.
 """
 
 import json
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -172,6 +173,67 @@ class TestBankMatchesObjects:
         assert bank.site_state(0)["accumulators"] == [5, 0]
         assert bank.site_state(0)["accumulators"] == oracle.state()["accumulators"]
         assert bank.site_state(0)["pointer"] == oracle.state()["pointer"] == 0
+
+
+class TestDebtAgainstTheObjects:
+    """``iw``'s window slide is booked as a per-site debt; over a stream
+    long enough for every site's debt to pass many windows, each site
+    still grants what its object grants and reports the object's state
+    at every step, across a mid-stream ``state()`` -> ``restore()``."""
+
+    GRANTS = 10_000  # a site
+
+    def test_ten_thousand_grants_a_site(self):
+        rng = random.Random(35)
+        bits, patterns = 3, 2
+        sites = three_sites(5)
+        counts = {3: 2, 0: 5, 2: 3}
+        # Upper-half weights: most grants cross the window.
+        tables = {
+            site: WeightTable(
+                [[rng.randrange(4, 8) for _ in range(patterns)] for _ in range(k)],
+                bits, 1.0,
+            )
+            for site, k in counts.items()
+        }
+        bank = InverseWeightedBank(sites, tables)
+        oracles = {
+            site: InverseWeightedArbiter(table.inverse_weights, bits)
+            for site, table in tables.items()
+        }
+        granted = dict.fromkeys(counts, 0)
+        restored = False
+        while min(granted.values()) < self.GRANTS:
+            site = rng.choice(sorted(counts))
+            requests = [
+                SimpleRequest(pattern=rng.randrange(patterns + 1))
+                if rng.random() < 0.7 else None
+                for _ in range(counts[site])
+            ]
+            entries = [(i, r) for i, r in enumerate(requests) if r is not None]
+            expected = oracles[site].peek(requests)
+            if expected is None:
+                assert bank.peek(site, entries) is None
+                continue
+            assert bank.peek(site, entries) == (expected, requests[expected])
+            bank.commit(site, expected, requests[expected])
+            oracles[site].commit(expected, requests[expected])
+            assert bank.site_state(site) == oracles[site].state()
+            granted[site] += 1
+            if not restored and granted[site] == self.GRANTS // 2:
+                # Mid-stream, every debt far past a window: the stage
+                # saves and restores as the objects' states.
+                assert min(bank.debt[s] for s in counts) > 100 * bank.window
+                fresh = InverseWeightedBank(
+                    sites, num_patterns=patterns, weight_bits=bits
+                )
+                fresh.restore(json.loads(json.dumps(bank.state())))
+                bank, restored = fresh, True
+                assert [bank.site_state(s) for s in counts] == [
+                    oracles[s].state() for s in counts
+                ]
+        assert restored
+        assert min(bank.debt[s] for s in counts) > 100 * bank.window
 
 
 def make_bank(policy, k, data):

@@ -243,10 +243,11 @@ def canonical_arrival(engine, packet, cid, now):
     tail = engine._fifo_tail[slot]
     if tail is None:
         engine._fifo_head[slot] = packet
+        engine._vc_occupied[cid] |= 1 << vc
+        engine._input_occupied[engine._channel_dst[cid]] |= engine._input_bit[cid]
     else:
         tail.fifo_next = packet
     engine._fifo_tail[slot] = packet
-    engine._buffered_count[cid] += 1
     engine._active[engine._channel_dst[cid]] = None
     if engine.trace is not None:
         engine.trace.emit(TraceEvent("arrive", now, ticks, packet.pid, cid, vc))

@@ -231,7 +231,28 @@ def _stamped_by_another_run(text):
     return dumps(data)
 
 
+def _edited(edit):
+    def apply(text):
+        data = json.loads(text)
+        edit(data)
+        return dumps(data)
+
+    return apply
+
+
 REFUSALS = {
+    "an arbiter entry out of range": (
+        WORKLOADS["alpha"],
+        _edited(lambda data: data["arbiters"]["grants"].__setitem__(0, -5)),
+        r"CheckpointError: checkpoint does not fit this machine: "
+        r"arbiter 0's grants entry is -5, not an integer >= 0",
+    ),
+    "an active component past the machine": (
+        WORKLOADS["alpha"],
+        _edited(lambda data: data["active"].append(10**9)),
+        r"CheckpointError: active names component 1000000000 after \d+; "
+        r"the machine has 240",
+    ),
     "another machine": (
         dict(WORKLOADS["alpha"], shape=[4, 2, 2]),
         lambda text: text,
