@@ -505,27 +505,39 @@ class RouteComputer:
         )
 
 
-def validate_route(machine: Machine, route: Route) -> None:
-    """Check route well-formedness: connectivity and VC legality.
+def validate_route(machine: Machine, route: Route, moved: bool = False) -> None:
+    """Refuse, by name, a route that is not a walk of ``machine``'s
+    (channel, VC) pairs from ``route.src`` into ``route.dst``: each hop a
+    channel of the machine on a VC it implements, leaving the component
+    the hop before it entered. Reads the machine's channel rows.
 
-    Raises ``AssertionError`` on any violation. Used by tests and by the
-    deadlock checker's route enumeration.
+    The one check of a route read from outside -- a checkpoint's or a
+    shard transfer's packet row, a replayed trace's ``depart`` events --
+    and of the routes the tests build. ``moved``: the packet has left its
+    source, so its route may be one spliced around a fault, whose first
+    hop is the channel that held the packet; that hop may then leave any
+    component.
+
+    Raises ``ValueError`` naming the first defect.
     """
     if not route.hops:
-        raise AssertionError("route has no hops")
-    first = machine.channels[route.hops[0][0]]
-    if first.src != route.src:
-        raise AssertionError("route does not start at its source endpoint")
-    last = machine.channels[route.hops[-1][0]]
-    if last.dst != route.dst:
-        raise AssertionError("route does not end at its destination endpoint")
-    prev_dst = None
-    for channel_id, vc in route.hops:
-        channel = machine.channels[channel_id]
-        if prev_dst is not None and channel.src != prev_dst:
-            raise AssertionError(
-                f"hop {channel} does not start where the previous hop ended"
+        raise ValueError("route has no hops")
+    vcs, leaves, enters = machine.channel_vcs, machine.channel_src, machine.channel_dst
+    at = None if moved else route.src
+    for channel, vc in route.hops:
+        if not (
+            type(channel) is int and 0 <= channel < len(vcs)
+            and type(vc) is int and 0 <= vc < vcs[channel]
+        ):
+            raise ValueError(
+                f"route has hop ({channel!r}, {vc!r}), which is no "
+                f"(channel, VC) of this machine"
             )
-        if not 0 <= vc < machine.vcs_for_channel(channel):
-            raise AssertionError(f"VC {vc} illegal on {channel}")
-        prev_dst = channel.dst
+        if at is not None and leaves[channel] != at:
+            raise ValueError(
+                f"route hops onto channel {channel}, which does not leave "
+                f"component {at}, where the packet is by then"
+            )
+        at = enters[channel]
+    if at != route.dst:
+        raise ValueError(f"route ends at component {at}, not at its dst {route.dst}")

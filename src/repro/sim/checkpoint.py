@@ -74,7 +74,13 @@ from typing import Dict, List, Optional
 
 from repro.arbiters.bank import BANKS, InverseWeightedBank
 from repro.core.machine import Fraction, Machine, MachineConfig
-from repro.core.routing import ALL_DIM_ORDERS, Route, RouteChoice, RouteComputer
+from repro.core.routing import (
+    ALL_DIM_ORDERS,
+    Route,
+    RouteChoice,
+    RouteComputer,
+    validate_route,
+)
 
 from .engine import _EV_ARRIVAL, Engine, event_sort_key
 from .metrics import MetricsCollector
@@ -227,33 +233,28 @@ _ORDER_CODE = {order: code for code, order in enumerate(ALL_DIM_ORDERS)}
 
 class _PacketCodec:
     """Packets to and from :data:`PACKET_ROW` rows on ``machine``: one per
-    payload (or shard wire), so that the rows it reads share their route
-    choices.
+    payload (or shard core), so that the rows it reads share their route
+    choices; :func:`_checkpoint_codec` makes them.
 
-    With ``routes`` -- a checkpoint's codec (:func:`_checkpoint_codec`) --
-    a row stops after its head when the packet's route *equals*, field by
+    A row stops after its head when the packet's route *equals*, field by
     field, the route ``routes`` builds from the head's ``(src, dst,
     choice, traffic_class)``; such a row is read back through the
-    machine's route memo that computer fills, so restored packets share
-    its routes (DESIGN.md section 10). Every row it reads is checked
-    against the machine: a hop-less one must be routable, a full one a
-    walk of the machine's (channel, VC) pairs into ``dst``. Without
-    ``routes`` -- the shard wire, written and read by the run's own
-    engines -- every row carries its hops and is trusted.
+    machine's route memo that computer fills, so packets read share its
+    routes (DESIGN.md section 10). Every row it reads is checked against
+    the machine: a hop-less one must be routable, a full one a walk of
+    the machine's (channel, VC) pairs into ``dst``
+    (:func:`~repro.core.routing.validate_route`).
     """
 
-    def __init__(self, machine: Machine, routes: Optional[RouteComputer] = None) -> None:
+    def __init__(self, machine: Machine, routes: RouteComputer) -> None:
         _nx, self._ny, self._nz = machine.config.shape
         self._choices: Dict[tuple, RouteChoice] = {}
+        self._machine = machine
         self._routes = routes
-        if routes is not None:
-            self._memo = machine.route_memo(
-                routes.direction_order, routes.allow_nonminimal
-            )
-            rows = machine.engine_rows
-            self._from, self._into = rows.src, rows.dst
-            self._components = len(machine.components)
-            self._vcs = machine.channel_vcs
+        self._memo = machine.route_memo(
+            routes.direction_order, routes.allow_nonminimal
+        )
+        self._components = len(machine.components)
 
     def row(self, packet: Packet) -> list:
         route = packet.route
@@ -268,17 +269,16 @@ class _PacketCodec:
             *(choice.deltas or (None, None, None)), route.internode_hops,
             -1 if via is None else (via[0] * self._ny + via[1]) * self._nz + via[2],
         ]
-        if self._routes is not None:
-            try:
-                rebuilt = self._route(
-                    packet.pid, route.src, route.dst, choice, packet.traffic_class
-                )
-            except CheckpointError:  # a key the machine does not route
-                rebuilt = None
-            # ``is`` only skips the field compare: the rule is equality,
-            # or the bytes would depend on what the memo held.
-            if rebuilt is route or rebuilt == route:
-                return row
+        try:
+            rebuilt = self._route(
+                packet.pid, route.src, route.dst, choice, packet.traffic_class
+            )
+        except CheckpointError:  # a key the machine does not route
+            rebuilt = None
+        # ``is`` only skips the field compare: the rule is equality, or
+        # the bytes would depend on what the memo held.
+        if rebuilt is route or rebuilt == route:
+            return row
         row += itertools.chain.from_iterable(route.hops)
         return row
 
@@ -303,8 +303,6 @@ class _PacketCodec:
                 raise CheckpointError(f"packet {pid}'s route choice: {exc}") from None
             self._choices[key] = choice
         if len(row) == _HEAD:
-            if self._routes is None:
-                raise CheckpointError(f"packet {pid}'s row carries no hops")
             route = self._route(pid, src, dst, choice, traffic_class)
             if (internode, via) != (route.internode_hops, -1):
                 raise CheckpointError(
@@ -314,13 +312,17 @@ class _PacketCodec:
                 )
         else:
             run = row[_HEAD:]
-            hops = tuple(zip(run[::2], run[1::2]))
-            if self._routes is not None:
-                self._check_walk(pid, src if hop_index == 0 else None, dst, hops)
             if via != -1:
                 rest, z = divmod(via, self._nz)
                 via = (*divmod(rest, self._ny), z)
-            route = Route(src, dst, choice, hops, internode, None if via == -1 else via)
+            route = Route(
+                src, dst, choice, tuple(zip(run[::2], run[1::2])), internode,
+                None if via == -1 else via,
+            )
+            try:
+                validate_route(self._machine, route, moved=hop_index != 0)
+            except ValueError as exc:
+                raise CheckpointError(f"packet {pid}'s {exc}") from None
         hops = route.hops
         if not 0 <= hop_index <= len(hops):
             raise CheckpointError(
@@ -357,36 +359,10 @@ class _PacketCodec:
                 f"route it: {exc}"
             ) from None
 
-    def _check_walk(self, pid, at, dst, hops) -> None:
-        """Refuse, by name, hops that are not a walk of this machine's
-        (channel, VC) pairs from ``at`` into ``dst``. ``at`` is ``None``
-        once the packet has moved: a route spliced around a fault starts
-        at the channel that held the packet (at hop 1), so then the first
-        hop may leave any component; at hop 0 it leaves the source."""
-        vcs, leaves, enters = self._vcs, self._from, self._into
-        for channel, vc in hops:
-            if not (
-                type(channel) is int and 0 <= channel < len(vcs)
-                and type(vc) is int and 0 <= vc < vcs[channel]
-            ):
-                raise CheckpointError(
-                    f"packet {pid}'s route has hop ({channel!r}, {vc!r}), which "
-                    f"is no (channel, VC) of this machine"
-                )
-            if at is not None and leaves[channel] != at:
-                raise CheckpointError(
-                    f"packet {pid}'s route hops onto channel {channel}, which "
-                    f"does not leave component {at}, where the packet is by then"
-                )
-            at = enters[channel]
-        if at != dst:
-            raise CheckpointError(
-                f"packet {pid}'s route ends at component {at}, not at its dst {dst}"
-            )
-
 
 def _checkpoint_codec(machine: Machine, faulted: bool) -> _PacketCodec:
-    """The codec a checkpoint's packet rows are written and read with.
+    """The codec a checkpoint's packet rows, and a shard transfer's, are
+    written and read with.
 
     Its rebuild is a plain computer under the default direction order over
     the machine's route memo -- the memo the run's own routes went into:
@@ -824,10 +800,10 @@ def _upgrade_stage(specs: list, sites, stage: str) -> dict:
 
 
 def _upgrade_schema1(data: dict, machine: Machine) -> dict:
-    """A schema-1 payload in schema 2's layout (every packet row with its
-    hops), on its own (vetted) ``machine``: the one way schema 1 is read,
-    a pure data transform. Packet indices stay: every schema numbers
-    packets in one traversal."""
+    """A schema-1 payload in schema 3's layout, its packet rows written by
+    the checkpoint's own codec, on its own (vetted) ``machine``: the one
+    way schema 1 is read, a pure data transform. Packet indices stay:
+    every schema numbers packets in one traversal."""
     retained = data["stats"]["packet_latencies"]
     if data["keep_packet_latencies"] is not False or retained != []:
         raise CheckpointError(
@@ -842,10 +818,10 @@ def _upgrade_schema1(data: dict, machine: Machine) -> dict:
                 f"checkpoint does not fit this machine: its {name} are not "
                 f"one entry per VC of each channel"
             )
-    codec = _PacketCodec(machine)
+    codec = _checkpoint_codec(machine, data["faults"] is not None)
     return dict(
         {k: v for k, v in data.items() if k != "keep_packet_latencies"},
-        schema=2,
+        schema=3,
         packets=[codec.row(_packet_from_json(p)) for p in data["packets"]],
         buffers=[
             [cid, vc, queue]

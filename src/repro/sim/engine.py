@@ -36,12 +36,22 @@ overflow into a small heap). Each cycle's batch is drained in an order
 that agrees with the *canonical within-cycle order* (see
 :func:`event_sort_key`) wherever it is observable -- faults by timeline
 index, then arrivals by channel -- so the observable event stream is a
-pure function of simulation state rather than push history: the
-property the sharded runner (:mod:`repro.sim.shard`) relies on to
-reproduce serial bytes from per-shard streams. Then each cycle
-arbitrates every active component and only afterwards moves the
+pure function of simulation state rather than push history. Then each
+cycle arbitrates every active component and only afterwards moves the
 winners across the switch (:meth:`Engine._step`). See DESIGN.md
 sections 9 and 14.
+
+**A shard is an engine.** The sharded runner (:mod:`repro.sim.shard`)
+runs one engine per sub-box of the torus, and this class does not know
+it: a grant onto a channel that leaves the shard pushes its arrival onto
+this engine's wheel, and a credit for a channel fed from outside it
+goes onto the wheel too, exactly as in a serial run. Between cycles, at
+each lookahead barrier, the runner takes off the wheel every event
+another shard owns and puts it on the owner's wheel, in the same bucket
+or overflow heap; the canonical order above makes the union of the
+shards' streams the serial engine's. What the runner cannot read off
+the public state lives here: ``_trace_key`` (where a trace record falls
+in the serial order) and ``_fault_owned`` (which shard counts a fault).
 
 Endpoint adapters inject from an unbounded source queue (the Section 4.1
 batch methodology: every core has a batch of packets ready at time zero)
@@ -303,29 +313,23 @@ class Engine:
         #: Timeline index of the fault currently being applied (the
         #: sweeps key their trace records by it).
         self._fault_idx_now = -1
+        # The engine knows two things of the sharded runner
+        # (repro/sim/shard.py), which otherwise works on its public state
+        # -- the wheel, the counters, channel_rows/assign_channel -- from
+        # outside, between cycles. Neither can be read off that state:
         #: Canonical merge key for the event/phase currently emitting
         #: trace records, maintained only while a sink that takes events
         #: is attached (a directly-fed collector needs none). The sharded
-        #: runner (repro/sim/shard.py) keys per-shard trace streams by it
-        #: to interleave them into the serial order.
+        #: runner keys per-shard trace streams by it to interleave them
+        #: into the serial order: a record of a fault sweep cannot be
+        #: placed from the event alone.
         self._trace_key: Optional[tuple] = None
-        # Shard-boundary hooks (repro/sim/shard.py). ``None`` on a
-        # serial engine keeps every gate below a single falsy check --
-        # the same zero-overhead standard as tracing and faults.
-        #: Channel ids whose destination lives in another shard: grants
-        #: divert their arrival record to ``_outbox`` instead of the
-        #: wheel.
-        self._remote_dst: Optional[frozenset] = None
-        #: Channel ids whose source lives in another shard: credit
-        #: returns divert to ``_outbox_credits``.
-        self._remote_src: Optional[frozenset] = None
-        #: Channel ids whose fault bookkeeping this shard owns (None =
-        #: all): ``stats.fault_events`` and 'fault' trace records are
-        #: emitted only by the owning shard so merged totals match the
-        #: serial engine's.
+        #: Channel ids whose fault bookkeeping this engine owns (None =
+        #: all). Every shard applies every fault -- routing state is
+        #: global -- but only the owner of the channel counts
+        #: ``stats.fault_events`` and emits the 'fault' record, so the
+        #: merged totals match the serial engine's.
         self._fault_owned: Optional[frozenset] = None
-        self._outbox: Optional[list] = None
-        self._outbox_credits: Optional[list] = None
 
         #: Optional fault state (see :mod:`repro.faults`). ``None`` keeps
         #: the fault path zero-overhead: ``_failed_channels`` stays None,
@@ -413,37 +417,6 @@ class Engine:
         tests): ``run_for`` on a drained engine is a no-op.
         """
         return not (self._queued or self._in_network or self._events.pending)
-
-    def feed_arrival(self, packet: Packet, oc: int, cycle: int) -> None:
-        """Materialize a cross-shard arrival (see :mod:`repro.sim.shard`).
-
-        The peer shard granted ``packet`` onto channel ``oc`` and its
-        barrier exchange delivered the transfer record here; schedule
-        the arrival exactly as a local grant's traversal would have.
-        """
-        self._feed_event(cycle, (_EV_ARRIVAL, packet, oc, None))
-        self._in_network += 1
-        if self._inflight is not None:
-            self._inflight[packet] = oc
-
-    def feed_credit(self, cid: int, vc: int, size: int, cycle: int) -> None:
-        """Materialize a cross-shard credit return (barrier exchange)."""
-        self._feed_event(cycle, (_EV_CREDIT, cid, vc, size))
-
-    def _feed_event(self, cycle: int, payload: tuple) -> None:
-        # A fed event may land exactly on the current (barrier) cycle --
-        # its serial counterpart was pushed cycles earlier and sits in
-        # the wheel *bucket* for that cycle, so the delta == 0 case must
-        # take the bucket path too (``push`` would route it to the
-        # overflow heap, which serializes differently). Processing order
-        # is unaffected either way (the canonical within-cycle sort),
-        # only the serialized wheel bytes are.
-        events = self._events
-        if 0 <= cycle - self.cycle < events.size:
-            events.buckets[cycle & events.mask].append(payload)
-            events.pending += 1
-        else:
-            events.push(cycle, self.cycle, payload)
 
     def schedule_faults(self, fault_set) -> int:
         """Merge additional *future* faults into a faulted engine mid-run.
@@ -563,15 +536,6 @@ class Engine:
     def _push_event(self, cycle: int, kind: int, a, b, c) -> None:
         self._events.push(cycle, self.cycle, (kind, a, b, c))
 
-    def _push_credit(self, cycle: int, cid: int, vc: int, size: int) -> None:
-        remote_src = self._remote_src
-        if remote_src is not None and cid in remote_src:
-            # The channel's source arbitration point lives in another
-            # shard; the credit return crosses at the next barrier.
-            self._outbox_credits.append((cid, vc, size, cycle))
-        else:
-            self._events.push(cycle, self.cycle, (_EV_CREDIT, cid, vc, size))
-
     def _process_events(self) -> None:
         """Apply this cycle's events: one body, healthy or faulted.
 
@@ -678,7 +642,9 @@ class Engine:
                                     ),
                                 )
                             )
-                self._push_credit(now + latency[cid], cid, vc, packet.size_flits)
+                self._push_event(
+                    now + latency[cid], _EV_CREDIT, cid, vc, packet.size_flits
+                )
                 if delivered and self.on_delivery is not None:
                     self.on_delivery(packet, now)
                 continue
@@ -901,8 +867,6 @@ class Engine:
         stat_channel_busy = self._stat_channel_busy
         fifo_tail = self._fifo_tail
         input_bit = self._input_bit
-        remote_src = self._remote_src
-        remote_dst = self._remote_dst
         inflight = self._inflight
         events = self._events
         wheel_size = events.size
@@ -935,13 +899,9 @@ class Engine:
                         input_occupied[comp_id] ^= input_bit[ic]
                 else:
                     packet.fifo_next = None
-                # The credit return; a channel fed from another shard
-                # returns its credits over the barrier instead
-                # (repro/sim/shard.py).
+                # The freed buffer's credit goes back upstream.
                 credit_cycle = now + latency[ic]
-                if remote_src is not None and ic in remote_src:
-                    self._outbox_credits.append((ic, vc, size, credit_cycle))
-                elif credit_cycle - now < wheel_size:
+                if credit_cycle - now < wheel_size:
                     buckets[credit_cycle & mask].append((_EV_CREDIT, ic, vc, size))
                     pushed += 1
                 else:
@@ -987,15 +947,7 @@ class Engine:
             arrival = (end_ticks - 1) // tpc - 1 + latency[oc]
             if arrival <= now:
                 arrival = now + 1
-            if remote_dst is not None and oc in remote_dst:
-                # Cross-shard hop: the peer shard materializes the arrival
-                # after the next barrier. The packet stays in ``_inflight``
-                # (and in ``_in_network``) until the barrier flush so a
-                # fault landing inside this window sweeps it exactly as the
-                # serial engine would -- its arrival provably lies beyond
-                # the lookahead window.
-                self._outbox.append((packet, oc, arrival))
-            elif arrival - now < wheel_size:
+            if arrival - now < wheel_size:
                 buckets[arrival & mask].append((_EV_ARRIVAL, packet, oc, None))
                 pushed += 1
             else:
@@ -1166,11 +1118,8 @@ class Engine:
                     kept.append(packet)
                 else:
                     self._in_network -= 1
-                    self._push_credit(
-                        now + self._latency[ic],
-                        ic,
-                        vc,
-                        packet.size_flits,
+                    self._push_event(
+                        now + self._latency[ic], _EV_CREDIT, ic, vc, packet.size_flits
                     )
             if len(kept) < len(queue):
                 self._link_fifo((ic << self._vc_bits) | vc, kept)
@@ -1338,7 +1287,9 @@ class Engine:
         self._input_occupied[dst] = others | bit if occupied else others
 
     def channel_rows(self, cid: int) -> ChannelRows:
-        """Everything this engine holds for channel ``cid``."""
+        """Everything this engine holds for channel ``cid``: what a shard
+        merge copies from the owner of each side of the channel
+        (:func:`~repro.sim.shard.merge_shard_snapshots`)."""
         slots = self._slots[cid]
         sa2, sa1 = self.arbiters, self.vc_arbiters
         return ChannelRows(

@@ -26,13 +26,18 @@ discrete-event simulation, exact rather than approximate:
   event in a peer's past. On the default machine (torus latency 12
   cycles, 45 occupancy ticks at 14 ticks/cycle) ``L = 12``.
 
-* **Exchange.** Cross-shard grants divert to a per-engine outbox
-  (``Engine._remote_dst``); at each barrier the hub routes them to the
-  destination shard, which replays them with
-  :meth:`~repro.sim.engine.Engine.feed_arrival`. A transfer record
-  carries the packet as the checkpoint's packet row
-  (:data:`~repro.sim.checkpoint.PACKET_ROW`); credit returns flow back
-  the same way.
+* **Exchange.** A shard's engine does not know it is one: a grant onto
+  a channel into another shard pushes its arrival onto its own wheel,
+  and a credit for a channel fed from another shard goes there too, as
+  in a serial run. At each barrier the shard takes off its wheel every
+  event another shard owns (:func:`event_owner`, the one rule of who
+  owns what) -- the lookahead keeps each one due at or after the
+  barrier, so it is still there -- grouped by owner; the owner puts it
+  on its own wheel where the sender's held it, bucket for bucket,
+  overflow heap for overflow heap. An arrival travels with its packet as
+  a checkpoint packet row (:data:`~repro.sim.checkpoint.PACKET_ROW`),
+  written and read by the checkpoint's codec: hop-less when the
+  machine's route memo rebuilds the route, and checked on read.
 
 * **Exactness.** A sharded run starts as the serial one does:
   :func:`~repro.sim.simulator.start` makes the serial engine -- every
@@ -76,11 +81,11 @@ from repro.core.machine import Machine
 
 from .checkpoint import (
     CheckpointError,
-    _PacketCodec,
+    _checkpoint_codec,
     restore_engine,
     snapshot_engine,
 )
-from .engine import _EV_ARRIVAL, _EV_CREDIT, _EV_FAULT, DeadlockError, Engine
+from .engine import _EV_ARRIVAL, _EV_CREDIT, _EV_WAKE, DeadlockError, Engine
 from .metrics import StreamingQuantile
 from .simulator import RunSpec, reject_unshardable
 from .simulator import run as run_sharded  # noqa: F401  (re-exported)
@@ -143,45 +148,23 @@ def component_owners(machine: Machine, parts: Sequence[int]) -> List[int]:
     return [owner(comp.chip) for comp in machine.components]
 
 
-def shard_boundary(
-    machine: Machine, owners: Sequence[int], shard: int
-) -> Tuple[frozenset, frozenset, frozenset]:
-    """A shard's boundary channel sets: (remote_dst, remote_src, fault_owned).
-
-    ``remote_dst`` -- channels whose source is local and destination
-    remote (grants divert to the outbox); ``remote_src`` -- the reverse
-    (credit returns divert); ``fault_owned`` -- channels whose fault
-    bookkeeping (stats, trace) this shard owns: every shard applies the
-    full fault timeline for routing parity, but only the channel's
-    source shard counts it.
-    """
-    remote_dst = set()
-    remote_src = set()
-    fault_owned = set()
-    for channel in machine.channels:
-        src_owner = owners[channel.src]
-        dst_owner = owners[channel.dst]
-        if src_owner == shard:
-            fault_owned.add(channel.cid)
-            if dst_owner != shard:
-                remote_dst.add(channel.cid)
-        elif dst_owner == shard:
-            remote_src.add(channel.cid)
-    return frozenset(remote_dst), frozenset(remote_src), frozenset(fault_owned)
-
-
-def _channel_lookahead(machine: Machine, channel) -> int:
-    """Safe window length contributed by one cross-shard channel.
-
-    The arrival bound is ``lat - 1 + (occ - 1) // tpc`` cycles after the
-    grant (a grant at cycle ``g`` ends serialization no earlier than
-    tick ``g * tpc + occ``); the credit bound is exactly ``lat``. Both
-    must be ``>= L`` for a window of length ``L``.
-    """
-    lat = channel.latency
-    occ = machine.occupancy_ticks_for_channel(channel)
-    tpc = machine.ticks_per_cycle
-    return min(lat, lat - 1 + (occ - 1) // tpc)
+def event_owner(
+    payload: tuple, owners: Sequence[int], machine: Machine
+) -> Optional[int]:
+    """The shard that processes a wheel event: an arrival the owner of
+    its channel's destination, a credit return the owner of its channel's
+    source, a source wake the owner of the component. ``None`` for a
+    fault transition, which every shard applies. The one statement of
+    which shard an event belongs to: the cut (:func:`_keep_owned`), the
+    barrier and the merge all ask it."""
+    kind, a, b, _ = payload
+    if kind == _EV_ARRIVAL:
+        return owners[machine.channel_dst[b]]
+    if kind == _EV_CREDIT:
+        return owners[machine.channel_src[a]]
+    if kind == _EV_WAKE:
+        return owners[a]
+    return None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -197,17 +180,27 @@ class ShardPlan:
         reject_unshardable(machine.config)
         parts = partition_parts(machine.config.shape, shards)
         owners = component_owners(machine, parts)
-        cross = [
-            c for c in machine.channels if owners[c.src] != owners[c.dst]
+        tpc = machine.ticks_per_cycle
+        # Each cross-shard channel bounds the window: a grant at cycle g
+        # ends serialization no earlier than tick g * tpc + occ, so its
+        # arrival lands at least lat - 1 + (occ - 1) // tpc cycles later,
+        # and the credit it frees returns exactly lat cycles later.
+        bounds = [
+            min(lat, lat - 1 + (occ - 1) // tpc)
+            for src, dst, lat, occ in zip(
+                machine.channel_src,
+                machine.channel_dst,
+                machine.channel_latency,
+                machine.channel_occupancy_ticks,
+            )
+            if owners[src] != owners[dst]
         ]
-        if shards > 1 and not cross:
+        if shards > 1 and not bounds:
             raise ValueError(
                 f"partition {parts} of shape {machine.config.shape} produced "
                 f"no cross-shard channels"
             )
-        lookahead = (
-            min(_channel_lookahead(machine, c) for c in cross) if cross else 1
-        )
+        lookahead = min(bounds, default=1)
         if lookahead < 1:
             raise ValueError(
                 "cross-shard channel latency too small for a conservative "
@@ -262,23 +255,21 @@ class _ShardCore:
         # and a fresh one differ in nothing else.
         engine = init["engine"] or restore_engine(init["snapshot"])
         machine = engine.machine
-        owners = component_owners(machine, plan.parts)
+        self.shards = plan.shards
+        self.owners = owners = component_owners(machine, plan.parts)
         _keep_owned(engine, owners, self.index)
         recorder = _ShardTraceRecorder(engine) if init["tracing"] else None
         engine.trace = recorder
-        remote_dst, remote_src, fault_owned = shard_boundary(
-            machine, owners, self.index
-        )
-        engine._remote_dst = remote_dst
-        engine._remote_src = remote_src
-        engine._outbox = []
-        engine._outbox_credits = []
-        if engine._fault_runtime is not None:
-            engine._fault_owned = fault_owned
+        faulted = engine._fault_runtime is not None
+        if faulted:
+            engine._fault_owned = frozenset(
+                cid for cid, src in enumerate(machine.channel_src)
+                if owners[src] == self.index
+            )
         #: The run's watchdog; the hub enforces it across all shards.
         self.true_watchdog = engine.watchdog_cycles
         engine.watchdog_cycles = _HUGE_WATCHDOG
-        self._codec = _PacketCodec(machine)
+        self._codec = _checkpoint_codec(machine, faulted)
         self.engine = engine
         self.recorder = recorder
 
@@ -292,42 +283,53 @@ class _ShardCore:
             "end_cycle": engine.stats.end_cycle,
         }
 
-    def feed(self, arrivals: list, credits: list) -> tuple:
-        """Replay the barrier's incoming transfer and credit records."""
+    def feed(self, transfers: list) -> tuple:
+        """Put the events the barrier owes this shard on its wheel
+        (:func:`_place`). An arrival's packet row is read, and checked,
+        by the checkpoint's codec; the packet joins this shard's
+        in-network count and the in-flight table its fault sweeps walk."""
         engine = self.engine
-        for cycle, oc, row in arrivals:
-            engine.feed_arrival(self._codec.packet(row), oc, cycle)
-        for credit in credits:
-            engine.feed_credit(*credit)
+        events = []
+        for cycle, heap, (kind, a, b, c) in transfers:
+            if kind == _EV_ARRIVAL:
+                a = self._codec.packet(a)
+                engine._in_network += 1
+                if engine._inflight is not None:
+                    engine._inflight[a] = b
+            events.append((cycle, heap, (kind, a, b, c)))
+        _place(engine._events, events)
         return ("fed", self._report())
 
     def run_window(self, w_end: int) -> tuple:
-        """Advance to the barrier at ``w_end`` and flush the outboxes."""
+        """Advance to the barrier at ``w_end`` and hand over, grouped by
+        owner, the events on the wheel that other shards own."""
         engine = self.engine
         if not engine.drained:
             engine.run_for(w_end - engine.cycle)
         # A shard that drained mid-window still observes the barrier: a
         # checkpoint taken here must place every shard at the same cycle.
-        # (run_for already left stats.end_cycle at the true drain cycle;
-        # forcing the clock does not disturb it.)
+        # (run_for already left stats.end_cycle at the shard's drain
+        # cycle -- at the barrier if its wheel still held events for
+        # others, whose owners then run past it, so the hub's maximum is
+        # the serial drain cycle; forcing the clock does not disturb it.)
         engine.cycle = w_end
-        # A transfer travels as ``(cycle, oc, PACKET_ROW row)``, a credit
-        # return as ``(cid, vc, size, cycle)``: the hub picks the
-        # destination shard from the channel id.
-        packets = []
+        # A transfer is ``(cycle, heap, payload)``: ``heap`` says it left
+        # the overflow heap, and an arrival's packet rides as its row.
+        outgoing: List[list] = [[] for _ in range(self.shards)]
         inflight = engine._inflight
-        for packet, oc, cycle in engine._outbox:
-            # The packet now belongs to the destination shard, which
-            # re-registers it via feed_arrival.
-            engine._in_network -= 1
-            if inflight is not None:
-                inflight.pop(packet, None)
-            packets.append((cycle, oc, self._codec.row(packet)))
-        del engine._outbox[:]
-        credits = engine._outbox_credits[:]
-        del engine._outbox_credits[:]
+        for owner, cycle, heap, payload in _take_foreign(
+            engine, self.owners, self.index
+        ):
+            kind, a, b, c = payload
+            if kind == _EV_ARRIVAL:
+                # The packet now belongs to its owner, which counts it.
+                engine._in_network -= 1
+                if inflight is not None:
+                    inflight.pop(a, None)
+                payload = (kind, self._codec.row(a), b, c)
+            outgoing[owner].append((cycle, heap, payload))
         records = self.recorder.drain() if self.recorder is not None else []
-        return ("ok", packets, credits, records)
+        return ("ok", outgoing, records)
 
     def snapshot(self) -> tuple:
         """Serial-format snapshot of this shard's engine at the barrier."""
@@ -342,7 +344,7 @@ class _ShardCore:
 def _dispatch(core: _ShardCore, msg: tuple) -> tuple:
     kind = msg[0]
     if kind == "feed":
-        return core.feed(msg[1], msg[2])
+        return core.feed(msg[1])
     if kind == "run":
         return core.run_window(msg[1])
     if kind == "snapshot":
@@ -437,16 +439,70 @@ class _ProcessWorker:
 
 # --- checkpoint merge and split -----------------------------------------------------
 #
-# Who owns what, stated once for both directions. A channel's *source*
-# state (staging timer, credit view, SA2 arbiter) belongs to the shard
-# owning ``channel.src``; its *destination* state (VC buffers, input
-# timer, SA1 arbiter) to the shard owning ``channel.dst``; a source queue
-# and an ``_active`` entry to the owner of the component; a wheel event
-# to the owner of whatever will process it (an arrival and its
-# ``_inflight`` entry: the channel's destination; a credit return: the
-# channel's source; a wake: the component), except fault transitions,
+# Who owns what, stated once for the cut, the barrier and the merge. A
+# channel's *source* state (staging timer, credit view, SA2 arbiter)
+# belongs to the shard owning the channel's source component; its
+# *destination* state (VC buffers, input timer, SA1 arbiter) to the shard
+# owning its destination; a source queue and an ``_active`` entry to the
+# owner of the component; a wheel event to :func:`event_owner` (an
+# arrival's ``_inflight`` entry goes with it), except fault transitions,
 # which every shard applies in full. Accumulated stats are additive
 # (:meth:`SimStats.merge`), so they may sit with any one shard.
+
+
+def _take_foreign(engine: Engine, owners: Sequence[int], shard: int) -> list:
+    """Take off ``engine``'s wheel, between cycles, every event another
+    shard owns (:func:`event_owner`), as ``(owner, cycle, heap,
+    payload)``: the buckets' events in cycle order and push order within
+    a bucket, then the overflow heap's (``heap`` true) in (cycle, seq)
+    order -- the order each producer pushed them. A bucket's index names
+    its cycle: between cycles every bucket event lies in ``[now, now +
+    size)``. The heap is filtered, then heapified again: mid-run it is a
+    heap, not a sorted list."""
+    wheel = engine._events
+    machine = engine.machine
+    now, mask = engine.cycle, wheel.mask
+    mine = (None, shard)
+    taken = []
+    for index, bucket in enumerate(wheel.buckets):
+        if not bucket:
+            continue
+        kept = []
+        for payload in bucket:
+            owner = event_owner(payload, owners, machine)
+            if owner in mine:
+                kept.append(payload)
+            else:
+                taken.append((owner, now + ((index - now) & mask), False, payload))
+        if len(kept) < len(bucket):
+            wheel.buckets[index] = kept
+    overflow = [
+        (item, event_owner(item[2], owners, machine)) for item in wheel.overflow
+    ]
+    foreign = sorted(pair for pair in overflow if pair[1] not in mine)
+    if foreign:
+        wheel.overflow = [item for item, owner in overflow if owner in mine]
+        heapq.heapify(wheel.overflow)
+        taken += [
+            (owner, cycle, True, payload) for (cycle, _, payload), owner in foreign
+        ]
+    wheel.pending -= len(taken)
+    return taken
+
+
+def _place(wheel, events: list) -> None:
+    """Put ``(cycle, heap, payload)`` events taken off another shard's
+    wheel (:func:`_take_foreign`) where that wheel held them -- a bucket
+    event in the bucket of its cycle, an overflow event on the heap --
+    which is where the serial engine holds them: the sender pushed each
+    at the serial cycle, by the serial rule."""
+    for cycle, heap, payload in events:
+        if heap:
+            wheel.seq += 1
+            heapq.heappush(wheel.overflow, (cycle, wheel.seq, payload))
+        else:
+            wheel.buckets[cycle & wheel.mask].append(payload)
+    wheel.pending += len(events)
 
 
 def merge_shard_snapshots(
@@ -476,22 +532,14 @@ def merge_shard_snapshots(
             )
         base._source_queues.update(eng._source_queues)
         base._source_heads.update(eng._source_heads)
-        for channel in machine.channels:
-            src = owners[channel.src] == shard
-            dst = owners[channel.dst] == shard
+        for cid, (src, dst) in enumerate(
+            zip(machine.channel_src, machine.channel_dst)
+        ):
+            src, dst = owners[src] == shard, owners[dst] == shard
             if src or dst:
-                cid = channel.cid
                 base.assign_channel(cid, eng.channel_rows(cid), src, dst)
-        wheel, into = eng._events, base._events
-        for index, bucket in enumerate(wheel.buckets):
-            kept = [p for p in bucket if p[0] != _EV_FAULT]
-            into.buckets[index].extend(kept)
-            into.pending += len(kept)
-        for cyc, _seq, payload in wheel.overflow:  # restored: in order
-            if payload[0] != _EV_FAULT:
-                into.seq += 1
-                heapq.heappush(into.overflow, (cyc, into.seq, payload))
-                into.pending += 1
+        # Every wheel event but the faults, which the base holds too.
+        _place(base._events, [t[1:] for t in _take_foreign(eng, owners, 0)])
         for comp in eng._active:
             base._active[comp] = None
         base._queued += eng._queued
@@ -524,16 +572,7 @@ def _keep_owned(engine: Engine, owners: Sequence[int], shard: int) -> None:
     start empty, with a fresh latency estimator when the run carries one
     (merging estimators is order-independent).
     """
-    channel_src, channel_dst = engine._channel_src, engine._channel_dst
-
-    def mine(payload: tuple) -> bool:
-        kind, a, b, _ = payload
-        if kind == _EV_FAULT:
-            return True
-        if kind == _EV_ARRIVAL:
-            return owners[channel_dst[b]] == shard
-        return owners[channel_src[a] if kind == _EV_CREDIT else a] == shard
-
+    channel_dst = engine.machine.channel_dst
     # (A build and a restore both leave every source queue's head at 0.)
     for src in [s for s in engine._source_queues if owners[s] != shard]:
         del engine._source_queues[src], engine._source_heads[src]
@@ -542,13 +581,11 @@ def _keep_owned(engine: Engine, owners: Sequence[int], shard: int) -> None:
             rows = engine.channel_rows(cid)
             emptied = rows._replace(queues=[[] for _ in rows.queues])
             engine.assign_channel(cid, emptied, src=False)
+    # Every other shard keeps its own copy of what leaves here.
+    _take_foreign(engine, owners, shard)
     wheel = engine._events
-    wheel.buckets = [[p for p in bucket if mine(p)] for bucket in wheel.buckets]
-    # A sorted list is a valid heap, and filtering keeps it sorted.
-    wheel.overflow = [item for item in wheel.overflow if mine(item[2])]
     events = [p for bucket in wheel.buckets for p in bucket]
     events += [item[2] for item in wheel.overflow]
-    wheel.pending = len(events)
     engine._active = {c: None for c in engine._active if owners[c] == shard}
     if engine._inflight is not None:
         engine._inflight = {
@@ -605,10 +642,7 @@ class ShardedEngine:
         profiles: Optional[list] = None,
     ) -> None:
         self.machine = machine
-        self.plan = plan = ShardPlan.for_machine(machine, shards)
-        owners = component_owners(machine, plan.parts)
-        self._arrival_dest = [owners[c.dst] for c in machine.channels]
-        self._credit_dest = [owners[c.src] for c in machine.channels]
+        self.plan = ShardPlan.for_machine(machine, shards)
         self._workers: list = []
         #: Every worker has answered every message sent to it.
         self._synced = False
@@ -655,7 +689,7 @@ class ShardedEngine:
                 spawn_s=self._t_ready - t_spawn,
                 setup_s=self._t_ready - t_start,
             )
-        self._feed([([], []) for _ in self._workers])
+        self._feed([[] for _ in self._workers])
 
     def _exchange(self, messages: List[tuple]) -> List[tuple]:
         self._synced = False
@@ -665,13 +699,11 @@ class ShardedEngine:
         self._synced = True
         return replies
 
-    def _feed(self, pending: List[tuple]) -> None:
+    def _feed(self, pending: List[list]) -> None:
         """Hand every shard what the barrier at ``cycle`` owes it, and
         take stock: drained or not, and the run's watchdog, which only
         the hub can apply -- progress is global."""
-        replies = self._exchange(
-            [("feed", arrivals, credits) for arrivals, credits in pending]
-        )
+        replies = self._exchange([("feed", transfers) for transfers in pending])
         self._reports = reports = [reply[1] for reply in replies]
         if self.drained:
             # The clock stops where the serial engine's does.
@@ -687,15 +719,13 @@ class ShardedEngine:
 
     def _window(self, w_end: int) -> None:
         """Run every shard to the barrier at ``w_end`` and exchange."""
-        pending = [([], []) for _ in self._workers]
+        pending: List[list] = [[] for _ in self._workers]
         records: list = []
-        for _, packets, credits, shard_records in self._exchange(
+        for _, outgoing, shard_records in self._exchange(
             [("run", w_end)] * len(self._workers)
         ):
-            for record in packets:
-                pending[self._arrival_dest[record[1]]][0].append(record)
-            for record in credits:
-                pending[self._credit_dest[record[0]]][1].append(record)
+            for transfers, incoming in zip(pending, outgoing):
+                transfers += incoming
             records.extend(shard_records)
         if self.trace is not None and records:
             records.sort(key=lambda item: (item[0], item[1], item[2]))

@@ -80,9 +80,28 @@ class DemandMatrix:
     name: str = "demand"
 
     def __post_init__(self) -> None:
+        # A matrix file is outside input: refuse what is not a matrix by
+        # name before any arithmetic touches it.
+        shape, rates = self.shape, self.rates
+        if not (
+            isinstance(shape, (tuple, list)) and len(shape) == 3
+            and all(type(d) is int and d > 0 for d in shape)
+        ):
+            raise ValueError(f"shape must be 3 positive ints, got {shape!r}")
+        if not isinstance(rates, (tuple, list)) or not all(
+            isinstance(row, (tuple, list)) for row in rates
+        ):
+            raise ValueError(
+                f"rates must be a list of rows, each a list of numbers, got {rates!r}"
+            )
+        for row in rates:
+            for value in row:
+                if type(value) is bool or not isinstance(value, (int, float)):
+                    raise ValueError(f"rates must be numbers, got {value!r}")
+        object.__setattr__(self, "shape", tuple(shape))
         n = _num_nodes(self.shape)
         object.__setattr__(
-            self, "rates", tuple(tuple(float(v) for v in row) for row in self.rates)
+            self, "rates", tuple(tuple(float(v) for v in row) for row in rates)
         )
         if len(self.rates) != n or any(len(row) != n for row in self.rates):
             raise ValueError(
@@ -143,12 +162,9 @@ class DemandMatrix:
     def from_json(cls, text: str) -> "DemandMatrix":
         obj = json.loads(text)
         try:
-            shape = tuple(obj["shape"])
-            rates = obj["rates"]
+            shape, rates = obj["shape"], obj["rates"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"demand matrix JSON missing field: {exc}")
-        if len(shape) != 3:
-            raise ValueError(f"shape must have 3 dimensions, got {shape}")
         return cls(shape=shape, rates=rates, name=obj.get("name", "demand"))
 
     # -- seeded generators ----------------------------------------------

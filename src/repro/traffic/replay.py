@@ -46,7 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.geometry import all_coords
 from repro.core.machine import ChannelKind, ComponentKind, Machine, MachineConfig
-from repro.core.routing import Route, RouteChoice
+from repro.core.routing import Route, RouteChoice, validate_route
 from repro.sim.packet import Packet
 from repro.sim.trace import EVENT_KINDS, TraceEvent
 
@@ -146,25 +146,23 @@ def _reconstruct_packets(
             )
         for comp_id, role in ((src, "source"), (dst, "destination")):
             if (
-                not 0 <= comp_id < len(machine.components)
+                type(comp_id) is not int
+                or not 0 <= comp_id < len(machine.components)
                 or machine.components[comp_id].kind != ComponentKind.ENDPOINT
             ):
                 raise ReplayError(
-                    f"pid {pid}: {role} component {comp_id} is not an "
+                    f"pid {pid}: {role} component {comp_id!r} is not an "
                     f"endpoint of this machine"
                 )
-        internode = sum(
-            1
-            for channel_id, _vc in hop_list
-            if machine.channels[channel_id].kind == ChannelKind.TORUS
-        )
-        route = Route(
-            src=src,
-            dst=dst,
-            choice=RouteChoice(),
-            hops=tuple(hop_list),
-            internode_hops=internode,
-        )
+        route = Route(src, dst, RouteChoice(), tuple(hop_list), internode_hops=0)
+        try:
+            validate_route(machine, route)
+        except ValueError as exc:
+            raise ReplayError(f"pid {pid}: {exc}") from None
+        kinds = machine.channel_kind
+        route = dataclasses.replace(route, internode_hops=sum(
+            kinds[channel] == ChannelKind.TORUS for channel, _vc in hop_list
+        ))
         packet = Packet(
             pid,
             route,

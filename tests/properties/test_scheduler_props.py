@@ -234,8 +234,8 @@ def canonical_arrival(engine, packet, cid, now):
                         (("lat", packet.network_latency), ("qlat", packet.latency)),
                     )
                 )
-        engine._push_credit(
-            now + engine._latency[cid], cid, vc, packet.size_flits
+        engine._push_event(
+            now + engine._latency[cid], _EV_CREDIT, cid, vc, packet.size_flits
         )
         return
     packet.ready_cycle = now + engine._pipeline

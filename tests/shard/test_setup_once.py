@@ -100,8 +100,9 @@ def test_run_generates_once_on_the_hubs_machine(
 def test_shard_cores_cut_the_hubs_engine_and_merge_back_to_serial(name):
     """The shard cores, built in this process from the hub's engine: each
     keeps a disjoint part of it -- every queued packet in exactly one --
-    and one barrier round through ``_dispatch`` (feed, run, exchange,
-    snapshot) merges into the serial engine's snapshot at that cycle.
+    and one barrier round through ``_dispatch`` (feed, run, hand over
+    what each wheel holds for the others, snapshot) merges into the
+    serial engine's snapshot at that cycle.
     (A worker process runs these handlers where coverage does not look.)
     """
     run = WORKLOADS[name]()
@@ -135,22 +136,18 @@ def test_shard_cores_cut_the_hubs_engine_and_merge_back_to_serial(name):
     assert sum(map(len, active)) == len(set().union(*active))
 
     dispatch = shard_mod._dispatch
-    assert {dispatch(core, ("feed", [], []))[0] for core in cores} == {"fed"}
+    assert {dispatch(core, ("feed", []))[0] for core in cores} == {"fed"}
     barrier = plan.lookahead
-    owners = shard_mod.component_owners(machine, plan.parts)
-    pending = [([], []) for _ in cores]
+    pending = [[] for _ in cores]
     for core in cores:
-        kind, packets, credits, records = dispatch(core, ("run", barrier))
-        assert kind == "ok" and records == []
-        for record in packets:  # (cycle, oc, PACKET_ROW row)
-            channel = machine.channels[record[1]]
-            pending[owners[channel.dst]][0].append(record)
-        for record in credits:  # (cid, vc, size, cycle)
-            channel = machine.channels[record[0]]
-            pending[owners[channel.src]][1].append(record)
-    assert any(arrivals for arrivals, _ in pending)
-    for core, (arrivals, credits) in zip(cores, pending):
-        assert dispatch(core, ("feed", arrivals, credits))[0] == "fed"
+        kind, outgoing, records = dispatch(core, ("run", barrier))
+        assert kind == "ok" and records == [] and outgoing[core.index] == []
+        # (cycle, heap, payload), already grouped by the owning shard.
+        for transfers, incoming in zip(pending, outgoing):
+            transfers += incoming
+    assert any(pending)
+    for core, transfers in zip(cores, pending):
+        assert dispatch(core, ("feed", transfers))[0] == "fed"
     snaps = [dispatch(core, ("snapshot",))[1] for core in cores]
 
     serial = simulator.start(run, machine)

@@ -524,22 +524,26 @@ class TestPacketRow:
 
     def test_every_field_survives(self):
         from repro.core.geometry import Dim
-        from repro.core.routing import Route, RouteChoice
-        from repro.sim.checkpoint import PACKET_ROW, _PacketCodec
+        from repro.core.routing import Route, RouteChoice, RouteComputer
+        from repro.sim.checkpoint import PACKET_ROW, _checkpoint_codec
         from repro.sim.packet import Packet
 
+        machine = Machine(MachineConfig(shape=(2, 2, 2)))
+        src = machine.ep_id[((0, 0, 0), 0)]
+        dst = machine.ep_id[((1, 0, 1), 1)]
         choice = RouteChoice((Dim.Z, Dim.X, Dim.Y), 1, None)
-        route = Route(3, 77, choice, ((5, 0), (9, 1), (12, 2)), 2, (1, 0, 1))
+        walk = RouteComputer(machine).compute(src, dst, choice)
+        # A via chip the machine would not build, so the hops ride along.
+        route = Route(src, dst, choice, walk.hops, 2, (1, 0, 1))
         packet = Packet(41, route, size_flits=2, pattern=1, traffic_class=0,
                         release_cycle=6)
         packet.inject_cycle, packet.ready_cycle, packet.hop_index = 8, 11, 2
         packet.retries, packet.drop_on_arrival = 3, True
-        machine = Machine(MachineConfig(shape=(2, 2, 2)))
-        codec = _PacketCodec(machine)  # the wire's: hops always, unchecked
+        codec = _checkpoint_codec(machine, faulted=True)
         row = json.loads(json.dumps(codec.row(packet)))
-        assert len(row) == len(PACKET_ROW) + 6
-        back = _PacketCodec(machine).packet(row)
-        assert back.route == route and back.next_hop == (12, 2)
+        assert len(row) == len(PACKET_ROW) + 2 * len(walk.hops)
+        back = _checkpoint_codec(machine, faulted=True).packet(row)
+        assert back.route == route and back.next_hop == walk.hops[2]
         for name in Packet.__slots__:
             if name not in ("route", "next_hop", "fifo_next"):
                 assert getattr(back, name) == getattr(packet, name), name

@@ -61,6 +61,34 @@ class TestDemandMatrix:
         with pytest.raises(ValueError, match="finite"):
             DemandMatrix(shape=SHAPE, rates=rates)
 
+    @pytest.mark.parametrize(
+        "shape,rates,message",
+        [
+            ([2, 2, 2], None, "rates must be a list of rows"),
+            ([2, 2, 2], [0.0] * 8, "rates must be a list of rows"),
+            ("abc", [], r"shape must be 3 positive ints, got 'abc'"),
+            ([2, 2], [], "shape must be 3 positive ints"),
+            ([2, 0, 2], [], "shape must be 3 positive ints"),
+            ([2, True, 2], [], "shape must be 3 positive ints"),
+            ([2, 2, 2], [[[0.0]] * 8] * 8, r"rates must be numbers, got \[0\.0\]"),
+            ([2, 2, 2], [[True] * 8] * 8, "rates must be numbers, got True"),
+            ([2, 2, 2], [["0.5"] * 8] * 8, "rates must be numbers, got '0.5'"),
+        ],
+    )
+    def test_malformed_file_is_refused_by_name(self, shape, rates, message):
+        doc = json.dumps({"shape": shape, "rates": rates})
+        with pytest.raises(ValueError, match=f"^{message}"):
+            DemandMatrix.from_json(doc)
+
+    def test_the_command_prints_one_line_and_exits_1(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"shape": [2, 2, 2], "rates": [[True] * 8] * 8}))
+        argv = ["demand", "--shape", "2x2x2", "--generator", "file"]
+        assert main(argv + ["--matrix-file", str(path)]) == 1
+        assert capsys.readouterr().err == "error: rates must be numbers, got True\n"
+
     def test_uniform_rows_sum_to_rate_off_diagonal(self):
         matrix = DemandMatrix.uniform(SHAPE, rate=0.4)
         for i, row in enumerate(matrix.rates):

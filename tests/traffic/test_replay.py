@@ -268,3 +268,55 @@ class TestRejection:
         machine = Machine(MachineConfig(shape=(4, 1, 1), endpoints_per_chip=1))
         with pytest.raises(ReplayError, match="needs weight_patterns"):
             build_replay_engine(machine, workload)
+
+
+def edited(kind, key, value, name="uniform_2x2x2"):
+    """The golden with one field of pid 0's inject, or of its second
+    depart, replaced."""
+    lines = golden_text(name).splitlines()
+    seen = 0
+    for index, line in enumerate(lines):
+        obj = json.loads(line)
+        if obj.get("ev") == kind and obj.get("pid") == 0:
+            seen += 1
+            if kind == "inject" or seen == 2:
+                obj[key] = value
+                lines[index] = json.dumps(obj, separators=(",", ":"))
+                return lines
+    raise AssertionError(f"pid 0 has no such {kind} event")
+
+
+#: A depart or inject edited so the packet's route is no walk of the
+#: machine, and the one line that names why.
+NO_WALK = [
+    ("depart", "vc", 7, r"route has hop \(\d+, 7\), which is no \(channel, VC\)"),
+    ("depart", "ch", -1, r"route has hop \(-1, \d+\), which is no \(channel, VC\)"),
+    ("depart", "ch", 10**9, r"route has hop \(1000000000, \d+\), which is no "),
+    ("depart", "ch", 5, r"route hops onto channel 5, which does not leave component"),
+    ("depart", "ch", "5", r"route has hop \('5', \d+\), which is no "),
+    ("inject", "src", "5", r"source component '5' is not an endpoint"),
+    ("inject", "src", True, r"source component True is not an endpoint"),
+    ("inject", "dst", 2.0, r"destination component 2\.0 is not an endpoint"),
+]
+
+
+class TestRoutesThatAreNoWalk:
+    """A replayed route is checked as a checkpoint's is
+    (:func:`~repro.core.routing.validate_route`) before the engine sees
+    it: a bad hop is one named line, never a traceback or a packet that
+    teleports."""
+
+    @pytest.mark.parametrize("kind,key,value,message", NO_WALK)
+    def test_refused_by_name(self, kind, key, value, message):
+        with pytest.raises(ReplayError, match=rf"^pid 0: {message}"):
+            load_replay(edited(kind, key, value))
+
+    def test_the_command_prints_one_line_and_exits_1(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "t.jsonl"
+        path.write_text("\n".join(edited("depart", "ch", 5)) + "\n")
+        assert main(["replay", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: pid 0: route hops onto channel 5, ")
+        assert err.count("\n") == 1
