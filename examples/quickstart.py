@@ -30,10 +30,10 @@ def show_one_route(machine: Machine, routes: RouteComputer) -> None:
     print(f"Route {machine.components[src]} -> {machine.components[dst]} "
           f"({route.internode_hops} inter-node hops, {len(route.hops)} channel hops):")
     for channel_id, vc in route.hops:
-        channel = machine.channels[channel_id]
-        print(f"  {channel.kind.name:13s} "
-              f"{str(machine.components[channel.src]):>18s} -> "
-              f"{str(machine.components[channel.dst]):<18s} vc={vc}")
+        head = machine.components[machine.channel_src[channel_id]]
+        tail = machine.components[machine.channel_dst[channel_id]]
+        print(f"  {machine.channel_kind[channel_id].name:13s} "
+              f"{str(head):>18s} -> {str(tail):<18s} vc={vc}")
     print()
 
 

@@ -243,25 +243,30 @@ def cmd_info(args) -> int:
 
 def cmd_route(args) -> int:
     machine = _machine(args)
-    routes = RouteComputer(machine)
-    src_chip, src_index = args.src
-    dst_chip, dst_index = args.dst
+    ends = []
+    for flag, (chip, index) in (("--src", args.src), ("--dst", args.dst)):
+        if (chip, 0) not in machine.ep_id:
+            raise ValueError(
+                f"{flag} chip {chip} is outside the shape {machine.config.shape}"
+            )
+        if (chip, index) not in machine.ep_id:
+            raise ValueError(
+                f"{flag} endpoint {index} is out of range: --endpoints "
+                f"{args.endpoints} numbers them 0..{args.endpoints - 1}"
+            )
+        ends.append(machine.ep_id[(chip, index)])
     order = tuple(Dim[c] for c in args.order.upper())
     choice = RouteChoice(dim_order=order, slice_index=args.slice)
-    route = routes.compute(
-        machine.ep_id[(src_chip, src_index)],
-        machine.ep_id[(dst_chip, dst_index)],
-        choice,
-    )
+    route = RouteComputer(machine).compute(*ends, choice)
     print(
         f"{route.internode_hops} inter-node hops, {len(route.hops)} channel hops:"
     )
     for channel_id, vc in route.hops:
-        channel = machine.channels[channel_id]
+        src = machine.components[machine.channel_src[channel_id]]
+        dst = machine.components[machine.channel_dst[channel_id]]
         print(
-            f"  {channel.kind.name:13s} "
-            f"{str(machine.components[channel.src]):>20s} -> "
-            f"{str(machine.components[channel.dst]):<20s} vc={vc}"
+            f"  {machine.channel_kind[channel_id].name:13s} "
+            f"{str(src):>20s} -> {str(dst):<20s} vc={vc}"
         )
     return 0
 
@@ -880,9 +885,9 @@ def cmd_latency(args) -> int:
     routes = RouteComputer(machine)
     model = LatencyModel()
     latencies = latency_vs_hops(machine, routes, model, max_pairs_per_distance=8)
+    intercept, slope = linear_fit(latencies)
     for hops in sorted(latencies):
         print(f"  {hops} hops: {latencies[hops]:.1f} ns")
-    intercept, slope = linear_fit(latencies)
     print(f"fit: {intercept:.1f} ns + {slope:.1f} ns/hop (paper: 80.7 + 39.1)")
     route = minimum_internode_route(machine, routes)
     items = model.route_breakdown(machine, route)

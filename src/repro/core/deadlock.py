@@ -28,7 +28,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Set, Tuple
 
-from .machine import ChannelGroup, Machine
+from .machine import ChannelGroup, Machine, group_of
 from .routing import Route, RouteComputer, Unroutable
 from .geometry import all_coords
 
@@ -97,11 +97,11 @@ def route_dependency_edges(
     Edges through endpoint-adapter links are skipped (sources and sinks
     cannot deadlock).
     """
-    channels = machine.channels
+    kinds = machine.channel_kind
     edges: List[Tuple[Tuple[int, int], Tuple[int, int]]] = []
     prev = None
     for channel_id, vc in route.hops:
-        if channels[channel_id].group == ChannelGroup.E:
+        if group_of(kinds[channel_id]) == ChannelGroup.E:
             prev = None
             continue
         node = (channel_id, vc)
@@ -175,7 +175,7 @@ def _report_from_graph(
     t_vcs: Set[int] = set()
     m_vcs: Set[int] = set()
     for channel_id, vc in graph.nodes:
-        group = machine.channels[channel_id].group
+        group = group_of(machine.channel_kind[channel_id])
         if group == ChannelGroup.T:
             t_vcs.add(vc)
         elif group == ChannelGroup.M:
@@ -195,8 +195,7 @@ def describe_cycle(machine: Machine, cycle: List[Tuple[int, int]]) -> str:
     """Human-readable rendering of a dependency cycle (for diagnostics)."""
     parts = []
     for channel_id, vc in cycle:
-        channel = machine.channels[channel_id]
-        src = machine.components[channel.src]
-        dst = machine.components[channel.dst]
+        src = machine.components[machine.channel_src[channel_id]]
+        dst = machine.components[machine.channel_dst[channel_id]]
         parts.append(f"{src}->{dst} vc{vc}")
     return " => ".join(parts)

@@ -7,8 +7,9 @@ torus shape, and exposes the lookup tables that routing
 (:mod:`repro.core.routing`), the deadlock checker
 (:mod:`repro.core.deadlock`) and the simulator (:mod:`repro.sim`) operate
 on. Every node is the same ASIC, so chip 0's block is elaborated once and
-copied to every other chip by id offset; channels are flat rows by
-channel id, and :class:`Channel` objects are made only when asked for.
+copied to every other chip by id offset; a channel is its entries in the
+flat per-channel rows (``channel_src``, ``channel_kind``, ...), by
+channel id.
 
 The deadlock analysis of Section 2.5 divides channels into two groups:
 
@@ -132,33 +133,6 @@ class Component:
             return f"E{self.detail}@{self.chip}"
         direction, slice_index = self.detail
         return f"C[{direction}{slice_index}]@{self.chip}"
-
-
-@dataclasses.dataclass(frozen=True)
-class Channel:
-    """One directed channel between two components.
-
-    ``cycles_per_flit`` expresses the channel's bandwidth relative to the
-    on-chip clock as an *exact rational*: mesh channels move one flit per
-    cycle (``cycles_per_flit = 1``); the effective torus-channel bandwidth
-    is 89.6 Gb/s against the mesh's 288 Gb/s, i.e. exactly 45/14 cycles
-    per flit. This 1:3.2 ratio is what lets one mesh channel absorb two
-    torus channels of through traffic with headroom (Section 2.4). The
-    simulator carries channel occupancy in integer ticks (1 cycle =
-    :attr:`Machine.ticks_per_cycle` ticks), so the ratio being irrational
-    in binary floating point never leaks drift into timing.
-    """
-
-    cid: int
-    src: int
-    dst: int
-    kind: ChannelKind
-    group: ChannelGroup
-    latency: int
-    cycles_per_flit: Fraction = Fraction(1)
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ch{self.cid}[{self.kind.name}]"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -317,7 +291,7 @@ class ChipBlockLayout:
     onchip_per_chip: int
     internode_base: int
     internode_per_chip: int
-    #: ``cids[channel id]`` is that channel's own ``Channel.cid`` object.
+    #: ``cids[channel id]`` is the one int object that names the channel.
     #: ``base + slot`` makes a new int per use; a route built of these
     #: instead shares one int per channel with every other route.
     cids: List[int]
@@ -363,7 +337,7 @@ class EngineRows(NamedTuple):
     (:mod:`repro.sim.engine`), tabulated once: see
     :attr:`Machine.engine_rows`."""
 
-    #: ``Channel.latency`` / ``.src`` / ``.dst`` by channel id, and
+    #: The ``channel_latency`` / ``_src`` / ``_dst`` rows, and
     #: whether a component is an endpoint adapter, by component id.
     latency: Tuple[int, ...]
     src: Tuple[int, ...]
@@ -419,9 +393,10 @@ class Machine:
         self.ca_id: Dict[Tuple[Coord3, TorusDirection, int], int] = {}
         #: (chip, endpoint index) -> endpoint component id
         self.ep_id: Dict[Tuple[Coord3, int], int] = {}
-        #: The channels as rows, by channel id: what a :class:`Channel`
-        #: holds, without one object per channel (:attr:`channels` builds
-        #: those on first use). A component id in a row is that
+        #: The channels as rows, by channel id; a channel's deadlock
+        #: group is ``group_of(channel_kind[cid])``. ``cycles_per_flit`` is
+        #: an exact rational: 1 on chip, 45/14 on a default torus channel
+        #: (288 / 89.6 Gb/s, Section 2.4). A component id in a row is that
         #: component's own ``Component.cid`` object.
         self.channel_src: List[int] = []
         self.channel_dst: List[int] = []
@@ -448,15 +423,15 @@ class Machine:
         #: carries all channel timing in these ticks; see
         #: :mod:`repro.sim.engine`.
         self.ticks_per_cycle: int = 1
-        #: The ``*_for_channel`` queries below, tabulated by channel id.
+        #: Per-flit occupancy in ticks, total VCs (every class) and
+        #: per-VC input buffer depth in flits, by channel id.
         self.channel_occupancy_ticks: List[int] = []
         self.channel_vcs: List[int] = []
         self.channel_buffer_depth: List[int] = []
         #: ``_channel_ids[channel id]`` is the one int object that names
         #: the channel everywhere: in :attr:`component_inputs` and
-        #: :attr:`component_outputs`, the layout's ``cids`` and inter-node
-        #: rows, and ``Channel.cid`` (DESIGN.md section 9, the
-        #: int-identity trap).
+        #: :attr:`component_outputs` and the layout's ``cids`` and
+        #: inter-node rows (DESIGN.md section 9, the int-identity trap).
         self._channel_ids: List[int] = []
         #: :meth:`route_memo`'s tables, by (direction order, non-minimal).
         self._route_memos: Dict[Tuple[tuple, bool], dict] = {}
@@ -636,35 +611,6 @@ class Machine:
     # --- queries ------------------------------------------------------------
 
     @functools.cached_property
-    def channels(self) -> Tuple[Channel, ...]:
-        """Every channel as a :class:`Channel`, by channel id.
-
-        Built from the rows on first use: a run reads the rows and
-        :attr:`engine_rows`, so a machine that is only simulated never
-        makes these objects.
-        """
-        groups = {kind: group_of(kind) for kind in ChannelKind}
-        return tuple(
-            Channel(cid, src, dst, kind, groups[kind], latency, cpf)
-            for cid, src, dst, kind, latency, cpf in zip(
-                self._channel_ids,
-                self.channel_src,
-                self.channel_dst,
-                self.channel_kind,
-                self.channel_latency,
-                self.channel_cycles_per_flit,
-            )
-        )
-
-    @functools.cached_property
-    def channel_between(self) -> Dict[Tuple[int, int], int]:
-        """(src component id, dst component id) -> channel id; built on
-        first use, like :attr:`channels`."""
-        return dict(
-            zip(zip(self.channel_src, self.channel_dst), self._channel_ids)
-        )
-
-    @functools.cached_property
     def layout(self) -> ChipBlockLayout:
         """The chip-block layout of this machine's channel ids.
 
@@ -830,22 +776,6 @@ class Machine:
         edge of a non-wrapping dimension); never ``None`` on the torus.
         """
         return self.topology.neighbor(chip, direction)
-
-    def channel(self, src: int, dst: int) -> Channel:
-        """The directed channel from component ``src`` to ``dst``."""
-        return self.channels[self.channel_between[(src, dst)]]
-
-    def vcs_for_channel(self, channel: Channel) -> int:
-        """Total VC count implemented on a channel's destination buffer."""
-        return self._vcs(channel.group)
-
-    def buffer_depth_for_channel(self, channel: Channel) -> int:
-        """Per-VC input buffer depth (flits) at a channel's destination."""
-        return self._buffer_depth(channel.kind)
-
-    def occupancy_ticks_for_channel(self, channel: Channel) -> int:
-        """Exact channel occupancy per flit, in integer ticks."""
-        return self._occupancy_ticks(channel.cycles_per_flit)
 
     def _vcs(self, group: ChannelGroup) -> int:
         cfg = self.config

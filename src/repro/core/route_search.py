@@ -204,10 +204,6 @@ class SearchResult:
         best_key = self.best.rank_key
         return [r for r in self.per_order if r.rank_key == best_key]
 
-    @property
-    def worst_order(self) -> OrderResult:
-        return max(self.per_order, key=lambda r: r.worst_load)
-
     def result_for(self, order: Sequence) -> OrderResult:
         name = direction_order_name(order)
         for result in self.per_order:

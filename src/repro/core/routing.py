@@ -399,7 +399,7 @@ class RouteComputer:
             if within_class_vc >= per_class:
                 raise AssertionError(
                     f"VC {within_class_vc} exceeds the {per_class} VCs of "
-                    f"{machine.channels[cid]}"
+                    f"ch{cid}[{machine.channel_kind[cid].name}]"
                 )
             return traffic_class * per_class + within_class_vc
 

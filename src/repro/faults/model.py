@@ -26,7 +26,7 @@ import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.geometry import Coord3
-from ..core.machine import ChannelGroup, ChannelKind, Machine
+from ..core.machine import ChannelGroup, ChannelKind, Machine, group_of
 
 #: Fault-set JSON schema version.
 FAULT_SCHEMA_VERSION = 1
@@ -122,16 +122,15 @@ class FaultSpec:
         """The channel ids this fault takes down on a concrete machine."""
         if self.kind == "link":
             return (self.channel,)
-        cids = []
-        for channel in machine.channels:
-            if channel.group == ChannelGroup.E:
-                continue
-            if (
-                machine.components[channel.src].chip == self.chip
-                or machine.components[channel.dst].chip == self.chip
-            ):
-                cids.append(channel.cid)
-        return tuple(cids)
+        components = machine.components
+        return tuple(
+            cid
+            for cid, (src, dst, kind) in enumerate(
+                zip(machine.channel_src, machine.channel_dst, machine.channel_kind)
+            )
+            if group_of(kind) != ChannelGroup.E
+            and self.chip in (components[src].chip, components[dst].chip)
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -163,15 +162,16 @@ class FaultSet:
                 f"fault set was drawn for topology {self.topology!r}, "
                 f"machine is {machine.config.topology!r}"
             )
-        num_channels = len(machine.channels)
+        kinds = machine.channel_kind
         for spec in self.specs:
             if spec.kind == "link":
-                if not 0 <= spec.channel < num_channels:
+                if not 0 <= spec.channel < len(kinds):
                     raise ValueError(f"no channel {spec.channel} on this machine")
-                channel = machine.channels[spec.channel]
-                if channel.group == ChannelGroup.E:
+                kind = kinds[spec.channel]
+                if group_of(kind) == ChannelGroup.E:
                     raise ValueError(
-                        f"endpoint-adapter link {channel} cannot fail; "
+                        f"endpoint-adapter link ch{spec.channel}[{kind.name}] "
+                        "cannot fail; "
                         "remove the endpoint from the workload instead"
                     )
             else:
@@ -246,6 +246,14 @@ class FaultSet:
                 f"(this build reads version {FAULT_SCHEMA_VERSION})"
             )
         shape = data.get("shape")
+        if shape is not None and not (
+            isinstance(shape, list)
+            and 2 <= len(shape) <= 3
+            and all(map(_is_int, shape))
+        ):
+            raise ValueError(
+                f"fault set 'shape' must be a list of 2 or 3 integers, got {shape!r}"
+            )
         faults = data.get("faults")
         if not isinstance(faults, list):
             raise ValueError(f"'faults' must be a JSON list, got {faults!r}")
@@ -266,9 +274,7 @@ def failable_channels(
     bad = wanted - set(FAILABLE_KINDS)
     if bad:
         raise ValueError(f"channel kinds {sorted(k.name for k in bad)} cannot fail")
-    return sorted(
-        channel.cid for channel in machine.channels if channel.kind in wanted
-    )
+    return [cid for cid, kind in enumerate(machine.channel_kind) if kind in wanted]
 
 
 def sample_link_faults(

@@ -83,8 +83,7 @@ class LatencyModel:
         """
         items: List[Tuple[str, float]] = [("software+sync", self.software_ns)]
         for channel_id, _vc in route.hops:
-            channel = machine.channels[channel_id]
-            kind = channel.kind
+            kind = machine.channel_kind[channel_id]
             if kind == ChannelKind.EP_TO_ROUTER:
                 items.append(("E(src)", self.endpoint_adapter_ns))
             elif kind == ChannelKind.ROUTER_TO_EP:
@@ -178,6 +177,11 @@ def linear_fit(latencies_by_hops: Dict[int, float]) -> Tuple[float, float]:
 
     The paper's fit is 80.7 ns + 39.1 ns/hop.
     """
+    if len(latencies_by_hops) < 2:
+        raise ValueError(
+            "a latency-vs-hops line needs two or more inter-node hop counts; "
+            f"this machine has {sorted(latencies_by_hops) or 'none (one chip)'}"
+        )
     import numpy as np
 
     hops = np.array(sorted(latencies_by_hops))

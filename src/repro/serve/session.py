@@ -233,9 +233,6 @@ class OutboundChannel:
     def empty(self) -> bool:
         return not self._items
 
-    def qsize(self) -> int:
-        return len(self._items)
-
     def get_nowait(self) -> Optional[bytes]:
         if not self._items:
             raise asyncio.QueueEmpty

@@ -97,20 +97,6 @@ class SimStats:
         self.channel_flits[channel_id] += flits
         self.channel_busy_ticks[channel_id] += busy_ticks
 
-    def channel_utilization(self, channel_id: int) -> float:
-        """Fraction of the run a channel spent serializing flits.
-
-        Computed from exact busy-tick counts over the run's cycle span
-        (``end_cycle``, falling back to the last delivery for a run whose
-        engine never finalized ``end_cycle``).
-        """
-        cycles = self.end_cycle or self.last_delivery_cycle
-        if cycles == 0:
-            return 0.0
-        return self.channel_busy_ticks[channel_id] / (
-            cycles * self.ticks_per_cycle
-        )
-
     @property
     def mean_latency(self) -> float:
         """Mean release-to-delivery latency in cycles."""

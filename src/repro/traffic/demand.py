@@ -133,9 +133,6 @@ class DemandMatrix:
     def max_row_sum(self) -> float:
         return max(self.row_sums())
 
-    def total_rate(self) -> float:
-        return sum(self.row_sums())
-
     def scaled(self, factor: float, name: Optional[str] = None) -> "DemandMatrix":
         if factor < 0:
             raise ValueError("scale factor must be >= 0")

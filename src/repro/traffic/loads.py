@@ -72,7 +72,7 @@ class LoadTable:
         """The largest channel load, optionally restricted to one kind."""
         best = 0.0
         for cid, load in self.channel_load.items():
-            if kind is not None and machine.channels[cid].kind != kind:
+            if kind is not None and machine.channel_kind[cid] != kind:
                 continue
             best = max(best, load)
         return best
@@ -205,8 +205,7 @@ def compute_loads(
 
     dense_arbiter_load: Dict[int, List[float]] = {}
     for oc, per_input in arbiter_load.items():
-        src_comp_id = machine.channels[oc].src
-        num_inputs = len(machine.component_inputs[src_comp_id])
+        num_inputs = len(machine.component_inputs[machine.channel_src[oc]])
         row = [0.0] * num_inputs
         for idx, value in per_input.items():
             row[idx] = value
@@ -214,8 +213,7 @@ def compute_loads(
 
     dense_vc_load: Dict[int, List[float]] = {}
     for cid, per_vc in vc_load.items():
-        vcs = machine.vcs_for_channel(machine.channels[cid])
-        row = [0.0] * vcs
+        row = [0.0] * machine.channel_vcs[cid]
         for vc, value in per_vc.items():
             row[vc] = value
         dense_vc_load[cid] = row
@@ -242,8 +240,7 @@ def merge_arbiter_loads(
         sites.update(table.arbiter_load.keys())
     merged: Dict[int, List[List[float]]] = {}
     for oc in sites:
-        src_comp_id = machine.channels[oc].src
-        num_inputs = len(machine.component_inputs[src_comp_id])
+        num_inputs = len(machine.component_inputs[machine.channel_src[oc]])
         matrix = [[0.0] * len(tables) for _ in range(num_inputs)]
         for n, table in enumerate(tables):
             row = table.arbiter_load.get(oc)
@@ -268,8 +265,7 @@ def merge_vc_loads(
         channels.update(table.vc_load.keys())
     merged: Dict[int, List[List[float]]] = {}
     for cid in channels:
-        vcs = machine.vcs_for_channel(machine.channels[cid])
-        matrix = [[0.0] * len(tables) for _ in range(vcs)]
+        matrix = [[0.0] * len(tables) for _ in range(machine.channel_vcs[cid])]
         for n, table in enumerate(tables):
             row = table.vc_load.get(cid)
             if row is None:
@@ -308,5 +304,5 @@ def ideal_batch_cycles(
         raise ValueError(f"unknown bottleneck {bottleneck!r}")
     worst = 0.0
     for cid, load in table.channel_load.items():
-        worst = max(worst, load * machine.channels[cid].cycles_per_flit)
+        worst = max(worst, load * machine.channel_cycles_per_flit[cid])
     return packets_per_source * worst * flits_per_packet

@@ -8,7 +8,7 @@ baseline with 6, and a single VC without datelines is cyclic.
 import pytest
 
 from repro.core import deadlock
-from repro.core.machine import Machine, MachineConfig
+from repro.core.machine import Machine, MachineConfig, group_of
 from repro.core.routing import RouteComputer
 
 
@@ -92,7 +92,7 @@ class TestGraphConstruction:
             tiny_machine, tiny_routes, endpoints_per_chip=1
         )
         for channel_id, _vc in graph.nodes:
-            assert tiny_machine.channels[channel_id].group != ChannelGroup.E
+            assert group_of(tiny_machine.channel_kind[channel_id]) != ChannelGroup.E
 
     def test_route_count_matches_enumeration(self, tiny_machine, tiny_routes):
         routes = list(

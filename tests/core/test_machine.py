@@ -11,7 +11,6 @@ from repro.core import params
 from repro.core.chip import SkipChannel, default_floorplan
 from repro.core.geometry import Dim, TorusDirection, XP, XM, YP
 from repro.core.machine import (
-    Channel,
     ChannelGroup,
     ChannelKind,
     ComponentKind,
@@ -78,13 +77,14 @@ class TestComponentCounts:
 
 
 class TestChannels:
-    def test_channel_between_unique(self, tiny_machine):
-        assert len(tiny_machine.channel_between) == len(tiny_machine.channels)
+    def test_channel_ends_unique(self, tiny_machine):
+        ends = set(zip(tiny_machine.channel_src, tiny_machine.channel_dst))
+        assert len(ends) == len(tiny_machine.channel_src)
 
     def test_per_chip_channel_census(self, tiny_machine):
         from collections import Counter
 
-        census = Counter(c.kind for c in tiny_machine.channels)
+        census = Counter(tiny_machine.channel_kind)
         chips = 8
         assert census[ChannelKind.MESH] == chips * 48
         assert census[ChannelKind.SKIP] == chips * 4
@@ -98,27 +98,31 @@ class TestChannels:
         chip = (0, 0, 0)
         src = tiny_machine.ca_id[(chip, XP, 0)]
         dst = tiny_machine.ca_id[((1, 0, 0), XM, 0)]
-        channel = tiny_machine.channel(src, dst)
-        assert channel.kind == ChannelKind.TORUS
+        cid = list(zip(tiny_machine.channel_src, tiny_machine.channel_dst)).index(
+            (src, dst)
+        )
+        assert tiny_machine.channel_kind[cid] == ChannelKind.TORUS
 
     def test_torus_bandwidth_derating(self, tiny_machine):
-        for channel in tiny_machine.channels:
-            if channel.kind == ChannelKind.TORUS:
-                assert channel.cycles_per_flit == pytest.approx(288.0 / 89.6)
+        for kind, cpf in zip(
+            tiny_machine.channel_kind, tiny_machine.channel_cycles_per_flit
+        ):
+            if kind == ChannelKind.TORUS:
+                assert cpf == pytest.approx(288.0 / 89.6)
             else:
-                assert channel.cycles_per_flit == 1.0
+                assert cpf == 1.0
 
     def test_radix_one_dimension_has_no_channels(self):
         machine = Machine(MachineConfig(shape=(4, 1, 1), endpoints_per_chip=1))
-        for channel in machine.channels:
-            if channel.kind != ChannelKind.TORUS:
+        for src, kind in zip(machine.channel_src, machine.channel_kind):
+            if kind != ChannelKind.TORUS:
                 continue
-            direction, _slice = machine.components[channel.src].detail
+            direction, _slice = machine.components[src].detail
             assert direction.dim == Dim.X
 
     def test_radix_two_has_both_direction_links(self):
         machine = Machine(MachineConfig(shape=(2, 1, 1), endpoints_per_chip=1))
-        torus = [c for c in machine.channels if c.kind == ChannelKind.TORUS]
+        torus = [k for k in machine.channel_kind if k == ChannelKind.TORUS]
         # 2 chips x 1 dim x 2 directions x 2 slices = 8 directed channels.
         assert len(torus) == 8
 
@@ -133,10 +137,9 @@ class TestGroups:
         assert group_of(ChannelKind.ROUTER_TO_EP) == ChannelGroup.E
         assert group_of(ChannelKind.EP_TO_ROUTER) == ChannelGroup.E
 
-    def test_vcs_for_channel_by_group(self, tiny_machine):
-        for channel in tiny_machine.channels:
-            vcs = tiny_machine.vcs_for_channel(channel)
-            if channel.group == ChannelGroup.E:
+    def test_channel_vcs_by_group(self, tiny_machine):
+        for kind, vcs in zip(tiny_machine.channel_kind, tiny_machine.channel_vcs):
+            if group_of(kind) == ChannelGroup.E:
                 assert vcs == 1
             else:
                 assert vcs == 4
@@ -145,24 +148,23 @@ class TestGroups:
         machine = Machine(
             MachineConfig(shape=(2, 2, 2), endpoints_per_chip=1, vc_scheme="baseline")
         )
-        for channel in machine.channels:
-            vcs = machine.vcs_for_channel(channel)
-            if channel.group == ChannelGroup.T:
+        for kind, vcs in zip(machine.channel_kind, machine.channel_vcs):
+            if group_of(kind) == ChannelGroup.T:
                 assert vcs == 6
-            elif channel.group == ChannelGroup.M:
+            elif group_of(kind) == ChannelGroup.M:
                 assert vcs == 4
 
 
 class TestInputIndexing:
     def test_input_index_consistent(self, tiny_machine):
-        for channel in tiny_machine.channels:
-            index = tiny_machine.input_index[channel.cid]
-            assert tiny_machine.component_inputs[channel.dst][index] == channel.cid
+        for cid, dst in enumerate(tiny_machine.channel_dst):
+            index = tiny_machine.input_index[cid]
+            assert tiny_machine.component_inputs[dst][index] == cid
 
     def test_outputs_reference_sources(self, tiny_machine):
         for comp_id, outputs in enumerate(tiny_machine.component_outputs):
             for channel_id in outputs:
-                assert tiny_machine.channels[channel_id].src == comp_id
+                assert tiny_machine.channel_src[channel_id] == comp_id
 
     def test_router_input_counts(self, tiny_machine):
         # A corner router with a skip channel and an adapter: 2 mesh + 1
@@ -178,7 +180,7 @@ class TestInputIndexing:
         def signature(chip):
             router = tiny_machine.router_id[(chip, (0, 0))]
             return [
-                tiny_machine.channels[c].kind
+                tiny_machine.channel_kind[c]
                 for c in tiny_machine.component_inputs[router]
             ]
 
@@ -220,19 +222,22 @@ class TestChipBlockLayout:
                 first = machine.components[k]
                 assert component.chip == chip
                 assert (component.kind, component.detail) == (first.kind, first.detail)
+            src, dst, kinds = machine.channel_src, machine.channel_dst, machine.channel_kind
             for slot in range(per_chip):
-                channel = machine.channels[index * per_chip + slot]
-                first = machine.channels[slot]
+                cid = index * per_chip + slot
                 assert (
-                    channel.src - index * components_per_chip,
-                    channel.dst - index * components_per_chip,
-                    channel.kind,
-                ) == (first.src, first.dst, first.kind)
+                    src[cid] - index * components_per_chip,
+                    dst[cid] - index * components_per_chip,
+                    kinds[cid],
+                ) == (src[slot], dst[slot], kinds[slot])
 
     def test_slot_tables_name_every_on_chip_channel(self, machine):
         layout = machine.layout
         per_chip = machine.onchip_channels_per_chip
-        between = machine.channel_between
+        between = {
+            ends: cid
+            for cid, ends in enumerate(zip(machine.channel_src, machine.channel_dst))
+        }
         for index, chip in enumerate(layout.chips):
             named = {}
             for (a, b), slot in layout.router_link.items():
@@ -258,6 +263,10 @@ class TestChipBlockLayout:
     def test_internode_rows_agree_with_the_graph(self, machine):
         layout = machine.layout
         topology = machine.topology
+        between = {
+            ends: cid
+            for cid, ends in enumerate(zip(machine.channel_src, machine.channel_dst))
+        }
         links = 0
         for (direction, slice_index), row in layout.internode.items():
             dim = direction.dim
@@ -268,7 +277,7 @@ class TestChipBlockLayout:
                 links += 1
                 neighbor = machine.neighbor(chip, direction)
                 assert row[index] == (
-                    machine.channel_between[
+                    between[
                         (
                             machine.ca_id[(chip, direction, slice_index)],
                             machine.ca_id[(neighbor, direction.opposite, slice_index)],
@@ -277,30 +286,30 @@ class TestChipBlockLayout:
                     layout.chip_index[neighbor],
                     topology.crossing_step(dim, chip[dim], neighbor[dim]),
                 )
-        assert links == len(machine.channels) - layout.internode_base
+        assert links == len(machine.channel_kind) - layout.internode_base
         assert all(
-            channel.kind == ChannelKind.TORUS
-            for channel in machine.channels[layout.internode_base :]
+            kind == ChannelKind.TORUS
+            for kind in machine.channel_kind[layout.internode_base :]
         )
 
     def test_cids_are_the_channels_own_ints(self, machine):
-        assert len(machine.layout.cids) == len(machine.channels)
-        assert all(
-            cid is channel.cid
-            for cid, channel in zip(machine.layout.cids, machine.channels)
-        )
+        cids = machine.layout.cids
+        assert cids == list(range(len(machine.channel_src)))
+        for named in (machine.component_inputs, machine.component_outputs):
+            assert all(cid is cids[cid] for row in named for cid in row)
 
     def test_block_of_shifts_a_channel_to_the_same_place_chips_later(self):
         machine = Machine(MachineConfig(shape=(3, 2, 2), endpoints_per_chip=1))
         layout = machine.layout
         per_component = len(machine.components) // len(layout.chips)
-        for channel in machine.channels:
-            index, stride = layout.block_of(channel.cid)
-            assert machine.components[channel.src].chip == layout.chips[index]
-            home = machine.channels[channel.cid - index * stride]
-            assert (home.src % per_component, home.kind) == (
-                channel.src % per_component,
-                channel.kind,
+        src, kinds = machine.channel_src, machine.channel_kind
+        for cid in range(len(src)):
+            index, stride = layout.block_of(cid)
+            assert machine.components[src[cid]].chip == layout.chips[index]
+            home = cid - index * stride
+            assert (src[home] % per_component, kinds[home]) == (
+                src[cid] % per_component,
+                kinds[cid],
             )
 
 
@@ -328,21 +337,23 @@ class TestDescribe:
                 floorplan=default_floorplan(num_endpoints=4),
             )
 
-    def test_buffer_depth_for_channel(self, tiny_machine):
+    def test_channel_buffer_depth(self, tiny_machine):
         config = tiny_machine.config
-        for channel in tiny_machine.channels:
-            depth = tiny_machine.buffer_depth_for_channel(channel)
-            if channel.kind == ChannelKind.TORUS:
+        for kind, depth in zip(
+            tiny_machine.channel_kind, tiny_machine.channel_buffer_depth
+        ):
+            if kind == ChannelKind.TORUS:
                 assert depth == config.torus_buffer_flits
             else:
                 assert depth == config.onchip_buffer_flits
 
 
 # The elaboration oracle. Machine._build elaborates chip 0's block and
-# copies it to every other chip by id offset, and builds ``channels`` and
-# ``channel_between`` only when asked; ELABORATION_DIGESTS was printed at
-# commit 43dd0c9 (every component and channel elaborated one object at a
-# time) by
+# copies it to every other chip by id offset, and states the channels as
+# rows only; ELABORATION_DIGESTS was printed at commit 43dd0c9 (every
+# component and channel elaborated one object at a time, the channels
+# stated as ``channels``, one object each, and ``channel_between``, the
+# (src, dst) -> id dict, which _RENDERED rebuilds from the rows) by
 #
 #     PYTHONPATH=src:. python -c "import json; \
 #         from tests.core.test_machine import elaboration_digests; \
@@ -444,10 +455,31 @@ def _machine_of(case):
     )
 
 
+#: The sections the digests state in the object form the machine once
+#: held, rendered from its rows: a channel as its (class name, id, src,
+#: dst, kind, group, latency, cycles per flit), and the ends-to-id dict.
+_RENDERED = {
+    "channels": lambda machine: tuple(
+        ("Channel", cid, src, dst, kind, group_of(kind), latency, cpf)
+        for cid, (src, dst, kind, latency, cpf) in enumerate(
+            zip(
+                machine.channel_src, machine.channel_dst, machine.channel_kind,
+                machine.channel_latency, machine.channel_cycles_per_flit,
+            )
+        )
+    ),
+    "channel_between": lambda machine: {
+        ends: cid
+        for cid, ends in enumerate(zip(machine.channel_src, machine.channel_dst))
+    },
+}
+
+
 def elaboration_digest(machine):
     digest = hashlib.sha256()
     for name in _STATED:
-        digest.update(repr((name, _canonical(getattr(machine, name)))).encode())
+        value = _RENDERED[name](machine) if name in _RENDERED else getattr(machine, name)
+        digest.update(repr((name, _canonical(value))).encode())
     return digest.hexdigest()
 
 
@@ -508,23 +540,6 @@ class TestElaborationOracle:
                 MachineConfig(shape=(2, 1, 1), endpoints_per_chip=1),
                 floorplan=plan,
             )
-
-    def test_a_run_builds_no_channel_objects(self):
-        from repro.core.routing import RouteComputer
-        from repro.sim.simulator import build_batch_engine
-        from repro.traffic.batch import BatchSpec, generate_batch
-        from repro.traffic.patterns import UniformRandom
-
-        machine = Machine(MachineConfig(shape=(8, 8, 8), endpoints_per_chip=2))
-        routes = RouteComputer(machine)
-        spec = BatchSpec(
-            UniformRandom(machine.config.shape), packets_per_source=1,
-            cores_per_chip=2, seed=3,
-        )
-        assert generate_batch(machine, routes, spec)
-        assert build_batch_engine(machine, routes, spec).run().delivered
-        assert "channels" not in vars(machine)
-        assert "channel_between" not in vars(machine)
 
     def test_engine_rows_hold_the_components_own_ids(self):
         machine = _machine_of("torus-3x2x4")

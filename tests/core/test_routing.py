@@ -10,7 +10,13 @@ import pytest
 from repro.core.chip import default_floorplan
 from repro.core.geometry import Dim, MeshDirection, XP, XM, YP, YM, ZP
 from repro.core.onchip import ANTON_DIRECTION_ORDER
-from repro.core.machine import ChannelGroup, ChannelKind, Machine, MachineConfig
+from repro.core.machine import (
+    ChannelGroup,
+    ChannelKind,
+    Machine,
+    MachineConfig,
+    group_of,
+)
 from repro.core.routing import (
     ALL_DIM_ORDERS,
     RouteChoice,
@@ -50,8 +56,10 @@ class TestPaperExampleRoutes:
         mid_chip = (0, 1, 0)
         routers_visited = set()
         for channel_id, _vc in route.hops:
-            channel = small_machine.channels[channel_id]
-            for comp_id in (channel.src, channel.dst):
+            for comp_id in (
+                small_machine.channel_src[channel_id],
+                small_machine.channel_dst[channel_id],
+            ):
                 comp = small_machine.components[comp_id]
                 if comp.chip == mid_chip and comp.kind.name == "ROUTER":
                     routers_visited.add(comp_id)
@@ -68,13 +76,14 @@ class TestPaperExampleRoutes:
         skip_hops = [
             (channel_id, vc)
             for channel_id, vc in route.hops
-            if small_machine.channels[channel_id].kind == ChannelKind.SKIP
+            if small_machine.channel_kind[channel_id] == ChannelKind.SKIP
         ]
         assert len(skip_hops) == 1
-        skip = small_machine.channels[skip_hops[0][0]]
-        assert small_machine.components[skip.src].chip == (1, 0, 0)
-        assert small_machine.components[skip.src].detail == (3, 0)
-        assert small_machine.components[skip.dst].detail == (0, 0)
+        skip = skip_hops[0][0]
+        head = small_machine.components[small_machine.channel_src[skip]]
+        assert head.chip == (1, 0, 0)
+        assert head.detail == (3, 0)
+        assert small_machine.components[small_machine.channel_dst[skip]].detail == (0, 0)
 
 
 class TestRouteStructure:
@@ -103,9 +112,9 @@ class TestRouteStructure:
         route = tiny_routes.compute(src, dst, RouteChoice())
         assert route.internode_hops == 0
         for channel_id, _vc in route.hops:
-            channel = tiny_machine.channels[channel_id]
-            assert tiny_machine.components[channel.src].chip == (1, 0, 1)
-            assert channel.kind in (
+            src_comp = tiny_machine.channel_src[channel_id]
+            assert tiny_machine.components[src_comp].chip == (1, 0, 1)
+            assert tiny_machine.channel_kind[channel_id] in (
                 ChannelKind.MESH,
                 ChannelKind.EP_TO_ROUTER,
                 ChannelKind.ROUTER_TO_EP,
@@ -127,10 +136,9 @@ class TestRouteStructure:
                 src, dst, RouteChoice(slice_index=slice_index)
             )
             for channel_id, _vc in route.hops:
-                channel = small_machine.channels[channel_id]
-                if channel.kind == ChannelKind.TORUS:
+                if small_machine.channel_kind[channel_id] == ChannelKind.TORUS:
                     _direction, used_slice = small_machine.components[
-                        channel.src
+                        small_machine.channel_src[channel_id]
                     ].detail
                     assert used_slice == slice_index
 
@@ -141,9 +149,10 @@ class TestRouteStructure:
             route = small_routes.compute(src, dst, RouteChoice(dim_order=dim_order))
             dims_in_route = []
             for channel_id, _vc in route.hops:
-                channel = small_machine.channels[channel_id]
-                if channel.kind == ChannelKind.TORUS:
-                    direction, _s = small_machine.components[channel.src].detail
+                if small_machine.channel_kind[channel_id] == ChannelKind.TORUS:
+                    direction, _s = small_machine.components[
+                        small_machine.channel_src[channel_id]
+                    ].detail
                     if not dims_in_route or dims_in_route[-1] != direction.dim:
                         dims_in_route.append(direction.dim)
             expected = [d for d in dim_order]
@@ -162,7 +171,7 @@ class TestVcAssignment:
         torus_vcs = [
             vc
             for channel_id, vc in route.hops
-            if small_machine.channels[channel_id].kind == ChannelKind.TORUS
+            if small_machine.channel_kind[channel_id] == ChannelKind.TORUS
         ]
         assert torus_vcs == [1]
 
@@ -173,14 +182,14 @@ class TestVcAssignment:
         torus_vcs = [
             vc
             for channel_id, vc in route.hops
-            if small_machine.channels[channel_id].kind == ChannelKind.TORUS
+            if small_machine.channel_kind[channel_id] == ChannelKind.TORUS
         ]
         assert torus_vcs == [0]
         # Final mesh hops (after the dimension finished) are promoted.
         final_mesh_vcs = [
             vc
             for channel_id, vc in route.hops
-            if small_machine.channels[channel_id].kind == ChannelKind.MESH
+            if small_machine.channel_kind[channel_id] == ChannelKind.MESH
         ]
         if final_mesh_vcs:
             assert final_mesh_vcs[-1] == 1
@@ -199,8 +208,7 @@ class TestVcAssignment:
             choice = small_routes.random_choice(rng, src_chip, dst_chip)
             route = small_routes.compute(src, dst, choice)
             for channel_id, vc in route.hops:
-                channel = small_machine.channels[channel_id]
-                if channel.group != ChannelGroup.E:
+                if group_of(small_machine.channel_kind[channel_id]) != ChannelGroup.E:
                     assert 0 <= vc <= 3
 
     def test_baseline_scheme_uses_six_t_vcs(self):
@@ -215,7 +223,7 @@ class TestVcAssignment:
         torus_vcs = [
             vc
             for channel_id, vc in route.hops
-            if machine.channels[channel_id].kind == ChannelKind.TORUS
+            if machine.channel_kind[channel_id] == ChannelKind.TORUS
         ]
         assert torus_vcs == [1, 3, 5]
 

@@ -165,13 +165,15 @@ class TestChannelParameters:
         from repro.core.machine import ChannelKind
 
         internode = [
-            c for c in machine.channels if c.kind == ChannelKind.TORUS
+            cid
+            for cid, kind in enumerate(machine.channel_kind)
+            if kind == ChannelKind.TORUS
         ]
         assert internode
-        for channel in internode:
-            assert channel.latency == ChipletTopology.INTERPOSER_LATENCY
+        for cid in internode:
+            assert machine.channel_latency[cid] == ChipletTopology.INTERPOSER_LATENCY
             assert (
-                channel.cycles_per_flit
+                machine.channel_cycles_per_flit[cid]
                 == ChipletTopology.INTERPOSER_CYCLES_PER_FLIT
             )
         # Exact rational tick arithmetic: lcm denominator is 2, not 14.
@@ -200,9 +202,7 @@ class TestMachineConfigIntegration:
         from repro.core import params as p
         from repro.core.machine import ChannelKind
 
-        internode = [
-            c for c in machine.channels if c.kind == ChannelKind.TORUS
-        ]
+        internode = [k for k in machine.channel_kind if k == ChannelKind.TORUS]
         assert len(internode) == 4 * 3 * (3 - 1) * p.NUM_SLICES
 
     def test_describe_names_topology(self):

@@ -16,7 +16,13 @@ from collections import Counter
 
 import pytest
 
-from repro.core.machine import ChannelGroup, ChannelKind, Machine, MachineConfig
+from repro.core.machine import (
+    ChannelGroup,
+    ChannelKind,
+    Machine,
+    MachineConfig,
+    group_of,
+)
 from repro.faults import (
     FaultPolicy,
     FaultRuntime,
@@ -44,7 +50,7 @@ def _busiest_torus_channels(machine, count=2):
     torus = [
         (load, cid)
         for cid, load in table.channel_load.items()
-        if machine.channels[cid].kind == ChannelKind.TORUS
+        if machine.channel_kind[cid] == ChannelKind.TORUS
     ]
     torus.sort(reverse=True)
     return [cid for _load, cid in torus[:count]]
@@ -160,9 +166,9 @@ class TestZeroDelivery:
         from repro.sim.metrics import MetricsCollector
 
         down = tuple(
-            FaultSpec(kind="link", channel=channel.cid)
-            for channel in tiny_machine.channels
-            if channel.group != ChannelGroup.E
+            FaultSpec(kind="link", channel=cid)
+            for cid, kind in enumerate(tiny_machine.channel_kind)
+            if group_of(kind) != ChannelGroup.E
         )
         fault_set = FaultSet(specs=down, shape=tiny_machine.config.shape)
         runtime = FaultRuntime(

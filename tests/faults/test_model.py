@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core.machine import ChannelGroup, ChannelKind
+from repro.core.machine import ChannelGroup, ChannelKind, group_of
 from repro.faults import (
     FAULT_SCHEMA_VERSION,
     FaultSet,
@@ -41,22 +41,22 @@ class TestFaultSpec:
         spec = FaultSpec(kind="node", chip=(0, 0, 0))
         cids = spec.channels_on(tiny_machine)
         assert cids
-        for cid in cids:
-            channel = tiny_machine.channels[cid]
-            assert channel.group != ChannelGroup.E
-            assert (
-                tiny_machine.components[channel.src].chip == (0, 0, 0)
-                or tiny_machine.components[channel.dst].chip == (0, 0, 0)
+        components = tiny_machine.components
+
+        def touches_chip(cid):
+            return (0, 0, 0) in (
+                components[tiny_machine.channel_src[cid]].chip,
+                components[tiny_machine.channel_dst[cid]].chip,
             )
+
+        for cid in cids:
+            assert group_of(tiny_machine.channel_kind[cid]) != ChannelGroup.E
+            assert touches_chip(cid)
         # Every non-E channel touching the chip is included.
         expected = sum(
             1
-            for ch in tiny_machine.channels
-            if ch.group != ChannelGroup.E
-            and (
-                tiny_machine.components[ch.src].chip == (0, 0, 0)
-                or tiny_machine.components[ch.dst].chip == (0, 0, 0)
-            )
+            for cid, kind in enumerate(tiny_machine.channel_kind)
+            if group_of(kind) != ChannelGroup.E and touches_chip(cid)
         )
         assert len(cids) == expected
 
@@ -71,7 +71,9 @@ class TestFaultSetValidation:
 
     def test_endpoint_link_cannot_fail(self, tiny_machine):
         ep_link = next(
-            ch.cid for ch in tiny_machine.channels if ch.group == ChannelGroup.E
+            cid
+            for cid, kind in enumerate(tiny_machine.channel_kind)
+            if group_of(kind) == ChannelGroup.E
         )
         fault_set = FaultSet(specs=(FaultSpec(kind="link", channel=ep_link),))
         with pytest.raises(ValueError, match="endpoint"):
@@ -79,7 +81,7 @@ class TestFaultSetValidation:
 
     def test_unknown_channel_rejected(self, tiny_machine):
         fault_set = FaultSet(
-            specs=(FaultSpec(kind="link", channel=len(tiny_machine.channels)),)
+            specs=(FaultSpec(kind="link", channel=len(tiny_machine.channel_kind)),)
         )
         with pytest.raises(ValueError, match="channel"):
             fault_set.validate(tiny_machine)
@@ -158,7 +160,7 @@ class TestSampler:
             tiny_machine, 3, seed=1, kinds=(ChannelKind.MESH,)
         )
         for spec in fault_set.specs:
-            assert tiny_machine.channels[spec.channel].kind == ChannelKind.MESH
+            assert tiny_machine.channel_kind[spec.channel] == ChannelKind.MESH
 
     def test_oversampling_rejected(self, tiny_machine):
         torus = failable_channels(tiny_machine)

@@ -11,11 +11,13 @@ from repro.faults import FaultAwareRouteComputer, FaultSpec, failable_channels
 def _torus_between(machine, src_chip, dst_chip):
     """All torus channel ids from src_chip to dst_chip (both slices)."""
     return [
-        ch.cid
-        for ch in machine.channels
-        if ch.kind == ChannelKind.TORUS
-        and machine.components[ch.src].chip == src_chip
-        and machine.components[ch.dst].chip == dst_chip
+        cid
+        for cid, (src, dst, kind) in enumerate(
+            zip(machine.channel_src, machine.channel_dst, machine.channel_kind)
+        )
+        if kind == ChannelKind.TORUS
+        and machine.components[src].chip == src_chip
+        and machine.components[dst].chip == dst_chip
     ]
 
 
@@ -70,7 +72,7 @@ class TestRepick:
         torus_hops = [
             cid
             for cid, _vc in primary.hops
-            if tiny_machine.channels[cid].kind == ChannelKind.TORUS
+            if tiny_machine.channel_kind[cid] == ChannelKind.TORUS
         ]
         aware = FaultAwareRouteComputer(tiny_machine, (torus_hops[0],))
         route = aware.compute(src, dst, RouteChoice())
@@ -95,7 +97,7 @@ class TestNonMinimal:
         torus_hops = [
             cid
             for cid, _vc in route.hops
-            if machine.channels[cid].kind == ChannelKind.TORUS
+            if machine.channel_kind[cid] == ChannelKind.TORUS
         ]
         assert len(torus_hops) == 3
 
@@ -176,11 +178,11 @@ class TestReroute:
         torus_positions = [
             i
             for i, (cid, _vc) in enumerate(primary.hops)
-            if tiny_machine.channels[cid].kind == ChannelKind.TORUS
+            if tiny_machine.channel_kind[cid] == ChannelKind.TORUS
         ]
         blocked_idx = torus_positions[-1]
         blocked_cid = primary.hops[blocked_idx][0]
-        holder = tiny_machine.channels[primary.hops[blocked_idx - 1][0]].dst
+        holder = tiny_machine.channel_dst[primary.hops[blocked_idx - 1][0]]
         aware = FaultAwareRouteComputer(tiny_machine, (blocked_cid,))
         tail = aware.compute_reroute(holder, dst)
         assert aware.route_clear(tail)

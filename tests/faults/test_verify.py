@@ -51,7 +51,7 @@ class TestSingleLinkFailures:
     def test_tiny_machine_all_torus_failures_acyclic(self, tiny_machine):
         report = verify_single_link_failures(tiny_machine)
         assert report.checked == len(
-            [c for c in tiny_machine.channels if c.kind == ChannelKind.TORUS]
+            [k for k in tiny_machine.channel_kind if k == ChannelKind.TORUS]
         )
         assert report.all_acyclic
         assert not report.unroutable

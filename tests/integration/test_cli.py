@@ -247,6 +247,31 @@ class TestVersionAndErrors:
                 "integer, got 'abc'"
             ]
 
+    @pytest.mark.parametrize(
+        "args,named",
+        [
+            (["route", "--shape", "2x2x2", "--src", "0,0,0:9", "--dst", "1,1,1:0"],
+             "--src endpoint 9 is out of range: --endpoints 4 numbers them 0..3"),
+            (["route", "--shape", "2x2x2", "--endpoints", "2",
+              "--src", "0,0,0:0", "--dst", "1,1,1:-1"],
+             "--dst endpoint -1 is out of range: --endpoints 2 numbers them 0..1"),
+            (["route", "--shape", "2x2x2", "--src", "5,0,0:0", "--dst", "1,1,1:0"],
+             "--src chip (5, 0, 0) is outside the shape (2, 2, 2)"),
+            (["latency", "--shape", "1x1x1"],
+             "a latency-vs-hops line needs two or more inter-node hop counts; "
+             "this machine has none (one chip)"),
+            (["latency", "--shape", "2x1x1", "--endpoints", "1"],
+             "a latency-vs-hops line needs two or more inter-node hop counts; "
+             "this machine has [1]"),
+        ],
+        ids=["route-endpoint", "route-negative-endpoint", "route-chip",
+             "latency-one-chip", "latency-one-distance"],
+    )
+    def test_what_a_command_cannot_do_is_named(self, args, named, capsys):
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {named}\n")
+
     def test_invalid_fault_json_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"version": 999, "faults": []}')

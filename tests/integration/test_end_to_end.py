@@ -24,10 +24,10 @@ class TestLoadsPredictSimulation:
         expected = {}
         measured = {}
         for cid, load in table.channel_load.items():
-            kind = tiny_machine.channels[cid].kind
+            kind = tiny_machine.channel_kind[cid]
             expected[kind] = expected.get(kind, 0.0) + load * batch
         for cid, flits in stats.channel_flits.items():
-            kind = tiny_machine.channels[cid].kind
+            kind = tiny_machine.channel_kind[cid]
             measured[kind] = measured.get(kind, 0.0) + flits
         for kind, value in expected.items():
             assert measured[kind] == pytest.approx(value, rel=0.06), kind
@@ -45,12 +45,12 @@ class TestLoadsPredictSimulation:
         expected_torus = sum(
             load * batch
             for cid, load in table.channel_load.items()
-            if tiny_machine.channels[cid].kind == ChannelKind.TORUS
+            if tiny_machine.channel_kind[cid] == ChannelKind.TORUS
         )
         measured_torus = sum(
             flits
             for cid, flits in stats.channel_flits.items()
-            if tiny_machine.channels[cid].kind == ChannelKind.TORUS
+            if tiny_machine.channel_kind[cid] == ChannelKind.TORUS
         )
         assert measured_torus == pytest.approx(expected_torus, rel=1e-9)
 

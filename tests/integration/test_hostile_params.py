@@ -35,6 +35,8 @@ HOSTILE = [
     ({"kind": "batch", "policy": {"mode": "pray"}}, "policy mode must be"),
     ({"kind": "fuzz"}, "unknown workload kind 'fuzz'"),
     ({"kind": "batch", "cores": 3, "endpoints": 2}, "cores_per_chip must be"),
+    ({"kind": "batch", "faults": {"version": 1, "shape": 5, "faults": []}},
+     "fault set 'shape' must be a list of 2 or 3 integers, got 5"),
 ]
 
 
@@ -74,6 +76,14 @@ HOSTILE_FAULT_FILES = [
      "fault 'down' must be an integer, got '3'"),
     ('{"version": 1, "faults": [{"kind": "link", "channel": 12, "up": 2.5}]}',
      "fault 'up' must be an integer, got 2.5"),
+    ('{"version": 1, "shape": 5, "faults": []}',
+     "fault set 'shape' must be a list of 2 or 3 integers, got 5"),
+    ('{"version": 1, "shape": {"a": 1}, "faults": []}',
+     "fault set 'shape' must be a list of 2 or 3 integers, got {'a': 1}"),
+    ('{"version": 1, "shape": [2, 2, 2, 2], "faults": []}',
+     "fault set 'shape' must be a list of 2 or 3 integers"),
+    ('{"version": 1, "shape": [2, true, 2], "faults": []}',
+     "fault set 'shape' must be a list of 2 or 3 integers"),
 ]
 
 

@@ -49,10 +49,9 @@ class TestRandomizationAblation:
         _randomized, fixed = tables
         slice1_load = 0.0
         for cid, load in fixed.channel_load.items():
-            channel = small_machine.channels[cid]
-            if channel.kind == ChannelKind.TORUS:
+            if small_machine.channel_kind[cid] == ChannelKind.TORUS:
                 _direction, slice_index = small_machine.components[
-                    channel.src
+                    small_machine.channel_src[cid]
                 ].detail
                 if slice_index == 1:
                     slice1_load += load
@@ -75,7 +74,7 @@ class TestRandomizationAblation:
             return sum(
                 load
                 for cid, load in table.channel_load.items()
-                if small_machine.channels[cid].kind == ChannelKind.TORUS
+                if small_machine.channel_kind[cid] == ChannelKind.TORUS
             )
 
         assert total(fixed) == pytest.approx(total(randomized))

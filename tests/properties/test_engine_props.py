@@ -73,9 +73,9 @@ class TestEngineConservation:
         stats = engine.run()
         assert stats.delivered == stats.injected
         assert engine.buffered_packets() == 0
-        for channel in machine.channels:
-            for vc in range(machine.vcs_for_channel(channel)):
-                assert engine.credits_outstanding(channel.cid, vc) == 0
+        for cid, vcs in enumerate(machine.channel_vcs):
+            for vc in range(vcs):
+                assert engine.credits_outstanding(cid, vc) == 0
 
     @given(workload())
     @settings(max_examples=15)

@@ -54,12 +54,12 @@ class TestLoadInvariants:
         injected = sum(
             load
             for cid, load in table.channel_load.items()
-            if machine.channels[cid].kind == ChannelKind.EP_TO_ROUTER
+            if machine.channel_kind[cid] == ChannelKind.EP_TO_ROUTER
         )
         ejected = sum(
             load
             for cid, load in table.channel_load.items()
-            if machine.channels[cid].kind == ChannelKind.ROUTER_TO_EP
+            if machine.channel_kind[cid] == ChannelKind.ROUTER_TO_EP
         )
         active = cores * machine.config.num_chips
         assert injected == pytest.approx(active)
@@ -104,7 +104,7 @@ class TestLoadInvariants:
         torus_total = sum(
             load
             for cid, load in table.channel_load.items()
-            if machine.channels[cid].kind == ChannelKind.TORUS
+            if machine.channel_kind[cid] == ChannelKind.TORUS
         )
         active = cores * machine.config.num_chips
         assert torus_total == pytest.approx(active * pattern.mean_hops())

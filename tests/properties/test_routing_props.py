@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.geometry import all_coords, torus_hops
-from repro.core.machine import ChannelGroup, Machine, MachineConfig
+from repro.core.machine import ChannelGroup, Machine, MachineConfig, group_of
 from repro.core.routing import ALL_DIM_ORDERS, RouteChoice, RouteComputer, validate_route
 
 _MACHINES = {}
@@ -90,7 +90,7 @@ class TestRouteProperties:
         route = routes.compute(src, dst, choice)
         t_limit = 4 if scheme == "anton" else 6
         for channel_id, vc in route.hops:
-            group = machine.channels[channel_id].group
+            group = group_of(machine.channel_kind[channel_id])
             if group == ChannelGroup.T:
                 assert vc < t_limit
             elif group == ChannelGroup.M:

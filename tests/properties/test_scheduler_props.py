@@ -82,7 +82,9 @@ def case_run(case, node=None):
     runtime = None
     if faulted:
         torus = [
-            c.cid for c in machine.channels if c.kind == ChannelKind.TORUS
+            cid
+            for cid, kind in enumerate(machine.channel_kind)
+            if kind == ChannelKind.TORUS
         ]
         cid = torus[fault_pick % len(torus)]
         fault = FaultSpec(kind="link", channel=cid, down_cycle=down_cycle)
@@ -170,9 +172,9 @@ class TestSchedulerInvariants:
         stats = engine.run()
         assert stats.delivered == stats.injected
         assert engine.buffered_packets() == 0
-        for channel in machine.channels:
-            for vc in range(machine.vcs_for_channel(channel)):
-                assert engine.credits_outstanding(channel.cid, vc) == 0
+        for cid, vcs in enumerate(machine.channel_vcs):
+            for vc in range(vcs):
+                assert engine.credits_outstanding(cid, vc) == 0
 
 
 class TestSplitRunEquivalence:

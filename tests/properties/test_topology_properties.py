@@ -74,11 +74,10 @@ class TestRouteProperties:
         route = _random_route(machine, routes, case)
         crossings = [0, 0, 0]
         for channel_id, _vc in route.hops:
-            channel = machine.channels[channel_id]
-            if channel.kind != ChannelKind.TORUS:
+            if machine.channel_kind[channel_id] != ChannelKind.TORUS:
                 continue
-            src_comp = machine.components[channel.src]
-            dst_comp = machine.components[channel.dst]
+            src_comp = machine.components[machine.channel_src[channel_id]]
+            dst_comp = machine.components[machine.channel_dst[channel_id]]
             direction, _slice = src_comp.detail
             dim = direction.dim
             if topology.crossing_step(
@@ -130,9 +129,9 @@ class TestConservation:
         stats = engine.run()
         assert stats.delivered == stats.injected
         assert engine.buffered_packets() == 0
-        for channel in machine.channels:
-            for vc in range(machine.vcs_for_channel(channel)):
-                assert engine.credits_outstanding(channel.cid, vc) == 0
+        for cid, vcs in enumerate(machine.channel_vcs):
+            for vc in range(vcs):
+                assert engine.credits_outstanding(cid, vc) == 0
 
 
 @st.composite

@@ -249,11 +249,15 @@ class TestBarrier:
 class TestShardPlan:
     def test_default_machine_lookahead(self, tiny_machine):
         plan = ShardPlan.for_machine(tiny_machine, 2)
+        components = tiny_machine.components
         lat = min(
-            ch.latency
-            for ch in tiny_machine.channels
-            if tiny_machine.components[ch.src].chip
-            != tiny_machine.components[ch.dst].chip
+            latency
+            for src, dst, latency in zip(
+                tiny_machine.channel_src,
+                tiny_machine.channel_dst,
+                tiny_machine.channel_latency,
+            )
+            if components[src].chip != components[dst].chip
         )
         assert 1 <= plan.lookahead <= lat
 

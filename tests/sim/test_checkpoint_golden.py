@@ -164,7 +164,9 @@ def pinned_engine(name):
     machine = Machine(MachineConfig(shape=shape, endpoints_per_chip=2))
     routes, runtime = RouteComputer(machine), None
     if faulted:
-        torus = [c.cid for c in machine.channels if c.kind.name == "TORUS"]
+        torus = [
+            cid for cid, kind in enumerate(machine.channel_kind) if kind.name == "TORUS"
+        ]
         fault_set = FaultSet(
             specs=(
                 FaultSpec(kind="link", channel=torus[0]),

@@ -170,9 +170,9 @@ class TestCredits:
                 )
             )
         engine.run()
-        for channel in tiny_machine.channels:
-            for vc in range(tiny_machine.vcs_for_channel(channel)):
-                assert engine.credits_outstanding(channel.cid, vc) == 0
+        for cid, vcs in enumerate(tiny_machine.channel_vcs):
+            for vc in range(vcs):
+                assert engine.credits_outstanding(cid, vc) == 0
 
     def test_no_buffered_packets_after_run(self, tiny_machine, tiny_routes):
         engine = Engine(tiny_machine)

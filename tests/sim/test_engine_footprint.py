@@ -23,7 +23,7 @@ def engine_objects(shape):
     engine = Engine(machine)
     added = len(gc.get_objects()) - before
     assert engine.machine is machine
-    return added, len(machine.channels)
+    return added, len(machine.channel_src)
 
 
 class TestEngineFootprint:

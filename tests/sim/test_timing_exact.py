@@ -131,7 +131,7 @@ def _one_channel_route(machine, routes):
     (torus_cid,) = [
         cid
         for cid, _vc in route.hops
-        if machine.channels[cid].kind == ChannelKind.TORUS
+        if machine.channel_kind[cid] == ChannelKind.TORUS
     ]
     return route, torus_cid
 
@@ -211,7 +211,9 @@ class TestOneFlitOnChipHop:
         sink = ListSink()
         run(RunSpec(machine.config, spec), machine=machine, trace=sink)
         mesh = {
-            c.cid for c in machine.channels if c.kind == ChannelKind.MESH
+            cid
+            for cid, kind in enumerate(machine.channel_kind)
+            if kind == ChannelKind.MESH
         }
         departs = {
             (e.pid, e.channel): e.cycle

@@ -7,7 +7,7 @@ single class, but the machinery must support both.
 
 import pytest
 
-from repro.core.machine import ChannelGroup, Machine, MachineConfig
+from repro.core.machine import ChannelGroup, Machine, MachineConfig, group_of
 from repro.core.routing import RouteChoice, RouteComputer
 from repro.sim.engine import Engine
 from repro.sim.packet import Packet
@@ -29,9 +29,10 @@ def two_class_routes(two_class_machine):
 
 class TestVcPartitioning:
     def test_channel_vc_counts_doubled(self, two_class_machine):
-        for channel in two_class_machine.channels:
-            vcs = two_class_machine.vcs_for_channel(channel)
-            if channel.group == ChannelGroup.E:
+        for kind, vcs in zip(
+            two_class_machine.channel_kind, two_class_machine.channel_vcs
+        ):
+            if group_of(kind) == ChannelGroup.E:
                 assert vcs == 2
             else:
                 assert vcs == 8
@@ -44,8 +45,7 @@ class TestVcPartitioning:
         request = two_class_routes.compute(src, dst, RouteChoice(), traffic_class=0)
         reply = two_class_routes.compute(src, dst, RouteChoice(), traffic_class=1)
         for (channel_id, req_vc), (_cid2, rep_vc) in zip(request.hops, reply.hops):
-            channel = two_class_machine.channels[channel_id]
-            if channel.group == ChannelGroup.E:
+            if group_of(two_class_machine.channel_kind[channel_id]) == ChannelGroup.E:
                 assert rep_vc == req_vc + 1
             else:
                 assert rep_vc == req_vc + 4
@@ -56,8 +56,7 @@ class TestVcPartitioning:
         request = two_class_routes.compute(src, dst, RouteChoice(), traffic_class=0)
         reply = two_class_routes.compute(src, dst, RouteChoice(), traffic_class=1)
         for (channel_id, req_vc), (_c, rep_vc) in zip(request.hops, reply.hops):
-            channel = two_class_machine.channels[channel_id]
-            if channel.group != ChannelGroup.E:
+            if group_of(two_class_machine.channel_kind[channel_id]) != ChannelGroup.E:
                 assert req_vc < 4 <= rep_vc
 
 

@@ -46,18 +46,18 @@ class TestConservation:
         # Each source injects exactly one packet per round, all of it on
         # its EP -> router link.
         _pattern, table = loaded
-        for channel in tiny_machine.channels:
-            if channel.kind == ChannelKind.EP_TO_ROUTER:
-                component = tiny_machine.components[channel.src]
+        for cid, kind in enumerate(tiny_machine.channel_kind):
+            if kind == ChannelKind.EP_TO_ROUTER:
+                component = tiny_machine.components[tiny_machine.channel_src[cid]]
                 if component.detail < 2:  # active endpoint
-                    assert table.channel_load[channel.cid] == pytest.approx(1.0)
+                    assert table.channel_load[cid] == pytest.approx(1.0)
 
     def test_ejection_totals_match_sources(self, tiny_machine, loaded):
         _pattern, table = loaded
         total_ejected = sum(
             load
             for cid, load in table.channel_load.items()
-            if tiny_machine.channels[cid].kind == ChannelKind.ROUTER_TO_EP
+            if tiny_machine.channel_kind[cid] == ChannelKind.ROUTER_TO_EP
         )
         assert total_ejected == pytest.approx(16.0)
 
@@ -78,7 +78,7 @@ class TestConservation:
         total_torus = sum(
             load
             for cid, load in table.channel_load.items()
-            if tiny_machine.channels[cid].kind == ChannelKind.TORUS
+            if tiny_machine.channel_kind[cid] == ChannelKind.TORUS
         )
         assert total_torus == pytest.approx(16 * pattern.mean_hops())
 
@@ -128,8 +128,9 @@ class TestPinnedTables:
 TRANSLATION_SHAPES = [(2, 2, 2), (3, 3, 1), (4, 1, 1), (5, 3, 2), (1, 1, 3)]
 
 
-def _walk_translate(machine, channel_id, offset):
-    """The oracle: shift a channel by looking both its ends up by name."""
+def _walk_translate(machine, between, channel_id, offset):
+    """The oracle: shift a channel by looking both its ends up by name
+    (``between`` maps a channel's (src, dst) to its id)."""
     shape = machine.config.shape
 
     def shifted(comp_id):
@@ -141,33 +142,47 @@ def _walk_translate(machine, channel_id, offset):
             return machine.ep_id[(chip, comp.detail)]
         return machine.ca_id[(chip,) + comp.detail]
 
-    channel = machine.channels[channel_id]
-    return machine.channel_between[(shifted(channel.src), shifted(channel.dst))]
+    return between[
+        (
+            shifted(machine.channel_src[channel_id]),
+            shifted(machine.channel_dst[channel_id]),
+        )
+    ]
 
 
 class TestTranslationByArithmetic:
     @pytest.mark.parametrize("shape", TRANSLATION_SHAPES)
     def test_every_channel_at_every_offset_matches_the_walk(self, shape):
         machine = Machine(MachineConfig(shape=shape, endpoints_per_chip=2))
-        every = range(len(machine.channels))
+        every = range(len(machine.channel_src))
+        between = {
+            ends: cid
+            for cid, ends in enumerate(zip(machine.channel_src, machine.channel_dst))
+        }
         seen = []
         for offset, channel_map in _translation_maps(machine, every):
             seen.append(offset)
             assert channel_map == {
-                cid: _walk_translate(machine, cid, offset) for cid in every
+                cid: _walk_translate(machine, between, cid, offset) for cid in every
             }
         assert seen == [c for c in all_coords(shape) if c != (0, 0, 0)]
 
     def test_on_chip_blocks_tile_the_on_chip_channels(self, tiny_machine):
         block = tiny_machine.onchip_channels_per_chip
         chips = list(all_coords(tiny_machine.config.shape))
-        for cid, channel in enumerate(tiny_machine.channels):
-            on_chip = channel.kind != ChannelKind.TORUS
+        for cid, (src, dst, kind) in enumerate(
+            zip(
+                tiny_machine.channel_src,
+                tiny_machine.channel_dst,
+                tiny_machine.channel_kind,
+            )
+        ):
+            on_chip = kind != ChannelKind.TORUS
             assert on_chip == (cid < block * len(chips))
             if on_chip:
                 chip = chips[cid // block]
-                assert tiny_machine.components[channel.src].chip == chip
-                assert tiny_machine.components[channel.dst].chip == chip
+                assert tiny_machine.components[src].chip == chip
+                assert tiny_machine.components[dst].chip == chip
 
 
 class TestSymmetryShortcut:
@@ -280,7 +295,7 @@ class TestMerging:
         ]
         merged = merge_arbiter_loads(tiny_machine, tables)
         for oc, matrix in merged.items():
-            src = tiny_machine.channels[oc].src
+            src = tiny_machine.channel_src[oc]
             assert len(matrix) == len(tiny_machine.component_inputs[src])
             assert all(len(row) == 2 for row in matrix)
 
@@ -291,8 +306,7 @@ class TestMerging:
         ]
         merged = merge_vc_loads(tiny_machine, tables)
         for cid, matrix in merged.items():
-            channel = tiny_machine.channels[cid]
-            assert len(matrix) == tiny_machine.vcs_for_channel(channel)
+            assert len(matrix) == tiny_machine.channel_vcs[cid]
 
 
 class TestIdealCycles:
