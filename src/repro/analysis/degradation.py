@@ -31,7 +31,7 @@ from typing import List, Optional, Sequence
 
 from repro.core.machine import ChannelKind, Machine
 from repro.core.routing import RouteComputer
-from repro.faults.model import FaultSet, sample_link_faults
+from repro.faults.model import sample_link_faults
 from repro.faults.runtime import FaultPolicy
 from repro.sim.simulator import (
     RunSpec,
@@ -172,27 +172,8 @@ def degradation_sweep(
     return [r.value for r in results]
 
 
-def verify_degraded_routes(
-    machine: Machine,
-    fault_set: FaultSet,
-    endpoints_per_chip: Optional[int] = None,
-) -> "DeadlockReport":
-    """Convenience re-export: full degraded route-set deadlock check.
-
-    Thin wrapper over :func:`repro.faults.verify.degraded_report` so the
-    analysis layer offers the whole degraded workflow (sample, verify,
-    measure) from one module.
-    """
-    from repro.faults.verify import degraded_report
-
-    return degraded_report(
-        machine, fault_set, endpoints_per_chip=endpoints_per_chip
-    )
-
-
 __all__ = [
     "DegradedThroughputPoint",
     "degradation_sweep",
     "measure_degraded_point",
-    "verify_degraded_routes",
 ]

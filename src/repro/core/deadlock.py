@@ -10,7 +10,7 @@ mechanically for any machine and VC scheme by:
    even-radix half-way destinations);
 2. adding a dependency edge for every consecutive hop pair
    ``(channel_a, vc_a) -> (channel_b, vc_b)``; and
-3. testing the resulting directed graph for cycles with networkx.
+3. testing the resulting directed graph for cycles (:func:`find_cycle`).
 
 Endpoint-adapter links are excluded: injection links have no
 predecessors and ejection links no successors, so they cannot extend a
@@ -26,11 +26,14 @@ cycles.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .machine import ChannelGroup, Machine, group_of
 from .routing import Route, RouteComputer, Unroutable
 from .geometry import all_coords
+
+#: A dependency-graph node: ``(channel id, vc)``.
+Node = Tuple[int, int]
 
 
 @dataclasses.dataclass
@@ -40,7 +43,7 @@ class DeadlockReport:
     #: Whether the (channel, VC) dependency graph is acyclic.
     deadlock_free: bool
     #: One dependency cycle (as (channel id, vc) nodes) if any exists.
-    cycle: Optional[List[Tuple[int, int]]]
+    cycle: Optional[List[Node]]
     #: Number of dependency-graph nodes actually used by some route.
     nodes: int
     #: Number of distinct dependency edges.
@@ -89,16 +92,14 @@ def enumerate_routes(
                                 raise
 
 
-def route_dependency_edges(
-    machine: Machine, route: Route
-) -> List[Tuple[Tuple[int, int], Tuple[int, int]]]:
+def route_dependency_edges(machine: Machine, route: Route) -> List[Tuple[Node, Node]]:
     """The (channel, VC) dependency edges contributed by one route.
 
     Edges through endpoint-adapter links are skipped (sources and sinks
     cannot deadlock).
     """
     kinds = machine.channel_kind
-    edges: List[Tuple[Tuple[int, int], Tuple[int, int]]] = []
+    edges: List[Tuple[Node, Node]] = []
     prev = None
     for channel_id, vc in route.hops:
         if group_of(kinds[channel_id]) == ChannelGroup.E:
@@ -111,42 +112,75 @@ def route_dependency_edges(
     return edges
 
 
-def build_dependency_graph_from_routes(
-    machine: Machine, routes
-) -> Tuple[nx.DiGraph, int]:
-    """The (channel, VC) dependency graph over an explicit route set.
+def find_cycle(edges: Iterable[Tuple[Node, Node]]) -> Optional[List[Node]]:
+    """One cycle of the digraph ``edges`` spell, or ``None`` if acyclic.
 
-    Returns the graph and the number of routes consumed. Used both by the
-    healthy-machine analysis and by the fault subsystem, which passes the
-    degraded machine's resolved route set.
+    An iterative three-colour depth-first search: a node is unvisited,
+    on the current path, or done. Successor lists and the order roots
+    are tried in follow first-seen edge order, so the cycle returned
+    depends on the edge sequence alone, never on hashing. Consecutive
+    nodes of the cycle, and its last and first, are edges.
     """
-    import networkx as nx
-
-    graph = nx.DiGraph()
-    edges: Set[Tuple[Tuple[int, int], Tuple[int, int]]] = set()
-    count = 0
-    for route in routes:
-        count += 1
-        edges.update(route_dependency_edges(machine, route))
-    graph.add_edges_from(edges)
-    return graph, count
-
-
-def build_dependency_graph(
-    machine: Machine,
-    route_computer: RouteComputer,
-    endpoints_per_chip: Optional[int] = None,
-) -> Tuple[nx.DiGraph, int]:
-    """The (channel, VC) dependency graph over all enumerated routes."""
-    return build_dependency_graph_from_routes(
-        machine, enumerate_routes(machine, route_computer, endpoints_per_chip)
-    )
+    successors: Dict[Node, List[Node]] = {}
+    for src, dst in edges:
+        successors.setdefault(src, []).append(dst)
+        successors.setdefault(dst, [])
+    done: Set[Node] = set()
+    for root in successors:
+        if root in done:
+            continue
+        path = [root]
+        on_path = {root}
+        pending = [iter(successors[root])]
+        while pending:
+            for node in pending[-1]:
+                if node in on_path:
+                    return path[path.index(node):]
+                if node not in done:
+                    path.append(node)
+                    on_path.add(node)
+                    pending.append(iter(successors[node]))
+                    break
+            else:
+                pending.pop()
+                node = path.pop()
+                on_path.discard(node)
+                done.add(node)
+    return None
 
 
 def analyze_routes(machine: Machine, routes) -> DeadlockReport:
-    """Deadlock analysis over an explicit (possibly degraded) route set."""
-    graph, count = build_dependency_graph_from_routes(machine, routes)
-    return _report_from_graph(machine, graph, count)
+    """Deadlock analysis over an explicit (possibly degraded) route set.
+
+    Used both by the healthy-machine analysis and by the fault
+    subsystem, which passes the degraded machine's resolved route set.
+    """
+    # A dict, not a set: its first-seen order makes the reported cycle
+    # a function of the route order alone.
+    edges: Dict[Tuple[Node, Node], None] = {}
+    count = 0
+    for route in routes:
+        count += 1
+        edges.update(dict.fromkeys(route_dependency_edges(machine, route)))
+    nodes = {node for edge in edges for node in edge}
+    t_vcs: Set[int] = set()
+    m_vcs: Set[int] = set()
+    for channel_id, vc in nodes:
+        group = group_of(machine.channel_kind[channel_id])
+        if group == ChannelGroup.T:
+            t_vcs.add(vc)
+        elif group == ChannelGroup.M:
+            m_vcs.add(vc)
+    cycle = find_cycle(edges)
+    return DeadlockReport(
+        deadlock_free=cycle is None,
+        cycle=cycle,
+        nodes=len(nodes),
+        edges=len(edges),
+        t_vcs_used=t_vcs,
+        m_vcs_used=m_vcs,
+        routes=count,
+    )
 
 
 def analyze(
@@ -155,43 +189,12 @@ def analyze(
     endpoints_per_chip: Optional[int] = None,
 ) -> DeadlockReport:
     """Run the full deadlock analysis for a machine's VC scheme."""
-    graph, routes = build_dependency_graph(
-        machine, route_computer, endpoints_per_chip
-    )
-    return _report_from_graph(machine, graph, routes)
-
-
-def _report_from_graph(
-    machine: Machine, graph: nx.DiGraph, routes: int
-) -> DeadlockReport:
-    import networkx as nx
-
-    cycle: Optional[List[Tuple[int, int]]] = None
-    try:
-        raw_cycle = nx.find_cycle(graph)
-        cycle = [edge[0] for edge in raw_cycle]
-    except nx.NetworkXNoCycle:
-        pass
-    t_vcs: Set[int] = set()
-    m_vcs: Set[int] = set()
-    for channel_id, vc in graph.nodes:
-        group = group_of(machine.channel_kind[channel_id])
-        if group == ChannelGroup.T:
-            t_vcs.add(vc)
-        elif group == ChannelGroup.M:
-            m_vcs.add(vc)
-    return DeadlockReport(
-        deadlock_free=cycle is None,
-        cycle=cycle,
-        nodes=graph.number_of_nodes(),
-        edges=graph.number_of_edges(),
-        t_vcs_used=t_vcs,
-        m_vcs_used=m_vcs,
-        routes=routes,
+    return analyze_routes(
+        machine, enumerate_routes(machine, route_computer, endpoints_per_chip)
     )
 
 
-def describe_cycle(machine: Machine, cycle: List[Tuple[int, int]]) -> str:
+def describe_cycle(machine: Machine, cycle: List[Node]) -> str:
     """Human-readable rendering of a dependency cycle (for diagnostics)."""
     parts = []
     for channel_id, vc in cycle:

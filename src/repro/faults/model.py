@@ -254,12 +254,16 @@ class FaultSet:
             raise ValueError(
                 f"fault set 'shape' must be a list of 2 or 3 integers, got {shape!r}"
             )
+        if shape is not None:
+            # A mesh or chiplet file may spell its shape in two ints;
+            # machines normalize to three, as ``MachineConfig`` does.
+            shape = tuple(shape) + (1,) * (3 - len(shape))
         faults = data.get("faults")
         if not isinstance(faults, list):
             raise ValueError(f"'faults' must be a JSON list, got {faults!r}")
         return cls(
             specs=tuple(FaultSpec.from_dict(d) for d in faults),
-            shape=tuple(shape) if shape is not None else None,
+            shape=shape,
             seed=data.get("seed"),
             note=data.get("note", ""),
             topology=data.get("topology", "torus"),

@@ -57,10 +57,8 @@ class FaultAwareRouteComputer(RouteComputer):
         machine: Machine,
         failed_channels: Iterable[int] = (),
         direction_order: Sequence = ANTON_DIRECTION_ORDER,
-        allow_detour: bool = True,
     ) -> None:
         super().__init__(machine, direction_order, allow_nonminimal=True)
-        self.allow_detour = allow_detour
         self._failed: frozenset = frozenset(failed_channels)
         #: How many resolutions each escalation stage served (diagnostics).
         self.resolution_counts: Counter = Counter()
@@ -149,7 +147,7 @@ class FaultAwareRouteComputer(RouteComputer):
                 return route
 
         pair_key = (src_endpoint, dst_endpoint, traffic_class)
-        if self.allow_detour and pair_key not in self._dead_pairs:
+        if pair_key not in self._dead_pairs:
             for legs in self._detour_plans(src_chip, dst_chip, choice.slice_index):
                 route = self.compute_plan(
                     src_endpoint, dst_endpoint, legs, traffic_class
@@ -199,7 +197,7 @@ class FaultAwareRouteComputer(RouteComputer):
                 if self.route_clear(trial):
                     route = trial
                     break
-        if route is None and self.allow_detour:
+        if route is None:
             for legs in self._detour_plans(src_chip, dst_chip, 0):
                 trial = self.compute_plan(
                     start_component, dst_endpoint, legs, traffic_class

@@ -18,10 +18,16 @@ graph mechanically:
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from collections import Counter, defaultdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from ..core.deadlock import analyze_routes, enumerate_routes, route_dependency_edges
+from ..core.deadlock import (
+    analyze_routes,
+    enumerate_routes,
+    find_cycle,
+    route_dependency_edges,
+)
 from ..core.machine import ChannelKind, Machine
 from ..core.routing import RouteComputer, Unroutable
 from .model import FaultSet, failable_channels
@@ -32,14 +38,13 @@ def degraded_report(
     machine: Machine,
     fault_set: FaultSet,
     endpoints_per_chip: Optional[int] = None,
-    allow_detour: bool = True,
 ):
     """Full deadlock analysis of a fault set's resolved route set.
 
     Uses every channel the fault set ever fails (including scheduled
     mid-run failures), i.e. the most-degraded topology the run can see.
     """
-    computer = FaultAwareRouteComputer(machine, allow_detour=allow_detour)
+    computer = FaultAwareRouteComputer(machine)
     computer.set_failed(fault_set.all_channels(machine))
     routes = enumerate_routes(
         machine, computer, endpoints_per_chip, skip_unroutable=True
@@ -66,33 +71,10 @@ class SingleFailureReport:
         return not self.cyclic
 
 
-def _is_acyclic(edges) -> bool:
-    """Kahn's algorithm over an edge iterable of ((c,v), (c,v)) pairs."""
-    successors = defaultdict(list)
-    indegree = Counter()
-    nodes = set()
-    for src, dst in edges:
-        successors[src].append(dst)
-        indegree[dst] += 1
-        nodes.add(src)
-        nodes.add(dst)
-    ready = [node for node in nodes if indegree[node] == 0]
-    seen = 0
-    while ready:
-        node = ready.pop()
-        seen += 1
-        for nxt in successors[node]:
-            indegree[nxt] -= 1
-            if indegree[nxt] == 0:
-                ready.append(nxt)
-    return seen == len(nodes)
-
-
 def verify_single_link_failures(
     machine: Machine,
     kinds: Sequence[ChannelKind] = (ChannelKind.TORUS,),
     endpoints_per_chip: int = 1,
-    allow_detour: bool = True,
 ) -> SingleFailureReport:
     """Check degraded deadlock-freedom under every single link failure.
 
@@ -111,8 +93,7 @@ def verify_single_link_failures(
     for index, route in enumerate(baseline):
         edges = route_dependency_edges(machine, route)
         base_edges.append(edges)
-        for edge in edges:
-            edge_count[edge] += 1
+        edge_count.update(edges)
         for cid in set(route.channels()):
             routes_using[cid].append(index)
 
@@ -124,21 +105,17 @@ def verify_single_link_failures(
         affected = routes_using.get(cid, ())
         removed: Counter = Counter()
         added: Counter = Counter()
-        computer = FaultAwareRouteComputer(
-            machine, (cid,), allow_detour=allow_detour
-        )
+        computer = FaultAwareRouteComputer(machine, (cid,))
         dead = 0
         for index in affected:
             route = baseline[index]
-            for edge in base_edges[index]:
-                removed[edge] += 1
+            removed.update(base_edges[index])
             try:
                 replacement = computer.compute(route.src, route.dst, route.choice)
             except Unroutable:
                 dead += 1
                 continue
-            for edge in route_dependency_edges(machine, replacement):
-                added[edge] += 1
+            added.update(route_dependency_edges(machine, replacement))
         if dead:
             unroutable[cid] = dead
         escalated = sum(
@@ -148,16 +125,9 @@ def verify_single_link_failures(
         )
         if escalated:
             escalations[cid] = escalated
-
-        def surviving_edges():
-            for edge, count in edge_count.items():
-                if count - removed[edge] + added[edge] > 0:
-                    yield edge
-            for edge, count in added.items():
-                if edge not in edge_count and count > 0:
-                    yield edge
-
-        if not _is_acyclic(surviving_edges()):
+        # An edge survives while some route still uses it.
+        kept = (edge for edge, n in edge_count.items() if n > removed[edge])
+        if find_cycle(itertools.chain(kept, added)) is not None:
             cyclic.append(cid)
 
     return SingleFailureReport(

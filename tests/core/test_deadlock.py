@@ -19,6 +19,15 @@ def _analyze(shape, scheme, endpoints=1):
     return deadlock.analyze(machine, RouteComputer(machine)), machine
 
 
+def _edges(machine, routes, endpoints_per_chip=None):
+    """The dependency edge set, read off the routes without the checker."""
+    return {
+        edge
+        for route in deadlock.enumerate_routes(machine, routes, endpoints_per_chip)
+        for edge in deadlock.route_dependency_edges(machine, route)
+    }
+
+
 class TestAntonScheme:
     def test_odd_radix_deadlock_free(self):
         report, _m = _analyze((3, 3, 3), "anton")
@@ -81,30 +90,41 @@ class TestUnsafeScheme:
 
     def test_cycle_edges_exist_in_graph(self):
         report, machine = _analyze((4, 1, 1), "unsafe-single")
-        assert not report.deadlock_free
+        edges = _edges(machine, RouteComputer(machine))
+        cycle = report.cycle
+        assert cycle and len(set(cycle)) == len(cycle)
+        for here, after in zip(cycle, cycle[1:] + cycle[:1]):
+            assert (here, after) in edges
 
 
 class TestGraphConstruction:
     def test_endpoint_links_excluded(self, tiny_machine, tiny_routes):
         from repro.core.machine import ChannelGroup
 
-        graph, _routes = deadlock.build_dependency_graph(
-            tiny_machine, tiny_routes, endpoints_per_chip=1
-        )
-        for channel_id, _vc in graph.nodes:
-            assert group_of(tiny_machine.channel_kind[channel_id]) != ChannelGroup.E
+        for edge in _edges(tiny_machine, tiny_routes, 1):
+            for channel_id, _vc in edge:
+                group = group_of(tiny_machine.channel_kind[channel_id])
+                assert group != ChannelGroup.E
 
     def test_route_count_matches_enumeration(self, tiny_machine, tiny_routes):
         routes = list(
             deadlock.enumerate_routes(tiny_machine, tiny_routes, endpoints_per_chip=1)
         )
-        _graph, counted = deadlock.build_dependency_graph(
-            tiny_machine, tiny_routes, endpoints_per_chip=1
-        )
-        assert counted == len(routes)
-
-    def test_nodes_and_edges_positive(self, tiny_machine, tiny_routes):
         report = deadlock.analyze(tiny_machine, tiny_routes, endpoints_per_chip=1)
-        assert report.nodes > 0
-        assert report.edges > 0
-        assert report.routes > 0
+        assert report.routes == len(routes) > 0
+
+    def test_report_counts_the_edge_set(self, tiny_machine, tiny_routes):
+        edges = _edges(tiny_machine, tiny_routes, 1)
+        report = deadlock.analyze(tiny_machine, tiny_routes, endpoints_per_chip=1)
+        assert report.edges == len(edges) > 0
+        assert report.nodes == len({node for edge in edges for node in edge})
+        assert report.t_vcs_used | report.m_vcs_used == {
+            vc for edge in edges for _cid, vc in edge
+        }
+
+
+class TestFindCycle:
+    def test_cycle_follows_first_seen_edge_order(self):
+        # Two cycles through 0; the first-seen successor is walked first.
+        assert deadlock.find_cycle([(0, 1), (0, 2), (1, 0), (2, 0)]) == [0, 1]
+        assert deadlock.find_cycle([(0, 2), (0, 1), (1, 0), (2, 0)]) == [0, 2]

@@ -409,6 +409,19 @@ class TestFaultsCommand:
         assert "route resolution:" in out
         assert "acyclic (deadlock-free)" in out
 
+    def test_validate_a_hand_written_two_axis_file(self, tmp_path, capsys):
+        # A mesh file may spell its shape as the mesh does, in two ints.
+        path = tmp_path / "faults.json"
+        path.write_text(
+            '{"version": 1, "shape": [3, 3], "topology": "mesh", "faults": []}'
+        )
+        argv = ["faults", "validate", str(path), "--check-routes",
+                "--check-deadlock"]
+        assert main(argv) == 0, capsys.readouterr().err
+        out = capsys.readouterr().out
+        assert "0 fault spec(s), 0 distinct failed channel(s) on shape 3x3x1" in out
+        assert "acyclic (deadlock-free)" in out
+
     def test_validate_shape_comes_from_file(self, tmp_path, capsys):
         # `sample` records the shape, so `validate` needs no --shape.
         path = self._sample(tmp_path, capsys, shape="3x3x3")

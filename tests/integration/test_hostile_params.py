@@ -103,3 +103,29 @@ def test_a_hostile_fault_file_is_a_one_line_cli_error(tmp_path, capsys):
         if isinstance(faults, dict):
             with pytest.raises(SessionError, match=re.escape(named)):
                 Session.create("s", {"kind": "batch", "faults": faults})
+
+
+#: A two-axis machine's own shape form, hand-written: it names the
+#: machine it was drawn for, so every surface must accept it (it was
+#: refused as "drawn for shape (3, 3), machine is (3, 3, 1)").
+TWO_AXIS_FAULT_FILES = [
+    '{"version": 1, "shape": [3, 3], "topology": "mesh", "faults": []}',
+    '{"version": 1, "shape": [2, 2], "topology": "chiplet", '
+    '"faults": [{"kind": "node", "chip": [1, 0, 0], "down": 5}]}',
+]
+
+
+@pytest.mark.parametrize("text", TWO_AXIS_FAULT_FILES)
+def test_a_two_int_fault_file_shape_is_the_machines(text, tmp_path, capsys):
+    import json
+
+    path = tmp_path / "faults.json"
+    path.write_text(text)
+    assert main(["faults", "validate", str(path)]) == 0, capsys.readouterr().err
+    assert "valid" in capsys.readouterr().out
+    faults = json.loads(text)
+    # Raises SessionError naming the shape if the decoder keeps (3, 3).
+    Session.create(
+        "s", {"kind": "batch", "topology": faults["topology"],
+              "shape": faults["shape"], "batch": 1, "faults": faults}
+    )

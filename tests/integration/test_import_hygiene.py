@@ -1,8 +1,9 @@
-"""``import repro`` must not pay for numpy, scipy or networkx.
+"""``import repro`` must not pay for numpy or scipy.
 
 They cost 0.6 CPU-s and 75 MiB per process -- every CLI call, server
-boot, spawned worker and test process -- and only the deadlock checker,
-the worst-case LP and two model fits use them.
+boot, spawned worker and test process -- and only the worst-case LP and
+two model fits use them. The deadlock checker uses no installed package
+at all: it finds cycles itself, so no graph library is a dependency.
 Each script below runs in a fresh interpreter; CI runs the first one as
 a step of its own so a stray top-level import fails by name.
 """
@@ -11,7 +12,7 @@ import subprocess
 import sys
 import textwrap
 
-HEAVY = ("numpy", "scipy", "networkx")
+HEAVY = ("numpy", "scipy")
 
 #: Also the CI step (``.github/workflows/ci.yml``, tier-1 job).
 IMPORT_GATE = (
@@ -22,6 +23,7 @@ IMPORT_GATE = (
 
 _USE_SCRIPT = textwrap.dedent(
     f"""
+    import site
     import sys
 
     import repro
@@ -32,9 +34,17 @@ _USE_SCRIPT = textwrap.dedent(
 
     assert not [m for m in {HEAVY!r} if m in sys.modules]
 
+    def installed():
+        roots = tuple(site.getsitepackages()) + (site.getusersitepackages(),)
+        return {{
+            name.partition(".")[0] for name, module in list(sys.modules.items())
+            if (getattr(module, "__file__", None) or "").startswith(roots)
+        }} - {{"repro"}}
+
+    before = installed()
     machine = Machine(MachineConfig(shape=(2, 2, 2), endpoints_per_chip=1))
     report = analyze(machine, RouteComputer(machine))
-    assert "networkx" in sys.modules
+    assert installed() == before, sorted(installed() - before)
     assert report.deadlock_free and report.t_vcs_used == {{0, 1, 2, 3}}
     assert (report.nodes, report.edges) == (1472, 1952)
 
