@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
-from repro.core.machine import ChannelKind, Machine
+from repro.core.machine import Machine
 from repro.core.routing import RouteComputer
 from repro.faults.model import sample_link_faults
 from repro.faults.runtime import FaultPolicy
@@ -127,15 +127,13 @@ def degradation_sweep(
     cores_per_chip: int,
     max_failed: int,
     arbitration: str = "iw",
-    policy_mode: str = "reroute",
-    kinds: Sequence[ChannelKind] = (ChannelKind.TORUS,),
     fault_seed: int = 0,
     seed: int = 0,
     max_workers: Optional[int] = 1,
 ) -> List[DegradedThroughputPoint]:
     """Throughput and fairness versus number of failed links.
 
-    For each ``k`` in ``0..max_failed``, draws ``k`` random link
+    For each ``k`` in ``0..max_failed``, draws ``k`` random torus-link
     failures (seeded: the sweep is reproducible), reroutes around them,
     reprograms arbiter weights from the degraded loads, and measures one
     batch. ``k=0`` is the healthy baseline: its point runs through the
@@ -151,10 +149,9 @@ def degradation_sweep(
             spec,
             arbitration,
             fault_set=sample_link_faults(
-                machine, k, seed=fault_seed, kinds=kinds,
-                note=f"degradation sweep k={k}",
+                machine, k, seed=fault_seed, note=f"degradation sweep k={k}"
             ),
-            fault_policy=FaultPolicy(mode=policy_mode),
+            fault_policy=FaultPolicy(),
         )
         for k in range(max_failed + 1)
     ]

@@ -14,7 +14,7 @@ _flit)`` packets/cycle keeps the busiest torus channel exactly busy.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.core.machine import Machine
 from repro.core.routing import RouteComputer
@@ -59,7 +59,6 @@ def latency_vs_load(
     duration_cycles: int = 2000,
     arbitration: str = "rr",
     seed: int = 0,
-    load_table: Optional[LoadTable] = None,
 ) -> List[LatencyLoadPoint]:
     """Measure mean/p50/p95/p99 packet latency at fractions of the
     saturation rate.
@@ -70,8 +69,7 @@ def latency_vs_load(
     streamed (nearest-rank, exact at these run sizes) rather than
     computed from a retained per-packet latency list.
     """
-    if load_table is None:
-        (load_table,) = loads_of(machine, route_computer, [pattern], cores_per_chip)
+    (load_table,) = loads_of(machine, route_computer, [pattern], cores_per_chip)
     base_rate = saturation_rate(machine, load_table)
     # The open-loop packets stand in for the run's generation, as a
     # replay's do; ``iw`` is programmed from the table that set the rate.

@@ -57,18 +57,18 @@ class WeightTable:
         return len(self.inverse_weights[0]) if self.inverse_weights else 0
 
 
-def choose_beta(
-    loads: Sequence[Sequence[float]],
-    weight_bits: int,
-    significance: float = 0.02,
-) -> float:
+#: The fraction of the largest load below which a load is insignificant.
+SIGNIFICANCE = 0.02
+
+
+def choose_beta(loads: Sequence[Sequence[float]], weight_bits: int) -> float:
     """Pick ``beta`` so the significant load ratios fit in ``M`` bits.
 
     The smallest load anchored determines the largest weight:
     ``beta = (2^M - 1 - 0.5) * gamma_anchor`` keeps
     ``nint(beta / gamma) <= 2^M - 1`` for every load at or above the
     anchor. Anchoring on the *smallest significant* load (at least
-    ``significance`` of the largest) rather than the absolute minimum
+    :data:`SIGNIFICANCE` of the largest) rather than the absolute minimum
     matters: a negligible stray input would otherwise compress all the
     meaningful weights into a few codes, destroying the grant-ratio
     resolution the arbiter exists to provide. Loads below the anchor
@@ -80,7 +80,7 @@ def choose_beta(
     nonzero = [g for row in loads for g in row if g > 0]
     if not nonzero:
         return 1.0
-    threshold = significance * max(nonzero)
+    threshold = SIGNIFICANCE * max(nonzero)
     significant = [g for g in nonzero if g >= threshold]
     max_weight = (1 << weight_bits) - 1
     return (max_weight - 0.5) * min(significant)

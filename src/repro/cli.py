@@ -592,7 +592,7 @@ def cmd_faults_validate(args) -> int:
     failed = fault_set.all_channels(machine)
     print(
         f"{len(fault_set)} fault spec(s), {len(failed)} distinct failed "
-        f"channel(s) on shape {'x'.join(map(str, machine.config.shape))}: valid"
+        f"channel(s) on shape {machine.topology.shape_str()}: valid"
     )
     status = 0
     if args.check_routes:

@@ -26,7 +26,7 @@ cycles.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .machine import ChannelGroup, Machine, group_of
 from .routing import Route, RouteComputer, Unroutable
@@ -125,13 +125,19 @@ def find_cycle(edges: Iterable[Tuple[Node, Node]]) -> Optional[List[Node]]:
     for src, dst in edges:
         successors.setdefault(src, []).append(dst)
         successors.setdefault(dst, [])
+    return cycle_reachable(successors, successors.__getitem__)
+
+
+def cycle_reachable(roots, successors: Callable) -> Optional[List[Node]]:
+    """One cycle reachable from ``roots`` (tried in order) in the graph
+    ``successors(node)`` describes, or ``None``: :func:`find_cycle`'s search."""
     done: Set[Node] = set()
-    for root in successors:
+    for root in roots:
         if root in done:
             continue
         path = [root]
         on_path = {root}
-        pending = [iter(successors[root])]
+        pending = [iter(successors(root))]
         while pending:
             for node in pending[-1]:
                 if node in on_path:
@@ -139,7 +145,7 @@ def find_cycle(edges: Iterable[Tuple[Node, Node]]) -> Optional[List[Node]]:
                 if node not in done:
                     path.append(node)
                     on_path.add(node)
-                    pending.append(iter(successors[node]))
+                    pending.append(iter(successors(node)))
                     break
             else:
                 pending.pop()

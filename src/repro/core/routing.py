@@ -80,6 +80,13 @@ class Route:
         """The channel ids along the route, in order."""
         return tuple(channel for channel, _vc in self.hops)
 
+    def first_failed(self, failed, from_hop: int = 0) -> int:
+        """The first channel in ``failed`` crossed from hop ``from_hop`` on, or -1."""
+        for channel, _vc in self.hops[from_hop:]:
+            if channel in failed:
+                return channel
+        return -1
+
 
 class Unroutable(RuntimeError):
     """No legal route exists between two components on this (degraded) machine.

@@ -84,13 +84,9 @@ class FaultAwareRouteComputer(RouteComputer):
             self._reroute_cache.clear()
             self._dead_pairs.clear()
 
-    def route_clear(self, route: Route, from_hop: int = 0) -> bool:
+    def route_clear(self, route: Route) -> bool:
         """Whether a route avoids every currently failed channel."""
-        failed = self._failed
-        for cid, _vc in route.hops[from_hop:]:
-            if cid in failed:
-                return False
-        return True
+        return route.first_failed(self._failed) < 0
 
     # --- endpoint-to-endpoint resolution -----------------------------------
 

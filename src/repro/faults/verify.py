@@ -20,15 +20,17 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from collections import Counter, defaultdict
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..core.deadlock import (
+    Node,
     analyze_routes,
+    cycle_reachable,
     enumerate_routes,
     find_cycle,
     route_dependency_edges,
 )
-from ..core.machine import ChannelKind, Machine
+from ..core.machine import Machine
 from ..core.routing import RouteComputer, Unroutable
 from .model import FaultSet, failable_channels
 from .routing import FaultAwareRouteComputer
@@ -71,22 +73,37 @@ class SingleFailureReport:
         return not self.cyclic
 
 
-def verify_single_link_failures(
-    machine: Machine,
-    kinds: Sequence[ChannelKind] = (ChannelKind.TORUS,),
-    endpoints_per_chip: int = 1,
-) -> SingleFailureReport:
-    """Check degraded deadlock-freedom under every single link failure.
+def degraded_cycle(healthy: Dict[Node, List[Node]], dead: set, added):
+    """One cycle of the acyclic healthy graph (``healthy``, its successor
+    lists) less the ``dead`` edges plus the ``added`` ones, or ``None``.
+    A cycle must use an added edge, so the search starts at their sources."""
+    cut = {src for src, _dst in dead}
+    grown: Dict[Node, List[Node]] = {}
+    for src, dst in added:
+        grown.setdefault(src, []).append(dst)
 
-    For each failable channel of the requested kinds, resolves the full
-    route set with exactly that channel failed and tests the resulting
-    (channel, VC) dependency graph for cycles. Incremental: routes not
-    crossing the failed channel keep their healthy dependency edges, so
-    each failure costs only the re-resolution of affected routes plus
-    one acyclicity pass.
+    def successors(node: Node) -> List[Node]:
+        out = healthy.get(node, [])
+        if node in cut:
+            out = [dst for dst in out if (node, dst) not in dead]
+        return out + grown[node] if node in grown else out
+
+    return cycle_reachable(grown, successors)
+
+
+def verify_single_link_failures(machine: Machine) -> SingleFailureReport:
+    """Check degraded deadlock-freedom under every single torus-link failure.
+
+    For each failable torus channel, resolves the full route set (one
+    endpoint per chip) with exactly that channel failed and tests the
+    resulting (channel, VC) dependency graph for cycles. Incremental:
+    routes not crossing the failed channel keep their healthy dependency
+    edges, so each failure costs only the re-resolution of affected
+    routes plus one acyclicity pass -- from the added edges alone when
+    the healthy graph is acyclic (:func:`degraded_cycle`).
     """
     healthy = RouteComputer(machine)
-    baseline = list(enumerate_routes(machine, healthy, endpoints_per_chip))
+    baseline = list(enumerate_routes(machine, healthy, 1))
     base_edges: List[List] = []
     edge_count: Counter = Counter()
     routes_using: Dict[int, List[int]] = defaultdict(list)
@@ -97,10 +114,15 @@ def verify_single_link_failures(
         for cid in set(route.channels()):
             routes_using[cid].append(index)
 
+    healthy_successors: Dict[Node, List[Node]] = {}
+    for src, dst in edge_count:
+        healthy_successors.setdefault(src, []).append(dst)
+    healthy_cyclic = find_cycle(edge_count) is not None
+
     cyclic: List[int] = []
     unroutable: Dict[int, int] = {}
     escalations: Dict[int, int] = {}
-    candidates = failable_channels(machine, kinds)
+    candidates = failable_channels(machine)
     for cid in candidates:
         affected = routes_using.get(cid, ())
         removed: Counter = Counter()
@@ -126,8 +148,13 @@ def verify_single_link_failures(
         if escalated:
             escalations[cid] = escalated
         # An edge survives while some route still uses it.
-        kept = (edge for edge, n in edge_count.items() if n > removed[edge])
-        if find_cycle(itertools.chain(kept, added)) is not None:
+        if healthy_cyclic:
+            kept = (edge for edge, n in edge_count.items() if n > removed[edge])
+            cycle = find_cycle(itertools.chain(kept, added))
+        else:
+            dead = {edge for edge, n in removed.items() if edge_count[edge] <= n}
+            cycle = degraded_cycle(healthy_successors, dead, added)
+        if cycle is not None:
             cyclic.append(cid)
 
     return SingleFailureReport(

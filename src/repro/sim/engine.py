@@ -969,20 +969,6 @@ class Engine:
     # re-injected at its source with backoff. A link-up event only makes
     # the channel available to future route resolutions.
 
-    def _route_clear_from(self, route: Route, from_hop: int) -> bool:
-        failed = self._failed_channels
-        for cid, _vc in route.hops[from_hop:]:
-            if cid in failed:
-                return False
-        return True
-
-    def _first_blocked(self, route: Route, from_hop: int) -> int:
-        failed = self._failed_channels
-        for cid, _vc in route.hops[from_hop:]:
-            if cid in failed:
-                return cid
-        return -1
-
     def _apply_fault(self, channel_id: int, is_down: bool, fault_idx) -> None:
         now = self.cycle
         if fault_idx is None:
@@ -1035,7 +1021,7 @@ class Engine:
         Returns the packet (possibly with a re-resolved route) or None if
         it was dropped. Callers own the ``_queued`` accounting.
         """
-        blocked = self._first_blocked(packet.route, 0)
+        blocked = packet.route.first_failed(self._failed_channels)
         if blocked < 0:
             return packet
         now = self.cycle
@@ -1107,12 +1093,13 @@ class Engine:
 
     def _sweep_buffers(self, now: int) -> None:
         # A disposal writes no FIFO but its own: list the buffers first.
+        failed = self._failed_channels
         for ic, vc, queue in self._buffers():
             if self.trace is not None:
                 self._trace_key = (1, self._fault_idx_now, 2, ic, vc)
             kept = []
             for packet in queue:
-                if self._route_clear_from(packet.route, packet.hop_index):
+                if packet.route.first_failed(failed, packet.hop_index) < 0:
                     kept.append(packet)
                 elif self._dispose_stranded(packet, ic, vc, now):
                     kept.append(packet)
@@ -1183,7 +1170,7 @@ class Engine:
             hop_index = packet.hop_index
             if hop_index >= len(packet.route.hops):
                 continue  # final delivery hop; endpoint links cannot fail
-            if self._route_clear_from(packet.route, hop_index):
+            if packet.route.first_failed(self._failed_channels, hop_index) < 0:
                 continue
             if not self._dispose_stranded(packet, oc, arrival_vc(packet), now):
                 packet.drop_on_arrival = True

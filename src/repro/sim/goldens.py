@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import io
 import pathlib
-from typing import IO, Dict
+from typing import IO
 
 from repro.core.machine import Machine, MachineConfig
 from repro.core.routing import RouteComputer
@@ -313,21 +313,3 @@ def render_golden(name: str, shards: int = 1) -> str:
 
 def committed_golden_path(name: str) -> pathlib.Path:
     return GOLDEN_DIR / f"{name}.jsonl"
-
-
-def check_goldens(shards: int = 1) -> Dict[str, bool]:
-    """Regenerate every golden and compare against the committed bytes.
-
-    With ``shards > 1`` only the shardable goldens are regenerated (and
-    they are still compared against the *serial* committed bytes --
-    sharding must not change a single byte).
-    """
-    names = SHARDABLE_GOLDEN_NAMES if shards > 1 else GOLDEN_NAMES
-    results: Dict[str, bool] = {}
-    for name in names:
-        path = committed_golden_path(name)
-        results[name] = (
-            path.exists()
-            and path.read_text() == render_golden(name, shards=shards)
-        )
-    return results

@@ -47,8 +47,8 @@ discrete-event simulation, exact rather than approximate:
   canonical within-cycle event order makes every observable stream a
   pure function of simulation state. Stats, metrics summaries, golden
   traces, and checkpoint bytes are therefore bit-identical to the serial
-  engine for every shard count -- the conformance suite under
-  ``tests/shard/`` pins this.
+  engine for every shard count -- the differential harness,
+  ``tests/integration/test_differential.py``, pins this.
 
 * **One engine.** What ``start`` hands back is a :class:`ShardedEngine`:
   the serial engine's driving surface (``cycle``, ``drained``,

@@ -410,7 +410,9 @@ class TestFaultsCommand:
         assert "acyclic (deadlock-free)" in out
 
     def test_validate_a_hand_written_two_axis_file(self, tmp_path, capsys):
-        # A mesh file may spell its shape as the mesh does, in two ints.
+        # A mesh file may spell its shape as the mesh does, in two ints,
+        # and the command names it as `deadlock` and `faults validate
+        # --topology mesh` do (it once printed the padded 3x3x1).
         path = tmp_path / "faults.json"
         path.write_text(
             '{"version": 1, "shape": [3, 3], "topology": "mesh", "faults": []}'
@@ -419,7 +421,7 @@ class TestFaultsCommand:
                 "--check-deadlock"]
         assert main(argv) == 0, capsys.readouterr().err
         out = capsys.readouterr().out
-        assert "0 fault spec(s), 0 distinct failed channel(s) on shape 3x3x1" in out
+        assert "0 fault spec(s), 0 distinct failed channel(s) on shape 3x3: valid" in out
         assert "acyclic (deadlock-free)" in out
 
     def test_validate_shape_comes_from_file(self, tmp_path, capsys):
@@ -626,7 +628,9 @@ class TestShardedCli:
 
 
 class TestDemandOnTwoAxisTopologies:
-    """`repro demand` hands generators the normalized shape, as serve does."""
+    """`repro demand` hands generators the normalized shape, as serve does
+    (that both run the same mesh demand run is the differential harness's
+    `surfaces-demand-mesh-open-paced` row, `cli` and `served` legs)."""
 
     @pytest.mark.parametrize(
         "topology,shape", [("mesh", "4x4"), ("chiplet", "2x2")]
@@ -641,50 +645,6 @@ class TestDemandOnTwoAxisTopologies:
         assert code == 0
         out = capsys.readouterr().out
         assert "injected" in out and "delivered" in out
-
-    def test_cli_and_session_produce_the_same_stats(self, monkeypatch, capsys):
-        import asyncio
-        import json
-
-        from repro.serve.session import Session
-        from repro.sim import simulator
-
-        captured = []
-        run = simulator.run
-
-        def recording(*args, **kwargs):
-            captured.append(run(*args, **kwargs))
-            return captured[-1]
-
-        monkeypatch.setattr(simulator, "run", recording)
-        code = main(
-            [
-                "demand", "--topology", "mesh", "--shape", "4x4",
-                "--endpoints", "2", "--cores", "2", "--generator", "hotspot",
-                "--rate", "0.3", "--hotspots", "2", "--matrix-seed", "4",
-                "--epochs", "2", "--epoch-length", "16", "--duration", "32",
-                "--arbitration", "iw", "--seed", "9",
-            ]
-        )
-        assert code == 0
-        capsys.readouterr()
-        session = Session.create(
-            "s",
-            {
-                "kind": "demand", "topology": "mesh", "shape": [4, 4],
-                "endpoints": 2, "cores": 2, "arbitration": "iw", "seed": 9,
-                "demand": {
-                    "generator": "hotspot", "rate": 0.3, "hotspots": 2,
-                    "matrix_seed": 4, "epochs": 2, "epoch_length": 16,
-                    "duration": 32,
-                },
-            },
-        )
-        asyncio.run(session.advance())
-        (cli_stats,) = captured
-        assert json.dumps(cli_stats.asdict()) == json.dumps(
-            session.stats_payload()["stats"]
-        )
 
 
 class TestReplayCommand:

@@ -1,62 +1,60 @@
 """Cross-subsystem conformance for every registered topology.
 
 The Topology interface is only as strong as its weakest consumer, so
-each subsystem that the torus path exercises is either driven through
-mesh and chiplet here, or pinned to reject the combination loudly:
+each subsystem that the torus path exercises is driven through mesh and
+chiplet:
 
 * mechanical deadlock freedom -- the CDG analysis is acyclic for the
   healthy machine *and* under every single-link degradation, and the
   mesh/chiplet T-VC set is exactly ``{0, 1}`` (rule-2 promotion only):
   the degenerate dateline, observed rather than assumed;
 * the Figure 9/10 fairness harness completes on mesh and chiplet;
-* checkpoint split-runs are bitwise identical to uninterrupted runs;
-* golden traces exist and regenerate byte-identically;
-* the shard partitioner (torus-only) rejects other topologies with a
-  ``ValueError`` naming the unsupported combination.
+* golden traces exist (they regenerate byte-identically in
+  ``tests/traffic/test_replay.py``).
+
+Split runs, and the shard runner's refusal by name of every topology but
+the torus, are checked on the differential harness's ``mesh`` and
+``chiplet`` rows (``tests/integration/test_differential.py``), whose
+machines these are.
 """
 
-import io
-import json
+import dataclasses
 
 import pytest
 
 from repro.cli import main
 from repro.core import deadlock
-from repro.core.machine import Machine, MachineConfig
+from repro.core.machine import Machine
 from repro.core.routing import RouteComputer
 from repro.faults.verify import verify_single_link_failures
-from repro.sim.goldens import GOLDEN_NAMES, check_goldens
-from repro.sim.simulator import RunSpec, build_batch_engine, run
+from repro.sim.goldens import GOLDEN_NAMES
+from repro.sim.simulator import RunSpec, run
 from repro.traffic.batch import BatchSpec
 from repro.traffic.patterns import Tornado, UniformRandom
 
+from tests.integration.test_differential import ROWS
+
 _CACHE = {}
 
-#: One small representative machine per topology; endpoints=2 so
-#: arbitration contention is real.
-CASES = {
-    "torus": (2, 2, 2),
-    "mesh": (3, 3),
-    "chiplet": (2, 2),
+#: One small machine per topology: the harness rows' (endpoints=2 there,
+#: so arbitration contention is real).
+MACHINES = {
+    ROWS[row].run.config.topology: ROWS[row].run.config
+    for row in ("shard-uniform-rr", "split-mesh", "split-chiplet")
 }
 
 
 def setup_for(name, endpoints=2):
     key = (name, endpoints)
     if key not in _CACHE:
-        machine = Machine(
-            MachineConfig(
-                shape=CASES[name],
-                endpoints_per_chip=endpoints,
-                topology=name,
-            )
-        )
+        config = dataclasses.replace(MACHINES[name], endpoints_per_chip=endpoints)
+        machine = Machine(config)
         _CACHE[key] = (machine, RouteComputer(machine))
     return _CACHE[key]
 
 
 class TestMechanicalDeadlockFreedom:
-    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("name", sorted(MACHINES))
     def test_healthy_cdg_acyclic(self, name):
         machine, routes = setup_for(name, endpoints=1)
         report = deadlock.analyze(machine, routes)
@@ -75,7 +73,7 @@ class TestMechanicalDeadlockFreedom:
         torus_report = deadlock.analyze(torus, torus_routes)
         assert torus_report.t_vcs_used == {0, 1, 2, 3}
 
-    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("name", sorted(MACHINES))
     def test_single_link_failures_stay_acyclic(self, name):
         machine, _routes = setup_for(name, endpoints=1)
         report = verify_single_link_failures(machine)
@@ -83,7 +81,7 @@ class TestMechanicalDeadlockFreedom:
         assert report.all_acyclic
         assert not report.unroutable
 
-    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("name", sorted(MACHINES))
     def test_cli_faults_validate(self, name, capsys):
         # The acceptance command: one invocation proves healthy +
         # degraded deadlock freedom mechanically.
@@ -156,82 +154,7 @@ class TestFairnessHarness:
         assert spread >= 0.0
 
 
-class TestCheckpointSplitRun:
-    @pytest.mark.parametrize("name,split", [("mesh", 9), ("chiplet", 5)])
-    def test_split_run_is_bitwise(self, name, split):
-        from repro.sim.checkpoint import (
-            dumps,
-            loads,
-            restore_engine,
-            snapshot_engine,
-        )
-        from repro.sim.trace import JsonlTraceWriter
-
-        machine, routes = setup_for(name)
-        pattern = UniformRandom(machine.config.shape)
-        spec = BatchSpec(
-            pattern, packets_per_source=3, cores_per_chip=2, seed=7
-        )
-
-        def writer(stream, **kwargs):
-            return JsonlTraceWriter(stream, meta={"run": name}, **kwargs)
-
-        full_stream = io.StringIO()
-        full_writer = writer(full_stream)
-        engine = build_batch_engine(
-            machine, routes, spec, trace=full_writer
-        )
-        full_stats = engine.run()
-        full_writer.flush()
-
-        head_stream = io.StringIO()
-        head_writer = writer(head_stream)
-        engine = build_batch_engine(
-            machine, routes, spec, trace=head_writer
-        )
-        engine.run_for(split)
-        head_writer.flush()
-        data = loads(dumps(snapshot_engine(engine)))
-        resumed = writer(head_stream, owns_stream=True)
-        split_stats = restore_engine(data, trace=resumed).run()
-        resumed.flush()
-
-        assert head_stream.getvalue() == full_stream.getvalue()
-        assert json.dumps(split_stats.asdict()) == json.dumps(
-            full_stats.asdict()
-        )
-
-
 class TestGoldens:
     def test_new_topologies_have_goldens(self):
         assert "mesh_4x4" in GOLDEN_NAMES
         assert "chiplet_2x2" in GOLDEN_NAMES
-
-    def test_goldens_regenerate_byte_identically(self):
-        results = check_goldens()
-        assert results["mesh_4x4"] is True
-        assert results["chiplet_2x2"] is True
-
-
-class TestShardRejection:
-    @pytest.mark.parametrize("name", ["mesh", "chiplet"])
-    def test_shard_plan_rejects_non_torus(self, name):
-        from repro.sim.shard import ShardPlan
-
-        machine, _routes = setup_for(name)
-        with pytest.raises(
-            ValueError,
-            match="sharded runs support only the torus topology",
-        ):
-            ShardPlan.for_machine(machine, shards=2)
-
-    def test_cli_sharded_run_rejects_mesh(self, capsys):
-        code = main(
-            [
-                "run", "--topology", "mesh", "--shape", "3x3",
-                "--endpoints", "2", "--batch", "1", "--shards", "2",
-            ]
-        )
-        assert code != 0
-        err = capsys.readouterr().err
-        assert "sharded runs support only the torus topology" in err

@@ -3,13 +3,16 @@
 :func:`repro.core.deadlock.find_cycle` decides every healthy, degraded
 and single-link deadlock verdict, so it is checked here against an
 independent reference (Kahn's algorithm) on random small digraphs, with
-self-loops and repeated edges allowed.
+self-loops and repeated edges allowed. The single-link sweep's search
+from the added edges alone (:func:`repro.faults.verify.degraded_cycle`)
+is checked against it over the whole degraded edge set.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.deadlock import find_cycle
+from repro.faults.verify import degraded_cycle
 
 node = st.integers(min_value=0, max_value=11)
 digraphs = st.lists(st.tuples(node, node), max_size=40)
@@ -64,3 +67,30 @@ def test_the_cycle_is_a_function_of_the_edge_sequence(edges):
         assert renamed_cycle is None
     else:
         assert renamed_cycle == [relabel[n] for n in cycle]
+
+
+#: A graph acyclic by construction (every edge climbs), some of its
+#: edges no longer used, and arbitrary edges added.
+acyclic = digraphs.map(lambda edges: [(a, b) for a, b in edges if a < b])
+degradations = acyclic.flatmap(
+    lambda healthy: st.tuples(
+        st.just(healthy),
+        st.sets(st.sampled_from(healthy)) if healthy else st.just(set()),
+        st.lists(st.tuples(node, node), max_size=8),
+    )
+)
+
+
+@settings(max_examples=300)
+@given(degradations)
+def test_the_search_from_added_edges_agrees_with_the_whole_graph(case):
+    healthy, dead, added = case
+    successors = {}
+    for src, dst in healthy:
+        successors.setdefault(src, []).append(dst)
+    whole = [edge for edge in healthy if edge not in dead] + added
+    cycle = degraded_cycle(successors, dead, added)
+    assert (cycle is None) == (find_cycle(whole) is None)
+    if cycle is not None:
+        for here, after in zip(cycle, cycle[1:] + cycle[:1]):
+            assert (here, after) in set(whole)

@@ -21,7 +21,7 @@ from repro.sim.checkpoint import dumps, run_stamp
 from repro.sim.simulator import RunSpec, run
 from repro.sim.trace import EVENT_KINDS, JsonlTraceWriter
 
-from tests.serve.oracle import canon, oracle_artifacts
+from tests.integration.test_differential import canon, oracle_artifacts
 
 WORKLOADS = {
     "alpha": {

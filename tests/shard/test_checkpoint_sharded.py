@@ -1,28 +1,24 @@
-"""One checkpoint, one file, any shard count.
+"""One checkpoint, one file, any shard count: what the differential
+harness does not state row by row.
 
-A checkpointed run writes the serial engine's checkpoint at ``path`` and
-nothing else, whatever its shard count, and resumes from that file under
-any other count, serial included. The cross-path matrix below kills each
-workload three times (``REPRO_CRASH_AT_CYCLE``, honoured by the one
-driver above any engine), resumes every leg under the next
-shard count of a chain, and compares *bytes*: each file a kill leaves
-behind against the serial run's file at that cycle, the final stats and
-collector state against the uninterrupted serial run. The remaining
-tests pin what the matrix cannot state row by row: that a finished run
+``tests/integration/test_differential.py`` saves every row at drawn and
+pinned cycles under chains of shard counts -- the kill sequences of the
+cross-path matrix among them -- and compares each file with the serial
+engine's bytes, and the finished run's stats, trace and collector state
+with the serial run's. The tests here pin the rest: that a finished run
 leaves nothing for the next one to trip over, the stamp and machine
-refusals through the hub, the ``latency_estimator`` edge, far-future
-events keeping their place in the merged wheel, and the committed golden
-checkpoint at 2 and 4 shards.
+refusals through the hub, sinks behind a ``Tee`` revived after a kill,
+the ``latency_estimator`` edge, far-future events keeping their place in
+the merged wheel, and the committed golden checkpoint at 2 and 4 shards.
 """
 
-import gc
 import glob
 import json
 import pathlib
 
 import pytest
 
-from repro.core.machine import Machine, MachineConfig
+from repro.core.machine import MachineConfig
 from repro.sim.checkpoint import (
     CRASH_ENV_VAR,
     CheckpointError,
@@ -33,24 +29,12 @@ from repro.sim.metrics import MetricsCollector
 from repro.sim.shard import ShardedRun, run_sharded
 from repro.sim.simulator import build, run_context, start
 
+from tests.integration.test_differential import ROWS
+
 CONFIG = MachineConfig(shape=(2, 2, 2), endpoints_per_chip=2)
-#: Eight chips too (one per shard at 8 shards), with a ring long enough
-#: for tornado traffic to leave its chip.
 RING = MachineConfig(shape=(4, 2, 1), endpoints_per_chip=2)
 EVERY = 16
 GOLDEN = pathlib.Path("tests/golden/checkpoint_uniform_2x2x2.json")
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _earlier_tests_heap_parked():
-    """This module builds over a thousand small engines, and each of
-    the ~200 full GC passes they trigger walks whatever the tests before
-    it left alive (measured without this fixture: 61 s inside the suite,
-    24 s alone). Park that in the permanent generation meanwhile."""
-    gc.collect()
-    gc.freeze()
-    yield
-    gc.unfreeze()
 
 
 def _batch(config, pattern_cls, arbitration="rr", seed=9, per_source=10, **faults):
@@ -70,153 +54,17 @@ def _uniform(config=CONFIG, **kwargs):
     return _batch(config, UniformRandom, **kwargs)
 
 
-def _tornado_iw():
-    from repro.traffic.patterns import Tornado
-
-    return _batch(RING, Tornado, "iw", seed=12)
-
-
-def _demand():
-    """Open loop, just long enough that release wakes pushed at cycle 0
-    sit in the wheel's overflow heap at every kill."""
-    from repro.traffic.demand import DemandMatrix, DemandSchedule, DemandSpec
-
-    hot = DemandMatrix.hotspot(
-        RING.shape, rate=0.1, hotspots=1, hot_fraction=0.5, seed=3
-    )
-    flat = DemandMatrix.uniform(RING.shape, 0.08)
-    return ShardedRun(
-        RING,
-        DemandSpec(
-            demand=DemandSchedule(epochs=((0, hot), (30, flat))),
-            cores_per_chip=2,
-            mode="open",
-            duration_cycles=76,
-            seed=22,
-        ),
-    )
-
-
-def _faulted(config, arbitration="rr", mode="reroute"):
-    """One permanent failure before the first save, one outage that
-    spans the second and heals before the third."""
-    from repro.faults import FaultPolicy, FaultSet, FaultSpec
-    from repro.faults.model import failable_channels
-
-    torus = failable_channels(Machine(config))
-    fault_set = FaultSet(
-        specs=(
-            FaultSpec(kind="link", channel=torus[1], down_cycle=10),
-            FaultSpec(
-                kind="link",
-                channel=torus[len(torus) // 2],
-                down_cycle=24,
-                up_cycle=44,
-            ),
-        ),
-        shape=config.shape,
-    )
-    return _uniform(
-        config,
-        arbitration=arbitration,
-        fault_set=fault_set,
-        fault_policy=FaultPolicy(mode=mode),
-    )
-
-
-ROWS = {
-    "uniform-rr": _uniform,
-    "tornado-iw": _tornado_iw,
-    "demand": _demand,
-    "faulted-reroute": lambda: _faulted(CONFIG),
-    "faulted-drop-iw": lambda: _faulted(RING, "iw", "drop"),
-}
-
-#: Where a chain's first three legs die: one periodic save before each
-#: kill, and every row outlives the last one.
-KILLS = (20, 36, 52)
-
-#: Shard counts of a run's four legs; every chain passes through serial.
-CHAINS = ((1, 2, 4, 1), (4, 1, 2, 8), (2, 2, 1, 4), (8, 4, 2, 1))
-
-
-def _leg(run, shards, path, monkeypatch, crash_at=None):
-    """One leg of a chain under a fresh collector: ``(stats, collector)``
-    of a leg that finishes, ``None`` of one killed at ``crash_at``."""
-    collector = MetricsCollector(window_cycles=16)
-    kwargs = dict(
-        trace=collector,
-        checkpoint_path=path,
-        checkpoint_every=EVERY,
-    )
-    if crash_at is None:
-        return run_sharded(run, shards, **kwargs), collector
-    monkeypatch.setenv(CRASH_ENV_VAR, str(crash_at))
-    with pytest.raises(KeyboardInterrupt, match=f"at cycle {crash_at} "):
-        run_sharded(run, shards, **kwargs)
+def _killed(run, shards, path, monkeypatch, at):
+    """Run with saves every ``EVERY`` cycles, killed at cycle ``at``."""
+    monkeypatch.setenv(CRASH_ENV_VAR, str(at))
+    with pytest.raises(KeyboardInterrupt, match=f"at cycle {at} "):
+        run_sharded(run, shards, checkpoint_path=path, checkpoint_every=EVERY)
     monkeypatch.delenv(CRASH_ENV_VAR)
-    return None
 
 
-_oracles = {}
-
-
-def _oracle(name, tmp_path, monkeypatch):
-    """The serial engine's answers for one row: the file each kill
-    leaves behind (one serial run, killed and resumed at the row's
-    cycles), and the uninterrupted run's stats and collector state."""
-    if name not in _oracles:
-        factory = ROWS[name]
-        path = str(tmp_path / "serial.json")
-        files = []
-        for kill in KILLS:
-            _leg(factory(), 1, path, monkeypatch, crash_at=kill)
-            files.append(pathlib.Path(path).read_bytes())
-        stats, collector = _leg(factory(), 1, None, monkeypatch)
-        assert stats.end_cycle > KILLS[-1]
-        _oracles[name] = files, json.dumps(stats.asdict()), collector.state()
-    return _oracles[name]
-
-
-@pytest.mark.parametrize("chain", CHAINS, ids=lambda c: "-".join(map(str, c)))
-@pytest.mark.parametrize("name", sorted(ROWS))
-def test_cross_path_matrix(name, chain, tmp_path, monkeypatch):
-    factory = ROWS[name]
-    files, stats_json, collector_state = _oracle(name, tmp_path, monkeypatch)
-    path = str(tmp_path / "ck.json")
-    for leg, (shards, kill) in enumerate(zip(chain, KILLS)):
-        _leg(factory(), shards, path, monkeypatch, kill)
-        assert glob.glob(path + "*") == [path]
-        assert pathlib.Path(path).read_bytes() == files[leg], (shards, kill)
-    stats, collector = _leg(factory(), chain[-1], path, monkeypatch)
-    assert json.dumps(stats.asdict()) == stats_json
-    assert collector.state() == collector_state
-    assert glob.glob(path + "*") == []
-
-
-def test_merged_checkpoint_bytes_match_serial_oracle(tmp_path, monkeypatch):
-    """The smallest statement of the byte contract, kept beside the
-    matrix: one kill, two shards, the serial file."""
-    paths = [str(tmp_path / f"{shards}.json") for shards in (1, 2)]
-    for shards, path in zip((1, 2), paths):
-        _leg(_uniform(), shards, path, monkeypatch, crash_at=40)
-    assert pathlib.Path(paths[0]).read_bytes() == pathlib.Path(paths[1]).read_bytes()
-    assert load_checkpoint(paths[1])["cycle"] == 32
-
-
-def test_crash_resume_bit_identical(tmp_path, monkeypatch):
-    clean = MetricsCollector(window_cycles=16)
-    expect = run_sharded(_uniform(), 2, trace=clean)
-
-    # The interrupted run carries its own collector: its reducer state
-    # rides the checkpoint, and the resumed run's (fresh) collector is
-    # restored from it -- the serial resume contract.
-    path = str(tmp_path / "ck.json")
-    _leg(_uniform(), 2, path, monkeypatch, crash_at=40)
-    stats, resumed_collector = _leg(_uniform(), 2, path, monkeypatch)
-    assert json.dumps(stats.asdict()) == json.dumps(expect.asdict())
-    assert resumed_collector.state() == clean.state()
-    assert glob.glob(path + "*") == []
+def _finished(run, shards, path):
+    """Run to the end with saves every ``EVERY`` cycles."""
+    return run_sharded(run, shards, checkpoint_path=path, checkpoint_every=EVERY)
 
 
 @pytest.mark.parametrize("shards", [1, 2])
@@ -259,15 +107,6 @@ def test_sinks_behind_a_tee_are_revived_by_the_walk_that_saved_them(
     assert finished == straight
 
 
-def test_process_transport_crash_resume(tmp_path, monkeypatch):
-    """Kill and resume a run whose shards are real worker processes."""
-    path = str(tmp_path / "ck.json")
-    _leg(_uniform(), 2, path, monkeypatch, crash_at=40)
-    stats, _ = _leg(_uniform(), 2, path, monkeypatch)
-    expect = run_sharded(_uniform(), 1)
-    assert json.dumps(stats.asdict()) == json.dumps(expect.asdict())
-
-
 def test_far_future_events_keep_their_place_in_the_merged_wheel(
     tmp_path, monkeypatch
 ):
@@ -275,13 +114,13 @@ def test_far_future_events_keep_their_place_in_the_merged_wheel(
     overflow heap until it fires, in the serial engine and so in the
     merged file (the parent's merge re-bucketed every foreign one within
     a span of the checkpoint cycle)."""
-    path = str(tmp_path / "ck.json")
-    _leg(_demand(), 2, path, monkeypatch, crash_at=KILLS[0])
-    data = load_checkpoint(path)
+    paths = [str(tmp_path / f"{shards}.json") for shards in (1, 2)]
+    for shards, path in zip((1, 2), paths):
+        _killed(ROWS["ckpt-demand"].run, shards, path, monkeypatch, at=20)
+    data = load_checkpoint(paths[1])
     wakes = [cycle for cycle, _seq, _payload in data["wheel"]["overflow"]]
     assert wakes and min(wakes) < data["cycle"] + 64
-    serial, _, _ = _oracle("demand", tmp_path, monkeypatch)
-    assert pathlib.Path(path).read_bytes() == serial[0]
+    assert pathlib.Path(paths[1]).read_bytes() == pathlib.Path(paths[0]).read_bytes()
 
 
 def test_a_finished_run_leaves_nothing_for_the_next_one(tmp_path, monkeypatch):
@@ -290,14 +129,14 @@ def test_a_finished_run_leaves_nothing_for_the_next_one(tmp_path, monkeypatch):
     parent the first run's ``.shard<i>``/``.manifest`` sidecars outlived
     the serial finish and the next run resumed them)."""
     path = str(tmp_path / "ck.json")
-    _leg(_uniform(), 2, path, monkeypatch, crash_at=40)
+    _killed(_uniform(), 2, path, monkeypatch, at=40)
     assert glob.glob(path + "*") == [path]
-    stats, _ = _leg(_uniform(), 1, path, monkeypatch)
+    stats = _finished(_uniform(), 1, path)
     assert glob.glob(path + "*") == []
     assert stats.delivered == 160
 
     other = _uniform(seed=3, per_source=4)
-    stats, _ = _leg(other, 2, path, monkeypatch)
+    stats = _finished(other, 2, path)
     assert json.dumps(stats.asdict()) == json.dumps(run_sharded(other, 1).asdict())
     assert glob.glob(path + "*") == []
 
@@ -305,10 +144,10 @@ def test_a_finished_run_leaves_nothing_for_the_next_one(tmp_path, monkeypatch):
 @pytest.mark.parametrize("shards", [1, 2])
 def test_another_runs_checkpoint_is_refused_by_name(shards, tmp_path, monkeypatch):
     path = str(tmp_path / "ck.json")
-    _leg(_uniform(), 3 - shards, path, monkeypatch, crash_at=40)
+    _killed(_uniform(), 3 - shards, path, monkeypatch, at=40)
     before = pathlib.Path(path).read_bytes()
     with pytest.raises(CheckpointError, match="was written by a different run"):
-        _leg(_uniform(seed=10), shards, path, monkeypatch)
+        _finished(_uniform(seed=10), shards, path)
     assert pathlib.Path(path).read_bytes() == before
 
 

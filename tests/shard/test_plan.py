@@ -27,7 +27,7 @@ from repro.sim.shard import (
     run_sharded,
 )
 
-from .test_conformance import WORKLOADS
+from tests.integration.test_differential import ROWS
 
 
 class TestPartitionParts:
@@ -166,7 +166,7 @@ def _merged(plan, machine, cores):
 
 class TestBarrier:
     def test_each_wheel_holds_its_own_events_and_the_faults(self):
-        run = WORKLOADS["uniform-rr-faulted"]()
+        run = ROWS["shard-uniform-rr-reroute"].run
         machine = Machine(run.config)
         plan = ShardPlan.for_machine(machine, 4)
         cores = _cores(plan, lambda: simulator.start(run, machine))
@@ -230,7 +230,7 @@ class TestBarrier:
         assert _merged(plan, machine, cores) == dumps(snapshot_engine(serial))
 
     def test_a_transfer_that_is_no_walk_is_refused_by_name(self):
-        run = WORKLOADS["uniform-rr"]()
+        run = ROWS["shard-uniform-rr"].run
         machine = Machine(run.config)
         plan = ShardPlan.for_machine(machine, 2)
         cores = _cores(plan, lambda: simulator.start(run, machine))

@@ -31,12 +31,12 @@ from repro.sim.checkpoint import dumps, snapshot_engine
 from repro.sim.engine import Engine
 from repro.sim.shard import run_sharded
 
-from .test_conformance import WORKLOADS
+from tests.integration.test_differential import ROWS
 
 _GENERATORS = {
-    "uniform-rr": ("repro.traffic.batch", "generate_batch"),
-    "demand-rr": ("repro.traffic.demand", "generate_demand"),
-    "uniform-rr-faulted": ("repro.traffic.batch", "generate_batch"),
+    "shard-uniform-rr": ("repro.traffic.batch", "generate_batch"),
+    "shard-demand-rr": ("repro.traffic.demand", "generate_demand"),
+    "shard-uniform-rr-reroute": ("repro.traffic.batch", "generate_batch"),
 }
 
 forks = pytest.mark.skipif(
@@ -79,7 +79,7 @@ class _CallLog:
 def test_run_generates_once_on_the_hubs_machine(
     name, shards, monkeypatch, tmp_path
 ):
-    run = WORKLOADS[name]()
+    run = ROWS[name].run
     machine = Machine(run.config)
     serial = run_sharded(run, 1, machine=machine)
 
@@ -105,7 +105,7 @@ def test_shard_cores_cut_the_hubs_engine_and_merge_back_to_serial(name):
     serial engine's snapshot at that cycle.
     (A worker process runs these handlers where coverage does not look.)
     """
-    run = WORKLOADS[name]()
+    run = ROWS[name].run
     machine = Machine(run.config)
     whole = simulator.start(run, machine)
     plan = shard_mod.ShardPlan.for_machine(machine, 4)
@@ -158,7 +158,7 @@ def test_shard_cores_cut_the_hubs_engine_and_merge_back_to_serial(name):
 
 @forks
 @pytest.mark.parametrize(
-    "name", ["uniform-iw", "demand-iw", "uniform-iw-faulted"]
+    "name", ["shard-uniform-iw", "shard-demand-iw", "shard-uniform-iw-reroute"]
 )
 def test_iw_tables_are_programmed_once_in_the_hub(name, monkeypatch, tmp_path):
     _iw_tables_programmed_once(name, 4, monkeypatch, tmp_path)
@@ -169,13 +169,15 @@ def test_iw_tables_are_programmed_once_in_the_hub(name, monkeypatch, tmp_path):
 def test_degraded_loads_are_enumerated_once_at_any_count(
     shards, monkeypatch, tmp_path
 ):
-    _iw_tables_programmed_once("uniform-iw-faulted", shards, monkeypatch, tmp_path)
+    _iw_tables_programmed_once(
+        "shard-uniform-iw-reroute", shards, monkeypatch, tmp_path
+    )
 
 
 def _iw_tables_programmed_once(name, shards, monkeypatch, tmp_path):
     from repro.traffic import loads
 
-    run = WORKLOADS[name]()
+    run = ROWS[name].run
     serial = run_sharded(run, 1)
 
     # The serial run left its tables in the memo; count from a cold one.
@@ -213,13 +215,14 @@ _SPAWN_SCRIPT = textwrap.dedent(
 
     if __name__ == "__main__":
         multiprocessing.set_start_method("spawn")
-        from tests.shard.test_conformance import WORKLOADS
+        from tests.integration.test_differential import ROWS
 
         for name in (
-            "uniform-rr", "uniform-iw", "demand-rr", "uniform-rr-faulted",
+            "shard-uniform-rr", "shard-uniform-iw", "shard-demand-rr",
+            "shard-uniform-rr-reroute",
         ):
-            serial = digest(WORKLOADS[name](), 1)
-            assert digest(WORKLOADS[name](), 2) == serial, name
+            serial = digest(ROWS[name].run, 1)
+            assert digest(ROWS[name].run, 2) == serial, name
         print("spawn == serial")
     """
 )
@@ -260,7 +263,7 @@ def test_killed_worker_is_a_one_line_error_and_siblings_are_reaped(
 
     monkeypatch.setattr(shard_mod._ProcessWorker, "send", killing_send)
     with pytest.raises(RuntimeError) as caught:
-        run_sharded(WORKLOADS["uniform-rr"](), 2)
+        run_sharded(ROWS["shard-uniform-rr"].run, 2)
     assert str(caught.value) == (
         "shard worker 1 exited unexpectedly (exit code -9)"
     )
@@ -279,7 +282,7 @@ def test_a_worker_that_cannot_start_reports_its_own_error(monkeypatch, profiles)
 
     monkeypatch.setattr(shard_mod._ShardCore, "__init__", failing_init)
     with pytest.raises(RuntimeError) as caught:
-        run_sharded(WORKLOADS["uniform-rr"](), 2, profiles=profiles)
+        run_sharded(ROWS["shard-uniform-rr"].run, 2, profiles=profiles)
     assert str(caught.value).startswith("shard worker failed:\n")
     assert "ValueError: cannot cut shard 0" in str(caught.value)
     assert profiles in (None, [])

@@ -1,16 +1,19 @@
 """Regression tests for ``run_for``, the engine's and the sharded engine's.
 
-Three contracts pinned here, the split-run ones at 1, 2 and 4 shards
+Two contracts pinned here, the sharded ones at 1, 2 and 4 shards
 (whatever :func:`~repro.sim.simulator.start` returns is driven the same
 way):
 
 * ``stats.end_cycle`` is updated on *every* return path (it was once
   only set by :meth:`run`, so mid-run snapshots reported a stale span);
-* splitting a run -- ``run_for(n)`` then ``run_for(m)`` -- is bitwise
-  identical to ``run_for(n + m)``: same stats, same trace, same
-  per-packet outcomes. The timing wheel makes scheduling state richer
-  than a flat heap, so pausing and resuming must not perturb it;
 * ``run(max_cycles)`` stops at the budget and raises if work remains.
+
+That splitting a run -- ``run_for(n)`` then ``run_for(m)`` -- is bitwise
+identical to ``run_for(n + m)`` (same stats, trace bytes and snapshot:
+the timing wheel's scheduling state survives the pause) is the
+differential harness's ``split`` leg, against the serial oracle: serial
+runs cut at 25 and 50, and the described row cut around its lookahead at
+2 and 4 shards.
 """
 
 import json
@@ -19,11 +22,11 @@ import random
 import pytest
 
 from repro.core.geometry import all_coords
-from repro.sim.checkpoint import dumps, snapshot_engine
 from repro.sim.engine import Engine
 from repro.sim.packet import Packet
-from repro.sim.simulator import RunSpec, start
-from repro.sim.trace import ListSink
+from repro.sim.simulator import run, start
+
+from tests.integration.test_differential import ROWS
 
 
 def build_workload(machine, routes, seed=11, count=48):
@@ -79,36 +82,6 @@ class TestEndCycle:
             assert stats.end_cycle == engine.cycle
 
 
-class TestSplitRunEquivalence:
-    def test_split_matches_single_run(self, tiny_machine, tiny_routes):
-        for n, m in ((1, 7), (5, 5), (13, 200)):
-            sink_a, sink_b = ListSink(), ListSink()
-            split = fresh_engine(tiny_machine, tiny_routes, trace=sink_a)
-            single = fresh_engine(tiny_machine, tiny_routes, trace=sink_b)
-            split.run_for(n)
-            split.run_for(m)
-            single.run_for(n + m)
-            assert split.cycle == single.cycle
-            # Dataclass equality: every counter, per-source tally and
-            # per-channel flit/busy map; per-packet latencies are the
-            # deliver events' ``lat``.
-            assert split.stats == single.stats
-            assert sink_a.events == sink_b.events
-            assert split.buffered_packets() == single.buffered_packets()
-
-    def test_split_run_to_completion(self, tiny_machine, tiny_routes):
-        sink_a, sink_b = ListSink(), ListSink()
-        split = fresh_engine(tiny_machine, tiny_routes, trace=sink_a)
-        single = fresh_engine(tiny_machine, tiny_routes, trace=sink_b)
-        # Same stop condition as run(): trailing credit returns after the
-        # last delivery still advance the cycle count.
-        while split._queued or split._in_network or split._events.pending:
-            split.run_for(3)
-        single.run()
-        assert split.stats == single.stats
-        assert sink_a.events == sink_b.events
-
-
 class TestRunBudget:
     def test_over_budget_run_raises_at_the_budget(self, tiny_machine, tiny_routes):
         engine = fresh_engine(tiny_machine, tiny_routes)
@@ -124,53 +97,13 @@ class TestRunBudget:
 
 
 #: A described run (so it can be cut over shards): drains at cycle 110.
-DESCRIBED = RunSpec.from_params(
-    {"kind": "batch", "shape": [4, 2, 2], "cores": 2, "batch": 16, "seed": 3}
-)
+DESCRIBED = ROWS["described"].run
 
 
 @pytest.mark.parametrize("shards", [1, 2, 4])
 class TestSplitRunAtAnyShardCount:
-    """``run_for(a); run_for(b)`` == ``run_for(a + b)`` == ``run()``, on
-    the clock, the stats JSON, the trace and the snapshot bytes -- and all
-    of them the serial engine's."""
-
-    @staticmethod
-    def observed(shards, drive):
-        sink = ListSink()
-        engine = start(DESCRIBED, trace=sink, shards=shards)
-        try:
-            drive(engine)
-            return (
-                engine.cycle,
-                engine.drained,
-                json.dumps(engine.stats.asdict()),
-                sink.events,
-                dumps(snapshot_engine(engine)),
-            )
-        finally:
-            engine.close()
-
-    # 12 is the lookahead of this machine: splits on, inside and across
-    # window boundaries, and one past the drain.
-    @pytest.mark.parametrize("a,b", [(1, 7), (12, 12), (13, 50), (5, 31), (90, 500)])
-    def test_split_matches_single_run(self, shards, a, b):
-        split = self.observed(shards, lambda e: (e.run_for(a), e.run_for(b)))
-        single = self.observed(shards, lambda e: e.run_for(a + b))
-        assert split == single
-        assert single == self.observed(1, lambda e: e.run_for(a + b))
-        assert single[0] == min(a + b, 110)
-        assert json.loads(single[2])["end_cycle"] == single[0]
-
-    def test_split_run_to_completion(self, shards):
-        def in_slices(engine):
-            while not engine.drained:
-                engine.run_for(7)
-
-        sliced = self.observed(shards, in_slices)
-        assert sliced == self.observed(shards, lambda e: e.run())
-        assert sliced == self.observed(1, lambda e: e.run())
-        assert sliced[:2] == (110, True)
+    """What a split leaves the caller: the stats of the cycle it stopped
+    at, and a budget that stops it exactly there."""
 
     def test_run_for_returns_the_stats_of_that_cycle(self, shards):
         engine = start(DESCRIBED, shards=shards)
@@ -195,4 +128,4 @@ class TestSplitRunAtAnyShardCount:
             finished = json.dumps(engine.run().asdict())
         finally:
             engine.close()
-        assert finished == self.observed(1, lambda e: e.run())[2]
+        assert finished == json.dumps(run(DESCRIBED).asdict())
