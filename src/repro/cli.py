@@ -377,16 +377,12 @@ def cmd_trace(args) -> int:
                 file=sys.stderr,
             )
             return 2
-        try:
-            with (
-                contextlib.nullcontext(sys.stdout)
-                if args.out == "-"
-                else open(args.out, "w")
-            ) as stream:
-                events = write_golden(args.golden, stream, shards=args.shards)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
+        with (
+            contextlib.nullcontext(sys.stdout)
+            if args.out == "-"
+            else open(args.out, "w")
+        ) as stream:
+            events = write_golden(args.golden, stream)
         if args.out != "-":
             print(f"{args.golden}: {events} events -> {args.out}", file=sys.stderr)
         return 0
@@ -397,9 +393,7 @@ def cmd_trace(args) -> int:
     with _trace_sink(
         args.out, trace_header(params, runspec, machine)
     ) as writer:
-        stats = run(
-            runspec, args.shards, machine=machine, trace=Tee(writer, collector)
-        )
+        stats = run(runspec, machine=machine, trace=Tee(writer, collector))
         writer.write_record(
             _batch_end_record(stats, writer.events_written, faulted=False)
         )
@@ -730,11 +724,16 @@ def cmd_loadtest(args) -> int:
 
 def cmd_checkpoint_save(args) -> int:
     from repro.sim.checkpoint import save_checkpoint
-    from repro.sim.simulator import start, trace_header
+    from repro.sim.simulator import reject_unshardable, start, trace_header
 
     if args.cycles < 0:
         raise ValueError(f"--cycles must not be negative, got {args.cycles}")
     params, runspec, machine = _runspec(args)
+    if args.shards != 1:
+        # Refused before --trace is opened: a refusal leaves no file.
+        reject_unshardable(
+            runspec.config, runspec.fault_policy, traced=args.trace is not None
+        )
     header = trace_header(params, runspec, machine)
     # The same bytes at args.out, and nothing else, at any --shards: the
     # one file resumes under any shard count.
@@ -786,33 +785,32 @@ def cmd_checkpoint_info(args) -> int:
     return 0
 
 
-def _merged_profile_rows(tables):
-    """Merge one or more cProfile call tables (``pstats.Stats(...).stats``)
-    into deterministic rows.
+def _profile_rows(table):
+    """A cProfile call table (``pstats.Stats(...).stats``) as deterministic
+    rows.
 
     Rows are ``(ncalls, 'dir/file.py:func', tottime)`` with call counts
-    summed across tables per qualified function name, sorted by
-    descending count then name. Call counts are a pure function of the
-    seeded simulation, so the merged table is diffable across runs.
+    summed per qualified function name, sorted by descending count then
+    name. Call counts are a pure function of the seeded simulation, so
+    the table is diffable across runs.
     """
     merged = {}
-    for table in tables:
-        for (filename, _lineno, funcname), (
-            _cc,
-            ncalls,
-            tottime,
-            _cumtime,
-            _callers,
-        ) in table.items():
-            # Qualify by the last two path components: 'sim/engine.py'
-            # disambiguates the repo's several routing.py / __init__.py.
-            parts = filename.replace("\\", "/").rsplit("/", 2)
-            where = "/".join(parts[-2:]) if len(parts) > 1 else filename
-            if where == "~" or where.startswith("<"):
-                where = "<builtin>"
-            entry = merged.setdefault(f"{where}:{funcname}", [0, 0.0])
-            entry[0] += ncalls
-            entry[1] += tottime
+    for (filename, _lineno, funcname), (
+        _cc,
+        ncalls,
+        tottime,
+        _cumtime,
+        _callers,
+    ) in table.items():
+        # Qualify by the last two path components: 'sim/engine.py'
+        # disambiguates the repo's several routing.py / __init__.py.
+        parts = filename.replace("\\", "/").rsplit("/", 2)
+        where = "/".join(parts[-2:]) if len(parts) > 1 else filename
+        if where == "~" or where.startswith("<"):
+            where = "<builtin>"
+        entry = merged.setdefault(f"{where}:{funcname}", [0, 0.0])
+        entry[0] += ncalls
+        entry[1] += tottime
     rows = [
         (ncalls, name, tottime)
         for name, (ncalls, tottime) in merged.items()
@@ -828,10 +826,7 @@ def cmd_profile(args) -> int:
     counts (a pure function of the seeded simulation, not of machine
     speed), sorted by descending count then name. Wall-clock and
     per-function times go to the trailing summary line only, so output
-    can be diffed across runs and machines. With ``--shards N`` each
-    shard worker process is profiled separately, from the moment the run
-    is prepared, and the per-shard tables are merged by summing call
-    counts per function.
+    can be diffed across runs and machines.
     """
     import cProfile
     import pstats
@@ -842,22 +837,14 @@ def cmd_profile(args) -> int:
         raise ValueError(f"--top must not be negative, got {args.top}")
     _, runspec, machine = _runspec(args)
     pattern = runspec.spec.pattern
-    if args.shards > 1:
-        tables: list = []
-        stats = run(runspec, args.shards, machine=machine, profiles=tables)
-    else:
-        profiler = cProfile.Profile()
-        stats = profiler.runcall(run, runspec, machine=machine)
-        tables = [pstats.Stats(profiler).stats]
-
-    rows = _merged_profile_rows(tables)
+    profiler = cProfile.Profile()
+    stats = profiler.runcall(run, runspec, machine=machine)
+    rows = _profile_rows(pstats.Stats(profiler).stats)
     total_calls = sum(row[0] for row in rows)
 
-    shard_note = f" / shards={args.shards}" if args.shards > 1 else ""
     print(
         f"profiled {pattern.name} batch x{args.batch} on "
-        f"{'x'.join(str(r) for r in args.shape)} / {args.arbitration}"
-        f"{shard_note}: "
+        f"{'x'.join(str(r) for r in args.shape)} / {args.arbitration}: "
         f"{stats.delivered} packets, {stats.end_cycle} cycles"
     )
     print(f"{'ncalls':>12}  function")
@@ -1052,9 +1039,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="regenerate one canonical golden trace by name")
     p.add_argument("--list-goldens", action="store_true",
                    help="list canonical golden trace names and exit")
-    p.add_argument("--shards", type=int, default=1,
-                   help="spatial shard count (the trace bytes do not "
-                        "change with it)")
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser(
@@ -1224,7 +1208,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="snapshot output path (default: checkpoint.json)")
     cp.add_argument("--shards", type=int, default=1,
                     help="spatial shard count (the --out bytes do not "
-                         "change with it)")
+                         "change with it; refused with --trace)")
     cp.set_defaults(func=cmd_checkpoint_save)
 
     cp = csub.add_parser("restore", help="resume a snapshot to completion")
@@ -1244,9 +1228,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_batch_args(p, batch=32, cores=4)
     p.add_argument("--top", type=int, default=25,
                    help="rows in the hot-function table (default: 25)")
-    p.add_argument("--shards", type=int, default=1,
-                   help="profile shard workers and merge their tables "
-                        "(call counts summed per function)")
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("latency", help="Figure 11/12 latency model")

@@ -49,9 +49,10 @@ goes onto the wheel too, exactly as in a serial run. Between cycles, at
 each lookahead barrier, the runner takes off the wheel every event
 another shard owns and puts it on the owner's wheel, in the same bucket
 or overflow heap; the canonical order above makes the union of the
-shards' streams the serial engine's. What the runner cannot read off
-the public state lives here: ``_trace_key`` (where a trace record falls
-in the serial order) and ``_fault_owned`` (which shard counts a fault).
+shards' states the serial engine's. A sharded run takes no trace sink:
+the serial engine writes the same trace. What the runner cannot read off
+the public state lives here: ``_fault_owned`` (which shard counts a
+fault).
 
 Endpoint adapters inject from an unbounded source queue (the Section 4.1
 batch methodology: every core has a batch of packets ready at time zero)
@@ -310,25 +311,15 @@ class Engine:
         #: the next canonical timeline index handed out by
         #: :meth:`schedule_faults` (see :func:`event_sort_key`).
         self._fault_push_seq = 0
-        #: Timeline index of the fault currently being applied (the
-        #: sweeps key their trace records by it).
-        self._fault_idx_now = -1
-        # The engine knows two things of the sharded runner
+        # The engine knows one thing of the sharded runner
         # (repro/sim/shard.py), which otherwise works on its public state
         # -- the wheel, the counters, channel_rows/assign_channel -- from
-        # outside, between cycles. Neither can be read off that state:
-        #: Canonical merge key for the event/phase currently emitting
-        #: trace records, maintained only while a sink that takes events
-        #: is attached (a directly-fed collector needs none). The sharded
-        #: runner keys per-shard trace streams by it to interleave them
-        #: into the serial order: a record of a fault sweep cannot be
-        #: placed from the event alone.
-        self._trace_key: Optional[tuple] = None
+        # outside, between cycles, and it cannot be read off that state:
         #: Channel ids whose fault bookkeeping this engine owns (None =
         #: all). Every shard applies every fault -- routing state is
         #: global -- but only the owner of the channel counts
-        #: ``stats.fault_events`` and emits the 'fault' record, so the
-        #: merged totals match the serial engine's.
+        #: ``stats.fault_events``, so the merged totals match the serial
+        #: engine's.
         self._fault_owned: Optional[frozenset] = None
 
         #: Optional fault state (see :mod:`repro.faults`). ``None`` keeps
@@ -392,8 +383,6 @@ class Engine:
             # The machine is currently degraded: resolve the route against
             # the failed set before it enters the queue (replies enqueued
             # by on_delivery handlers may carry stale healthy routes).
-            if self.trace is not None:
-                self._trace_key = (0, packet.pid)
             packet = self._screen_source_packet(packet)
             if packet is None:
                 return
@@ -610,8 +599,6 @@ class Engine:
         ready_cycle = now + self._pipeline
         now_ticks = now * self._ticks_per_cycle
         for _, packet, cid, _ in arrivals:
-            if sink is not None:
-                self._trace_key = (2, cid)
             if inflight is not None:
                 inflight.pop(packet, None)
             vc = packet.route.hops[packet.hop_index - 1][1]  # arrival_vc()
@@ -916,7 +903,6 @@ class Engine:
                         occupancy_move(ic, vc, now, -1)
                     busy_add(oc, now, busy_ticks)
                 if sink is not None:
-                    self._trace_key = (3, comp_id)
                     pid = packet.pid
                     if ic < 0:
                         kind = "inject"
@@ -972,39 +958,35 @@ class Engine:
     def _apply_fault(self, channel_id: int, is_down: bool, fault_idx) -> None:
         now = self.cycle
         if fault_idx is None:
-            # Pre-canonical checkpoints carry no timeline index; hand
-            # out fresh ones in drain order (the order they were saved).
-            fault_idx = self._fault_push_seq
+            # Pre-canonical checkpoints carry no timeline index: this
+            # event uses up the next one, in drain order (the order they
+            # were saved).
             self._fault_push_seq += 1
-        self._fault_idx_now = fault_idx
         if is_down:
             self._failed_channels.add(channel_id)
         else:
             self._failed_channels.discard(channel_id)
         self._fault_routes.set_failed(self._failed_channels)
         # Every shard applies every fault (routing state is global), but
-        # only the owner of the channel accounts and announces it.
+        # only the owner of the channel counts it.
         owned = self._fault_owned
-        owner = owned is None or channel_id in owned
-        if owner:
+        if owned is None or channel_id in owned:
             self.stats.fault_events += 1
         # Applying a fault is progress for watchdog purposes: the drops
         # and re-routes below change the network state.
         self._last_progress = now
         if self.trace is not None:
-            self._trace_key = (1, fault_idx, 0)
-            if owner:
-                self.trace.emit(
-                    TraceEvent(
-                        "fault",
-                        now,
-                        now * self._ticks_per_cycle,
-                        -1,
-                        channel_id,
-                        0,
-                        (("down", int(is_down)),),
-                    )
+            self.trace.emit(
+                TraceEvent(
+                    "fault",
+                    now,
+                    now * self._ticks_per_cycle,
+                    -1,
+                    channel_id,
+                    0,
+                    (("down", int(is_down)),),
                 )
+            )
         if not is_down:
             # Recovery strands nothing; wake sources so resolutions that
             # can now use the channel are re-attempted promptly.
@@ -1067,10 +1049,7 @@ class Engine:
             )
 
     def _sweep_source_queues(self, now: int) -> None:
-        trace = self.trace
         for src in sorted(self._source_queues):
-            if trace is not None:
-                self._trace_key = (1, self._fault_idx_now, 1, src)
             queue = self._source_queues[src]
             head = self._source_heads[src]
             survivors = []
@@ -1095,8 +1074,6 @@ class Engine:
         # A disposal writes no FIFO but its own: list the buffers first.
         failed = self._failed_channels
         for ic, vc, queue in self._buffers():
-            if self.trace is not None:
-                self._trace_key = (1, self._fault_idx_now, 2, ic, vc)
             kept = []
             for packet in queue:
                 if packet.route.first_failed(failed, packet.hop_index) < 0:
@@ -1155,7 +1132,6 @@ class Engine:
         return False
 
     def _sweep_inflight(self, now: int) -> None:
-        trace = self.trace
         # Snapshot (retry dispositions mutate engine state mid-scan) in
         # canonical pid order -- shard-invariant, unlike insertion
         # order. Stable sort keeps push order for duplicate pids (a
@@ -1163,8 +1139,6 @@ class Engine:
         # the serial engine can produce.
         items = sorted(self._inflight.items(), key=lambda item: item[0].pid)
         for packet, oc in items:
-            if trace is not None:
-                self._trace_key = (1, self._fault_idx_now, 3, packet.pid)
             if packet.drop_on_arrival:
                 continue
             hop_index = packet.hop_index

@@ -64,14 +64,9 @@ GOLDEN_DIR = (
 )
 
 
-def _run_golden(writer: JsonlTraceWriter, runspec: RunSpec, shards: int) -> None:
-    """Run ``runspec`` into ``writer`` and append the end record.
-
-    The sharded runner is bit-identical to the serial path, so a golden
-    regenerated under --shards N must byte-match the committed serial
-    artifact; CI relies on exactly that.
-    """
-    stats = run(runspec, shards, trace=writer)
+def _run_golden(writer: JsonlTraceWriter, runspec: RunSpec) -> None:
+    """Run ``runspec`` into ``writer`` and append the end record."""
+    stats = run(runspec, trace=writer)
     record = {
         "ev": "end",
         "cyc": stats.end_cycle,
@@ -109,9 +104,7 @@ def _demand_2x2x2() -> RunSpec:
     return RunSpec(config, spec)
 
 
-def _run_pingpong_2x2x2(writer: JsonlTraceWriter, shards: int = 1) -> None:
-    # Never sharded (SHARDABLE_GOLDEN_NAMES): the delivery hook re-injects
-    # at the replying endpoint, which may live in another shard.
+def _run_pingpong_2x2x2(writer: JsonlTraceWriter) -> None:
     machine = Machine(MachineConfig(shape=(2, 2, 2), endpoints_per_chip=1))
     routes = RouteComputer(machine)
     driver = PingPongDriver(
@@ -241,19 +234,6 @@ _HAND_BUILT = {"pingpong_2x2x2": _run_pingpong_2x2x2}
 
 GOLDEN_NAMES = tuple(_GOLDEN_HEADERS)
 
-#: Goldens that can be regenerated through the sharded runner. Pingpong
-#: is driven by a delivery hook that re-injects at the replying
-#: endpoint, which may live in another shard, so it stays serial; the
-#: mesh/chiplet goldens stay serial because the shard partitioner is
-#: torus-only (it rejects other topologies with a ValueError).
-SHARDABLE_GOLDEN_NAMES = (
-    "uniform_2x2x2",
-    "tornado_4x1x1",
-    "faulted_2x2x2",
-    "demand_2x2x2",
-)
-
-
 def golden_runspec(name: str) -> RunSpec:
     """The run a golden pins: its header read back as the parameter form
     (:func:`~repro.sim.simulator.header_params`), or the hand-built
@@ -269,23 +249,12 @@ def golden_runspec(name: str) -> RunSpec:
     return RunSpec.from_params(params)
 
 
-def write_golden(name: str, stream: IO[str], shards: int = 1) -> int:
+def write_golden(name: str, stream: IO[str]) -> int:
     """Run one canonical spec, streaming its JSONL trace; returns the
-    number of events written.
-
-    ``shards > 1`` routes the run through the conservative-lookahead
-    shard runner (:mod:`repro.sim.shard`); the output must byte-match
-    the serial rendering -- CI regenerates goldens under ``--shards 2``
-    and ``--shards 4`` and diffs against the committed files.
-    """
+    number of events written."""
     if name not in _GOLDEN_HEADERS:
         raise ValueError(
             f"unknown golden trace {name!r}; known: {', '.join(GOLDEN_NAMES)}"
-        )
-    if shards > 1 and name not in SHARDABLE_GOLDEN_NAMES:
-        raise ValueError(
-            f"golden trace {name!r} cannot run sharded; shardable: "
-            f"{', '.join(SHARDABLE_GOLDEN_NAMES)}"
         )
     meta = dict(_GOLDEN_HEADERS[name])
     meta["tpc"] = shared_machine(
@@ -297,17 +266,17 @@ def write_golden(name: str, stream: IO[str], shards: int = 1) -> int:
     )[0].ticks_per_cycle
     writer = JsonlTraceWriter(stream, meta=meta)
     if name in _HAND_BUILT:
-        _HAND_BUILT[name](writer, shards)
+        _HAND_BUILT[name](writer)
     else:
-        _run_golden(writer, golden_runspec(name), shards)
+        _run_golden(writer, golden_runspec(name))
     writer.flush()
     return writer.events_written
 
 
-def render_golden(name: str, shards: int = 1) -> str:
+def render_golden(name: str) -> str:
     """One canonical run's full JSONL text (for byte comparison)."""
     buffer = io.StringIO()
-    write_golden(name, buffer, shards=shards)
+    write_golden(name, buffer)
     return buffer.getvalue()
 
 

@@ -330,8 +330,8 @@ class MetricsCollector:
       integers it holds and raises :attr:`last_cycle` itself, so a
       collector attached alone costs no
       :class:`~repro.sim.trace.TraceEvent` (see :func:`split_collector`);
-    * :meth:`emit` takes the event stream -- the sharded hub's merged
-      one, a replayed JSONL file, the engine's rare fault-path records.
+    * :meth:`emit` takes the event stream -- a replayed JSONL file, the
+      engine's rare fault-path records.
     """
 
     def __init__(

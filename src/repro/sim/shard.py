@@ -44,16 +44,19 @@ discrete-event simulation, exact rather than approximate:
   packet in its source queue (the serial pids and RNG draws), or restored
   from the checkpoint an interrupted run left -- and each shard *keeps*
   of that engine what it owns (:func:`_keep_owned`). The engine's
-  canonical within-cycle event order makes every observable stream a
-  pure function of simulation state. Stats, metrics summaries, golden
-  traces, and checkpoint bytes are therefore bit-identical to the serial
-  engine for every shard count -- the differential harness,
-  ``tests/integration/test_differential.py``, pins this.
+  canonical within-cycle event order makes the merged state a pure
+  function of simulation state. Stats and checkpoint bytes are therefore
+  bit-identical to the serial engine for every shard count -- the
+  differential harness, ``tests/integration/test_differential.py``, pins
+  this. A sharded run takes no trace sink
+  (:func:`~repro.sim.simulator.start` refuses one by name): the serial
+  run writes the same trace, faster than workers could ship theirs to
+  the hub.
 
 * **One engine.** What ``start`` hands back is a :class:`ShardedEngine`:
   the serial engine's driving surface (``cycle``, ``drained``,
-  ``run_for``, ``run``, ``stats``, ``trace``, ``snapshot``, ``close``)
-  over the barrier loop. The one loop that drives any engine
+  ``run_for``, ``run``, ``stats``, ``snapshot``, ``close``) over the
+  barrier loop. The one loop that drives any engine
   (:func:`~repro.sim.simulator.run`) drives it too, so how a run
   is capped, saved, killed and cleaned up is written once and holds at
   every shard count; this module knows nothing of checkpoint files. Its
@@ -212,36 +215,6 @@ class ShardPlan:
 # --- shard worker -----------------------------------------------------------------
 
 
-class _ShardTraceRecorder:
-    """Trace sink that tags each event with its canonical merge key.
-
-    The engine maintains ``_trace_key`` -- the (phase, site) tuple of
-    whatever is currently emitting -- whenever a sink is attached.
-    Sorting the union of all shards' records by ``(cycle, key, seq)``
-    reproduces the serial emission order exactly: within one
-    ``(cycle, key)`` class a single shard is the producer, so the
-    per-shard sequence number only breaks ties the producer itself
-    created in order.
-    """
-
-    def __init__(self, engine: Engine) -> None:
-        self.engine = engine
-        self.records: list = []
-        self._seq = 0
-
-    def emit(self, event) -> None:
-        self._seq += 1
-        self.records.append((event.cycle, self.engine._trace_key, self._seq, event))
-
-    def flush(self) -> None:
-        pass
-
-    def drain(self) -> list:
-        out = self.records
-        self.records = []
-        return out
-
-
 class _ShardCore:
     """One shard's engine plus the barrier-protocol message handlers
     (:func:`_dispatch`), which its worker process drives over a pipe."""
@@ -258,8 +231,6 @@ class _ShardCore:
         self.shards = plan.shards
         self.owners = owners = component_owners(machine, plan.parts)
         _keep_owned(engine, owners, self.index)
-        recorder = _ShardTraceRecorder(engine) if init["tracing"] else None
-        engine.trace = recorder
         faulted = engine._fault_runtime is not None
         if faulted:
             engine._fault_owned = frozenset(
@@ -271,7 +242,6 @@ class _ShardCore:
         engine.watchdog_cycles = _HUGE_WATCHDOG
         self._codec = _checkpoint_codec(machine, faulted)
         self.engine = engine
-        self.recorder = recorder
 
     def _report(self) -> dict:
         engine = self.engine
@@ -328,8 +298,7 @@ class _ShardCore:
                     inflight.pop(a, None)
                 payload = (kind, self._codec.row(a), b, c)
             outgoing[owner].append((cycle, heap, payload))
-        records = self.recorder.drain() if self.recorder is not None else []
-        return ("ok", outgoing, records)
+        return ("ok", outgoing)
 
     def snapshot(self) -> tuple:
         """Serial-format snapshot of this shard's engine at the barrier."""
@@ -355,29 +324,16 @@ def _dispatch(core: _ShardCore, msg: tuple) -> tuple:
 
 
 def _shard_worker_main(conn, init: dict) -> None:
-    """A worker's loop. With ``init["profile"]`` set, everything the shard
-    executes -- its core's start and every barrier message -- runs under
-    a private :mod:`cProfile` profiler, and ``stop`` is answered with its
-    call table (``pstats.Stats(profiler).stats``)."""
-    call = lambda fn, *args: fn(*args)
-    profiler = None
+    """A worker's loop: start its core, then answer barrier messages
+    until ``stop``."""
     try:
-        if init["profile"]:
-            import cProfile
-
-            profiler = cProfile.Profile()
-            call = profiler.runcall
-        core = call(_ShardCore, init)
+        core = _ShardCore(init)
         conn.send(("ready",))
         while True:
             msg = conn.recv()
             if msg[0] == "stop":
-                if profiler is not None:
-                    import pstats
-
-                    conn.send(("profile", pstats.Stats(profiler).stats))
                 return
-            conn.send(call(_dispatch, core, msg))
+            conn.send(_dispatch(core, msg))
     except EOFError:
         return
     except BaseException:
@@ -506,7 +462,7 @@ def _place(wheel, events: list) -> None:
 
 
 def merge_shard_snapshots(
-    plan: ShardPlan, machine: Machine, snaps: List[dict], trace=None
+    plan: ShardPlan, machine: Machine, snaps: List[dict]
 ) -> dict:
     """Merge per-shard barrier snapshots into one serial-format snapshot.
 
@@ -516,8 +472,8 @@ def merge_shard_snapshots(
     -- bucket to bucket, overflow heap to overflow heap; push order is
     otherwise irrelevant because checkpoint serialization orders every
     cycle canonically. The result is byte-identical (via
-    :func:`~repro.sim.checkpoint.dumps`) to the snapshot the serial
-    engine would write at the same cycle.
+    :func:`~repro.sim.checkpoint.dumps`) to the snapshot the untraced
+    serial engine would write at the same cycle.
     """
     cycle = snaps[0]["cycle"]
     engines = [restore_engine(snap, machine=machine) for snap in snaps]
@@ -554,7 +510,6 @@ def merge_shard_snapshots(
     else:
         # Mid-run, it sits exactly at the barrier.
         base.stats.end_cycle = cycle
-    base.trace = trace
     return snapshot_engine(base)
 
 
@@ -613,25 +568,23 @@ class ShardedEngine:
 
     What :func:`~repro.sim.simulator.start` returns for ``shards > 1``:
     the serial engine's driving surface -- ``cycle``, ``drained``,
-    :meth:`run_for`, :meth:`run`, ``stats``, ``trace``, a serial-format
+    :meth:`run_for`, :meth:`run`, ``stats``, a serial-format
     :meth:`snapshot`, :meth:`close` -- over barrier-synchronized workers.
     It keeps who owns what and the window; budgets, saves, kills and
     files belong to whoever drives it, as they do for any engine.
+    Its ``trace`` is ``None``: a sharded run takes no sink.
 
-    ``whole`` starts the whole-machine engine on ``machine`` (its sink
-    becomes this engine's); each worker keeps its shard of that engine.
+    ``whole`` starts the whole-machine engine on ``machine``, untraced;
+    each worker keeps its shard of that engine.
     ``timings`` is a caller's dict filled with wall-clock phases:
     ``setup_s`` = ``generate_s`` (``whole()``: the checkpoint restored,
     or the workload generated and the engine built) + ``spawn_s`` (first
     worker start through the last ``ready``: each cutting the engine
     down), then ``windows_s`` (``ready`` through the latest merged
-    ``stats``). ``profiles`` is a list extended, on :meth:`close`, with
-    each worker's :mod:`cProfile` call table (``pstats.Stats(...).stats``):
-    what its shard does once ``whole()`` has prepared the run, so the
-    tables are a function of the run and not of what this process had
-    already computed (the offline memo, ``Machine.layout``) when it was
-    started.
+    ``stats``).
     """
+
+    trace = None
 
     def __init__(
         self,
@@ -639,15 +592,11 @@ class ShardedEngine:
         whole,
         shards: int,
         timings: Optional[dict] = None,
-        profiles: Optional[list] = None,
     ) -> None:
         self.machine = machine
         self.plan = ShardPlan.for_machine(machine, shards)
         self._workers: list = []
-        #: Every worker has answered every message sent to it.
-        self._synced = False
         self._timings = timings
-        self._profiles = profiles
         try:
             self._start_workers(whole)
         except BaseException:
@@ -660,8 +609,10 @@ class ShardedEngine:
         keeps no packet."""
         t_start = time.perf_counter()
         engine = whole()
-        #: The run's sink: events reach it in the serial emission order.
-        self.trace, engine.trace = engine.trace, None
+        # Untraced, even resumed from a traced run's checkpoint (whose
+        # collector the restore revives): the merged snapshot is the
+        # untraced serial engine's.
+        engine.trace = None
         #: The barrier the run is at; once drained, its drain cycle.
         self.cycle = engine.cycle
         self._watchdog = engine.watchdog_cycles
@@ -676,12 +627,9 @@ class ShardedEngine:
                 "plan": self.plan,
                 "engine": engine if inherited else None,
                 "snapshot": snapshot,
-                "tracing": self.trace is not None,
-                "profile": self._profiles is not None,
             }))
         for worker in self._workers:
             worker.recv_reply()
-        self._synced = True
         self._t_ready = time.perf_counter()
         if self._timings is not None:
             self._timings.update(
@@ -692,12 +640,9 @@ class ShardedEngine:
         self._feed([[] for _ in self._workers])
 
     def _exchange(self, messages: List[tuple]) -> List[tuple]:
-        self._synced = False
         for worker, msg in zip(self._workers, messages):
             worker.send(msg)
-        replies = [worker.recv_reply() for worker in self._workers]
-        self._synced = True
-        return replies
+        return [worker.recv_reply() for worker in self._workers]
 
     def _feed(self, pending: List[list]) -> None:
         """Hand every shard what the barrier at ``cycle`` owes it, and
@@ -720,18 +665,9 @@ class ShardedEngine:
     def _window(self, w_end: int) -> None:
         """Run every shard to the barrier at ``w_end`` and exchange."""
         pending: List[list] = [[] for _ in self._workers]
-        records: list = []
-        for _, outgoing, shard_records in self._exchange(
-            [("run", w_end)] * len(self._workers)
-        ):
+        for _, outgoing in self._exchange([("run", w_end)] * len(self._workers)):
             for transfers, incoming in zip(pending, outgoing):
                 transfers += incoming
-            records.extend(shard_records)
-        if self.trace is not None and records:
-            records.sort(key=lambda item: (item[0], item[1], item[2]))
-            emit = self.trace.emit
-            for _cycle, _key, _seq, event in records:
-                emit(event)
         self.cycle = w_end
         self._feed(pending)
 
@@ -779,22 +715,13 @@ class ShardedEngine:
         the serial engine at this cycle, merged from the shards'."""
         replies = self._exchange([("snapshot",)] * len(self._workers))
         return merge_shard_snapshots(
-            self.plan, self.machine, [reply[1] for reply in replies], self.trace
+            self.plan, self.machine, [reply[1] for reply in replies]
         )
 
     def close(self) -> None:
-        """Stop the workers; nothing of the run outlives them. A profiled
-        run's workers answer ``stop`` with their call tables -- unless a
-        message went unanswered (a failed start or window), whose error
-        is the one that reaches the caller."""
+        """Stop the workers; nothing of the run outlives them."""
         for worker in self._workers:
             worker.send(("stop",))
-        try:
-            if self._profiles is not None and self._synced:
-                self._profiles.extend(
-                    worker.recv_reply()[1] for worker in self._workers
-                )
-        finally:
-            for worker in self._workers:
-                worker.close()
-            self._workers = []
+        for worker in self._workers:
+            worker.close()
+        self._workers = []

@@ -25,7 +25,8 @@ hub and its workers) describes its run this way and goes through
   demand spec's cycle-0 matrix);
 * **faulted means exhaustive** -- a run with a fault runtime programs
   from exhaustively enumerated loads: faults break the translation
-  symmetry the load shortcut relies on;
+  symmetry the load shortcut relies on (remembered by the failed set the
+  enumeration routed around);
 * **the machine comes from the config** -- shape, endpoints *and*
   topology, wherever the run is built.
 
@@ -91,18 +92,21 @@ DEFAULT_WEIGHT_BITS = 5
 #: The one memo of what runs share offline (DESIGN.md section 16):
 #: ``("machine", config)`` -> the ``(Machine, RouteComputer)`` pair the
 #: config elaborates to; ``("loads" | "tables", ...)`` -> a load table or
-#: an ``(SA2, SA1)`` pair computed on such a pair. A value is a pure
-#: function of its key -- config, the patterns' canonical *content*
-#: (never their names), cores, weight bits -- so none is
-#: ever invalidated and a forked pool worker inherits all of it. Nothing
-#: computed on a custom floorplan or route computer, or on a faulted
-#: run's fault-aware one, is kept: the key could not say so.
+#: an ``(SA2, SA1)`` pair computed on such a pair, or on a faulted run's
+#: fault-aware computer over that machine. A value is a pure function of
+#: its key -- config, the patterns' canonical *content* (never their
+#: names), the channels the fault-aware computer held failed (``None``
+#: for the healthy one), cores, weight bits -- so none is ever
+#: invalidated and a forked pool worker inherits all of it. Nothing
+#: computed on a custom floorplan or route computer is kept: the key
+#: could not say so.
 _MEMO: Dict[tuple, object] = {}
 
-#: Load tables (and as many table pairs) kept for demand-matrix patterns,
-#: the newest: a matrix is the one key whose content a serve client
-#: chooses, and unbounded a server's memo would grow for as long as
-#: clients invent matrices. Other keys are a handful per machine.
+#: Load tables (and as many table pairs) kept for demand-matrix patterns
+#: and for fault sets, the newest: those are the keys whose content a
+#: serve client chooses, and unbounded a server's memo would grow for as
+#: long as clients invent matrices or faults. Other keys are a handful
+#: per machine.
 _DEMAND_ENTRIES = 8
 
 
@@ -120,13 +124,18 @@ def shared_machine(config: MachineConfig) -> Tuple[Machine, RouteComputer]:
     return pair
 
 
-def _is_stock(machine: Machine, route_computer) -> bool:
-    """Whether the pair is the one ``machine.config`` alone describes."""
+def _is_stock(machine: Machine, route_computer, faulted: bool = False) -> bool:
+    """Whether the pair is the one ``machine.config`` alone describes --
+    ``faulted``: with the fault-aware computer :func:`run_context` makes."""
+    if faulted:
+        from repro.faults.routing import FaultAwareRouteComputer as stock
+    else:
+        stock = RouteComputer
     return (
-        type(route_computer) is RouteComputer
+        type(route_computer) is stock
         and route_computer.machine is machine
         and route_computer.direction_order == ANTON_DIRECTION_ORDER
-        and not route_computer.allow_nonminimal
+        and route_computer.allow_nonminimal == faulted
         and machine.floorplan
         == default_floorplan(num_endpoints=machine.config.endpoints_per_chip)
     )
@@ -151,14 +160,19 @@ def share_machine(machine: Machine, route_computer: RouteComputer) -> None:
 
 def _remembered(kind, machine, route_computer, faults, patterns, rest, compute):
     """``compute()``, kept in the memo when ``(machine, route_computer)``
-    is the healthy stock pair its key describes."""
-    if faults is not None or not _is_stock(machine, route_computer):
+    is the stock pair its key describes: the healthy one, or with
+    ``faults`` the fault-aware one, by the channels it holds failed as it
+    computes."""
+    if not _is_stock(machine, route_computer, faulted=faults is not None):
         return compute()
     from repro.traffic.demand import DemandMatrixPattern
 
-    bounded = any(isinstance(p, DemandMatrixPattern) for p in patterns)
+    failed = None if faults is None else route_computer.failed
+    bounded = failed is not None or any(
+        isinstance(p, DemandMatrixPattern) for p in patterns
+    )
     contents = tuple(canonical(p) for p in patterns)
-    key = (kind, bounded, machine.config, contents) + rest
+    key = (kind, bounded, machine.config, contents, failed) + rest
     value = _MEMO.get(key)
     if value is None:
         value = _MEMO[key] = compute()
@@ -621,7 +635,6 @@ def start(
     faults=None,
     shards: int = 1,
     timings: Optional[dict] = None,
-    profiles: Optional[list] = None,
     **programmed,
 ) -> Engine:
     """The run's engine, wherever the run has got to: restored from the
@@ -641,11 +654,11 @@ def start(
 
     ``shards=1`` is the serial engine itself; any other count cuts it
     over as many worker processes behind a
-    :class:`~repro.sim.shard.ShardedEngine` (``timings`` and ``profiles``
-    are its) -- the same
-    surface, bit-identical stats, trace events and checkpoint bytes. What
-    that does not support is refused by name, before anything is
-    generated or spawned.
+    :class:`~repro.sim.shard.ShardedEngine` (``timings`` is its) -- the
+    same surface, bit-identical stats and untraced checkpoint bytes. What
+    that does not support -- a trace sink among it: the serial run writes
+    the same trace -- is refused by name, before anything is generated,
+    restored or spawned.
     """
     if machine is None:
         machine = shared_machine(run.config)[0]
@@ -661,13 +674,15 @@ def start(
 
     if shards == 1:
         return whole()
-    reject_unshardable(run.config, run.fault_policy)
+    reject_unshardable(run.config, run.fault_policy, traced=trace is not None)
     from .shard import ShardedEngine
 
-    return ShardedEngine(machine, whole, shards, timings, profiles)
+    return ShardedEngine(machine, whole, shards, timings)
 
 
-def reject_unshardable(config: MachineConfig, fault_policy=None) -> None:
+def reject_unshardable(
+    config: MachineConfig, fault_policy=None, traced: bool = False
+) -> None:
     """Raise the named error for what the sharded runner does not support."""
     # The slab partitioner and its lookahead derivation assume the wrap
     # links of a torus; rather than risk a silently wrong decomposition,
@@ -682,6 +697,11 @@ def reject_unshardable(config: MachineConfig, fault_policy=None) -> None:
             "the retry fault policy is not supported in sharded runs: "
             "re-injection happens at the stranded packet's source, which "
             "may belong to another shard"
+        )
+    if traced:
+        raise ValueError(
+            "sharded runs take no trace sink; trace the run serially "
+            "(shards=1): its trace is the same bytes"
         )
 
 
@@ -699,7 +719,7 @@ def run(
 
     The one loop above an engine, serial or sharded: :func:`start` the
     run (``started`` is its: a caller's ``route_computer``/``faults``,
-    the shard ``timings``/``profiles``, and :func:`build`'s
+    the shard ``timings``, and :func:`build`'s
     ``weight_tables``/``packets``/``load_tables``/``latency_quantiles``)
     and run the engine to completion. With ``checkpoint_path`` and a
     positive ``checkpoint_every`` the engine is saved there as

@@ -62,9 +62,8 @@ not sent the hot events: the engine splits it out when the sink is
 assigned and calls its reducers directly at grant, depart, arrive and
 deliver, so :class:`TraceEvent` objects are built only for the other
 sinks (none at all under a collector alone). Fault, drop, re-route and
-retry records, the sharded hub's merged stream and replayed files reach
-a collector as events, through its ``emit``. Every other sink sees
-exactly the stream described above.
+retry records and replayed files reach a collector as events, through
+its ``emit``. Every other sink sees exactly the stream described above.
 """
 
 from __future__ import annotations

@@ -110,7 +110,7 @@ class TestDegradationSweep:
 
 class TestWhatPointsShare:
     """The healthy machine and its load table are the memo's; a degraded
-    table is its point's alone."""
+    table is its failed set's."""
 
     def _counted(self, monkeypatch):
         calls, original = [], loads.compute_loads
@@ -136,7 +136,7 @@ class TestWhatPointsShare:
         assert len(calls) == 3 + 1
         assert simulator.shared_machine(tiny_machine.config)[0] is tiny_machine
 
-    def test_faulted_points_keep_nothing_and_share_no_degraded_table(
+    def test_faulted_points_keep_tables_by_failed_set_and_no_runtime(
         self, tiny_machine, monkeypatch
     ):
         from repro.faults.routing import FaultAwareRouteComputer
@@ -151,9 +151,16 @@ class TestWhatPointsShare:
         b = measure_degraded_point(_point(tiny_machine, 1, seed=5, arbitration="iw"))
         assert a.fault_json != b.fault_json
         # Each point enumerated its own degraded loads; the healthy
-        # normalizer was resident, and the memo is what it was.
+        # normalizer was resident. The memo gained one degraded table per
+        # failed set, and a point measured again enumerates nothing.
         assert len(calls) == 2 and calls[0] != calls[1] and all(calls)
-        assert simulator._MEMO == before
+        gained = [key for key in simulator._MEMO if key not in before]
+        assert sorted(key[4] for key in gained) == sorted(calls)
+        assert all(key[:2] == ("loads", True) for key in gained)
+        assert measure_degraded_point(
+            _point(tiny_machine, 1, seed=3, arbitration="iw")
+        ).delivered == a.delivered
+        assert len(calls) == 2
 
         def reachable(value):
             yield value

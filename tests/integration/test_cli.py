@@ -476,9 +476,9 @@ def _stamp_of(argv):
 
 
 class TestShardedCli:
-    """The --shards surface: run, trace, checkpoint save, and profile
-    all take the shard count as one more input and must agree with their
-    serial counterparts."""
+    """The --shards surface: run and checkpoint save take the shard count
+    as one more input and must agree with their serial counterparts; a
+    trace is written by the serial run only."""
 
     def test_run_sharded_matches_serial_summary(self, capsys):
         args = [
@@ -495,48 +495,33 @@ class TestShardedCli:
             sharded.split(":", 1)[1].split("(")[0]
         assert "shards=2" in sharded
 
-    def test_golden_regenerates_sharded(self, tmp_path):
-        from repro.sim.goldens import committed_golden_path
-
-        out_path = tmp_path / "golden.jsonl"
-        code = main(
+    def test_trace_takes_no_shard_count(self, tmp_path):
+        """``repro trace`` has no --shards, for a described run or a
+        golden: it is a usage error."""
+        for argv in (
+            ["trace", "--shards", "2"],
             ["trace", "--golden", "uniform_2x2x2", "--shards", "2",
-             "--out", str(out_path)]
-        )
-        assert code == 0
-        assert (
-            out_path.read_text()
-            == committed_golden_path("uniform_2x2x2").read_text()
-        )
+             "--out", str(tmp_path / "x.jsonl")],
+        ):
+            with pytest.raises(SystemExit) as caught:
+                main(argv)
+            assert caught.value.code == 2
+        assert not (tmp_path / "x.jsonl").exists()
 
-    def test_unshardable_golden_rejected(self, tmp_path, capsys):
+    def test_checkpoint_save_refuses_a_trace_when_sharded(self, tmp_path, capsys):
+        """A sharded save takes no --trace: one line on stderr, exit 1,
+        and neither the trace nor the checkpoint is written."""
+        trace, out = tmp_path / "t.jsonl", tmp_path / "ck.json"
         code = main(
-            ["trace", "--golden", "pingpong_2x2x2", "--shards", "2",
-             "--out", str(tmp_path / "x.jsonl")]
-        )
-        assert code == 2
-        assert "cannot run sharded" in capsys.readouterr().err
-
-    def test_trace_sharded_matches_serial_bytes(self, tmp_path, capsys):
-        """A described run traced under --shards is the same run: the
-        same file, the same summary line. (The command used to refuse:
-        "--shards applies only to --golden regeneration".)"""
-        args = ["trace", "--shape", "4x2x2", "--endpoints", "2", "--batch",
-                "4", "--cores", "2", "--seed", "5", "--arbitration", "iw"]
-        outputs = set()
-        for shards in (1, 2, 4):
-            out_path = tmp_path / f"t{shards}.jsonl"
-            assert main(args + ["--shards", str(shards), "--out", str(out_path)]) == 0
-            outputs.add((out_path.read_bytes(), capsys.readouterr().err))
-        assert len(outputs) == 1
-
-        # What cannot be sharded is refused by the runner, by name.
-        code = main(
-            ["trace", "--topology", "mesh", "--shape", "4x4", "--shards", "2",
-             "--out", str(tmp_path / "x.jsonl")]
+            ["checkpoint", "save", "--shape", "2x2x2", "--cycles", "20",
+             "--trace", str(trace), "--out", str(out), "--shards", "2"]
         )
         assert code == 1
-        assert "only the torus topology" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: sharded runs take no trace sink; trace the run serially "
+            "(shards=1): its trace is the same bytes\n"
+        )
+        assert not trace.exists() and not out.exists()
 
     def test_checkpoint_save_sharded_matches_golden(self, tmp_path, capsys):
         import pathlib
@@ -611,20 +596,6 @@ class TestShardedCli:
             )
         assert main(run_a + ["--shards", "2"]) == 0
         assert "128 of 128 delivered in 79 cycles" in capsys.readouterr().out
-
-    def test_profile_sharded_prints_merged_table(self, capsys):
-        args = [
-            "profile", "--shape", "2x2x2", "--endpoints", "2",
-            "--cores", "2", "--batch", "8", "--top", "12", "--shards", "2",
-        ]
-        assert main(args) == 0
-        out = capsys.readouterr().out
-        assert "shards=2" in out
-        assert "ncalls" in out
-        assert len(out.strip().splitlines()) == 15
-        # Deterministic across invocations, like the serial table.
-        assert main(args) == 0
-        assert capsys.readouterr().out == out
 
 
 class TestDemandOnTwoAxisTopologies:

@@ -6,7 +6,9 @@ consolidation (PR 16), so that refactor provably moved nothing except
 the rows marked below: ``--shape``/``--topology`` default to ``None`` on
 ``run`` and ``demand`` (the fault file's machine may now fill them in;
 the command's own default still applies last), and serial ``run
---policy`` accepts ``retry``. Help strings and the order options are
+--policy`` accepts ``retry``. ``trace`` and ``profile`` have since lost
+``--shards``: a sharded run takes no trace sink, and per-shard
+profiling is gone. Help strings and the order options are
 declared in are not part of the contract.
 """
 
@@ -81,7 +83,6 @@ CONTRACT = {
         '--out': ('-', None),
         '--golden': (None, None),
         '--list-goldens': (False, None),
-        '--shards': (1, None),
     },
     'demand': {
         '--shape': (None, None),  # PR 16: was (4, 4, 4); now the fault file's, then 4x4x4
@@ -208,7 +209,6 @@ CONTRACT = {
         '--arbitration': ('rr', ARB),
         '--seed': (0, None),
         '--top': (25, None),
-        '--shards': (1, None),
     },
     'latency': {
         '--shape': ((4, 4, 4), None),

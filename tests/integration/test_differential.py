@@ -9,14 +9,19 @@ snapshotted on the way at every cycle the row's legs compare at (a
 golden's trace must be its committed JSONL). Each *leg* is another way
 of running the row and must reproduce those bytes:
 
-* ``sharded`` -- ``run(spec, shards)`` at each of the row's ``shards``
-  (stats only where ``traced`` is off). Mesh, chiplet and retry rows
-  assert the shard runner's refusal by name, from ``run`` and ``repro run``.
+* ``sharded`` -- an untraced engine at each of the row's ``shards``: its
+  checkpoint at every cycle the oracle snapshots and at the drain (the
+  untraced variant: a sharded run takes no trace sink), and its stats.
+  Mesh, chiplet and retry rows assert the shard runner's refusal by
+  name, from ``run`` and ``repro run``.
 * ``split`` -- each of the row's ``plans``: an engine runs to each cut
   and saves there, restarting from the file where the chain's shard
   count changes; ``run`` at the last count finishes from the file and
   leaves nothing behind. A *kill* plan runs each leg as ``run`` saving
   every 16 cycles, killed at its cut: the file left is its last save.
+  Legs are traced until the first sharded one; from there on every leg
+  runs, and saves, untraced, and the finished run's trace and collector
+  state are compared only where every leg is serial.
 * ``served`` -- per ``(quantum, cut)`` in ``serving``: a ``Session``
   stepped in quanta to the cut, its snapshot the oracle's there (less the
   JSONL writer), sent back to ``create`` and resumed to drain.
@@ -117,7 +122,6 @@ class Row:
     spec: Optional[RunSpec] = None
     golden: Optional[str] = None
     shards: tuple = ()
-    traced: bool = True
     plans: tuple = ()
     serving: tuple = ()
     cli: bool = False
@@ -180,9 +184,11 @@ class Oracle:
         writer, collector = row.sinks(stream)
         wanted = {cycle for plan in row.plans for _, cycle in plan.saves()}
         wanted.update(cut for _, cut in row.serving)
+        #: The cycles the oracle snapshots at before the drain.
+        self.cuts = sorted(wanted)
         self._checkpoints = {}
         with contextlib.closing(start(row.run, trace=Tee(writer, collector))) as engine:
-            for cycle in sorted(wanted):
+            for cycle in self.cuts:
                 engine.run_for(cycle - engine.cycle)
                 self._checkpoints[engine.cycle] = dumps(snapshot_engine(engine))
             stats = engine.run()
@@ -200,15 +206,22 @@ class Oracle:
         self.collector = collector.state()
         self.metrics = collector.snapshot()
 
-    def checkpoint(self, cycle: int, writer: bool = True, stamped: bool = False) -> str:
+    def checkpoint(
+        self, cycle: int, writer: bool = True, stamped: bool = False,
+        traced: bool = True,
+    ) -> str:
         """Checkpoint text at ``cycle`` (at the drain, past it);
         ``writer=False``: as an engine traced by its collector alone
-        records it; ``stamped``: as ``run`` saves it."""
+        records it; ``traced=False``: as an untraced engine -- a sharded
+        one -- records it, its trace section all ``None``; ``stamped``:
+        as ``run`` saves it."""
         text = self._checkpoints[min(cycle, self.end)]
-        if writer and not stamped:
+        if writer and traced and not stamped:
             return text
         data = json.loads(text)
-        if not writer:
+        if not traced:
+            data["trace"] = dict.fromkeys(data["trace"])
+        elif not writer:
             data["trace"].update(events_written=None, bytes_written=None)
         if stamped:
             data["run_stamp"] = run_stamp(self.row.run)
@@ -417,12 +430,11 @@ def _rows():
             demand, shape=[2, 2, 2], seed=13,
             demand={"generator": "hotspot", "rate": 0.4, "matrix_seed": 21,
                     "duration": 40, "injection": "paced"}), replay=True),
-        Row("shard8-4x4x4", batch((4, 4, 4), "uniform", 2, 33), shards=(2, 8),
-            traced=False),
+        Row("shard8-4x4x4", batch((4, 4, 4), "uniform", 2, 33), shards=(2, 8)),
     ]
     rows = [dataclasses.replace(row, shards=(2, 4)) for row in shard]
     rows += [
-        dataclasses.replace(row, shards=(2,), traced=False, serving=((16, 40),), cli=True,
+        dataclasses.replace(row, shards=(2,), serving=((16, 40),), cli=True,
                             replay=row.params["kind"] == "demand")
         for row in surfaces
     ]
@@ -485,70 +497,77 @@ def test_sharded(row, shards, capsys):
             assert main(["run"] + flags(row.params) + ["--shards", str(shards)]) != 0
             assert REFUSALS[reason] in capsys.readouterr().err
         return
-    if not row.traced:
-        assert canon(run(row.run, shards).asdict()) == expect.stats
-        return
-    stream = io.StringIO()
-    writer, collector = row.sinks(stream)
-    stats = run(row.run, shards, trace=Tee(writer, collector))
-    row.finish(writer, stats)
+    with contextlib.closing(start(row.run, shards=shards)) as engine:
+        for cycle in expect.cuts:
+            engine.run_for(cycle - engine.cycle)
+            assert dumps(snapshot_engine(engine)) == expect.checkpoint(
+                cycle, traced=False), cycle
+        stats = engine.run()
+        assert dumps(snapshot_engine(engine)) == expect.checkpoint(
+            expect.end, traced=False)
     assert canon(stats.asdict()) == expect.stats
-    assert stream.getvalue() == expect.trace
-    assert collector.state() == expect.collector
 
 
 @pytest.mark.parametrize("row,plan", cases("plans"))
 def test_split(row, plan, monkeypatch):
     expect = oracle(row)
     chain = plan.chain if row.shardable else (1,) * len(plan.chain)
+    # Traced until the first sharded leg: that one saves untraced, and
+    # every leg after it resumes, and saves, an untraced run.
+    traced = [all(shards == 1 for shards in chain[: i + 1]) for i in range(len(chain))]
     stream = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "ck.json")
 
-        def leg(shards, every=EVERY):
-            # A kill plan's legs are traced by their collector alone.
+        def sinks(on):
+            """The leg's writer and collector, and what it is traced by:
+            a kill plan's legs by their collector alone."""
             writer, collector = row.sinks(stream, owns_stream=True)
-            return writer, collector, run(
-                row.run, shards, trace=collector if plan.kill else Tee(writer, collector),
-                checkpoint_path=path, checkpoint_every=every,
-            )
+            sink = (collector if plan.kill else Tee(writer, collector)) if on else None
+            return writer, collector, sink
 
-        def saved(cycle):
+        def saved(cycle, on):
             assert os.listdir(tmp) == ["ck.json"]
             with open(path) as file:
                 assert file.read() == expect.checkpoint(
-                    cycle, writer=not plan.kill, stamped=True), (cycle, chain)
+                    cycle, writer=not plan.kill, stamped=True, traced=on,
+                ), (cycle, chain)
 
         if plan.kill:
             assert expect.end > plan.cuts[-1]
-            for (cut, cycle), shards in zip(plan.saves(), chain):
+            for (cut, cycle), shards, on in zip(plan.saves(), chain, traced):
                 monkeypatch.setenv(CRASH_ENV_VAR, str(cut))
                 with pytest.raises(KeyboardInterrupt, match=f"at cycle {cut} "):
-                    leg(shards, KILL_EVERY)
-                saved(cycle)
+                    run(row.run, shards, trace=sinks(on)[2], checkpoint_path=path,
+                        checkpoint_every=KILL_EVERY)
+                saved(cycle, on)
             monkeypatch.delenv(CRASH_ENV_VAR)
         else:
-            # One engine a stretch of equal counts, restarted where it changes.
+            # One engine a stretch of equal counts, restarted where it
+            # changes; a stretch is traced throughout or not at all.
             for shards, stretch in itertools.groupby(
-                zip(plan.cuts, chain), key=lambda pair: pair[1]
+                zip(plan.cuts, chain, traced), key=lambda leg: leg[1]
             ):
-                writer, collector = row.sinks(stream, owns_stream=True)
-                engine = start(
-                    row.run, trace=Tee(writer, collector), checkpoint_path=path,
-                    shards=shards,
-                )
+                stretch = list(stretch)
+                on = stretch[0][2]
+                writer, _, sink = sinks(on)
+                engine = start(row.run, trace=sink, checkpoint_path=path, shards=shards)
                 with contextlib.closing(engine):
-                    for cut, _ in stretch:
+                    for cut, _, _ in stretch:
                         engine.run_for(cut - engine.cycle)
-                        writer.flush()
+                        if on:
+                            writer.flush()
                         save_checkpoint(engine, path, run_stamp(row.run))
-                        saved(cut)
-        writer, collector, stats = leg(chain[-1])
-        row.finish(writer, stats)
+                        saved(cut, on)
+        writer, collector, sink = sinks(traced[-1])
+        stats = run(row.run, chain[-1], trace=sink, checkpoint_path=path,
+                    checkpoint_every=EVERY)
         assert os.listdir(tmp) == []
     assert canon(stats.asdict()) == expect.stats
-    assert plan.kill or stream.getvalue() == expect.trace
-    assert collector.state() == expect.collector
+    if traced[-1]:
+        row.finish(writer, stats)
+        assert plan.kill or stream.getvalue() == expect.trace
+        assert collector.state() == expect.collector
 
 
 @pytest.mark.parametrize("row,serving", cases("serving"))

@@ -207,8 +207,6 @@ def canonical_drain(engine):
     batch.sort(key=event_sort_key)
     for kind, a, b, c in batch:
         if kind == _EV_ARRIVAL:
-            if engine.trace is not None:
-                engine._trace_key = (2, b)
             canonical_arrival(engine, a, b, now)
         elif kind == _EV_CREDIT:
             engine._credits[(a << engine._vc_bits) | b] += c

@@ -34,6 +34,7 @@ from repro.traffic import loads
 from tests.integration.test_differential import (
     ROWS,
     canon,
+    link_faults,
     oracle_artifacts,
     session_artifacts,
 )
@@ -169,6 +170,32 @@ class TestSessionsShareTheMemo:
         create(2)
         Session.create("b", dict(BATCH_IW))
         assert resident("loads")[:2] == newest and len(resident("loads")) == 3
+
+    def test_client_chosen_fault_sets_are_kept_to_a_constant(self, monkeypatch):
+        """A faulted ``iw`` run's exhaustive loads are remembered by the
+        failed set they route around -- a set a client chooses, so those
+        entries are bounded like matrices'."""
+        monkeypatch.setattr(simulator, "_MEMO", {})
+        monkeypatch.setattr(simulator, "_DEMAND_ENTRIES", 2)
+        calls, compute = [], loads.compute_loads
+        monkeypatch.setattr(
+            loads, "compute_loads", lambda *a, **k: calls.append(1) or compute(*a, **k)
+        )
+
+        def create(failed):
+            return Session.create("s", dict(BATCH_IW, faults=link_faults(
+                BATCH_IW["shape"], (0, None), first=failed)))
+
+        def resident(kind):
+            return [key[4] for key in simulator._MEMO if key[0] == kind]
+
+        for failed in range(3):
+            create(failed)
+        assert len(calls) == 3
+        assert len(resident("loads")) == len(resident("tables")) == 2
+        newest = resident("loads")
+        create(2)
+        assert len(calls) == 3 and resident("loads") == newest
 
 
 class TestOracleEquality:

@@ -4,12 +4,13 @@ harness does not state row by row.
 ``tests/integration/test_differential.py`` saves every row at drawn and
 pinned cycles under chains of shard counts -- the kill sequences of the
 cross-path matrix among them -- and compares each file with the serial
-engine's bytes, and the finished run's stats, trace and collector state
-with the serial run's. The tests here pin the rest: that a finished run
-leaves nothing for the next one to trip over, the stamp and machine
-refusals through the hub, sinks behind a ``Tee`` revived after a kill,
-the ``latency_estimator`` edge, far-future events keeping their place in
-the merged wheel, and the committed golden checkpoint at 2 and 4 shards.
+engine's bytes, and the finished run's stats (and, where every leg is
+serial, its trace and collector state) with the serial run's. The tests
+here pin the rest: that a finished run leaves nothing for the next one
+to trip over, the stamp and machine refusals through the hub, sinks
+behind a ``Tee`` revived after a serial kill, the ``latency_estimator``
+edge, far-future events keeping their place in the merged wheel, and the
+committed golden checkpoint at 2 and 4 shards.
 """
 
 import glob
@@ -67,9 +68,8 @@ def _finished(run, shards, path):
     return run_sharded(run, shards, checkpoint_path=path, checkpoint_every=EVERY)
 
 
-@pytest.mark.parametrize("shards", [1, 2])
 def test_sinks_behind_a_tee_are_revived_by_the_walk_that_saved_them(
-    shards, tmp_path, monkeypatch
+    tmp_path, monkeypatch
 ):
     """A save records the collector and the JSONL writer it finds behind
     a ``Tee``; a resume must put both back (at the parent only a
@@ -85,10 +85,7 @@ def test_sinks_behind_a_tee_are_revived_by_the_walk_that_saved_them(
             if crash_at is not None:
                 monkeypatch.setenv(CRASH_ENV_VAR, str(crash_at))
             try:
-                run_sharded(
-                    _uniform(seed=3, per_source=16), shards, trace=trace,
-                    **checkpoint,
-                )
+                run_sharded(_uniform(seed=3, per_source=16), trace=trace, **checkpoint)
             except KeyboardInterrupt:
                 assert crash_at is not None
             monkeypatch.delenv(CRASH_ENV_VAR, raising=False)

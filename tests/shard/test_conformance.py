@@ -1,10 +1,9 @@
 """Sharded runs where the differential harness has no row for them.
 
-Every row's stats, trace, collector state and golden bytes are checked
-at its shard counts by ``tests/integration/test_differential.py``. What
-stays here: a degraded start whose enqueue-time reroutes a stock
-generator never makes. (The golden that refuses sharding is refused by
-name in ``test_cli.py``.)
+Every row's stats and untraced checkpoint bytes are checked at its
+shard counts by ``tests/integration/test_differential.py``. What stays
+here: a degraded start whose enqueue-time reroutes a stock generator
+never makes.
 """
 
 import collections
@@ -25,11 +24,12 @@ def test_cycle_0_reroutes_of_a_degraded_start_reach_the_trace_once(
     mode, monkeypatch
 ):
     """Packets whose routes cross a link already down are re-routed (or
-    dropped) as they are enqueued, before cycle 0 runs. A sharded run
-    enqueues while the hub starts it, and those records and counts must
-    come out once, ahead of everything else, as the serial run's do.
-    (The stock generator routes around the failed set, so nothing is
-    re-routed at enqueue: generate on a healthy computer to get some.)"""
+    dropped) as they are enqueued, before cycle 0 runs: the serial trace
+    records each once, ahead of everything else. A sharded run enqueues
+    while the hub starts it, and those counts must come out once, as
+    the serial run's do. (The stock generator routes around the failed
+    set, so nothing is re-routed at enqueue: generate on a healthy
+    computer to get some.)"""
     from repro.core.routing import RouteComputer
     from repro.faults import FaultPolicy, FaultSet, FaultSpec
     from repro.faults.model import failable_channels
@@ -59,15 +59,13 @@ def test_cycle_0_reroutes_of_a_degraded_start_reach_the_trace_once(
         simulator, "generate_workload",
         lambda run, machine, _: generate(run, machine, RouteComputer(machine)),
     )
-    streams = {}
-    for shards in (1, 2, 4):
-        sink = ListSink()
-        stats = run_sharded(run, shards, trace=sink)
-        streams[shards] = json.dumps(stats.asdict()), sink.events
-    stats = json.loads(streams[1][0])
-    at_enqueue = [e for e in streams[1][1] if e.kind in ("reroute", "drop")]
+    sink = ListSink()
+    serial = json.dumps(run_sharded(run, 1, trace=sink).asdict())
+    stats = json.loads(serial)
+    at_enqueue = [e for e in sink.events if e.kind in ("reroute", "drop")]
     assert at_enqueue and {e.kind for e in at_enqueue} == {mode}
     assert stats["rerouted" if mode == "reroute" else "dropped"] == len(at_enqueue)
-    assert streams[1][1][: len(at_enqueue)] == at_enqueue
-    assert streams[2] == streams[1] and streams[4] == streams[1]
+    assert sink.events[: len(at_enqueue)] == at_enqueue
+    for shards in (2, 4):
+        assert json.dumps(run_sharded(run, shards).asdict()) == serial
 

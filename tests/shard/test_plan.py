@@ -2,6 +2,7 @@
 the sharded runner."""
 
 import itertools
+import re
 
 import pytest
 
@@ -130,8 +131,6 @@ def _cores(plan, whole):
             "plan": plan,
             "engine": whole(),
             "snapshot": None,
-            "tracing": False,
-            "profile": False,
         })
         for shard in range(plan.shards)
     ]
@@ -143,7 +142,7 @@ def _barrier(cores, w_end):
     receiving shard."""
     pending = [[] for _ in cores]
     for core in cores:
-        kind, outgoing, _records = shard_mod._dispatch(core, ("run", w_end))
+        kind, outgoing = shard_mod._dispatch(core, ("run", w_end))
         assert kind == "ok" and outgoing[core.index] == []
         for transfers, incoming in zip(pending, outgoing):
             transfers += incoming
@@ -366,3 +365,54 @@ class TestNamedRejections:
         with pytest.raises(ValueError, match=message):
             run(self._rejected_run(case), shards=2)
         assert started == []
+
+    @pytest.mark.parametrize("entry", ["run", "start", "resume"])
+    def test_a_trace_sink_is_refused_before_anything_starts(
+        self, entry, monkeypatch, tmp_path
+    ):
+        """A sharded run takes no trace sink -- the serial run writes the
+        same trace -- and says so before the workload is generated, a
+        checkpoint restored or a worker started."""
+        from repro.sim.checkpoint import save_checkpoint
+        from repro.sim.metrics import MetricsCollector
+        from repro.sim.trace import ListSink, Tee
+
+        row = ROWS["shard-uniform-rr"].run
+        path = tmp_path / "ck.json"
+        engine = simulator.start(row)
+        engine.run_for(10)
+        save_checkpoint(engine, str(path))
+        started = []
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def call(*args, **kwargs):
+                started.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, call)
+
+        counted(simulator, "generate_workload")
+        counted(simulator, "restore_engine")
+        counted(shard_mod, "_ProcessWorker")
+        refusal = (
+            "sharded runs take no trace sink; trace the run serially "
+            "(shards=1): its trace is the same bytes"
+        )
+        for sink in (ListSink(), MetricsCollector(), Tee(ListSink(), MetricsCollector())):
+            with pytest.raises(ValueError, match=re.escape(refusal)):
+                if entry == "run":
+                    run_sharded(row, 2, trace=sink)
+                else:
+                    simulator.start(
+                        row, trace=sink, shards=2,
+                        checkpoint_path=str(path) if entry == "resume" else None,
+                    )
+        assert started == []
+        # Serially the same call runs: the patches see what it starts.
+        simulator.start(
+            row, trace=ListSink(),
+            checkpoint_path=str(path) if entry == "resume" else None,
+        )
+        assert started == ["restore_engine" if entry == "resume" else "generate_workload"]

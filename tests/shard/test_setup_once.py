@@ -116,8 +116,6 @@ def test_shard_cores_cut_the_hubs_engine_and_merge_back_to_serial(name):
             # What a forked worker inherits: the hub's started engine.
             "engine": simulator.start(run, machine),
             "snapshot": None,
-            "tracing": False,
-            "profile": False,
         })
         for shard in range(plan.shards)
     ]
@@ -140,8 +138,8 @@ def test_shard_cores_cut_the_hubs_engine_and_merge_back_to_serial(name):
     barrier = plan.lookahead
     pending = [[] for _ in cores]
     for core in cores:
-        kind, outgoing, records = dispatch(core, ("run", barrier))
-        assert kind == "ok" and records == [] and outgoing[core.index] == []
+        kind, outgoing = dispatch(core, ("run", barrier))
+        assert kind == "ok" and outgoing[core.index] == []
         # (cycle, heap, payload), already grouped by the owning shard.
         for transfers, incoming in zip(pending, outgoing):
             transfers += incoming
@@ -205,12 +203,14 @@ _SPAWN_SCRIPT = textwrap.dedent(
     sys.path.insert(0, {tests_root!r})
 
     def digest(run, shards):
-        from repro.sim.shard import run_sharded
-        from repro.sim.trace import ListSink
+        import contextlib
 
-        sink = ListSink()
-        stats = run_sharded(run, shards, trace=sink)
-        text = json.dumps(stats.asdict()) + repr(sink.events)
+        from repro.sim.checkpoint import dumps, snapshot_engine
+        from repro.sim.simulator import start
+
+        with contextlib.closing(start(run, shards=shards)) as engine:
+            stats = engine.run()
+            text = json.dumps(stats.asdict()) + dumps(snapshot_engine(engine))
         return hashlib.sha256(text.encode()).hexdigest()
 
     if __name__ == "__main__":
@@ -271,19 +271,16 @@ def test_killed_worker_is_a_one_line_error_and_siblings_are_reaped(
 
 
 @forks
-@pytest.mark.parametrize("profiles", [None, []], ids=["plain", "profiled"])
-def test_a_worker_that_cannot_start_reports_its_own_error(monkeypatch, profiles):
+def test_a_worker_that_cannot_start_reports_its_own_error(monkeypatch):
     """The hub raises the failed worker's traceback, not what closing the
-    run finds afterwards: a profiled run's workers are asked for their
-    tables only when every message was answered."""
+    run finds afterwards."""
 
     def failing_init(self, init):
         raise ValueError(f"cannot cut shard {init['shard']}")
 
     monkeypatch.setattr(shard_mod._ShardCore, "__init__", failing_init)
     with pytest.raises(RuntimeError) as caught:
-        run_sharded(ROWS["shard-uniform-rr"].run, 2, profiles=profiles)
+        run_sharded(ROWS["shard-uniform-rr"].run, 2)
     assert str(caught.value).startswith("shard worker failed:\n")
     assert "ValueError: cannot cut shard 0" in str(caught.value)
-    assert profiles in (None, [])
     assert multiprocessing.active_children() == []
