@@ -99,13 +99,16 @@ def route_dependency_edges(machine: Machine, route: Route) -> List[Tuple[Node, N
     cannot deadlock).
     """
     kinds = machine.channel_kind
+    bits = route.vc_bits
+    mask = (1 << bits) - 1
     edges: List[Tuple[Node, Node]] = []
     prev = None
-    for channel_id, vc in route.hops:
+    for slot in route.slots:
+        channel_id = slot >> bits
         if group_of(kinds[channel_id]) == ChannelGroup.E:
             prev = None
             continue
-        node = (channel_id, vc)
+        node = (channel_id, slot & mask)
         if prev is not None:
             edges.append((prev, node))
         prev = node

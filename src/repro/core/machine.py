@@ -318,8 +318,8 @@ class ArbiterSites(NamedTuple):
     guards (its inputs are the input ports of the channel's source), an
     SA1 site by the input channel whose VCs it picks among. Input ``i`` of
     site ``s`` is at ``offsets[s] + i`` of every per-input row of
-    :mod:`repro.arbiters.bank`; the SA1 offsets are the channel's VC
-    slots, ``s << Machine.vc_bits``.
+    :mod:`repro.arbiters.bank`; the SA1 offsets are the channel's first
+    VC slot, ``s << Machine.vc_bits``.
     """
 
     #: Site ids in the order checkpoints list them.
@@ -343,13 +343,8 @@ class EngineRows(NamedTuple):
     src: Tuple[int, ...]
     dst: Tuple[int, ...]
     is_endpoint: Tuple[bool, ...]
-    #: Width of the VC field of a (channel, VC) *slot*,
-    #: ``(cid << vc_bits) | vc``: the index of the flat per-VC rows.
-    vc_bits: int
-    #: Each channel's slots, by channel id.
-    slots: Tuple[range, ...]
-    #: The credits every slot starts with: the buffer depth, and 0 in the
-    #: padding a channel with fewer VCs leaves.
+    #: The credits every slot (:attr:`Machine.vc_bits`) starts with: the
+    #: buffer depth, and 0 in the padding a channel with fewer VCs leaves.
     credits: Tuple[int, ...]
     #: The sites of the SA2 (output) and SA1 (VC selection) stages.
     arbiter_sites: ArbiterSites
@@ -428,6 +423,11 @@ class Machine:
         self.channel_occupancy_ticks: List[int] = []
         self.channel_vcs: List[int] = []
         self.channel_buffer_depth: List[int] = []
+        #: Width of the VC field of a (channel, VC) *slot*, ``(cid <<
+        #: vc_bits) | vc``: the one int a route stores per hop and the
+        #: index of an engine's flat per-VC rows. Channel ``cid``'s slots
+        #: are ``range(cid << vc_bits, (cid << vc_bits) + channel_vcs[cid])``.
+        self.vc_bits: int = 0
         #: ``_channel_ids[channel id]`` is the one int object that names
         #: the channel everywhere: in :attr:`component_inputs` and
         #: :attr:`component_outputs` and the layout's ``cids`` and
@@ -607,6 +607,7 @@ class Machine:
         depth = {kind: self._buffer_depth(kind) for kind in kinds}
         self.channel_vcs = [vcs[kind] for kind in self.channel_kind]
         self.channel_buffer_depth = [depth[kind] for kind in self.channel_kind]
+        self.vc_bits = (max(vcs.values(), default=1) - 1).bit_length()
 
     # --- queries ------------------------------------------------------------
 
@@ -709,10 +710,7 @@ class Machine:
             comp.kind == ComponentKind.ENDPOINT for comp in self.components
         )
         vcs = self.channel_vcs
-        bits = (max(vcs, default=1) - 1).bit_length()
-        slots = tuple(
-            range(cid << bits, (cid << bits) + n) for cid, n in enumerate(vcs)
-        )
+        bits = self.vc_bits
         credits: List[int] = []
         for n, depth in zip(vcs, self.channel_buffer_depth):
             credits += [depth] * n + [0] * ((1 << bits) - n)
@@ -729,8 +727,6 @@ class Machine:
             src=src,
             dst=dst,
             is_endpoint=is_endpoint,
-            vc_bits=bits,
-            slots=slots,
             credits=tuple(credits),
             arbiter_sites=ArbiterSites(
                 order=tuple(
@@ -747,7 +743,7 @@ class Machine:
                 order=tuple(
                     cid for cid, comp in enumerate(dst) if not is_endpoint[comp]
                 ),
-                offsets=tuple(r.start for r in slots),
+                offsets=tuple(cid << bits for cid in range(len(vcs))),
                 num_inputs=tuple(
                     0 if is_endpoint[comp] else n for comp, n in zip(dst, vcs)
                 ),

@@ -24,7 +24,8 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from array import array
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import params
 from .geometry import Coord2, Coord3, Dim, TORUS_DIRECTIONS
@@ -63,29 +64,89 @@ class RouteChoice:
 
 @dataclasses.dataclass(frozen=True)
 class Route:
-    """A complete route: the exact (channel id, VC index) hop sequence.
+    """A complete route: the exact (channel id, VC index) hop sequence,
+    stored as one engine *slot* a hop, ``(channel << vc_bits) | vc``
+    (:attr:`~repro.core.machine.Machine.vc_bits`): 4 bytes a hop, read
+    as is by the engine, the load enumerator and the deadlock proof.
 
     ``via`` is the intermediate chip of a two-phase detour route (fault
-    avoidance), or ``None`` for ordinary single-phase routes.
+    avoidance), or ``None`` for ordinary single-phase routes; it has no
+    default, as no ``__slots__`` field can. Routes compare by value,
+    slots included; nothing hashes them.
     """
 
+    __slots__ = (
+        "src", "dst", "choice", "slots", "internode_hops", "vc_bits", "via"
+    )
     src: int
     dst: int
     choice: RouteChoice
-    hops: Tuple[Tuple[int, int], ...]
+    slots: array
     internode_hops: int
-    via: Optional[Coord3] = None
+    vc_bits: int
+    via: Optional[Coord3]
+
+    def __reduce__(self):
+        # Pickle would set a ``__slots__`` object's fields back one by one,
+        # which a frozen class refuses; it makes the route anew instead.
+        return Route, tuple(getattr(self, name) for name in self.__slots__)
+
+    @classmethod
+    def from_hops(
+        cls,
+        machine: Machine,
+        src: int,
+        dst: int,
+        choice: RouteChoice,
+        hops: Iterable[Tuple[int, int]],
+        internode_hops: int,
+        via: Optional[Coord3] = None,
+    ) -> "Route":
+        """The route over ``machine`` crossing ``hops``, ``(channel, VC)``
+        pairs: how a route read from outside (a checkpoint's packet row,
+        a replayed trace's ``depart`` events) or written out in a test is
+        made. Raises ``ValueError`` naming the first pair that is no
+        (channel, VC) of the machine; :func:`validate_route` checks the
+        walk."""
+        vcs, bits = machine.channel_vcs, machine.vc_bits
+        slots = []
+        for channel, vc in hops:
+            if not (
+                type(channel) is int and 0 <= channel < len(vcs)
+                and type(vc) is int and 0 <= vc < vcs[channel]
+            ):
+                raise ValueError(_no_such_hop(channel, vc))
+            slots.append((channel << bits) | vc)
+        return cls(src, dst, choice, array("i", slots), internode_hops, bits, via)
+
+    @property
+    def hops(self) -> Tuple[Tuple[int, int], ...]:
+        """The ``(channel id, VC)`` pairs, decoded from :attr:`slots` on
+        each read: for display and tests, never stored."""
+        bits = self.vc_bits
+        mask = (1 << bits) - 1
+        return tuple((slot >> bits, slot & mask) for slot in self.slots)
 
     def channels(self) -> Tuple[int, ...]:
         """The channel ids along the route, in order."""
-        return tuple(channel for channel, _vc in self.hops)
+        bits = self.vc_bits
+        return tuple(slot >> bits for slot in self.slots)
 
     def first_failed(self, failed, from_hop: int = 0) -> int:
         """The first channel in ``failed`` crossed from hop ``from_hop`` on, or -1."""
-        for channel, _vc in self.hops[from_hop:]:
+        bits = self.vc_bits
+        for slot in self.slots[from_hop:]:
+            channel = slot >> bits
             if channel in failed:
                 return channel
         return -1
+
+
+def _no_such_hop(channel, vc) -> str:
+    return (
+        f"route has hop ({channel!r}, {vc!r}), which is no "
+        f"(channel, VC) of this machine"
+    )
 
 
 class Unroutable(RuntimeError):
@@ -110,8 +171,9 @@ class Unroutable(RuntimeError):
 #: memo, lives as long as the process that elaborated it (a server's, a
 #: campaign's), so the memo must not grow to a machine's route space
 #: (exhaustive load enumeration at 4x4x4 asks for all 190 464 routes,
-#: ~1.9 KB each); the 131 072 packets of an 8x8x8 x 4 cores x 64 point
-#: still fit, so its saves find every live route (~2.2 KB each there).
+#: ~390 B each with its memo entry); the 131 072 packets of an 8x8x8 x
+#: 4 cores x 64 point still fit, so its saves find every live route
+#: (~650 B a packet there: packet, route and memo entry).
 ROUTE_MEMO_ENTRIES = 1 << 17
 
 
@@ -307,51 +369,55 @@ class RouteComputer:
         )
 
     def _mesh_path(self, src: Coord2, dst: Coord2) -> Tuple[int, ...]:
-        """On-chip slots of the direction-order path between two routers."""
+        """Chip index 0's slots, at VC 0, of the direction-order path
+        between two routers."""
         key = (src, dst)
-        slots = self._mesh_paths.get(key)
-        if slots is None:
+        path = self._mesh_paths.get(key)
+        if path is None:
             link = self.machine.layout.router_link
-            slots = self._mesh_paths[key] = tuple(
-                link[pair]
+            bits = self.machine.vc_bits
+            path = self._mesh_paths[key] = tuple(
+                link[pair] << bits
                 for pair in mesh_route_links(src, dst, self.direction_order)
             )
-        return slots
+        return path
 
     def _direction_row(self, dim: int, positive: bool, slice_index: int) -> Tuple:
         """What travelling one (direction, slice) takes, on any chip.
 
         ``(departure router, arrival router, router -> adapter slot,
         through-chip slots, adapter -> router slot, the layout's
-        inter-node row, direction)``: the departure adapter hangs off the
-        departure router; the packet lands on the opposite direction's
-        adapter, which hangs off the arrival router; a through chip is
-        crossed adapter -> router, (skip channel where the two routers
-        differ), router -> adapter -- ``None`` when the floorplan has no
-        such skip channel, which only a through chip may object to.
+        inter-node row, direction)``, the slots chip index 0's at VC 0:
+        the departure adapter hangs off the departure router; the packet
+        lands on the opposite direction's adapter, which hangs off the
+        arrival router; a through chip is crossed adapter -> router,
+        (skip channel where the two routers differ), router -> adapter --
+        ``None`` when the floorplan has no such skip channel, which only
+        a through chip may object to.
         """
         machine = self.machine
         plan = machine.floorplan
         layout = machine.layout
+        bits = machine.vc_bits
         direction = _DIRECTIONS[(dim, positive)]
         departure = plan.channel_adapter_router[(direction, slice_index)]
         arrival = plan.channel_adapter_router[(direction.opposite, slice_index)]
-        depart_slot = layout.adapter_link[(direction, slice_index)][0]
-        arrive_slot = layout.adapter_link[(direction.opposite, slice_index)][1]
-        through: Optional[Tuple[int, ...]] = (arrive_slot, depart_slot)
+        depart = layout.adapter_link[(direction, slice_index)][0]
+        arrive = layout.adapter_link[(direction.opposite, slice_index)][1]
+        through: Optional[Tuple[int, ...]] = (arrive << bits, depart << bits)
         if arrival != departure:
-            # Slot == channel id on chip index 0.
+            # Position in the block == channel id on chip index 0.
             skip = layout.router_link.get((arrival, departure))
             if skip is None or machine.channel_kind[skip] != ChannelKind.SKIP:
                 through = None
             else:
-                through = (arrive_slot, skip, depart_slot)
+                through = (arrive << bits, skip << bits, depart << bits)
         row = self._direction_rows[(dim, positive, slice_index)] = (
             departure,
             arrival,
-            depart_slot,
+            depart << bits,
             through,
-            arrive_slot,
+            arrive << bits,
             layout.internode[(direction, slice_index)],
             direction,
         )
@@ -368,12 +434,12 @@ class RouteComputer:
 
         Every chip is the same chip, so a route is a handful of segments
         -- endpoint link, mesh path, router/adapter links, through-chip
-        crossings -- each a tuple of slots inside one chip's on-chip
-        channel block (:class:`~repro.core.machine.ChipBlockLayout`),
-        shifted to the chip the packet is on; the inter-node channel and
-        the next chip come from one per-(direction, slice) row. Only the
-        VC depends on where the chip sits, and the allocator is driven
-        through the same few calls per dimension as ever.
+        crossings -- each a tuple of chip index 0's slots, shifted to the
+        chip the packet is on by that chip's first slot and given the
+        hop's VC; the inter-node channel and the next chip come from one
+        per-(direction, slice) row. Only the VC depends on where the chip
+        sits, and the allocator is driven through the same few calls per
+        dimension as ever.
         """
         machine = self.machine
         plan = machine.floorplan
@@ -394,16 +460,19 @@ class RouteComputer:
             )
 
         layout = machine.layout
-        cids = layout.cids
-        per_chip = layout.onchip_per_chip
+        bits = machine.vc_bits
+        # Slots per chip block: chip ``c``'s first on-chip slot is
+        # ``c * per_chip``.
+        per_chip = layout.onchip_per_chip << bits
         m_vcs = cfg.vcs_per_class_m
         t_vcs = cfg.vcs_per_class_t
         rows = self._direction_rows
-        hops: List[Tuple[int, int]] = []
+        slots: List[int] = []
         internode_hops = 0
 
-        def class_vc(within_class_vc: int, per_class: int, cid: int) -> int:
+        def class_vc(within_class_vc: int, per_class: int, slot: int) -> int:
             if within_class_vc >= per_class:
+                cid = slot >> bits
                 raise AssertionError(
                     f"VC {within_class_vc} exceeds the {per_class} VCs of "
                     f"ch{cid}[{machine.channel_kind[cid].name}]"
@@ -418,18 +487,19 @@ class RouteComputer:
         origin = machine.components[start]
         cur_chip = origin.chip
         chip = layout.chip_index[cur_chip]
-        base = chip * per_chip
+        first = chip * per_chip
         if origin.kind == ComponentKind.ENDPOINT:
             cur_router = plan.endpoint_router[origin.detail]
-            hops.append(
-                (cids[base + layout.endpoint_link[origin.detail][1]], traffic_class)
+            slots.append(
+                (first + (layout.endpoint_link[origin.detail][1] << bits))
+                | traffic_class
             )
         elif origin.kind == ComponentKind.ROUTER:
             cur_router = origin.detail
         elif origin.kind == ComponentKind.CHANNEL_ADAPTER:
             cur_router = plan.channel_adapter_router[origin.detail]
-            cid = cids[base + layout.adapter_link[origin.detail][1]]
-            hops.append((cid, class_vc(allocs[0].t_vc(), t_vcs, cid)))
+            slot = first + (layout.adapter_link[origin.detail][1] << bits)
+            slots.append(slot | class_vc(allocs[0].t_vc(), t_vcs, slot))
         else:  # pragma: no cover - defensive
             raise ValueError(f"cannot start a route at {origin}")
 
@@ -443,9 +513,9 @@ class RouteComputer:
                 (
                     departure,
                     arrival,
-                    depart_slot,
+                    depart,
                     through,
-                    arrive_slot,
+                    arrive,
                     links,
                     direction,
                 ) = rows.get((dim, delta > 0, slice_index)) or self._direction_row(
@@ -456,12 +526,11 @@ class RouteComputer:
                 # then into the T-group via the router -> adapter link.
                 if cur_router != departure:
                     path = self._mesh_path(cur_router, departure)
-                    vc = class_vc(alloc.m_vc(), m_vcs, cids[base + path[0]])
-                    hops += [(cids[base + slot], vc) for slot in path]
+                    vc = class_vc(alloc.m_vc(), m_vcs, first + path[0])
+                    slots += [(first + slot) | vc for slot in path]
                 alloc.start_dimension()
-                cid = cids[base + depart_slot]
-                vc = class_vc(alloc.t_vc(), t_vcs, cid)
-                hops.append((cid, vc))
+                vc = class_vc(alloc.t_vc(), t_vcs, first + depart)
+                slots.append((first + depart) | vc)
 
                 steps = abs(delta)
                 for step in range(steps):
@@ -469,9 +538,9 @@ class RouteComputer:
                     if crosses:
                         # The dateline channel itself is used at the promoted VC.
                         alloc.cross_dateline()
-                        vc = class_vc(alloc.t_vc(), t_vcs, cid)
-                    hops.append((cid, vc))
-                    base = chip * per_chip
+                        vc = class_vc(alloc.t_vc(), t_vcs, cid << bits)
+                    slots.append((cid << bits) | vc)
+                    first = chip * per_chip
                     if step < steps - 1:
                         # Through route at an intermediate chip, all T-group.
                         if through is None:
@@ -479,11 +548,11 @@ class RouteComputer:
                                 f"no skip channel between {arrival} and "
                                 f"{departure} for {direction} through traffic"
                             )
-                        hops += [(cids[base + slot], vc) for slot in through]
+                        slots += [(first + slot) | vc for slot in through]
                 # Last chip of this dimension: leave the T-group. The final
                 # adapter -> router link still belongs to this dimension's
                 # T-group visit (old VC); the promotion applies afterwards.
-                hops.append((cids[base + arrive_slot], vc))
+                slots.append((first + arrive) | vc)
                 alloc.finish_dimension()
                 internode_hops += steps
                 cur_router = arrival
@@ -498,48 +567,54 @@ class RouteComputer:
         dst_router = plan.endpoint_router[dst.detail]
         if cur_router != dst_router:
             path = self._mesh_path(cur_router, dst_router)
-            vc = class_vc(allocs[-1].m_vc(), m_vcs, cids[base + path[0]])
-            hops += [(cids[base + slot], vc) for slot in path]
-        hops.append((cids[base + layout.endpoint_link[dst.detail][0]], traffic_class))
+            vc = class_vc(allocs[-1].m_vc(), m_vcs, first + path[0])
+            slots += [(first + slot) | vc for slot in path]
+        slots.append(
+            (first + (layout.endpoint_link[dst.detail][0] << bits)) | traffic_class
+        )
 
         return Route(
             src=start,
             dst=dst_endpoint,
             choice=legs[0][1],
-            hops=tuple(hops),
+            slots=array("i", slots),
             internode_hops=internode_hops,
+            vc_bits=bits,
             via=legs[0][0] if len(legs) > 1 else None,
         )
 
 
 def validate_route(machine: Machine, route: Route, moved: bool = False) -> None:
     """Refuse, by name, a route that is not a walk of ``machine``'s
-    (channel, VC) pairs from ``route.src`` into ``route.dst``: each hop a
+    (channel, VC) pairs from ``route.src`` into ``route.dst``: each slot a
     channel of the machine on a VC it implements, leaving the component
     the hop before it entered. Reads the machine's channel rows.
 
     The one check of a route read from outside -- a checkpoint's or a
-    shard transfer's packet row, a replayed trace's ``depart`` events --
-    and of the routes the tests build. ``moved``: the packet has left its
-    source, so its route may be one spliced around a fault, whose first
-    hop is the channel that held the packet; that hop may then leave any
-    component.
+    shard transfer's packet row, a replayed trace's ``depart`` events
+    (made by :meth:`Route.from_hops`, which names a pair that is no
+    slot) -- and of the routes the tests build. ``moved``: the packet
+    has left its source, so its route may be one spliced around a fault,
+    whose first hop is the channel that held the packet; that hop may
+    then leave any component.
 
     Raises ``ValueError`` naming the first defect.
     """
-    if not route.hops:
+    if not route.slots:
         raise ValueError("route has no hops")
+    bits = route.vc_bits
+    if bits != machine.vc_bits:
+        raise ValueError(
+            f"route's slots carry {bits} VC bits, this machine's "
+            f"{machine.vc_bits}"
+        )
+    mask = (1 << bits) - 1
     vcs, leaves, enters = machine.channel_vcs, machine.channel_src, machine.channel_dst
     at = None if moved else route.src
-    for channel, vc in route.hops:
-        if not (
-            type(channel) is int and 0 <= channel < len(vcs)
-            and type(vc) is int and 0 <= vc < vcs[channel]
-        ):
-            raise ValueError(
-                f"route has hop ({channel!r}, {vc!r}), which is no "
-                f"(channel, VC) of this machine"
-            )
+    for slot in route.slots:
+        channel, vc = slot >> bits, slot & mask
+        if not 0 <= channel < len(vcs) or vc >= vcs[channel]:
+            raise ValueError(_no_such_hop(channel, vc))
         if at is not None and leaves[channel] != at:
             raise ValueError(
                 f"route hops onto channel {channel}, which does not leave "

@@ -82,7 +82,7 @@ class LatencyModel:
         the software overhead (send + receive combined).
         """
         items: List[Tuple[str, float]] = [("software+sync", self.software_ns)]
-        for channel_id, _vc in route.hops:
+        for channel_id in route.channels():
             kind = machine.channel_kind[channel_id]
             if kind == ChannelKind.EP_TO_ROUTER:
                 items.append(("E(src)", self.endpoint_adapter_ns))
@@ -126,7 +126,7 @@ def minimum_internode_route(machine: Machine, route_computer: RouteComputer):
                 dst_ep = machine.ep_id[(dst_chip, dst_index)]
                 for choice, _prob in route_computer.all_choices(origin, dst_chip):
                     route = route_computer.compute(src_ep, dst_ep, choice)
-                    if best is None or len(route.hops) < len(best.hops):
+                    if best is None or len(route.slots) < len(best.slots):
                         best = route
     if best is None:
         raise ValueError("machine has no one-hop neighbor pairs")

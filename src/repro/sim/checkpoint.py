@@ -315,19 +315,19 @@ class _PacketCodec:
             if via != -1:
                 rest, z = divmod(via, self._nz)
                 via = (*divmod(rest, self._ny), z)
-            route = Route(
-                src, dst, choice, tuple(zip(run[::2], run[1::2])), internode,
-                None if via == -1 else via,
-            )
             try:
+                route = Route.from_hops(
+                    self._machine, src, dst, choice, zip(run[::2], run[1::2]),
+                    internode, None if via == -1 else via,
+                )
                 validate_route(self._machine, route, moved=hop_index != 0)
             except ValueError as exc:
                 raise CheckpointError(f"packet {pid}'s {exc}") from None
-        hops = route.hops
-        if not 0 <= hop_index <= len(hops):
+        slots = route.slots
+        if not 0 <= hop_index <= len(slots):
             raise CheckpointError(
                 f"packet {pid}'s hop_index {hop_index} is outside its "
-                f"{len(hops)}-hop route"
+                f"{len(slots)}-hop route"
             )
         packet = Packet(pid, route, size_flits, pattern, traffic_class, release)
         packet.inject_cycle, packet.ready_cycle = inject, ready
@@ -335,7 +335,7 @@ class _PacketCodec:
         packet.hop_index = hop_index
         # ``next_hop`` is an invariant of (route, hop_index) at checkpoint
         # boundaries, so it is derived rather than stored.
-        packet.next_hop = hops[hop_index] if hop_index < len(hops) else None
+        packet.next_hop = slots[hop_index] if hop_index < len(slots) else None
         return packet
 
     def _route(self, pid, src, dst, choice, traffic_class) -> Route:
@@ -759,7 +759,7 @@ def restore_engine(
 # --- schema 1 ---------------------------------------------------------------------
 
 
-def _packet_from_json(data: dict) -> Packet:
+def _packet_from_json(data: dict, machine: Machine) -> Packet:
     """A schema-1 packet: named fields, its route a dict with nested
     ``[channel, vc]`` hops."""
     rdata, cdata = data["route"], data["route"]["choice"]
@@ -768,11 +768,14 @@ def _packet_from_json(data: dict) -> Packet:
         tuple(cdata["order"]), cdata["slice"],
         None if deltas is None else tuple(deltas),
     )
-    route = Route(
-        rdata["src"], rdata["dst"], choice,
-        tuple((channel, vc) for channel, vc in rdata["hops"]),
-        rdata["internode"], None if via is None else tuple(via),
-    )
+    hops = [(channel, vc) for channel, vc in rdata["hops"]]
+    try:
+        route = Route.from_hops(
+            machine, rdata["src"], rdata["dst"], choice, hops,
+            rdata["internode"], None if via is None else tuple(via),
+        )
+    except ValueError as exc:
+        raise CheckpointError(f"packet {data['pid']}'s {exc}") from None
     packet = Packet(
         data["pid"], route, data["size_flits"], data["pattern"],
         data["traffic_class"], data["release_cycle"],
@@ -813,7 +816,7 @@ def _upgrade_schema1(data: dict, machine: Machine) -> dict:
         )
     rows = machine.engine_rows
     for name in ("credits", "buffers"):
-        if list(map(len, data[name])) != list(map(len, rows.slots)):
+        if list(map(len, data[name])) != machine.channel_vcs:
             raise CheckpointError(
                 f"checkpoint does not fit this machine: its {name} are not "
                 f"one entry per VC of each channel"
@@ -822,7 +825,7 @@ def _upgrade_schema1(data: dict, machine: Machine) -> dict:
     return dict(
         {k: v for k, v in data.items() if k != "keep_packet_latencies"},
         schema=3,
-        packets=[codec.row(_packet_from_json(p)) for p in data["packets"]],
+        packets=[codec.row(_packet_from_json(p, machine)) for p in data["packets"]],
         buffers=[
             [cid, vc, queue]
             for cid, queues in enumerate(data["buffers"])

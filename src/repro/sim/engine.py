@@ -68,6 +68,7 @@ no datelines) really do deadlock.
 from __future__ import annotations
 
 import itertools
+from array import array
 from heapq import heappop
 from operator import itemgetter
 from typing import Callable, Dict, List, NamedTuple, Optional
@@ -196,12 +197,13 @@ def arrival_vc(packet: Packet) -> int:
     """VC the packet occupies at the end of its most recent hop.
 
     The hop that carried a packet to its current arbitration point is
-    ``route.hops[hop_index - 1]``; its VC component is the buffer the
+    ``route.slots[hop_index - 1]``; its VC field is the buffer the
     packet sits in (or, on the final hop, the VC whose credit is returned
     at delivery). Every arrival disposition -- buffer, deliver, and
-    fault-drop -- shares this one lookup.
+    fault-drop -- reads this one slot.
     """
-    return packet.route.hops[packet.hop_index - 1][1]
+    route = packet.route
+    return route.slots[packet.hop_index - 1] & ((1 << route.vc_bits) - 1)
 
 
 class Engine:
@@ -243,11 +245,12 @@ class Engine:
         self._pipeline = machine.config.router_pipeline_cycles
         self.stats.ticks_per_cycle = self._ticks_per_cycle
         # Per-(channel, VC) state is one flat row per kind, indexed by
-        # the slot ``(cid << vc_bits) | vc``; nothing is allocated per
-        # slot, so an engine is a few dozen objects whatever the machine
-        # (DESIGN.md section 9).
-        self._vc_bits: int = rows.vc_bits
-        self._slots = rows.slots
+        # the slot ``(cid << vc_bits) | vc`` a route stores per hop;
+        # nothing is allocated per slot, so an engine is a few dozen
+        # objects whatever the machine (DESIGN.md section 9).
+        self._vc_bits: int = machine.vc_bits
+        self._vc_mask: int = (1 << machine.vc_bits) - 1
+        self._channel_vcs = machine.channel_vcs
         #: Credits available to the channel's source, by slot.
         self._credits: List[int] = list(rows.credits)
         #: The VC buffers at the channel's destination, by slot: FIFOs
@@ -559,6 +562,7 @@ class Engine:
             return
         credits = self._credits
         vc_bits = self._vc_bits
+        vc_mask = self._vc_mask
         active = self._active
         arrivals = []
         faults = []
@@ -601,7 +605,9 @@ class Engine:
         for _, packet, cid, _ in arrivals:
             if inflight is not None:
                 inflight.pop(packet, None)
-            vc = packet.route.hops[packet.hop_index - 1][1]  # arrival_vc()
+            # arrival_vc(), inlined: the slot the packet arrives in.
+            slot = packet.route.slots[packet.hop_index - 1]
+            vc = slot & vc_mask
             if packet.drop_on_arrival or packet.next_hop is None:
                 # Consumed here: at its destination endpoint, or -- a
                 # copy a mid-run fault condemned in flight (drop policy,
@@ -636,7 +642,6 @@ class Engine:
                     self.on_delivery(packet, now)
                 continue
             packet.ready_cycle = ready_cycle
-            slot = (cid << vc_bits) | vc
             tail = fifo_tail[slot]
             dst = channel_dst[cid]
             if tail is None:
@@ -729,10 +734,11 @@ class Engine:
                     # Head not released yet; a wake event will re-activate us.
                     idle.append(comp_id)
                     continue
-                oc, ovc = packet.next_hop
+                nxt = packet.next_hop
+                oc = nxt >> vc_bits
                 if (
                     channel_free_at[oc] > now_ticks
-                    or credits[(oc << vc_bits) | ovc] < packet.size_flits
+                    or credits[nxt] < packet.size_flits
                 ):
                     continue
                 if head + 1 < len(queue):
@@ -772,7 +778,8 @@ class Engine:
                     packet = fifo_head[base | vc]
                     if packet.ready_cycle > now:
                         continue
-                    oc, ovc = packet.next_hop
+                    nxt = packet.next_hop
+                    oc = nxt >> vc_bits
                     # Frozen channels grant nothing. (The fault sweep
                     # re-routes every stranded packet, so this only fires
                     # in the window before a re-resolved packet's next
@@ -786,7 +793,7 @@ class Engine:
                     # channels) is not quantized away.
                     if channel_free_at[oc] >= horizon_ticks:
                         continue
-                    if credits[(oc << vc_bits) | ovc] < packet.size_flits:
+                    if credits[nxt] < packet.size_flits:
                         continue
                     if first_packet is None:
                         first_vc = vc
@@ -807,7 +814,7 @@ class Engine:
                     packet = first_packet
                 else:
                     vc, packet = sa1_peek(ic, vc_requests)
-                oc = packet.next_hop[0]
+                oc = packet.next_hop >> vc_bits
                 entry = (input_idx, packet, ic, vc, oc)
                 if candidates is None:
                     candidates = {oc: entry}
@@ -863,13 +870,13 @@ class Engine:
         injected = 0
         for comp_id, packet, ic, vc, oc in grants:
             size = packet.size_flits
-            ovc = packet.next_hop[1]
+            nxt = packet.next_hop
             busy_ticks = size * occupancy_ticks[oc]
             # serialization_end_ticks(), inlined.
             free_at = channel_free_at[oc]
             end_ticks = (free_at if free_at > now_ticks else now_ticks) + busy_ticks
             channel_free_at[oc] = end_ticks
-            credits[(oc << vc_bits) | ovc] -= size
+            credits[nxt] -= size
             stat_channel_flits[oc] += size
             stat_channel_busy[oc] += busy_ticks
             if ic >= 0:
@@ -904,6 +911,7 @@ class Engine:
                     busy_add(oc, now, busy_ticks)
                 if sink is not None:
                     pid = packet.pid
+                    ovc = nxt & self._vc_mask
                     if ic < 0:
                         kind = "inject"
                         detail = (("src", comp_id), ("dst", packet.dst), ("flits", size))
@@ -927,8 +935,8 @@ class Engine:
                         )
             hop_index = packet.hop_index + 1
             packet.hop_index = hop_index
-            hops = packet.route.hops
-            packet.next_hop = hops[hop_index] if hop_index < len(hops) else None
+            slots = packet.route.slots
+            packet.next_hop = slots[hop_index] if hop_index < len(slots) else None
             # arrival_cycle(), inlined.
             arrival = (end_ticks - 1) // tpc - 1 + latency[oc]
             if arrival <= now:
@@ -1019,7 +1027,7 @@ class Engine:
             except Unroutable:
                 self.stats.unroutable += 1
             else:
-                packet.next_hop = packet.route.hops[0]
+                packet.next_hop = packet.route.slots[0]
                 self.stats.rerouted += 1
                 if self.trace is not None:
                     self.trace.emit(
@@ -1030,7 +1038,7 @@ class Engine:
                             packet.pid,
                             blocked,
                             0,
-                            (("hops", len(packet.route.hops)),),
+                            (("hops", len(packet.route.slots)),),
                         )
                     )
                 return packet
@@ -1121,7 +1129,7 @@ class Engine:
                             packet.pid,
                             ic,
                             vc,
-                            (("hops", len(packet.route.hops) - 1),),
+                            (("hops", len(packet.route.slots) - 1),),
                         )
                     )
                 return True
@@ -1142,7 +1150,7 @@ class Engine:
             if packet.drop_on_arrival:
                 continue
             hop_index = packet.hop_index
-            if hop_index >= len(packet.route.hops):
+            if hop_index >= len(packet.route.slots):
                 continue  # final delivery hop; endpoint links cannot fail
             if packet.route.first_failed(self._failed_channels, hop_index) < 0:
                 continue
@@ -1155,21 +1163,23 @@ class Engine:
         """Replace a packet's remaining route with a freshly resolved tail.
 
         The packet keeps its identity (pid, source, destination) and its
-        current position: the new route's hop 0 is the channel currently
-        holding (or delivering) it, so the engine's ``hops[hop_index - 1]``
-        buffer-VC lookups stay valid with ``hop_index = 1``.
+        current position: the new route's hop 0 is the slot currently
+        holding (or delivering) it, so the engine's ``slots[hop_index -
+        1]`` buffer lookups stay valid with ``hop_index = 1``.
         """
         old = packet.route
+        holding = array("i", ((holding_channel << self._vc_bits) | holding_vc,))
         packet.route = Route(
             src=old.src,
             dst=old.dst,
             choice=old.choice,
-            hops=((holding_channel, holding_vc),) + tail.hops,
+            slots=holding + tail.slots,
             internode_hops=tail.internode_hops,
+            vc_bits=tail.vc_bits,
             via=tail.via,
         )
         packet.hop_index = 1
-        packet.next_hop = packet.route.hops[1]
+        packet.next_hop = packet.route.slots[1]
 
     def _schedule_retry(self, packet: Packet, where: int, now: int) -> None:
         """Re-inject a stranded packet at its source with backoff.
@@ -1241,17 +1251,23 @@ class Engine:
         self._fifo_tail[slot] = queue[-1] if queue else None
         cid = slot >> self._vc_bits
         occupied = self._vc_occupied[cid] = sum(
-            1 << vc for vc, s in enumerate(self._slots[cid]) if self._fifo_head[s]
+            1 << vc for vc, s in enumerate(self._channel_slots(cid))
+            if self._fifo_head[s]
         )
         dst, bit = self._channel_dst[cid], self._input_bit[cid]
         others = self._input_occupied[dst] & ~bit
         self._input_occupied[dst] = others | bit if occupied else others
 
+    def _channel_slots(self, cid: int) -> range:
+        """Channel ``cid``'s slots, one a VC."""
+        first = cid << self._vc_bits
+        return range(first, first + self._channel_vcs[cid])
+
     def channel_rows(self, cid: int) -> ChannelRows:
         """Everything this engine holds for channel ``cid``: what a shard
         merge copies from the owner of each side of the channel
         (:func:`~repro.sim.shard.merge_shard_snapshots`)."""
-        slots = self._slots[cid]
+        slots = self._channel_slots(cid)
         sa2, sa1 = self.arbiters, self.vc_arbiters
         return ChannelRows(
             credits=self._credits[slots.start:slots.stop],
@@ -1269,7 +1285,7 @@ class Engine:
         its destination side, or both. The inverse of
         :meth:`channel_rows`, for an engine of the same machine and
         policies; anything else raises ``ValueError``."""
-        slots = self._slots[cid]
+        slots = self._channel_slots(cid)
         if len(rows.credits) != len(slots) or len(rows.queues) != len(slots):
             raise ValueError(
                 f"channel {cid} has {len(slots)} VCs, its state "
@@ -1292,7 +1308,11 @@ class Engine:
         """This engine's state by channel and by (channel, VC), without the
         slot layout: the credits in (channel, VC) order, the two timers,
         and the non-empty VC buffers as ``(cid, vc, packets head first)``."""
-        credits = [self._credits[slot] for vcs in self._slots for slot in vcs]
+        credits = [
+            self._credits[slot]
+            for cid in range(len(self._channel_vcs))
+            for slot in self._channel_slots(cid)
+        ]
         return (
             credits, list(self._channel_free_at), list(self._input_free_at),
             self._buffers(),
@@ -1312,16 +1332,17 @@ class Engine:
         """Put :meth:`rows` back into a new engine of the same machine. A
         row of another length, or a buffer that is empty, out of (channel,
         VC) order or at no VC of this machine, raises ``ValueError``."""
-        slots = self._slots
+        vcs = self._channel_vcs
         for name, row, size in (
-            ("credits", credits, sum(map(len, slots))),
-            ("channel_free_at", channel_free_at, len(slots)),
-            ("input_free_at", input_free_at, len(slots)),
+            ("credits", credits, sum(vcs)),
+            ("channel_free_at", channel_free_at, len(vcs)),
+            ("input_free_at", input_free_at, len(vcs)),
         ):
             if len(row) != size:
                 raise ValueError(
                     f"the {name} row has {len(row)} entries, this machine's {size}"
                 )
+        slots = map(self._channel_slots, range(len(vcs)))
         for slot, value in zip(itertools.chain.from_iterable(slots), credits):
             self._credits[slot] = value
         self._channel_free_at[:] = channel_free_at
@@ -1329,15 +1350,15 @@ class Engine:
         last = (0, -1)  # below every (channel, VC)
         for cid, vc, queue in buffers:
             if not (
-                last < (cid, vc) and cid < len(slots)
-                and 0 <= vc < len(slots[cid]) and queue
+                last < (cid, vc) and cid < len(vcs)
+                and 0 <= vc < vcs[cid] and queue
             ):
                 raise ValueError(
                     f"buffer ({cid}, {vc}) is empty, out of (channel, VC) order "
                     f"or at no VC of this machine"
                 )
             last = (cid, vc)
-            self._link_fifo(slots[cid][vc], queue)
+            self._link_fifo((cid << self._vc_bits) | vc, queue)
 
     # --- introspection (used by tests) ------------------------------------------
 

@@ -67,14 +67,14 @@ class Packet:
         #: statistics).
         self.inject_cycle = release_cycle
         self.deliver_cycle: Optional[int] = None
-        #: Index of the next hop in ``route.hops`` to be taken.
+        #: Index of the next hop in ``route.slots`` to be taken.
         self.hop_index = 0
-        #: The ``(channel, vc)`` pair at ``hop_index``, or None past the
-        #: last hop -- cached so the engine's eligibility scan skips the
-        #: route indexing chain. Kept in sync by everything that moves
-        #: ``hop_index`` or replaces ``route`` (the engine's depart,
-        #: splice, and source-screening paths).
-        self.next_hop = route.hops[0] if route.hops else None
+        #: The slot ``(channel << vc_bits) | vc`` at ``hop_index``, or
+        #: None past the last hop -- cached so the engine's eligibility
+        #: scan skips the route indexing chain. Kept in sync by
+        #: everything that moves ``hop_index`` or replaces ``route`` (the
+        #: engine's depart, splice, and source-screening paths).
+        self.next_hop = route.slots[0] if route.slots else None
         #: Cycle at which the packet clears the current component's
         #: pipeline and may arbitrate (set by the engine on arrival).
         self.ready_cycle = release_cycle
@@ -119,5 +119,5 @@ class Packet:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Packet({self.pid}, src={self.src}, dst={self.dst}, "
-            f"hop={self.hop_index}/{len(self.route.hops)})"
+            f"hop={self.hop_index}/{len(self.route.slots)})"
         )

@@ -21,8 +21,8 @@ of 1 means the most-loaded inter-node channel never idles).
 from __future__ import annotations
 
 import dataclasses
-from collections import defaultdict
-from typing import Dict, List, Optional, Sequence, Tuple
+import itertools
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.geometry import all_coords
 from repro.core.machine import ChannelKind, Machine
@@ -148,10 +148,21 @@ def compute_loads(
         )
 
     sources = active_endpoints(machine, cores_per_chip)
-    channel_load: Dict[int, float] = defaultdict(float)
-    arbiter_load: Dict[int, Dict[int, float]] = defaultdict(lambda: defaultdict(float))
-    vc_load: Dict[int, Dict[int, float]] = defaultdict(lambda: defaultdict(float))
+    vcs = machine.channel_vcs
+    bits = machine.vc_bits
     input_index = machine.input_index
+    # Flat rows, as an engine keeps its state: by channel, by slot
+    # ``(cid << bits) | vc`` (what a route stores) and by arbiter input
+    # (an output channel's inputs from ``first_input[oc]`` on). Each
+    # entry gets its additions in enumeration order, the order the pinned
+    # tables were summed in, so every float is theirs. A table holds the
+    # entries some route crossed at a nonzero probability (no pattern
+    # names a destination at probability 0).
+    fan_in = [len(machine.component_inputs[src]) for src in machine.channel_src]
+    first_input = [0, *itertools.accumulate(fan_in)]
+    channel_row = [0.0] * len(vcs)
+    slot_row = [0.0] * (len(vcs) << bits)
+    input_row = [0.0] * first_input[-1]
 
     if use_symmetry:
         base_chip = (0, 0, 0)
@@ -172,56 +183,59 @@ def compute_loads(
             ):
                 prob = node_prob * choice_prob
                 route = route_computer.compute(src_ep, dst_ep, choice)
-                prev_channel = None
-                for channel_id, vc in route.hops:
-                    channel_load[channel_id] += prob
-                    vc_load[channel_id][vc] += prob
-                    if prev_channel is not None:
-                        arbiter_load[channel_id][input_index[prev_channel]] += prob
+                prev_channel = -1
+                for slot in route.slots:
+                    channel_id = slot >> bits
+                    channel_row[channel_id] += prob
+                    slot_row[slot] += prob
+                    if prev_channel >= 0:
+                        input_row[
+                            first_input[channel_id] + input_index[prev_channel]
+                        ] += prob
                     prev_channel = channel_id
 
+    loaded = [cid for cid, load in enumerate(channel_row) if load]
     if use_symmetry:
         # Translate the single-chip result over every nonzero offset.
         # Arbiter input indices are translation-invariant because every
         # chip's channels are created in the same per-chip order.
-        base_channel_load = dict(channel_load)
-        base_arbiter_load = {
-            oc: dict(per_input) for oc, per_input in arbiter_load.items()
-        }
-        base_vc_load = {cid: dict(per_vc) for cid, per_vc in vc_load.items()}
-        for _offset, channel_map in _translation_maps(machine, base_channel_load):
-            for cid, load in base_channel_load.items():
-                channel_load[channel_map[cid]] += load
-            for oc, per_input in base_arbiter_load.items():
-                translated = channel_map[oc]
-                target = arbiter_load[translated]
-                for idx, load in per_input.items():
-                    target[idx] += load
-            for cid, per_vc in base_vc_load.items():
-                translated = channel_map[cid]
-                target = vc_load[translated]
-                for vc, load in per_vc.items():
-                    target[vc] += load
+        base_channels = [(cid, channel_row[cid]) for cid in loaded]
+        base_inputs = [
+            (cid, index, load)
+            for cid in loaded
+            for index, load in enumerate(
+                input_row[first_input[cid]:first_input[cid + 1]]
+            )
+            if load
+        ]
+        base_slots = [
+            (cid, vc, load)
+            for cid in loaded
+            for vc, load in enumerate(
+                slot_row[cid << bits:(cid << bits) + vcs[cid]]
+            )
+            if load
+        ]
+        for _offset, channel_map in _translation_maps(machine, loaded):
+            for cid, load in base_channels:
+                channel_row[channel_map[cid]] += load
+            for cid, index, load in base_inputs:
+                input_row[first_input[channel_map[cid]] + index] += load
+            for cid, vc, load in base_slots:
+                slot_row[(channel_map[cid] << bits) | vc] += load
+        loaded = [cid for cid, load in enumerate(channel_row) if load]
 
-    dense_arbiter_load: Dict[int, List[float]] = {}
-    for oc, per_input in arbiter_load.items():
-        num_inputs = len(machine.component_inputs[machine.channel_src[oc]])
-        row = [0.0] * num_inputs
-        for idx, value in per_input.items():
-            row[idx] = value
-        dense_arbiter_load[oc] = row
-
-    dense_vc_load: Dict[int, List[float]] = {}
-    for cid, per_vc in vc_load.items():
-        row = [0.0] * machine.channel_vcs[cid]
-        for vc, value in per_vc.items():
-            row[vc] = value
-        dense_vc_load[cid] = row
-
+    arbiter_load: Dict[int, List[float]] = {}
+    vc_load: Dict[int, List[float]] = {}
+    for cid in loaded:
+        inputs = input_row[first_input[cid]:first_input[cid + 1]]
+        if any(inputs):
+            arbiter_load[cid] = inputs
+        vc_load[cid] = slot_row[cid << bits:(cid << bits) + vcs[cid]]
     return LoadTable(
-        channel_load=dict(channel_load),
-        arbiter_load=dense_arbiter_load,
-        vc_load=dense_vc_load,
+        channel_load={cid: channel_row[cid] for cid in loaded},
+        arbiter_load=arbiter_load,
+        vc_load=vc_load,
         num_sources=len(sources),
     )
 

@@ -154,8 +154,8 @@ def _reconstruct_packets(
                     f"pid {pid}: {role} component {comp_id!r} is not an "
                     f"endpoint of this machine"
                 )
-        route = Route(src, dst, RouteChoice(), tuple(hop_list), internode_hops=0)
         try:
+            route = Route.from_hops(machine, src, dst, RouteChoice(), hop_list, 0)
             validate_route(machine, route)
         except ValueError as exc:
             raise ReplayError(f"pid {pid}: {exc}") from None

@@ -457,7 +457,9 @@ def _machine_of(case):
 
 #: The sections the digests state in the object form the machine once
 #: held, rendered from its rows: a channel as its (class name, id, src,
-#: dst, kind, group, latency, cycles per flit), and the ends-to-id dict.
+#: dst, kind, group, latency, cycles per flit), the ends-to-id dict, and
+#: the engine rows with the VC-field width and each channel's slot range
+#: they once tabulated (now ``vc_bits`` and arithmetic).
 _RENDERED = {
     "channels": lambda machine: tuple(
         ("Channel", cid, src, dst, kind, group_of(kind), latency, cpf)
@@ -472,6 +474,14 @@ _RENDERED = {
         ends: cid
         for cid, ends in enumerate(zip(machine.channel_src, machine.channel_dst))
     },
+    "engine_rows": lambda machine: (
+        "EngineRows", *machine.engine_rows[:4], machine.vc_bits,
+        tuple(
+            range(cid << machine.vc_bits, (cid << machine.vc_bits) + vcs)
+            for cid, vcs in enumerate(machine.channel_vcs)
+        ),
+        *machine.engine_rows[4:],
+    ),
 }
 
 

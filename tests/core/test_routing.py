@@ -3,7 +3,9 @@
 import dataclasses
 import hashlib
 import itertools
+import pickle
 import random
+import sys
 
 import pytest
 
@@ -19,6 +21,7 @@ from repro.core.machine import (
 )
 from repro.core.routing import (
     ALL_DIM_ORDERS,
+    Route,
     RouteChoice,
     RouteComputer,
     validate_route,
@@ -642,3 +645,28 @@ class TestBuilderErrors:
                 machine.ep_id[((2, 0, 0), 0)],
                 RouteChoice(slice_index=1, deltas=(-2, 0, 0)),
             )
+
+
+class TestRouteFootprint:
+    """A route is one 4-byte slot a hop and a fixed head: a paper-scale
+    batch (8x8x8, millions of packets) holds one route per packet, so
+    what a route costs per hop is what a batch costs per packet."""
+
+    def test_a_route_costs_its_slots(self):
+        machine = Machine(MachineConfig(shape=(8, 8, 8), endpoints_per_chip=2))
+        routes = RouteComputer(machine)
+        rng = random.Random(512)
+        endpoints = [component.cid for component in machine.endpoints()]
+        for _ in range(300):
+            src, dst = rng.sample(endpoints, 2)
+            route = routes.compute(src, dst, routes.random_choice(
+                rng, machine.components[src].chip, machine.components[dst].chip
+            ))
+            assert route.slots.itemsize == 4
+            assert (
+                sys.getsizeof(route) + sys.getsizeof(route.slots)
+                <= 4 * len(route.slots) + 200
+            )
+        assert not hasattr(route, "__dict__")
+        assert "hops" not in Route.__slots__
+        assert pickle.loads(pickle.dumps(route)) == route

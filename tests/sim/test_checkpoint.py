@@ -512,7 +512,7 @@ class TestPacketRow:
         choice = RouteChoice((Dim.Z, Dim.X, Dim.Y), 1, None)
         walk = RouteComputer(machine).compute(src, dst, choice)
         # A via chip the machine would not build, so the hops ride along.
-        route = Route(src, dst, choice, walk.hops, 2, (1, 0, 1))
+        route = Route.from_hops(machine, src, dst, choice, walk.hops, 2, (1, 0, 1))
         packet = Packet(41, route, size_flits=2, pattern=1, traffic_class=0,
                         release_cycle=6)
         packet.inject_cycle, packet.ready_cycle, packet.hop_index = 8, 11, 2
@@ -521,7 +521,7 @@ class TestPacketRow:
         row = json.loads(json.dumps(codec.row(packet)))
         assert len(row) == len(PACKET_ROW) + 2 * len(walk.hops)
         back = _checkpoint_codec(machine, faulted=True).packet(row)
-        assert back.route == route and back.next_hop == walk.hops[2]
+        assert back.route == route and back.next_hop == walk.slots[2]
         for name in Packet.__slots__:
             if name not in ("route", "next_hop", "fifo_next"):
                 assert getattr(back, name) == getattr(packet, name), name

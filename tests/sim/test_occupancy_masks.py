@@ -29,8 +29,8 @@ def recount(engine):
     vc_occupied = [0] * len(engine._vc_occupied)
     input_occupied = [0] * len(engine._input_occupied)
     input_index = engine.machine.input_index
-    for cid, slots in enumerate(engine._slots):
-        for vc, slot in enumerate(slots):
+    for cid in range(len(engine._vc_occupied)):
+        for vc, slot in enumerate(engine._channel_slots(cid)):
             head = engine._fifo_head[slot]
             assert (head is None) == (engine._fifo_tail[slot] is None)
             if head is not None:
